@@ -34,7 +34,7 @@ from repro.net.search import (
     HomeAgentSearch,
     SearchProtocol,
 )
-from repro.sim import make_scheduler
+from repro.sim import Scheduler
 
 #: ways to place the N MHs into the M cells at construction time.
 Placement = Union[str, Sequence[int], Callable[[int, int], int]]
@@ -96,10 +96,15 @@ class Simulation:
             price-independent).
         config: network timing knobs.
         search: ``"abstract"`` (default), ``"broadcast"``,
-            ``"home-agent"``, or a :class:`SearchProtocol` instance.
+            ``"home-agent"``, ``"caching"``, ``"regional"``, or a
+            :class:`SearchProtocol` instance.
         placement: initial MH placement -- ``"round_robin"`` (default),
             ``"single_cell"``, ``"random"``, an explicit list of cell
             indices, or a callable ``(mh_index, n_mss) -> cell_index``.
+        timeline: when ``True``, collect costs in a
+            :class:`~repro.metrics.timeline.TimelineCollector` (a
+            timestamped record per transmission) instead of the plain
+            counting :class:`~repro.metrics.MetricsCollector`.
         fault_plan: optional :class:`~repro.faults.FaultPlan`; when
             given, the fault injector (and, per the plan, the reliable
             delivery layer) is installed before any algorithm attaches,
@@ -117,6 +122,12 @@ class Simulation:
             :class:`~repro.trace.TraceEvent`.  Purely observational:
             costs, message counts and randomness are identical either
             way.
+        monitors: online invariant monitoring -- ``None``/``False``
+            (default, off), ``True`` or ``"default"`` for
+            :func:`~repro.monitor.default_monitors`, or a sequence of
+            :class:`~repro.monitor.Monitor` instances.  Installs a
+            :class:`~repro.monitor.MonitorHub` as :attr:`monitor_hub`;
+            purely observational, like ``trace``.
         population_store: when ``True``, back the N MHs by the
             array-based :class:`~repro.scale.PopulationStore` instead
             of N python objects.  Hosts are transparently promoted to
@@ -125,28 +136,17 @@ class Simulation:
             ``docs/scaling.md``.
         max_active: soft cap on simultaneously promoted hosts (only
             with ``population_store=True``; default 1024).
-        scheduler: event-queue implementation -- ``"heap"`` (default,
-            binary heap) or ``"calendar"`` (calendar queue, O(1)
-            amortized at high event density).  Firing order is
-            byte-identical; see ``docs/performance.md``.
         pooling: recycle fire-and-forget event objects through the
             scheduler's free list (default on; byte-identical either
             way).
-        monitor_sampling: monitor-overhead control (only meaningful
-            with ``monitors``): ``None``/``False`` delivers every
-            event; ``True`` samples high-rate event types at the
-            default rate; a float in ``(0, 1]`` sets the rate
-            explicitly.  Safety monitors that need every event keep
-            getting every event -- see ``docs/observability.md``.
         monitor_mode: monitor dispatch strategy -- ``"event"``
             (default) delivers each event to the monitors as it is
             emitted; ``"batched"`` appends fixed-shape rows to the
             :mod:`repro.obs` ledgers and replays them in drained
             batches with identical per-event semantics, taking exact
             monitoring off the hot path.  Batched mode requires
-            ``monitors`` and is mutually exclusive with
-            ``monitor_sampling`` (it is exact by construction).  See
-            ``docs/observability.md`` for the three fidelity tiers.
+            ``monitors``.  See ``docs/observability.md`` for the two
+            fidelity tiers.
     """
 
     def __init__(
@@ -165,9 +165,7 @@ class Simulation:
         recovery: Union[None, str, object] = None,
         population_store: bool = False,
         max_active: Optional[int] = None,
-        scheduler: str = "heap",
         pooling: bool = True,
-        monitor_sampling: Union[None, bool, float] = None,
         monitor_mode: str = "event",
     ) -> None:
         if n_mss < 1:
@@ -178,7 +176,7 @@ class Simulation:
         self.n_mh = n_mh
         self.rng = random.Random(seed)
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.scheduler = make_scheduler(scheduler, pooling=pooling)
+        self.scheduler = Scheduler(pooling=pooling)
         if timeline:
             from repro.metrics.timeline import TimelineCollector
 
@@ -193,6 +191,11 @@ class Simulation:
                     f"unknown search protocol {search!r}; options: "
                     f"{sorted(_SEARCH_FACTORIES)}"
                 ) from None
+        elif not isinstance(search, SearchProtocol):
+            raise ConfigurationError(
+                f"search must be one of {sorted(_SEARCH_FACTORIES)} or a "
+                f"SearchProtocol instance: {search!r}"
+            )
         self.network = Network(
             scheduler=self.scheduler,
             metrics=self.metrics,
@@ -213,34 +216,27 @@ class Simulation:
             raise ConfigurationError(
                 "monitor_mode='batched' requires monitors="
             )
-        if monitor_mode == "batched" and monitor_sampling:
-            raise ConfigurationError(
-                "monitor_mode='batched' is exact by construction and "
-                "cannot be combined with monitor_sampling"
-            )
         if monitors:
-            from repro.monitor import MonitorHub, default_monitors
+            from repro.monitor import Monitor, MonitorHub, default_monitors
 
             if monitors is True or monitors == "default":
                 monitor_list = default_monitors()
-            else:
+            elif isinstance(monitors, (list, tuple)) and all(
+                isinstance(monitor, Monitor) for monitor in monitors
+            ):
                 monitor_list = list(monitors)
+            else:
+                raise ConfigurationError(
+                    "monitors must be True, 'default' or a sequence of "
+                    f"Monitor instances: {monitors!r}"
+                )
             # The hub *is* a tracer: with trace=True it records events
             # like a plain Tracer would; with trace=False it dispatches
             # to the monitors and drops each event, bounding memory.
-            if monitor_sampling is None or monitor_sampling is False:
-                sample_rate = 1.0
-            elif monitor_sampling is True:
-                from repro.monitor import DEFAULT_SAMPLE_RATE
-
-                sample_rate = DEFAULT_SAMPLE_RATE
-            else:
-                sample_rate = float(monitor_sampling)
             self.monitor_hub = MonitorHub(
                 self.scheduler,
                 monitor_list,
                 record=trace,
-                sample_rate=sample_rate,
                 batch=(monitor_mode == "batched"),
             )
             self.network.trace = self.monitor_hub

@@ -66,36 +66,12 @@ class Host:
         trace = network._trace
         if trace.enabled:
             appender = network._batch_recv
-            gate = network._gate_recv
             if appender is not None:
                 # Batched hub: one ledger-row append instead of a full
                 # emit (see MonitorHub.call_site_batch).
                 recv_id = appender(
                     message.scope, message.src, self.host_id,
                     message.kind, message.trace_id,
-                )
-            elif gate is not None:
-                # Sampling hub: resolve the cadence inline (see
-                # MonitorHub.call_site_gate) so a skipped receive costs
-                # two list ops instead of a full emit.
-                counter = gate[0]
-                c = counter[0] - 1
-                if c > 0 and not (
-                    gate[2] and message.kind.endswith(gate[2])
-                ):
-                    counter[0] = c
-                    handler(message)
-                    return
-                due = c <= 0
-                counter[0] = gate[1] if due else c
-                recv_id = trace.emit_gated(
-                    "recv",
-                    due,
-                    scope=message.scope,
-                    src=message.src,
-                    dst=self.host_id,
-                    kind=message.kind,
-                    parent=message.trace_id,
                 )
             else:
                 recv_id = trace.emit(

@@ -310,7 +310,6 @@ class MobileSupportStation(Host):
         network = self.network
         if network._trace_on:
             appender = network._batch_mss_handoff
-            gate = network._gate_mss_handoff
             if appender is not None:
                 # Batched hub (never recording -- see call_site_batch):
                 # no monitor consumes this site's detail payload, so
@@ -318,24 +317,6 @@ class MobileSupportStation(Host):
                 # that would feed it) entirely.
                 appender(MOBILITY_SCOPE, self.host_id,
                          request.new_mss_id)
-            elif gate is not None:
-                # Sampling hub: resolve the cadence inline so a skipped
-                # handoff event costs two list ops (and skips the
-                # sorted() below) instead of a full emit.
-                counter = gate[0]
-                c = counter[0] - 1
-                due = c <= 0
-                counter[0] = gate[1] if due else c
-                if due:
-                    network._trace.emit_gated(
-                        "mss.handoff",
-                        True,
-                        scope=MOBILITY_SCOPE,
-                        src=self.host_id,
-                        dst=request.new_mss_id,
-                        mh_id=request.mh_id,
-                        shares=sorted(state),
-                    )
             else:
                 network._trace.emit(
                     "mss.handoff",

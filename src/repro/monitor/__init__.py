@@ -55,17 +55,9 @@ from repro.monitor.safety import (
     TokenUniquenessMonitor,
 )
 
-#: sample rate used by ``Simulation(monitor_sampling=True)``: high-rate
-#: event types are delivered to samplable monitors at a deterministic
-#: 1-in-10 stride, which keeps monitored runs within ~15% of
-#: unmonitored throughput while safety state machines stay exact (see
-#: docs/performance.md for the measured trade-off curve).
-DEFAULT_SAMPLE_RATE = 0.1
-
 __all__ = [
     "Monitor",
     "Violation",
-    "DEFAULT_SAMPLE_RATE",
     "MonitorHub",
     "replay_events",
     "replay_events_batched",

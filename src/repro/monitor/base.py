@@ -61,22 +61,10 @@ class Monitor:
     name: str = "monitor"
     #: event types this monitor wants; ``None`` means every event
     interests: Optional[Tuple[str, ...]] = None
-    #: a samplable monitor stays false-positive-free on a thinned event
-    #: stream: its checks are monotone (a subset of the events can only
-    #: make it *miss* a violation, never invent one).  Monitors with
-    #: exact state machines (e.g. enter/exit pairing) must leave this
-    #: ``False`` so the hub always delivers their events.
-    samplable: bool = False
-    #: event types always delivered even when this monitor is sampled
-    #: (state the monitor cannot afford to miss); irrelevant unless
-    #: :attr:`samplable` is ``True``.
-    critical_etypes: Tuple[str, ...] = ()
     #: ``etype -> kind-suffix tuple``: the hub delivers only events of
     #: that etype whose ``kind`` ends with one of the suffixes.  This
     #: replicates a monitor's own early return so the hub can skip the
     #: dispatch call -- and often the event construction -- entirely.
-    #: Active at every sample rate (it is a pure dispatch optimization,
-    #: not a sampling mechanism).
     kind_gates: Dict[str, Tuple[str, ...]] = {}
 
     def __init__(self) -> None:

@@ -50,11 +50,6 @@ class HealthMonitor(Monitor):
 
     name = "health"
     interests = None  # gauges need the full event stream
-    #: under sampling the send/recv counters become sampled counts
-    #: (scale by the hub's stride to estimate totals); the per-sample
-    #: gauges read ground truth from the scheduler/network and stay
-    #: exact.  Documented in docs/performance.md.
-    samplable = True
 
     def __init__(self, interval: float = 25.0) -> None:
         super().__init__()

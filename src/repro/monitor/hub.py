@@ -6,9 +6,9 @@
 the trace layer feeds the monitors too, through the same
 ``_trace_on``-style guard that makes the whole layer free when off.
 Events are dispatched through a compiled per-event-type table: the
-first emit of each etype resolves, once, which monitors want it, which
-are gated on a message-kind suffix, and which are sampled — so the
-steady-state hot path is one dict lookup plus the delivery loop.
+first emit of each etype resolves, once, which monitors want it and
+which are gated on a message-kind suffix — so the steady-state hot
+path is one dict lookup plus the delivery loop.
 
 Two recording modes:
 
@@ -21,17 +21,6 @@ Two recording modes:
   list (monitors are pure observers and never retain event objects),
   and skips constructing the event entirely when no monitor would see
   it.  This is ``Simulation(trace=False, monitors=...)``.
-
-Sampling (``sample_rate < 1.0``, ROADMAP item 3's "observability for
-<10%" goal): event types are thinned with a deterministic stride —
-every ``round(1/rate)``-th occurrence is delivered, starting with the
-first — but only for monitors that declare ``samplable = True`` and
-only for etypes outside their ``critical_etypes``.  Safety monitors
-with exact state machines keep seeing every event at any rate, so a
-sampled run can *miss* a violation in a thinned high-rate stream but
-can never report a false one.  ``etype_filters`` drops whole event
-types outright (ids are still allocated, so causality chains are
-byte-identical).
 
 Offline replay: :func:`replay_events` drives the same monitors over a
 recorded event list (for example a canonical scenario's trace), which
@@ -53,6 +42,10 @@ from repro.pool import Pool
 from repro.trace.events import TraceEvent, Tracer
 
 __all__ = ["MonitorHub", "replay_events", "replay_events_batched"]
+
+#: one dispatch target: ``(on_event, kind_suffixes)``; ``None`` suffixes
+#: means the monitor takes every event of the etype.
+_Target = Tuple[Any, Optional[Tuple[str, ...]]]
 
 #: shared empty detail payload for scratch replay events; monitors are
 #: pure observers and never retain or mutate the dict.
@@ -90,50 +83,23 @@ def _startswith_mss(host_id: str) -> bool:
 
 
 class _Entry:
-    """Compiled dispatch state for one event type.
+    """Compiled per-event dispatch state for one event type."""
 
-    ``targets`` is an ordered tuple of ``(on_event, suffixes, sampled)``
-    triples preserving the pre-compilation delivery order (explicit
-    interests in registration order, then wildcards), so a run at
-    ``sample_rate=1.0`` is byte-identical to the uncompiled hub.
-    """
+    __slots__ = ("targets", "always", "gate_suffixes")
 
-    __slots__ = (
-        "targets",
-        "filtered",
-        "always",
-        "gate_suffixes",
-        "has_sampled",
-        "stride",
-        "counter",
-    )
-
-    def __init__(
-        self,
-        targets: Tuple[Tuple[Any, Optional[Tuple[str, ...]], bool], ...],
-        filtered: bool,
-        stride: int,
-    ) -> None:
+    def __init__(self, targets: Tuple[_Target, ...]) -> None:
         self.targets = targets
-        self.filtered = filtered
-        #: at least one target is unconditional (no gate, not sampled),
-        #: so the event object is always needed.
-        self.always = any(
-            suffixes is None and not sampled
-            for _, suffixes, sampled in targets
-        )
+        #: at least one target is unconditional (no kind gate), so the
+        #: event object is always needed.
+        self.always = any(suffixes is None for _, suffixes in targets)
         gate: Tuple[str, ...] = ()
-        for _, suffixes, _ in targets:
+        for _, suffixes in targets:
             if suffixes:
                 gate += suffixes
         #: union of every target's kind-suffix gate; used to decide
-        #: whether a skipped-sample event still needs constructing.
+        #: whether an event with no unconditional listener still needs
+        #: constructing.
         self.gate_suffixes: Optional[Tuple[str, ...]] = gate or None
-        self.has_sampled = any(sampled for _, _, sampled in targets)
-        self.stride = stride
-        #: countdown cell; primed at 1 so the first occurrence of every
-        #: etype is always delivered.
-        self.counter = [1]
 
 
 class MonitorHub(Tracer):
@@ -149,18 +115,10 @@ class MonitorHub(Tracer):
         monitors: the monitor instances to drive.
         record: keep the full event list (tracer behaviour) or drop
             events after dispatch (bounded memory).
-        sample_rate: fraction of high-rate events delivered to
-            ``samplable`` monitors — realized as a deterministic
-            per-etype stride of ``round(1/sample_rate)``.  ``1.0``
-            (default) delivers everything.
-        etype_filters: event types dropped entirely (not recorded, not
-            dispatched; ids still allocated).
         batch: run the batched-exact tier — emits append fixed-shape
             rows to per-etype ledgers (:mod:`repro.obs.ledger`) and
             the monitors consume them in drained batches with
-            per-event semantics intact.  Mutually exclusive with
-            sampling (``sample_rate`` must stay 1.0): batching keeps
-            every event, sampling thins them.
+            per-event semantics intact.
         drain_interval: sim-time quantum between ledger drains in
             batched mode (drains also trigger on segment fill and
             always before ``finalize``/``report``/``violations``).
@@ -171,29 +129,15 @@ class MonitorHub(Tracer):
         scheduler,
         monitors: Sequence[Monitor],
         record: bool = True,
-        sample_rate: float = 1.0,
-        etype_filters: Sequence[str] = (),
         batch: bool = False,
         drain_interval: float = 50.0,
     ) -> None:
         super().__init__(scheduler)
-        if not 0.0 < sample_rate <= 1.0:
-            raise ConfigurationError(
-                f"sample_rate must be in (0, 1]: {sample_rate}"
-            )
-        if batch and sample_rate != 1.0:
-            raise ConfigurationError(
-                "batched monitoring is exact by construction; it "
-                "cannot be combined with sample_rate < 1.0"
-            )
         if batch and not monitors:
             raise ConfigurationError(
                 "batched monitoring needs at least one monitor"
             )
         self.record = record
-        self.sample_rate = sample_rate
-        self.stride = max(1, round(1.0 / sample_rate))
-        self.etype_filters = frozenset(etype_filters)
         self.monitors: List[Monitor] = list(monitors)
         self.network = None
         self._finalized = False
@@ -257,33 +201,30 @@ class MonitorHub(Tracer):
         return None
 
     # -- dispatch-table compilation -----------------------------------
-    def _compile(self, etype: str) -> _Entry:
-        """Resolve, once, how events of ``etype`` are delivered."""
+    def _targets(self, etype: str) -> Tuple[Tuple[_Target, ...], int]:
+        """Targets for ``etype`` in delivery order -- explicit interests
+        in registration order, then wildcards -- plus the count of
+        explicit ones."""
         ordered: List[Monitor] = [
             m
             for m in self.monitors
             if m.interests is not None and etype in m.interests
         ]
+        explicit_count = len(ordered)
         ordered += [m for m in self.monitors if m.interests is None]
-        sampling = self.stride > 1
-        targets = []
-        for monitor in ordered:
-            suffixes = (
-                monitor.kind_gates.get(etype) if monitor.kind_gates else None
+        targets = tuple(
+            (
+                monitor.on_event,
+                monitor.kind_gates.get(etype) if monitor.kind_gates
+                else None,
             )
-            # A kind-gated target is never sampled: the gate already
-            # narrows it to the exact kinds its state machine consumes
-            # (kind-scoped analogue of critical_etypes).
-            sampled = (
-                sampling
-                and monitor.samplable
-                and suffixes is None
-                and etype not in monitor.critical_etypes
-            )
-            targets.append((monitor.on_event, suffixes, sampled))
-        entry = _Entry(
-            tuple(targets), etype in self.etype_filters, self.stride
+            for monitor in ordered
         )
+        return targets, explicit_count
+
+    def _compile(self, etype: str) -> _Entry:
+        """Resolve, once, how events of ``etype`` are delivered."""
+        entry = _Entry(self._targets(etype)[0])
         self._table[etype] = entry
         return entry
 
@@ -322,25 +263,9 @@ class MonitorHub(Tracer):
 
     def _compile_site(self, etype: str) -> LedgerSite:
         """Resolve, once, how batched rows of ``etype`` are replayed."""
-        ordered: List[Monitor] = [
-            m
-            for m in self.monitors
-            if m.interests is not None and etype in m.interests
-        ]
-        explicit_count = len(ordered)
-        ordered += [m for m in self.monitors if m.interests is None]
-        targets = tuple(
-            (
-                monitor.on_event,
-                monitor.kind_gates.get(etype) if monitor.kind_gates
-                else None,
-            )
-            for monitor in ordered
-        )
+        targets, explicit_count = self._targets(etype)
         plan = targets[:explicit_count] or None
-        site = LedgerSite(
-            etype, targets, plan, etype in self.etype_filters
-        )
+        site = LedgerSite(etype, targets, plan)
         if self._fast_consume and plan is not None:
             from repro.obs.ledger import (
                 HEALTH_RECV,
@@ -386,25 +311,13 @@ class MonitorHub(Tracer):
         when the hub is not batched -- or when it is recording, where
         sites must go through :meth:`emit` so rows keep the full
         detail payload the materialized trace needs -- and callers
-        fall back to the gate/emit paths.
+        fall back to :meth:`emit`.
         """
         if not self._batch or self.record:
             return None
         site = self._sites.get(etype)
         if site is None:
             site = self._compile_site(etype)
-        if site.filtered:
-            def append_filtered(
-                scope, src, dst, kind=None, parent=None, detail=None,
-                _self=self,
-            ):
-                # Ids are still allocated so causality chains stay
-                # identical across filter configurations.
-                event_id = _self._next_id
-                _self._next_id = event_id + 1
-                return event_id
-
-            return append_filtered
         from repro.obs.ledger import (
             HEALTH_SEND,
             LIVENESS_TICK,
@@ -979,8 +892,6 @@ class MonitorHub(Tracer):
             site = self._sites.get(event.etype)
             if site is None:
                 site = self._compile_site(event.etype)
-            if site.filtered:
-                continue
             ledger.append((
                 event.id, event.parent_id, event.time, event.scope,
                 event.src, event.dst, event.kind, event.detail,
@@ -991,103 +902,6 @@ class MonitorHub(Tracer):
                 self.drain_batches()
         self.drain_batches()
         return count
-
-    # -- call-site gates ----------------------------------------------
-    def call_site_gate(self, etype):
-        """Compiled skip-gate for one hot instrumentation point.
-
-        Returns ``(counter_cell, stride, kind_suffixes)`` when the
-        caller may resolve the sampling cadence *before* paying for the
-        emit call, or ``None`` when events of ``etype`` must always be
-        emitted (recording is on, sampling is off, or some monitor
-        listens unconditionally).  The caller decrements the shared
-        counter cell once per occurrence; on a due tick it resets the
-        cell to ``stride`` and calls :meth:`emit_gated` with
-        ``due=True``; on a kind-suffix match it calls with
-        ``due=False``; otherwise it skips the event entirely -- no
-        event id is allocated, and any ``trace_id`` it would have
-        stamped must be cleared so stale ids can never masquerade as
-        causal parents.  Ids in a gated run are therefore *not*
-        comparable with an unsampled run's; at ``sample_rate=1.0`` no
-        gate is handed out, which keeps full runs byte-identical.
-        """
-        if self.record or self.stride <= 1:
-            return None
-        entry = self._table.get(etype)
-        if entry is None:
-            entry = self._compile(etype)
-        if entry.always:
-            return None
-        return (entry.counter, entry.stride, entry.gate_suffixes or ())
-
-    def emit_gated(
-        self,
-        etype: str,
-        due: bool,
-        *,
-        scope: str = "default",
-        category: Optional[str] = None,
-        src: Optional[str] = None,
-        dst: Optional[str] = None,
-        kind: Optional[str] = None,
-        parent: Optional[int] = None,
-        **detail: Any,
-    ) -> int:
-        """Deliver one event whose cadence a call-site gate resolved.
-
-        The counter cell was already ticked by the caller, so this path
-        performs no cadence bookkeeping: it constructs the (pooled)
-        event and runs the delivery loop with the caller's ``due``.
-        """
-        if parent is None and self._stack:
-            parent = self._stack[-1]
-        event_id = self._next_id
-        self._next_id = event_id + 1
-        entry = self._table.get(etype)
-        if entry is None:  # pragma: no cover - gates imply compiled
-            entry = self._compile(etype)
-        if entry.filtered:
-            return event_id
-        pool = self._event_pool
-        if pool._outstanding is None:
-            # Inline Pool.acquire (debug tracking off): one event per
-            # delivered emit makes the method call itself measurable.
-            free = pool._free
-            if free:
-                event = free.pop()
-                pool.reused += 1
-            else:
-                event = _blank_event()
-                pool.created += 1
-        else:
-            event = pool.acquire()
-        event.id = event_id
-        event.parent_id = parent
-        event.time = self.scheduler.now
-        event.etype = etype
-        event.scope = scope
-        event.category = category
-        event.src = src
-        event.dst = dst
-        event.kind = kind
-        event.detail = detail
-        for on_event, suffixes, sampled in entry.targets:
-            if sampled and not due:
-                continue
-            if suffixes is not None and (
-                kind is None or not kind.endswith(suffixes)
-            ):
-                continue
-            on_event(event)
-        if pool._outstanding is None:
-            event.detail = None  # type: ignore[assignment]
-            pool.released += 1
-            free = pool._free
-            if len(free) < pool.capacity:
-                free.append(event)
-        else:
-            pool.release(event)
-        return event_id
 
     # -- online path --------------------------------------------------
     def emit(
@@ -1102,9 +916,9 @@ class MonitorHub(Tracer):
         parent: Optional[int] = None,
         **detail: Any,
     ) -> int:
-        # The event id is always allocated -- even for filtered or
-        # skipped events -- so parent-id causality chains are identical
-        # across every sampling/filtering configuration.
+        # The event id is always allocated -- even for events no
+        # monitor consumes -- so parent-id causality chains are
+        # identical across every hub configuration.
         if parent is None and self._stack:
             parent = self._stack[-1]
         event_id = self._next_id
@@ -1116,8 +930,6 @@ class MonitorHub(Tracer):
             site = self._sites.get(etype)
             if site is None:
                 site = self._compile_site(etype)
-            if site.filtered:
-                return event_id
             rows = self._ledger
             now = self.scheduler.now
             rows.append((
@@ -1130,29 +942,12 @@ class MonitorHub(Tracer):
         entry = self._table.get(etype)
         if entry is None:
             entry = self._compile(etype)
-        if entry.filtered:
-            return event_id
-        due = True
-        if entry.has_sampled:
-            counter = entry.counter
-            counter[0] -= 1
-            if counter[0] <= 0:
-                counter[0] = entry.stride
-            else:
-                due = False
         record = self.record
         if not record and not entry.always:
             # No unconditional listener: the event object is only
-            # needed if a sampled tick is due or a kind gate matches.
-            needed = due and entry.has_sampled
-            if not needed:
-                gate = entry.gate_suffixes
-                needed = (
-                    gate is not None
-                    and kind is not None
-                    and kind.endswith(gate)
-                )
-            if not needed:
+            # needed if a kind gate matches.
+            gate = entry.gate_suffixes
+            if gate is None or kind is None or not kind.endswith(gate):
                 return event_id
         if record:
             event = TraceEvent(
@@ -1171,7 +966,9 @@ class MonitorHub(Tracer):
         else:
             pool = self._event_pool
             if pool._outstanding is None:
-                # Inline Pool.acquire (debug off) -- see emit_gated.
+                # Inline Pool.acquire (debug tracking off): one event
+                # per delivered emit makes the method call itself
+                # measurable.
                 free = pool._free
                 if free:
                     event = free.pop()
@@ -1191,9 +988,7 @@ class MonitorHub(Tracer):
             event.dst = dst
             event.kind = kind
             event.detail = detail
-        for on_event, suffixes, sampled in entry.targets:
-            if sampled and not due:
-                continue
+        for on_event, suffixes in entry.targets:
             if suffixes is not None and (
                 kind is None or not kind.endswith(suffixes)
             ):
@@ -1214,28 +1009,16 @@ class MonitorHub(Tracer):
     def dispatch(self, event: TraceEvent) -> None:
         """Feed one (recorded) event to the interested monitors.
 
-        Uses the same compiled table (gates, sampling strides, filters)
-        as the online path, so online and replayed runs of the same
-        hub configuration deliver the same event subsequence.
+        Uses the same compiled table (targets and kind gates) as the
+        online path, so online and replayed runs deliver the same
+        events to the same monitors.
         """
         etype = event.etype
         entry = self._table.get(etype)
         if entry is None:
             entry = self._compile(etype)
-        if entry.filtered:
-            return
-        due = True
-        if entry.has_sampled:
-            counter = entry.counter
-            counter[0] -= 1
-            if counter[0] <= 0:
-                counter[0] = entry.stride
-            else:
-                due = False
         kind = event.kind
-        for on_event, suffixes, sampled in entry.targets:
-            if sampled and not due:
-                continue
+        for on_event, suffixes in entry.targets:
             if suffixes is not None and (
                 kind is None or not kind.endswith(suffixes)
             ):
@@ -1293,7 +1076,6 @@ def replay_events(
     monitors: Sequence[Monitor],
     network=None,
     finalize: bool = True,
-    sample_rate: float = 1.0,
 ) -> MonitorHub:
     """Run ``monitors`` over a recorded event stream.
 
@@ -1302,7 +1084,7 @@ def replay_events(
     ground-truth checks (location-view membership, per-MSS load) run;
     without it those checks are skipped, never wrong.
     """
-    hub = MonitorHub(None, monitors, record=False, sample_rate=sample_rate)
+    hub = MonitorHub(None, monitors, record=False)
     if network is not None:
         hub.bind(network)
     last_time = 0.0

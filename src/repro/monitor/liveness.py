@@ -43,19 +43,9 @@ class LivenessMonitor(Monitor):
 
     name = "liveness"
     interests = None  # needs the event stream's clock: sees everything
-    #: sampling thins only the clock ticks; the state-mutating etypes
-    #: below stay exact at any rate -- three on the critical list, and
-    #: uplink sends narrowed by a kind gate to the request/init kinds
-    #: the pending-request bookkeeping actually consumes (join/leave
-    #: uplinks are clock ticks only).  The stall/deadline checks
-    #: coarsen (they fire at the next *delivered* event), which is the
-    #: documented trade-off in docs/performance.md.
-    samplable = True
-    critical_etypes = (
-        "r2.resubmit",
-        "cs.enter",
-        "token.arrive",
-    )
+    #: uplink sends are narrowed to the request/init kinds the
+    #: pending-request bookkeeping actually consumes (join/leave
+    #: uplinks would be clock ticks only).
     kind_gates = {"send.wireless_up": _REQUEST_SUFFIXES}
 
     def __init__(

@@ -182,9 +182,6 @@ class RingFairnessMonitor(Monitor):
 
     name = "ring-fairness"
     interests = ("token.arrive", "cs.enter")
-    #: set-based and monotone: a thinned stream can only miss a double
-    #: service (or a variant announcement), never invent one.
-    samplable = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -326,9 +323,6 @@ class FifoOrderMonitor(Monitor):
 
     name = "fifo-order"
     interests = ("recv",)
-    #: any subsequence of a strictly increasing parent-id stream is
-    #: still strictly increasing, so sampling can only miss violations.
-    samplable = True
 
     _SKIP_KINDS = ("rel.data", "rel.ack")
 
@@ -377,10 +371,6 @@ class ReliableDeliveryMonitor(Monitor):
 
     name = "reliable-delivery"
     interests = ("rel.send", "recv")
-    #: a missed ``rel.send`` makes the matching release invisible (the
-    #: recv is ignored), and released seqs stay strictly increasing on
-    #: any subsequence -- misses only, never false positives.
-    samplable = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -526,9 +516,6 @@ class LocationViewMonitor(Monitor):
 
     name = "location-view"
     interests = ("lv.update",)
-    #: every check is self-contained per event (plus a ground-truth
-    #: finalize that reads the live network), so thinning is safe.
-    samplable = True
 
     def __init__(self, groups=()) -> None:
         super().__init__()

@@ -120,36 +120,11 @@ class Network:
         :class:`Network`).
         """
         self._trace_on = bool(getattr(self._trace, "enabled", True))
-        # Sampling hubs hand out per-etype skip gates (see
-        # MonitorHub.call_site_gate): the hot instrumentation points
-        # below resolve the sampling cadence inline and skip the whole
-        # emit call for events no monitor would see.  ``None`` (plain
-        # tracers, record mode, rate 1.0) means "always emit".
-        gate_for = getattr(self._trace, "call_site_gate", None)
-        if gate_for is not None and self._trace_on:
-            self._gate_send_fixed = gate_for("send.fixed")
-            self._gate_send_local = gate_for("send.local")
-            self._gate_recv = gate_for("recv")
-            self._gate_wireless_up = gate_for("send.wireless_up")
-            self._gate_wireless_down = gate_for("send.wireless_down")
-            self._gate_mss_handoff = gate_for("mss.handoff")
-            self._gate_search_begin = gate_for("search.begin")
-            self._gate_search_charge = gate_for("search.charge")
-        else:
-            self._gate_send_fixed = None
-            self._gate_send_local = None
-            self._gate_recv = None
-            self._gate_wireless_up = None
-            self._gate_wireless_down = None
-            self._gate_mss_handoff = None
-            self._gate_search_begin = None
-            self._gate_search_charge = None
-        # Batched hubs hand out per-etype ledger appenders instead (see
-        # MonitorHub.call_site_batch): the same hot points append one
-        # row tuple and skip the emit call entirely.  ``None`` (plain
-        # tracers, per-event hubs, record mode) means "emit as usual";
-        # batching and sampling are mutually exclusive, so at most one
-        # family of fast paths is active.
+        # Batched hubs hand out per-etype ledger appenders (see
+        # MonitorHub.call_site_batch): the hot instrumentation points
+        # below append one row tuple and skip the emit call entirely.
+        # ``None`` (plain tracers, per-event hubs, record mode) means
+        # "emit as usual".
         batch_for = getattr(self._trace, "call_site_batch", None)
         if batch_for is not None and self._trace_on:
             self._batch_send_fixed = batch_for("send.fixed", "fixed")
@@ -199,7 +174,7 @@ class Network:
             # Traced but unperturbed: same dead-branch elision as the
             # fast variant (no injector means no MSS can be crashed and
             # no drop/delay/duplicate decisions), keeping only the
-            # tracer gate in the loop.
+            # trace emit on the path.
             self._send_fixed_raw = self._send_fixed_raw_traced
         else:
             self._send_fixed_raw = self._send_fixed_raw_general
@@ -359,13 +334,12 @@ class Network:
         if message.src == message.dst:
             if self._trace_on:
                 appender = self._batch_send_local
-                gate = self._gate_send_local
                 if appender is not None:
                     message.trace_id = appender(
                         message.scope, message.src, message.dst,
                         message.kind,
                     )
-                elif gate is None:
+                else:
                     message.trace_id = self._trace.emit(
                         "send.local",
                         scope=message.scope,
@@ -373,34 +347,6 @@ class Network:
                         dst=message.dst,
                         kind=message.kind,
                     )
-                else:
-                    counter, stride, suffixes = gate
-                    c = counter[0] - 1
-                    if c <= 0:
-                        counter[0] = stride
-                        message.trace_id = self._trace.emit_gated(
-                            "send.local",
-                            True,
-                            scope=message.scope,
-                            src=message.src,
-                            dst=message.dst,
-                            kind=message.kind,
-                        )
-                    else:
-                        counter[0] = c
-                        if suffixes and message.kind.endswith(suffixes):
-                            message.trace_id = self._trace.emit_gated(
-                                "send.local",
-                                False,
-                                scope=message.scope,
-                                src=message.src,
-                                dst=message.dst,
-                                kind=message.kind,
-                            )
-                        else:
-                            # Skipped: clear any stale id so it cannot
-                            # masquerade as this send's causal parent.
-                            message.trace_id = None
             self.scheduler.post(0.0, dst.handle_message, message)
             return
         self.mss(message.src)  # validate the source exists
@@ -448,12 +394,11 @@ class Network:
             raise UnknownHostError(f"unknown MSS: {message.dst}") from None
         self.metrics.record_fixed(message.scope)
         appender = self._batch_send_fixed
-        gate = self._gate_send_fixed
         if appender is not None:
             message.trace_id = appender(
                 message.scope, message.src, message.dst, message.kind,
             )
-        elif gate is None:
+        else:
             message.trace_id = self._trace.emit(
                 "send.fixed",
                 scope=message.scope,
@@ -462,25 +407,6 @@ class Network:
                 dst=message.dst,
                 kind=message.kind,
             )
-        else:
-            counter, stride, suffixes = gate
-            c = counter[0] - 1
-            due = c <= 0
-            counter[0] = stride if due else c
-            if due or (suffixes and message.kind.endswith(suffixes)):
-                message.trace_id = self._trace.emit_gated(
-                    "send.fixed",
-                    due,
-                    scope=message.scope,
-                    category="fixed",
-                    src=message.src,
-                    dst=message.dst,
-                    kind=message.kind,
-                )
-            else:
-                # Skipped: a stale id here would let FIFO / delivery
-                # monitors mis-parent later receives.
-                message.trace_id = None
         key = (message.src, message.dst)
         last = self._last_arrival
         arrival = self.scheduler.now + self._fixed_const
@@ -505,12 +431,11 @@ class Network:
         self.metrics.record_fixed(message.scope)
         if self._trace_on:
             appender = self._batch_send_fixed
-            gate = self._gate_send_fixed
             if appender is not None:
                 message.trace_id = appender(
                     message.scope, message.src, message.dst, message.kind,
                 )
-            elif gate is None:
+            else:
                 message.trace_id = self._trace.emit(
                     "send.fixed",
                     scope=message.scope,
@@ -519,36 +444,6 @@ class Network:
                     dst=message.dst,
                     kind=message.kind,
                 )
-            else:
-                counter, stride, suffixes = gate
-                c = counter[0] - 1
-                if c <= 0:
-                    counter[0] = stride
-                    message.trace_id = self._trace.emit_gated(
-                        "send.fixed",
-                        True,
-                        scope=message.scope,
-                        category="fixed",
-                        src=message.src,
-                        dst=message.dst,
-                        kind=message.kind,
-                    )
-                else:
-                    counter[0] = c
-                    if suffixes and message.kind.endswith(suffixes):
-                        message.trace_id = self._trace.emit_gated(
-                            "send.fixed",
-                            False,
-                            scope=message.scope,
-                            category="fixed",
-                            src=message.src,
-                            dst=message.dst,
-                            kind=message.kind,
-                        )
-                    else:
-                        # Skipped: a stale id here would let FIFO /
-                        # delivery monitors mis-parent later receives.
-                        message.trace_id = None
         if self._mss[message.src].crashed:
             # A crashed station transmits nothing; the message (already
             # charged) vanishes on the wire.
@@ -666,12 +561,11 @@ class Network:
         self.metrics.record_wireless_rx(mh_id, message.scope)
         if self._trace_on:
             appender = self._batch_wireless_down
-            gate = self._gate_wireless_down
             if appender is not None:
                 message.trace_id = appender(
                     message.scope, mss_id, mh_id, message.kind,
                 )
-            elif gate is None:
+            else:
                 message.trace_id = self._trace.emit(
                     "send.wireless_down",
                     scope=message.scope,
@@ -680,25 +574,6 @@ class Network:
                     dst=mh_id,
                     kind=message.kind,
                 )
-            else:
-                counter, stride, suffixes = gate
-                c = counter[0] - 1
-                due = c <= 0
-                counter[0] = stride if due else c
-                if due or (suffixes and message.kind.endswith(suffixes)):
-                    message.trace_id = self._trace.emit_gated(
-                        "send.wireless_down",
-                        due,
-                        scope=message.scope,
-                        category="wireless",
-                        src=mss_id,
-                        dst=mh_id,
-                        kind=message.kind,
-                    )
-                else:
-                    # Skipped: clear any stale id so the downlink's
-                    # receive cannot mis-parent to an older send.
-                    message.trace_id = None
         latency = self._wireless_const
         if latency is None:
             latency = self.config.wireless_latency(self.rng)
@@ -765,12 +640,11 @@ class Network:
         self.metrics.record_wireless_tx(mh_id, message.scope)
         if self._trace_on:
             appender = self._batch_wireless_up
-            gate = self._gate_wireless_up
             if appender is not None:
                 message.trace_id = appender(
                     message.scope, mh_id, mss.host_id, message.kind,
                 )
-            elif gate is None:
+            else:
                 message.trace_id = self._trace.emit(
                     "send.wireless_up",
                     scope=message.scope,
@@ -779,23 +653,6 @@ class Network:
                     dst=mss.host_id,
                     kind=message.kind,
                 )
-            else:
-                counter, stride, suffixes = gate
-                c = counter[0] - 1
-                due = c <= 0
-                counter[0] = stride if due else c
-                if due or (suffixes and message.kind.endswith(suffixes)):
-                    message.trace_id = self._trace.emit_gated(
-                        "send.wireless_up",
-                        due,
-                        scope=message.scope,
-                        category="wireless",
-                        src=mh_id,
-                        dst=mss.host_id,
-                        kind=message.kind,
-                    )
-                else:
-                    message.trace_id = None
         latency = self._wireless_const
         if latency is None:
             latency = self.config.wireless_latency(self.rng)
@@ -914,39 +771,15 @@ class Network:
                 on_delivered=on_delivered,
             )
 
-        traced = self._trace_on
-        if traced:
-            gate = self._gate_search_begin
-            if gate is not None:
-                counter = gate[0]
-                c = counter[0] - 1
-                due = c <= 0
-                counter[0] = gate[1] if due else c
-                # A skipped search drops the whole trace apparatus --
-                # the result closure, both context pushes -- not just
-                # the begin event (they only exist for its lineage).
-                traced = due
-        if traced:
-            gate = self._gate_search_begin
-            if gate is not None:
-                begin_id = self._trace.emit_gated(
-                    "search.begin",
-                    True,
-                    scope=message.scope,
-                    src=src_mss_id,
-                    dst=mh_id,
-                    kind=message.kind,
-                    attempt=_attempts,
-                )
-            else:
-                begin_id = self._trace.emit(
-                    "search.begin",
-                    scope=message.scope,
-                    src=src_mss_id,
-                    dst=mh_id,
-                    kind=message.kind,
-                    attempt=_attempts,
-                )
+        if self._trace_on:
+            begin_id = self._trace.emit(
+                "search.begin",
+                scope=message.scope,
+                src=src_mss_id,
+                dst=mh_id,
+                kind=message.kind,
+                attempt=_attempts,
+            )
             inner_outcome = on_outcome
 
             def on_outcome(outcome: SearchOutcome) -> None:

@@ -128,25 +128,6 @@ class AbstractSearch(SearchProtocol):
             appender = network._batch_search_charge
             if appender is not None:
                 appender(scope, src_mss_id, mh_id)
-                self._resolve(
-                    network, mh_id, callback, first_attempt=True
-                )
-                return
-            gate = network._gate_search_charge
-            if gate is not None:
-                counter = gate[0]
-                c = counter[0] - 1
-                due = c <= 0
-                counter[0] = gate[1] if due else c
-                if due:
-                    network._trace.emit_gated(
-                        "search.charge",
-                        True,
-                        scope=scope,
-                        category="search",
-                        src=src_mss_id,
-                        dst=mh_id,
-                    )
             else:
                 network._trace.emit(
                     "search.charge",

@@ -101,7 +101,6 @@ class LedgerSite:
 
     __slots__ = (
         "etype",
-        "filtered",
         "targets",
         "plan",
         "health_code",
@@ -116,10 +115,8 @@ class LedgerSite:
         etype: str,
         targets: Tuple[Tuple[Any, Optional[Tuple[str, ...]]], ...],
         plan: Optional[Tuple[Tuple[Any, Optional[Tuple[str, ...]]], ...]],
-        filtered: bool,
     ) -> None:
         self.etype = etype
-        self.filtered = filtered
         #: every target in per-event delivery order (explicit interests
         #: in registration order, then wildcards) as
         #: ``(on_event, kind_suffixes)`` pairs -- the generic replay.

@@ -27,7 +27,7 @@ from repro.mobility import UniformMobility
 from repro.mutex import CriticalResource, L2Mutex
 from repro.net import ConstantLatency, NetworkConfig
 from repro.net.messages import Message
-from repro.sim import PoissonProcess, Scheduler, make_scheduler
+from repro.sim import PoissonProcess, Scheduler
 from repro.workload import MutexWorkload
 
 #: cost model shared by every scenario (same as ``benchmarks/conftest``).
@@ -51,8 +51,7 @@ def _make_sim(n_mss: int, n_mh: int, seed: int, **kwargs) -> Simulation:
 
 def loaded_system(n_mss: int, n_mh: int, duration: float = 150.0,
                   request_rate: float = 0.05, move_rate: float = 0.02,
-                  monitors=None, scheduler: str = "heap",
-                  monitor_sampling=None, monitor_mode: str = "event",
+                  monitors=None, monitor_mode: str = "event",
                   capture_timing: bool = False) -> int:
     """The ``bench_scale.py`` workload: L2 mutex traffic plus mobility.
 
@@ -70,7 +69,6 @@ def loaded_system(n_mss: int, n_mh: int, duration: float = 150.0,
     pair per message, so only ``smoke_ledger`` opts in).
     """
     sim = _make_sim(n_mss, n_mh, seed=3, monitors=monitors,
-                    scheduler=scheduler, monitor_sampling=monitor_sampling,
                     monitor_mode=monitor_mode)
     if capture_timing:
         from repro.obs import instrument_network
@@ -275,18 +273,16 @@ def cancel_storm(n_events: int = 400_000) -> int:
     return sched.events_processed
 
 
-def scheduler_density(n_pending: int = 20_000, n_events: int = 300_000,
-                      scheduler: str = "heap") -> int:
+def scheduler_density(n_pending: int = 20_000,
+                      n_events: int = 300_000) -> int:
     """Pure scheduler throughput at high event density.
 
     Holds ``n_pending`` events in the queue at all times (every fired
     event posts a replacement at a deterministic pseudo-random offset)
-    and fires ``n_events`` of them.  This is the regime ROADMAP item 3
-    targets: the binary heap pays O(log n_pending) C-level sift
-    comparisons per operation, while the calendar queue's bucket scan
-    stays O(1) amortized -- run under both kinds to price the gap.
+    and fires ``n_events`` of them, so the binary heap pays its full
+    O(log n_pending) C-level sift comparisons per operation.
     """
-    sched = make_scheduler(scheduler)
+    sched = Scheduler()
     rng = random.Random(101)
     uniform = rng.random
     post = sched.post
@@ -368,34 +364,15 @@ _register(Scenario(
     tags=("mutex", "mobility", "monitor", "smoke"),
 ))
 _register(Scenario(
-    name="smoke_calendar",
-    description="the smoke_mutex workload on the calendar-queue "
-                "scheduler (byte-identical event stream)",
-    run=lambda: loaded_system(6, 40, 2000.0, scheduler="calendar"),
-    smoke=True,
-    tags=("mutex", "mobility", "scheduler", "smoke"),
-))
-_register(Scenario(
-    name="smoke_monitors_sampled",
-    description="the smoke_monitors workload with monitor sampling at "
-                "the default rate (prices sampled observability)",
-    run=lambda: loaded_system(6, 40, 2000.0, monitors=True,
-                              monitor_sampling=True),
-    smoke=True,
-    tags=("mutex", "mobility", "monitor", "smoke"),
-))
-_register(Scenario(
     name="smoke_full_stack",
-    description="the smoke_monitors workload with the whole perf stack "
-                "on at once: calendar queue, free-list pools, batched "
-                "exact monitors (the BENCH_9 headline; gated against "
-                "smoke_calendar and smoke_monitors by the obs-overhead "
-                "CI job -- see tools/check_obs_overhead.py)",
+    description="the smoke_monitors workload under batched exact "
+                "monitors (gated against its monitors-off twin and "
+                "smoke_monitors by the obs-overhead CI job -- see "
+                "tools/check_obs_overhead.py)",
     run=lambda: loaded_system(6, 40, 2000.0, monitors=True,
-                              monitor_mode="batched",
-                              scheduler="calendar"),
+                              monitor_mode="batched"),
     smoke=True,
-    tags=("mutex", "monitor", "scheduler", "obs", "smoke"),
+    tags=("mutex", "monitor", "obs", "smoke"),
 ))
 _register(Scenario(
     name="smoke_ledger",
@@ -424,14 +401,7 @@ _register(Scenario(
 _register(Scenario(
     name="sched_density_heap",
     description="pure scheduler at 20k pending events, binary heap",
-    run=lambda: scheduler_density(20_000, 300_000, "heap"),
-    smoke=True,
-    tags=("scheduler", "smoke"),
-))
-_register(Scenario(
-    name="sched_density_calendar",
-    description="pure scheduler at 20k pending events, calendar queue",
-    run=lambda: scheduler_density(20_000, 300_000, "calendar"),
+    run=lambda: scheduler_density(20_000, 300_000),
     smoke=True,
     tags=("scheduler", "smoke"),
 ))

@@ -1,4 +1,4 @@
-"""Discrete-event schedulers: binary heap and calendar queue.
+"""The discrete-event scheduler: a binary heap with lazy cancellation.
 
 The scheduler is the single source of simulated time.  Events are
 callbacks scheduled at absolute times; ties are broken by insertion
@@ -23,12 +23,6 @@ Hot-path design (this is the innermost loop of every simulation):
   can cancel (or even see) such an event, the scheduler recycles the
   :class:`Event` object through a :class:`repro.pool.Pool` free list
   the moment it fires.
-* :class:`CalendarScheduler` is a calendar queue (R. Brown, CACM 1988):
-  O(1) amortized enqueue/dequeue at high event density, with bucket
-  count and width auto-resized from the observed event-interarrival
-  distribution.  Pop order is byte-identical to the heap's because both
-  orders are the unique sorted order of the ``(time, seq)`` keys
-  (ROADMAP item 3).
 
 The deterministic substrate beneath every protocol in the paper reproduction.
 """
@@ -36,8 +30,7 @@ The deterministic substrate beneath every protocol in the paper reproduction.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.pool import Pool
@@ -374,337 +367,3 @@ class Scheduler:
                 f"drain() exceeded {max_events} events; likely livelock"
             )
         return fired
-
-
-class CalendarScheduler(Scheduler):
-    """Calendar-queue scheduler (bucketed, O(1) amortized).
-
-    Events live in ``n_buckets`` circular day-buckets of ``width``
-    simulated seconds each; an event at time ``t`` belongs to absolute
-    day ``int(t / width)`` and is stored in bucket ``day % n_buckets``.
-    Buckets keep entries sorted ascending on ``(-time, -seq)`` so the
-    soonest entry is the *last* element: peek is ``bucket[-1]`` and pop
-    is ``bucket.pop()`` -- both O(1) -- while insert is a C-level
-    :func:`bisect.insort`.
-
-    Dequeue scans day windows forward from ``int(now / width)``; the
-    first bucket whose top entry belongs to the scanned day holds the
-    global minimum (all pending times are ``>= now``, and day number is
-    monotone in time).  If a full lap finds nothing -- every pending
-    event is more than ``n_buckets`` days ahead -- it falls back to a
-    direct scan of all bucket tops, so correctness never depends on the
-    width guess.
-
-    Bucket count doubles when entries exceed ``2 * n_buckets`` and
-    halves below ``n_buckets / 2``; each resize re-derives ``width``
-    from the observed inter-arrival gap of the soonest entries.  Resize
-    affects only performance: pop order is always the sorted
-    ``(time, seq)`` order, byte-identical to :class:`Scheduler`
-    (ROADMAP item 3's determinism claim).
-    """
-
-    _MIN_BUCKETS = 16
-
-    #: entries sampled from the head of the queue when deriving width.
-    _WIDTH_SAMPLE = 256
-
-    def __init__(
-        self,
-        pooling: bool = True,
-        width: Optional[float] = None,
-        n_buckets: int = _MIN_BUCKETS,
-    ) -> None:
-        super().__init__(pooling=pooling)
-        if n_buckets < 1:
-            raise ConfigurationError(f"n_buckets must be >= 1: {n_buckets}")
-        if width is not None and width <= 0:
-            raise ConfigurationError(f"bucket width must be > 0: {width}")
-        self._fixed_width = width is not None
-        self._width = float(width) if width is not None else 1.0
-        self._inv_width = 1.0 / self._width
-        self._n_buckets = int(n_buckets)
-        self._buckets: List[list] = [[] for _ in range(self._n_buckets)]
-        self._n_entries = 0
-
-    @property
-    def pending_count(self) -> int:
-        return self._n_entries - self._n_cancelled
-
-    def _note_cancel(self) -> None:
-        self._n_cancelled += 1
-        if (
-            self._n_cancelled > self._COMPACT_MIN
-            and self._n_cancelled * 2 >= self._n_entries
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        removed = 0
-        for bucket in self._buckets:
-            if bucket:
-                n_before = len(bucket)
-                bucket[:] = [e for e in bucket if not e[2].cancelled]
-                removed += n_before - len(bucket)
-        self._n_entries -= removed
-        self._n_cancelled = 0
-        if (
-            self._n_buckets > self._MIN_BUCKETS
-            and self._n_entries * 2 < self._n_buckets
-        ):
-            self._resize(max(self._MIN_BUCKETS, self._n_buckets >> 1))
-
-    def _choose_width(self, entries: list) -> float:
-        """Bucket width from the mean inter-arrival gap of the soonest
-        entries (``entries`` ascending on ``(-time, -seq)``, so the
-        queue head is at the end)."""
-        if self._fixed_width:
-            return self._width
-        k = min(len(entries), self._WIDTH_SAMPLE)
-        if k < 2:
-            return self._width
-        head = entries[-k:]
-        span = (-head[0][0]) - (-head[-1][0])  # latest - soonest in sample
-        if span <= 0.0:
-            return self._width
-        # ~8 events per day window: wide enough that the day scan almost
-        # always hits its first bucket, narrow enough that insort stays
-        # a handful of C-level compares (measured optimum on the
-        # sched_density scenarios; the classic rule of thumb of ~3 loses
-        # ~20% to extra empty-bucket scans in CPython).
-        return 8.0 * span / (k - 1)
-
-    def _resize(self, n_new: int) -> None:
-        entries: list = []
-        for bucket in self._buckets:
-            entries.extend(bucket)
-        entries.sort()  # ascending (-time, -seq): queue head last
-        self._width = self._choose_width(entries)
-        self._inv_width = 1.0 / self._width
-        self._n_buckets = n_new
-        buckets: List[list] = [[] for _ in range(n_new)]
-        inv = self._inv_width
-        for entry in entries:  # sorted order keeps each bucket sorted
-            buckets[int(-entry[0] * inv) % n_new].append(entry)
-        self._buckets = buckets
-
-    def schedule_at(
-        self, time: float, action: Callable[..., Any], *args: Any
-    ) -> Event:
-        if time < self.now:
-            raise ConfigurationError(
-                f"cannot schedule event at t={time} before now={self.now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, seq, action, args, self)
-        insort(
-            self._buckets[int(time * self._inv_width) % self._n_buckets],
-            (-time, -seq, event),
-        )
-        self._n_entries += 1
-        if self._n_entries > self._n_buckets << 1:
-            self._resize(self._n_buckets << 1)
-        return event
-
-    def post_at(
-        self, time: float, action: Callable[..., Any], *args: Any
-    ) -> None:
-        if time < self.now:
-            raise ConfigurationError(
-                f"cannot schedule event at t={time} before now={self.now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        pool = self._pool
-        if pool is None:
-            event = Event(time, seq, action, args, None)
-        elif pool._outstanding is None:
-            free = pool._free
-            if free:
-                event = free.pop()
-                pool.reused += 1
-                event.time = time
-                event.seq = seq
-                event.action = action
-                event.args = args
-            else:
-                event = Event(time, seq, action, args, None)
-                pool.created += 1
-            event.pooled = True
-        else:
-            event = pool.acquire()
-            event.time = time
-            event.seq = seq
-            event.action = action
-            event.args = args
-            event.pooled = True
-        insort(
-            self._buckets[int(time * self._inv_width) % self._n_buckets],
-            (-time, -seq, event),
-        )
-        self._n_entries += 1
-        if self._n_entries > self._n_buckets << 1:
-            self._resize(self._n_buckets << 1)
-
-    def _min_bucket(self) -> Optional[list]:
-        """The bucket whose top entry is the global minimum, or ``None``
-        when the queue is empty.
-
-        Day comparison uses exactly the same ``int(t * inv_width)``
-        arithmetic as insertion, so the scan can never disagree with
-        placement about which window an entry belongs to (no float
-        boundary hazards).
-        """
-        if not self._n_entries:
-            return None
-        buckets = self._buckets
-        n = self._n_buckets
-        inv = self._inv_width
-        day = int(self.now * inv)
-        for k in range(n):
-            bucket = buckets[(day + k) % n]
-            if bucket and int(-bucket[-1][0] * inv) <= day + k:
-                return bucket
-        # Full lap without a hit: everything is >= n days ahead.  Direct
-        # min over bucket tops (entries are negated, so max of tops).
-        best: Optional[list] = None
-        for bucket in buckets:
-            if bucket and (best is None or bucket[-1] > best[-1]):
-                best = bucket
-        return best
-
-    def step(self) -> bool:
-        while self._n_entries:
-            bucket = self._min_bucket()
-            entry = bucket[-1]
-            event = entry[2]
-            if event.cancelled:
-                bucket.pop()
-                self._n_entries -= 1
-                self._n_cancelled -= 1
-                continue
-            bucket.pop()
-            self._n_entries -= 1
-            event._scheduler = None
-            time = -entry[0]
-            if time < self.now:  # pragma: no cover - defensive
-                raise SimulationError("event time moved backwards")
-            self.now = time
-            self._events_processed += 1
-            event.action(*event.args)
-            if event.pooled:
-                self._pool.release(event)
-            n_cancelled = self._n_cancelled
-            if (
-                n_cancelled > self._COMPACT_MIN
-                and n_cancelled * 2 >= self._n_entries
-            ):
-                self._compact()
-            return True
-        return False
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        if self._running:
-            raise SimulationError("scheduler is not reentrant")
-        self._running = True
-        fired = 0
-        pool = self._pool
-        fast_pool = pool is not None and pool._outstanding is None
-        free = pool._free if pool is not None else None
-        pool_capacity = pool.capacity if pool is not None else 0
-        compact_min = self._COMPACT_MIN
-        try:
-            # Bucket geometry is mirrored into locals and refreshed
-            # after anything that can resize (callbacks scheduling new
-            # events, compaction) -- the refresh is three C-level
-            # attribute loads, the mirror saves them on every scan step.
-            buckets = self._buckets
-            n = self._n_buckets
-            inv = self._inv_width
-            while self._n_entries:
-                if max_events is not None and fired >= max_events:
-                    return fired
-                # Inline _min_bucket (same int arithmetic; see there for
-                # the correctness argument).  The first probe hits the
-                # current day's bucket, which holds the minimum almost
-                # always once the width is tuned.
-                day = int(self.now * inv)
-                bucket = buckets[day % n]
-                if not bucket or int(-bucket[-1][0] * inv) > day:
-                    bucket = None
-                    k = 1
-                    while k < n:
-                        b = buckets[(day + k) % n]
-                        if b and int(-b[-1][0] * inv) <= day + k:
-                            bucket = b
-                            break
-                        k += 1
-                    if bucket is None:
-                        # Full lap: everything >= n days out; direct max
-                        # over tops (entries are negated).
-                        for b in buckets:
-                            if b and (bucket is None or b[-1] > bucket[-1]):
-                                bucket = b
-                entry = bucket[-1]
-                event = entry[2]
-                if event.cancelled:
-                    bucket.pop()
-                    self._n_entries -= 1
-                    self._n_cancelled -= 1
-                    continue
-                time = -entry[0]
-                if until is not None and time > until:
-                    break
-                bucket.pop()
-                self._n_entries -= 1
-                event._scheduler = None
-                if time < self.now:  # pragma: no cover - defensive
-                    raise SimulationError("event time moved backwards")
-                self.now = time
-                self._events_processed += 1
-                event.action(*event.args)
-                fired += 1
-                if event.pooled:
-                    if fast_pool:
-                        event.action = None
-                        event.args = ()
-                        event.cancelled = False
-                        pool.released += 1
-                        if len(free) < pool_capacity:
-                            free.append(event)
-                    else:
-                        pool.release(event)
-                n_cancelled = self._n_cancelled
-                if (
-                    n_cancelled > compact_min
-                    and n_cancelled * 2 >= self._n_entries
-                ):
-                    self._compact()
-                buckets = self._buckets
-                n = self._n_buckets
-                inv = self._inv_width
-            if until is not None and until > self.now:
-                self.now = until
-            return fired
-        finally:
-            self._running = False
-
-
-#: scheduler kinds accepted by :func:`make_scheduler` and
-#: ``Simulation(scheduler=...)``.
-SCHEDULER_KINDS = ("heap", "calendar")
-
-
-def make_scheduler(kind: str = "heap", **kwargs: Any) -> Scheduler:
-    """Build a scheduler by kind name (``"heap"`` or ``"calendar"``)."""
-    if kind == "heap":
-        return Scheduler(**kwargs)
-    if kind == "calendar":
-        return CalendarScheduler(**kwargs)
-    raise ConfigurationError(
-        f"unknown scheduler kind {kind!r}; choose one of {SCHEDULER_KINDS}"
-    )

@@ -43,7 +43,7 @@ def test_checker_flags_a_bare_module(tmp_path):
 
 
 def test_perf_critical_modules_are_pinned_in_the_checker():
-    """The calendar scheduler, the object pools, the monitor hub and
+    """The scheduler, the object pools, the monitor hub and
     the perf workloads are named in REQUIRED_MODULES: moving one
     without updating the lint fails the docs job."""
     import importlib.util

@@ -84,6 +84,24 @@ def test_unknown_search_rejected():
         Simulation(n_mss=2, n_mh=1, search="psychic")
 
 
+@pytest.mark.parametrize(
+    "kwargs, names",
+    [
+        ({"monitors": "bogus"}, ("monitors", "'default'", "'bogus'")),
+        ({"search": 42}, ("search", "'abstract'", "SearchProtocol", "42")),
+    ],
+    ids=["monitors", "search"],
+)
+def test_wrong_typed_argument_rejected_with_located_error(kwargs, names):
+    """The error names the argument, the accepted values and the
+    offending value instead of dying on an AttributeError deep inside
+    the hub / network."""
+    with pytest.raises(ConfigurationError) as excinfo:
+        Simulation(n_mss=2, n_mh=2, **kwargs)
+    for name in names:
+        assert name in str(excinfo.value)
+
+
 def test_needs_at_least_one_mss():
     with pytest.raises(ConfigurationError):
         Simulation(n_mss=0, n_mh=1)

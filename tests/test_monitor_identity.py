@@ -46,24 +46,20 @@ GROUP_GOLDEN = {
               "68fd504979cabce81d0c54d99d24e9c1",
 }
 
-#: every observation mode the facade supports -- including the sampled
-#: hub (which must not perturb the paper-facing numbers at any rate)
-#: and the calendar scheduler / pooling toggles (pure engine swaps).
+#: every observation mode the facade supports -- per-event and
+#: batched monitor dispatch, recording or not -- and the pooling
+#: toggle (a pure engine swap).
 MODES = [
     pytest.param(dict(trace=False, monitors=None), id="bare"),
     pytest.param(dict(trace=True, monitors=None), id="trace"),
     pytest.param(dict(trace=False, monitors=True), id="monitors"),
     pytest.param(dict(trace=True, monitors=True), id="trace+monitors"),
-    pytest.param(dict(trace=False, monitors=True, monitor_sampling=1.0),
-                 id="monitors@1.0"),
-    pytest.param(dict(trace=False, monitors=True, monitor_sampling=0.1),
-                 id="monitors@0.1"),
-    pytest.param(dict(trace=True, monitors=None, scheduler="calendar"),
-                 id="trace+calendar"),
+    pytest.param(dict(trace=False, monitors=True, monitor_mode="batched"),
+                 id="monitors-batched"),
     pytest.param(dict(trace=False, monitors=None, pooling=False),
                  id="bare-unpooled"),
-    pytest.param(dict(trace=True, monitors=True, scheduler="calendar",
-                      monitor_sampling=0.1), id="everything"),
+    pytest.param(dict(trace=True, monitors=True, monitor_mode="batched",
+                      pooling=False), id="everything"),
 ]
 
 
@@ -166,21 +162,6 @@ def test_monitored_trace_is_byte_identical_to_plain_trace(workload):
     plain, _, _ = workload(trace=True)
     monitored, _, _ = workload(trace=True, monitors=True)
     assert to_jsonl(monitored.tracer.events) == to_jsonl(plain.tracer.events)
-
-
-def test_sampled_hub_at_rate_one_sees_the_full_stream():
-    """monitor_sampling=1.0 compiles to stride 1: no call-site gate is
-    installed and every monitor observes exactly what the full hub
-    would -- same verdicts, same violation list, on a chaotic run."""
-    full, _, _ = chaos_workload(monitors=True)
-    sampled, _, _ = chaos_workload(monitors=True, monitor_sampling=1.0)
-    full.monitor_hub.finalize()
-    sampled.monitor_hub.finalize()
-    assert sampled.monitor_hub.ok == full.monitor_hub.ok
-    assert (
-        [(v.invariant, v.time) for v in sampled.monitor_hub.violations]
-        == [(v.invariant, v.time) for v in full.monitor_hub.violations]
-    )
 
 
 def test_unrecorded_hub_keeps_no_events():

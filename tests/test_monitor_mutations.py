@@ -76,9 +76,9 @@ class OverlappingR2(R2Mutex):
             )
 
 
-def run_overlap(cls, **sim_kwargs):
+def run_overlap(cls):
     sim = Simulation(n_mss=2, n_mh=2, seed=1, placement="single_cell",
-                     monitors=True, **sim_kwargs)
+                     monitors=True)
     resource = TolerantResource(sim.scheduler, raise_on_violation=False)
     mutex = cls(sim.network, resource, cs_duration=1.0, scope="R2",
                 max_traversals=2, fault_tolerant=True)
@@ -221,11 +221,11 @@ def ping_traffic(sim, n=4):
         )
 
 
-def run_duplicating_link(reliable, **sim_kwargs):
+def run_duplicating_link(reliable):
     plan = FaultPlan(link_faults=(LinkFault(duplicate=1.0),),
                      reliable=reliable, seed=4)
     sim = Simulation(n_mss=3, n_mh=2, seed=4, fault_plan=plan,
-                     monitors=True, **sim_kwargs)
+                     monitors=True)
     ping_traffic(sim)
     sim.drain()
     return sim
@@ -237,40 +237,6 @@ def test_duplicating_link_trips_the_fifo_monitor():
 
 def test_reliable_transport_masks_the_duplicating_link():
     assert finalized_invariants(run_duplicating_link(True)) == set()
-
-
-# ---------------------------------------------------------------------
-# sampled hub at rate 1.0 -- mutation-equivalent to the full hub
-# ---------------------------------------------------------------------
-
-def test_sampled_hub_rate_one_catches_the_overlap_mutant():
-    """At sample rate 1.0 the gated dispatch must degrade to the full
-    hub: the seeded exclusivity bug is still caught."""
-    invariants = finalized_invariants(
-        run_overlap(OverlappingR2, monitor_sampling=1.0))
-    assert "mutex.exclusivity" in invariants
-    assert "mutex.exit_mismatch" in invariants
-
-
-def test_sampled_hub_rate_one_stays_silent_on_correct_r2():
-    assert finalized_invariants(
-        run_overlap(R2Mutex, monitor_sampling=1.0)) == set()
-
-
-def test_sampled_hub_rate_one_catches_the_duplicating_link():
-    invariants = finalized_invariants(
-        run_duplicating_link(False, monitor_sampling=1.0))
-    assert "channel.fifo" in invariants
-
-
-def test_sampled_hub_aggressive_rate_still_catches_exact_invariants():
-    """Exclusivity is an *exact* monitor (``samplable = False``): the
-    compiler marks its event types must-deliver, so even an
-    aggressively sampled hub (rate 0.01) cannot miss the seeded bug.
-    (Samplable monitors such as fifo-order may legitimately miss
-    violations under sampling -- that is the documented trade.)"""
-    assert "mutex.exclusivity" in finalized_invariants(
-        run_overlap(OverlappingR2, monitor_sampling=0.01))
 
 
 class LeakyReliable(ReliableTransport):

@@ -199,18 +199,3 @@ def test_tool_lists_scenarios():
     assert result.returncode == 0
     for name in SCENARIOS:
         assert name in result.stdout
-
-
-def test_compare_schedulers_identity_gate_passes():
-    """tools/compare_schedulers.py (the CI perf-compare job's identity
-    half): every canonical scenario and the pack at seed 7 must digest
-    identically under both schedulers."""
-    result = subprocess.run(
-        [sys.executable,
-         os.path.join(REPO_ROOT, "tools", "compare_schedulers.py"),
-         "--skip-perf"],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "canonical scenarios: OK" in result.stdout
-    assert "chaos pack (seed 7): OK" in result.stdout

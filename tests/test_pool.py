@@ -102,28 +102,27 @@ def test_set_debug_affects_new_pools_only(monkeypatch):
 def test_scheduler_pool_leak_free_in_debug_mode():
     """End-to-end: a debug-mode scheduler run acquires and releases
     every pooled event (no leaks, no double releases)."""
-    from repro.sim import make_scheduler
+    from repro.sim import Scheduler
 
-    for kind in ("heap", "calendar"):
-        sched = make_scheduler(kind)
-        sched._pool = Pool(
-            sched._pool._factory,
-            reset=sched._pool._reset,
-            capacity=64,
-            debug=True,
-        )
-        for i in range(500):
-            sched.post_at(float(i % 7) + i * 1e-3, lambda: None)
-        sched.run()
-        sched._pool.check_leaks()
-        stats = sched._pool.stats()
-        assert stats["released"] == stats["created"] + stats["reused"]
+    sched = Scheduler()
+    sched._pool = Pool(
+        sched._pool._factory,
+        reset=sched._pool._reset,
+        capacity=64,
+        debug=True,
+    )
+    for i in range(500):
+        sched.post_at(float(i % 7) + i * 1e-3, lambda: None)
+    sched.run()
+    sched._pool.check_leaks()
+    stats = sched._pool.stats()
+    assert stats["released"] == stats["created"] + stats["reused"]
 
 
 def test_monitor_hub_pool_leak_free_in_debug_mode():
     from repro.facade import Simulation
 
-    sim = Simulation(2, 6, seed=11, monitors=True, monitor_sampling=0.1)
+    sim = Simulation(2, 6, seed=11, monitors=True)
     hub = sim.monitor_hub
     hub._event_pool = Pool(
         hub._event_pool._factory,

@@ -1,8 +1,7 @@
 """Regression: pooled reliable-transport acks must not leak trace ids.
 
-Skipped sampled emits clear ``message.trace_id``, but a pooled ack
-recycled from the free list could re-enter the send path still
-carrying the trace id stamped on its previous life -- which would
+A pooled ack recycled from the free list could re-enter the send
+path still carrying the trace id stamped on its previous life -- which would
 attach the new ack's receive event to the old ack's causality chain.
 The pool's reset hook (``_reset_ack``) must zero the field on release.
 Part of the observability pipeline's exactness guarantees (ROADMAP

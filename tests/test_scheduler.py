@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -270,3 +272,167 @@ def test_property_order_survives_random_cancels(items):
     )]
     assert fired == expected
     assert sched.pending_count == 0
+
+
+def test_cancel_minimum_event():
+    """Cancelling the queue head must not fire it nor disturb the rest."""
+    sched = Scheduler()
+    fired = []
+    head = sched.schedule_at(1.0, fired.append, "head")
+    sched.schedule_at(2.0, fired.append, "second")
+    sched.schedule_at(3.0, fired.append, "third")
+    head.cancel()
+    sched.run()
+    assert fired == ["second", "third"]
+    assert sched.now == 3.0
+    assert sched.pending_count == 0
+
+
+def test_cancel_all_then_run_is_noop():
+    sched = Scheduler()
+    fired = []
+    handles = [sched.schedule_at(float(i), fired.append, i) for i in range(10)]
+    for handle in handles:
+        handle.cancel()
+    assert sched.run() == 0
+    assert fired == []
+    assert sched.pending_count == 0
+
+
+def test_random_cancels_fire_exactly_the_survivors():
+    rng = random.Random(5)
+    sched = Scheduler()
+    fired = []
+    handles = [
+        sched.schedule_at(rng.random() * 50.0, fired.append, i)
+        for i in range(400)
+    ]
+    cancelled = set()
+    for i in rng.sample(range(400), 150):
+        handles[i].cancel()
+        cancelled.add(i)
+    sched.run()
+    assert set(fired) == set(range(400)) - cancelled
+    assert sched.pending_count == 0
+
+
+def _interleaved_burst(sched, base, n=1000):
+    """Schedule ``n`` entries, then cancel every other one."""
+    handles = [
+        sched.schedule_at(base + i * 1e-6, lambda: None) for i in range(n)
+    ]
+    for handle in handles[::2]:
+        handle.cancel()
+
+
+def test_compaction_fires_at_exactly_half_cancelled():
+    """Regression: interleaved cancellation parks the cancelled fraction
+    at *exactly* 1/2 (each burst schedules N and cancels N/2, so the
+    counter can reach but never exceed half).  A strictly-greater
+    trigger never fires on that pattern and the queue retains one dead
+    entry per live one forever; the at-least-half trigger reclaims them.
+    """
+    sched = Scheduler()
+    _interleaved_burst(sched, 1000.0)
+    assert sched.pending_count == 500
+    # Without the fix: 1000 retained (500 live + 500 cancelled, parked
+    # at exactly half).  With it: the final cancel reaches the at-least-
+    # half trigger and the burst's garbage is dropped on the spot.
+    assert len(sched._heap) <= 500 + 2 * sched._COMPACT_MIN
+    sched.run()
+    assert sched.pending_count == 0
+
+
+def test_compaction_bounds_garbage_across_many_bursts():
+    """Long-run invariant: retained cancelled entries never exceed the
+    live population (plus the small-heap floor), no matter how many
+    bursty cancellation rounds run."""
+    sched = Scheduler()
+    for round_no in range(40):
+        _interleaved_burst(sched, 1000.0 * (round_no + 1), n=100)
+        live = sched.pending_count
+        assert len(sched._heap) - live <= live + 2 * sched._COMPACT_MIN
+    assert sched.pending_count == 2000
+    sched.run()
+    assert sched.pending_count == 0
+
+
+def test_compaction_during_run_from_live_pops():
+    """Cancellations whose fraction crosses 1/2 only because live events
+    popped (no further cancel() calls) are still reclaimed by the run
+    loop's own compaction check."""
+    sched = Scheduler()
+    for i in range(300):
+        sched.schedule_at(float(i), lambda: None)
+    far = [sched.schedule_at(10_000.0 + i, lambda: None) for i in range(200)]
+    for handle in far:
+        handle.cancel()
+    # 200 cancelled of 500: under half, _note_cancel does not compact.
+    assert len(sched._heap) == 500
+    sched.run(until=299.0)
+    # All 300 live entries fired; the run loop must have compacted the
+    # 200 cancelled stragglers rather than retaining them indefinitely.
+    assert sched.pending_count == 0
+    assert len(sched._heap) <= 2 * sched._COMPACT_MIN
+
+
+# ----------------------------------------------------------------------
+# Empty-queue behaviour
+# ----------------------------------------------------------------------
+
+def test_empty_queue_drain():
+    sched = Scheduler()
+    assert sched.drain() == 0
+    assert sched.pending_count == 0
+    assert sched.now == 0.0
+    assert sched.step() is False
+
+
+def test_run_until_on_empty_queue_advances_clock():
+    sched = Scheduler()
+    sched.run(until=12.5)
+    assert sched.now == 12.5
+    # Queue drained mid-run: later events still fire on a fresh run.
+    fired = []
+    sched.schedule(1.0, fired.append, "x")
+    sched.run()
+    assert fired == ["x"]
+    assert sched.now == 13.5
+
+
+# ----------------------------------------------------------------------
+# Fire-and-forget posting and the event free list
+# ----------------------------------------------------------------------
+
+def test_random_workload_fires_everything_posted():
+    rng = random.Random(42)
+    sched = Scheduler()
+    fired = []
+    for i in range(2000):
+        sched.post_at(rng.random() * 1000.0, fired.append, i)
+    sched.run()
+    assert len(fired) == 2000
+    assert sched.pending_count == 0
+
+
+def test_pool_recycles_fire_and_forget_events():
+    sched = Scheduler()
+    for _ in range(3):
+        for i in range(100):
+            sched.post_at(sched.now + 1.0 + i * 0.01, lambda: None)
+        sched.run()
+    stats = sched.pool_stats
+    assert stats is not None
+    # After warmup, posts are served from the free list, not malloc.
+    assert stats["reused"] > 0
+    assert stats["created"] <= 100
+    assert stats["released"] == stats["created"] + stats["reused"]
+
+
+def test_pooling_off_allocates_fresh_events():
+    sched = Scheduler(pooling=False)
+    fired = []
+    sched.post_at(1.0, fired.append, "a")
+    sched.run()
+    assert fired == ["a"]
+    assert sched.pool_stats is None

@@ -1,20 +1,18 @@
-"""Byte-identity of the calendar scheduler and the object pools.
+"""Byte-identity of the object pools.
 
-The calendar queue, the event/envelope free lists, and the sampled
-monitor hub are *performance* features: none of them may change a
-single simulated step.  These tests pin that contract the strong way:
+The event/envelope free lists are a *performance* feature: they may
+not change a single simulated step.  These tests pin that contract the
+strong way:
 
 * every canonical trace scenario produces the exact same recorded
-  event stream (every field of every :class:`TraceEvent`) under the
-  heap scheduler, the calendar scheduler, and with pooling disabled;
-* every scenario in the certified chaos pack, at every certification
-  seed, produces an identical full report (costs, message counts,
-  faults, workload stats, monitor verdicts, health snapshot) under
-  both schedulers.
+  event stream (every field of every :class:`TraceEvent`) with pooling
+  on and off;
+* every scenario in the certified chaos pack produces an identical
+  full report (costs, message counts, faults, workload stats, monitor
+  verdicts, health snapshot) with pooling off.
 
-If the calendar queue ever reorders a same-(time, seq) tie, or a pool
-leaks state between recycled events, a digest here moves and the test
-names the first scenario that diverged.
+If a pool ever leaks state between recycled events, a digest here
+moves and the test names the first scenario that diverged.
 """
 
 from __future__ import annotations
@@ -30,22 +28,17 @@ from repro.facade import Simulation
 from repro.scenario import builtin_registry, run_scenario
 from repro.trace.scenarios import SCENARIOS
 
-#: the certification seeds the chaos matrix sweeps (see ci.yml).
-PACK_SEEDS = (7, 19, 42)
-
-#: constructor overrides exercised against the heap/pooled baseline.
+#: constructor overrides exercised against the pooled baseline.
 VARIANTS = {
-    "calendar": {"scheduler": "calendar"},
     "unpooled": {"pooling": False},
-    "calendar-unpooled": {"scheduler": "calendar", "pooling": False},
 }
 
 
 def _patch_simulation(monkeypatch, module, **overrides):
     """Route a module's ``Simulation(...)`` calls through overrides.
 
-    Neither the trace scenarios nor the scenario runner take a
-    scheduler parameter (deliberately: scenario specs describe the
+    Neither the trace scenarios nor the scenario runner take an
+    engine parameter (deliberately: scenario specs describe the
     *system*, not the engine), so identity runs inject the engine
     choice at the constructor seam instead.
     """
@@ -107,7 +100,7 @@ def test_canonical_scenarios_are_engine_invariant(
 
 
 # ---------------------------------------------------------------------------
-# The certified chaos pack: full-report identity at every sweep seed
+# The certified chaos pack: full-report identity
 # ---------------------------------------------------------------------------
 
 
@@ -119,38 +112,16 @@ def _report_digest(spec, seed):
     ).hexdigest()
 
 
-def test_chaos_pack_is_scheduler_invariant(monkeypatch):
-    """All 23 certified scenarios x 3 seeds: the calendar scheduler
-    reproduces the heap's report byte for byte."""
-    registry = builtin_registry()
-    names = sorted(registry.names())
-    assert len(names) >= 20  # the pack floor; keep the sweep honest
-    baseline = {
-        (name, seed): _report_digest(registry.get(name), seed)
-        for name in names
-        for seed in PACK_SEEDS
-    }
-    _patch_simulation(monkeypatch, runner_mod, scheduler="calendar")
-    mismatches = [
-        (name, seed)
-        for name in names
-        for seed in PACK_SEEDS
-        if _report_digest(registry.get(name), seed) != baseline[(name, seed)]
-    ]
-    assert mismatches == []
-
-
 def test_chaos_pack_is_pooling_invariant(monkeypatch):
     """Spot the pack at one seed with pooling off: recycled event and
     envelope objects must never leak state into the simulation."""
     registry = builtin_registry()
     names = sorted(registry.names())
+    assert len(names) >= 20  # the pack floor; keep the sweep honest
     baseline = {
         name: _report_digest(registry.get(name), 7) for name in names
     }
-    _patch_simulation(
-        monkeypatch, runner_mod, scheduler="calendar", pooling=False
-    )
+    _patch_simulation(monkeypatch, runner_mod, pooling=False)
     mismatches = [
         name
         for name in names
