@@ -295,10 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--linger", type=float, default=0.0,
                        help="wall-clock seconds to keep serving after "
                             "a bounded --duration run completes")
-    serve.add_argument("--monitor-mode", default="batched",
-                       choices=["event", "batched"],
-                       help="monitor dispatch strategy (default "
-                            "batched; see docs/observability.md)")
 
     perf = sub.add_parser(
         "perf",
@@ -1028,7 +1024,6 @@ def _run_serve(args, emit) -> int:
         n_mh=args.n_mh,
         seed=args.seed,
         monitors=True,
-        monitor_mode=args.monitor_mode,
     )
     instrument_network(sim.network, sim.monitor_hub.timers)
     resource = CriticalResource(sim.scheduler)
@@ -1053,8 +1048,6 @@ def _run_serve(args, emit) -> int:
             if args.duration > 0:
                 target = min(target, args.duration)
             sim.run(until=target)
-            if sim.monitor_hub is not None:
-                sim.monitor_hub.drain_batches()
             if args.duration > 0 and sim.now >= args.duration:
                 break
     except KeyboardInterrupt:

@@ -48,6 +48,19 @@ _SEARCH_FACTORIES: Dict[str, Callable[[], SearchProtocol]] = {
 }
 
 
+def _check_type(name: str, value, accepted: type,
+                optional: bool = False) -> None:
+    """Reject a wrong-typed argument here, by name, before it fails
+    somewhere deep inside the build (or, for ``cost_model``, after)."""
+    if optional and value is None:
+        return
+    if not isinstance(value, accepted):
+        raise ConfigurationError(
+            f"{name} must be {'None or ' if optional else ''}"
+            f"an instance of {accepted.__name__}: {value!r}"
+        )
+
+
 def _iter_placement(
     placement: Placement, n_mh: int, n_mss: int, rng: random.Random
 ) -> Iterator[int]:
@@ -127,7 +140,15 @@ class Simulation:
             :func:`~repro.monitor.default_monitors`, or a sequence of
             :class:`~repro.monitor.Monitor` instances.  Installs a
             :class:`~repro.monitor.MonitorHub` as :attr:`monitor_hub`;
-            purely observational, like ``trace``.
+            purely observational, like ``trace``.  Emit sites append
+            compact rows to the :mod:`repro.obs` ledger and the
+            monitors replay them in drained batches with per-event
+            semantics, off the protocol's hot path; :meth:`run` and
+            :meth:`drain` end with a drain, so monitor objects are
+            current whenever either returns.  With ``trace=True`` the
+            hub records the event list and delivers per event instead
+            (the reference the ledger is tested against).  See
+            ``docs/observability.md``.
         population_store: when ``True``, back the N MHs by the
             array-based :class:`~repro.scale.PopulationStore` instead
             of N python objects.  Hosts are transparently promoted to
@@ -139,14 +160,6 @@ class Simulation:
         pooling: recycle fire-and-forget event objects through the
             scheduler's free list (default on; byte-identical either
             way).
-        monitor_mode: monitor dispatch strategy -- ``"event"``
-            (default) delivers each event to the monitors as it is
-            emitted; ``"batched"`` appends fixed-shape rows to the
-            :mod:`repro.obs` ledgers and replays them in drained
-            batches with identical per-event semantics, taking exact
-            monitoring off the hot path.  Batched mode requires
-            ``monitors``.  See ``docs/observability.md`` for the two
-            fidelity tiers.
     """
 
     def __init__(
@@ -166,8 +179,12 @@ class Simulation:
         population_store: bool = False,
         max_active: Optional[int] = None,
         pooling: bool = True,
-        monitor_mode: str = "event",
     ) -> None:
+        _check_type("n_mss", n_mss, int)
+        _check_type("n_mh", n_mh, int)
+        _check_type("cost_model", cost_model, CostModel, optional=True)
+        _check_type("config", config, NetworkConfig, optional=True)
+        _check_type("fault_plan", fault_plan, FaultPlan, optional=True)
         if n_mss < 1:
             raise ConfigurationError("need at least one MSS")
         if n_mh < 0:
@@ -207,15 +224,6 @@ class Simulation:
         self.tracer = None
         #: the installed monitor hub, or ``None`` when monitoring is off.
         self.monitor_hub = None
-        if monitor_mode not in ("event", "batched"):
-            raise ConfigurationError(
-                f"monitor_mode must be 'event' or 'batched': "
-                f"{monitor_mode!r}"
-            )
-        if monitor_mode == "batched" and not monitors:
-            raise ConfigurationError(
-                "monitor_mode='batched' requires monitors="
-            )
         if monitors:
             from repro.monitor import Monitor, MonitorHub, default_monitors
 
@@ -231,13 +239,11 @@ class Simulation:
                     f"Monitor instances: {monitors!r}"
                 )
             # The hub *is* a tracer: with trace=True it records events
-            # like a plain Tracer would; with trace=False it dispatches
-            # to the monitors and drops each event, bounding memory.
+            # like a plain Tracer would and delivers them per event;
+            # with trace=False it keeps only ledger rows until the
+            # next drain, bounding memory.
             self.monitor_hub = MonitorHub(
-                self.scheduler,
-                monitor_list,
-                record=trace,
-                batch=(monitor_mode == "batched"),
+                self.scheduler, monitor_list, record=trace
             )
             self.network.trace = self.monitor_hub
             self.monitor_hub.bind(self.network)
@@ -357,38 +363,34 @@ class Simulation:
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:
         """Advance the simulation (see :meth:`Scheduler.run`)."""
-        hub = self.monitor_hub
-        if hub is not None and hub._batch:
-            return self._run_timed(
-                lambda: self.scheduler.run(
-                    until=until, max_events=max_events
-                )
-            )
-        return self.scheduler.run(until=until, max_events=max_events)
+        return self._run(
+            self.scheduler.run, until=until, max_events=max_events
+        )
 
     def drain(self, max_events: int = 1_000_000) -> int:
         """Run until no events remain (see :meth:`Scheduler.drain`)."""
-        hub = self.monitor_hub
-        if hub is not None and hub._batch:
-            return self._run_timed(
-                lambda: self.scheduler.drain(max_events=max_events)
-            )
-        return self.scheduler.drain(max_events=max_events)
+        return self._run(self.scheduler.drain, max_events=max_events)
 
-    def _run_timed(self, step) -> int:
-        """Run ``step`` while attributing wall time to the scheduler
-        section, net of the observability drains it triggers."""
+    def _run(self, step, **limits) -> int:
+        """Run ``step``; under a ledger hub, attribute its wall time to
+        the scheduler section, net of the observability drains it
+        triggers, and finish with a drain so the monitors have seen
+        every event by the time the caller looks."""
+        hub = self.monitor_hub
+        if hub is None or hub.record:
+            return step(**limits)
         from time import perf_counter
 
-        timers = self.monitor_hub.timers
+        timers = hub.timers
         obs_before = timers.get("drain") + timers.get("monitor")
         started = perf_counter()
-        fired = step()
+        fired = step(**limits)
         elapsed = perf_counter() - started
         obs_delta = (
             timers.get("drain") + timers.get("monitor") - obs_before
         )
         timers.add("scheduler", elapsed - obs_delta)
+        hub.drain_batches()
         return fired
 
     def cost(self, scope: Optional[str] = None) -> float:

@@ -34,11 +34,7 @@ from typing import List
 
 from repro.monitor.base import Monitor, Violation
 from repro.monitor.health import HealthMonitor
-from repro.monitor.hub import (
-    MonitorHub,
-    replay_events,
-    replay_events_batched,
-)
+from repro.monitor.hub import MonitorHub, replay_events
 from repro.monitor.liveness import LivenessMonitor
 from repro.monitor.recovery import (
     CrashRecoveryMonitor,
@@ -60,7 +56,6 @@ __all__ = [
     "Violation",
     "MonitorHub",
     "replay_events",
-    "replay_events_batched",
     "default_monitors",
     "safety_monitors",
     "MutualExclusionMonitor",

@@ -5,22 +5,20 @@
 ``network.trace``, so every instrumentation point that already feeds
 the trace layer feeds the monitors too, through the same
 ``_trace_on``-style guard that makes the whole layer free when off.
-Events are dispatched through a compiled per-event-type table: the
-first emit of each etype resolves, once, which monitors want it and
-which are gated on a message-kind suffix — so the steady-state hot
-path is one dict lookup plus the delivery loop.
 
-Two recording modes:
+The hub picks its dispatch from what it is asked to keep:
 
 * ``record=True`` — behaves exactly like a :class:`Tracer` (the event
   list grows; exporters and walkthroughs keep working) *and* monitors
-  run.  This is ``Simulation(trace=True, monitors=...)``.
-* ``record=False`` — events are dispatched to the monitors and then
-  dropped, so memory stays bounded on long runs.  The hub recycles the
-  :class:`TraceEvent` objects through a :class:`repro.pool.Pool` free
-  list (monitors are pure observers and never retain event objects),
-  and skips constructing the event entirely when no monitor would see
-  it.  This is ``Simulation(trace=False, monitors=...)``.
+  run, per event, at emit: the :class:`TraceEvent` has to materialise
+  there with its full detail payload anyway.  This is
+  ``Simulation(trace=True, monitors=...)``, and the per-event
+  reference the equivalence tests compare the ledger against.
+* ``record=False`` — emits append compact rows to one shared ledger
+  (:mod:`repro.obs.ledger`) and the monitors consume them in drained
+  batches with per-event semantics intact, so monitoring stays off the
+  protocol's critical path and memory stays bounded on long runs.
+  This is ``Simulation(trace=False, monitors=...)``.
 
 Offline replay: :func:`replay_events` drives the same monitors over a
 recorded event list (for example a canonical scenario's trace), which
@@ -33,15 +31,13 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
 from repro.monitor.base import Monitor, Violation
 from repro.monitor.liveness import _REQUEST_SUFFIXES
 from repro.obs.ledger import LedgerSite
 from repro.obs.timing import WallTimers
-from repro.pool import Pool
 from repro.trace.events import TraceEvent, Tracer
 
-__all__ = ["MonitorHub", "replay_events", "replay_events_batched"]
+__all__ = ["MonitorHub", "replay_events"]
 
 #: one dispatch target: ``(on_event, kind_suffixes)``; ``None`` suffixes
 #: means the monitor takes every event of the etype.
@@ -50,16 +46,6 @@ _Target = Tuple[Any, Optional[Tuple[str, ...]]]
 #: shared empty detail payload for scratch replay events; monitors are
 #: pure observers and never retain or mutate the dict.
 _EMPTY_DETAIL: Dict[str, Any] = {}
-
-
-def _blank_event() -> TraceEvent:
-    return TraceEvent(id=0, parent_id=None, time=0.0, etype="")
-
-
-def _reset_event(event: TraceEvent) -> None:
-    # Drop the payload dict so the free list cannot pin protocol
-    # objects alive; scalar fields are overwritten on acquire.
-    event.detail = None  # type: ignore[assignment]
 
 
 def _fill(scratch: TraceEvent, row: tuple, etype: str) -> None:
@@ -82,26 +68,6 @@ def _startswith_mss(host_id: str) -> bool:
     return host_id.startswith("mss")
 
 
-class _Entry:
-    """Compiled per-event dispatch state for one event type."""
-
-    __slots__ = ("targets", "always", "gate_suffixes")
-
-    def __init__(self, targets: Tuple[_Target, ...]) -> None:
-        self.targets = targets
-        #: at least one target is unconditional (no kind gate), so the
-        #: event object is always needed.
-        self.always = any(suffixes is None for _, suffixes in targets)
-        gate: Tuple[str, ...] = ()
-        for _, suffixes in targets:
-            if suffixes:
-                gate += suffixes
-        #: union of every target's kind-suffix gate; used to decide
-        #: whether an event with no unconditional listener still needs
-        #: constructing.
-        self.gate_suffixes: Optional[Tuple[str, ...]] = gate or None
-
-
 class MonitorHub(Tracer):
     """A tracer that evaluates invariant monitors online.
 
@@ -110,18 +76,29 @@ class MonitorHub(Tracer):
     violations and exposes one ``finalize()``/``ok``/``report()``
     surface for tests, the facade, and the CLI.
 
+    When are the monitor objects current?  A recording hub delivers at
+    emit, so always.  A ledger hub (``record=False``) holds emitted
+    rows until the next drain; the monitors have seen every event
+
+    * after :meth:`Simulation.run <repro.facade.Simulation.run>` or
+      ``Simulation.drain`` returns (both end with a drain),
+    * after any hub observation (:attr:`violations`, :attr:`ok`,
+      :meth:`report`, :meth:`finalize`), or
+    * after an explicit :meth:`drain_batches`.
+
+    Code that drives ``sim.scheduler`` directly and reads a monitor
+    object's own state lags by at most ``drain_interval`` sim-time (or
+    one full segment of rows).
+
     Args:
         scheduler: clock source (``None`` for offline replay).
         monitors: the monitor instances to drive.
-        record: keep the full event list (tracer behaviour) or drop
-            events after dispatch (bounded memory).
-        batch: run the batched-exact tier — emits append fixed-shape
-            rows to per-etype ledgers (:mod:`repro.obs.ledger`) and
-            the monitors consume them in drained batches with
-            per-event semantics intact.
-        drain_interval: sim-time quantum between ledger drains in
-            batched mode (drains also trigger on segment fill and
-            always before ``finalize``/``report``/``violations``).
+        record: keep the full event list and deliver per event (tracer
+            behaviour), or append ledger rows and replay them in
+            drained batches (bounded memory).
+        drain_interval: sim-time quantum between ledger drains (drains
+            also trigger on segment fill and always before
+            ``finalize``/``report``/``violations``).
     """
 
     def __init__(
@@ -129,27 +106,17 @@ class MonitorHub(Tracer):
         scheduler,
         monitors: Sequence[Monitor],
         record: bool = True,
-        batch: bool = False,
         drain_interval: float = 50.0,
     ) -> None:
         super().__init__(scheduler)
-        if batch and not monitors:
-            raise ConfigurationError(
-                "batched monitoring needs at least one monitor"
-            )
         self.record = record
         self.monitors: List[Monitor] = list(monitors)
         self.network = None
         self._finalized = False
-        self._table: Dict[str, _Entry] = {}
-        self._event_pool = Pool(
-            _blank_event,
-            reset=_reset_event,
-            capacity=64,
-            name="monitor.trace_events",
-        )
-        # -- batched-tier state (cheap to carry when off) --------------
-        self._batch = batch
+        #: per-event delivery (recording emit, offline dispatch):
+        #: etype -> ordered targets, resolved on first use.
+        self._table: Dict[str, Tuple[_Target, ...]] = {}
+        # -- ledger state (cheap to carry on a recording hub) ----------
         self.drain_interval = float(drain_interval)
         self.timers = WallTimers()
         #: ledger drains performed / rows replayed, for /invariants.
@@ -170,21 +137,20 @@ class MonitorHub(Tracer):
         self._segment_cap = 8192
         self._drain_due = self.drain_interval
         self._draining = False
-        self._scratch = _blank_event()
+        self._scratch = TraceEvent(id=0, parent_id=None, time=0.0, etype="")
         for monitor in self.monitors:
             monitor.attach(self)
-        # The fast consume loop folds the two standard wildcard
+        # The standard consume loop folds the two standard wildcard
         # monitors (Liveness then Health, in that order, at the end of
         # the list) inline; any other wildcard layout replays through
         # the generic scratch-event loop instead.
-        self._fast_consume = False
+        self._standard_layout = False
         self._liveness = None
         self._health = None
         self._liveness_step = 0.0
         self._fifo = None
         self._rel = None
-        if batch:
-            self._detect_fast_layout()
+        self._detect_standard_layout()
 
     # -- wiring -------------------------------------------------------
     def bind(self, network) -> None:
@@ -222,14 +188,13 @@ class MonitorHub(Tracer):
         )
         return targets, explicit_count
 
-    def _compile(self, etype: str) -> _Entry:
+    def _compile(self, etype: str) -> Tuple[_Target, ...]:
         """Resolve, once, how events of ``etype`` are delivered."""
-        entry = _Entry(self._targets(etype)[0])
-        self._table[etype] = entry
-        return entry
+        targets = self._table[etype] = self._targets(etype)[0]
+        return targets
 
-    # -- batched tier: compilation ------------------------------------
-    def _detect_fast_layout(self) -> None:
+    # -- ledger: compilation ------------------------------------------
+    def _detect_standard_layout(self) -> None:
         """Decide whether drained batches may use the inline folds."""
         from repro.monitor.health import HealthMonitor
         from repro.monitor.liveness import LivenessMonitor
@@ -249,7 +214,7 @@ class MonitorHub(Tracer):
             self._liveness = monitors[-2]
             self._health = monitors[-1]
             self._liveness_step = self._liveness.check_interval
-            self._fast_consume = True
+            self._standard_layout = True
             # Exact-type finds for the per-row inline transitions the
             # consume loop performs on the hottest sites; a subclass
             # (overridden on_event) never matches, so it replays
@@ -262,11 +227,11 @@ class MonitorHub(Tracer):
                     self._rel = monitor
 
     def _compile_site(self, etype: str) -> LedgerSite:
-        """Resolve, once, how batched rows of ``etype`` are replayed."""
+        """Resolve, once, how ledger rows of ``etype`` are replayed."""
         targets, explicit_count = self._targets(etype)
         plan = targets[:explicit_count] or None
         site = LedgerSite(etype, targets, plan)
-        if self._fast_consume and plan is not None:
+        if self._standard_layout and plan is not None:
             from repro.obs.ledger import (
                 HEALTH_RECV,
                 HEALTH_SEND,
@@ -308,12 +273,11 @@ class MonitorHub(Tracer):
         is checked only on the :meth:`emit` path and before any
         observation; drain cadence is semantically invisible, so the
         hottest sites skip the clock comparison.)  Returns ``None``
-        when the hub is not batched -- or when it is recording, where
-        sites must go through :meth:`emit` so rows keep the full
-        detail payload the materialized trace needs -- and callers
-        fall back to :meth:`emit`.
+        when the hub is recording -- sites must go through :meth:`emit`
+        so the materialized trace keeps the full detail payload -- and
+        callers fall back to :meth:`emit`.
         """
-        if not self._batch or self.record:
+        if self.record:
             return None
         site = self._sites.get(etype)
         if site is None:
@@ -326,14 +290,14 @@ class MonitorHub(Tracer):
         )
 
         if (
-            self._fast_consume
+            self._standard_layout
             and site.health_code == HEALTH_SEND
             and site.liveness_code == LIVENESS_TICK
         ):
             # Plain ticking sends: the only consume-side effects are a
             # health send-count and a liveness clock tick, neither of
             # which needs anything beyond the timestamp.  The row is a
-            # bare float (the consume loops type-switch on it), which
+            # bare float (the consume loop type-switches on it), which
             # skips the parent resolution and the 10-slot tuple build
             # on the hottest send paths.  Kind-gated sites still write
             # a full row for the (rare) kinds their plan target
@@ -396,7 +360,7 @@ class MonitorHub(Tracer):
 
         return append
 
-    # -- batched tier: drain ------------------------------------------
+    # -- ledger: drain ------------------------------------------------
     def drain_batches(self) -> int:
         """Replay every pending ledger row through the monitors.
 
@@ -406,9 +370,10 @@ class MonitorHub(Tracer):
         :meth:`consume_batch` and clears it in place afterwards --
         appender closures keep their direct binding to the list object.
         Returns the number of rows replayed.  Reentrant calls (a
-        monitor running inside the replay) are no-ops.
+        monitor running inside the replay) are no-ops, and so is a
+        recording hub, whose ledger is always empty.
         """
-        if not self._batch or self._draining:
+        if self._draining:
             return 0
         rows = self._ledger
         if self.scheduler is not None:
@@ -436,65 +401,29 @@ class MonitorHub(Tracer):
     def consume_batch(self, rows: Sequence[tuple]) -> None:
         """Replay one ordered batch of ledger rows with per-event
         semantics (delivery order, trace ids, violation attribution
-        all match the per-event dispatch path)."""
-        if self._fast_consume and not self.record:
-            self._consume_fast(rows)
+        all match the recording hub's per-event dispatch)."""
+        if self._standard_layout:
+            self._consume_standard(rows)
         else:
             self._consume_generic(rows)
 
     def _consume_generic(self, rows: Sequence[tuple]) -> None:
-        """Scratch-event replay for any monitor layout.
-
-        In ``record=True`` runs this also materializes the real
-        :class:`TraceEvent` list, so a batched traced run keeps the
-        exporters and walkthroughs working.
-        """
-        record = self.record
-        events = self.events
+        """Scratch-event replay for any monitor layout."""
         scratch = self._scratch
         for row in rows:
             site = row[9]
             kind = row[6]
-            detail = row[7]
-            if record:
-                event = TraceEvent(
-                    id=row[0],
-                    parent_id=row[1],
-                    time=row[2],
-                    etype=site.etype,
-                    scope=row[3],
-                    category=row[8],
-                    src=row[4],
-                    dst=row[5],
-                    kind=kind,
-                    detail=detail if detail is not None else {},
-                )
-                events.append(event)
-            else:
-                event = scratch
-                event.id = row[0]
-                event.parent_id = row[1]
-                event.time = row[2]
-                event.etype = site.etype
-                event.scope = row[3]
-                event.category = row[8]
-                event.src = row[4]
-                event.dst = row[5]
-                event.kind = kind
-                event.detail = (
-                    detail if detail is not None else _EMPTY_DETAIL
-                )
+            _fill(scratch, row, site.etype)
             for on_event, suffixes in site.targets:
                 if suffixes is not None and (
                     kind is None or not kind.endswith(suffixes)
                 ):
                     continue
-                on_event(event)
-        if not record:
-            scratch.detail = None  # type: ignore[assignment]
+                on_event(scratch)
+        scratch.detail = None  # type: ignore[assignment]
 
-    def _consume_fast(self, rows: Sequence) -> None:
-        """The standard-layout replay loop, tuned for the ≤1.10x gate.
+    def _consume_standard(self, rows: Sequence) -> None:
+        """The standard-layout replay loop.
 
         Rows are either 10-tuples or bare floats (plain ticking sends:
         just the timestamp -- see :meth:`call_site_batch`).  Tuple
@@ -510,203 +439,9 @@ class MonitorHub(Tracer):
         (explicit targets, then liveness, then health) exactly.
         Violation-bearing rows take the slow path (a scratch build plus
         the monitor's own ``on_event``), so violation messages and
-        attribution stay byte-identical with per-event dispatch.
-
-        Two loop variants share that structure.  Timestamps are
-        nondecreasing, so every consecutive event gap in the batch is
-        bounded by ``batch end - last event time before the batch``:
-        when that bound is within the liveness stall gap, no stall can
-        fire anywhere in the batch and the *dense* loop replaces the
-        per-row stall/deadline/sample checks with a single compare
-        against the next boundary of interest.  Otherwise (sparse
-        batches, e.g. a chaos scenario's quiet spell) the *sparse*
-        loop keeps the full per-row liveness clock, including exact
-        stall attribution.
-        """
-        liveness = self._liveness
-        last_time = liveness._last_event_time
-        tail = rows[-1]
-        end_t = tail if type(tail) is float else tail[2]
-        base_t = last_time
-        if base_t is None:
-            head = rows[0]
-            base_t = head if type(head) is float else head[2]
-        if end_t - base_t > liveness.stall_gap:
-            self._consume_sparse(rows)
-            return
-        health = self._health
-        pending = liveness.pending
-        flagged = liveness._flagged
-        last_token = liveness._last_token
-        starved = liveness._starved
-        check_step = self._liveness_step
-        next_check = liveness._next_check
-        check_deadlines = liveness._check_deadlines
-        h_sends = health._sends
-        h_recvs = health._recvs
-        h_faults = health._faults
-        h_cs = health._cs_entries
-        next_sample = health._next_sample
-        interval = health.interval
-        scratch = self._scratch
-        fifo = self._fifo
-        rel = self._rel
-        if fifo is not None and rel is not None:
-            fifo_last = fifo._last
-            fifo_skip = fifo._SKIP_KINDS
-            fifo_on = fifo.on_event
-            net = fifo.network
-            is_mss = (net._mss.__contains__ if net is not None
-                      else _startswith_mss)
-            rel_sends = rel._sends
-            rel_released = rel._released
-            rel_on = rel.on_event
-        if pending and next_check < next_sample:
-            boundary = next_check
-        else:
-            boundary = next_sample
-        for row in rows:
-            if type(row) is float:  # plain ticking send: time only
-                t = row
-                h_sends += 1
-            else:
-                site = row[9]
-                t = row[2]
-                mode = site.mode
-                if mode == 2:  # MODE_RECV_STD: FifoOrder + Reliable
-                    parent = row[1]
-                    if parent is not None:
-                        kind = row[6]
-                        if kind not in fifo_skip:
-                            src = row[4]
-                            dst = row[5]
-                            if (src is not None and dst is not None
-                                    and is_mss(src) and is_mss(dst)):
-                                channel = (src, dst)
-                                last = fifo_last.get(channel)
-                                if last is None or parent > last:
-                                    fifo_last[channel] = parent
-                                else:  # violation: full body
-                                    _fill(scratch, row, site.etype)
-                                    fifo_on(scratch)
-                        meta = rel_sends.get(parent)
-                        if meta is not None:
-                            channel, seq = meta
-                            if seq > rel_released.get(channel, 0):
-                                rel_released[channel] = seq
-                            else:
-                                _fill(scratch, row, site.etype)
-                                rel_on(scratch)
-                    h_recvs += 1
-                elif mode == 3:  # MODE_SEND_GATED: suffix-gated target
-                    kind = row[6]
-                    if kind is not None and kind.endswith(
-                        site.gate_suffixes
-                    ):
-                        _fill(scratch, row, site.etype)
-                        site.gate_fn(scratch)
-                    h_sends += 1
-                else:
-                    kind = row[6]
-                    if mode == 0:  # MODE_GENERIC: scratch replay
-                        built = False
-                        for on_event, suffixes in site.plan:
-                            if suffixes is not None and (
-                                kind is None
-                                or not kind.endswith(suffixes)
-                            ):
-                                continue
-                            if not built:
-                                _fill(scratch, row, site.etype)
-                                built = True
-                            on_event(scratch)
-                    # -- LivenessMonitor.on_event, folded --------------
-                    code = site.liveness_code
-                    if code == 2:
-                        # send.wireless_up is kind-gated: non-request
-                        # uplinks are not delivered to liveness at all.
-                        if kind is not None and kind.endswith(
-                            _REQUEST_SUFFIXES
-                        ):
-                            pending.setdefault((row[3], row[4]), t)
-                            if next_check < boundary:
-                                boundary = next_check
-                        else:
-                            code = 0
-                    elif code == 3:
-                        pending.setdefault((row[3], row[4]), t)
-                        if next_check < boundary:
-                            boundary = next_check
-                    elif code == 4:
-                        key = (row[3], row[4])
-                        pending.pop(key, None)
-                        flagged.discard(key)
-                        if not pending:
-                            boundary = next_sample
-                    elif code == 5:
-                        last_token[row[3]] = t
-                        starved.discard(row[3])
-                    # -- HealthMonitor.on_event, folded ----------------
-                    hc = site.health_code
-                    if hc == 1:
-                        h_sends += 1
-                    elif hc == 2:
-                        h_recvs += 1
-                    elif hc == 3:
-                        h_faults += 1
-                    elif hc == 4:
-                        h_cs += 1
-                    if code == 0:
-                        # Non-ticking row: the liveness clock does not
-                        # advance, but a sample boundary still fires.
-                        if t >= next_sample:
-                            health._sends = h_sends
-                            health._recvs = h_recvs
-                            health._faults = h_faults
-                            health._cs_entries = h_cs
-                            liveness._next_check = next_check
-                            liveness._last_event_time = last_time
-                            health.sample(t)
-                            next_sample = t + interval
-                            if pending and next_check < next_sample:
-                                boundary = next_check
-                            else:
-                                boundary = next_sample
-                        continue
-            # -- shared ticking tail: one compare in the steady state --
-            last_time = t
-            if t >= boundary:
-                if pending and t >= next_check:
-                    check_deadlines(t)
-                    next_check = t + check_step
-                if t >= next_sample:
-                    health._sends = h_sends
-                    health._recvs = h_recvs
-                    health._faults = h_faults
-                    health._cs_entries = h_cs
-                    liveness._next_check = next_check
-                    liveness._last_event_time = t
-                    health.sample(t)
-                    next_sample = t + interval
-                if pending and next_check < next_sample:
-                    boundary = next_check
-                else:
-                    boundary = next_sample
-        health._sends = h_sends
-        health._recvs = h_recvs
-        health._faults = h_faults
-        health._cs_entries = h_cs
-        health._next_sample = next_sample
-        liveness._next_check = next_check
-        liveness._last_event_time = last_time
-        scratch.detail = None  # type: ignore[assignment]
-
-    def _consume_sparse(self, rows: Sequence) -> None:
-        """The full per-row liveness clock variant of
-        :meth:`_consume_fast`, used when the batch spans a gap wide
-        enough that a stall could fire inside it (sparse scenarios);
-        stall attribution needs the exact previous ticking time, so
-        every row pays the stall and deadline compares."""
+        attribution stay byte-identical with per-event dispatch.  Every
+        ticking row pays the stall and deadline compares: stall
+        attribution needs the exact previous ticking time."""
         liveness = self._liveness
         health = self._health
         pending = liveness.pending
@@ -874,35 +609,6 @@ class MonitorHub(Tracer):
         liveness._last_event_time = last_time
         scratch.detail = None  # type: ignore[assignment]
 
-    def ingest_events(self, events: Iterable[TraceEvent]) -> int:
-        """Offline batched replay: append recorded events as ledger
-        rows (keeping their original ids, parents and timestamps) and
-        drain.  Events are replayed in the given order -- recorded
-        traces are already in emission order, exactly like the online
-        shared segment.  The batched analogue of :meth:`dispatch`-based
-        replay, used by :func:`replay_events_batched` and the
-        equivalence gate."""
-        if not self._batch:
-            raise ConfigurationError(
-                "ingest_events requires a batched hub"
-            )
-        ledger = self._ledger
-        count = 0
-        for event in events:
-            site = self._sites.get(event.etype)
-            if site is None:
-                site = self._compile_site(event.etype)
-            ledger.append((
-                event.id, event.parent_id, event.time, event.scope,
-                event.src, event.dst, event.kind, event.detail,
-                event.category, site,
-            ))
-            count += 1
-            if len(ledger) >= self._segment_cap:
-                self.drain_batches()
-        self.drain_batches()
-        return count
-
     # -- online path --------------------------------------------------
     def emit(
         self,
@@ -923,33 +629,7 @@ class MonitorHub(Tracer):
             parent = self._stack[-1]
         event_id = self._next_id
         self._next_id = event_id + 1
-        if self._batch:
-            # Batched tier: append one ledger row and return.  Every
-            # emit module in the tree goes through here unchanged; the
-            # hottest sites bypass even this via call_site_batch.
-            site = self._sites.get(etype)
-            if site is None:
-                site = self._compile_site(etype)
-            rows = self._ledger
-            now = self.scheduler.now
-            rows.append((
-                event_id, parent, now, scope, src, dst, kind,
-                detail if detail else None, category, site,
-            ))
-            if len(rows) >= self._segment_cap or now >= self._drain_due:
-                self.drain_batches()
-            return event_id
-        entry = self._table.get(etype)
-        if entry is None:
-            entry = self._compile(etype)
-        record = self.record
-        if not record and not entry.always:
-            # No unconditional listener: the event object is only
-            # needed if a kind gate matches.
-            gate = entry.gate_suffixes
-            if gate is None or kind is None or not kind.endswith(gate):
-                return event_id
-        if record:
+        if self.record:
             event = TraceEvent(
                 id=event_id,
                 parent_id=parent,
@@ -963,62 +643,38 @@ class MonitorHub(Tracer):
                 detail=detail,
             )
             self.events.append(event)
-        else:
-            pool = self._event_pool
-            if pool._outstanding is None:
-                # Inline Pool.acquire (debug tracking off): one event
-                # per delivered emit makes the method call itself
-                # measurable.
-                free = pool._free
-                if free:
-                    event = free.pop()
-                    pool.reused += 1
-                else:
-                    event = _blank_event()
-                    pool.created += 1
-            else:
-                event = pool.acquire()
-            event.id = event_id
-            event.parent_id = parent
-            event.time = self.scheduler.now
-            event.etype = etype
-            event.scope = scope
-            event.category = category
-            event.src = src
-            event.dst = dst
-            event.kind = kind
-            event.detail = detail
-        for on_event, suffixes in entry.targets:
-            if suffixes is not None and (
-                kind is None or not kind.endswith(suffixes)
-            ):
-                continue
-            on_event(event)
-        if not record:
-            if pool._outstanding is None:
-                event.detail = None  # type: ignore[assignment]
-                pool.released += 1
-                free = pool._free
-                if len(free) < pool.capacity:
-                    free.append(event)
-            else:
-                pool.release(event)
+            self.dispatch(event)
+            return event_id
+        # Append one ledger row and return.  Every emit module in the
+        # tree goes through here unchanged; the hottest sites bypass
+        # even this via call_site_batch.
+        site = self._sites.get(etype)
+        if site is None:
+            site = self._compile_site(etype)
+        rows = self._ledger
+        now = self.scheduler.now
+        rows.append((
+            event_id, parent, now, scope, src, dst, kind,
+            detail if detail else None, category, site,
+        ))
+        if len(rows) >= self._segment_cap or now >= self._drain_due:
+            self.drain_batches()
         return event_id
 
     # -- offline path -------------------------------------------------
     def dispatch(self, event: TraceEvent) -> None:
         """Feed one (recorded) event to the interested monitors.
 
-        Uses the same compiled table (targets and kind gates) as the
-        online path, so online and replayed runs deliver the same
-        events to the same monitors.
+        The recording hub's :meth:`emit` delivers through here too, so
+        online and replayed runs hand the same events to the same
+        monitors, and the ledger compiles its sites from the same
+        :meth:`_targets`.
         """
-        etype = event.etype
-        entry = self._table.get(etype)
-        if entry is None:
-            entry = self._compile(etype)
+        targets = self._table.get(event.etype)
+        if targets is None:
+            targets = self._compile(event.etype)
         kind = event.kind
-        for on_event, suffixes in entry.targets:
+        for on_event, suffixes in targets:
             if suffixes is not None and (
                 kind is None or not kind.endswith(suffixes)
             ):
@@ -1029,12 +685,11 @@ class MonitorHub(Tracer):
     def finalize(self, at: Optional[float] = None) -> None:
         """Run every monitor's end-of-run checks (idempotent).
 
-        A batched hub drains its ledgers first, so no event is ever
+        Pending ledger rows are drained first, so no event is ever
         finalized past."""
         if self._finalized:
             return
-        if self._batch:
-            self.drain_batches()
+        self.drain_batches()
         self._finalized = True
         if at is None:
             at = self.scheduler.now if self.scheduler is not None else 0.0
@@ -1043,8 +698,7 @@ class MonitorHub(Tracer):
 
     @property
     def violations(self) -> List[Violation]:
-        if self._batch:
-            self.drain_batches()
+        self.drain_batches()
         out: List[Violation] = []
         for monitor in self.monitors:
             out.extend(monitor.violations)
@@ -1053,14 +707,12 @@ class MonitorHub(Tracer):
 
     @property
     def ok(self) -> bool:
-        if self._batch:
-            self.drain_batches()
+        self.drain_batches()
         return all(monitor.ok for monitor in self.monitors)
 
     def report(self) -> str:
         """A human-readable per-monitor summary."""
-        if self._batch:
-            self.drain_batches()
+        self.drain_batches()
         lines = ["invariant monitors"]
         for monitor in self.monitors:
             n = len(monitor.violations)
@@ -1093,27 +745,4 @@ def replay_events(
         last_time = event.time
     if finalize:
         hub.finalize(at=last_time)
-    return hub
-
-
-def replay_events_batched(
-    events: Sequence[TraceEvent],
-    monitors: Sequence[Monitor],
-    network=None,
-    finalize: bool = True,
-) -> MonitorHub:
-    """Run ``monitors`` over a recorded stream through the batched
-    tier: events become ledger rows (original ids, parents and
-    timestamps preserved) and the monitors consume drained batches.
-
-    The equivalence gate replays every canonical scenario through both
-    this and :func:`replay_events` and asserts identical violations,
-    reports and health series (ROADMAP item 3).
-    """
-    hub = MonitorHub(None, monitors, record=False, batch=True)
-    if network is not None:
-        hub.bind(network)
-    hub.ingest_events(events)
-    if finalize:
-        hub.finalize(at=events[-1].time if events else 0.0)
     return hub

@@ -120,11 +120,11 @@ class Network:
         :class:`Network`).
         """
         self._trace_on = bool(getattr(self._trace, "enabled", True))
-        # Batched hubs hand out per-etype ledger appenders (see
-        # MonitorHub.call_site_batch): the hot instrumentation points
-        # below append one row tuple and skip the emit call entirely.
-        # ``None`` (plain tracers, per-event hubs, record mode) means
-        # "emit as usual".
+        # Non-recording monitor hubs hand out per-etype ledger
+        # appenders (see MonitorHub.call_site_batch): the hot
+        # instrumentation points below append one row tuple and skip
+        # the emit call entirely.  ``None`` (plain tracers, recording
+        # hubs) means "emit as usual".
         batch_for = getattr(self._trace, "call_site_batch", None)
         if batch_for is not None and self._trace_on:
             self._batch_send_fixed = batch_for("send.fixed", "fixed")

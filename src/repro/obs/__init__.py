@@ -1,4 +1,4 @@
-"""Batched observability: exact monitoring off the hot path.
+"""Ledger observability: exact monitoring off the hot path.
 
 The paper's two-tier cost argument (ICDCS 1994) is certified by the
 invariant monitors in :mod:`repro.monitor`; this package takes their
@@ -16,9 +16,10 @@ the result as a long-lived telemetry service (ROADMAP item 5):
   behind ``repro serve``: ``/metrics`` (Prometheus text), ``/health``
   and ``/invariants`` (rolling certification from the drain pass).
 
-Select the batched tier with ``Simulation(monitors=True,
-monitor_mode="batched")``; see ``docs/observability.md`` for the three
-fidelity tiers and the measured overhead of each.
+``Simulation(monitors=...)`` runs on the ledger; with ``trace=True``
+the hub records and delivers per event instead, which is the reference
+the ledger is tested against.  See ``docs/observability.md`` for the
+contract and the measured overhead.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""Append-only event ledgers: the batched tier's hot-path half.
+"""Append-only event ledgers: the monitor hub's hot-path half.
 
-One :class:`LedgerSite` exists per event type in a batched
+One :class:`LedgerSite` exists per event type in a non-recording
 :class:`~repro.monitor.hub.MonitorHub`.  Hot emit sites (the network
 send/deliver paths, MSS handoff, mutex CS transitions, the reliable
 transport) append one fixed-shape row tuple per event to the site's
@@ -46,8 +46,8 @@ MODE_PLAIN = 1
 MODE_RECV_STD = 2
 MODE_SEND_GATED = 3
 
-#: health-counter classes, precompiled per etype for the fast consume
-#: loop (mirrors HealthMonitor.on_event's etype tests exactly).
+#: health-counter classes, precompiled per etype for the standard
+#: consume loop (mirrors HealthMonitor.on_event's etype tests exactly).
 HEALTH_NONE = 0
 HEALTH_SEND = 1
 HEALTH_RECV = 2
@@ -90,11 +90,11 @@ def liveness_code(etype: str) -> int:
 
 
 class LedgerSite:
-    """Compiled per-etype state for the batched tier.
+    """Compiled per-etype state for ledger replay.
 
     Holds everything the consume loop needs to replay a row with
     per-event semantics: the full ordered target
-    tuple (generic replay), the explicit-interest-only plan (fast
+    tuple (generic replay), the explicit-interest-only plan (standard
     replay, where the trailing Liveness/Health wildcards are folded
     inline), and the precompiled liveness/health class codes.
     """
@@ -122,7 +122,7 @@ class LedgerSite:
         #: ``(on_event, kind_suffixes)`` pairs -- the generic replay.
         self.targets = targets
         #: explicit-interest targets only (wildcards folded inline by
-        #: the fast consume loop); ``None`` when empty.
+        #: the standard consume loop); ``None`` when empty.
         self.plan = plan
         self.health_code = health_code(etype)
         self.liveness_code = liveness_code(etype)

@@ -51,8 +51,7 @@ def _make_sim(n_mss: int, n_mh: int, seed: int, **kwargs) -> Simulation:
 
 def loaded_system(n_mss: int, n_mh: int, duration: float = 150.0,
                   request_rate: float = 0.05, move_rate: float = 0.02,
-                  monitors=None, monitor_mode: str = "event",
-                  capture_timing: bool = False) -> int:
+                  monitors=None, capture_timing: bool = False) -> int:
     """The ``bench_scale.py`` workload: L2 mutex traffic plus mobility.
 
     This is the harness's headline scenario (at M=10, N=200): a system
@@ -61,15 +60,14 @@ def loaded_system(n_mss: int, n_mh: int, duration: float = 150.0,
     scheduler, and the metrics counters together.  With ``monitors``
     set, the same workload runs under the online invariant monitors
     (which must not change the event count -- only the wall time), so
-    the harness prices the monitoring overhead directly --
-    ``monitor_mode="batched"`` prices the ledger/drain pipeline the
-    same way.  ``capture_timing`` additionally instruments the network
-    send paths and publishes the per-subsystem wall-time split for the
-    harness to attach to the BENCH record (costs a ``perf_counter``
-    pair per message, so only ``smoke_ledger`` opts in).
+    the harness prices the monitoring overhead (ledger appends plus
+    drains) directly.  ``capture_timing`` additionally instruments the
+    network send paths and publishes the per-subsystem wall-time split
+    for the harness to attach to the BENCH record (costs a
+    ``perf_counter`` pair per message, so only ``smoke_ledger`` opts
+    in).
     """
-    sim = _make_sim(n_mss, n_mh, seed=3, monitors=monitors,
-                    monitor_mode=monitor_mode)
+    sim = _make_sim(n_mss, n_mh, seed=3, monitors=monitors)
     if capture_timing:
         from repro.obs import instrument_network
         from repro.obs.timing import publish_run
@@ -356,32 +354,21 @@ _register(Scenario(
     tags=("mutex", "mobility", "smoke"),
 ))
 _register(Scenario(
-    name="smoke_monitors",
-    description="the smoke_mutex workload under the full default "
-                "invariant-monitor set (prices monitoring overhead)",
-    run=lambda: loaded_system(6, 40, 2000.0, monitors=True),
-    smoke=True,
-    tags=("mutex", "mobility", "monitor", "smoke"),
-))
-_register(Scenario(
     name="smoke_full_stack",
-    description="the smoke_monitors workload under batched exact "
-                "monitors (gated against its monitors-off twin and "
-                "smoke_monitors by the obs-overhead CI job -- see "
+    description="the smoke_mutex workload under the full default "
+                "invariant-monitor set (gated against its "
+                "monitors-off twin by the obs-overhead CI job -- see "
                 "tools/check_obs_overhead.py)",
-    run=lambda: loaded_system(6, 40, 2000.0, monitors=True,
-                              monitor_mode="batched"),
+    run=lambda: loaded_system(6, 40, 2000.0, monitors=True),
     smoke=True,
     tags=("mutex", "monitor", "obs", "smoke"),
 ))
 _register(Scenario(
     name="smoke_ledger",
-    description="the smoke_monitors workload under batched exact "
-                "monitors with per-subsystem timing capture "
-                "(scheduler/network/drain/monitor wall split in "
-                "subsystem_wall_s)",
+    description="the smoke_full_stack workload with per-subsystem "
+                "timing capture (scheduler/network/drain/monitor "
+                "wall split in subsystem_wall_s)",
     run=lambda: loaded_system(6, 40, 2000.0, monitors=True,
-                              monitor_mode="batched",
                               capture_timing=True),
     smoke=True,
     tags=("mutex", "monitor", "obs", "smoke"),
@@ -393,8 +380,8 @@ _register(Scenario(
     run=lambda: loaded_system(6, 40, 2000.0),
     smoke=True,
     tags=("mutex", "pool", "smoke"),
-    # The pools bound their free lists (scheduler events 4096, trace
-    # events 64, rel acks 256), so steady-state retention must stay
+    # The pools bound their free lists (scheduler events 4096, rel
+    # acks 256), so steady-state retention must stay
     # tiny relative to the ~500k events this workload fires.
     max_retained_blocks_per_kevent=500.0,
 ))

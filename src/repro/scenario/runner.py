@@ -78,12 +78,12 @@ class _Run:
     """Mutable state for one scenario execution."""
 
     def __init__(self, spec: ScenarioSpec, seed: int,
-                 monitor_mode: str = "event") -> None:
+                 trace: bool = False) -> None:
         self.spec = spec
         self.seed = seed
         monitors = spec.monitors
         self.sim = Simulation(
-            monitor_mode=monitor_mode,
+            trace=trace,
             n_mss=spec.n_mss,
             n_mh=spec.n_mh,
             seed=seed,
@@ -514,20 +514,20 @@ class _Run:
 
 def run_scenario(spec: ScenarioSpec,
                  seed: Optional[int] = None,
-                 monitor_mode: str = "event") -> ScenarioResult:
+                 trace: bool = False) -> ScenarioResult:
     """Execute one scenario and return its result.
 
     Args:
         spec: a validated scenario.
         seed: override for the spec's own seed (certification sweeps).
-        monitor_mode: monitor dispatch strategy forwarded to
-            :class:`Simulation` -- ``"batched"`` runs the same exact
-            monitors through the ledger/drain pipeline (the
-            equivalence gate exercises both).
+        trace: forwarded to :class:`Simulation` -- ``True`` records
+            the event list and delivers it to the monitors per event,
+            the reference the equivalence gate compares the default
+            ledger/drain run against.
     """
     seed = spec.seed if seed is None else seed
     started = time.perf_counter()
-    run = _Run(spec, seed, monitor_mode=monitor_mode)
+    run = _Run(spec, seed, trace=trace)
     run.wire_workload()
     run.wire_churn()
     run.schedule_events()

@@ -89,15 +89,20 @@ def test_unknown_search_rejected():
     [
         ({"monitors": "bogus"}, ("monitors", "'default'", "'bogus'")),
         ({"search": 42}, ("search", "'abstract'", "SearchProtocol", "42")),
+        ({"fault_plan": "x"}, ("fault_plan", "FaultPlan", "'x'")),
+        ({"config": "x"}, ("config", "NetworkConfig", "'x'")),
+        ({"cost_model": "x"}, ("cost_model", "CostModel", "'x'")),
+        ({"n_mss": "2"}, ("n_mss", "int", "'2'")),
     ],
-    ids=["monitors", "search"],
+    ids=["monitors", "search", "fault_plan", "config", "cost_model",
+         "n_mss"],
 )
 def test_wrong_typed_argument_rejected_with_located_error(kwargs, names):
     """The error names the argument, the accepted values and the
     offending value instead of dying on an AttributeError deep inside
     the hub / network."""
     with pytest.raises(ConfigurationError) as excinfo:
-        Simulation(n_mss=2, n_mh=2, **kwargs)
+        Simulation(**{"n_mss": 2, "n_mh": 2, **kwargs})
     for name in names:
         assert name in str(excinfo.value)
 

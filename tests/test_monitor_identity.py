@@ -46,20 +46,18 @@ GROUP_GOLDEN = {
               "68fd504979cabce81d0c54d99d24e9c1",
 }
 
-#: every observation mode the facade supports -- per-event and
-#: batched monitor dispatch, recording or not -- and the pooling
-#: toggle (a pure engine swap).
+#: every observation mode the facade supports -- monitors on the
+#: ledger (trace=False) or per event (trace=True), recording or not --
+#: and the pooling toggle (a pure engine swap).
 MODES = [
     pytest.param(dict(trace=False, monitors=None), id="bare"),
     pytest.param(dict(trace=True, monitors=None), id="trace"),
     pytest.param(dict(trace=False, monitors=True), id="monitors"),
     pytest.param(dict(trace=True, monitors=True), id="trace+monitors"),
-    pytest.param(dict(trace=False, monitors=True, monitor_mode="batched"),
-                 id="monitors-batched"),
     pytest.param(dict(trace=False, monitors=None, pooling=False),
                  id="bare-unpooled"),
-    pytest.param(dict(trace=True, monitors=True, monitor_mode="batched",
-                      pooling=False), id="everything"),
+    pytest.param(dict(trace=True, monitors=True, pooling=False),
+                 id="everything"),
 ]
 
 

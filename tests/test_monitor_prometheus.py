@@ -123,14 +123,12 @@ class TestServeMetricsPage:
         from repro.obs import TelemetryServer
         from repro.workload import MutexWorkload
 
-        sim = Simulation(n_mss=2, n_mh=6, seed=3, monitors=True,
-                         monitor_mode="batched")
+        sim = Simulation(n_mss=2, n_mh=6, seed=3, monitors=True)
         resource = CriticalResource(sim.scheduler)
         mutex = L2Mutex(sim.network, resource, cs_duration=0.3)
         MutexWorkload(sim.network, mutex, sim.mh_ids,
                       request_rate=0.05, rng=random.Random(4))
         sim.run(until=120.0)
-        sim.monitor_hub.drain_batches()
         server = TelemetryServer(sim, port=0)
         try:
             families = parse_exposition(server.metrics_text())

@@ -1,11 +1,13 @@
-"""Batched-vs-per-event equivalence: the tentpole's correctness gate.
+"""Ledger-vs-per-event equivalence: the observability correctness gate.
 
-``monitor_mode="batched"`` must preserve per-event semantics exactly
-(ROADMAP item 3): the same violations with the same attribution, the
-same monitor reports, the same health gauge series.  These tests pin
-that equivalence on the canonical loaded-system workload and on the
-certified chaos pack across the certification seeds (7/19/42), the
-acceptance criteria of the batched observability pipeline.
+``Simulation(monitors=...)`` replays ledger rows in drained batches and
+must preserve per-event semantics exactly (ROADMAP item 3): the same
+violations with the same attribution, the same monitor reports, the
+same health gauge series.  The per-event reference is the recording
+hub -- ``trace=True`` delivers every event to the monitors as it is
+emitted.  These tests pin the equivalence on the canonical
+loaded-system workload and on the certified chaos pack across the
+certification seeds (7/19/42).
 """
 
 from __future__ import annotations
@@ -18,22 +20,22 @@ from repro.facade import Simulation
 from repro.monitor import MonitorHub, default_monitors
 from repro.mutex import CriticalResource, L2Mutex
 from repro.scenario import builtin_registry, run_scenario
-from repro.trace.events import TraceEvent
 from repro.workload import MutexWorkload
 
 SEEDS = (7, 19, 42)
 
 
 def _scrub(report):
-    """Drop the only field allowed to differ between modes."""
+    """Drop the only field allowed to differ between the two runs."""
     report = dict(report)
     report.pop("wall_time_s", None)
     return report
 
 
-def _loaded_run(monitor_mode: str, seed: int = 3):
+def _loaded_run(trace: bool, seed: int = 3):
+    """``trace=True`` is the per-event reference, ``False`` the ledger."""
     sim = Simulation(n_mss=4, n_mh=16, seed=seed, monitors=True,
-                     monitor_mode=monitor_mode)
+                     trace=trace)
     resource = CriticalResource(sim.scheduler)
     mutex = L2Mutex(sim.network, resource, cs_duration=0.3)
     workload = MutexWorkload(sim.network, mutex, sim.mh_ids,
@@ -54,8 +56,8 @@ def _loaded_run(monitor_mode: str, seed: int = 3):
 
 class TestCanonicalEquivalence:
     def test_loaded_system_reports_match(self):
-        event = _loaded_run("event")
-        batched = _loaded_run("batched")
+        event = _loaded_run(trace=True)
+        batched = _loaded_run(trace=False)
         assert event.monitor_hub.report() == batched.monitor_hub.report()
         assert event.scheduler.events_processed == \
             batched.scheduler.events_processed
@@ -67,8 +69,8 @@ class TestCanonicalEquivalence:
         bounded by the drain quantum (docs/observability.md)."""
         from repro.monitor.health import HealthMonitor
 
-        event = _loaded_run("event")
-        batched = _loaded_run("batched")
+        event = _loaded_run(trace=True)
+        batched = _loaded_run(trace=False)
         h_event = event.monitor_hub.monitor(HealthMonitor).samples
         h_batched = batched.monitor_hub.monitor(HealthMonitor).samples
         assert len(h_event) == len(h_batched)
@@ -83,9 +85,9 @@ class TestCanonicalEquivalence:
             assert exact_e == exact_b
 
     def test_violation_attribution_matches(self):
-        """Induced violations carry identical time/scope/detail in
-        both modes (the batched replay must not re-time or re-order
-        the offending events)."""
+        """Induced violations carry identical time/scope/detail on
+        both hubs (the ledger replay must not re-time or re-order the
+        offending events)."""
 
         def feed(hub):
             hub.scheduler = type("S", (), {"now": 0.0})()
@@ -97,48 +99,31 @@ class TestCanonicalEquivalence:
             hub.finalize()
             return [str(v) for m in hub.monitors for v in m.violations]
 
-        per_event = feed(MonitorHub(None, default_monitors()))
-        batched = feed(MonitorHub(None, default_monitors(), batch=True))
+        per_event = feed(MonitorHub(None, default_monitors(), record=True))
+        batched = feed(MonitorHub(None, default_monitors(), record=False))
         assert per_event == batched
         assert per_event  # the scenario above must actually violate
 
     def test_trace_ids_match(self):
-        """Event ids allocated by the batched appenders line up with
-        per-event mode (senders stamp them into message.trace_id)."""
-        event = _loaded_run("event")
-        batched = _loaded_run("batched")
+        """Event ids allocated by the ledger appenders line up with
+        the recording hub's (senders stamp them into
+        message.trace_id)."""
+        event = _loaded_run(trace=True)
+        batched = _loaded_run(trace=False)
         assert event.monitor_hub._next_id == batched.monitor_hub._next_id
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chaos_pack_equivalence(seed):
     """Every certified chaos scenario produces an identical report
-    (monitors, health series, costs, messages) under both dispatch
-    modes, for each certification seed."""
+    (monitors, health series, costs, messages) on the ledger and on
+    the per-event reference, for each certification seed."""
     registry = builtin_registry()
     for name in sorted(registry.names()):
         spec = registry.get(name)
-        event = run_scenario(spec, seed=seed, monitor_mode="event")
-        batched = run_scenario(spec, seed=seed, monitor_mode="batched")
+        event = run_scenario(spec, seed=seed, trace=True)
+        batched = run_scenario(spec, seed=seed)
         assert _scrub(event.report) == _scrub(batched.report), (
-            f"{name} seed={seed} diverges between monitor modes"
+            f"{name} seed={seed}: ledger diverges from per-event"
         )
         assert event.events == batched.events
-
-
-def test_record_mode_keeps_full_trace():
-    """record=True (tracing) still captures every event in batched
-    mode, in emission order, so exports stay byte-identical."""
-    hub_e = MonitorHub(None, default_monitors(), record=True)
-    hub_b = MonitorHub(None, default_monitors(), record=True, batch=True)
-    for hub in (hub_e, hub_b):
-        hub.scheduler = type("S", (), {"now": 0.0})()
-        for i in range(5):
-            hub.scheduler.now = float(i)
-            hub.emit("send.fixed", scope="t", src="mss-0", dst="mss-1",
-                     kind="l2.request")
-        hub.drain_batches()
-    assert len(hub_e.events) == len(hub_b.events) == 5
-    for a, b in zip(hub_e.events, hub_b.events):
-        assert isinstance(a, TraceEvent) and isinstance(b, TraceEvent)
-        assert (a.id, a.time, a.etype) == (b.id, b.time, b.etype)

@@ -29,7 +29,7 @@ class FakeScheduler:
 
 def make_hub(**kwargs):
     kwargs.setdefault("record", False)
-    hub = MonitorHub(None, default_monitors(), batch=True, **kwargs)
+    hub = MonitorHub(None, default_monitors(), **kwargs)
     hub.scheduler = FakeScheduler()
     return hub
 
@@ -49,12 +49,13 @@ class TestEtypeCodes:
 
 class TestCallSiteBatch:
     def test_per_event_hub_hands_out_no_appender(self):
+        # MonitorHub records by default (it is a Tracer).
         hub = MonitorHub(None, default_monitors())
         assert hub.call_site_batch("recv") is None
 
     def test_record_mode_hands_out_no_appender(self):
-        # With record=True every event must become a TraceEvent, so
-        # sites fall back to emit() and the generic replay.
+        # With record=True every event must become a TraceEvent with
+        # its full detail, so sites fall back to emit().
         hub = make_hub(record=True)
         assert hub.call_site_batch("recv") is None
 
@@ -126,7 +127,7 @@ class TestCallSiteBatch:
 class TestPlainSendFastRows:
     def test_plain_ticking_send_appends_compact_row(self):
         """Sends that only feed the wildcard monitors land as bare
-        timestamps (the dense consume loop folds them into the health
+        timestamps (the consume loop folds them into the health
         counters), while gated kinds keep the full row."""
         hub = make_hub()
         append = hub.call_site_batch("send.fixed")
@@ -151,3 +152,70 @@ class TestPlainSendFastRows:
         liveness = hub.monitor(LivenessMonitor)
         assert health._sends == 5
         assert liveness._last_event_time == 4.0
+
+
+class TestStandardLoopMatchesPerEvent:
+    """One consume loop serves every batch shape.  The parent commit
+    forked on the batch's time span (a *dense* loop when it fit inside
+    the liveness stall gap, a *sparse* one otherwise); both shapes must
+    keep matching the recording hub's per-event dispatch."""
+
+    #: (time, etype, kind, src): a request goes pending at t=1 and is
+    #: never served before t=14, so the request-age deadline (10) fires
+    #: inside a batch whose whole span (14) is within the stall gap (20).
+    DENSE = [(0.0, "send.fixed", "l2.request", "mss-0"),
+             (1.0, "send.wireless_up", "l2.request", "mh-0")] + [
+        (float(t), "send.fixed", "l2.reply", "mss-1")
+        for t in range(2, 15)
+    ]
+    #: a quiet spell of 44 > stall gap with the request still pending
+    #: (scheduler stall), a token that then starves, and the grant.
+    SPARSE = [
+        (16.0, "token.arrive", None, "mss-0"),
+        (60.0, "send.fixed", "l2.reply", "mss-1"),
+        (61.0, "recv", "l2.reply", "mss-1"),
+        (62.0, "cs.enter", None, "mh-0"),
+        (63.0, "send.fixed", "l2.token", "mss-0"),
+    ]
+
+    def run(self, record):
+        hub = MonitorHub(
+            None,
+            default_monitors(request_deadline=10.0, token_deadline=20.0,
+                             health_interval=5.0),
+            record=record,
+        )
+        hub.scheduler = FakeScheduler()
+        for batch in (self.DENSE, self.SPARSE):
+            for t, etype, kind, src in batch:
+                hub.scheduler.now = t
+                # What every hot emit site does: the ledger appender
+                # when the hub hands one out, emit() otherwise.
+                append = hub.call_site_batch(etype)
+                if append is not None:
+                    append("L2", src, "mss-1", kind)
+                else:
+                    hub.emit(etype, scope="L2", src=src, dst="mss-1",
+                             kind=kind)
+            hub.drain_batches()
+        return hub
+
+    def test_dense_and_sparse_batches_match_the_recording_hub(self):
+        from repro.monitor.health import HealthMonitor
+        from repro.monitor.liveness import LivenessMonitor
+
+        reference = self.run(record=True)
+        ledger = self.run(record=False)
+        assert ledger.drains == 2 and reference.drains == 0
+        expected = reference.monitor(LivenessMonitor).violations
+        assert [v.invariant for v in expected] == [
+            "liveness.request_age",
+            "liveness.scheduler_stall",
+            "liveness.token_starvation",
+        ]
+        assert ([str(v) for v in ledger.monitor(LivenessMonitor).violations]
+                == [str(v) for v in expected])
+        assert (ledger.monitor(HealthMonitor).samples
+                == reference.monitor(HealthMonitor).samples)
+        assert [s["t"] for s in ledger.monitor(HealthMonitor).samples] == [
+            0.0, 5.0, 10.0, 16.0, 60.0]

@@ -31,14 +31,12 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def make_running_sim():
-    sim = Simulation(n_mss=3, n_mh=9, seed=3, monitors=True,
-                     monitor_mode="batched")
+    sim = Simulation(n_mss=3, n_mh=9, seed=3, monitors=True)
     resource = CriticalResource(sim.scheduler)
     mutex = L2Mutex(sim.network, resource, cs_duration=0.3)
     MutexWorkload(sim.network, mutex, sim.mh_ids, request_rate=0.05,
                   rng=random.Random(4))
     sim.run(until=200.0)
-    sim.monitor_hub.drain_batches()
     return sim
 
 

@@ -7,7 +7,7 @@ Two promises are priced here:
    must stay within the CI tolerance of the checked-in ``BENCH_4.json``
    record (the pre-monitor baseline), using the same
    calibration-normalized comparison the perf gate uses.
-2. **Bounded, observation-only cost when on.**  ``smoke_monitors``
+2. **Bounded, observation-only cost when on.**  ``smoke_full_stack``
    runs the exact ``smoke_mutex`` workload under the full default
    monitor set: the event count must be identical (monitors schedule
    nothing) and the slowdown must stay within an order of magnitude
@@ -39,21 +39,21 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LOCAL_TOLERANCE = 0.60
 
 
-def test_smoke_monitors_is_registered_for_the_ci_gate():
-    scenario = SCENARIOS["smoke_monitors"]
+def test_smoke_full_stack_is_registered_for_the_ci_gate():
+    scenario = SCENARIOS["smoke_full_stack"]
     assert scenario.smoke
     assert "monitor" in scenario.tags
 
 
 def test_monitored_run_processes_identical_events():
     baseline = SCENARIOS["smoke_mutex"].run()
-    monitored = SCENARIOS["smoke_monitors"].run()
+    monitored = SCENARIOS["smoke_full_stack"].run()
     assert monitored == baseline
 
 
 def test_monitoring_overhead_is_bounded():
     off = run_scenario("smoke_mutex", repeats=1)
-    on = run_scenario("smoke_monitors", repeats=1)
+    on = run_scenario("smoke_full_stack", repeats=1)
     assert on.events == off.events
     slowdown = off.events_per_sec / on.events_per_sec
     assert slowdown < 10.0, (

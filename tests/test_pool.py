@@ -117,18 +117,3 @@ def test_scheduler_pool_leak_free_in_debug_mode():
     sched._pool.check_leaks()
     stats = sched._pool.stats()
     assert stats["released"] == stats["created"] + stats["reused"]
-
-
-def test_monitor_hub_pool_leak_free_in_debug_mode():
-    from repro.facade import Simulation
-
-    sim = Simulation(2, 6, seed=11, monitors=True)
-    hub = sim.monitor_hub
-    hub._event_pool = Pool(
-        hub._event_pool._factory,
-        reset=hub._event_pool._reset,
-        capacity=64,
-        debug=True,
-    )
-    sim.run(until=200.0)
-    hub._event_pool.check_leaks()

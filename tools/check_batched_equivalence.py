@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""CI gate: batched monitor dispatch is equivalent to per-event.
+"""CI gate: the monitor ledger is equivalent to per-event dispatch.
 
-Runs every certified chaos-pack scenario (and the canonical loaded
-system) under ``monitor_mode="event"`` and ``monitor_mode="batched"``
-across the certification seeds, and fails if any report field other
-than wall time differs -- violations, monitor summaries, health
-counters, costs, message totals, final time.  This is the acceptance
-gate of the batched observability pipeline (ROADMAP item 3): exact
-monitoring off the hot path must not lose or reorder a single event.
+Runs every certified chaos-pack scenario twice across the
+certification seeds -- once as ``run_scenario`` runs it (ledger rows
+replayed in drained batches) and once with ``trace=True`` (the
+recording hub, which delivers every event to the monitors as it is
+emitted) -- and fails if any report field other than wall time
+differs: violations, monitor summaries, health counters, costs,
+message totals, final time.  This is the acceptance gate of the
+ledger pipeline (ROADMAP item 3): exact monitoring off the hot path
+must not lose or reorder a single event.
 
     PYTHONPATH=src python tools/check_batched_equivalence.py
     PYTHONPATH=src python tools/check_batched_equivalence.py \
@@ -47,8 +49,8 @@ def diff_keys(a, b):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Verify batched == per-event monitor dispatch "
-                    "on the certified chaos pack."
+        description="Verify ledger == per-event (trace=True) monitor "
+                    "dispatch on the certified chaos pack."
     )
     parser.add_argument("--seeds", default=",".join(map(str, DEFAULT_SEEDS)),
                         help="comma-separated seeds (default 7,19,42)")
@@ -65,9 +67,8 @@ def main(argv=None) -> int:
     for name in names:
         spec = registry.get(name)
         for seed in seeds:
-            event = run_scenario(spec, seed=seed, monitor_mode="event")
-            batched = run_scenario(spec, seed=seed,
-                                   monitor_mode="batched")
+            event = run_scenario(spec, seed=seed, trace=True)
+            batched = run_scenario(spec, seed=seed)
             checked += 1
             report_e = scrub(event.report)
             report_b = scrub(batched.report)
