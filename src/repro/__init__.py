@@ -26,135 +26,81 @@ Quickstart::
     mutex.request(sim.mh_id(0))
     sim.drain()
     assert resource.access_count == 1
+
+Top-level names load on first access: ``import repro`` itself imports
+no layer, ``repro.L2Mutex`` (or ``from repro import L2Mutex``) imports
+:mod:`repro.mutex` and what it needs, and a run that never touches the
+monitors, recovery or the proxy framework never loads them.  A layer
+package (``repro.mutex``, ``repro.net``, ...) still loads whole.
 """
 
-from repro.errors import (
-    ConfigurationError,
-    FairnessViolation,
-    InvariantViolationError,
-    MutualExclusionViolation,
-    NotConnectedError,
-    PerfGateError,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-    UnknownHostError,
-)
-from repro.facade import Simulation
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    LinkFault,
-    MhCrash,
-    MssCrash,
-    Partition,
-    apply_fault_plan,
-)
-from repro.hosts import HostState, MobileHost, MobileSupportStation
-from repro.metrics import Category, CostModel, MetricsCollector
-from repro.multicast import ExactlyOnceMulticast
-from repro.mutex import (
-    CriticalResource,
-    L1Mutex,
-    L2Mutex,
-    R1Mutex,
-    R2Mutex,
-    R2Variant,
-)
-from repro.net import (
-    AbstractSearch,
-    BroadcastSearch,
-    ConstantLatency,
-    Network,
-    NetworkConfig,
-    ReliableTransport,
-    UniformLatency,
-)
-from repro.monitor import (
-    HealthMonitor,
-    LivenessMonitor,
-    Monitor,
-    MonitorHub,
-    Violation,
-    default_monitors,
-    replay_events,
-    safety_monitors,
-)
-from repro.recovery import (
-    CheckpointPolicy,
-    CounterClient,
-    DistancePolicy,
-    MutexCheckpointClient,
-    NoCheckpointPolicy,
-    PerMessagePolicy,
-    PeriodicPolicy,
-    RecoveryClient,
-    RecoveryManager,
-)
-from repro.trace import TraceEvent, Tracer, to_chrome, to_jsonl, to_mermaid
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AbstractSearch",
-    "BroadcastSearch",
-    "Category",
-    "CheckpointPolicy",
-    "ConfigurationError",
-    "ConstantLatency",
-    "CostModel",
-    "CounterClient",
-    "CriticalResource",
-    "DistancePolicy",
-    "ExactlyOnceMulticast",
-    "FairnessViolation",
-    "FaultInjector",
-    "FaultPlan",
-    "HealthMonitor",
-    "HostState",
-    "InvariantViolationError",
-    "LinkFault",
-    "LivenessMonitor",
-    "MhCrash",
-    "Monitor",
-    "MonitorHub",
-    "MssCrash",
-    "MutexCheckpointClient",
-    "NoCheckpointPolicy",
-    "Partition",
-    "PerMessagePolicy",
-    "PeriodicPolicy",
-    "L1Mutex",
-    "L2Mutex",
-    "MetricsCollector",
-    "MobileHost",
-    "MobileSupportStation",
-    "MutualExclusionViolation",
-    "Network",
-    "NetworkConfig",
-    "NotConnectedError",
-    "PerfGateError",
-    "ProtocolError",
-    "Violation",
-    "R1Mutex",
-    "R2Mutex",
-    "R2Variant",
-    "RecoveryClient",
-    "RecoveryManager",
-    "ReliableTransport",
-    "ReproError",
-    "Simulation",
-    "apply_fault_plan",
-    "default_monitors",
-    "replay_events",
-    "safety_monitors",
-    "SimulationError",
-    "TraceEvent",
-    "Tracer",
-    "UniformLatency",
-    "UnknownHostError",
-    "to_chrome",
-    "to_jsonl",
-    "to_mermaid",
-    "__version__",
-]
+#: public name -> the layer that defines it; the one place the
+#: top-level API is listed (``__all__``, ``dir()`` and attribute access
+#: are all served from it).
+_LAYER_OF = {
+    name: layer
+    for layer, names in {
+        "repro.errors": (
+            "ConfigurationError", "FairnessViolation",
+            "InvariantViolationError", "MutualExclusionViolation",
+            "NotConnectedError", "PerfGateError", "ProtocolError",
+            "ReproError", "SimulationError", "UnknownHostError",
+        ),
+        "repro.facade": ("Simulation",),
+        "repro.faults": (
+            "FaultInjector", "FaultPlan", "LinkFault", "MhCrash",
+            "MssCrash", "Partition", "apply_fault_plan",
+        ),
+        "repro.hosts": (
+            "HostState", "MobileHost", "MobileSupportStation",
+        ),
+        "repro.metrics": ("Category", "CostModel", "MetricsCollector"),
+        "repro.multicast": ("ExactlyOnceMulticast",),
+        "repro.mutex": (
+            "CriticalResource", "L1Mutex", "L2Mutex", "R1Mutex",
+            "R2Mutex", "R2Variant",
+        ),
+        "repro.net": (
+            "AbstractSearch", "BroadcastSearch", "ConstantLatency",
+            "Network", "NetworkConfig", "ReliableTransport",
+            "UniformLatency",
+        ),
+        "repro.monitor": (
+            "HealthMonitor", "LivenessMonitor", "Monitor", "MonitorHub",
+            "Violation", "default_monitors", "replay_events",
+            "safety_monitors",
+        ),
+        "repro.recovery": (
+            "CheckpointPolicy", "CounterClient", "DistancePolicy",
+            "MutexCheckpointClient", "NoCheckpointPolicy",
+            "PerMessagePolicy", "PeriodicPolicy", "RecoveryClient",
+            "RecoveryManager",
+        ),
+        "repro.trace": (
+            "TraceEvent", "Tracer", "to_chrome", "to_jsonl", "to_mermaid",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted([*_LAYER_OF, "__version__"])
+
+
+def __getattr__(name: str):
+    """Import the layer behind a public name on first access (PEP 562)."""
+    try:
+        layer = _LAYER_OF[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = globals()[name] = getattr(import_module(layer), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -22,42 +22,35 @@ paper's currency.  All runs are deterministic for a given ``--seed``.
 from __future__ import annotations
 
 import argparse
-import random
-from typing import List, Optional
+import sys
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.facade import Simulation
-from repro.groups import (
-    AlwaysInformGroup,
-    LocationViewGroup,
-    PureSearchGroup,
-)
-from repro.metrics import CostModel
-from repro.mobility import UniformMobility
-from repro.mutex import CriticalResource, L1Mutex, L2Mutex, R1Mutex, R2Mutex
-from repro.mutex.r2 import R2Variant
-from repro.proxy import (
-    AdaptiveProxyPolicy,
-    FixedProxyPolicy,
-    LocalProxyPolicy,
-    ProxiedMessenger,
-    ProxyManager,
-)
-from repro.sim import PoissonProcess
-from repro.workload import GroupMessagingWorkload, MutexWorkload
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.facade import Simulation
 
+# Only the parser and its constants live at module level: each
+# subcommand's handler imports the layers it runs, so ``repro mutex``
+# never loads the proxy framework and ``repro --help`` loads nothing.
+
+#: ``--strategy`` choice -> class name in :mod:`repro.groups`.
 GROUP_STRATEGIES = {
-    "pure_search": PureSearchGroup,
-    "always_inform": AlwaysInformGroup,
-    "location_view": LocationViewGroup,
+    "pure_search": "PureSearchGroup",
+    "always_inform": "AlwaysInformGroup",
+    "location_view": "LocationViewGroup",
 }
 
+#: ``--policy`` choice -> class name in :mod:`repro.proxy`.
 PROXY_POLICIES = {
-    "fixed": FixedProxyPolicy,
-    "local": LocalProxyPolicy,
-    "adaptive": AdaptiveProxyPolicy,
+    "fixed": "FixedProxyPolicy",
+    "local": "LocalProxyPolicy",
+    "adaptive": "AdaptiveProxyPolicy",
 }
 
 MUTEX_ALGORITHMS = ("L1", "L2", "R1", "R2", "R2'", "R2''")
+
+#: exit status after a closed stdout: 128 + SIGPIPE, what a shell
+#: reports for a process the signal killed.
+_EXIT_SIGPIPE = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,7 +342,18 @@ def _parse_recovery(spec: Optional[str]):
         raise SystemExit(f"--recovery: {exc}") from exc
 
 
+def _rng(seed: int):
+    """A seeded generator; ``random`` loads with the first handler that
+    draws, not with the parser."""
+    import random
+
+    return random.Random(seed)
+
+
 def _build_sim(args) -> Simulation:
+    from repro.facade import Simulation
+    from repro.metrics import CostModel
+
     return Simulation(
         n_mss=args.n_mss,
         n_mh=args.n_mh,
@@ -368,9 +372,10 @@ def _build_sim(args) -> Simulation:
 def _maybe_mobility(sim: Simulation, args, mh_ids) -> Optional[object]:
     if args.move_rate <= 0:
         return None
+    from repro.mobility import UniformMobility
+
     return UniformMobility(
-        sim.network, mh_ids, args.move_rate,
-        rng=random.Random(args.seed + 101),
+        sim.network, mh_ids, args.move_rate, rng=_rng(args.seed + 101),
     )
 
 
@@ -400,6 +405,16 @@ def _print_report(sim: Simulation, emit) -> None:
 
 
 def _run_mutex(args, emit) -> int:
+    from repro.mutex import (
+        CriticalResource,
+        L1Mutex,
+        L2Mutex,
+        R1Mutex,
+        R2Mutex,
+        R2Variant,
+    )
+    from repro.workload import MutexWorkload
+
     sim = _build_sim(args)
     resource = CriticalResource(sim.scheduler)
     note_access = None
@@ -450,7 +465,7 @@ def _run_mutex(args, emit) -> int:
     else:
         workload = MutexWorkload(
             sim.network, mutex, sim.mh_ids, args.request_rate,
-            rng=random.Random(args.seed + 7),
+            rng=_rng(args.seed + 7),
         )
     mobility = _maybe_mobility(sim, args, sim.mh_ids)
 
@@ -489,14 +504,17 @@ def _run_mutex(args, emit) -> int:
 
 
 def _run_groups(args, emit) -> int:
+    import repro.groups as groups
+    from repro.workload import GroupMessagingWorkload
+
     if args.group_size > args.n_mh:
         raise SystemExit("--group-size cannot exceed --n-mh")
     sim = _build_sim(args)
     members = sim.mh_ids[: args.group_size]
-    strategy = GROUP_STRATEGIES[args.strategy](sim.network, members)
+    strategy_cls = getattr(groups, GROUP_STRATEGIES[args.strategy])
+    strategy = strategy_cls(sim.network, members)
     workload = GroupMessagingWorkload(
-        sim.network, strategy, args.message_rate,
-        rng=random.Random(args.seed + 7),
+        sim.network, strategy, args.message_rate, rng=_rng(args.seed + 7),
     )
     mobility = _maybe_mobility(sim, args, members)
     sim.run(until=args.duration)
@@ -525,11 +543,14 @@ def _run_groups(args, emit) -> int:
 
 
 def _run_proxy(args, emit) -> int:
+    import repro.proxy as proxy
+    from repro.sim import PoissonProcess
+
     sim = _build_sim(args)
-    policy = PROXY_POLICIES[args.policy]()
-    manager = ProxyManager(sim.network, policy, sim.mh_ids)
-    messenger = ProxiedMessenger(manager)
-    rng = random.Random(args.seed + 7)
+    policy = getattr(proxy, PROXY_POLICIES[args.policy])()
+    manager = proxy.ProxyManager(sim.network, policy, sim.mh_ids)
+    messenger = proxy.ProxiedMessenger(manager)
+    rng = _rng(args.seed + 7)
     sent = [0]
 
     def send_one() -> None:
@@ -539,7 +560,7 @@ def _run_proxy(args, emit) -> int:
             messenger.send(src, dst, ("letter", sent[0]))
 
     traffic = PoissonProcess(sim.scheduler, args.message_rate, send_one,
-                             rng=random.Random(args.seed + 8))
+                             rng=_rng(args.seed + 8))
     mobility = _maybe_mobility(sim, args, sim.mh_ids)
     sim.run(until=args.duration)
     traffic.stop()
@@ -565,13 +586,14 @@ def _run_proxy(args, emit) -> int:
 
 def _run_multicast(args, emit) -> int:
     from repro.multicast import ExactlyOnceMulticast
+    from repro.sim import PoissonProcess
 
     if args.group_size > args.n_mh:
         raise SystemExit("--group-size cannot exceed --n-mh")
     sim = _build_sim(args)
     members = sim.mh_ids[: args.group_size]
     feed = ExactlyOnceMulticast(sim.network, members, gc=not args.no_gc)
-    rng = random.Random(args.seed + 7)
+    rng = _rng(args.seed + 7)
     sent = [0]
 
     def send_one() -> None:
@@ -581,7 +603,7 @@ def _run_multicast(args, emit) -> int:
             feed.send(sender, ("m", sent[0]))
 
     traffic = PoissonProcess(sim.scheduler, args.message_rate, send_one,
-                             rng=random.Random(args.seed + 8))
+                             rng=_rng(args.seed + 8))
     mobility = _maybe_mobility(sim, args, members)
     sim.run(until=args.duration)
     traffic.stop()
@@ -606,6 +628,15 @@ def _run_multicast(args, emit) -> int:
 
 def _run_compare(args, emit) -> int:
     from repro.analysis import comparisons, formulas
+    from repro.facade import Simulation
+    from repro.metrics import CostModel
+    from repro.mutex import (
+        CriticalResource,
+        L1Mutex,
+        L2Mutex,
+        R1Mutex,
+        R2Mutex,
+    )
 
     model = CostModel(
         c_fixed=args.c_fixed,
@@ -934,7 +965,10 @@ def _run_scenarios(args, emit) -> int:
 
 
 def _run_scale(args, emit) -> int:
+    from repro.facade import Simulation
+    from repro.mutex import CriticalResource, L2Mutex
     from repro.scale import CrowdChurn
+    from repro.workload import MutexWorkload
 
     sim = Simulation(
         n_mss=args.n_mss,
@@ -950,7 +984,7 @@ def _run_scale(args, emit) -> int:
         move_fraction=args.move_fraction,
         disconnect_fraction=args.disconnect_fraction,
         reconnect_fraction=args.reconnect_fraction,
-        rng=random.Random(args.seed + 31),
+        rng=_rng(args.seed + 31),
     )
     churn.start()
     resource = CriticalResource(sim.scheduler)
@@ -961,7 +995,7 @@ def _run_scale(args, emit) -> int:
                       for i in range(min(args.n_active, args.n_mh))]
         workload = MutexWorkload(sim.network, mutex, active_ids,
                                  request_rate=0.05,
-                                 rng=random.Random(args.seed + 37))
+                                 rng=_rng(args.seed + 37))
     sim.run(until=args.duration)
     churn.stop()
     if workload is not None:
@@ -1016,8 +1050,10 @@ def _run_serve(args, emit) -> int:
     """
     import time as _time
 
+    from repro.facade import Simulation
+    from repro.mutex import CriticalResource, L2Mutex
     from repro.obs import TelemetryServer, instrument_network
-    from repro.workload import MutexWorkload as _MutexWorkload
+    from repro.workload import MutexWorkload
 
     sim = Simulation(
         n_mss=args.n_mss,
@@ -1028,16 +1064,17 @@ def _run_serve(args, emit) -> int:
     instrument_network(sim.network, sim.monitor_hub.timers)
     resource = CriticalResource(sim.scheduler)
     mutex = L2Mutex(sim.network, resource, cs_duration=0.3)
-    workload = _MutexWorkload(
+    workload = MutexWorkload(
         sim.network, mutex, sim.mh_ids,
         request_rate=args.request_rate,
-        rng=random.Random(args.seed + 1),
+        rng=_rng(args.seed + 1),
     )
-    mobility = (
-        UniformMobility(sim.network, sim.mh_ids, args.move_rate,
-                        rng=random.Random(args.seed + 2))
-        if args.move_rate > 0 else None
-    )
+    mobility = None
+    if args.move_rate > 0:
+        from repro.mobility import UniformMobility
+
+        mobility = UniformMobility(sim.network, sim.mh_ids, args.move_rate,
+                                   rng=_rng(args.seed + 2))
     server = TelemetryServer(sim, host=args.host, port=args.port)
     server.start()
     emit(f"serving on {server.url}")
@@ -1180,29 +1217,46 @@ def _run_perf_compare(args, names, emit) -> int:
     return 0
 
 
+#: subcommand -> handler; every handler takes ``(args, emit)`` and
+#: returns the process exit code.
+_COMMANDS = {
+    "mutex": _run_mutex,
+    "groups": _run_groups,
+    "proxy": _run_proxy,
+    "multicast": _run_multicast,
+    "compare": _run_compare,
+    "trace": _run_trace,
+    "monitor": _run_monitor,
+    "scenarios": _run_scenarios,
+    "scale": _run_scale,
+    "serve": _run_serve,
+    "perf": _run_perf,
+}
+
+
 def main(argv: Optional[List[str]] = None, emit=print) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A :class:`~repro.errors.ConfigurationError` from a subcommand is a
+    usage error: one ``repro: error: ...`` line on stderr and exit
+    status 2, the shape argparse gives its own errors.  A closed
+    stdout (``repro ... | head -1``) ends the run quietly with the
+    status a SIGPIPE death would have.
+    """
+    from repro.errors import ConfigurationError
+
     args = build_parser().parse_args(argv)
-    if args.command == "mutex":
-        return _run_mutex(args, emit)
-    if args.command == "groups":
-        return _run_groups(args, emit)
-    if args.command == "proxy":
-        return _run_proxy(args, emit)
-    if args.command == "multicast":
-        return _run_multicast(args, emit)
-    if args.command == "compare":
-        return _run_compare(args, emit)
-    if args.command == "trace":
-        return _run_trace(args, emit)
-    if args.command == "monitor":
-        return _run_monitor(args, emit)
-    if args.command == "scenarios":
-        return _run_scenarios(args, emit)
-    if args.command == "scale":
-        return _run_scale(args, emit)
-    if args.command == "serve":
-        return _run_serve(args, emit)
-    if args.command == "perf":
-        return _run_perf(args, emit)
-    raise SystemExit(f"unknown command {args.command!r}")
+    try:
+        status = _COMMANDS[args.command](args, emit)
+        sys.stdout.flush()
+        return status
+    except ConfigurationError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        import os
+
+        # The buffered remainder can never be written; point stdout at
+        # /dev/null so the interpreter's exit-time flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_SIGPIPE

@@ -19,10 +19,18 @@ One constructor builds the paper's whole Section 2 system model.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.errors import ConfigurationError
-from repro.faults import FaultPlan, apply_fault_plan
 from repro.hosts import MobileHost, MobileSupportStation
 from repro.metrics import CostModel, MetricsCollector
 from repro.net import Network, NetworkConfig
@@ -35,6 +43,9 @@ from repro.net.search import (
     SearchProtocol,
 )
 from repro.sim import Scheduler
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.faults import FaultPlan
 
 #: ways to place the N MHs into the M cells at construction time.
 Placement = Union[str, Sequence[int], Callable[[int, int], int]]
@@ -184,7 +195,11 @@ class Simulation:
         _check_type("n_mh", n_mh, int)
         _check_type("cost_model", cost_model, CostModel, optional=True)
         _check_type("config", config, NetworkConfig, optional=True)
-        _check_type("fault_plan", fault_plan, FaultPlan, optional=True)
+        if fault_plan is not None:
+            # The fault layer loads only for runs that have a plan.
+            from repro.faults import FaultPlan, apply_fault_plan
+
+            _check_type("fault_plan", fault_plan, FaultPlan)
         if n_mss < 1:
             raise ConfigurationError("need at least one MSS")
         if n_mh < 0:

@@ -264,8 +264,10 @@ class LamportMutexNode:
 
     def _check_grants(self) -> None:
         # Grant own pending requests, smallest timestamp first, while
-        # the grant condition keeps holding.
-        while True:
+        # the grant condition keeps holding.  Only an own pending
+        # request can be granted, so a node without one (every
+        # bystander, on every message) skips the queue scan.
+        while self._pending:
             head = self._min_queue_entry()
             if head is None:
                 return

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
 from repro.monitor.health import HealthMonitor, escape_label_value
@@ -50,9 +49,7 @@ class TelemetryServer:
 
     def __init__(self, sim, host: str = "127.0.0.1", port: int = 0) -> None:
         self.sim = sim
-        self._httpd = ThreadingHTTPServer(
-            (host, port), _make_handler(self)
-        )
+        self._httpd = _make_httpd(self, host, port)
         self._httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
 
@@ -203,8 +200,14 @@ class TelemetryServer:
         }
 
 
-def _make_handler(server: TelemetryServer):
-    """A request-handler class closed over one TelemetryServer."""
+def _make_httpd(server: TelemetryServer, host: str, port: int):
+    """An HTTP server whose handler is closed over one TelemetryServer.
+
+    ``http.server`` (and the ``email``/``ssl`` machinery behind it) is
+    imported here, on the first server built, so a monitored run that
+    serves nothing never loads it.
+    """
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
     class Handler(BaseHTTPRequestHandler):
         # Routes only read simulator state; mutation never happens
@@ -236,4 +239,4 @@ def _make_handler(server: TelemetryServer):
             # Scrapes are high-frequency; stay quiet on stderr.
             pass
 
-    return Handler
+    return ThreadingHTTPServer((host, port), Handler)

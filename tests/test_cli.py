@@ -2,9 +2,25 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def spawn_cli(argv, interpreter_args=(), **popen_kwargs):
+    """``python -m repro ...`` as a child process (not yet waited on)."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    return subprocess.Popen(
+        [sys.executable, *interpreter_args, "-m", "repro", *argv],
+        env=env, cwd=REPO_ROOT, text=True, **popen_kwargs,
+    )
 
 
 def run_cli(argv):
@@ -248,3 +264,72 @@ class TestPerfCommand:
                 "perf", "--scenario", "smoke_search", "--repeats", "1",
                 "--compare", str(path),
             ])
+
+
+class TestConfigurationErrors:
+    """A ConfigurationError out of a subcommand is a usage error: one
+    ``repro: error:`` line on stderr and exit status 2, no traceback."""
+
+    @pytest.mark.parametrize("command", [
+        "mutex", "groups", "proxy", "multicast", "scale", "serve",
+    ])
+    def test_no_mss_is_a_usage_error(self, command, capsys):
+        code, out = run_cli([command, "--n-mss", "0"])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "repro: error: need at least one MSS\n"
+        )
+
+    def test_error_raised_past_the_facade(self, capsys):
+        # Not only Simulation's own checks: here CrowdChurn refuses.
+        code, out = run_cli(["scale", "--n-mh", "50", "--tick", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "repro: error: tick must be positive\n"
+        )
+
+    def test_process_exit_status_and_no_traceback(self):
+        proc = spawn_cli(["mutex", "--n-mss", "0"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert out == ""
+        assert err == "repro: error: need at least one MSS\n"
+
+
+class TestClosedStdout:
+    """``repro ... | head -1``: a reader that goes away ends the run
+    quietly, with the status a SIGPIPE death would have (128 + 13)."""
+
+    @pytest.mark.parametrize("interpreter_args", [(), ("-u",)],
+                             ids=["buffered", "unbuffered"])
+    def test_reader_already_gone(self, interpreter_args):
+        # Buffered, the failure surfaces at the final flush;
+        # unbuffered, at the first line emitted.
+        read_end, write_end = os.pipe()
+        proc = spawn_cli(
+            ["mutex", "--algorithm", "L2", "--duration", "50"],
+            interpreter_args, stdout=write_end, stderr=subprocess.PIPE,
+        )
+        os.close(write_end)
+        os.close(read_end)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert err == ""
+
+    def test_reader_leaves_after_the_first_line(self):
+        # L1 prints its note before the run starts; the rest of the
+        # report comes after ~10^5 events, long after the close below.
+        proc = spawn_cli(
+            ["mutex", "--algorithm", "L1", "--n-mss", "8", "--n-mh", "150",
+             "--duration", "50"],
+            ("-u",), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        assert first.startswith("note: L1 is a baseline")
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == ""

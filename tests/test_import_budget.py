@@ -1,0 +1,111 @@
+"""Start-up cost is proportional to what a run uses.
+
+The paper's structuring rule is that a participant carries only what
+its own computation needs; these tests hold the package to it at import
+time.  Each probe runs in a fresh interpreter and inspects
+``sys.modules`` after the fact, so nothing this test session already
+imported can hide a regression.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: layers (and stdlib machinery) an L2 mutex run never touches.
+UNUSED_BY_A_MUTEX_RUN = (
+    "repro.monitor", "repro.recovery", "repro.groups", "repro.proxy",
+    "repro.multicast", "repro.scenario", "repro.perf", "repro.scale",
+    "http.server", "ssl",
+)
+
+
+def modules_after(code: str) -> set:
+    """Names in ``sys.modules`` once ``code`` has run in a fresh python."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, cwd=REPO_ROOT,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_import_repro_loads_no_layer():
+    loaded = modules_after("import repro")
+    assert not loaded.intersection(UNUSED_BY_A_MUTEX_RUN)
+    assert {name for name in loaded if name.startswith("repro")} == {"repro"}
+
+
+def test_cli_mutex_run_loads_only_its_layers():
+    loaded = modules_after(
+        "from repro.cli import main\n"
+        "status = main(['mutex', '--algorithm', 'L2', '--n-mss', '4',\n"
+        "               '--n-mh', '8', '--duration', '50', '--seed', '7'],\n"
+        "              emit=lambda line: None)\n"
+        "assert status == 0"
+    )
+    assert not loaded.intersection(UNUSED_BY_A_MUTEX_RUN)
+    assert "repro.mutex" in loaded and "repro.net" in loaded
+
+
+def test_monitored_simulation_loads_monitors_but_no_http_server():
+    loaded = modules_after(
+        "from repro import Simulation\n"
+        "sim = Simulation(n_mss=2, n_mh=2, monitors=True)\n"
+        "sim.drain()\n"
+        "sim.assert_invariants()"
+    )
+    assert "repro.monitor" in loaded and "repro.obs" in loaded
+    assert "http.server" not in loaded and "ssl" not in loaded
+
+
+def test_telemetry_server_loads_http_server_on_first_use():
+    loaded = modules_after(
+        "from repro import Simulation\n"
+        "from repro.obs import TelemetryServer\n"
+        "import sys\n"
+        "assert 'http.server' not in sys.modules\n"
+        "with TelemetryServer(Simulation(n_mss=1, n_mh=1), port=0):\n"
+        "    pass"
+    )
+    assert "http.server" in loaded
+
+
+def test_every_public_name_is_the_layer_s_own_object():
+    assert isinstance(repro.__version__, str)
+    for name in repro.__all__:
+        if name == "__version__":
+            continue
+        layer = importlib.import_module(repro._LAYER_OF[name])
+        assert getattr(repro, name) is getattr(layer, name), name
+        assert vars(repro)[name] is getattr(layer, name)  # cached
+
+
+def test_dir_lists_every_public_name():
+    assert set(repro.__all__) <= set(dir(repro))
+    assert repro.__all__ == sorted(set(repro.__all__))
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from repro import *", namespace)
+    assert set(repro.__all__) <= set(namespace)
+    assert namespace["L2Mutex"] is repro.L2Mutex
+
+
+def test_unknown_attribute_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        from repro import no_such_name  # noqa: F401

@@ -27,8 +27,11 @@ class LoopbackNet:
     def send(self, src, dst, kind, payload):
         self.queue.append((dst, kind, payload))
 
-    def pump(self):
-        while self.queue:
+    def pump(self, limit=None):
+        """Deliver queued messages in order (at most ``limit`` of them)."""
+        while self.queue and (limit is None or limit > 0):
+            if limit is not None:
+                limit -= 1
             dst, kind, payload = self.queue.popleft()
             node = self.nodes[dst]
             if kind.endswith(".request"):
@@ -168,6 +171,55 @@ def test_queue_drains_after_releases():
     net.pump()
     for node in net.nodes.values():
         assert node.queue_size == 0
+
+
+def test_bystander_never_scans_its_queue(monkeypatch):
+    """Only an own pending request can be granted, so a node without
+    one takes requests, replies and releases without the min() scan."""
+    net, ids, grants = build(4)
+    scans = {node_id: 0 for node_id in ids}
+    scan = LamportMutexNode._min_queue_entry
+
+    def counting_scan(node):
+        scans[node.node_id] += 1
+        return scan(node)
+
+    monkeypatch.setattr(LamportMutexNode, "_min_queue_entry", counting_scan)
+    net.nodes["n0"].request("a")
+    net.pump()
+    net.nodes["n1"].request("b")
+    net.pump()
+    for bystander in ("n2", "n3"):
+        assert net.nodes[bystander].queue_size == 2
+    net.nodes["n0"].release("a")
+    net.pump()
+    net.nodes["n1"].release("b")
+    net.pump()
+    assert grants == ["n0", "n1"]
+    assert scans["n2"] == scans["n3"] == 0
+    assert scans["n0"] > 0 and scans["n1"] > 0
+    assert all(node.queue_size == 0 for node in net.nodes.values())
+
+
+def test_interleaved_requests_grant_in_timestamp_order():
+    """Requests issued while earlier ones are still in flight are
+    served in timestamp order, whatever order the messages land in."""
+    net, ids, grants = build(4)
+    stamps = {"n3": net.nodes["n3"].request("t")}
+    net.pump(limit=2)  # n3's request has reached n0 and n1, not n2
+    stamps["n1"] = net.nodes["n1"].request("t")
+    net.pump(limit=3)
+    stamps["n0"] = net.nodes["n0"].request("t")
+    net.pump()
+    order = []
+    while len(order) < len(stamps):
+        assert grants[len(order):], "no progress"
+        current = grants[len(order)]
+        order.append(current)
+        net.nodes[current].release("t")
+        net.pump()
+    assert order == sorted(stamps, key=stamps.get)
+    assert grants == order
 
 
 @settings(deadline=None, max_examples=40)
