@@ -19,11 +19,12 @@ One constructor builds the paper's whole Section 2 system model.
 from __future__ import annotations
 
 import random
+from array import array
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterator,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -74,22 +75,24 @@ def _check_type(name: str, value, accepted: type,
 
 def _iter_placement(
     placement: Placement, n_mh: int, n_mss: int, rng: random.Random
-) -> Iterator[int]:
-    """Initial cell indices, one per MH, as a lazy stream.
+) -> Iterable[int]:
+    """Initial cell indices, one per MH.
 
-    The generator form lets the population store fill its arrays
-    without an intermediate N-element python list (at N=1M that list
-    alone would rival the arrays' whole footprint).  Draw order for
-    ``"random"`` is identical to the eager path, so a given seed
-    places MHs the same way with and without the store.
+    Never an N-element python list (at N=1M that alone would rival the
+    population store's whole footprint): the periodic placements are
+    repeated ``array`` blocks built at C speed, the rest lazy streams.
+    Draw order for ``"random"`` is identical to the eager path, so a
+    given seed places MHs the same way with and without the store.
     """
     if callable(placement):
         return (placement(i, n_mss) % n_mss for i in range(n_mh))
     if isinstance(placement, str):
         if placement == "round_robin":
-            return (i % n_mss for i in range(n_mh))
+            cells = array("i", range(n_mss)) * (n_mh // n_mss + 1)
+            del cells[n_mh:]
+            return cells
         if placement == "single_cell":
-            return (0 for _ in range(n_mh))
+            return array("i", [0]) * n_mh
         if placement == "random":
             return (rng.randrange(n_mss) for _ in range(n_mh))
         raise ConfigurationError(f"unknown placement: {placement!r}")

@@ -191,10 +191,10 @@ def run_scenario(
     )
     events: Optional[int] = None
     if gated:
-        # One untimed warm-up run so one-time costs (lazy imports --
-        # notably numpy inside repro.scale -- interned strings, code
-        # objects) are paid before the measurement window opens; the
-        # gates are after leaks *per run*, not import footprints.
+        # One untimed warm-up run so one-time costs (lazy layer
+        # imports, interned strings, code objects) are paid before the
+        # measurement window opens; the gates are after leaks *per
+        # run*, not import footprints.
         events = scenario.run()
     gc.collect()
     rss_before = _current_rss_kb()

@@ -25,12 +25,11 @@ class CrowdChurn:
         population: the store to churn.
         scheduler: the simulation scheduler.
         tick: simulated time between churn rounds.
-        move_fraction: fraction of the passive connected crowd moved
-            per tick.
-        disconnect_fraction: fraction of the passive connected crowd
-            disconnected per tick.
-        reconnect_fraction: fraction of the passive *disconnected*
-            crowd reconnected per tick.
+        move_fraction: ``fraction`` handed to
+            :meth:`PopulationStore.mass_move` each tick.
+        disconnect_fraction: likewise for ``mass_disconnect``.
+        reconnect_fraction: likewise for ``mass_reconnect`` -- it sizes
+            the draws over all N hosts, not the share that reconnects.
         rng: randomness source (default: seeded ``Random(0)``).
     """
 

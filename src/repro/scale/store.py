@@ -5,7 +5,7 @@ structure keeps per-MH state tiny -- a cell, a connectivity flag, a few
 counters -- so representing every MH as a full python object is pure
 overhead for the *passive crowd* that no protocol is currently talking
 to.  :class:`PopulationStore` keeps that crowd in parallel ``array``
-buffers (~50 bytes per MH instead of ~1 KB of object graph) and
+buffers (34 bytes per MH instead of ~1 KB of object graph) and
 materialises a real :class:`~repro.hosts.mh.MobileHost` only when
 something actually touches a host ("promotion").  Promotion is silent
 -- no events, no messages, no RNG draws -- so with the abstract search
@@ -27,6 +27,7 @@ under the :data:`CROWD_ID` pseudo-host so metrics stay O(1) in N.
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
@@ -38,11 +39,6 @@ from repro.scale.stream import FixedHistogram, Welford
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
 
-try:  # pragma: no cover - exercised only where numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 #: pseudo-host id under which batched crowd energy is aggregated.
 CROWD_ID = "mh-crowd"
 
@@ -53,6 +49,12 @@ _F_ORPHANED = 1
 _F_CRASHED = 2
 _F_DOZING = 4
 _F_PROMOTED = 8
+
+
+def _table_bytes(table: Dict[int, int]) -> int:
+    """A side table's footprint: the dict plus its int keys and values."""
+    size = sys.getsizeof
+    return size(table) + sum(size(k) + size(v) for k, v in table.items())
 
 
 class PopulationStore:
@@ -86,10 +88,17 @@ class PopulationStore:
         self.n = n
         self.max_active = max_active
         self._mss_ids: List[str] = network.mss_ids()
+        try:  # array raises OverflowError instead of wrapping
+            array("i", [len(self._mss_ids) - 1])
+        except OverflowError:
+            raise ConfigurationError(
+                f"n_mss={len(self._mss_ids)}: more cells than the "
+                f"population store's cell column can index"
+            ) from None
         self._mss_index: Dict[str, int] = {
             mss_id: i for i, mss_id in enumerate(self._mss_ids)
         }
-        self._cell = array("l", placement)
+        self._cell = array("i", placement)
         if len(self._cell) != n:
             raise ConfigurationError(
                 f"placement yields {len(self._cell)} cells for {n} MHs"
@@ -100,16 +109,15 @@ class PopulationStore:
 
         self._status = array("b", bytes(n))          # all connected
         self._flags = array("B", bytes(n))
-        self._session = filled("l", 1)
-        self._last_seq = filled("l", 0)
-        self._disc_cell = filled("l", -1)
-        self._moves = filled("l", 0)
-        self._doze_ints = filled("l", 0)
+        self._session = filled("i", 1)
+        self._disc_cell = filled("i", -1)
+        self._moves = filled("i", 0)
         self._disc_epoch = filled("d", -1.0)
         self._last_move = filled("d", -1.0)
-        self._last_search = filled("d", -1.0)
-        self._occupancy = array("l", [0]) * len(self._mss_ids)
-        self._recount_occupancy()
+        #: ``index -> nonzero value`` side tables (passive hosts only)
+        #: for the two fields that nothing but a demotion can set.
+        self._last_seq: Dict[int, int] = {}
+        self._doze_ints: Dict[int, int] = {}
         self._passive_connected = n
         self._passive_disconnected = 0
         #: promoted ids in promotion order (dict preserves insertion).
@@ -206,9 +214,9 @@ class PopulationStore:
         network = self.network
         mh = MobileHost(mh_id, network)
         mh.session = self._session[index]
-        mh.last_received_seq = self._last_seq[index]
+        mh.last_received_seq = self._last_seq.pop(index, 0)
         mh.moves_completed = self._moves[index]
-        mh.doze_interruptions = self._doze_ints[index]
+        mh.doze_interruptions = self._doze_ints.pop(index, 0)
         mh.orphaned = bool(flags & _F_ORPHANED)
         mh.crashed = bool(flags & _F_CRASHED)
         mh.dozing = bool(flags & _F_DOZING)
@@ -221,12 +229,10 @@ class PopulationStore:
         if disc >= 0:
             mh.disconnect_mss_id = self._mss_ids[disc]
         if connected:
-            cell = self._cell[index]
-            mss_id = self._mss_ids[cell]
+            mss_id = self._mss_ids[self._cell[index]]
             mh.state = HostState.CONNECTED
             mh.current_mss_id = mss_id
             network.mss(mss_id).local_mhs.add(mh_id)
-            self._occupancy[cell] -= 1
             self._passive_connected -= 1
         else:
             if disc >= 0:
@@ -236,7 +242,6 @@ class PopulationStore:
             self._passive_disconnected -= 1
         network.register_mh(mh)
         self._flags[index] = flags | _F_PROMOTED
-        self._last_search[index] = network.scheduler.now
         self._active_order[mh_id] = None
         self.promotions += 1
         if connected:
@@ -278,9 +283,13 @@ class PopulationStore:
                 f"protocol state)"
             )
         self._session[index] = mh.session
-        self._last_seq[index] = mh.last_received_seq
         self._moves[index] = mh.moves_completed
-        self._doze_ints[index] = mh.doze_interruptions
+        # promote() popped this host's entries, so only nonzero
+        # values need writing.
+        if mh.last_received_seq:
+            self._last_seq[index] = mh.last_received_seq
+        if mh.doze_interruptions:
+            self._doze_ints[index] = mh.doze_interruptions
         flags = 0
         if mh.orphaned:
             flags |= _F_ORPHANED
@@ -297,11 +306,9 @@ class PopulationStore:
             else -1
         )
         if mh.is_connected:
-            cell = self._mss_index[mh.current_mss_id]
             self._status[index] = _CONNECTED
-            self._cell[index] = cell
+            self._cell[index] = self._mss_index[mh.current_mss_id]
             network.mss(mh.current_mss_id).local_mhs.discard(mh_id)
-            self._occupancy[cell] += 1
             self._passive_connected += 1
         else:
             self._status[index] = _DISCONNECTED
@@ -358,13 +365,16 @@ class PopulationStore:
     # ------------------------------------------------------------------
 
     def mass_move(self, fraction: float, rng: random.Random) -> int:
-        """Move a random ~``fraction`` of the passive connected crowd.
+        """Move passive connected hosts to uniformly chosen *other* cells.
 
-        Each selected host hops to a uniformly chosen *other* cell.
-        The arrays are updated directly -- no leave/join events are
-        scheduled -- and the Section 2 message bill (leave + join
-        uplinks, handoff request + reply) is recorded in bulk under
-        :data:`CROWD_ID`.  Returns the number of hosts moved.
+        Draws ``round(fraction * passive_connected)`` indices uniformly
+        from all ``n`` hosts, with replacement; a draw that is promoted
+        or not connected is skipped, not redrawn.  So about ``fraction *
+        passive_connected / n`` of the crowd moves, and a host can move
+        twice in a call.  The arrays are updated directly -- no
+        leave/join events are scheduled -- and the Section 2 message
+        bill (leave + join uplinks, handoff request + reply) is recorded
+        in bulk under :data:`CROWD_ID`.  Returns the number of moves.
         """
         n_cells = len(self._mss_ids)
         if n_cells < 2 or self.n == 0:
@@ -376,7 +386,7 @@ class PopulationStore:
         cell = self._cell
         status = self._status
         flags = self._flags
-        occupancy = self._occupancy
+        last_seq = self._last_seq
         moved = 0
         for _ in range(attempts):
             i = rng.randrange(self.n)
@@ -386,12 +396,11 @@ class PopulationStore:
             new = rng.randrange(n_cells - 1)
             if new >= old:
                 new += 1
-            occupancy[old] -= 1
-            occupancy[new] += 1
             cell[i] = new
             self._session[i] += 1
-            self._last_seq[i] = 0
             self._moves[i] += 1
+            if last_seq:
+                last_seq.pop(i, None)
             last = self._last_move[i]
             if last >= 0.0:
                 gap = now - last
@@ -409,8 +418,9 @@ class PopulationStore:
         return moved
 
     def mass_disconnect(self, fraction: float, rng: random.Random) -> int:
-        """Disconnect a random ~``fraction`` of the passive connected
-        crowd (one ``disconnect(r)`` uplink each, billed in bulk)."""
+        """Disconnect passive connected hosts, sampled as in
+        :meth:`mass_move` (one ``disconnect(r)`` uplink each, billed in
+        bulk)."""
         attempts = round(fraction * self._passive_connected)
         if attempts <= 0 or self.n == 0:
             return 0
@@ -423,9 +433,7 @@ class PopulationStore:
             i = rng.randrange(self.n)
             if flags[i] & _F_PROMOTED or status[i] != _CONNECTED:
                 continue
-            here = cell[i]
-            self._occupancy[here] -= 1
-            self._disc_cell[i] = here
+            self._disc_cell[i] = cell[i]
             self._disc_epoch[i] = now
             cell[i] = -1
             status[i] = _DISCONNECTED
@@ -440,12 +448,15 @@ class PopulationStore:
         return dropped
 
     def mass_reconnect(self, fraction: float, rng: random.Random) -> int:
-        """Reconnect a random ~``fraction`` of the passive disconnected
-        crowd into uniformly chosen cells.
+        """Reconnect passive disconnected hosts into uniform random cells.
 
-        Bills one reconnect uplink per host, plus the handoff request/
-        reply pair when the new cell differs from the disconnect cell
-        (the ``supply_prev=True`` path of Section 2).
+        Draws ``round(fraction * passive_disconnected)`` indices from
+        all ``n`` hosts as in :meth:`mass_move`, so only about
+        ``fraction * passive_disconnected / n`` of the disconnected
+        crowd returns -- far below ``fraction`` while most hosts are
+        connected.  Bills one reconnect uplink per host, plus the
+        handoff request/reply pair when the new cell differs from the
+        disconnect cell (the ``supply_prev=True`` path of Section 2).
         """
         attempts = round(fraction * self._passive_disconnected)
         if attempts <= 0 or self.n == 0:
@@ -455,6 +466,7 @@ class PopulationStore:
         cell = self._cell
         status = self._status
         flags = self._flags
+        last_seq = self._last_seq
         rejoined = 0
         handoffs = 0
         for _ in range(attempts):
@@ -474,9 +486,9 @@ class PopulationStore:
                 self.downtime_hist.add(down)
             cell[i] = new
             status[i] = _CONNECTED
-            self._occupancy[new] += 1
             self._session[i] += 1
-            self._last_seq[i] = 0
+            if last_seq:
+                last_seq.pop(i, None)
             # _disc_cell stays: it mirrors the object path's sticky
             # disconnect_mss_id, which a reconnect does not clear.
             self._disc_epoch[i] = -1.0
@@ -501,31 +513,17 @@ class PopulationStore:
     # Introspection
     # ------------------------------------------------------------------
 
-    def _recount_occupancy(self) -> None:
-        """Rebuild the per-cell passive-occupancy counts from ``_cell``.
-
-        Uses numpy's C-speed ``bincount`` when available; the pure
-        python fallback is a plain loop (init-time only either way).
-        """
-        n_cells = len(self._mss_ids)
-        for c in range(n_cells):
-            self._occupancy[c] = 0
-        if self.n == 0:
-            return
-        if _np is not None:
-            counts = _np.bincount(
-                _np.asarray(self._cell), minlength=n_cells
-            )
-            for c in range(n_cells):
-                self._occupancy[c] = int(counts[c])
-        else:
-            occupancy = self._occupancy
-            for c in self._cell:
-                occupancy[c] += 1
-
     def occupancy(self) -> List[int]:
-        """Passive connected hosts per cell, in cell-index order."""
-        return list(self._occupancy)
+        """Passive connected hosts per cell, in cell-index order.
+
+        Counted from the columns on each call (O(N)); nothing in a run
+        reads it, so no per-cell tally is kept current.
+        """
+        counts = [0] * len(self._mss_ids)
+        for cell, status, flags in zip(self._cell, self._status, self._flags):
+            if status == _CONNECTED and not flags & _F_PROMOTED:
+                counts[cell] += 1
+        return counts
 
     @property
     def passive_connected(self) -> int:
@@ -538,16 +536,15 @@ class PopulationStore:
         return self._passive_disconnected
 
     def memory_bytes(self) -> int:
-        """Bytes held by the parallel arrays (objects excluded)."""
+        """Bytes held by the columns and side tables (objects excluded)."""
         return sum(
             len(buf) * buf.itemsize
             for buf in (
                 self._cell, self._status, self._flags, self._session,
-                self._last_seq, self._disc_cell, self._moves,
-                self._doze_ints, self._disc_epoch, self._last_move,
-                self._last_search, self._occupancy,
+                self._disc_cell, self._moves, self._disc_epoch,
+                self._last_move,
             )
-        )
+        ) + _table_bytes(self._last_seq) + _table_bytes(self._doze_ints)
 
     def summary(self) -> Dict[str, object]:
         """Plain-dict snapshot for the CLI and reports."""

@@ -70,6 +70,23 @@ def test_monitored_simulation_loads_monitors_but_no_http_server():
     assert "http.server" not in loaded and "ssl" not in loaded
 
 
+def test_population_store_run_is_stdlib_only():
+    loaded = modules_after(
+        "import random\n"
+        "from repro import Simulation\n"
+        "from repro.scale import CrowdChurn\n"
+        "sim = Simulation(n_mss=4, n_mh=200, population_store=True)\n"
+        "churn = CrowdChurn(sim.population, sim.scheduler, tick=5.0,\n"
+        "                   move_fraction=0.1, disconnect_fraction=0.05,\n"
+        "                   reconnect_fraction=0.5, rng=random.Random(1))\n"
+        "churn.start()\n"
+        "sim.run(until=5.0)\n"
+        "assert churn.ticks == 1 and churn.moved"
+    )
+    assert "repro.scale" in loaded
+    assert "numpy" not in loaded
+
+
 def test_telemetry_server_loads_http_server_on_first_use():
     loaded = modules_after(
         "from repro import Simulation\n"

@@ -18,12 +18,53 @@ from hypothesis import strategies as st
 from repro import Simulation
 from repro.errors import ConfigurationError, SimulationError
 from repro.metrics import Category
-from repro.scale import CROWD_ID, CrowdChurn, FixedHistogram, Welford
+from repro.net.messages import Message
+from repro.scale import (
+    CROWD_ID,
+    CrowdChurn,
+    FixedHistogram,
+    PopulationStore,
+    Welford,
+)
 
 
 def make_sim(n_mss=4, n_mh=12, **kwargs):
     return Simulation(n_mss=n_mss, n_mh=n_mh, seed=7,
                       population_store=True, **kwargs)
+
+
+class ScriptedRng:
+    """``randrange`` replays a script, aiming a mass op at chosen hosts
+    (the ops draw a host index, then a cell, per attempt)."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def randrange(self, _stop):
+        return next(self._values)
+
+
+def recount_occupancy(sim):
+    """Passive connected hosts per cell, one public query at a time."""
+    pop = sim.population
+    return [
+        sum(pop.passive_local(f"mh-{i}", mss_id) for i in range(pop.n))
+        for mss_id in sim.network.mss_ids()
+    ]
+
+
+def doze_through_a_downlink(sim, mh):
+    """One downlink delivered to a dozing ``mh``: sets its
+    ``last_received_seq`` and bumps ``doze_interruptions``."""
+    mh.register_handler("app.ping", lambda message: None)
+    mh.doze()
+    sim.network.send_wireless_down(
+        mh.current_mss_id, mh.host_id,
+        Message(kind="app.ping", src=mh.current_mss_id, dst=mh.host_id),
+    )
+    sim.drain()
+    mh.wake()
+    mh.unregister_handler("app.ping")     # clean again: demotable
 
 
 # ----------------------------------------------------------------------
@@ -50,6 +91,40 @@ def test_id_parsing_rejects_aliases():
     assert not pop.covers("mh--1")
     assert not pop.covers("mss-0")
     assert not pop.covers("mh-")
+
+
+def test_more_cells_than_the_cell_column_indexes_is_a_located_error():
+    class HugeNetwork:
+        def mss_ids(self):
+            return range(2 ** 31 + 1)       # len() only; never iterated
+
+    with pytest.raises(ConfigurationError, match="n_mss=2147483649"):
+        PopulationStore(HugeNetwork(), 0, placement=())
+
+
+def test_periodic_placements_match_their_definition():
+    round_robin = make_sim(n_mss=4, n_mh=10).population
+    assert all(round_robin.passive_local(f"mh-{i}", f"mss-{i % 4}")
+               for i in range(10))
+    single = make_sim(n_mss=4, n_mh=10, placement="single_cell").population
+    assert single.occupancy() == [10, 0, 0, 0]
+    fewer_hosts_than_cells = make_sim(n_mss=4, n_mh=3).population
+    assert fewer_hosts_than_cells.occupancy() == [1, 1, 1, 0]
+    assert make_sim(n_mss=4, n_mh=0).population.occupancy() == [0] * 4
+
+
+def test_memory_budget_is_34_bytes_per_host_side_tables_included():
+    sim = make_sim(n_mss=16, n_mh=10_000)
+    pop = sim.population
+    assert pop.memory_bytes() / pop.n <= 36
+    before = pop.memory_bytes()
+    for i in range(50):
+        doze_through_a_downlink(sim, sim.mh(i))
+    pop.demote_idle()
+    assert len(pop._last_seq) == len(pop._doze_ints) == 50
+    # Every entry costs at least its key and value.
+    assert pop.memory_bytes() >= before + 2 * 50 * 2 * 28
+    assert pop.memory_bytes() / pop.n <= 36
 
 
 def test_max_active_requires_store():
@@ -185,6 +260,7 @@ def test_promotion_demotion_round_trip_property(ops):
     sim = make_sim()
     pop = sim.population
     mh = sim.mh(4)
+    doze_through_a_downlink(sim, mh)
     for op, cell in ops:
         if op == "move" and mh.is_connected:
             if f"mss-{cell}" != mh.current_mss_id:
@@ -194,6 +270,12 @@ def test_promotion_demotion_round_trip_property(ops):
         elif op == "reconnect" and mh.is_disconnected:
             mh.reconnect(f"mss-{cell}", supply_prev=True)
         sim.drain()
+    if mh.is_connected:
+        # A move or reconnect zeroed the sequence number: set it again
+        # so the side-table column carries a value through demotion.
+        doze_through_a_downlink(sim, mh)
+        assert mh.last_received_seq > 0
+    assert mh.doze_interruptions > 0
     fields = (
         mh.state, mh.current_mss_id, mh.disconnect_mss_id,
         mh.session, mh.last_received_seq, mh.moves_completed,
@@ -213,6 +295,27 @@ def test_promotion_demotion_round_trip_property(ops):
     elif again.disconnect_mss_id is not None:
         station = sim.network.mss(again.disconnect_mss_id)
         assert "mh-4" in station.disconnected_mhs
+    assert pop.occupancy() == recount_occupancy(sim)
+    # A mass op that lands on the demoted host starts a new session
+    # there, which zeroes last_received_seq exactly like the object
+    # path's move/reconnect; the doze counter is untouched.
+    session, moves = again.session, again.moves_completed
+    doze_interruptions = again.doze_interruptions
+    was_connected = again.is_connected
+    pop.demote("mh-4")
+    if was_connected:
+        assert pop.mass_move(1 / pop.passive_connected,
+                             ScriptedRng(4, 0)) == 1
+    else:
+        assert pop.mass_reconnect(1 / pop.passive_disconnected,
+                                  ScriptedRng(4, 0)) == 1
+    final = sim.mh(4)
+    assert final.is_connected
+    assert final.last_received_seq == 0
+    assert final.session == session + 1
+    assert final.moves_completed == moves + was_connected
+    assert final.doze_interruptions == doze_interruptions
+    assert pop.occupancy() == recount_occupancy(sim)
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +349,30 @@ def test_mass_disconnect_then_reconnect_round_trips_counts():
     assert 0 < rejoined <= dropped
     assert pop.passive_disconnected == dropped - rejoined
     assert pop.downtime.count == rejoined
+
+
+def test_counter_past_its_column_range_raises_instead_of_wrapping():
+    pop = make_sim().population
+    limit = 2 ** (8 * pop._session.itemsize - 1) - 1
+    pop._session[3] = limit
+    with pytest.raises(OverflowError):
+        pop.mass_move(1 / pop.passive_connected, ScriptedRng(3, 0))
+    assert pop._session[3] == limit
+
+
+def test_occupancy_is_a_recount_after_interleaved_ops():
+    sim = make_sim(n_mss=4, n_mh=60)
+    pop = sim.population
+    rng = random.Random(5)
+    for round_ in range(6):
+        sim.mh(rng.randrange(60))                   # promote
+        pop.mass_move(0.3, rng)
+        pop.mass_disconnect(0.2, rng)
+        if round_ % 2:
+            pop.demote_idle()
+        pop.mass_reconnect(1.0, rng)
+        assert pop.occupancy() == recount_occupancy(sim)
+        assert sum(pop.occupancy()) == pop.passive_connected
 
 
 def test_mass_ops_skip_promoted_hosts():
