@@ -42,9 +42,9 @@ class Timestamp(tuple):
 class LamportClock:
     """A per-node logical clock.
 
-    ``tick()`` stamps a local event (or a send); ``witness(ts)`` merges a
-    received timestamp, advancing the local counter past it as Lamport's
-    rules require.
+    ``tick()`` stamps a local event (or a send); ``merge(ts)`` /
+    ``witness(ts)`` merge a received timestamp, advancing the local
+    counter past it as Lamport's rules require.
     """
 
     def __init__(self, node_id: str) -> None:
@@ -63,9 +63,19 @@ class LamportClock:
         self._counter += 1
         return Timestamp(self._counter, self.node_id)
 
+    def merge(self, timestamp: Timestamp) -> None:
+        """Merge a received timestamp and advance (receive event).
+
+        :meth:`witness` for receivers that do not read the resulting
+        stamp: the counter moves exactly the same, no stamp is built.
+        """
+        received = timestamp[0]
+        counter = self._counter
+        self._counter = (received if received > counter else counter) + 1
+
     def witness(self, timestamp: Timestamp) -> Timestamp:
-        """Merge a received timestamp and advance (receive event)."""
-        self._counter = max(self._counter, timestamp.counter) + 1
+        """:meth:`merge`, then return the stamp of the receive event."""
+        self.merge(timestamp)
         return Timestamp(self._counter, self.node_id)
 
     def peek(self) -> Timestamp:

@@ -171,9 +171,6 @@ class Simulation:
             ``docs/scaling.md``.
         max_active: soft cap on simultaneously promoted hosts (only
             with ``population_store=True``; default 1024).
-        pooling: recycle fire-and-forget event objects through the
-            scheduler's free list (default on; byte-identical either
-            way).
     """
 
     def __init__(
@@ -192,7 +189,6 @@ class Simulation:
         recovery: Union[None, str, object] = None,
         population_store: bool = False,
         max_active: Optional[int] = None,
-        pooling: bool = True,
     ) -> None:
         _check_type("n_mss", n_mss, int)
         _check_type("n_mh", n_mh, int)
@@ -211,7 +207,7 @@ class Simulation:
         self.n_mh = n_mh
         self.rng = random.Random(seed)
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.scheduler = Scheduler(pooling=pooling)
+        self.scheduler = Scheduler()
         if timeline:
             from repro.metrics.timeline import TimelineCollector
 

@@ -53,12 +53,6 @@ class FaultInjector:
         self.plan = plan
         self.network: Optional["Network"] = None
         self.stats: Counter = Counter()
-        #: whether any link fault can duplicate a fixed transmission;
-        #: envelope pools consult this -- a duplicated delivery aliases
-        #: the same object twice, so recycling would corrupt the copy.
-        self.may_duplicate: bool = any(
-            fault.duplicate for fault in plan.link_faults
-        )
         self._rng = random.Random(plan.seed)
         self._crashed: Set[str] = set()
         self._crash_listeners: List[CrashListener] = []

@@ -93,7 +93,12 @@ class LamportMutexNode:
         self.on_granted = on_granted
         self.clock = LamportClock(node_id)
         # (origin, tag) -> request timestamp; the distributed queue.
+        # Written only through _enqueue/_dequeue (and the two bulk
+        # edits below), which keep ``_head`` in step.
         self._queue: Dict[Tuple[str, str], Timestamp] = {}
+        # Key of the smallest queue entry.  ``None`` with a nonempty
+        # queue means "not known": _min_queue_entry re-scans on demand.
+        self._head: Optional[Tuple[str, str]] = None
         # peer -> largest timestamp seen from that peer.
         self._last_seen: Dict[str, Timestamp] = {}
         # own requests currently pending (not yet granted).
@@ -117,7 +122,7 @@ class LamportMutexNode:
                 f"{self.node_id}: request tag {tag!r} already outstanding"
             )
         ts = self.clock.tick()
-        self._queue[(self.node_id, tag)] = ts
+        self._enqueue((self.node_id, tag), ts)
         self._pending[tag] = ts
         payload = RequestPayload(ts, self.node_id, tag)
         for peer in self.transport.peers():
@@ -132,7 +137,7 @@ class LamportMutexNode:
                 f"{self.node_id}: release for tag {tag!r} not held"
             )
         del self._held[tag]
-        self._queue.pop((self.node_id, tag), None)
+        self._dequeue((self.node_id, tag))
         ts = self.clock.tick()
         payload = ReleasePayload(ts, self.node_id, tag)
         for peer in self.transport.peers():
@@ -152,7 +157,7 @@ class LamportMutexNode:
         if tag not in self._pending:
             return
         del self._pending[tag]
-        self._queue.pop((self.node_id, tag), None)
+        self._dequeue((self.node_id, tag))
         ts = self.clock.tick()
         payload = ReleasePayload(ts, self.node_id, tag)
         for peer in self.transport.peers():
@@ -172,6 +177,7 @@ class LamportMutexNode:
             del self._queue[key]
         self._last_seen.pop(origin, None)
         if stale:
+            self._head = None
             self._check_grants()
         return len(stale)
 
@@ -199,6 +205,7 @@ class LamportMutexNode:
         timestamps that cannot collide with pre-crash ones.
         """
         self._queue.clear()
+        self._head = None
         self._pending.clear()
         self._held.clear()
         self._last_seen.clear()
@@ -209,9 +216,9 @@ class LamportMutexNode:
 
     def on_request(self, payload: RequestPayload) -> None:
         """Handle a peer's request: enqueue and reply."""
-        self.clock.witness(payload.ts)
+        self.clock.merge(payload.ts)
         self._note_seen(payload.origin, payload.ts)
-        self._queue[(payload.origin, payload.tag)] = payload.ts
+        self._enqueue((payload.origin, payload.tag), payload.ts)
         reply_ts = self.clock.tick()
         self.transport.send(
             payload.origin,
@@ -222,15 +229,15 @@ class LamportMutexNode:
 
     def on_reply(self, payload: ReplyPayload) -> None:
         """Handle a peer's reply: it advances what we've seen from it."""
-        self.clock.witness(payload.ts)
+        self.clock.merge(payload.ts)
         self._note_seen(payload.origin, payload.ts)
         self._check_grants()
 
     def on_release(self, payload: ReleasePayload) -> None:
         """Handle a peer's release: drop its queue entry."""
-        self.clock.witness(payload.ts)
+        self.clock.merge(payload.ts)
         self._note_seen(payload.origin, payload.ts)
-        self._queue.pop((payload.origin, payload.tag), None)
+        self._dequeue((payload.origin, payload.tag))
         self._check_grants()
 
     # ------------------------------------------------------------------
@@ -257,10 +264,30 @@ class LamportMutexNode:
         if current is None or ts > current:
             self._last_seen[origin] = ts
 
+    def _enqueue(self, key: Tuple[str, str], ts: Timestamp) -> None:
+        queue = self._queue
+        head = self._head
+        if head is None:
+            if not queue:
+                self._head = key
+        elif key in queue:
+            # A re-announced request overwrites its stamp in place; the
+            # head can move either way, so let the next reader re-scan.
+            self._head = None
+        elif ts < queue[head]:
+            self._head = key
+        queue[key] = ts
+
+    def _dequeue(self, key: Tuple[str, str]) -> None:
+        self._queue.pop(key, None)
+        if key == self._head:
+            self._head = None
+
     def _min_queue_entry(self) -> Optional[Tuple[str, str]]:
-        if not self._queue:
-            return None
-        return min(self._queue, key=self._queue.__getitem__)
+        head = self._head
+        if head is None and self._queue:
+            head = self._head = min(self._queue, key=self._queue.__getitem__)
+        return head
 
     def _check_grants(self) -> None:
         # Grant own pending requests, smallest timestamp first, while

@@ -16,17 +16,6 @@ from typing import Any
 _message_ids = itertools.count()
 
 
-def allocate_msg_id() -> int:
-    """Draw the next message id from the global stream.
-
-    Envelope pools use this when recycling a :class:`Message` so the id
-    stream advances exactly as if a fresh envelope had been allocated —
-    keeping pooled and unpooled runs byte-identical in any output that
-    includes message ids.
-    """
-    return next(_message_ids)
-
-
 @dataclass
 class Message:
     """A routable message.

@@ -85,10 +85,12 @@ class Network:
         self._trace = NULL_TRACER
         self._trace_on = False
         # Fast-path state derived once (refreshed on trace/faults
-        # installation): constant-latency values, and the monomorphic
+        # installation): constant-latency values, whether anything can
+        # observe or perturb a fixed transmission, and the monomorphic
         # raw fixed-send implementation.
         self._fixed_const: Optional[float] = None
         self._wireless_const: Optional[float] = None
+        self._fixed_unobserved = False
         self._refresh_fast_paths()
 
     # ------------------------------------------------------------------
@@ -160,21 +162,16 @@ class Network:
         self._wireless_const = (
             wireless.value if isinstance(wireless, ConstantLatency) else None
         )
-        # The monomorphic raw-send: when nothing can observe or perturb
-        # a fixed-network transmission (no tracer, no fault injector,
-        # constant latency), bind the branch-free fast variant once
-        # instead of re-deciding per message.
-        if not self._trace_on and self.faults is None and (
-            self._fixed_const is not None
-        ):
-            self._send_fixed_raw = self._send_fixed_raw_fast
-        elif self._trace_on and self.faults is None and (
-            self._fixed_const is not None
-        ):
-            # Traced but unperturbed: same dead-branch elision as the
-            # fast variant (no injector means no MSS can be crashed and
-            # no drop/delay/duplicate decisions), keeping only the
-            # trace emit on the path.
+        # When nothing can observe or perturb a fixed-network
+        # transmission (no tracer, no fault injector, constant latency)
+        # send_fixed transmits in its own frame; decided once here
+        # instead of per message.
+        unperturbed = self.faults is None and self._fixed_const is not None
+        self._fixed_unobserved = unperturbed and not self._trace_on
+        if unperturbed and self._trace_on:
+            # Traced but unperturbed: no injector means no MSS can be
+            # crashed and no drop/delay/duplicate decisions exist, so
+            # only the trace emit stays on the path.
             self._send_fixed_raw = self._send_fixed_raw_traced
         else:
             self._send_fixed_raw = self._send_fixed_raw_general
@@ -353,30 +350,23 @@ class Network:
         if self.reliable is not None and not message.kind.startswith("rel."):
             self.reliable.send(message)
             return
-        self._send_fixed_raw(message)
-
-    def _send_fixed_raw_fast(self, message: Message) -> None:
-        """Monomorphic fast raw-send (see :meth:`_refresh_fast_paths`).
-
-        Bound as ``_send_fixed_raw`` only when no tracer is enabled, no
-        fault injector is installed (so no MSS can be crashed), and the
-        fixed latency is constant (so no RNG draw happens either way) --
-        under those preconditions this is step-for-step identical to
-        :meth:`_send_fixed_raw_general`, minus the dead branches.
-        """
-        try:
-            dst = self._mss[message.dst]
-        except KeyError:
-            raise UnknownHostError(f"unknown MSS: {message.dst}") from None
+        if not self._fixed_unobserved:
+            self._send_fixed_raw(message)
+            return
+        # No tracer, no fault injector (so no MSS can be crashed) and a
+        # constant latency (so no RNG draw): step for step what
+        # _send_fixed_raw_general does under those preconditions, minus
+        # the dead branches and the forwarding frame.
         self.metrics.record_fixed(message.scope)
+        scheduler = self.scheduler
         key = (message.src, message.dst)
-        arrival = self.scheduler.now + self._fixed_const
+        arrival = scheduler.now + self._fixed_const
         last = self._last_arrival
         previous = last.get(key)
         if previous is not None and previous > arrival:
             arrival = previous
         last[key] = arrival
-        self.scheduler.post_at(arrival, dst.handle_message, message)
+        scheduler.post_at(arrival, dst.handle_message, message)
 
     def _send_fixed_raw_traced(self, message: Message) -> None:
         """Monomorphic traced raw-send: tracer on, nothing perturbed.

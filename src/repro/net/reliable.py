@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.net.messages import Message, allocate_msg_id
-from repro.pool import Pool
+from repro.net.messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hosts.mss import MobileSupportStation
@@ -41,16 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 KIND_DATA = "rel.data"
 KIND_ACK = "rel.ack"
-
-
-def _blank_ack() -> Message:
-    return Message(kind=KIND_ACK, src="", dst="")
-
-
-def _reset_ack(message: Message) -> None:
-    # Drop the payload so the free list cannot pin RelAck objects.
-    message.payload = None
-    message.trace_id = None
 
 
 @dataclass(frozen=True)
@@ -145,13 +134,6 @@ class ReliableTransport:
         self._tx: Dict[Tuple[str, str], _TxChannel] = {}
         self._rx: Dict[Tuple[str, str], _RxChannel] = {}
         self._attached: set = set()
-        # Ack envelopes have a closed lifecycle (created in _on_data,
-        # consumed in _on_ack) *unless* the fault plan can duplicate a
-        # transmission, in which case the same object may be delivered
-        # twice and must not be recycled after the first delivery.
-        self._ack_pool = Pool(
-            _blank_ack, reset=_reset_ack, capacity=256, name="rel.acks"
-        )
 
     # ------------------------------------------------------------------
     # Wiring
@@ -280,9 +262,6 @@ class ReliableTransport:
             entry = tx.unacked.pop(message.payload.seq, None)
             if entry is not None:
                 entry[1].cancel()
-        # The receiving handler is the last holder of a pooled ack.
-        if message.__dict__.get("_pooled"):
-            self._ack_pool.release(message)
 
     # ------------------------------------------------------------------
     # Receiver side
@@ -293,27 +272,15 @@ class ReliableTransport:
         channel = (message.src, message.dst)
         rx = self._rx.setdefault(channel, _RxChannel())
         # Always (re-)ack: a lost ack shows up as a duplicate here.
-        faults = self.network.faults
-        if faults is None or not faults.may_duplicate:
-            ack = self._ack_pool.acquire()
-            ack.src = message.dst
-            ack.dst = message.src
-            ack.payload = RelAck(seq=data.seq)
-            ack.scope = message.scope
-            # Fresh id: keeps the global id stream — and thus any
-            # output that includes message ids — byte-identical to the
-            # unpooled path.
-            ack.msg_id = allocate_msg_id()
-            ack._pooled = True
-        else:
-            ack = Message(
+        self.network._send_fixed_raw(
+            Message(
                 kind=KIND_ACK,
                 src=message.dst,
                 dst=message.src,
                 payload=RelAck(seq=data.seq),
                 scope=message.scope,
             )
-        self.network._send_fixed_raw(ack)
+        )
         # The sender's floor proves everything below it will never
         # arrive; release buffered messages past the permanent gap.
         while rx.next_expected < data.floor:

@@ -374,18 +374,6 @@ _register(Scenario(
     tags=("mutex", "monitor", "obs", "smoke"),
 ))
 _register(Scenario(
-    name="smoke_pooled",
-    description="the smoke_mutex workload under the event/envelope "
-                "free-list pools' retained-allocation gate",
-    run=lambda: loaded_system(6, 40, 2000.0),
-    smoke=True,
-    tags=("mutex", "pool", "smoke"),
-    # The pools bound their free lists (scheduler events 4096, rel
-    # acks 256), so steady-state retention must stay
-    # tiny relative to the ~500k events this workload fires.
-    max_retained_blocks_per_kevent=500.0,
-))
-_register(Scenario(
     name="sched_density_heap",
     description="pure scheduler at 20k pending events, binary heap",
     run=lambda: scheduler_density(20_000, 300_000),

@@ -7,10 +7,11 @@ call sequence.
 
 Hot-path design (this is the innermost loop of every simulation):
 
-* Heap entries are plain ``(time, seq, event)`` tuples.  ``seq`` is
-  unique, so comparisons resolve on the first two slots in C-level
-  tuple comparison and the :class:`Event` object itself is never
-  compared -- no Python-level ``__lt__`` dispatch per sift step.
+* Heap entries are plain ``(time, seq, action, args, event)`` tuples.
+  ``seq`` is unique, so comparisons resolve on the first two slots in
+  C-level tuple comparison and nothing behind them is ever compared --
+  no Python-level ``__lt__`` dispatch per sift step.  The loop fires
+  ``entry[2](*entry[3])``; slot 4 is looked at only for cancellation.
 * Cancellation is lazy with an exact live counter: ``cancel()``
   increments ``_n_cancelled`` while the entry stays in the heap, pops
   decrement it, so :attr:`pending_count` and :meth:`drain` are O(1)
@@ -20,9 +21,9 @@ Hot-path design (this is the innermost loop of every simulation):
   no cancelled entry ever reaches the heap top.
 * Fire-and-forget work uses :meth:`Scheduler.post` /
   :meth:`Scheduler.post_at`, which return no handle; because nothing
-  can cancel (or even see) such an event, the scheduler recycles the
-  :class:`Event` object through a :class:`repro.pool.Pool` free list
-  the moment it fires.
+  can cancel (or even see) such an event, no :class:`Event` object is
+  built for it at all -- slot 4 of its entry is ``None`` and the heap
+  tuple is the only allocation.
 
 The deterministic substrate beneath every protocol in the paper reproduction.
 """
@@ -33,35 +34,28 @@ import heapq
 from typing import Any, Callable, Optional
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.pool import Pool
 
 
 class Event:
-    """A scheduled callback.
+    """The handle of a scheduled callback.
 
     Instances are returned by :meth:`Scheduler.schedule_at` /
     :meth:`Scheduler.schedule` and may be cancelled before they fire.
-    Events created by the handle-free ``post`` API are marked
-    ``pooled`` and recycled after firing; they are never exposed.
+    The callback and its arguments live in the heap entry, not here;
+    the handle-free ``post`` API builds no handle at all.
     """
 
-    __slots__ = ("time", "seq", "action", "args", "cancelled", "pooled",
-                 "_scheduler")
+    __slots__ = ("time", "seq", "cancelled", "_scheduler")
 
     def __init__(
         self,
         time: float,
         seq: int,
-        action: Optional[Callable[..., Any]],
-        args: tuple,
         scheduler: Optional["Scheduler"] = None,
     ) -> None:
         self.time = time
         self.seq = seq
-        self.action = action
-        self.args = args
         self.cancelled = False
-        self.pooled = False
         # Back-reference used only to keep the scheduler's cancelled
         # counter exact; cleared when the entry leaves the heap so a
         # late cancel() of an already-fired event cannot skew it.
@@ -80,19 +74,6 @@ class Event:
         return f"Event(t={self.time:.4f}, seq={self.seq}, {state})"
 
 
-def _new_blank_event() -> Event:
-    return Event(0.0, 0, None, (), None)
-
-
-def _reset_event(event: Event) -> None:
-    # Drop callback/argument references so the free list cannot pin
-    # protocol objects (messages, hosts) alive between reuses.
-    event.action = None
-    event.args = ()
-    event.cancelled = False
-    event._scheduler = None
-
-
 class Scheduler:
     """Binary-heap discrete-event scheduler.
 
@@ -102,38 +83,19 @@ class Scheduler:
     * events scheduled at the same time fire in the order they were
       scheduled (FIFO tie-break via a sequence counter);
     * :attr:`now` never moves backwards.
-
-    Args:
-        pooling: recycle ``post``/``post_at`` event objects through a
-            free list (byte-identical behaviour; saves ~1 allocation
-            per fire-and-forget event).  Disable to rule pooling out
-            when debugging.
     """
 
     #: compaction only kicks in past this many cancelled entries, so
     #: small heaps never pay the rebuild.
     _COMPACT_MIN = 64
 
-    #: retained-block bound for the event free list.
-    _POOL_CAPACITY = 4096
-
-    def __init__(self, pooling: bool = True) -> None:
+    def __init__(self) -> None:
         self._heap: list = []
         self._seq = 0
         self.now: float = 0.0
         self._events_processed = 0
         self._n_cancelled = 0
         self._running = False
-        self._pool: Optional[Pool] = (
-            Pool(
-                _new_blank_event,
-                reset=_reset_event,
-                capacity=self._POOL_CAPACITY,
-                name="scheduler.events",
-            )
-            if pooling
-            else None
-        )
 
     @property
     def events_processed(self) -> int:
@@ -150,9 +112,13 @@ class Scheduler:
         return len(self._heap) - self._n_cancelled
 
     @property
-    def pool_stats(self) -> Optional[dict]:
-        """Event free-list counters, or ``None`` with pooling off."""
-        return self._pool.stats() if self._pool is not None else None
+    def pool_stats(self) -> None:
+        """Always ``None``: the scheduler recycles no objects.
+
+        Kept as a name only, because the repository benchmark
+        (``bench/workloads.py``) reads it from every simulation.
+        """
+        return None
 
     def _note_cancel(self) -> None:
         """Bookkeeping for one newly cancelled in-heap entry.
@@ -176,10 +142,14 @@ class Scheduler:
         In-place (slice assignment) so aliases of ``_heap`` held by a
         running loop stay valid.  Rebuilding preserves the firing order
         exactly: ``(time, seq)`` keys are unique, so the heap's pop
-        sequence is the sorted order regardless of layout.
+        sequence is the sorted order regardless of layout.  Handle-free
+        entries (slot 4 ``None``) cannot be cancelled and always stay.
         """
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap[:] = [
+            entry for entry in heap
+            if entry[4] is None or not entry[4].cancelled
+        ]
         heapq.heapify(heap)
         self._n_cancelled = 0
 
@@ -187,21 +157,24 @@ class Scheduler:
         self, time: float, action: Callable[..., Any], *args: Any
     ) -> Event:
         """Schedule ``action(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
+        # ``not >=`` rather than ``<``: a NaN time fails every ordered
+        # comparison, and one that got in would set ``now`` to NaN and
+        # make every later past-time check vacuous.
+        if not time >= self.now:
             raise ConfigurationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, action, args, self)
-        heapq.heappush(self._heap, (time, seq, event))
+        event = Event(time, seq, self)
+        heapq.heappush(self._heap, (time, seq, action, args, event))
         return event
 
     def schedule(
         self, delay: float, action: Callable[..., Any], *args: Any
     ) -> Event:
         """Schedule ``action(*args)`` after a nonnegative ``delay``."""
-        if delay < 0:
+        if not delay >= 0:
             raise ConfigurationError(f"negative delay: {delay}")
         return self.schedule_at(self.now + delay, action, *args)
 
@@ -210,50 +183,24 @@ class Scheduler:
     ) -> None:
         """Fire-and-forget :meth:`schedule_at`: returns no handle.
 
-        Because the event can never be cancelled or inspected, its
-        :class:`Event` object is recycled through the scheduler's free
-        list when it fires.  Identical ordering (same ``seq`` stream)
-        to ``schedule_at``.
+        Because the event can never be cancelled or inspected, no
+        :class:`Event` is built for it: the heap entry is the whole
+        record.  Identical ordering (same ``seq`` stream) to
+        ``schedule_at``.
         """
-        if time < self.now:
+        if not time >= self.now:
             raise ConfigurationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
-        pool = self._pool
-        if pool is None:
-            event = Event(time, seq, action, args, None)
-        elif pool._outstanding is None:
-            # Fast path: the free list is touched directly; the method
-            # call plus reset hook of Pool.acquire cost more than the
-            # whole enqueue at this call rate.
-            free = pool._free
-            if free:
-                event = free.pop()
-                pool.reused += 1
-                event.time = time
-                event.seq = seq
-                event.action = action
-                event.args = args
-            else:
-                event = Event(time, seq, action, args, None)
-                pool.created += 1
-            event.pooled = True
-        else:
-            event = pool.acquire()
-            event.time = time
-            event.seq = seq
-            event.action = action
-            event.args = args
-            event.pooled = True
-        heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self._heap, (time, seq, action, args, None))
 
     def post(
         self, delay: float, action: Callable[..., Any], *args: Any
     ) -> None:
         """Fire-and-forget :meth:`schedule`: returns no handle."""
-        if delay < 0:
+        if not delay >= 0:
             raise ConfigurationError(f"negative delay: {delay}")
         self.post_at(self.now + delay, action, *args)
 
@@ -265,18 +212,17 @@ class Scheduler:
         """
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)[2]
-            if event.cancelled:
-                self._n_cancelled -= 1
-                continue
-            event._scheduler = None
-            if event.time < self.now:  # pragma: no cover - defensive
+            time, _, action, args, event = heapq.heappop(heap)
+            if event is not None:
+                if event.cancelled:
+                    self._n_cancelled -= 1
+                    continue
+                event._scheduler = None
+            if time < self.now:  # pragma: no cover - defensive
                 raise SimulationError("event time moved backwards")
-            self.now = event.time
+            self.now = time
             self._events_processed += 1
-            event.action(*event.args)
-            if event.pooled:
-                self._pool.release(event)
+            action(*args)
             n_cancelled = self._n_cancelled
             if n_cancelled > self._COMPACT_MIN and n_cancelled * 2 >= len(heap):
                 self._compact()
@@ -304,18 +250,14 @@ class Scheduler:
         # place, so the alias stays valid across callbacks.
         heap = self._heap
         heappop = heapq.heappop
-        pool = self._pool
-        fast_pool = pool is not None and pool._outstanding is None
-        free = pool._free if pool is not None else None
-        pool_capacity = pool.capacity if pool is not None else 0
         compact_min = self._COMPACT_MIN
         try:
             while heap:
                 if max_events is not None and fired >= max_events:
                     return fired
                 entry = heap[0]
-                event = entry[2]
-                if event.cancelled:
+                event = entry[4]
+                if event is not None and event.cancelled:
                     heappop(heap)
                     self._n_cancelled -= 1
                     continue
@@ -323,25 +265,14 @@ class Scheduler:
                 if until is not None and time > until:
                     break
                 heappop(heap)
-                event._scheduler = None
+                if event is not None:
+                    event._scheduler = None
                 if time < self.now:  # pragma: no cover - defensive
                     raise SimulationError("event time moved backwards")
                 self.now = time
                 self._events_processed += 1
-                event.action(*event.args)
+                entry[2](*entry[3])
                 fired += 1
-                if event.pooled:
-                    if fast_pool:
-                        # Inline Pool.release + _reset_event: one method
-                        # call per event is the single biggest loop cost.
-                        event.action = None
-                        event.args = ()
-                        event.cancelled = False
-                        pool.released += 1
-                        if len(free) < pool_capacity:
-                            free.append(event)
-                    else:
-                        pool.release(event)
                 # Reclaim interleaved cancellations: live pops shrink the
                 # heap, so the cancelled fraction can cross 1/2 without
                 # any new cancel() ever seeing it (the _note_cancel check

@@ -74,3 +74,12 @@ def test_property_clock_exceeds_everything_witnessed(counters):
         clock.witness(Timestamp(counter, "other"))
     if counters:
         assert clock.counter > max(counters)
+
+
+@given(st.lists(st.integers(0, 100), max_size=30))
+def test_property_merge_moves_the_counter_exactly_as_witness(counters):
+    merged, witnessed = LamportClock("me"), LamportClock("me")
+    for counter in counters:
+        assert merged.merge(Timestamp(counter, "other")) is None
+        stamp = witnessed.witness(Timestamp(counter, "other"))
+        assert merged.peek() == stamp

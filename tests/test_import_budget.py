@@ -57,6 +57,9 @@ def test_cli_mutex_run_loads_only_its_layers():
     )
     assert not loaded.intersection(UNUSED_BY_A_MUTEX_RUN)
     assert "repro.mutex" in loaded and "repro.net" in loaded
+    # The budget: 40 while every Simulation still imported repro.pool.
+    ours = {name for name in loaded if name.split(".")[0] == "repro"}
+    assert len(ours) <= 39, sorted(ours)
 
 
 def test_monitored_simulation_loads_monitors_but_no_http_server():

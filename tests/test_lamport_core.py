@@ -6,14 +6,22 @@ These tests run the substrate over a synchronous in-memory transport
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from typing import Dict, List
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.clock import Timestamp
 from repro.errors import ProtocolError
-from repro.mutex.lamport_core import LamportMutexNode, MutexTransport
+from repro.mutex.lamport_core import (
+    LamportMutexNode,
+    MutexTransport,
+    ReleasePayload,
+    ReplyPayload,
+    RequestPayload,
+)
 
 
 class LoopbackNet:
@@ -256,3 +264,105 @@ def test_property_safety_and_liveness_under_any_request_order(requests):
         served += 1
         net.pump()
     assert len(grants) == expected
+
+
+def _lone_node(on_granted):
+    """``n0`` with three peers on a bus nobody pumps: the peers never
+    answer, the test plays them itself."""
+    ids = ["n0", "n1", "n2", "n3"]
+    node = LamportMutexNode(
+        "n0", LoopbackTransport(LoopbackNet(), "n0", ids), "lam", on_granted)
+    return node, ids[1:]
+
+
+@pytest.mark.parametrize("seed", [7, 19, 1994])
+def test_kept_head_matches_a_full_scan_after_every_step(seed):
+    """Differential: one node driven through random interleavings of
+    every operation that edits its queue; after each step the kept head
+    is either "unknown" or exactly what a brute-force ``min()`` over
+    the queue returns, and ``_min_queue_entry`` returns exactly that."""
+    rng = random.Random(seed)
+    granted = []
+    node, peers = _lone_node(granted.append)
+    tags = [f"t{i}" for i in range(4)]
+
+    def peer_stamp():
+        # A narrow counter range: stamps collide across tags and land
+        # on either side of the current head all the time.
+        origin = rng.choice(peers)
+        return origin, Timestamp(rng.randrange(1, 12), origin)
+
+    def step():
+        op = rng.randrange(9)
+        tag = rng.choice(tags)
+        if op == 0:
+            if tag not in node.pending_tags() + node.held_tags():
+                node.request(tag)
+        elif op == 1:  # a new key, or a re-announce overwriting one
+            origin, ts = peer_stamp()
+            node.on_request(RequestPayload(ts, origin, tag))
+        elif op == 2:  # a late stamp: lets own requests reach the grant
+            origin = rng.choice(peers)
+            node.on_reply(ReplyPayload(
+                Timestamp(node.clock.counter + 5, origin), origin))
+        elif op == 3:
+            origin, ts = peer_stamp()
+            node.on_release(ReleasePayload(ts, origin, tag))
+        elif op == 4:
+            if tag in node.held_tags():
+                node.release(tag)
+        elif op == 5:
+            node.abort(tag)
+        elif op == 6:
+            node.forget_origin(rng.choice(peers))
+        elif op == 7:
+            if rng.random() < 0.1:
+                node.reset_volatile()
+        else:  # own request re-stamped in place, as a re-announce would
+            own = [key for key in node._queue if key[0] == "n0"]
+            if own:
+                node._enqueue(rng.choice(own), node.clock.tick())
+
+    moved = 0
+    for _ in range(3000):
+        before = node._head
+        step()
+        queue = node._queue
+        brute = min(queue, key=queue.__getitem__) if queue else None
+        assert node._head in (None, brute)
+        # Read (and so repair) the head only on some steps: a bystander
+        # never reads it, and "unknown" has to survive further edits.
+        if rng.random() < 0.5:
+            assert node._min_queue_entry() == brute
+            assert node._head == brute
+        moved += brute != before
+    assert granted and moved > 300  # the walk reached every branch
+
+
+def test_head_is_kept_across_edits_that_cannot_move_it():
+    """A bystander pays a compare per insert, not a scan: only taking
+    the head away makes it unknown, and the next reader re-scans."""
+    node, _ = _lone_node(on_granted=None)
+
+    def request(counter, origin):
+        node.on_request(
+            RequestPayload(Timestamp(counter, origin), origin, "t"))
+
+    def release(origin):
+        node.on_release(
+            ReleasePayload(Timestamp(20, origin), origin, "t"))
+
+    request(5, "n1")
+    assert node._head == ("n1", "t")
+    request(7, "n2")  # behind the head
+    assert node._head == ("n1", "t")
+    request(3, "n3")  # ahead of it
+    assert node._head == ("n3", "t")
+    release("n2")  # not the head
+    assert node._head == ("n3", "t")
+    release("n3")
+    assert node._head is None and node.queue_size == 1
+    assert node._min_queue_entry() == node._head == ("n1", "t")
+    release("n1")
+    request(9, "n2")  # into an empty queue: known again at once
+    assert node._head == ("n2", "t")

@@ -47,17 +47,12 @@ GROUP_GOLDEN = {
 }
 
 #: every observation mode the facade supports -- monitors on the
-#: ledger (trace=False) or per event (trace=True), recording or not --
-#: and the pooling toggle (a pure engine swap).
+#: ledger (trace=False) or per event (trace=True), recording or not.
 MODES = [
     pytest.param(dict(trace=False, monitors=None), id="bare"),
     pytest.param(dict(trace=True, monitors=None), id="trace"),
     pytest.param(dict(trace=False, monitors=True), id="monitors"),
     pytest.param(dict(trace=True, monitors=True), id="trace+monitors"),
-    pytest.param(dict(trace=False, monitors=None, pooling=False),
-                 id="bare-unpooled"),
-    pytest.param(dict(trace=True, monitors=True, pooling=False),
-                 id="everything"),
 ]
 
 

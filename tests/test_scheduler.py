@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim import Scheduler
+from repro.sim import Event, Scheduler
 
 
 def test_events_fire_in_time_order():
@@ -101,6 +101,23 @@ def test_schedule_at_past_rejected():
     sched.drain()
     with pytest.raises(ConfigurationError):
         sched.schedule_at(0.5, lambda: None)
+
+
+@pytest.mark.parametrize(
+    "method", ["post", "post_at", "schedule", "schedule_at"])
+def test_nan_time_rejected(method):
+    # NaN fails every ordered comparison: a ``time < now`` guard lets it
+    # in, it fires, and ``now`` becomes NaN -- after which no past-time
+    # check can ever trip again.
+    sched = Scheduler()
+    fired = []
+    with pytest.raises(ConfigurationError):
+        getattr(sched, method)(float("nan"), fired.append, "nan")
+    assert sched.pending_count == 0
+    sched.post_at(1.0, fired.append, "ok")
+    sched.run()
+    assert fired == ["ok"]
+    assert sched.now == 1.0
 
 
 def test_max_events_bounds_run():
@@ -401,7 +418,7 @@ def test_run_until_on_empty_queue_advances_clock():
 
 
 # ----------------------------------------------------------------------
-# Fire-and-forget posting and the event free list
+# Fire-and-forget posting: heap entries without an Event
 # ----------------------------------------------------------------------
 
 def test_random_workload_fires_everything_posted():
@@ -415,24 +432,76 @@ def test_random_workload_fires_everything_posted():
     assert sched.pending_count == 0
 
 
-def test_pool_recycles_fire_and_forget_events():
+def test_post_constructs_no_event(monkeypatch):
+    built = []
+    init = Event.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Event, "__init__", counting_init)
     sched = Scheduler()
-    for _ in range(3):
-        for i in range(100):
-            sched.post_at(sched.now + 1.0 + i * 0.01, lambda: None)
-        sched.run()
-    stats = sched.pool_stats
-    assert stats is not None
-    # After warmup, posts are served from the free list, not malloc.
-    assert stats["reused"] > 0
-    assert stats["created"] <= 100
-    assert stats["released"] == stats["created"] + stats["reused"]
-
-
-def test_pooling_off_allocates_fresh_events():
-    sched = Scheduler(pooling=False)
     fired = []
-    sched.post_at(1.0, fired.append, "a")
+    for i in range(50):
+        sched.post_at(1.0 + i, fired.append, i)
+        sched.post(0.5 + i, fired.append, -i)
+    assert built == []
+    handle = sched.schedule_at(1.0, fired.append, "handle")
+    assert built == [handle]
     sched.run()
-    assert fired == ["a"]
-    assert sched.pool_stats is None
+    assert len(fired) == 101
+    assert built == [handle]
+    assert sched.pool_stats is None  # the name the benchmark reads
+
+
+def test_handle_free_and_handle_entries_interleave_through_compaction():
+    # Posts (no Event) and schedules (Event in slot 4) share times; most
+    # handles are cancelled, enough to compact once from cancel() and
+    # once more from the run loop's live pops.  Survivors fire in seq
+    # order, compaction drops only cancelled handles, and pending_count
+    # stays exact throughout.
+    sched = Scheduler()
+    compact = sched._compact
+    handle_free = []  # (before, after) counts around each compaction
+
+    def counting_compact():
+        before = sum(1 for entry in sched._heap if entry[4] is None)
+        compact()
+        after = sum(1 for entry in sched._heap if entry[4] is None)
+        handle_free.append((before, after))
+
+    sched._compact = counting_compact
+    fired = []
+    handles = []
+    expected = []
+    n = 16 * sched._COMPACT_MIN
+    for i in range(n):
+        time = float(i // 8)  # runs of eight entries share a time
+        if i % 4:
+            handles.append((i, sched.schedule_at(time, fired.append, i)))
+        else:
+            sched.post_at(time, fired.append, i)
+            expected.append(i)
+    assert sched.pending_count == n
+    cancelled = 0
+    for k, (i, handle) in enumerate(handles):
+        if k % 6:
+            handle.cancel()
+            cancelled += 1
+            assert sched.pending_count == n - cancelled
+        else:
+            expected.append(i)
+    assert len(handle_free) == 1  # compacted from cancel()
+    # the cancels after that compaction are still parked in the heap.
+    assert len(sched._heap) - sched.pending_count > sched._COMPACT_MIN
+    expected.sort()
+    survivors = n - cancelled
+    for already in range(0, survivors, 7):
+        assert sched.pending_count == survivors - already
+        assert sched.run(max_events=7) == min(7, survivors - already)
+        assert fired == expected[:already + 7]
+    assert len(handle_free) == 2  # and again from the run loop
+    assert all(before == after > 0 for before, after in handle_free)
+    assert sched.pending_count == 0
+    assert sched._heap == []

@@ -26,9 +26,8 @@ ANCHOR_RE = re.compile(
 
 #: modules the perf arc leans on hardest; the walk must find and pass
 #: every one of these, so a rename or move cannot silently drop the
-#: scheduler or the object pools out of the lint.
+#: scheduler or the monitor hub out of the lint.
 REQUIRED_MODULES = (
-    os.path.join("pool", "__init__.py"),      # free-list object pools
     os.path.join("sim", "scheduler.py"),      # the heap event queue
     os.path.join("monitor", "hub.py"),        # monitor dispatch + drain
     os.path.join("perf", "scenarios.py"),     # BENCH workloads
