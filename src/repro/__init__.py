@@ -47,8 +47,8 @@ _LAYER_OF = {
         "repro.errors": (
             "ConfigurationError", "FairnessViolation",
             "InvariantViolationError", "MutualExclusionViolation",
-            "NotConnectedError", "PerfGateError", "ProtocolError",
-            "ReproError", "SimulationError", "UnknownHostError",
+            "NotConnectedError", "ProtocolError", "ReproError",
+            "SimulationError", "UnknownHostError",
         ),
         "repro.facade": ("Simulation",),
         "repro.faults": (

@@ -11,9 +11,10 @@ Three subcommands, one per section of the paper::
 
 plus ``multicast`` (the paper's reference [1]), ``compare`` (measured
 vs predicted costs), ``trace`` (run a canonical traced scenario and
-export it as a Mermaid diagram, JSONL, or Chrome trace JSON -- see
-``docs/cli.md``) and ``perf`` (the benchmark harness -- see
-``docs/performance.md``).
+export it as a Mermaid diagram, JSONL, or Chrome trace JSON),
+``monitor``, ``scenarios``, ``scale`` and ``serve`` -- see
+``docs/cli.md``.  Simulator speed is not measured from here: the
+repository benchmark is ``bench/run.py`` (``docs/performance.md``).
 
 Each prints a summary of what happened plus the cost report in the
 paper's currency.  All runs are deterministic for a given ``--seed``.
@@ -288,30 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--linger", type=float, default=0.0,
                        help="wall-clock seconds to keep serving after "
                             "a bounded --duration run completes")
-
-    perf = sub.add_parser(
-        "perf",
-        help="measure events/sec on the curated perf scenarios",
-    )
-    perf.add_argument(
-        "--scenario", default=None, metavar="NAME",
-        help="scenario to measure (default: all; see --list)",
-    )
-    perf.add_argument(
-        "--repeats", type=int, default=3,
-        help="repeats per scenario, best-of (default 3)",
-    )
-    perf.add_argument(
-        "--list", action="store_true", dest="list_scenarios",
-        help="list the available scenarios and exit",
-    )
-    perf.add_argument(
-        "--compare", default=None, metavar="BENCH",
-        help="after measuring, print a per-scenario delta table "
-             "against this BENCH_<n>.json record (speedup/regression "
-             "%% and gate margins); exits 1 on a regression past the "
-             "CI floor",
-    )
 
     return parser
 
@@ -1052,7 +1029,7 @@ def _run_serve(args, emit) -> int:
 
     from repro.facade import Simulation
     from repro.mutex import CriticalResource, L2Mutex
-    from repro.obs import TelemetryServer, instrument_network
+    from repro.obs import TelemetryServer
     from repro.workload import MutexWorkload
 
     sim = Simulation(
@@ -1061,7 +1038,6 @@ def _run_serve(args, emit) -> int:
         seed=args.seed,
         monitors=True,
     )
-    instrument_network(sim.network, sim.monitor_hub.timers)
     resource = CriticalResource(sim.scheduler)
     mutex = L2Mutex(sim.network, resource, cs_duration=0.3)
     workload = MutexWorkload(
@@ -1102,121 +1078,6 @@ def _run_serve(args, emit) -> int:
     return 0
 
 
-def _run_perf(args, emit) -> int:
-    from repro.errors import ConfigurationError, PerfGateError
-    from repro.perf import SCENARIOS, run_scenario, scenario_names
-
-    if args.list_scenarios:
-        for name in scenario_names():
-            scenario = SCENARIOS[name]
-            tag = " [smoke]" if scenario.smoke else ""
-            emit(f"{name:<18} {scenario.description}{tag}")
-        return 0
-    names = [args.scenario] if args.scenario else scenario_names()
-    if args.compare:
-        return _run_perf_compare(args, names, emit)
-    for name in names:
-        try:
-            result = run_scenario(name, repeats=args.repeats)
-        except ConfigurationError as exc:
-            raise SystemExit(f"perf: {exc}") from exc
-        except PerfGateError as exc:
-            emit(f"perf: GATE FAILED: {exc}")
-            return 1
-        gates = ""
-        if result.rss_growth_kb is not None:
-            gates = f"  rss+{result.rss_growth_kb}KiB"
-        emit(f"{name:<18} {result.events:>9} events  "
-             f"{result.wall_time_s:>8.3f}s  "
-             f"{result.events_per_sec:>10.0f} ev/s{gates}")
-    return 0
-
-
-#: the CI regression floor `repro perf --compare` reports margins
-#: against (normalized events/sec as a fraction of the baseline's;
-#: same default as tools/perf_harness.py --check).
-_PERF_FLOOR = 0.70
-
-
-def _run_perf_compare(args, names, emit) -> int:
-    """Measure, then diff against a recorded BENCH_<n>.json."""
-    from repro.errors import ConfigurationError, PerfGateError
-    from repro.perf import (
-        SCENARIOS,
-        check_regressions,
-        compare,
-        delta_table,
-        load_bench,
-        run_suite,
-    )
-
-    try:
-        baseline = load_bench(args.compare)
-    except OSError as exc:
-        raise SystemExit(f"perf: cannot load {args.compare}: {exc}")
-    except (ValueError, ConfigurationError) as exc:
-        raise SystemExit(f"perf: {exc}")
-    try:
-        current = run_suite(names, repeats=args.repeats, progress=emit)
-    except ConfigurationError as exc:
-        raise SystemExit(f"perf: {exc}") from exc
-    except PerfGateError as exc:
-        emit(f"perf: GATE FAILED: {exc}")
-        return 1
-    deltas = compare(current, baseline)
-    # Scenarios measured now but absent from the baseline record (a
-    # scenario added since that BENCH was written) have no delta; they
-    # are reported informationally instead of crashing or silently
-    # vanishing from the table.
-    new_names = [
-        name for name in current["scenarios"]
-        if name not in baseline["scenarios"]
-    ]
-    if not deltas and not new_names:
-        emit(f"perf: no scenarios in common with {args.compare}")
-        return 1
-    emit("")
-    emit(f"vs {args.compare}:")
-    if deltas:
-        emit(delta_table(deltas))
-    for name in new_names:
-        cur = current["scenarios"][name]
-        emit(f"{name:<18}{'new scenario (no baseline)':>30}  "
-             f"{cur['events_per_sec']:>10.0f} ev/s")
-    emit("")
-    emit(f"gate margins (CI floor: {_PERF_FLOOR:.2f}x normalized):")
-    for delta in deltas:
-        ratio = (
-            delta.normalized_ratio
-            if delta.normalized_ratio is not None
-            else delta.raw_ratio
-        )
-        cur = current["scenarios"][delta.name]
-        scenario = SCENARIOS.get(delta.name)
-        if scenario is None:
-            continue
-        bits = [f"speed {(ratio - _PERF_FLOOR) * 100:+8.1f}pt above floor"]
-        if (scenario.max_rss_growth_kb is not None
-                and cur.get("rss_growth_kb") is not None):
-            bits.append(
-                f"rss {cur['rss_growth_kb']}/"
-                f"{scenario.max_rss_growth_kb} KiB"
-            )
-        if (scenario.max_retained_blocks_per_kevent is not None
-                and cur.get("retained_blocks_per_kevent") is not None):
-            bits.append(
-                f"retained {cur['retained_blocks_per_kevent']}/"
-                f"{scenario.max_retained_blocks_per_kevent} blk/kev"
-            )
-        emit(f"{delta.name:<18}" + "  ".join(bits))
-    failures = check_regressions(deltas, max_regression=1.0 - _PERF_FLOOR)
-    if failures:
-        for failure in failures:
-            emit(f"perf: REGRESSION: {failure}")
-        return 1
-    return 0
-
-
 #: subcommand -> handler; every handler takes ``(args, emit)`` and
 #: returns the process exit code.
 _COMMANDS = {
@@ -1230,7 +1091,6 @@ _COMMANDS = {
     "scenarios": _run_scenarios,
     "scale": _run_scale,
     "serve": _run_serve,
-    "perf": _run_perf,
 }
 
 

@@ -44,8 +44,3 @@ class ProtocolError(SimulationError):
 
 class InvariantViolationError(SimulationError):
     """An online invariant monitor observed at least one violation."""
-
-
-class PerfGateError(ReproError):
-    """A perf scenario exceeded one of its resource gates (RSS growth
-    or retained allocations) -- see :mod:`repro.perf.harness`."""

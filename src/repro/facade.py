@@ -386,25 +386,12 @@ class Simulation:
         return self._run(self.scheduler.drain, max_events=max_events)
 
     def _run(self, step, **limits) -> int:
-        """Run ``step``; under a ledger hub, attribute its wall time to
-        the scheduler section, net of the observability drains it
-        triggers, and finish with a drain so the monitors have seen
-        every event by the time the caller looks."""
-        hub = self.monitor_hub
-        if hub is None or hub.record:
-            return step(**limits)
-        from time import perf_counter
-
-        timers = hub.timers
-        obs_before = timers.get("drain") + timers.get("monitor")
-        started = perf_counter()
+        """Run ``step``; under a ledger hub, finish with a drain so the
+        monitors have seen every event by the time the caller looks."""
         fired = step(**limits)
-        elapsed = perf_counter() - started
-        obs_delta = (
-            timers.get("drain") + timers.get("monitor") - obs_before
-        )
-        timers.add("scheduler", elapsed - obs_delta)
-        hub.drain_batches()
+        hub = self.monitor_hub
+        if hub is not None and not hub.record:
+            hub.drain_batches()
         return fired
 
     def cost(self, scope: Optional[str] = None) -> float:

@@ -34,7 +34,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.monitor.base import Monitor, Violation
 from repro.monitor.liveness import _REQUEST_SUFFIXES
 from repro.obs.ledger import LedgerSite
-from repro.obs.timing import WallTimers
 from repro.trace.events import TraceEvent, Tracer
 
 __all__ = ["MonitorHub", "replay_events"]
@@ -90,6 +89,11 @@ class MonitorHub(Tracer):
     object's own state lags by at most ``drain_interval`` sim-time (or
     one full segment of rows).
 
+    The hub keeps one wall-clock figure, :attr:`monitor_wall_s`: seconds
+    spent replaying drained batches (``/metrics`` exports it as
+    ``repro_obs_wall_seconds{section="monitor"}``).  It stays 0.0 on a
+    recording hub, which never drains.
+
     Args:
         scheduler: clock source (``None`` for offline replay).
         monitors: the monitor instances to drive.
@@ -118,7 +122,8 @@ class MonitorHub(Tracer):
         self._table: Dict[str, Tuple[_Target, ...]] = {}
         # -- ledger state (cheap to carry on a recording hub) ----------
         self.drain_interval = float(drain_interval)
-        self.timers = WallTimers()
+        #: wall seconds spent replaying drained batches, for /metrics.
+        self.monitor_wall_s = 0.0
         #: ledger drains performed / rows replayed, for /invariants.
         self.drains = 0
         self.rows_dispatched = 0
@@ -387,15 +392,12 @@ class MonitorHub(Tracer):
             self.consume_batch(rows)
         finally:
             self._draining = False
-        consumed = perf_counter()
+        self.monitor_wall_s += perf_counter() - started
         del rows[:]
         self.drains += 1
         self.rows_dispatched += count
         if self.scheduler is not None:
             self.certified_until = self.scheduler.now
-        timers = self.timers
-        timers.add("monitor", consumed - started)
-        timers.add("drain", perf_counter() - consumed)
         return count
 
     def consume_batch(self, rows: Sequence[tuple]) -> None:

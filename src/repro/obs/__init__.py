@@ -9,28 +9,23 @@ the result as a long-lived telemetry service (ROADMAP item 5):
 * :mod:`repro.obs.ledger` -- the append-only per-etype ledger segments
   hot emit sites write fixed-shape row tuples into, drained in batch
   through :meth:`repro.monitor.hub.MonitorHub.consume_batch`.
-* :mod:`repro.obs.timing` -- per-subsystem wall-time counters
-  (scheduler / network / monitor / drain) exported into BENCH records
-  and the ``/metrics`` endpoint.
 * :mod:`repro.obs.service` -- the stdlib-only HTTP telemetry service
   behind ``repro serve``: ``/metrics`` (Prometheus text), ``/health``
   and ``/invariants`` (rolling certification from the drain pass).
 
 ``Simulation(monitors=...)`` runs on the ledger; with ``trace=True``
 the hub records and delivers per event instead, which is the reference
-the ledger is tested against.  See ``docs/observability.md`` for the
-contract and the measured overhead.
+the ledger is tested against.  The one wall-clock sample ``/metrics``
+carries is the hub's own ``monitor_wall_s``.  See
+``docs/observability.md`` for the contract and the measured overhead.
 """
 
 from __future__ import annotations
 
 from repro.obs.ledger import LedgerSite
 from repro.obs.service import TelemetryServer
-from repro.obs.timing import WallTimers, instrument_network
 
 __all__ = [
     "LedgerSite",
     "TelemetryServer",
-    "WallTimers",
-    "instrument_network",
 ]

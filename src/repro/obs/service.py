@@ -7,7 +7,7 @@ and scrapers expect (ROADMAP item 5, ``repro serve``):
 
 * ``/metrics``   -- Prometheus text exposition: the latest
   :class:`~repro.monitor.health.HealthMonitor` sample plus the
-  ``repro_obs_*`` families (per-subsystem wall time, ledger drains,
+  ``repro_obs_*`` families (monitor replay wall time, ledger drains,
   rows replayed).
 * ``/health``    -- one JSON object: liveness of the process, current
   sim-time, scheduler progress.
@@ -32,6 +32,10 @@ from typing import Any, Dict, Optional
 from repro.monitor.health import HealthMonitor, escape_label_value
 
 __all__ = ["TelemetryServer"]
+
+#: how often ``serve_forever`` checks for ``shutdown()``, and so how
+#: long :meth:`TelemetryServer.stop` blocks (stdlib default: 0.5 s).
+_POLL_INTERVAL_S = 0.02
 
 
 class TelemetryServer:
@@ -72,6 +76,7 @@ class TelemetryServer:
         if self._thread is None:
             self._thread = threading.Thread(
                 target=self._httpd.serve_forever,
+                kwargs={"poll_interval": _POLL_INTERVAL_S},
                 name="repro-telemetry",
                 daemon=True,
             )
@@ -134,21 +139,11 @@ class TelemetryServer:
                 "which batched monitors have replayed.",
                 "# TYPE repro_obs_certified_until gauge",
                 f"repro_obs_certified_until {hub.certified_until}",
-            ]
-            timers = hub.timers.snapshot()
-            if timers:
-                lines += [
-                    "# HELP repro_obs_wall_seconds Wall time spent "
-                    "per subsystem section.",
-                    "# TYPE repro_obs_wall_seconds counter",
-                ]
-                for section in sorted(timers):
-                    label = escape_label_value(section)
-                    lines.append(
-                        f'repro_obs_wall_seconds{{section="{label}"}} '
-                        f"{timers[section]:.6f}"
-                    )
-            lines += [
+                "# HELP repro_obs_wall_seconds Wall time spent "
+                "replaying drained ledger batches through the monitors.",
+                "# TYPE repro_obs_wall_seconds counter",
+                f'repro_obs_wall_seconds{{section="monitor"}} '
+                f"{hub.monitor_wall_s:.6f}",
                 "# HELP repro_obs_violations Invariant violations "
                 "per monitor.",
                 "# TYPE repro_obs_violations gauge",

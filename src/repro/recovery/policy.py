@@ -13,7 +13,9 @@ location management, transplanted to recovery:
   host has moved ``distance`` cells since its last checkpoint.  The
   trail can never exceed ``distance``, so the recovery cost is bounded
   by a constant of the operator's choosing, *independent of run
-  length* -- the property the benchmark in ``BENCH_6`` demonstrates.
+  length* -- the property ``repro compare --experiment recovery``
+  checks (recorded with PR 6: the PR-6 column of the history table in
+  ``docs/performance.md``).
 * :class:`NoCheckpointPolicy` -- never checkpoint (baseline; recovery
   restarts from nothing).
 """

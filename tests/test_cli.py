@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 
@@ -199,71 +200,22 @@ class TestCompareCommand:
         assert "N=20" in out and "M=10" in out
 
 
-class TestPerfCommand:
-    def test_list_scenarios(self):
-        code, out = run_cli(["perf", "--list"])
-        assert code == 0
-        assert "smoke_mutex" in out and "[smoke]" in out
+class TestSubcommandTable:
+    """The tier-1 twin of ``test_simulation_has_no_performance_switch``
+    for the CLI: speed is measured by ``bench/run.py`` alone, so the
+    retired ``repro perf`` may not come back as a subcommand."""
 
-    def test_single_scenario_runs(self):
-        code, out = run_cli([
-            "perf", "--scenario", "smoke_search", "--repeats", "1",
-        ])
-        assert code == 0
-        assert "smoke_search" in out and "ev/s" in out
+    SUBCOMMANDS = ("mutex groups proxy multicast compare trace monitor "
+                   "scenarios scale serve").split()
 
-    @staticmethod
-    def _baseline(tmp_path, eps):
-        import json
-
-        from repro.perf import SCHEMA
-
-        # No calibration field: deltas fall back to raw ratios, which
-        # keeps the pass/fail outcome machine-independent.
-        path = tmp_path / "BENCH_0.json"
-        path.write_text(json.dumps({
-            "schema": SCHEMA,
-            "scenarios": {
-                "smoke_search": {"events_per_sec": eps},
-                "not_in_registry": {"events_per_sec": 1.0},
-            },
-        }))
-        return str(path)
-
-    def test_compare_prints_delta_table_and_gate_margins(self, tmp_path):
-        code, out = run_cli([
-            "perf", "--scenario", "smoke_search", "--repeats", "1",
-            "--compare", self._baseline(tmp_path, eps=1.0),
-        ])
-        assert code == 0
-        assert "baseline ev/s" in out and "current ev/s" in out
-        assert "gate margins" in out and "above floor" in out
-        # scenarios only present in the baseline are skipped, not fatal
-        assert "not_in_registry" not in out
-
-    def test_compare_fails_on_regression_past_the_floor(self, tmp_path):
-        code, out = run_cli([
-            "perf", "--scenario", "smoke_search", "--repeats", "1",
-            "--compare", self._baseline(tmp_path, eps=1e12),
-        ])
-        assert code == 1
-        assert "REGRESSION" in out and "floor" in out
-
-    def test_compare_rejects_missing_baseline(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run_cli([
-                "perf", "--scenario", "smoke_search", "--repeats", "1",
-                "--compare", str(tmp_path / "nope.json"),
-            ])
-
-    def test_compare_rejects_bad_schema(self, tmp_path):
-        path = tmp_path / "BENCH_bad.json"
-        path.write_text('{"schema": 99, "scenarios": {}}')
-        with pytest.raises(SystemExit):
-            run_cli([
-                "perf", "--scenario", "smoke_search", "--repeats", "1",
-                "--compare", str(path),
-            ])
+    def test_perf_is_an_invalid_choice_and_the_table_is_exact(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perf"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'perf'" in err
+        offered = re.search(r"\(choose from ([^)]*)\)", err).group(1)
+        assert re.findall(r"[\w-]+", offered) == self.SUBCOMMANDS
 
 
 class TestConfigurationErrors:

@@ -43,9 +43,8 @@ def test_checker_flags_a_bare_module(tmp_path):
 
 
 def test_perf_critical_modules_are_pinned_in_the_checker():
-    """The scheduler, the monitor hub and the perf workloads are named
-    in REQUIRED_MODULES: moving one without updating the lint fails the
-    docs job."""
+    """The scheduler and the monitor hub are named in REQUIRED_MODULES:
+    moving one without updating the lint fails the docs job."""
     import importlib.util
 
     spec = importlib.util.spec_from_file_location(
@@ -57,6 +56,5 @@ def test_perf_critical_modules_are_pinned_in_the_checker():
     required = {os.path.basename(m) for m in mod.REQUIRED_MODULES}
     assert "scheduler.py" in required
     assert "hub.py" in required
-    assert "scenarios.py" in required
     for suffix in mod.REQUIRED_MODULES:
         assert os.path.exists(os.path.join(REPO, "src", "repro", suffix))

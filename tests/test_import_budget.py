@@ -24,7 +24,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: layers (and stdlib machinery) an L2 mutex run never touches.
 UNUSED_BY_A_MUTEX_RUN = (
     "repro.monitor", "repro.recovery", "repro.groups", "repro.proxy",
-    "repro.multicast", "repro.scenario", "repro.perf", "repro.scale",
+    "repro.multicast", "repro.scenario", "repro.scale",
     "http.server", "ssl",
 )
 

@@ -2,9 +2,9 @@
 
 Covers the three routes in-process (payload shape, 404 handling,
 port-0 binding) and end-to-end through ``repro serve`` as a real
-subprocess -- the same smoke the CI ``obs-overhead`` job runs: start
-the server, scrape ``/metrics`` and ``/health``, assert the scrape
-parses.  Part of the service mode of the observability pipeline
+subprocess -- the same smoke the CI ``ledger-telemetry`` job runs:
+start the server, scrape ``/metrics`` and ``/health``, assert the
+scrape parses.  Part of the service mode of the observability pipeline
 (ROADMAP item 5).
 """
 
@@ -42,6 +42,16 @@ def make_running_sim():
 
 def fetch(url: str) -> bytes:
     return urllib.request.urlopen(url, timeout=10).read()
+
+
+def wall_samples(metrics_text: str):
+    """``(section, seconds)`` per ``repro_obs_wall_seconds`` sample."""
+    return [
+        (section, float(value)) for section, value in re.findall(
+            r'^repro_obs_wall_seconds\{section="([^"]*)"\} (\S+)$',
+            metrics_text, re.MULTILINE,
+        )
+    ]
 
 
 class TestTelemetryServer:
@@ -102,6 +112,35 @@ class TestTelemetryServer:
                            "rows_dispatched": 0, "certified_until": 0.0}
             text = fetch(server.url + "/metrics").decode()
             assert "repro_obs_sim_time" in text
+            assert "repro_obs_wall_seconds" not in text
+
+    def test_stop_returns_promptly(self):
+        """``stop()`` waits out one ``serve_forever`` poll; at the
+        stdlib's default interval that was half a second per server."""
+        server = TelemetryServer(Simulation(n_mss=2, n_mh=2, seed=1),
+                                 port=0).start()
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started < 0.25
+
+    def test_wall_seconds_is_the_monitor_replay_alone(self):
+        """One sample, ``section="monitor"``: the replay time the drain
+        measures anyway.  Nothing else is timed, so nothing is wrapped."""
+        started = time.perf_counter()
+        sim = make_running_sim()
+        server = TelemetryServer(sim, port=0)
+        try:
+            first = wall_samples(server.metrics_text())
+            drains = sim.monitor_hub.drains
+            sim.run(until=260.0)
+            second = wall_samples(server.metrics_text())
+        finally:
+            server.stop()
+        elapsed = time.perf_counter() - started
+        assert sim.monitor_hub.drains > drains >= 1
+        assert [section for section, _ in first] == ["monitor"]
+        assert [section for section, _ in second] == ["monitor"]
+        assert 0.0 < first[0][1] <= second[0][1] <= elapsed
 
 
 class TestServeSubcommand:

@@ -291,9 +291,10 @@ class TestClients:
 
 
 class TestRunLengthIndependence:
-    """The BENCH_6 property as a unit test: under distance-based
-    checkpointing the restore cost is a function of the distance bound,
-    not of how long the host has been running and moving."""
+    """The PR-6 property (the history table in docs/performance.md) as
+    a unit test: under distance-based checkpointing the restore cost is
+    a function of the distance bound, not of how long the host has been
+    running and moving."""
 
     @staticmethod
     def _restore_cost(policy: str, n_moves: int) -> float:

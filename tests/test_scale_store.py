@@ -9,7 +9,9 @@ while staying O(1) in scheduler events and metrics entries.
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from repro import Simulation
 from repro.errors import ConfigurationError, SimulationError
 from repro.metrics import Category
+from repro.mutex import CriticalResource, L2Mutex
 from repro.net.messages import Message
 from repro.scale import (
     CROWD_ID,
@@ -26,6 +29,7 @@ from repro.scale import (
     PopulationStore,
     Welford,
 )
+from repro.workload import MutexWorkload
 
 
 def make_sim(n_mss=4, n_mh=12, **kwargs):
@@ -423,6 +427,44 @@ def test_crowd_churn_drives_mass_ops_on_a_tick():
     assert churn.disconnected > 0
     assert churn.reconnected > 0
     assert sim.population.active_count == 0
+
+
+def churned_crowd_events():
+    """One N=10,000 crowd run: churn waves against the arrays plus 16
+    promoted hosts running L2; returns the events fired."""
+    sim = Simulation(n_mss=16, n_mh=10_000, seed=61,
+                     population_store=True, max_active=64)
+    churn = CrowdChurn(sim.population, sim.scheduler, tick=10.0,
+                       move_fraction=0.01, disconnect_fraction=0.002,
+                       reconnect_fraction=0.5, rng=random.Random(67))
+    churn.start()
+    mutex = L2Mutex(sim.network, CriticalResource(sim.scheduler),
+                    cs_duration=0.3)
+    workload = MutexWorkload(sim.network, mutex,
+                             [sim.mh_id(i) for i in range(16)],
+                             request_rate=0.05, rng=random.Random(71))
+    sim.run(until=200.0)
+    churn.stop()
+    workload.stop()
+    sim.drain()
+    assert churn.moved > 0 and churn.disconnected > 0
+    return sim.scheduler.events_processed
+
+
+def test_a_repeated_crowd_run_retains_no_allocations():
+    """A finished run gives its memory back: after one warm-up (lazy
+    imports, interned strings), a second identical run leaves at most
+    50 allocated blocks per thousand events behind.  A per-event leak
+    -- an unbounded per-MH dict, a history list that never truncates
+    -- reads in the thousands."""
+    warm_up = churned_crowd_events()
+    gc.collect()
+    before = sys.getallocatedblocks()
+    events = churned_crowd_events()
+    gc.collect()
+    retained = sys.getallocatedblocks() - before
+    assert events == warm_up
+    assert retained / (events / 1000.0) <= 50
 
 
 def test_crowd_churn_rejects_bad_tick():

@@ -30,7 +30,6 @@ ANCHOR_RE = re.compile(
 REQUIRED_MODULES = (
     os.path.join("sim", "scheduler.py"),      # the heap event queue
     os.path.join("monitor", "hub.py"),        # monitor dispatch + drain
-    os.path.join("perf", "scenarios.py"),     # BENCH workloads
 )
 
 
