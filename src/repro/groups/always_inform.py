@@ -16,8 +16,7 @@ protocol in the paper's reference [6] to groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, NamedTuple
 
 from repro.groups.base import GroupStrategy
 from repro.net.messages import Message
@@ -26,8 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
 
 
-@dataclass(frozen=True)
-class DirectedCopy:
+class DirectedCopy(NamedTuple):
     """A copy addressed to one member at its believed location."""
 
     dst_mh_id: str
@@ -35,16 +33,14 @@ class DirectedCopy:
     payload: object
 
 
-@dataclass(frozen=True)
-class LocationUpdate:
+class LocationUpdate(NamedTuple):
     """'I moved to ``new_mss_id``' -- updates the receivers' LD(G)."""
 
     mover_mh_id: str
     new_mss_id: str
 
 
-@dataclass(frozen=True)
-class Hello:
+class Hello(NamedTuple):
     """A joining member announces itself and its location
     (membership extension; delivered via search, the newcomer has no
     directory yet)."""
@@ -53,16 +49,14 @@ class Hello:
     mss_id: str
 
 
-@dataclass(frozen=True)
-class Welcome:
+class Welcome(NamedTuple):
     """An existing member tells a newcomer its own location."""
 
     mh_id: str
     mss_id: str
 
 
-@dataclass(frozen=True)
-class Goodbye:
+class Goodbye(NamedTuple):
     """A leaving member asks the others to drop its directory entry."""
 
     mh_id: str

@@ -6,7 +6,7 @@ Common to the paper's Section 4 group location management strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -51,8 +51,7 @@ class GroupStats:
         return self.significant_moves / self.moves
 
 
-@dataclass(frozen=True)
-class DeliveryEnvelope:
+class DeliveryEnvelope(NamedTuple):
     """Wraps a group payload with its message id for exact accounting."""
 
     msg_id: int

@@ -24,8 +24,7 @@ disconnect without disturbing the bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set
 
 from repro.errors import ConfigurationError
 from repro.groups.base import DeliveryEnvelope, GroupStrategy
@@ -35,31 +34,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
 
 
-@dataclass(frozen=True)
-class MoveNotice:
+class MoveNotice(NamedTuple):
     """New MSS -> previous MSS: 'member arrived here from your cell'."""
 
     mh_id: str
     new_mss_id: str
 
 
-@dataclass(frozen=True)
-class ChangeRequest:
+class ChangeRequest(NamedTuple):
     """Previous MSS -> coordinator: add and/or delete view entries."""
 
     add_mss_id: Optional[str]
     delete_mss_id: Optional[str]
 
 
-@dataclass(frozen=True)
-class FullCopy:
+class FullCopy(NamedTuple):
     """Coordinator -> newly added MSS: the complete current view."""
 
     view: frozenset
 
 
-@dataclass(frozen=True)
-class IncrementalUpdate:
+class IncrementalUpdate(NamedTuple):
     """Coordinator -> view MSSs: one (possibly combined) add+delete.
 
     A combined significant move (sole member leaves M' for an outside
@@ -71,8 +66,7 @@ class IncrementalUpdate:
     delete_mss_id: Optional[str]
 
 
-@dataclass(frozen=True)
-class GroupMessage:
+class GroupMessage(NamedTuple):
     """The group payload, fanned out across the view."""
 
     sender_mh_id: str

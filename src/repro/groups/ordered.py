@@ -31,7 +31,7 @@ member; repairs and syncs cost a constant number of messages each.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.groups.location_view import LocationViewGroup
@@ -41,16 +41,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
 
 
-@dataclass(frozen=True)
-class Publish:
+class Publish(NamedTuple):
     """Member -> sequencer: order and distribute this payload."""
 
     sender_mh_id: str
     payload: object
 
 
-@dataclass(frozen=True)
-class Sequenced:
+class Sequenced(NamedTuple):
     """Sequencer -> view MSSs -> members: message ``seq``."""
 
     seq: int
@@ -58,8 +56,7 @@ class Sequenced:
     payload: object
 
 
-@dataclass(frozen=True)
-class RepairRequest:
+class RepairRequest(NamedTuple):
     """Member -> (MSS ->) sequencer: resend these sequence numbers."""
 
     mh_id: str
@@ -67,8 +64,7 @@ class RepairRequest:
     reply_mss_id: str
 
 
-@dataclass(frozen=True)
-class SyncRequest:
+class SyncRequest(NamedTuple):
     """New cell -> sequencer: what is the latest sequence number?"""
 
     mh_id: str

@@ -10,8 +10,7 @@ protocol in the paper's reference [10] from single MHs to groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, NamedTuple
 
 from repro.groups.base import GroupStrategy
 from repro.net.messages import Message
@@ -20,8 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
 
 
-@dataclass(frozen=True)
-class RoutedCopy:
+class RoutedCopy(NamedTuple):
     """One member's copy, relayed through the sender's local MSS."""
 
     dst_mh_id: str

@@ -30,6 +30,10 @@ class Host:
             raise SimulationError("host_id must be a nonempty string")
         self.host_id = host_id
         self.network = network
+        #: ``True`` while this host is down (set by the fault injector
+        #: for a MSS, by ``crash()`` for a MH); a crashed host consumes
+        #: nothing.
+        self.crashed = False
         self._handlers: Dict[str, Handler] = {}
 
     def register_handler(self, kind: str, handler: Handler) -> None:
@@ -55,7 +59,14 @@ class Host:
         message's send event) is recorded and pushed as the causal
         context around the handler, so everything the handler does --
         sends, state changes -- traces back to this receipt.
+
+        The single frame between the scheduler and the handler: an
+        arrival at a crashed host runs no handler and goes to
+        :meth:`_arrived_while_crashed` instead.
         """
+        if self.crashed:
+            self._arrived_while_crashed(message)
+            return
         handler = self._handlers.get(message.kind)
         if handler is None:
             raise ProtocolError(
@@ -92,6 +103,10 @@ class Host:
                 stack.pop()
         else:
             handler(message)
+
+    def _arrived_while_crashed(self, message: Message) -> None:
+        """Account for ``message`` reaching this host while it is down
+        (the message itself is dropped; the default records nothing)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({self.host_id})"

@@ -69,9 +69,6 @@ class MobileHost(Host):
         #: ``True`` while detached because the serving MSS crashed (set
         #: by :meth:`orphan`, cleared on reconnect).
         self.orphaned = False
-        #: ``True`` while this host itself is down (set by :meth:`crash`,
-        #: cleared by :meth:`recover`).
-        self.crashed = False
         #: MSS of the cell most recently left, valid while IN_TRANSIT --
         #: the only station that can vouch for a host that dies mid-move.
         self._transit_prev_mss_id: Optional[str] = None
@@ -422,14 +419,10 @@ class MobileHost(Host):
             raise NotConnectedError(
                 f"{self.host_id} cannot send while {self.state.value}"
             )
-        message = Message(
-            kind=kind,
-            src=self.host_id,
-            dst=self.current_mss_id,
-            payload=payload,
-            scope=scope,
+        self.network.send_wireless_up(
+            self.host_id,
+            Message(kind, self.host_id, self.current_mss_id, payload, scope),
         )
-        self.network.send_wireless_up(self.host_id, message)
 
     def note_downlink_delivery(self, seq: Optional[int]) -> None:
         """Record the sequence number of a successfully received
@@ -446,11 +439,8 @@ class MobileHost(Host):
         # leave/disconnect go out while still attached; join/reconnect
         # right after the state flip -- in all four cases the MH counts
         # as connected, so the plain uplink applies.
-        message = Message(
-            kind=kind,
-            src=self.host_id,
-            dst=self.current_mss_id,
-            payload=payload,
-            scope=MOBILITY_SCOPE,
+        self.network.send_wireless_up(
+            self.host_id,
+            Message(kind, self.host_id, self.current_mss_id, payload,
+                    MOBILITY_SCOPE),
         )
-        self.network.send_wireless_up(self.host_id, message)

@@ -74,9 +74,6 @@ class MobileSupportStation(Host):
         self.local_mhs: Set[str] = set()
         #: MHs that disconnected in this cell and have not reconnected.
         self.disconnected_mhs: Set[str] = set()
-        #: set by the fault injector while this station is down; a
-        #: crashed MSS neither receives nor transmits.
-        self.crashed = False
         self._join_listeners: List[JoinListener] = []
         self._leave_listeners: List[LeaveListener] = []
         self._disconnect_listeners: List[LeaveListener] = []
@@ -94,23 +91,21 @@ class MobileSupportStation(Host):
             KIND_FIND_DISCONNECT_REPLY, self._on_find_disconnect_reply
         )
 
-    def handle_message(self, message: Message) -> None:
-        if self.crashed:
-            # A crashed station consumes nothing: messages already in
-            # flight toward it (wired or wireless) vanish on arrival.
-            self.network.metrics.record_fault("msg.to_crashed_mss")
-            if self.network._trace_on:
-                self.network._trace.emit(
-                    "fault.drop",
-                    scope=message.scope,
-                    src=message.src,
-                    dst=self.host_id,
-                    kind=message.kind,
-                    parent=message.trace_id,
-                    reason="msg.to_crashed_mss",
-                )
-            return
-        super().handle_message(message)
+    def _arrived_while_crashed(self, message: Message) -> None:
+        # A crashed station neither receives nor transmits: messages
+        # already in flight toward it (wired or wireless) vanish on
+        # arrival.
+        self.network.metrics.record_fault("msg.to_crashed_mss")
+        if self.network._trace_on:
+            self.network._trace.emit(
+                "fault.drop",
+                scope=message.scope,
+                src=message.src,
+                dst=self.host_id,
+                kind=message.kind,
+                parent=message.trace_id,
+                reason="msg.to_crashed_mss",
+            )
 
     # ------------------------------------------------------------------
     # Protocol attachment points
@@ -184,13 +179,7 @@ class MobileSupportStation(Host):
                    scope: str) -> None:
         """Send a message to another MSS over the static network."""
         self.network.send_fixed(
-            Message(
-                kind=kind,
-                src=self.host_id,
-                dst=dst_mss_id,
-                payload=payload,
-                scope=scope,
-            )
+            Message(kind, self.host_id, dst_mss_id, payload, scope)
         )
 
     def send_to_local_mh(
@@ -200,13 +189,7 @@ class MobileSupportStation(Host):
         self.network.send_wireless_down(
             self.host_id,
             mh_id,
-            Message(
-                kind=kind,
-                src=self.host_id,
-                dst=mh_id,
-                payload=payload,
-                scope=scope,
-            ),
+            Message(kind, self.host_id, mh_id, payload, scope),
         )
 
     def send_to_mh(
@@ -222,13 +205,7 @@ class MobileSupportStation(Host):
         self.network.send_to_mh(
             self.host_id,
             mh_id,
-            Message(
-                kind=kind,
-                src=self.host_id,
-                dst=mh_id,
-                payload=payload,
-                scope=scope,
-            ),
+            Message(kind, self.host_id, mh_id, payload, scope),
             on_delivered=on_delivered,
             on_disconnected=on_disconnected,
         )

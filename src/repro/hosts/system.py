@@ -5,8 +5,7 @@ The join/leave(r)/disconnect/reconnect vocabulary of the paper's Section 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 MOBILITY_SCOPE = "mobility"
 
@@ -20,32 +19,28 @@ KIND_FIND_DISCONNECT_QUERY = "sys.find_disconnect_query"
 KIND_FIND_DISCONNECT_REPLY = "sys.find_disconnect_reply"
 
 
-@dataclass(frozen=True)
-class LeavePayload:
+class LeavePayload(NamedTuple):
     """``leave(r)``: the last downlink sequence number received."""
 
     mh_id: str
     last_received_seq: int
 
 
-@dataclass(frozen=True)
-class JoinPayload:
+class JoinPayload(NamedTuple):
     """``join(mh_id)``, optionally naming the previous MSS for handoff."""
 
     mh_id: str
     prev_mss_id: Optional[str]
 
 
-@dataclass(frozen=True)
-class DisconnectPayload:
+class DisconnectPayload(NamedTuple):
     """``disconnect(r)``: like leave, but sets the disconnected flag."""
 
     mh_id: str
     last_received_seq: int
 
 
-@dataclass(frozen=True)
-class ReconnectPayload:
+class ReconnectPayload(NamedTuple):
     """``reconnect(mh_id, prev_mss_id)``.
 
     ``prev_mss_id`` may be ``None`` when the MH cannot remember where it
@@ -56,8 +51,7 @@ class ReconnectPayload:
     prev_mss_id: Optional[str]
 
 
-@dataclass(frozen=True)
-class HandoffRequest:
+class HandoffRequest(NamedTuple):
     """New MSS asks the previous MSS for the MH's algorithm state."""
 
     mh_id: str
@@ -65,25 +59,22 @@ class HandoffRequest:
     clearing_disconnect: bool = False
 
 
-@dataclass(frozen=True)
-class HandoffReply:
+class HandoffReply(NamedTuple):
     """Previous MSS hands over per-protocol state for the MH."""
 
     mh_id: str
-    state: Dict[str, object] = field(default_factory=dict)
+    state: Dict[str, object]
     was_disconnected: bool = False
 
 
-@dataclass(frozen=True)
-class FindDisconnectQuery:
+class FindDisconnectQuery(NamedTuple):
     """Broadcast query: 'did MH disconnect in your cell?'."""
 
     mh_id: str
     reply_to: str
 
 
-@dataclass(frozen=True)
-class FindDisconnectReply:
+class FindDisconnectReply(NamedTuple):
     """Positive answer to :class:`FindDisconnectQuery`."""
 
     mh_id: str

@@ -5,8 +5,7 @@ Reproduces the companion system of the paper's reference [1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.hosts.mss import HandoffParticipant
@@ -16,16 +15,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
 
 
-@dataclass(frozen=True)
-class Submit:
+class Submit(NamedTuple):
     """Sender's MSS -> sequencer: please order and flood this payload."""
 
     sender_mh_id: str
     payload: object
 
 
-@dataclass(frozen=True)
-class Store:
+class Store(NamedTuple):
     """Sequencer -> every MSS: buffer message ``seq``."""
 
     seq: int
@@ -33,16 +30,14 @@ class Store:
     payload: object
 
 
-@dataclass(frozen=True)
-class Ack:
+class Ack(NamedTuple):
     """MSS -> sequencer: member has now delivered up to ``seq``."""
 
     mh_id: str
     seq: int
 
 
-@dataclass(frozen=True)
-class Prune:
+class Prune(NamedTuple):
     """Sequencer -> every MSS: all members delivered up to ``seq``."""
 
     seq: int

@@ -15,8 +15,16 @@ glue, which is precisely the paper's framing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.errors import ConfigurationError
 from repro.mutex.lamport_core import LamportMutexNode, MutexTransport
@@ -27,8 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
 
 
-@dataclass(frozen=True)
-class RoutedPayload:
+class RoutedPayload(NamedTuple):
     """MH -> MH payload relayed through the static network."""
 
     dst_mh_id: str

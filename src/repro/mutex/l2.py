@@ -28,8 +28,15 @@ Disconnection handling follows the paper exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.clock import Timestamp
 from repro.errors import ConfigurationError, ProtocolError
@@ -45,15 +52,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
 
 
-@dataclass(frozen=True)
-class InitPayload:
+class InitPayload(NamedTuple):
     """MH -> local MSS: request the critical region."""
 
     mh_id: str
 
 
-@dataclass(frozen=True)
-class GrantPayload:
+class GrantPayload(NamedTuple):
     """Proxy MSS -> MH: the region is yours."""
 
     mh_id: str
@@ -61,8 +66,7 @@ class GrantPayload:
     request_ts: Timestamp
 
 
-@dataclass(frozen=True)
-class ReleaseResourcePayload:
+class ReleaseResourcePayload(NamedTuple):
     """MH -> (current MSS ->) proxy MSS: done with the region."""
 
     mh_id: str
@@ -75,14 +79,16 @@ class _FixedTransport(MutexTransport):
     def __init__(self, mutex: "L2Mutex", mss_id: str) -> None:
         self._mutex = mutex
         self._mss_id = mss_id
+        # A station object is permanent: bind its sender and the scope
+        # once instead of looking the station up per message.
+        self._send_fixed = mutex.network.mss(mss_id).send_fixed
+        self._scope = mutex.scope
 
     def peers(self) -> List[str]:
         return [m for m in self._mutex.mss_ids if m != self._mss_id]
 
     def send(self, dst: str, kind: str, payload: object) -> None:
-        self._mutex.network.mss(self._mss_id).send_fixed(
-            dst, kind, payload, self._mutex.scope
-        )
+        self._send_fixed(dst, kind, payload, self._scope)
 
 
 class L2Mutex:

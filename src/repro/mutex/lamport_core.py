@@ -21,8 +21,7 @@ Correctness relies on the classic conditions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.clock import LamportClock, Timestamp
 from repro.errors import ProtocolError
@@ -40,8 +39,7 @@ class MutexTransport:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class RequestPayload:
+class RequestPayload(NamedTuple):
     """Broadcast when a participant wants the region for ``tag``."""
 
     ts: Timestamp
@@ -49,16 +47,14 @@ class RequestPayload:
     tag: str
 
 
-@dataclass(frozen=True)
-class ReplyPayload:
+class ReplyPayload(NamedTuple):
     """Acknowledgement carrying the replier's clock."""
 
     ts: Timestamp
     origin: str
 
 
-@dataclass(frozen=True)
-class ReleasePayload:
+class ReleasePayload(NamedTuple):
     """Broadcast when the region is released for ``tag``."""
 
     ts: Timestamp

@@ -15,8 +15,16 @@ re-formed (not modelled -- the stall itself is the measured drawback).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.errors import ConfigurationError
 from repro.mutex.resource import CriticalResource
@@ -28,8 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
 
 
-@dataclass(frozen=True)
-class RoutedToken:
+class RoutedToken(NamedTuple):
     """Token in flight between two MHs, relayed by the static network."""
 
     dst_mh_id: str

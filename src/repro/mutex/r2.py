@@ -55,7 +55,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.mutex.resource import CriticalResource
@@ -75,16 +83,14 @@ class R2Variant(Enum):
     TOKEN_LIST = "R2''"
 
 
-@dataclass(frozen=True)
-class RingRequestPayload:
+class RingRequestPayload(NamedTuple):
     """MH -> local MSS: request for the token."""
 
     mh_id: str
     access_count: int
 
 
-@dataclass(frozen=True)
-class RingGrantPayload:
+class RingGrantPayload(NamedTuple):
     """MSS -> MH: the token (its value) is yours; return when done."""
 
     mh_id: str
@@ -93,8 +99,7 @@ class RingGrantPayload:
     epoch: int = 0
 
 
-@dataclass(frozen=True)
-class RingReturnPayload:
+class RingReturnPayload(NamedTuple):
     """MH -> (current MSS ->) grantor MSS: token handed back."""
 
     mh_id: str

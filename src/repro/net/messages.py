@@ -1,10 +1,15 @@
 """Message envelope shared by every protocol in the library.
 
 A :class:`Message` is a routing envelope; the protocol-specific content
-lives in ``payload`` (usually a small dataclass defined next to the
-protocol).  ``kind`` is the dispatch key: hosts register one handler per
+lives in ``payload`` (a small ``typing.NamedTuple`` defined next to the
+protocol: immutable, because the M-1 copies of one broadcast share it).
+``kind`` is the dispatch key: hosts register one handler per
 kind, namespaced by protocol (``"l2.request"``, ``"lv.update"``, ...).
 The envelope realizes the paper's Section 2 message taxonomy (fixed, wireless, search).
+
+The positional field order ``kind, src, dst, payload, scope`` is part
+of the contract: the host-level senders build every hot envelope as
+``Message(kind, src, dst, payload, scope)``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ class Message:
     dst: str
     payload: Any = None
     scope: str = "default"
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=_message_ids.__next__)
     wireless_seq: int | None = None
     trace_id: int | None = None
 

@@ -481,7 +481,8 @@ class Network:
         latency = self._fixed_const
         if latency is None:
             latency = self.config.fixed_latency(self.rng)
-        # Inline _fifo_arrival (hot even when every emit is skipped).
+        # Per-channel FIFO: never arrive before the channel's previous
+        # message (in-frame; hot even when every emit is skipped).
         key = (message.src, message.dst)
         last = self._last_arrival
         arrival = self.scheduler.now + latency + extra_delay
@@ -567,8 +568,14 @@ class Network:
         latency = self._wireless_const
         if latency is None:
             latency = self.config.wireless_latency(self.rng)
-        arrival = self._fifo_arrival(key, latency)
-        self.scheduler.post_at(
+        scheduler = self.scheduler
+        arrival = scheduler.now + latency
+        last = self._last_arrival
+        previous = last.get(key)
+        if previous is not None and previous > arrival:
+            arrival = previous
+        last[key] = arrival
+        scheduler.post_at(
             arrival,
             self._deliver_downlink,
             mss_id,
@@ -646,8 +653,15 @@ class Network:
         latency = self._wireless_const
         if latency is None:
             latency = self.config.wireless_latency(self.rng)
-        arrival = self._fifo_arrival((mh_id, mss.host_id), latency)
-        self.scheduler.post_at(arrival, mss.handle_message, message)
+        scheduler = self.scheduler
+        key = (mh_id, mss.host_id)
+        arrival = scheduler.now + latency
+        last = self._last_arrival
+        previous = last.get(key)
+        if previous is not None and previous > arrival:
+            arrival = previous
+        last[key] = arrival
+        scheduler.post_at(arrival, mss.handle_message, message)
 
     # ------------------------------------------------------------------
     # Reliable MH delivery: locate, forward, retry across moves
@@ -794,14 +808,3 @@ class Network:
             self.search_protocol.search(
                 self, src_mss_id, mh_id, message.scope, on_outcome
             )
-
-    # ------------------------------------------------------------------
-
-    def _fifo_arrival(self, channel: Tuple[str, str], latency: float) -> float:
-        """Arrival time respecting per-channel FIFO ordering."""
-        arrival = max(
-            self.scheduler.now + latency,
-            self._last_arrival.get(channel, 0.0),
-        )
-        self._last_arrival[channel] = arrival
-        return arrival

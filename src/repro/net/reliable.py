@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.net.messages import Message
@@ -42,8 +42,7 @@ KIND_DATA = "rel.data"
 KIND_ACK = "rel.ack"
 
 
-@dataclass(frozen=True)
-class RelData:
+class RelData(NamedTuple):
     """Payload of a reliable data envelope."""
 
     seq: int
@@ -54,8 +53,7 @@ class RelData:
     inner: Message
 
 
-@dataclass(frozen=True)
-class RelAck:
+class RelAck(NamedTuple):
     """Payload of a reliable ack envelope."""
 
     seq: int
@@ -204,11 +202,7 @@ class ReliableTransport:
         # everything unacked including the message going out right now.
         floor = min(min(tx.unacked), seq) if tx.unacked else seq
         envelope = Message(
-            kind=KIND_DATA,
-            src=src,
-            dst=dst,
-            payload=RelData(seq=seq, floor=floor, inner=inner),
-            scope=inner.scope,
+            KIND_DATA, src, dst, RelData(seq, floor, inner), inner.scope
         )
         delay = self.retransmit_delay(attempt)
         timer = self.network.scheduler.schedule(
@@ -274,11 +268,8 @@ class ReliableTransport:
         # Always (re-)ack: a lost ack shows up as a duplicate here.
         self.network._send_fixed_raw(
             Message(
-                kind=KIND_ACK,
-                src=message.dst,
-                dst=message.src,
-                payload=RelAck(seq=data.seq),
-                scope=message.scope,
+                KIND_ACK, message.dst, message.src, RelAck(data.seq),
+                message.scope,
             )
         )
         # The sender's floor proves everything below it will never

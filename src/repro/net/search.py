@@ -25,8 +25,7 @@ of the cell where it disconnected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.errors import UnknownHostError
 
@@ -36,8 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 MAINTENANCE_SCOPE = "search-maintenance"
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of locating a mobile host.
 
     Attributes:

@@ -18,15 +18,13 @@ fixed association "may be infeasible" for frequently moving hosts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from repro.errors import ConfigurationError
 from repro.proxy.manager import ProxyManager
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(NamedTuple):
     """One point-to-point payload between two MHs."""
 
     src_mh_id: str

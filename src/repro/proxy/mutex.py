@@ -28,14 +28,16 @@ class _ProxyTransport(MutexTransport):
     def __init__(self, mutex: "ProxiedMutex", mss_id: str) -> None:
         self._mutex = mutex
         self._mss_id = mss_id
+        # As mutex.l2._FixedTransport: the station is permanent, so its
+        # sender and the scope are bound once.
+        self._send_fixed = mutex.manager.network.mss(mss_id).send_fixed
+        self._scope = mutex.scope
 
     def peers(self) -> List[str]:
         return [p for p in self._mutex.proxy_ids if p != self._mss_id]
 
     def send(self, dst: str, kind: str, payload: object) -> None:
-        self._mutex.manager.network.mss(self._mss_id).send_fixed(
-            dst, kind, payload, self._mutex.scope
-        )
+        self._send_fixed(dst, kind, payload, self._scope)
 
 
 class ProxiedMutex:

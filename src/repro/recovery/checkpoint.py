@@ -18,8 +18,7 @@ distance moved since the checkpoint, never to the length of the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
 
 from repro.hosts.mss import HandoffParticipant
 
@@ -27,8 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.recovery.manager import RecoveryManager
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(NamedTuple):
     """A MH's full recoverable state, resident at its home MSS.
 
     ``state`` maps each registered recovery client's name to whatever
@@ -42,8 +40,7 @@ class Checkpoint:
     state: Dict[str, object]
 
 
-@dataclass(frozen=True)
-class CheckpointMeta:
+class CheckpointMeta(NamedTuple):
     """The migrating pointer to a MH's latest checkpoint.
 
     ``trail`` lists the MSSs visited since the checkpoint, most recent

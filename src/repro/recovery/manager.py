@@ -29,8 +29,15 @@ distance-based checkpointing is cheap on this architecture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.errors import ConfigurationError
 from repro.net.messages import Message
@@ -45,8 +52,7 @@ CKPT_SCOPE = "recovery.ckpt"
 RESTORE_SCOPE = "recovery.restore"
 
 
-@dataclass(frozen=True)
-class SavePayload:
+class SavePayload(NamedTuple):
     """Uplinked by the MH: a fresh checkpoint to home at its cell."""
 
     mh_id: str
@@ -54,8 +60,7 @@ class SavePayload:
     state: Dict[str, object]
 
 
-@dataclass(frozen=True)
-class FetchPayload:
+class FetchPayload(NamedTuple):
     """Walks the trail toward the home holding the payload."""
 
     mh_id: str
@@ -63,16 +68,14 @@ class FetchPayload:
     requester_mss_id: str
 
 
-@dataclass(frozen=True)
-class PayloadReturn:
+class PayloadReturn(NamedTuple):
     """The checkpoint coming back from its home (``None`` = lost)."""
 
     mh_id: str
     checkpoint: Optional[Checkpoint]
 
 
-@dataclass(frozen=True)
-class DiscardPayload:
+class DiscardPayload(NamedTuple):
     """Tells an old home its copy is superseded."""
 
     mh_id: str

@@ -214,3 +214,73 @@ class TestDispatch:
         sim.mss(0).register_handler("k", lambda m: None)
         sim.mss(0).unregister_handler("k")
         sim.mss(0).register_handler("k", lambda m: None)
+
+
+class TestOneFrameReceive:
+    """``Host.handle_message`` is the single frame between the scheduler
+    and the handler; these pin its three refusals and its place as the
+    one counting site (each kills the mutant deleting that line)."""
+
+    @staticmethod
+    def _ping_in_flight(handled, **sim_kwargs):
+        from repro import Simulation
+        sim = Simulation(n_mss=3, n_mh=0, seed=1, **sim_kwargs)
+        sim.mss(1).register_handler("t.ping", handled.append)
+        sim.mss(0).send_fixed("mss-1", "t.ping", "x", "t")
+        return sim
+
+    def test_arrival_at_crashed_mss_runs_no_handler(self):
+        handled = []
+        sim = self._ping_in_flight(handled)
+        sim.mss(1).crashed = True  # goes down before the ping lands
+        sim.drain()
+        assert handled == []
+        assert sim.metrics.fault_total() == 1
+        assert sim.metrics.fault_total("msg.to_crashed_mss") == 1
+        sim.mss(1).crashed = False
+        sim.mss(0).send_fixed("mss-1", "t.ping", "y", "t")
+        sim.drain()
+        assert [m.payload for m in handled] == ["y"]
+        assert sim.metrics.fault_total() == 1
+
+    def test_crashed_arrival_is_traced_as_a_drop_of_that_send(self):
+        handled = []
+        sim = self._ping_in_flight(handled, trace=True)
+        sim.mss(1).crashed = True
+        sim.drain()
+        assert handled == []
+        (send,) = sim.tracer.by_type("send.fixed")
+        (drop,) = sim.tracer.by_type("fault.drop")
+        assert drop.parent_id == send.id
+        assert (drop.src, drop.dst, drop.kind, drop.scope) == (
+            "mss-0", "mss-1", "t.ping", "t")
+        assert drop.detail == {"reason": "msg.to_crashed_mss"}
+        assert sim.tracer.by_type("recv") == []
+
+    def test_dozing_mh_is_interrupted_once_and_still_served(self):
+        from repro.net.messages import Message
+        sim = make_sim()
+        handled = []
+        sim.mh(0).register_handler("t.msg", handled.append)
+        sim.mh(0).doze()
+        sim.network.send_wireless_down(
+            "mss-0", "mh-0", Message("t.msg", "mss-0", "mh-0", "x", "t"))
+        sim.drain()
+        assert sim.mh(0).doze_interruptions == 1
+        assert [m.payload for m in handled] == ["x"]
+
+    def test_unknown_kind_names_host_kind_and_sender(self):
+        from repro.errors import ProtocolError
+        from repro.net.messages import Message
+        sim = make_sim()
+        for host in (sim.mss(0), sim.mh(0)):
+            with pytest.raises(ProtocolError) as raised:
+                host.handle_message(Message("nope", "mss-3", host.host_id))
+            text = str(raised.value)
+            assert host.host_id in text and "'nope'" in text
+            assert "mss-3" in text
+
+    def test_stations_inherit_the_one_dispatch_frame(self):
+        from repro.hosts import MobileSupportStation
+        from repro.hosts.base import Host
+        assert MobileSupportStation.handle_message is Host.handle_message

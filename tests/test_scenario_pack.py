@@ -88,3 +88,17 @@ def test_diurnal_scenario_moves_the_rates():
     # 0.02 -> 0.12 -> 0.01 per MH: with 8 MHs over the windows the
     # total must clearly exceed the no-rush expectation.
     assert result.report["workload"]["completed"] >= 20
+
+
+def test_groups_churn_floor_is_outside_the_arrival_tail():
+    """The scenario sends Poisson(0.06 x 200 = 12) group messages; its
+    ``min_sent`` / ``min_deliveries`` floors only prove the workload
+    ran.  At 5 / 15 they sat inside the arrival process's own tail
+    (P[X <= 4] ~ 0.8%) and seeds 28, 89 and 107 -- four messages sent,
+    every monitor clean -- failed certification on the count alone."""
+    spec = builtin_registry().get("localized_groups_churn")
+    for seed in (28, 89, 107):
+        result = run_scenario(spec, seed=seed)
+        assert result.report["monitors"]["violations"] == []
+        assert result.report["workload"]["sent"] < 5  # the old floor
+        assert result.ok, (seed, result.failures)
