@@ -184,12 +184,10 @@ class LocationViewGroup(GroupStrategy):
             copy = {mss_id}
         # Sorted so the fan-out order is independent of the process
         # hash seed: runs must be reproducible for a given --seed.
-        for view_mss in sorted(copy):
-            if view_mss == mss_id:
-                continue
-            self.network.mss(mss_id).send_fixed(
-                view_mss, self.kind_fanout, group_message, self.scope
-            )
+        self.network.fan_out_fixed(
+            mss_id, [m for m in sorted(copy) if m != mss_id],
+            self.kind_fanout, group_message, self.scope,
+        )
         self._deliver_local(mss_id, group_message)
         # A member mid-move may sit outside every fanned-out cell and
         # never be reached by this message: account every non-sender as
@@ -370,15 +368,14 @@ class LocationViewGroup(GroupStrategy):
                 FullCopy(frozenset(view)),
                 self.scope,
             )
-        for view_mss in sorted(view):
-            if view_mss in (coordinator, change.add_mss_id):
-                continue
-            mss.send_fixed(
-                view_mss,
-                self.kind_incr,
-                IncrementalUpdate(change.add_mss_id, change.delete_mss_id),
-                self.scope,
-            )
+        self.network.fan_out_fixed(
+            coordinator,
+            [m for m in sorted(view)
+             if m != coordinator and m != change.add_mss_id],
+            self.kind_incr,
+            IncrementalUpdate(change.add_mss_id, change.delete_mss_id),
+            self.scope,
+        )
         if change.add_mss_id is not None and self.on_view_add is not None:
             self.on_view_add(change.add_mss_id)
 

@@ -197,14 +197,13 @@ class OrderedGroup:
             self._next_seq, publish.sender_mh_id, publish.payload
         )
         self.history[sequenced.seq] = sequenced
-        coordinator = self.network.mss(self.coordinator_mss_id)
-        view = self.view.view_copies[self.coordinator_mss_id]
-        for view_mss in sorted(view):
-            if view_mss == self.coordinator_mss_id:
-                continue
-            coordinator.send_fixed(
-                view_mss, self.kind_fanout, sequenced, self.scope
-            )
+        coordinator = self.coordinator_mss_id
+        self.network.fan_out_fixed(
+            coordinator,
+            [m for m in sorted(self.view.view_copies[coordinator])
+             if m != coordinator],
+            self.kind_fanout, sequenced, self.scope,
+        )
         # The coordinator's own cell may host members even when it is
         # not in the view; delivering locally is free either way.
         self._deliver_local(self.coordinator_mss_id, sequenced)

@@ -210,12 +210,6 @@ class MobileSupportStation(Host):
             on_disconnected=on_disconnected,
         )
 
-    def broadcast_fixed(self, kind: str, payload: object, scope: str) -> None:
-        """Send to every other MSS (M-1 fixed messages)."""
-        for mss_id in self.network.mss_ids():
-            if mss_id != self.host_id:
-                self.send_fixed(mss_id, kind, payload, scope)
-
     # ------------------------------------------------------------------
     # Mobility protocol handlers
     # ------------------------------------------------------------------
@@ -267,7 +261,9 @@ class MobileSupportStation(Host):
         else:
             # The MH could not name its previous MSS: query every fixed
             # host to find the cell where it disconnected (Section 2).
-            self.broadcast_fixed(
+            self.network.fan_out_fixed(
+                self.host_id,
+                [m for m in self.network.mss_ids() if m != self.host_id],
                 KIND_FIND_DISCONNECT_QUERY,
                 FindDisconnectQuery(payload.mh_id, self.host_id),
                 MOBILITY_SCOPE,

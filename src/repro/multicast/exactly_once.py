@@ -106,6 +106,8 @@ class ExactlyOnceMulticast:
                 f"unknown sequencer: {sequencer_mss_id}"
             )
         self.sequencer_mss_id = sequencer_mss_id
+        #: every other MSS: the store and prune fan-out targets.
+        self._others = tuple(m for m in mss_ids if m != sequencer_mss_id)
         self.gc_enabled = gc
         self.scope = scope
         self.kind_send = f"{scope}.send"
@@ -201,12 +203,8 @@ class ExactlyOnceMulticast:
     def _sequence(self, submit: Submit) -> None:
         self._next_seq += 1
         store = Store(self._next_seq, submit.sender_mh_id, submit.payload)
-        sequencer = self.network.mss(self.sequencer_mss_id)
-        for mss_id in self.network.mss_ids():
-            if mss_id == self.sequencer_mss_id:
-                continue
-            sequencer.send_fixed(mss_id, self.kind_store, store,
-                                 self.scope)
+        self.network.fan_out_fixed(self.sequencer_mss_id, self._others,
+                                   self.kind_store, store, self.scope)
         self._store_at(self.sequencer_mss_id, store)
 
     def _on_store(self, message: Message) -> None:
@@ -349,13 +347,10 @@ class ExactlyOnceMulticast:
         everyone = min(self._acked.values())
         if everyone > self._pruned_upto:
             self._pruned_upto = everyone
-            sequencer = self.network.mss(self.sequencer_mss_id)
-            for mss_id in self.network.mss_ids():
-                if mss_id == self.sequencer_mss_id:
-                    continue
-                sequencer.send_fixed(
-                    mss_id, self.kind_prune, Prune(everyone), self.scope
-                )
+            self.network.fan_out_fixed(
+                self.sequencer_mss_id, self._others, self.kind_prune,
+                Prune(everyone), self.scope,
+            )
             self._prune_at(self.sequencer_mss_id, everyone)
 
     def _on_prune(self, message: Message) -> None:

@@ -28,6 +28,7 @@ Disconnection handling follows the paper exactly:
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -79,16 +80,25 @@ class _FixedTransport(MutexTransport):
     def __init__(self, mutex: "L2Mutex", mss_id: str) -> None:
         self._mutex = mutex
         self._mss_id = mss_id
-        # A station object is permanent: bind its sender and the scope
+        # A station object is permanent: bind its senders and the scope
         # once instead of looking the station up per message.
         self._send_fixed = mutex.network.mss(mss_id).send_fixed
+        self._fan_out = mutex.network.fan_out_fixed
         self._scope = mutex.scope
 
-    def peers(self) -> List[str]:
-        return [m for m in self._mutex.mss_ids if m != self._mss_id]
+    @cached_property
+    def _peers(self) -> Tuple[str, ...]:
+        # Built on first use: at M=256 most stations never broadcast.
+        return tuple(m for m in self._mutex.mss_ids if m != self._mss_id)
+
+    def peers(self) -> Tuple[str, ...]:
+        return self._peers
 
     def send(self, dst: str, kind: str, payload: object) -> None:
         self._send_fixed(dst, kind, payload, self._scope)
+
+    def broadcast(self, kind: str, payload: object) -> None:
+        self._fan_out(self._mss_id, self._peers, kind, payload, self._scope)
 
 
 class L2Mutex:
@@ -117,6 +127,13 @@ class L2Mutex:
         self.mss_ids = network.mss_ids()
         if len(self.mss_ids) < 2:
             raise ConfigurationError("L2 needs at least two MSSs")
+        if network.faults is not None and network.faults.plan.crashes:
+            # Lamport needs every station's reply; a crash loses a queue.
+            crash = network.faults.plan.crashes[0]
+            raise ConfigurationError(
+                f"algorithm L2 does not survive an MSS crash: "
+                f"{crash.mss_id} at t={crash.at} (recover_at="
+                f"{crash.recover_at}); run R2 under MSS crashes")
         self.resource = resource
         self.cs_duration = cs_duration
         self.scope = scope

@@ -21,7 +21,7 @@ Correctness relies on the classic conditions:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.clock import LamportClock, Timestamp
 from repro.errors import ProtocolError
@@ -30,13 +30,18 @@ from repro.errors import ProtocolError
 class MutexTransport:
     """Transport interface the Lamport node sends through."""
 
-    def peers(self) -> List[str]:
+    def peers(self) -> Sequence[str]:
         """Ids of all *other* participants."""
         raise NotImplementedError
 
     def send(self, dst: str, kind: str, payload: object) -> None:
         """Send ``payload`` of ``kind`` to participant ``dst``."""
         raise NotImplementedError
+
+    def broadcast(self, kind: str, payload: object) -> None:
+        """Send ``payload`` of ``kind`` to every peer, in peers() order."""
+        for peer in self.peers():
+            self.send(peer, kind, payload)
 
 
 class RequestPayload(NamedTuple):
@@ -121,8 +126,7 @@ class LamportMutexNode:
         self._enqueue((self.node_id, tag), ts)
         self._pending[tag] = ts
         payload = RequestPayload(ts, self.node_id, tag)
-        for peer in self.transport.peers():
-            self.transport.send(peer, self.kind_request, payload)
+        self.transport.broadcast(self.kind_request, payload)
         self._check_grants()
         return ts
 
@@ -136,8 +140,7 @@ class LamportMutexNode:
         self._dequeue((self.node_id, tag))
         ts = self.clock.tick()
         payload = ReleasePayload(ts, self.node_id, tag)
-        for peer in self.transport.peers():
-            self.transport.send(peer, self.kind_release, payload)
+        self.transport.broadcast(self.kind_release, payload)
         self._check_grants()
 
     def abort(self, tag: str) -> None:
@@ -156,8 +159,7 @@ class LamportMutexNode:
         self._dequeue((self.node_id, tag))
         ts = self.clock.tick()
         payload = ReleasePayload(ts, self.node_id, tag)
-        for peer in self.transport.peers():
-            self.transport.send(peer, self.kind_release, payload)
+        self.transport.broadcast(self.kind_release, payload)
         self._check_grants()
 
     def forget_origin(self, origin: str) -> int:

@@ -11,7 +11,7 @@ moves" service the paper's algorithms rely on.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from repro.errors import (
     NotConnectedError,
@@ -67,9 +67,9 @@ class Network:
         self._mss: Dict[str, "MobileSupportStation"] = {}
         self._mh: Dict[str, "MobileHost"] = {}
         # FIFO enforcement: last scheduled arrival per directed channel.
-        self._last_arrival: Dict[Tuple[str, str], float] = {}
+        self._last_arrival: Dict[tuple[str, str], float] = {}
         # Downlink sequence counters per (mss, mh), reset on each join.
-        self._downlink_seq: Dict[Tuple[str, str], int] = {}
+        self._downlink_seq: Dict[tuple[str, str], int] = {}
         self.lost_wireless_messages = 0
         #: fault injector; ``None`` keeps the paper's reliable model.
         self.faults: Optional["FaultInjector"] = None
@@ -367,6 +367,40 @@ class Network:
             arrival = previous
         last[key] = arrival
         scheduler.post_at(arrival, dst.handle_message, message)
+
+    def fan_out_fixed(self, src_id: str, dst_ids: Iterable[str], kind: str,
+                      payload: object, scope: str) -> None:
+        """:meth:`send_fixed` of ``Message(kind, src_id, dst, payload,
+        scope)`` for each ``dst`` in ``dst_ids``, in order: in one frame
+        with one ``record_fixed`` when unobserved and no reliable layer is
+        installed, else literally that loop (traces and faults match)."""
+        mss = self._mss
+        if (not self._fixed_unobserved or self.reliable is not None
+                or src_id not in mss):
+            for dst_id in dst_ids:
+                self.send_fixed(Message(kind, src_id, dst_id, payload, scope))
+            return
+        post_at = self.scheduler.post_at
+        arrival = self.scheduler.now + self._fixed_const
+        last = self._last_arrival
+        sent = 0
+        try:
+            for dst_id in dst_ids:
+                message = Message(kind, src_id, dst_id, payload, scope)
+                dst = mss.get(dst_id)
+                if dst is None or dst_id == src_id:
+                    self.send_fixed(message)  # raises / delivers locally
+                    continue
+                key = (src_id, dst_id)
+                at = last.get(key)
+                if at is None or at < arrival:
+                    at = arrival
+                last[key] = at
+                post_at(at, dst.handle_message, message)
+                sent += 1
+        finally:  # as in the loop, copies sent before a raise are charged
+            if sent:
+                self.metrics.record_fixed(scope, sent)
 
     def _send_fixed_raw_traced(self, message: Message) -> None:
         """Monomorphic traced raw-send: tracer on, nothing perturbed.

@@ -26,18 +26,22 @@ class _ProxyTransport(MutexTransport):
     """Transport between the proxies hosting Lamport nodes."""
 
     def __init__(self, mutex: "ProxiedMutex", mss_id: str) -> None:
-        self._mutex = mutex
         self._mss_id = mss_id
-        # As mutex.l2._FixedTransport: the station is permanent, so its
-        # sender and the scope are bound once.
+        # As mutex.l2._FixedTransport: the station and the participating
+        # proxies are fixed, so senders, scope and peers are bound once.
         self._send_fixed = mutex.manager.network.mss(mss_id).send_fixed
+        self._fan_out = mutex.manager.network.fan_out_fixed
         self._scope = mutex.scope
+        self._peers = tuple(p for p in mutex.proxy_ids if p != mss_id)
 
-    def peers(self) -> List[str]:
-        return [p for p in self._mutex.proxy_ids if p != self._mss_id]
+    def peers(self) -> Tuple[str, ...]:
+        return self._peers
 
     def send(self, dst: str, kind: str, payload: object) -> None:
         self._send_fixed(dst, kind, payload, self._scope)
+
+    def broadcast(self, kind: str, payload: object) -> None:
+        self._fan_out(self._mss_id, self._peers, kind, payload, self._scope)
 
 
 class ProxiedMutex:

@@ -363,6 +363,7 @@ class PopulationStore:
     # ------------------------------------------------------------------
     # Batched cohort operations
     # ------------------------------------------------------------------
+    # Each draw is ``rng.randrange(b)`` inlined (docs/scaling.md).
 
     def mass_move(self, fraction: float, rng: random.Random) -> int:
         """Move passive connected hosts to uniformly chosen *other* cells.
@@ -377,7 +378,8 @@ class PopulationStore:
         in bulk under :data:`CROWD_ID`.  Returns the number of moves.
         """
         n_cells = len(self._mss_ids)
-        if n_cells < 2 or self.n == 0:
+        n = self.n
+        if n_cells < 2 or n == 0:
             return 0
         attempts = round(fraction * self._passive_connected)
         if attempts <= 0:
@@ -386,27 +388,39 @@ class PopulationStore:
         cell = self._cell
         status = self._status
         flags = self._flags
+        session = self._session
+        moves = self._moves
+        last_move = self._last_move
         last_seq = self._last_seq
+        add_interval = self.move_interval.add
+        add_interval_hist = self.move_interval_hist.add
+        getrandbits = rng.getrandbits
+        n_bits = n.bit_length()
+        others = n_cells - 1
+        others_bits = others.bit_length()
         moved = 0
         for _ in range(attempts):
-            i = rng.randrange(self.n)
+            i = getrandbits(n_bits)
+            while i >= n:
+                i = getrandbits(n_bits)
             if flags[i] & _F_PROMOTED or status[i] != _CONNECTED:
                 continue
-            old = cell[i]
-            new = rng.randrange(n_cells - 1)
-            if new >= old:
+            new = getrandbits(others_bits)
+            while new >= others:
+                new = getrandbits(others_bits)
+            if new >= cell[i]:
                 new += 1
             cell[i] = new
-            self._session[i] += 1
-            self._moves[i] += 1
+            session[i] += 1
+            moves[i] += 1
             if last_seq:
                 last_seq.pop(i, None)
-            last = self._last_move[i]
+            last = last_move[i]
             if last >= 0.0:
                 gap = now - last
-                self.move_interval.add(gap)
-                self.move_interval_hist.add(gap)
-            self._last_move[i] = now
+                add_interval(gap)
+                add_interval_hist(gap)
+            last_move[i] = now
             moved += 1
         if moved:
             metrics = self.network.metrics
@@ -421,20 +435,27 @@ class PopulationStore:
         """Disconnect passive connected hosts, sampled as in
         :meth:`mass_move` (one ``disconnect(r)`` uplink each, billed in
         bulk)."""
+        n = self.n
         attempts = round(fraction * self._passive_connected)
-        if attempts <= 0 or self.n == 0:
+        if attempts <= 0 or n == 0:
             return 0
         now = self.network.scheduler.now
         cell = self._cell
         status = self._status
         flags = self._flags
+        disc_cell = self._disc_cell
+        disc_epoch = self._disc_epoch
+        getrandbits = rng.getrandbits
+        n_bits = n.bit_length()
         dropped = 0
         for _ in range(attempts):
-            i = rng.randrange(self.n)
+            i = getrandbits(n_bits)
+            while i >= n:
+                i = getrandbits(n_bits)
             if flags[i] & _F_PROMOTED or status[i] != _CONNECTED:
                 continue
-            self._disc_cell[i] = cell[i]
-            self._disc_epoch[i] = now
+            disc_cell[i] = cell[i]
+            disc_epoch[i] = now
             cell[i] = -1
             status[i] = _DISCONNECTED
             dropped += 1
@@ -458,40 +479,53 @@ class PopulationStore:
         handoff request/reply pair when the new cell differs from the
         disconnect cell (the ``supply_prev=True`` path of Section 2).
         """
+        n = self.n
         attempts = round(fraction * self._passive_disconnected)
-        if attempts <= 0 or self.n == 0:
+        if attempts <= 0 or n == 0:
             return 0
         n_cells = len(self._mss_ids)
         now = self.network.scheduler.now
         cell = self._cell
         status = self._status
         flags = self._flags
+        session = self._session
+        disc_cell = self._disc_cell
+        disc_epoch = self._disc_epoch
         last_seq = self._last_seq
+        add_downtime = self.downtime.add
+        add_downtime_hist = self.downtime_hist.add
+        getrandbits = rng.getrandbits
+        n_bits = n.bit_length()
+        cell_bits = n_cells.bit_length()
         rejoined = 0
         handoffs = 0
         for _ in range(attempts):
-            i = rng.randrange(self.n)
+            i = getrandbits(n_bits)
+            while i >= n:
+                i = getrandbits(n_bits)
             if (
                 flags[i] & (_F_PROMOTED | _F_CRASHED)
                 or status[i] != _DISCONNECTED
             ):
                 continue
-            new = rng.randrange(n_cells)
-            if new != self._disc_cell[i]:
+            new = getrandbits(cell_bits)
+            while new >= n_cells:
+                new = getrandbits(cell_bits)
+            if new != disc_cell[i]:
                 handoffs += 1
-            epoch = self._disc_epoch[i]
+            epoch = disc_epoch[i]
             if epoch >= 0.0:
                 down = now - epoch
-                self.downtime.add(down)
-                self.downtime_hist.add(down)
+                add_downtime(down)
+                add_downtime_hist(down)
             cell[i] = new
             status[i] = _CONNECTED
-            self._session[i] += 1
+            session[i] += 1
             if last_seq:
                 last_seq.pop(i, None)
             # _disc_cell stays: it mirrors the object path's sticky
             # disconnect_mss_id, which a reconnect does not clear.
-            self._disc_epoch[i] = -1.0
+            disc_epoch[i] = -1.0
             rejoined += 1
         if rejoined:
             self._passive_connected += rejoined

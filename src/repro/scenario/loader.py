@@ -415,6 +415,13 @@ def load_spec(data: Dict[str, Any]) -> ScenarioSpec:
             )
         except ConfigurationError as exc:
             check.fail(f"faults: {exc}")
+        if faults.crashes and workload.get("algorithm") == "L2":
+            crash = faults.crashes[0]
+            check.fail(
+                f"faults.crashes: algorithm L2 does not survive an MSS "
+                f"crash ({crash.mss_id} at t={crash.at}, recover_at="
+                f"{crash.recover_at}); run R2 under MSS crashes"
+            )
 
     monitors = dict(check.mapping("monitors", data.get("monitors", {})))
     check.known_keys("monitors", monitors, _MONITOR_KEYS)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro import Category, CriticalResource, L2Mutex
+from repro import Simulation
 from repro.analysis import formulas
+from repro.errors import ConfigurationError
+from repro.faults import FaultPlan, MhCrash, MssCrash
 
 from conftest import make_sim
 
@@ -169,3 +172,16 @@ def test_moving_requester_between_init_and_grant_is_found():
     assert resource.access_count == 1
     # The release was relayed from mss-3 back to the proxy mss-0.
     assert [mh for (_, mh) in mutex.completed] == ["mh-0"]
+
+
+def test_mss_crash_plan_is_refused_at_construction():
+    """One recoverable MSS crash can wedge L2 for good (a crashed station
+    loses its Lamport queue), so the combination fails, located."""
+    plan = FaultPlan(crashes=(MssCrash("mss-1", at=40.0, recover_at=80.0),))
+    sim = Simulation(n_mss=4, n_mh=8, seed=42, fault_plan=plan)
+    with pytest.raises(ConfigurationError,
+                       match=r"L2.*mss-1 at t=40\.0 \(recover_at=80\.0\)"):
+        L2Mutex(sim.network, CriticalResource(sim.scheduler))
+    mh_only = FaultPlan(mh_crashes=(MhCrash("mh-1", at=40.0),))
+    sim = Simulation(n_mss=4, n_mh=8, seed=42, fault_plan=mh_only)
+    L2Mutex(sim.network, CriticalResource(sim.scheduler))

@@ -38,13 +38,14 @@ def make_sim(n_mss=4, n_mh=12, **kwargs):
 
 
 class ScriptedRng:
-    """``randrange`` replays a script, aiming a mass op at chosen hosts
-    (the ops draw a host index, then a cell, per attempt)."""
+    """``getrandbits`` replays a script, aiming a mass op at chosen hosts
+    (the ops draw a host index, then a cell, per attempt; a scripted
+    value below the bound is accepted as the draw)."""
 
     def __init__(self, *values):
         self._values = iter(values)
 
-    def randrange(self, _stop):
+    def getrandbits(self, _k):
         return next(self._values)
 
 
@@ -471,6 +472,59 @@ def test_crowd_churn_rejects_bad_tick():
     sim = make_sim()
     with pytest.raises(ConfigurationError):
         CrowdChurn(sim.population, sim.scheduler, tick=0.0)
+
+
+# ----------------------------------------------------------------------
+# The cohort draw is randrange
+# ----------------------------------------------------------------------
+
+DRAW_BOUNDS = [1, 2, 3, 255, 256, 257, 1_000_000]
+
+
+@pytest.mark.parametrize("n", DRAW_BOUNDS)
+def test_inline_draw_is_randrange_draw_for_draw(n):
+    """The mass ops' inlined draw against ``Random.randrange``: a CPython
+    that changes ``randrange`` fails here, not in a moved golden."""
+    for seed in range(5):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        getrandbits = ours.getrandbits
+        bits = n.bit_length()
+        for _ in range(300):
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            assert r == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("n_mh", DRAW_BOUNDS[:-1])
+def test_mass_ops_consume_the_randrange_stream(n_mh):
+    """Each mass op moves exactly the hosts a ``randrange`` replay of its
+    documented sampling rule picks, and leaves the RNG where it would."""
+    for seed in range(5):
+        pop = make_sim(n_mss=4, n_mh=n_mh).population
+        rng, twin = random.Random(seed), random.Random(seed)
+        cells = list(pop._cell)
+        for _ in range(round(1.0 * pop.passive_connected)):
+            i = twin.randrange(n_mh)
+            new = twin.randrange(3)
+            cells[i] = new + (new >= cells[i])
+        pop.mass_move(1.0, rng)
+        assert list(pop._cell) == cells
+        down = set()
+        for _ in range(round(0.5 * pop.passive_connected)):
+            down.add(twin.randrange(n_mh))
+        pop.mass_disconnect(0.5, rng)
+        assert {i for i in range(n_mh) if pop._cell[i] < 0} == down
+        for _ in range(round(1.0 * pop.passive_disconnected)):
+            i = twin.randrange(n_mh)
+            if i in down:
+                down.discard(i)
+                cells[i] = twin.randrange(4)
+        pop.mass_reconnect(1.0, rng)
+        assert [c for i, c in enumerate(pop._cell) if i not in down] == [
+            c for i, c in enumerate(cells) if i not in down]
+        assert rng.getstate() == twin.getstate()
 
 
 # ----------------------------------------------------------------------

@@ -95,6 +95,28 @@ def test_request_events_need_a_mutex_workload():
     assert "'request' events need a mutex workload" in str(err.value)
 
 
+def test_l2_under_an_mss_crash_is_refused_at_load():
+    """The quiet baseline plus one recoverable MSS crash used to load,
+    then wedge at seed 42 (9 of 17 requests served, the rest
+    ``liveness.request_unserved``); now the spec does not load."""
+    data = builtin_registry().get("quiet_baseline").to_dict()
+    data["seed"] = 42
+    data["faults"] = {"crashes": [
+        {"mss_id": "mss-1", "at": 40.0, "recover_at": 80.0}]}
+    with pytest.raises(ConfigurationError) as err:
+        load_spec(data)
+    message = str(err.value)
+    for fragment in ("'quiet_baseline'", "L2", "mss-1", "t=40.0",
+                     "recover_at=80.0"):
+        assert fragment in message
+    # MH-only crash plans and other algorithms still load
+    data["faults"] = {"mh_crashes": [{"mh_id": "mh-1", "at": 40.0}]}
+    load_spec(data)
+    data["faults"] = {"crashes": [{"mss_id": "mss-1", "at": 40.0}]}
+    data["workload"]["algorithm"] = "R2"
+    load_spec(data)
+
+
 def test_fault_errors_carry_the_scenario_name():
     with pytest.raises(ConfigurationError) as err:
         load_spec(minimal(
