@@ -29,78 +29,95 @@ Quickstart::
 
 Top-level names load on first access: ``import repro`` itself imports
 no layer, ``repro.L2Mutex`` (or ``from repro import L2Mutex``) imports
-:mod:`repro.mutex` and what it needs, and a run that never touches the
-monitors, recovery or the proxy framework never loads them.  A layer
-package (``repro.mutex``, ``repro.net``, ...) still loads whole.
+:mod:`repro.mutex.l2` and what it needs, and a run that never touches
+the monitors, recovery or the proxy framework never loads them.
+:mod:`repro.mutex` and :mod:`repro.trace` serve their names the same
+way (one algorithm is compiled per mutex run, and the exporters only
+for a run that exports).  Every other layer package (``repro.net``,
+``repro.hosts``, ...) loads whole: the repository benchmark's tracing
+shim finds a layer's modules by importing its package.
 """
-
-from importlib import import_module
 
 __version__ = "1.0.0"
 
-#: public name -> the layer that defines it; the one place the
-#: top-level API is listed (``__all__``, ``dir()`` and attribute access
-#: are all served from it).
-_LAYER_OF = {
-    name: layer
-    for layer, names in {
-        "repro.errors": (
-            "ConfigurationError", "FairnessViolation",
-            "InvariantViolationError", "MutualExclusionViolation",
-            "NotConnectedError", "ProtocolError", "ReproError",
-            "SimulationError", "UnknownHostError",
-        ),
-        "repro.facade": ("Simulation",),
-        "repro.faults": (
-            "FaultInjector", "FaultPlan", "LinkFault", "MhCrash",
-            "MssCrash", "Partition", "apply_fault_plan",
-        ),
-        "repro.hosts": (
-            "HostState", "MobileHost", "MobileSupportStation",
-        ),
-        "repro.metrics": ("Category", "CostModel", "MetricsCollector"),
-        "repro.multicast": ("ExactlyOnceMulticast",),
-        "repro.mutex": (
-            "CriticalResource", "L1Mutex", "L2Mutex", "R1Mutex",
-            "R2Mutex", "R2Variant",
-        ),
-        "repro.net": (
-            "AbstractSearch", "BroadcastSearch", "ConstantLatency",
-            "Network", "NetworkConfig", "ReliableTransport",
-            "UniformLatency",
-        ),
-        "repro.monitor": (
-            "HealthMonitor", "LivenessMonitor", "Monitor", "MonitorHub",
-            "Violation", "default_monitors", "replay_events",
-            "safety_monitors",
-        ),
-        "repro.recovery": (
-            "CheckpointPolicy", "CounterClient", "DistancePolicy",
-            "MutexCheckpointClient", "NoCheckpointPolicy",
-            "PerMessagePolicy", "PeriodicPolicy", "RecoveryClient",
-            "RecoveryManager",
-        ),
-        "repro.trace": (
-            "TraceEvent", "Tracer", "to_chrome", "to_jsonl", "to_mermaid",
-        ),
-    }.items()
-    for name in names
-}
 
-__all__ = sorted([*_LAYER_OF, "__version__"])
+def _lazy_exports(namespace: dict, modules: dict):
+    """PEP 562 hooks that import a public name's module on first access.
+
+    ``modules`` maps each defining module to the public names it
+    exports.  Returns ``(sources, __getattr__, __dir__)`` for the
+    package whose globals are ``namespace``: ``sources`` is the flat
+    name -> module table, and a resolved name is cached in
+    ``namespace``, so the hook runs once per name.  :mod:`repro.mutex`
+    and :mod:`repro.trace` reuse it; it lives here because
+    ``import repro`` must load nothing else.
+    """
+    package = namespace["__name__"]
+    sources = {name: module
+               for module, names in modules.items() for name in names}
+
+    def __getattr__(name: str):
+        try:
+            module = sources[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        # __import__, not importlib.import_module: the import statement's
+        # own path, which ``-X importtime`` (the cold-start ledger) sees.
+        value = namespace[name] = getattr(
+            __import__(module, fromlist=[name]), name)
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *sources})
+
+    return sources, __getattr__, __dir__
 
 
-def __getattr__(name: str):
-    """Import the layer behind a public name on first access (PEP 562)."""
-    try:
-        layer = _LAYER_OF[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    value = globals()[name] = getattr(import_module(layer), name)
-    return value
+#: layer -> the public names it defines; the one place the top-level
+#: API is listed (``__all__``, ``dir()`` and attribute access are all
+#: served from it).
+_SOURCE_OF, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.errors": (
+        "ConfigurationError", "FairnessViolation",
+        "InvariantViolationError", "MutualExclusionViolation",
+        "NotConnectedError", "ProtocolError", "ReproError",
+        "SimulationError", "UnknownHostError",
+    ),
+    "repro.facade": ("Simulation",),
+    "repro.faults": (
+        "FaultInjector", "FaultPlan", "LinkFault", "MhCrash",
+        "MssCrash", "Partition", "apply_fault_plan",
+    ),
+    "repro.hosts": (
+        "HostState", "MobileHost", "MobileSupportStation",
+    ),
+    "repro.metrics": ("Category", "CostModel", "MetricsCollector"),
+    "repro.multicast": ("ExactlyOnceMulticast",),
+    "repro.mutex": (
+        "CriticalResource", "L1Mutex", "L2Mutex", "R1Mutex",
+        "R2Mutex", "R2Variant",
+    ),
+    "repro.net": (
+        "AbstractSearch", "BroadcastSearch", "ConstantLatency",
+        "Network", "NetworkConfig", "ReliableTransport",
+        "UniformLatency",
+    ),
+    "repro.monitor": (
+        "HealthMonitor", "LivenessMonitor", "Monitor", "MonitorHub",
+        "Violation", "default_monitors", "replay_events",
+        "safety_monitors",
+    ),
+    "repro.recovery": (
+        "CheckpointPolicy", "CounterClient", "DistancePolicy",
+        "MutexCheckpointClient", "NoCheckpointPolicy",
+        "PerMessagePolicy", "PeriodicPolicy", "RecoveryClient",
+        "RecoveryManager",
+    ),
+    "repro.trace": (
+        "TraceEvent", "Tracer", "to_chrome", "to_jsonl", "to_mermaid",
+    ),
+})
 
-
-def __dir__():
-    return sorted({*globals(), *__all__})
+__all__ = sorted([*_SOURCE_OF, "__version__"])

@@ -17,26 +17,22 @@ implementations (:mod:`repro.mutex.lamport_core`,
 :mod:`repro.mutex.ring_core`) as the baselines -- mirroring the paper's
 point that only the *placement* of the algorithm changes, not the
 algorithm itself.
+
+Names load on first access (PEP 562, the pattern :mod:`repro` uses):
+``from repro.mutex import L2Mutex`` imports :mod:`repro.mutex.l2` and
+the cores it runs on, not the other three algorithms.
 """
 
-from repro.mutex.resource import AccessRecord, CriticalResource
-from repro.mutex.lamport_core import LamportMutexNode, MutexTransport
-from repro.mutex.ring_core import RingNode, Token
-from repro.mutex.l1 import L1Mutex
-from repro.mutex.l2 import L2Mutex
-from repro.mutex.r1 import R1Mutex
-from repro.mutex.r2 import R2Mutex, R2Variant
+from repro import _lazy_exports
 
-__all__ = [
-    "AccessRecord",
-    "CriticalResource",
-    "L1Mutex",
-    "L2Mutex",
-    "LamportMutexNode",
-    "MutexTransport",
-    "R1Mutex",
-    "R2Mutex",
-    "R2Variant",
-    "RingNode",
-    "Token",
-]
+_SOURCE_OF, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.mutex.resource": ("AccessRecord", "CriticalResource"),
+    "repro.mutex.lamport_core": ("LamportMutexNode", "MutexTransport"),
+    "repro.mutex.ring_core": ("RingNode", "Token"),
+    "repro.mutex.l1": ("L1Mutex",),
+    "repro.mutex.l2": ("L2Mutex",),
+    "repro.mutex.r1": ("R1Mutex",),
+    "repro.mutex.r2": ("R2Mutex", "R2Variant"),
+})
+
+__all__ = sorted(_SOURCE_OF)

@@ -277,9 +277,24 @@ class R2Mutex:
     # ------------------------------------------------------------------
 
     def _on_request(self, message: Message) -> None:
+        """Queue an MH's request at this MSS, at most once per MH.
+
+        An MH has one request outstanding, so a second one from an MH
+        already queued here (in the request or the grant queue) is a
+        resubmission of the same request, e.g. after an amnesiac
+        crash.  The queued copy wins: it keeps its place in line, and
+        queueing both would grant the MH twice in one token visit.
+        """
         payload: RingRequestPayload = message.payload
-        self._request_queues[message.dst].append(
-            _PendingRequest(payload.mh_id, payload.access_count)
+        mh_id = payload.mh_id
+        mss_id = message.dst
+        for queue in (self._request_queues[mss_id],
+                      self._grant_queues[mss_id]):
+            if any(request.mh_id == mh_id for request in queue):
+                self.network.metrics.record_fault("r2.duplicate_request")
+                return
+        self._request_queues[mss_id].append(
+            _PendingRequest(mh_id, payload.access_count)
         )
 
     def _handle_token_msg(self, node: RingNode, message: Message) -> None:

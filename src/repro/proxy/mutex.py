@@ -73,6 +73,9 @@ class ProxiedMutex:
             )
         self.completed: List[Tuple[float, str]] = []
         self._nodes: Dict[str, LamportMutexNode] = {}
+        #: mh_id -> granting proxy, for a ``done`` owed by a MH that
+        #: left the region while detached (as L2's ``_owed_release``).
+        self._owed_done: Dict[str, str] = {}
         network = manager.network
         for mss_id in self.proxy_ids:
             node = LamportMutexNode(
@@ -109,9 +112,9 @@ class ProxiedMutex:
                 lambda msg: self._finish(msg.dst, msg.payload),
             )
         for mh_id in manager.mh_ids:
-            network.mobile_host(mh_id).register_handler(
-                f"{scope}.grant", self._on_grant
-            )
+            mh = network.mobile_host(mh_id)
+            mh.register_handler(f"{scope}.grant", self._on_grant)
+            mh.add_attach_listener(lambda m=mh_id: self._flush_owed(m))
 
     # ------------------------------------------------------------------
 
@@ -147,7 +150,17 @@ class ProxiedMutex:
 
     def _exit_region(self, mh_id: str, proxy: str) -> None:
         self.resource.leave(mh_id)
-        self.manager.uplink(mh_id, f"{self.scope}.done", proxy)
+        if self.manager.network.mobile_host(mh_id).is_connected:
+            self.manager.uplink(mh_id, f"{self.scope}.done", proxy)
+        else:
+            # Left the region mid-move or disconnected: the done is
+            # owed to the granting proxy and uplinked on reattachment.
+            self._owed_done[mh_id] = proxy
+
+    def _flush_owed(self, mh_id: str) -> None:
+        proxy = self._owed_done.pop(mh_id, None)
+        if proxy is not None:
+            self.manager.uplink(mh_id, f"{self.scope}.done", proxy)
 
     def _on_done(self, mh_id: str, current_proxy: str,
                  granting_proxy: str) -> None:

@@ -14,26 +14,21 @@ randomness -- the tracer is a pure observer.
 
 Submodules :mod:`repro.trace.scenarios` and
 :mod:`repro.trace.walkthroughs` hold the canonical small scenarios and
-the Markdown walkthrough renderer behind ``docs/walkthroughs/``; they
-are not imported here to keep this package import-light (the network
-core imports it).
+the Markdown walkthrough renderer behind ``docs/walkthroughs/``.  This
+package stays import-light because the network core imports it: names
+load on first access (PEP 562, the pattern :mod:`repro` uses), so
+:mod:`repro.trace.export` is compiled only for a run that exports.
 """
 
-from repro.trace.events import NULL_TRACER, NullTracer, TraceEvent, Tracer
-from repro.trace.export import (
-    event_to_dict,
-    to_chrome,
-    to_jsonl,
-    to_mermaid,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "NULL_TRACER",
-    "NullTracer",
-    "TraceEvent",
-    "Tracer",
-    "event_to_dict",
-    "to_chrome",
-    "to_jsonl",
-    "to_mermaid",
-]
+_SOURCE_OF, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.trace.events": (
+        "NULL_TRACER", "NullTracer", "TraceEvent", "Tracer",
+    ),
+    "repro.trace.export": (
+        "event_to_dict", "to_chrome", "to_jsonl", "to_mermaid",
+    ),
+})
+
+__all__ = sorted(_SOURCE_OF)

@@ -123,11 +123,9 @@ def proxied(sim, seed):
     manager = ProxyManager(sim.network, FixedProxyPolicy(), sim.mh_ids)
     mutex = ProxiedMutex(manager, CriticalResource(sim.scheduler),
                          cs_duration=0.5)
-    # No mobility: the proxied mutex uplinks its ``done`` without
-    # waiting out a move, which raises for a host in transit.
     load = MutexWorkload(sim.network, mutex, sim.mh_ids, 0.05,
                          random.Random(seed))
-    return [load], lambda: mutex.completed
+    return [load, _mobility(sim, seed)], lambda: mutex.completed
 
 
 def find_disconnect(sim, seed):

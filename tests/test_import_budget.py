@@ -47,6 +47,11 @@ def test_import_repro_loads_no_layer():
     assert {name for name in loaded if name.startswith("repro")} == {"repro"}
 
 
+#: the subcommands; each is one module under ``repro.commands``.
+COMMANDS = ("mutex", "groups", "proxy", "multicast", "compare", "trace",
+            "monitor", "scenarios", "scale", "serve")
+
+
 def test_cli_mutex_run_loads_only_its_layers():
     loaded = modules_after(
         "from repro.cli import main\n"
@@ -57,9 +62,28 @@ def test_cli_mutex_run_loads_only_its_layers():
     )
     assert not loaded.intersection(UNUSED_BY_A_MUTEX_RUN)
     assert "repro.mutex" in loaded and "repro.net" in loaded
-    # The budget: 40 while every Simulation still imported repro.pool.
+    # Only the chosen algorithm, handler and trace half are compiled.
+    assert {"repro.mutex.l2", "repro.commands.mutex"} <= loaded
+    assert not loaded.intersection(
+        [f"repro.mutex.{name}" for name in ("l1", "r1", "r2", "ring_core")]
+        + [f"repro.commands.{name}" for name in COMMANDS if name != "mutex"]
+        + ["repro.trace.export"]
+    )
+    # The budget: 39 while repro.mutex and repro.trace loaded whole and
+    # every handler lived in repro.cli.
     ours = {name for name in loaded if name.split(".")[0] == "repro"}
-    assert len(ours) <= 39, sorted(ours)
+    assert len(ours) <= 36, sorted(ours)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_subcommand_help_exits_0(command):
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", command, "--help"], env=env,
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"usage: repro {command}")
 
 
 def test_monitored_simulation_loads_monitors_but_no_http_server():
@@ -102,30 +126,51 @@ def test_telemetry_server_loads_http_server_on_first_use():
     assert "http.server" in loaded
 
 
+#: the packages that serve their public names on first access, with a
+#: name each to star-import.
+LAZY_PACKAGES = {"repro": "L2Mutex", "repro.mutex": "L2Mutex",
+                 "repro.trace": "to_jsonl"}
+
+
 def test_every_public_name_is_the_layer_s_own_object():
     assert isinstance(repro.__version__, str)
-    for name in repro.__all__:
-        if name == "__version__":
-            continue
-        layer = importlib.import_module(repro._LAYER_OF[name])
-        assert getattr(repro, name) is getattr(layer, name), name
-        assert vars(repro)[name] is getattr(layer, name)  # cached
+    for package in map(importlib.import_module, LAZY_PACKAGES):
+        for name in package.__all__:
+            if name == "__version__":
+                continue
+            source = importlib.import_module(package._SOURCE_OF[name])
+            assert getattr(package, name) is getattr(source, name), name
+            assert vars(package)[name] is getattr(source, name)  # cached
 
 
 def test_dir_lists_every_public_name():
-    assert set(repro.__all__) <= set(dir(repro))
-    assert repro.__all__ == sorted(set(repro.__all__))
+    for package in map(importlib.import_module, LAZY_PACKAGES):
+        assert set(package.__all__) <= set(dir(package))
+        assert package.__all__ == sorted(set(package.__all__))
 
 
 def test_star_import_binds_every_public_name():
-    namespace: dict = {}
-    exec("from repro import *", namespace)
-    assert set(repro.__all__) <= set(namespace)
-    assert namespace["L2Mutex"] is repro.L2Mutex
+    for package, name in LAZY_PACKAGES.items():
+        namespace: dict = {}
+        exec(f"from {package} import *", namespace)
+        module = importlib.import_module(package)
+        assert set(module.__all__) <= set(namespace)
+        assert namespace[name] is getattr(module, name)
 
 
 def test_unknown_attribute_raises_attribute_error_naming_it():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        repro.no_such_name
-    with pytest.raises(ImportError, match="no_such_name"):
-        from repro import no_such_name  # noqa: F401
+    for package in LAZY_PACKAGES:
+        module = importlib.import_module(package)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+        with pytest.raises(ImportError, match="no_such_name"):
+            exec(f"from {package} import no_such_name", {})
+
+
+def test_an_algorithm_loads_only_its_own_modules():
+    loaded = modules_after("from repro.mutex import L2Mutex")
+    assert {"repro.mutex.l2", "repro.mutex.lamport_core",
+            "repro.mutex.resource"} <= loaded
+    assert not loaded.intersection(
+        f"repro.mutex.{name}" for name in ("l1", "r1", "r2", "ring_core"))
+    assert "repro.trace.export" not in loaded

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro import Category, CriticalResource
+from repro import Category, CriticalResource, NetworkConfig, Simulation
 from repro.errors import ConfigurationError
+from repro.mobility import UniformMobility
+from repro.net import ConstantLatency, UniformLatency
 from repro.proxy import (
     FixedProxyPolicy,
     LocalProxyPolicy,
@@ -13,6 +17,7 @@ from repro.proxy import (
     ProxiedMutex,
     ProxyManager,
 )
+from repro.workload import MutexWorkload
 
 from conftest import make_sim
 
@@ -187,6 +192,46 @@ class TestProxiedMutex:
         sim.mh(0).move_to("mss-3")
         sim.drain()
         assert done == ["mh-0"]
+
+    def test_done_is_owed_while_detached_and_sent_on_reattach(self):
+        sim, policy, manager = fixed_setup()
+        resource = CriticalResource(sim.scheduler)
+        done = []
+        mutex = ProxiedMutex(manager, resource, cs_duration=10.0,
+                             on_complete=done.append)
+        mutex.request("mh-0")
+        while resource.holder != "mh-0":
+            assert sim.scheduler.step(), "grant never arrived"
+        # Leave the region while disconnected: nothing can be uplinked,
+        # so the done waits for the reconnect (ROADMAP 1(d)).
+        sim.mh(0).disconnect()
+        sim.drain()
+        assert resource.holder is None and done == []
+        sim.mh(0).reconnect("mss-2")
+        sim.drain()
+        assert done == ["mh-0"]
+
+    def test_exit_in_transit_neither_aborts_nor_wedges(self):
+        """ROADMAP 1(d)'s grid: a CS exit that lands mid-move used to
+        raise NotConnectedError in 19 of these 120 runs."""
+        for latency in (ConstantLatency(1.0), UniformLatency(1.0, 8.0)):
+            for seed in range(1, 61):
+                sim = Simulation(n_mss=5, n_mh=10, seed=seed,
+                                 config=NetworkConfig(fixed_latency=latency))
+                manager = ProxyManager(sim.network, FixedProxyPolicy(),
+                                       sim.mh_ids)
+                mutex = ProxiedMutex(manager,
+                                     CriticalResource(sim.scheduler),
+                                     cs_duration=0.5)
+                load = MutexWorkload(sim.network, mutex, sim.mh_ids, 0.05,
+                                     random.Random(seed))
+                moves = UniformMobility(sim.network, sim.mh_ids, 0.03,
+                                        rng=random.Random(seed + 1))
+                sim.run(until=60.0)
+                load.stop()
+                moves.stop()
+                sim.drain()
+                assert load.issued and load.completed == load.issued, seed
 
     def test_needs_two_proxies(self):
         sim = make_sim(n_mss=3, n_mh=3, placement="single_cell")

@@ -69,6 +69,16 @@ def test_scenario_certifies(scenario_spec, scenario_seed):
     json.dumps(report)
 
 
+def test_resubmitted_r2_request_is_not_granted_twice():
+    """ROADMAP 1(a): at seed 34 an amnesiac MH resubmits a request its
+    MSS still holds; R2'' granted both copies in one token visit
+    ("entered the CS twice").  The duplicate is now dropped."""
+    result = run_scenario(builtin_registry().get("kitchen_sink"), seed=34)
+    assert result.report["monitors"]["violations"] == []
+    assert result.failures == [], result.failures
+    assert result.report["faults"]["r2.duplicate_request"] == 1
+
+
 def test_adversarial_scenario_actually_lies():
     """The adversarial scenario wires real malicious MHs into R2''."""
     spec = builtin_registry().get("adversarial_r2pp")
