@@ -25,6 +25,11 @@ class Timestamp(tuple):
     def __new__(cls, counter: int, node_id: str) -> "Timestamp":
         return tuple.__new__(cls, (counter, node_id))
 
+    def __getnewargs__(self) -> tuple:
+        # copy, deepcopy and pickle rebuild through the two-argument
+        # __new__; the tuple default would pass the pair as one.
+        return (self[0], self[1])
+
     @property
     def counter(self) -> int:
         """The Lamport counter component."""

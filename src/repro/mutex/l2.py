@@ -24,27 +24,22 @@ Disconnection handling follows the paper exactly:
   reconnect to send ``release_resource`` (the client flushes the owed
   release automatically on reattachment);
 * disconnection at any other time does not affect L2 at all.
+
+This is the library's one station-hosted Lamport: Section 5's
+:class:`repro.proxy.ProxiedMutex` is this class with a proxy scope
+plugged in, and shares every obligation above.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Tuple,
+    TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple,
 )
 
 from repro.clock import Timestamp
 from repro.errors import ConfigurationError, ProtocolError
-from repro.mutex.lamport_core import (
-    LamportMutexNode,
-    MutexTransport,
-)
+from repro.mutex.lamport_core import LamportMutexNode, MutexTransport
 from repro.mutex.resource import CriticalResource
 from repro.net.messages import Message
 from repro.net.search import SearchOutcome
@@ -75,7 +70,7 @@ class ReleaseResourcePayload(NamedTuple):
 
 
 class _FixedTransport(MutexTransport):
-    """Transport between MSSs over the static network."""
+    """Transport between the participating MSSs (static network)."""
 
     def __init__(self, mutex: "L2Mutex", mss_id: str) -> None:
         self._mutex = mutex
@@ -124,9 +119,13 @@ class L2Mutex:
         on_aborted: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.network = network
-        self.mss_ids = network.mss_ids()
+        self.scope = scope
+        #: the MSSs that run a Lamport node.
+        self.mss_ids = self._participants()
         if len(self.mss_ids) < 2:
-            raise ConfigurationError("L2 needs at least two MSSs")
+            raise ConfigurationError(
+                f"L2 needs at least two participating MSSs, got "
+                f"{self.mss_ids}")
         if network.faults is not None and network.faults.plan.crashes:
             # Lamport needs every station's reply; a crash loses a queue.
             crash = network.faults.plan.crashes[0]
@@ -136,7 +135,6 @@ class L2Mutex:
                 f"{crash.recover_at}); run R2 under MSS crashes")
         self.resource = resource
         self.cs_duration = cs_duration
-        self.scope = scope
         self.on_complete = on_complete
         self.on_aborted = on_aborted
         self.completed: List[Tuple[float, str]] = []
@@ -147,6 +145,12 @@ class L2Mutex:
         self._request_ts: Dict[str, Dict[str, Timestamp]] = {}
         for mss_id in self.mss_ids:
             self._attach_mss(mss_id)
+        self._wire_requests()
+        # A MH releases through whichever cell it is in by then.
+        for mss_id in network.mss_ids():
+            network.mss(mss_id).register_handler(
+                f"{scope}.release_resource", self._on_release_resource
+            )
         self._clients: Dict[str, bool] = {}
         self._owed_release: Dict[str, str] = {}
         #: mh_id -> (grant, scheduled exit) while inside the region, so
@@ -157,18 +161,26 @@ class L2Mutex:
         # installed before protocols attach, so resolving them once
         # here mirrors Network._refresh_fast_paths.
         batch_for = getattr(network._trace, "call_site_batch", None)
-        if batch_for is not None and network._trace_on:
-            self._batch_cs_enter = batch_for("cs.enter")
-            self._batch_cs_exit = batch_for("cs.exit")
-        else:
-            self._batch_cs_enter = None
-            self._batch_cs_exit = None
+        batched = batch_for is not None and network._trace_on
+        self._batch_cs_enter = batch_for("cs.enter") if batched else None
+        self._batch_cs_exit = batch_for("cs.exit") if batched else None
         if network.faults is not None:
             network.faults.add_mh_crash_listener(self._on_mh_crash)
 
     # ------------------------------------------------------------------
-    # Wiring
+    # Wiring (the first two are what a proxy scope overrides)
     # ------------------------------------------------------------------
+
+    def _participants(self) -> List[str]:
+        """The MSSs that run a Lamport node: every station."""
+        return self.network.mss_ids()
+
+    def _wire_requests(self) -> None:
+        """Every MSS accepts ``init`` from the MHs in its cell."""
+        for mss_id in self.mss_ids:
+            self.network.mss(mss_id).register_handler(
+                f"{self.scope}.init", self._on_init
+            )
 
     def _attach_mss(self, mss_id: str) -> None:
         mss = self.network.mss(mss_id)
@@ -176,7 +188,7 @@ class L2Mutex:
             node_id=mss_id,
             transport=_FixedTransport(self, mss_id),
             kind_prefix=self.scope,
-            on_granted=lambda tag, m=mss_id: self._on_granted(m, tag),
+            on_granted=partial(self._on_granted, mss_id),
         )
         self._nodes[mss_id] = node
         self._request_ts[mss_id] = {}
@@ -192,10 +204,6 @@ class L2Mutex:
             f"{self.scope}.release",
             lambda msg, n=node: n.on_release(msg.payload),
         )
-        mss.register_handler(f"{self.scope}.init", self._on_init)
-        mss.register_handler(
-            f"{self.scope}.release_resource", self._on_release_resource
-        )
         mss.register_handler(
             f"{self.scope}.release_fwd", self._on_release_fwd
         )
@@ -206,7 +214,7 @@ class L2Mutex:
             return
         mh = self.network.mobile_host(mh_id)
         mh.register_handler(f"{self.scope}.grant", self._on_grant)
-        mh.add_attach_listener(lambda m=mh_id: self._flush_owed(m))
+        mh.add_attach_listener(partial(self._flush_owed, mh_id))
         self._clients[mh_id] = True
 
     # ------------------------------------------------------------------
@@ -245,17 +253,19 @@ class L2Mutex:
             f"{self.scope}.grant",
             GrantPayload(mh_id, mss_id, ts),
             self.scope,
-            on_disconnected=lambda outcome, m=mss_id, h=mh_id: (
-                self._on_grantee_disconnected(m, h, outcome)
+            on_disconnected=partial(
+                self._on_grantee_unreachable, mss_id, mh_id
             ),
         )
 
-    def _on_grantee_disconnected(
-        self, mss_id: str, mh_id: str, outcome: SearchOutcome
+    def _on_grantee_unreachable(
+        self, mss_id: str, mh_id: str,
+        outcome: Optional[SearchOutcome] = None,
     ) -> None:
         # The MH is unreachable: its request cannot be satisfied, so the
         # proxy releases on its behalf to let the rest of the system
-        # make progress (Section 3.1.1).
+        # make progress (Section 3.1.1).  ``outcome`` is the search's
+        # verdict; a proxy policy's miss callback passes none.
         self._request_ts[mss_id].pop(mh_id, None)
         self._nodes[mss_id].abort(mh_id)
         self.aborted.append((self.network.scheduler.now, mh_id))
@@ -299,12 +309,9 @@ class L2Mutex:
                 appender(self.scope, grant.mh_id, None, None, None,
                          {"proxy": grant.proxy_mss_id})
             else:
-                self.network._trace.emit(
-                    "cs.enter",
-                    scope=self.scope,
-                    src=grant.mh_id,
-                    proxy=grant.proxy_mss_id,
-                )
+                self.network._trace.emit("cs.enter", scope=self.scope,
+                                         src=grant.mh_id,
+                                         proxy=grant.proxy_mss_id)
         self.resource.enter(
             grant.mh_id,
             info={"algorithm": self.scope, "request_ts": grant.request_ts},
@@ -324,12 +331,9 @@ class L2Mutex:
                 appender(self.scope, grant.mh_id, None, None, None,
                          {"proxy": grant.proxy_mss_id})
             else:
-                self.network._trace.emit(
-                    "cs.exit",
-                    scope=self.scope,
-                    src=grant.mh_id,
-                    proxy=grant.proxy_mss_id,
-                )
+                self.network._trace.emit("cs.exit", scope=self.scope,
+                                         src=grant.mh_id,
+                                         proxy=grant.proxy_mss_id)
         mh = self.network.mobile_host(grant.mh_id)
         if mh.is_connected:
             self._send_release(grant.mh_id, grant.proxy_mss_id)
@@ -338,9 +342,7 @@ class L2Mutex:
             # to reconnect in order to send release_resource; remember
             # the debt and flush it on reattachment.
             if grant.mh_id in self._owed_release:
-                raise ProtocolError(
-                    f"{grant.mh_id} already owes a release"
-                )
+                raise ProtocolError(f"{grant.mh_id} already owes a release")
             self._owed_release[grant.mh_id] = grant.proxy_mss_id
 
     def _on_mh_crash(self, mh_id: str) -> None:
@@ -370,25 +372,14 @@ class L2Mutex:
                               "aborted": True, "reason": "mh.crash"})
                 else:
                     self.network._trace.emit(
-                        "cs.exit",
-                        scope=self.scope,
-                        src=mh_id,
-                        proxy=grant.proxy_mss_id,
-                        aborted=True,
-                        reason="mh.crash",
-                    )
-            proxy = grant.proxy_mss_id
-            self._request_ts[proxy].pop(mh_id, None)
-            self._nodes[proxy].release(tag=mh_id)
-            self.aborted.append((self.network.scheduler.now, mh_id))
-            if self.on_aborted is not None:
-                self.on_aborted(mh_id)
+                        "cs.exit", scope=self.scope, src=mh_id,
+                        proxy=grant.proxy_mss_id, aborted=True,
+                        reason="mh.crash")
+            self._on_grantee_unreachable(grant.proxy_mss_id, mh_id)
             return
         proxy = self._owed_release.pop(mh_id, None)
         if proxy is not None:
-            self.network.metrics.record_fault(
-                "l2.owed_release_disclaimed"
-            )
+            self.network.metrics.record_fault("l2.owed_release_disclaimed")
             self._finish_release(proxy, mh_id)
 
     def _flush_owed(self, mh_id: str) -> None:

@@ -22,9 +22,13 @@ Two demonstrations are built on the framework:
   pays a search.  This reproduces the search/inform trade-off of
   Section 4 at the proxy level (benchmark E11).
 * :class:`ProxiedMutex` -- Lamport's *static-host* mutual exclusion run
-  unchanged at the proxies of the participating MHs, showing that a
-  distributed algorithm for static hosts extends to mobile participants
-  purely by choosing a proxy policy.
+  unchanged at the proxies of the participating MHs: algorithm L2 with
+  the proxy scope plugged in, showing that a distributed algorithm for
+  static hosts extends to mobile participants purely by choosing a
+  proxy policy.  Its proxies keep L2's obligations under every policy:
+  an unreachable grantee's request is aborted, a MH that leaves the
+  region detached owes its release until it reattaches, a MH crash
+  inside the region vacates it, and MSS crash plans are refused.
 """
 
 from repro.proxy.adaptive import AdaptiveProxyPolicy

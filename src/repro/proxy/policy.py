@@ -5,7 +5,7 @@ The policy axis of the paper's Section 5 proxy framework.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.errors import ConfigurationError
 
@@ -320,7 +320,3 @@ def _proxy_message(kind, src, dst, payload, scope):
 
     return Message(kind=kind, src=src, dst=dst, payload=payload,
                    scope=scope)
-
-
-# register of forward handling lives in the manager (it owns handlers).
-ProxyPolicies = List[ProxyPolicy]

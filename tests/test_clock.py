@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.clock import LamportClock, Timestamp
 from repro.errors import ConfigurationError
+from repro.mutex.l2 import GrantPayload
 
 
 def test_tick_monotonically_increases():
@@ -39,6 +43,20 @@ def test_timestamps_totally_ordered_by_counter_then_id():
 def test_timestamp_equality_and_hash():
     assert Timestamp(3, "x") == Timestamp(3, "x")
     assert len({Timestamp(3, "x"), Timestamp(3, "x")}) == 1
+
+
+def test_timestamp_survives_copy_deepcopy_and_pickle():
+    """A first step to forkable simulations: every L2 grant carries a
+    Timestamp, so a copied system must be able to copy one."""
+    ts = Timestamp(3, "mss-1")
+    grant = GrantPayload("mh-0", "mss-1", ts)
+    clones = [copy.copy(ts), copy.deepcopy(ts),
+              pickle.loads(pickle.dumps(ts)),
+              copy.deepcopy(grant).request_ts,
+              pickle.loads(pickle.dumps(grant)).request_ts]
+    for clone in clones:
+        assert clone == ts and type(clone) is Timestamp
+        assert (clone.counter, clone.node_id) == (3, "mss-1")
 
 
 def test_peek_does_not_advance():

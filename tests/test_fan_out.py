@@ -125,7 +125,8 @@ def proxied(sim, seed):
                          cs_duration=0.5)
     load = MutexWorkload(sim.network, mutex, sim.mh_ids, 0.05,
                          random.Random(seed))
-    return [load, _mobility(sim, seed)], lambda: mutex.completed
+    return [load, _mobility(sim, seed)], lambda: (
+        mutex.grant_log, mutex.completed, mutex.aborted)
 
 
 def find_disconnect(sim, seed):

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro import Category, CriticalResource, NetworkConfig, Simulation
 from repro.errors import ConfigurationError
-from repro.mobility import UniformMobility
+from repro.faults import FaultPlan, MhCrash, MssCrash
+from repro.mobility import DisconnectionModel, UniformMobility
+from repro.monitor import Monitor, default_monitors
+from repro.mutex import L2Mutex
 from repro.net import ConstantLatency, UniformLatency
 from repro.proxy import (
     FixedProxyPolicy,
@@ -239,3 +243,133 @@ class TestProxiedMutex:
         manager = ProxyManager(sim.network, policy, sim.mh_ids)
         with pytest.raises(ConfigurationError):
             ProxiedMutex(manager, CriticalResource(sim.scheduler))
+
+
+POLICIES = pytest.mark.parametrize(
+    "policy", [FixedProxyPolicy, LocalProxyPolicy],
+    ids=["fixed", "local"])
+
+
+def _constant_sim(**kwargs):
+    config = NetworkConfig(fixed_latency=ConstantLatency(1.0),
+                           wireless_latency=ConstantLatency(0.5))
+    return Simulation(n_mss=4, n_mh=4, seed=1, config=config,
+                      placement="round_robin", **kwargs)
+
+
+class TestProxiedMutexObligations:
+    """The proxy keeps L2's obligations under every scope, so a mobile
+    participant's fault never blocks the others."""
+
+    @POLICIES
+    def test_grantee_disconnected_before_its_grant_is_aborted(self, policy):
+        sim = _constant_sim()
+        manager = ProxyManager(sim.network, policy(), sim.mh_ids)
+        resource = CriticalResource(sim.scheduler)
+        mutex = ProxiedMutex(manager, resource)
+        mutex.request("mh-0")
+        mutex.request("mh-1")
+        sim.mh(0).disconnect()  # before any grant can arrive
+        sim.drain()
+        assert [mh for (_, mh) in mutex.aborted] == ["mh-0"]
+        assert resource.holders_in_order() == ["mh-1"]
+        assert [mh for (_, mh) in mutex.completed] == ["mh-1"]
+
+    @POLICIES
+    def test_holder_crashing_inside_the_region_is_vacated(self, policy):
+        plan = FaultPlan(mh_crashes=(MhCrash("mh-0", at=6.0),))
+        sim = _constant_sim(fault_plan=plan)
+        manager = ProxyManager(sim.network, policy(), sim.mh_ids)
+        resource = CriticalResource(sim.scheduler)
+        mutex = ProxiedMutex(manager, resource, cs_duration=10.0)
+        mutex.request("mh-0")
+        mutex.request("mh-1")
+        sim.run(until=5.0)
+        assert resource.holder == "mh-0"
+        sim.drain()
+        assert [mh for (_, mh) in mutex.aborted] == ["mh-0"]
+        assert [mh for (_, mh) in mutex.completed] == ["mh-1"]
+        resource.assert_no_overlap()
+
+    def test_mss_crash_plan_is_refused(self):
+        plan = FaultPlan(crashes=(MssCrash("mss-1", at=40.0),))
+        sim = _constant_sim(fault_plan=plan)
+        manager = ProxyManager(sim.network, FixedProxyPolicy(), sim.mh_ids)
+        with pytest.raises(ConfigurationError, match="mss-1 at t=40.0"):
+            ProxiedMutex(manager, CriticalResource(sim.scheduler))
+
+
+def _mobile_run(make_mutex, seed):
+    """M=4, N=8 under requests, moves and disconnections to t=300."""
+    sim = Simulation(n_mss=4, n_mh=8, seed=seed)
+    resource = CriticalResource(sim.scheduler)
+    mutex = make_mutex(sim, resource)
+    drivers = [
+        MutexWorkload(sim.network, mutex, sim.mh_ids, 0.05,
+                      random.Random(seed)),
+        UniformMobility(sim.network, sim.mh_ids, 0.03,
+                        rng=random.Random(seed + 1)),
+        DisconnectionModel(sim.network, sim.mh_ids, 0.02, downtime=3.0,
+                           rng=random.Random(seed + 2)),
+    ]
+    sim.run(until=300.0)
+    for driver in drivers:
+        driver.stop()
+    sim.drain()
+    totals = sim.metrics.snapshot()
+    return {
+        "accesses": resource.access_count,
+        "completed": mutex.completed,
+        "aborted": mutex.aborted,
+        "costs": [totals.total(category) for category in
+                  (Category.FIXED, Category.WIRELESS, Category.SEARCH)],
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_local_proxied_mutex_is_l2(seed):
+    """Section 5 made literal: Lamport executed at local proxies *is*
+    algorithm L2 -- the same accesses, completions, aborts and costs,
+    disconnections included."""
+    l2 = _mobile_run(lambda sim, resource: L2Mutex(sim.network, resource),
+                     seed)
+    proxied = _mobile_run(
+        lambda sim, resource: ProxiedMutex(
+            ProxyManager(sim.network, LocalProxyPolicy(), sim.mh_ids),
+            resource),
+        seed)
+    assert l2["aborted"], "the workload never aborted a request"
+    assert proxied == l2
+
+
+class _CsEntries(Monitor):
+    """Counts ``cs.enter`` events per scope."""
+
+    name = "cs-entries"
+    interests = ("cs.enter",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.by_scope: Counter = Counter()
+
+    def on_event(self, event) -> None:
+        self.by_scope[event.scope] += 1
+
+
+def test_monitors_certify_the_proxied_mutex():
+    entries = _CsEntries()
+    sim = Simulation(n_mss=4, n_mh=8, seed=7,
+                     monitors=default_monitors() + [entries])
+    manager = ProxyManager(sim.network, FixedProxyPolicy(), sim.mh_ids)
+    mutex = ProxiedMutex(manager, CriticalResource(sim.scheduler),
+                         cs_duration=0.5)
+    load = MutexWorkload(sim.network, mutex, sim.mh_ids, 0.05,
+                         random.Random(7))
+    moves = UniformMobility(sim.network, sim.mh_ids, 0.03,
+                            rng=random.Random(8))
+    sim.run(until=200.0)
+    load.stop()
+    moves.stop()
+    sim.drain()
+    sim.assert_invariants()
+    assert entries.by_scope["proxied-mutex"] == len(mutex.completed) > 0
