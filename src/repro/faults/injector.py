@@ -164,6 +164,10 @@ class FaultInjector:
 
     def decide_fixed(self, message: "Message") -> FaultDecision:
         """Fault outcome for one fixed-network transmission."""
+        if self.network.is_mss_crashed(message.src):
+            # A crashed station transmits nothing; the message (already
+            # charged) vanishes on the wire.
+            return FaultDecision(drop=True, reason="fixed.dropped_src_crashed")
         now = self.network.scheduler.now
         for partition in self.plan.partitions:
             if partition.severs(message.src, message.dst, now):
@@ -199,15 +203,18 @@ class FaultInjector:
         mss.crashed = True
         self.stats["mss.crash"] += 1
         network.metrics.record_fault("mss.crash")
+        # The station's cell, plus every MH whose join to it is still
+        # on the air: that join lands on a dead station, so the MH
+        # would believe itself attached to a cell nobody serves.
+        orphans = sorted(mss.local_mhs.union(
+            mh.host_id for mh in network._mh.values()
+            if mh.is_connected and mh.current_mss_id == mss_id
+        ))
         if network._trace_on:
-            network._trace.emit(
-                "fault.mss_crash",
-                src=mss_id,
-                orphans=sorted(mss.local_mhs),
-            )
+            network._trace.emit("fault.mss_crash", src=mss_id,
+                                orphans=orphans)
         self._crash_times[mss_id] = network.scheduler.now
         # Volatile cell state dies with the station.
-        orphans = sorted(mss.local_mhs)
         mss.local_mhs.clear()
         mss.disconnected_mhs.clear()
         if orphans:

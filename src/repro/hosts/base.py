@@ -76,23 +76,10 @@ class Host:
         network = self.network
         trace = network._trace
         if trace.enabled:
-            appender = network._batch_recv
-            if appender is not None:
-                # Batched hub: one ledger-row append instead of a full
-                # emit (see MonitorHub.call_site_batch).
-                recv_id = appender(
-                    message.scope, message.src, self.host_id,
-                    message.kind, message.trace_id,
-                )
-            else:
-                recv_id = trace.emit(
-                    "recv",
-                    scope=message.scope,
-                    src=message.src,
-                    dst=self.host_id,
-                    kind=message.kind,
-                    parent=message.trace_id,
-                )
+            recv_id = network._batch_recv(
+                message.scope, message.src, self.host_id,
+                message.kind, message.trace_id,
+            )
             # Inline trace.context(recv_id): the with-statement plus
             # context-object allocation is measurable at this call rate.
             stack = trace._stack

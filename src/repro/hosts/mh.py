@@ -137,22 +137,10 @@ class MobileHost(Host):
         self.network.mss(new_mss_id)  # validate destination exists
         trace = self.network._trace
         if trace.enabled:
-            appender = self.network._batch_mh_leave
-            if appender is not None:
-                leave_id = appender(
-                    MOBILITY_SCOPE, self.host_id, self.current_mss_id,
-                    None, None,
-                    {"r": self.last_received_seq, "to": new_mss_id},
-                )
-            else:
-                leave_id = trace.emit(
-                    "mh.leave",
-                    scope=MOBILITY_SCOPE,
-                    src=self.host_id,
-                    dst=self.current_mss_id,
-                    r=self.last_received_seq,
-                    to=new_mss_id,
-                )
+            leave_id = self.network._batch_mh_leave(
+                MOBILITY_SCOPE, self.host_id, self.current_mss_id, None,
+                None, {"r": self.last_received_seq, "to": new_mss_id},
+            )
             # Inline trace.context(leave_id): moves are hot enough for
             # the context-object allocation to show up in profiles.
             stack = trace._stack
@@ -206,20 +194,10 @@ class MobileHost(Host):
         self.moves_completed += 1
         trace = self.network._trace
         if trace.enabled:
-            appender = self.network._batch_mh_join
-            if appender is not None:
-                join_id = appender(
-                    MOBILITY_SCOPE, self.host_id, new_mss_id,
-                    None, None, {"prev": prev_mss_id},
-                )
-            else:
-                join_id = trace.emit(
-                    "mh.join",
-                    scope=MOBILITY_SCOPE,
-                    src=self.host_id,
-                    dst=new_mss_id,
-                    prev=prev_mss_id,
-                )
+            join_id = self.network._batch_mh_join(
+                MOBILITY_SCOPE, self.host_id, new_mss_id, None, None,
+                {"prev": prev_mss_id},
+            )
             stack = trace._stack
             stack.append(join_id)
             try:

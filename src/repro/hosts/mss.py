@@ -282,23 +282,10 @@ class MobileSupportStation(Host):
         self.disconnected_mhs.discard(request.mh_id)
         network = self.network
         if network._trace_on:
-            appender = network._batch_mss_handoff
-            if appender is not None:
-                # Batched hub (never recording -- see call_site_batch):
-                # no monitor consumes this site's detail payload, so
-                # the row skips the mh_id/shares dict (and the sorted()
-                # that would feed it) entirely.
-                appender(MOBILITY_SCOPE, self.host_id,
-                         request.new_mss_id)
-            else:
-                network._trace.emit(
-                    "mss.handoff",
-                    scope=MOBILITY_SCOPE,
-                    src=self.host_id,
-                    dst=request.new_mss_id,
-                    mh_id=request.mh_id,
-                    shares=sorted(state),
-                )
+            network._batch_mss_handoff(
+                MOBILITY_SCOPE, self.host_id, request.new_mss_id, None,
+                None, {"mh_id": request.mh_id, "shares": sorted(state)},
+            )
         self.send_fixed(
             request.new_mss_id,
             KIND_HANDOFF_REPLY,

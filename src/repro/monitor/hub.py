@@ -277,13 +277,12 @@ class MonitorHub(Tracer):
         triggers a drain on segment fill.  (The sim-time drain quantum
         is checked only on the :meth:`emit` path and before any
         observation; drain cadence is semantically invisible, so the
-        hottest sites skip the clock comparison.)  Returns ``None``
-        when the hub is recording -- sites must go through :meth:`emit`
-        so the materialized trace keeps the full detail payload -- and
-        callers fall back to :meth:`emit`.
+        hottest sites skip the clock comparison.)  A recording hub
+        hands out the tracer's emit adapter instead, so every event is
+        materialized with its full detail and dispatched per event.
         """
         if self.record:
-            return None
+            return super().call_site_batch(etype, category)
         site = self._sites.get(etype)
         if site is None:
             site = self._compile_site(etype)

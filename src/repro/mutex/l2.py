@@ -156,14 +156,12 @@ class L2Mutex:
         #: mh_id -> (grant, scheduled exit) while inside the region, so
         #: a MH crash can vacate the CS instead of wedging the system.
         self._active: Dict[str, Tuple[GrantPayload, object]] = {}
-        # Batched hubs hand out ledger appenders for the CS transition
-        # events (see MonitorHub.call_site_batch); the tracer is
-        # installed before protocols attach, so resolving them once
-        # here mirrors Network._refresh_fast_paths.
-        batch_for = getattr(network._trace, "call_site_batch", None)
-        batched = batch_for is not None and network._trace_on
-        self._batch_cs_enter = batch_for("cs.enter") if batched else None
-        self._batch_cs_exit = batch_for("cs.exit") if batched else None
+        # The site emitters for the CS transition events (see
+        # Tracer.call_site_batch); the tracer is installed before
+        # protocols attach, so resolving them once here mirrors
+        # Network._refresh_fast_paths.
+        self._batch_cs_enter = network._trace.call_site_batch("cs.enter")
+        self._batch_cs_exit = network._trace.call_site_batch("cs.exit")
         if network.faults is not None:
             network.faults.add_mh_crash_listener(self._on_mh_crash)
 
@@ -304,14 +302,8 @@ class L2Mutex:
         grant: GrantPayload = message.payload
         self.grant_log.append((grant.request_ts, grant.mh_id))
         if self.network._trace_on:
-            appender = self._batch_cs_enter
-            if appender is not None:
-                appender(self.scope, grant.mh_id, None, None, None,
-                         {"proxy": grant.proxy_mss_id})
-            else:
-                self.network._trace.emit("cs.enter", scope=self.scope,
-                                         src=grant.mh_id,
-                                         proxy=grant.proxy_mss_id)
+            self._batch_cs_enter(self.scope, grant.mh_id, None, None, None,
+                                 {"proxy": grant.proxy_mss_id})
         self.resource.enter(
             grant.mh_id,
             info={"algorithm": self.scope, "request_ts": grant.request_ts},
@@ -326,14 +318,8 @@ class L2Mutex:
         self._active.pop(grant.mh_id, None)
         self.resource.leave(grant.mh_id)
         if self.network._trace_on:
-            appender = self._batch_cs_exit
-            if appender is not None:
-                appender(self.scope, grant.mh_id, None, None, None,
-                         {"proxy": grant.proxy_mss_id})
-            else:
-                self.network._trace.emit("cs.exit", scope=self.scope,
-                                         src=grant.mh_id,
-                                         proxy=grant.proxy_mss_id)
+            self._batch_cs_exit(self.scope, grant.mh_id, None, None, None,
+                                {"proxy": grant.proxy_mss_id})
         mh = self.network.mobile_host(grant.mh_id)
         if mh.is_connected:
             self._send_release(grant.mh_id, grant.proxy_mss_id)
@@ -365,16 +351,9 @@ class L2Mutex:
             self.resource.leave(mh_id)
             self.network.metrics.record_fault("l2.grant_aborted_by_crash")
             if self.network._trace_on:
-                appender = self._batch_cs_exit
-                if appender is not None:
-                    appender(self.scope, mh_id, None, None, None,
-                             {"proxy": grant.proxy_mss_id,
-                              "aborted": True, "reason": "mh.crash"})
-                else:
-                    self.network._trace.emit(
-                        "cs.exit", scope=self.scope, src=mh_id,
-                        proxy=grant.proxy_mss_id, aborted=True,
-                        reason="mh.crash")
+                self._batch_cs_exit(self.scope, mh_id, None, None, None,
+                                    {"proxy": grant.proxy_mss_id,
+                                     "aborted": True, "reason": "mh.crash"})
             self._on_grantee_unreachable(grant.proxy_mss_id, mh_id)
             return
         proxy = self._owed_release.pop(mh_id, None)

@@ -14,11 +14,8 @@ of the contract: the host-level senders build every hot envelope as
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
-
-_message_ids = itertools.count()
 
 
 @dataclass
@@ -31,7 +28,6 @@ class Message:
         dst: id of the destination host.
         payload: protocol-specific content (any object).
         scope: metrics scope the transmission is accounted under.
-        msg_id: unique id, handy in logs and tests.
         wireless_seq: sequence number stamped by the wireless downlink
             (MSS -> MH direction only); ``None`` elsewhere.
         trace_id: id of the trace event that sent this message, stamped
@@ -45,12 +41,11 @@ class Message:
     dst: str
     payload: Any = None
     scope: str = "default"
-    msg_id: int = field(default_factory=_message_ids.__next__)
     wireless_seq: int | None = None
     trace_id: int | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"Message(#{self.msg_id} {self.kind} {self.src}->{self.dst} "
+            f"Message({self.kind} {self.src}->{self.dst} "
             f"scope={self.scope})"
         )

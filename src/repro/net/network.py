@@ -86,8 +86,8 @@ class Network:
         self._trace_on = False
         # Fast-path state derived once (refreshed on trace/faults
         # installation): constant-latency values, whether anything can
-        # observe or perturb a fixed transmission, and the monomorphic
-        # raw fixed-send implementation.
+        # observe or perturb a fixed transmission, and the site
+        # emitters.
         self._fixed_const: Optional[float] = None
         self._wireless_const: Optional[float] = None
         self._fixed_unobserved = False
@@ -122,38 +122,21 @@ class Network:
         :class:`Network`).
         """
         self._trace_on = bool(getattr(self._trace, "enabled", True))
-        # Non-recording monitor hubs hand out per-etype ledger
-        # appenders (see MonitorHub.call_site_batch): the hot
-        # instrumentation points below append one row tuple and skip
-        # the emit call entirely.  ``None`` (plain tracers, recording
-        # hubs) means "emit as usual".
-        batch_for = getattr(self._trace, "call_site_batch", None)
-        if batch_for is not None and self._trace_on:
-            self._batch_send_fixed = batch_for("send.fixed", "fixed")
-            self._batch_send_local = batch_for("send.local")
-            self._batch_recv = batch_for("recv")
-            self._batch_wireless_up = batch_for("send.wireless_up",
-                                                "wireless")
-            self._batch_wireless_down = batch_for("send.wireless_down",
-                                                  "wireless")
-            self._batch_mss_handoff = batch_for("mss.handoff")
-            self._batch_mh_leave = batch_for("mh.leave")
-            self._batch_mh_join = batch_for("mh.join")
-            self._batch_search_charge = batch_for("search.charge",
-                                                  "search")
-            self._batch_search_probes = batch_for("search.probes",
-                                                  "search_probe")
-        else:
-            self._batch_send_fixed = None
-            self._batch_send_local = None
-            self._batch_recv = None
-            self._batch_wireless_up = None
-            self._batch_wireless_down = None
-            self._batch_mss_handoff = None
-            self._batch_mh_leave = None
-            self._batch_mh_join = None
-            self._batch_search_charge = None
-            self._batch_search_probes = None
+        # One site emitter per hot instrumentation point (see
+        # Tracer.call_site_batch): the tracer's emit adapter, or a
+        # ledger hub's compiled row appender.  Sites call it behind the
+        # ``_trace_on`` guard.
+        site = self._trace.call_site_batch
+        self._batch_send_fixed = site("send.fixed", "fixed")
+        self._batch_send_local = site("send.local")
+        self._batch_recv = site("recv")
+        self._batch_wireless_up = site("send.wireless_up", "wireless")
+        self._batch_wireless_down = site("send.wireless_down", "wireless")
+        self._batch_mss_handoff = site("mss.handoff")
+        self._batch_mh_leave = site("mh.leave")
+        self._batch_mh_join = site("mh.join")
+        self._batch_search_charge = site("search.charge", "search")
+        self._batch_search_probes = site("search.probes", "search_probe")
         fixed = self.config.fixed_latency
         self._fixed_const = (
             fixed.value if isinstance(fixed, ConstantLatency) else None
@@ -166,15 +149,10 @@ class Network:
         # transmission (no tracer, no fault injector, constant latency)
         # send_fixed transmits in its own frame; decided once here
         # instead of per message.
-        unperturbed = self.faults is None and self._fixed_const is not None
-        self._fixed_unobserved = unperturbed and not self._trace_on
-        if unperturbed and self._trace_on:
-            # Traced but unperturbed: no injector means no MSS can be
-            # crashed and no drop/delay/duplicate decisions exist, so
-            # only the trace emit stays on the path.
-            self._send_fixed_raw = self._send_fixed_raw_traced
-        else:
-            self._send_fixed_raw = self._send_fixed_raw_general
+        self._fixed_unobserved = (
+            self.faults is None and self._fixed_const is not None
+            and not self._trace_on
+        )
 
     # ------------------------------------------------------------------
     # Registration and lookup
@@ -330,20 +308,9 @@ class Network:
         dst = self.mss(message.dst)
         if message.src == message.dst:
             if self._trace_on:
-                appender = self._batch_send_local
-                if appender is not None:
-                    message.trace_id = appender(
-                        message.scope, message.src, message.dst,
-                        message.kind,
-                    )
-                else:
-                    message.trace_id = self._trace.emit(
-                        "send.local",
-                        scope=message.scope,
-                        src=message.src,
-                        dst=message.dst,
-                        kind=message.kind,
-                    )
+                message.trace_id = self._batch_send_local(
+                    message.scope, message.src, message.dst, message.kind,
+                )
             self.scheduler.post(0.0, dst.handle_message, message)
             return
         self.mss(message.src)  # validate the source exists
@@ -355,7 +322,7 @@ class Network:
             return
         # No tracer, no fault injector (so no MSS can be crashed) and a
         # constant latency (so no RNG draw): step for step what
-        # _send_fixed_raw_general does under those preconditions, minus
+        # _send_fixed_raw does under those preconditions, minus
         # the dead branches and the forwarding frame.
         self.metrics.record_fixed(message.scope)
         scheduler = self.scheduler
@@ -402,51 +369,13 @@ class Network:
             if sent:
                 self.metrics.record_fixed(scope, sent)
 
-    def _send_fixed_raw_traced(self, message: Message) -> None:
-        """Monomorphic traced raw-send: tracer on, nothing perturbed.
-
-        Bound when a tracer is enabled but no fault injector is
-        installed and the fixed latency is constant.  Step-for-step
-        identical to :meth:`_send_fixed_raw_general` under those
-        preconditions (no MSS can be crashed without an injector, and
-        no drop/delay/duplicate decisions exist), so traces and event
-        timing are byte-identical -- only the dead branches are gone.
-        """
-        try:
-            dst = self._mss[message.dst]
-        except KeyError:
-            raise UnknownHostError(f"unknown MSS: {message.dst}") from None
-        self.metrics.record_fixed(message.scope)
-        appender = self._batch_send_fixed
-        if appender is not None:
-            message.trace_id = appender(
-                message.scope, message.src, message.dst, message.kind,
-            )
-        else:
-            message.trace_id = self._trace.emit(
-                "send.fixed",
-                scope=message.scope,
-                category="fixed",
-                src=message.src,
-                dst=message.dst,
-                kind=message.kind,
-            )
-        key = (message.src, message.dst)
-        last = self._last_arrival
-        arrival = self.scheduler.now + self._fixed_const
-        previous = last.get(key)
-        if previous is not None and previous > arrival:
-            arrival = previous
-        last[key] = arrival
-        self.scheduler.post_at(arrival, dst.handle_message, message)
-
-    def _send_fixed_raw_general(self, message: Message) -> None:
+    def _send_fixed_raw(self, message: Message) -> None:
         """One physical transmission attempt on the fixed network.
 
         Records the cost, then consults the fault injector: the message
         may be dropped (source crashed, partition, lossy link), delayed,
-        or duplicated.  Without an injector this is the paper's reliable
-        sequenced channel.
+        or duplicated.  Without an injector no MSS can crash and this is
+        the paper's reliable sequenced channel.
         """
         try:
             dst = self._mss[message.dst]
@@ -454,35 +383,9 @@ class Network:
             raise UnknownHostError(f"unknown MSS: {message.dst}") from None
         self.metrics.record_fixed(message.scope)
         if self._trace_on:
-            appender = self._batch_send_fixed
-            if appender is not None:
-                message.trace_id = appender(
-                    message.scope, message.src, message.dst, message.kind,
-                )
-            else:
-                message.trace_id = self._trace.emit(
-                    "send.fixed",
-                    scope=message.scope,
-                    category="fixed",
-                    src=message.src,
-                    dst=message.dst,
-                    kind=message.kind,
-                )
-        if self._mss[message.src].crashed:
-            # A crashed station transmits nothing; the message (already
-            # charged) vanishes on the wire.
-            self.metrics.record_fault("fixed.dropped_src_crashed")
-            if self._trace_on:
-                self._trace.emit(
-                    "fault.drop",
-                    scope=message.scope,
-                    src=message.src,
-                    dst=message.dst,
-                    kind=message.kind,
-                    parent=message.trace_id,
-                    reason="fixed.dropped_src_crashed",
-                )
-            return
+            message.trace_id = self._batch_send_fixed(
+                message.scope, message.src, message.dst, message.kind,
+            )
         extra_delay = 0.0
         duplicates = 0
         if self.faults is not None:
@@ -585,20 +488,9 @@ class Network:
         session = mh.session
         self.metrics.record_wireless_rx(mh_id, message.scope)
         if self._trace_on:
-            appender = self._batch_wireless_down
-            if appender is not None:
-                message.trace_id = appender(
-                    message.scope, mss_id, mh_id, message.kind,
-                )
-            else:
-                message.trace_id = self._trace.emit(
-                    "send.wireless_down",
-                    scope=message.scope,
-                    category="wireless",
-                    src=mss_id,
-                    dst=mh_id,
-                    kind=message.kind,
-                )
+            message.trace_id = self._batch_wireless_down(
+                message.scope, mss_id, mh_id, message.kind,
+            )
         latency = self._wireless_const
         if latency is None:
             latency = self.config.wireless_latency(self.rng)
@@ -670,20 +562,9 @@ class Network:
         message.dst = mss.host_id
         self.metrics.record_wireless_tx(mh_id, message.scope)
         if self._trace_on:
-            appender = self._batch_wireless_up
-            if appender is not None:
-                message.trace_id = appender(
-                    message.scope, mh_id, mss.host_id, message.kind,
-                )
-            else:
-                message.trace_id = self._trace.emit(
-                    "send.wireless_up",
-                    scope=message.scope,
-                    category="wireless",
-                    src=mh_id,
-                    dst=mss.host_id,
-                    kind=message.kind,
-                )
+            message.trace_id = self._batch_wireless_up(
+                message.scope, mh_id, mss.host_id, message.kind,
+            )
         latency = self._wireless_const
         if latency is None:
             latency = self.config.wireless_latency(self.rng)

@@ -123,17 +123,7 @@ class AbstractSearch(SearchProtocol):
     ) -> None:
         network.metrics.record_search(scope)
         if network._trace_on:
-            appender = network._batch_search_charge
-            if appender is not None:
-                appender(scope, src_mss_id, mh_id)
-            else:
-                network._trace.emit(
-                    "search.charge",
-                    scope=scope,
-                    category="search",
-                    src=src_mss_id,
-                    dst=mh_id,
-                )
+            network._batch_search_charge(scope, src_mss_id, mh_id)
         self._resolve(network, mh_id, callback, first_attempt=True)
 
     def _resolve(
@@ -217,19 +207,8 @@ class BroadcastSearch(SearchProtocol):
         probes = len(others) + 1
         network.metrics.record_search_probe(scope, count=probes)
         if network._trace_on:
-            appender = network._batch_search_probes
-            if appender is not None:
-                appender(scope, src_mss_id, mh_id, None, None,
-                         {"count": probes})
-            else:
-                network._trace.emit(
-                    "search.probes",
-                    scope=scope,
-                    category="search_probe",
-                    src=src_mss_id,
-                    dst=mh_id,
-                    count=probes,
-                )
+            network._batch_search_probes(scope, src_mss_id, mh_id, None,
+                                         None, {"count": probes})
         round_trip = 2 * network.config.fixed_latency(network.rng)
         network.scheduler.schedule(
             round_trip,
@@ -339,20 +318,10 @@ class HomeAgentSearch(SearchProtocol):
         # Query + reply to the home agent.
         network.metrics.record_search_probe(scope, count=2)
         if network._trace_on:
-            appender = network._batch_search_probes
-            if appender is not None:
-                appender(scope, src_mss_id, mh_id, None, None,
-                         {"count": 2, "home": self.home_of(network, mh_id)})
-            else:
-                network._trace.emit(
-                    "search.probes",
-                    scope=scope,
-                    category="search_probe",
-                    src=src_mss_id,
-                    dst=mh_id,
-                    count=2,
-                    home=self.home_of(network, mh_id),
-                )
+            network._batch_search_probes(
+                scope, src_mss_id, mh_id, None, None,
+                {"count": 2, "home": self.home_of(network, mh_id)},
+            )
         round_trip = 2 * network.config.fixed_latency(network.rng)
         network.scheduler.schedule(
             round_trip, self._complete, network, mh_id, scope, callback

@@ -106,6 +106,11 @@ class _NullContext:
 _NULL_CONTEXT = _NullContext()
 
 
+def _null_append(*args: Any, **kwargs: Any) -> None:
+    """The site emitter :class:`NullTracer` hands out."""
+    return None
+
+
 class Tracer:
     """Collects :class:`TraceEvent` records from an instrumented run.
 
@@ -166,6 +171,23 @@ class Tracer:
         )
         return event_id
 
+    def call_site_batch(self, etype: str, category: Optional[str] = None):
+        """The emitter for one hot instrumentation point.
+
+        Returns ``append(scope, src, dst, kind=None, parent=None,
+        detail=None) -> event_id``, which is :meth:`emit` of ``etype``
+        and ``category`` with ``detail`` as its keyword payload.  Every
+        hot site makes this one call; a ledger hub overrides it with a
+        compiled row appender.
+        """
+        emit = self.emit
+
+        def append(scope, src, dst, kind=None, parent=None, detail=None):
+            return emit(etype, scope=scope, category=category, src=src,
+                        dst=dst, kind=kind, parent=parent, **(detail or {}))
+
+        return append
+
     def context(self, event_id: Optional[int]) -> _Context:
         """Causal context: events emitted inside are children of
         ``event_id``."""
@@ -201,6 +223,9 @@ class NullTracer:
 
     def emit(self, etype: str, **kwargs: Any) -> None:
         return None
+
+    def call_site_batch(self, etype: str, category: Optional[str] = None):
+        return _null_append
 
     def context(self, event_id: Optional[int]) -> _NullContext:
         return _NULL_CONTEXT

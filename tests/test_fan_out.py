@@ -172,15 +172,13 @@ def observe(workload: str, regime: str, fan_out) -> dict:
     def recording(host, message):
         if message.src.startswith("mss-") and host.host_id.startswith(
                 "mss-"):
-            arrivals.append((message.msg_id - base, message.src,
-                             host.host_id, message.kind,
+            arrivals.append((message.src, host.host_id, message.kind,
                              host.network.scheduler.now))
         real_handle(host, message)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Network, "fan_out_fixed", fan_out)
         patch.setattr(Host, "handle_message", recording)
-        base = Message("", "", "").msg_id
         sim = Simulation(n_mss=5, n_mh=10, seed=SEED, **sim_kwargs())
         load, outcome = WORKLOADS[workload](sim, SEED)
         sim.run(until=HORIZON / 2)

@@ -202,6 +202,29 @@ class TestCrashes:
         assert snap.fault_total("mh.rejoined") == 1
         assert snap.recovery_times == (pytest.approx(2.0),)
 
+    def test_join_in_flight_to_a_crashing_mss_is_orphaned_too(self):
+        """mh-0 arrives in mss-1's cell at t=2 and uplinks its join,
+        which lands at t=2.5; mss-1 crashes at t=2.2.  The MH must not
+        stay attached to a cell nobody serves: it is orphaned with the
+        cell's own MHs, rejoins a live station, and is reachable."""
+        plan = FaultPlan(
+            crashes=(MssCrash("mss-1", at=2.2),), rejoin_delay=2.0
+        )
+        sim = fault_sim(plan, n_mss=3, n_mh=3, transit_time=1.0)
+        mh = sim.mh(0)  # lives at mss-0; mh-1 lives at mss-1
+        sim.scheduler.schedule_at(1.0, mh.move_to, "mss-1")
+        sim.run(until=10.0)
+        assert mh.is_connected
+        assert mh.current_mss_id != "mss-1"
+        assert mh.host_id in sim.network.mss(mh.current_mss_id).local_mhs
+        assert sim.metrics.fault_total("mh.orphaned") == 2
+        received = []
+        mh.register_handler("t.down", lambda m: received.append(m.payload))
+        sim.mss(2).send_to_mh("mh-0", "t.down", "hello", "t")
+        sim.run(until=40.0)
+        assert received == ["hello"]
+        assert sim.metrics.fault_total("send_to_mh.gave_up") == 0
+
     def test_messages_to_crashed_mss_vanish(self):
         plan = FaultPlan(crashes=(MssCrash("mss-1", at=0.0),),
                          reliable=False)

@@ -79,6 +79,17 @@ def test_resubmitted_r2_request_is_not_granted_twice():
     assert result.report["faults"]["r2.duplicate_request"] == 1
 
 
+def test_join_in_flight_at_a_crash_does_not_strand_a_request():
+    """ROADMAP 1(b): at seed 64 mh-8's join was on the air when mss-1
+    crashed; the crash orphaned only the cell's MHs, so mh-8 believed
+    itself attached to the dead station and its request was never
+    served.  An in-flight joiner is now orphaned with the cell."""
+    result = run_scenario(builtin_registry().get("kitchen_sink"), seed=64)
+    assert result.report["monitors"]["violations"] == []
+    assert result.failures == [], result.failures
+    assert result.report["faults"].get("send_to_mh.gave_up", 0) == 0
+
+
 def test_adversarial_scenario_actually_lies():
     """The adversarial scenario wires real malicious MHs into R2''."""
     spec = builtin_registry().get("adversarial_r2pp")

@@ -65,11 +65,6 @@ class TestLatencyModels:
 
 
 class TestMessages:
-    def test_unique_ids(self):
-        a = Message(kind="k", src="a", dst="b")
-        b = Message(kind="k", src="a", dst="b")
-        assert a.msg_id != b.msg_id
-
     def test_defaults(self):
         message = Message(kind="k", src="a", dst="b")
         assert message.payload is None
