@@ -1,7 +1,8 @@
 """E7 -- Section 4.1: the pure search strategy.
 
 Paper claims reproduced:
-* one group message costs ``(|G|-1)*(2*C_wireless + C_search)``;
+* one group message costs ``(|G|-1)*(2*C_wireless + C_search)``, and
+  MSG messages cost MSG times that, whatever MOB;
 * the effective cost is independent of member mobility (MOB);
 * no state is maintained anywhere: moves generate zero strategy
   traffic.
@@ -36,6 +37,7 @@ def run_pure_search(g: int, moves_per_member: int):
         sim.drain()
     delta = sim.metrics.since(before)
     return {
+        "total": delta.cost(COSTS, group.scope),
         "cost_per_msg": delta.cost(COSTS, group.scope) / messages,
         "searches": delta.total(Category.SEARCH, group.scope),
         "mob": group.stats.moves,
@@ -77,3 +79,12 @@ def test_e7_pure_search_cost_mobility_independent(benchmark):
     # Mobility independence: identical effective cost at MOB=0 and
     # MOB=high.
     assert results[0]["cost_per_msg"] == results[4]["cost_per_msg"]
+
+
+def test_e7_pure_search_total_cost():
+    g = 5
+    for mob in (0, 4, 8):
+        r = run_pure_search(g, mob)
+        assert r["mob"] == mob * g
+        assert r["total"] == formulas.pure_search_total_cost(
+            g, r["msg"], COSTS)

@@ -76,7 +76,6 @@ class MobileSupportStation(Host):
         self.disconnected_mhs: Set[str] = set()
         self._join_listeners: List[JoinListener] = []
         self._leave_listeners: List[LeaveListener] = []
-        self._disconnect_listeners: List[LeaveListener] = []
         self._handoff_participants: Dict[str, HandoffParticipant] = {}
         self.register_handler(KIND_LEAVE, self._on_leave)
         self.register_handler(KIND_JOIN, self._on_join)
@@ -118,10 +117,6 @@ class MobileSupportStation(Host):
     def add_leave_listener(self, listener: LeaveListener) -> None:
         """Invoke ``listener(mh_id)`` after each leave."""
         self._leave_listeners.append(listener)
-
-    def add_disconnect_listener(self, listener: LeaveListener) -> None:
-        """Invoke ``listener(mh_id)`` after each local disconnect."""
-        self._disconnect_listeners.append(listener)
 
     def add_handoff_participant(
         self, participant: HandoffParticipant
@@ -168,8 +163,6 @@ class MobileSupportStation(Host):
             return
         self.local_mhs.discard(mh_id)
         self.disconnected_mhs.add(mh_id)
-        for listener in self._disconnect_listeners:
-            listener(mh_id)
 
     # ------------------------------------------------------------------
     # Sending helpers
@@ -238,8 +231,6 @@ class MobileSupportStation(Host):
         payload: DisconnectPayload = message.payload
         self.local_mhs.discard(payload.mh_id)
         self.disconnected_mhs.add(payload.mh_id)
-        for listener in self._disconnect_listeners:
-            listener(payload.mh_id)
 
     def _on_reconnect(self, message: Message) -> None:
         payload: ReconnectPayload = message.payload

@@ -38,9 +38,9 @@ from typing import (
 )
 
 from repro.clock import Timestamp
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError
 from repro.mutex.lamport_core import LamportMutexNode, MutexTransport
-from repro.mutex.resource import CriticalResource
+from repro.mutex.resource import CriticalResource, RegionClient, RegionReturn
 from repro.net.messages import Message
 from repro.net.search import SearchOutcome
 
@@ -60,13 +60,6 @@ class GrantPayload(NamedTuple):
     mh_id: str
     proxy_mss_id: str
     request_ts: Timestamp
-
-
-class ReleaseResourcePayload(NamedTuple):
-    """MH -> (current MSS ->) proxy MSS: done with the region."""
-
-    mh_id: str
-    proxy_mss_id: str
 
 
 class _FixedTransport(MutexTransport):
@@ -147,21 +140,12 @@ class L2Mutex:
             self._attach_mss(mss_id)
         self._wire_requests()
         # A MH releases through whichever cell it is in by then.
-        for mss_id in network.mss_ids():
-            network.mss(mss_id).register_handler(
-                f"{scope}.release_resource", self._on_release_resource
-            )
-        self._clients: Dict[str, bool] = {}
-        self._owed_release: Dict[str, str] = {}
-        #: mh_id -> (grant, scheduled exit) while inside the region, so
-        #: a MH crash can vacate the CS instead of wedging the system.
-        self._active: Dict[str, Tuple[GrantPayload, object]] = {}
-        # The site emitters for the CS transition events (see
-        # Tracer.call_site_batch); the tracer is installed before
-        # protocols attach, so resolving them once here mirrors
-        # Network._refresh_fast_paths.
-        self._batch_cs_enter = network._trace.call_site_batch("cs.enter")
-        self._batch_cs_exit = network._trace.call_site_batch("cs.exit")
+        self._region = RegionClient(
+            network, resource, cs_duration, scope,
+            ("release_resource", "release_fwd"), "l2", "proxy",
+            returned=self._finish_release,
+            crashed=self._on_grantee_unreachable,
+        )
         if network.faults is not None:
             network.faults.add_mh_crash_listener(self._on_mh_crash)
 
@@ -202,18 +186,10 @@ class L2Mutex:
             f"{self.scope}.release",
             lambda msg, n=node: n.on_release(msg.payload),
         )
-        mss.register_handler(
-            f"{self.scope}.release_fwd", self._on_release_fwd
-        )
 
     def attach_client(self, mh_id: str) -> None:
         """Enable ``mh_id`` to use L2 (registers the grant handler)."""
-        if mh_id in self._clients:
-            return
-        mh = self.network.mobile_host(mh_id)
-        mh.register_handler(f"{self.scope}.grant", self._on_grant)
-        mh.add_attach_listener(partial(self._flush_owed, mh_id))
-        self._clients[mh_id] = True
+        self._region.attach(mh_id, self._on_grant)
 
     # ------------------------------------------------------------------
     # Public operations
@@ -270,23 +246,6 @@ class L2Mutex:
         if self.on_aborted is not None:
             self.on_aborted(mh_id)
 
-    def _on_release_resource(self, message: Message) -> None:
-        payload: ReleaseResourcePayload = message.payload
-        current_mss_id = message.dst
-        if payload.proxy_mss_id == current_mss_id:
-            self._finish_release(current_mss_id, payload.mh_id)
-        else:
-            self.network.mss(current_mss_id).send_fixed(
-                payload.proxy_mss_id,
-                f"{self.scope}.release_fwd",
-                payload,
-                self.scope,
-            )
-
-    def _on_release_fwd(self, message: Message) -> None:
-        payload: ReleaseResourcePayload = message.payload
-        self._finish_release(message.dst, payload.mh_id)
-
     def _finish_release(self, mss_id: str, mh_id: str) -> None:
         self._request_ts[mss_id].pop(mh_id, None)
         self._nodes[mss_id].release(tag=mh_id)
@@ -301,75 +260,24 @@ class L2Mutex:
     def _on_grant(self, message: Message) -> None:
         grant: GrantPayload = message.payload
         self.grant_log.append((grant.request_ts, grant.mh_id))
-        if self.network._trace_on:
-            self._batch_cs_enter(self.scope, grant.mh_id, None, None, None,
-                                 {"proxy": grant.proxy_mss_id})
-        self.resource.enter(
-            grant.mh_id,
-            info={"algorithm": self.scope, "request_ts": grant.request_ts},
+        self._region.enter(
+            RegionReturn(grant.mh_id, grant.proxy_mss_id),
+            grant.proxy_mss_id,
+            {"algorithm": self.scope, "request_ts": grant.request_ts},
         )
-        exit_event = self.network.scheduler.schedule(
-            self.cs_duration, self._exit_region, grant
-        )
-        if self.network.faults is not None:
-            self._active[grant.mh_id] = (grant, exit_event)
-
-    def _exit_region(self, grant: GrantPayload) -> None:
-        self._active.pop(grant.mh_id, None)
-        self.resource.leave(grant.mh_id)
-        if self.network._trace_on:
-            self._batch_cs_exit(self.scope, grant.mh_id, None, None, None,
-                                {"proxy": grant.proxy_mss_id})
-        mh = self.network.mobile_host(grant.mh_id)
-        if mh.is_connected:
-            self._send_release(grant.mh_id, grant.proxy_mss_id)
-        else:
-            # The paper requires a MH that disconnected after its grant
-            # to reconnect in order to send release_resource; remember
-            # the debt and flush it on reattachment.
-            if grant.mh_id in self._owed_release:
-                raise ProtocolError(f"{grant.mh_id} already owes a release")
-            self._owed_release[grant.mh_id] = grant.proxy_mss_id
 
     def _on_mh_crash(self, mh_id: str) -> None:
         """L2's state lives at the stations, so a MH crash touches at
-        most one thing: the grant the crashed host was holding.
-
-        * Crashed *inside* the region: the proxy vacates the CS and
-          releases on the dead host's behalf (nobody else can), exactly
-          as it does for an unreachable grantee.
-        * Crashed *owing a release* (access complete, release unsent --
-          an amnesiac host would never send it): the serving cell's
-          crash detection lets the proxy disclaim the debt and release.
-        * Any other moment: nothing to do -- a pending ``init`` is
-          handled when its grant's search finds the host disconnected.
+        most the grant the crashed host was holding.  Crashed inside the
+        region, the proxy releases on its behalf as for an unreachable
+        grantee; crashed owing a release (an amnesiac host would never
+        send it), the serving cell's crash detection lets the proxy
+        disclaim the debt.  A pending ``init`` needs nothing: its grant's
+        search finds the host disconnected.
         """
-        active = self._active.pop(mh_id, None)
-        if active is not None:
-            grant, exit_event = active
-            exit_event.cancel()
-            self.resource.leave(mh_id)
-            self.network.metrics.record_fault("l2.grant_aborted_by_crash")
-            if self.network._trace_on:
-                self._batch_cs_exit(self.scope, mh_id, None, None, None,
-                                    {"proxy": grant.proxy_mss_id,
-                                     "aborted": True, "reason": "mh.crash"})
-            self._on_grantee_unreachable(grant.proxy_mss_id, mh_id)
+        if self._region.crash(mh_id):
             return
-        proxy = self._owed_release.pop(mh_id, None)
-        if proxy is not None:
+        owed = self._region.disclaim(mh_id)
+        if owed is not None:
             self.network.metrics.record_fault("l2.owed_release_disclaimed")
-            self._finish_release(proxy, mh_id)
-
-    def _flush_owed(self, mh_id: str) -> None:
-        proxy = self._owed_release.pop(mh_id, None)
-        if proxy is not None:
-            self._send_release(mh_id, proxy)
-
-    def _send_release(self, mh_id: str, proxy_mss_id: str) -> None:
-        mh = self.network.mobile_host(mh_id)
-        mh.send_to_mss(
-            f"{self.scope}.release_resource",
-            ReleaseResourcePayload(mh_id, proxy_mss_id),
-            self.scope,
-        )
+            self._finish_release(owed.grantor_mss_id, mh_id)

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -66,7 +67,7 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError, ProtocolError
-from repro.mutex.resource import CriticalResource
+from repro.mutex.resource import CriticalResource, RegionClient, RegionReturn
 from repro.mutex.ring_core import RingNode, Token
 from repro.net.messages import Message
 from repro.net.search import SearchOutcome
@@ -96,14 +97,6 @@ class RingGrantPayload(NamedTuple):
     mh_id: str
     grantor_mss_id: str
     token_val: int
-    epoch: int = 0
-
-
-class RingReturnPayload(NamedTuple):
-    """MH -> (current MSS ->) grantor MSS: token handed back."""
-
-    mh_id: str
-    grantor_mss_id: str
     epoch: int = 0
 
 
@@ -173,23 +166,31 @@ class R2Mutex:
         #: mh_id -> MSS where its unserved request was submitted.
         self._outstanding_req: Dict[str, str] = {}
         self._resubmit_pending: set = set()
-        #: mh_id -> (grant, scheduled exit) while inside the region;
-        #: fault-tolerant runs only, so a MH crash can vacate the CS.
-        self._active_grants: Dict[str, Tuple[RingGrantPayload,
-                                             object]] = {}
         self._nodes: Dict[str, RingNode] = {}
         self._request_queues: Dict[str, List[_PendingRequest]] = {}
         self._grant_queues: Dict[str, List[_PendingRequest]] = {}
         self._forward_fns: Dict[str, Callable[[], None]] = {}
         self._tokens: Dict[str, Token] = {}
-        #: per-MH access counter (the MH-side state of R2'); tests can
-        #: override entries to model malicious under-reporting.
+        #: per-MH access counter (the MH-side state of R2'; 0 until the
+        #: first grant); tests can override entries to model malicious
+        #: under-reporting.
         self.access_counts: Dict[str, int] = {}
         #: MHs that lie about their access count (always report 0).
         self.malicious_mhs: set = set()
-        self._clients: Dict[str, bool] = {}
+        # Site emitters (Tracer.call_site_batch) for per-visit events.
+        self._emit_arrive = network._trace.call_site_batch("token.arrive")
+        self._emit_grant = network._trace.call_site_batch("token.grant")
         for mss_id in self.mss_ids:
             self._attach_mss(mss_id)
+        # Fault-tolerant runs record a completion at the MH as it leaves
+        # the region, so a return dying with a crashing station cannot
+        # lose the access.
+        self._region = RegionClient(
+            network, resource, cs_duration, scope, ("return", "return_fwd"),
+            "r2", "token_val", returned=self._finish_access,
+            crashed=self._reissue, live=self._live,
+            exited=self._complete if self.fault_tolerant else None,
+        )
         if self.fault_tolerant and network.faults is not None:
             network.faults.add_crash_listener(self._on_mss_crash)
             network.faults.add_mh_crash_listener(self._on_mh_crash)
@@ -204,35 +205,21 @@ class R2Mutex:
         node = RingNode(
             node_id=mss_id,
             ring_order=self.mss_ids,
-            send=lambda dst, kind, token, m=mss_id: self._ring_send(
-                m, dst, kind, token
-            ),
+            send=partial(self._ring_send, mss_id),
             kind_prefix=self.scope,
-            on_token=lambda token, forward, m=mss_id: self._on_token(
-                m, token, forward
-            ),
+            on_token=partial(self._on_token, mss_id),
         )
         self._nodes[mss_id] = node
         self._request_queues[mss_id] = []
         self._grant_queues[mss_id] = []
         mss.register_handler(
-            f"{self.scope}.token",
-            lambda msg, n=node: self._handle_token_msg(n, msg),
+            f"{self.scope}.token", partial(self._handle_token_msg, node)
         )
         mss.register_handler(f"{self.scope}.request", self._on_request)
-        mss.register_handler(f"{self.scope}.return", self._on_return)
-        mss.register_handler(
-            f"{self.scope}.return_fwd", self._on_return_fwd
-        )
 
     def attach_client(self, mh_id: str) -> None:
         """Enable ``mh_id`` to use this ring (registers handlers)."""
-        if mh_id in self._clients:
-            return
-        mh = self.network.mobile_host(mh_id)
-        mh.register_handler(f"{self.scope}.grant", self._on_grant)
-        self.access_counts.setdefault(mh_id, 0)
-        self._clients[mh_id] = True
+        self._region.attach(mh_id, self._on_grant)
 
     # ------------------------------------------------------------------
     # Public operations
@@ -253,7 +240,8 @@ class R2Mutex:
         """Have ``mh_id`` ask its local MSS for the token."""
         self.attach_client(mh_id)
         reported = (
-            0 if mh_id in self.malicious_mhs else self.access_counts[mh_id]
+            0 if mh_id in self.malicious_mhs
+            else self.access_counts.get(mh_id, 0)
         )
         mh = self.network.mobile_host(mh_id)
         mh.send_to_mss(
@@ -304,15 +292,8 @@ class R2Mutex:
                 # A survivor of a pre-regeneration epoch resurfaced
                 # (delayed or retransmitted): discard it, there is
                 # exactly one live token per epoch.
-                self.network.metrics.record_fault("r2.stale_token")
-                if self.network._trace_on:
-                    self.network._trace.emit(
-                        "r2.stale_token",
-                        scope=self.scope,
-                        src=node.node_id,
-                        epoch=token.epoch,
-                        live_epoch=self._epoch,
-                    )
+                self._fault("r2.stale_token", node.node_id,
+                            epoch=token.epoch, live_epoch=self._epoch)
                 return
             if node.has_token:
                 # Duplicated on an unreliable wire; the copy is dropped.
@@ -324,29 +305,18 @@ class R2Mutex:
         self, src_mss_id: str, dst_mss_id: str, kind: str, token: Token
     ) -> None:
         if self.fault_tolerant:
-            ids = self.mss_ids
-            start = ids.index(dst_mss_id)
-            for offset in range(len(ids)):
-                candidate = ids[(start + offset) % len(ids)]
-                if not self.network.mss(candidate).crashed:
-                    if candidate != dst_mss_id:
-                        self.network.metrics.record_fault("r2.ring_skip")
-                    dst_mss_id = candidate
-                    break
-            else:
+            alive = self.network.next_alive_mss(dst_mss_id)
+            if alive is None:
                 # Every station is down; the token vanishes here and the
                 # watchdog regenerates once stations return.
                 self.network.metrics.record_fault("r2.token_dropped")
                 return
+            if alive != dst_mss_id:
+                self.network.metrics.record_fault("r2.ring_skip")
+            dst_mss_id = alive
         self.network.mss(src_mss_id).send_fixed(
             dst_mss_id, kind, token, self.scope
         )
-
-    def _first_alive(self) -> Optional[str]:
-        for mss_id in self.mss_ids:
-            if not self.network.mss(mss_id).crashed:
-                return mss_id
-        return None
 
     def _on_token(
         self, mss_id: str, token: Token, forward: Callable[[], None]
@@ -355,12 +325,11 @@ class R2Mutex:
         acting_head = False
         if self.fault_tolerant:
             self._token_last_seen = self.network.scheduler.now
-            if not node.is_head and self.network.mss(
-                self.mss_ids[0]
-            ).crashed:
+            head = self.mss_ids[0]
+            if not node.is_head and self.network.is_mss_crashed(head):
                 # The real head is down, so nobody advanced the
                 # traversal counter; the first alive MSS stands in.
-                acting_head = mss_id == self._first_alive()
+                acting_head = mss_id == self.network.next_alive_mss(head)
                 if acting_head:
                     token.traversals += 1
                     token.token_val += 1
@@ -373,28 +342,20 @@ class R2Mutex:
         ):
             self.finished = True
             return
-        trace = self.network._trace
-        list_before = (
-            [list(pair) for pair in token.token_list]
-            if trace.enabled
-            else None
-        )
+        list_before = token.token_list
         if self.variant is R2Variant.TOKEN_LIST:
             token.token_list = [
                 pair for pair in token.token_list if pair[0] != mss_id
             ]
-        if trace.enabled:
-            trace.emit(
-                "token.arrive",
-                scope=self.scope,
-                src=mss_id,
-                variant=self.variant.value,
-                token_val=token.token_val,
-                traversals=token.traversals,
-                epoch=token.epoch,
-                token_list_before=list_before,
-                token_list=[list(pair) for pair in token.token_list],
-            )
+        if self.network._trace_on:
+            self._emit_arrive(self.scope, mss_id, None, None, None, {
+                "variant": self.variant.value,
+                "token_val": token.token_val,
+                "traversals": token.traversals,
+                "epoch": token.epoch,
+                "token_list_before": [list(pair) for pair in list_before],
+                "token_list": [list(pair) for pair in token.token_list],
+            })
         queue = self._request_queues[mss_id]
         eligible: List[_PendingRequest] = []
         deferred: List[_PendingRequest] = []
@@ -433,20 +394,11 @@ class R2Mutex:
             forward()
             return
         request = grant_queue.pop(0)
-        trace = self.network._trace
-        if trace.enabled:
-            grant_id = trace.emit(
-                "token.grant",
-                scope=self.scope,
-                src=mss_id,
-                dst=request.mh_id,
-                token_val=token.token_val,
-                epoch=token.epoch,
-            )
-            grant_context = trace.context(grant_id)
-        else:
-            grant_context = trace.context(None)
-        with grant_context:
+        grant_id = self._emit_grant(
+            self.scope, mss_id, request.mh_id, None, None,
+            {"token_val": token.token_val, "epoch": token.epoch},
+        ) if self.network._trace_on else None
+        with self.network._trace.context(grant_id):
             self.network.mss(mss_id).send_to_mh(
                 request.mh_id,
                 f"{self.scope}.grant",
@@ -454,8 +406,8 @@ class R2Mutex:
                     request.mh_id, mss_id, token.token_val, token.epoch
                 ),
                 self.scope,
-                on_disconnected=lambda outcome, m=mss_id, r=request: (
-                    self._on_requester_disconnected(m, r, outcome)
+                on_disconnected=partial(
+                    self._on_requester_disconnected, mss_id, request
                 ),
             )
 
@@ -476,37 +428,14 @@ class R2Mutex:
             self.skipped_disconnected.append(request.mh_id)
         self._service_next(mss_id)
 
-    def _on_return(self, message: Message) -> None:
-        payload: RingReturnPayload = message.payload
-        current_mss_id = message.dst
-        if self.fault_tolerant and payload.epoch < self._epoch:
+    def _live(self, back: RegionReturn) -> bool:
+        if back.epoch < self._epoch:
             # Return from a pre-regeneration grant: the access itself
             # was already recorded at the MH; the token it would free
             # no longer exists.
             self.network.metrics.record_fault("r2.stale_return")
-            return
-        if payload.grantor_mss_id == current_mss_id:
-            self._finish_access(current_mss_id, payload.mh_id)
-        elif self.fault_tolerant and self.network.mss(
-            payload.grantor_mss_id
-        ).crashed:
-            # Nobody to hand the token back to: it died with the
-            # grantor, and the watchdog will regenerate it.
-            self.network.metrics.record_fault("r2.return_to_crashed")
-        else:
-            self.network.mss(current_mss_id).send_fixed(
-                payload.grantor_mss_id,
-                f"{self.scope}.return_fwd",
-                payload,
-                self.scope,
-            )
-
-    def _on_return_fwd(self, message: Message) -> None:
-        payload: RingReturnPayload = message.payload
-        if self.fault_tolerant and payload.epoch < self._epoch:
-            self.network.metrics.record_fault("r2.stale_return")
-            return
-        self._finish_access(message.dst, payload.mh_id)
+            return False
+        return True
 
     def _finish_access(self, mss_id: str, mh_id: str) -> None:
         if mss_id not in self._tokens:
@@ -533,17 +462,28 @@ class R2Mutex:
                     ],
                 )
         if not self.fault_tolerant:
-            # Fault-tolerant runs record the completion at the MH when
-            # it leaves the region, so a return message dying with a
-            # crashing MSS cannot lose the access.
-            self.completed.append((self.network.scheduler.now, mh_id))
-            if self.on_complete is not None:
-                self.on_complete(mh_id)
+            self._complete(mh_id)
         self._service_next(mss_id)
+
+    def _complete(self, mh_id: str) -> None:
+        self._outstanding_req.pop(mh_id, None)
+        self._resubmit_pending.discard(mh_id)
+        self.completed.append((self.network.scheduler.now, mh_id))
+        if self.on_complete is not None:
+            self.on_complete(mh_id)
 
     # ------------------------------------------------------------------
     # Fault tolerance: crash handling, token regeneration, resubmission
     # ------------------------------------------------------------------
+
+    def _fault(self, name: str, src: str, etype: Optional[str] = None,
+               **detail: object) -> None:
+        """Record fault ``name``; traced, it is also an ``etype`` event
+        (by default of the same name)."""
+        self.network.metrics.record_fault(name)
+        if self.network._trace_on:
+            self.network._trace.emit(etype or name, scope=self.scope,
+                                     src=src, **detail)
 
     def _on_mss_crash(self, mss_id: str) -> None:
         if not self.fault_tolerant or self.finished:
@@ -564,66 +504,33 @@ class R2Mutex:
             if at_mss == mss_id:
                 self._resubmit(mh_id)
         if held_token:
-            # The token died with the station.  Give any in-flight
-            # grantee time to finish, then regenerate (the watchdog is
-            # the backstop if this check itself is not conclusive).
-            self.network.scheduler.schedule(
-                max(2 * self.cs_duration, 5.0),
-                self._regen_if_stale,
-                self._token_last_seen,
-            )
+            # The token died with the station.
+            self._regenerate_later()
 
     def _on_mh_crash(self, mh_id: str) -> None:
-        if not self.fault_tolerant or self.finished:
-            return
-        active = self._active_grants.pop(mh_id, None)
-        if active is None:
-            # Not inside the region.  A queued or in-flight request is
-            # already covered: the grant's disconnected outcome defers
-            # it into the resubmission loop, which polls until the MH
-            # reattaches (and gives up only when the ring stops).
-            return
-        grant, exit_event = active
-        exit_event.cancel()
-        self.resource.leave(mh_id)
-        self.network.metrics.record_fault("r2.grant_aborted_by_crash")
-        if self.network._trace_on:
-            self.network._trace.emit(
-                "cs.exit",
-                scope=self.scope,
-                src=mh_id,
-                token_val=grant.token_val,
-                aborted=True,
-                reason="mh.crash",
-            )
+        # Only a crash inside the region needs handling here: a queued
+        # or in-flight request is deferred by its grant's disconnected
+        # outcome into the resubmission loop, and an owed return is
+        # kept until the MH reattaches.
+        if not self.finished:
+            self._region.crash(mh_id)
+
+    def _reissue(self, grantor: str, mh_id: str) -> None:
         # The crashed grantee will never send its return.  The physical
         # token object still sits at the grantor; bump the epoch so the
         # dead grant (and any late return forged from it) is stale, then
         # hand service straight to the next requester -- no need to wait
         # out the watchdog.
         self._epoch += 1
-        grantor = grant.grantor_mss_id
         token = self._tokens.get(grantor)
-        if token is not None and not self.network.mss(grantor).crashed:
+        if token is not None and not self.network.is_mss_crashed(grantor):
             token.epoch = self._epoch
-            self.network.metrics.record_fault("r2.token_reissued")
-            if self.network._trace_on:
-                self.network._trace.emit(
-                    "r2.token_reissued",
-                    scope=self.scope,
-                    src=grantor,
-                    epoch=self._epoch,
-                    mh_id=mh_id,
-                )
+            self._fault("r2.token_reissued", grantor, epoch=self._epoch,
+                        mh_id=mh_id)
             self._service_next(grantor)
         else:
-            # The grantor (and the token with it) is gone too; fall back
-            # to the crash path's delayed regeneration.
-            self.network.scheduler.schedule(
-                max(2 * self.cs_duration, 5.0),
-                self._regen_if_stale,
-                self._token_last_seen,
-            )
+            # The grantor (and the token with it) is gone too.
+            self._regenerate_later()
 
     def _on_mh_recover(self, mh_id: str) -> None:
         if not self.fault_tolerant or self.finished:
@@ -648,13 +555,22 @@ class R2Mutex:
             self._regenerate()
         self._schedule_watchdog()
 
+    def _regenerate_later(self) -> None:
+        # Give any in-flight grantee time to finish, then regenerate
+        # (the watchdog is the backstop if this check is inconclusive).
+        self.network.scheduler.schedule(
+            max(2 * self.cs_duration, 5.0),
+            self._regen_if_stale,
+            self._token_last_seen,
+        )
+
     def _regen_if_stale(self, last_seen: float) -> None:
         if self.finished or self._token_last_seen != last_seen:
             return
         self._regenerate()
 
     def _regenerate(self) -> None:
-        leader = self._first_alive()
+        leader = self.network.next_alive_mss(self.mss_ids[0])
         if leader is None:
             return  # every station is down; the watchdog retries later
         if self.resource.holder is not None:
@@ -663,18 +579,10 @@ class R2Mutex:
             return
         self._epoch += 1
         self.regenerations += 1
-        self.network.metrics.record_fault("r2.token_regenerated")
-        if self.network._trace_on:
-            self.network._trace.emit(
-                "r2.regenerate",
-                scope=self.scope,
-                src=leader,
-                epoch=self._epoch,
-                token_val=self._last_token_val + 1,
-            )
-        alive = [
-            m for m in self.mss_ids if not self.network.mss(m).crashed
-        ]
+        self._fault("r2.token_regenerated", leader, "r2.regenerate",
+                    epoch=self._epoch, token_val=self._last_token_val + 1)
+        alive = [m for m in self.mss_ids
+                 if not self.network.is_mss_crashed(m)]
         # Election and announcement traffic among the survivors: the
         # leader hears from / informs each other alive station once.
         if len(alive) > 1:
@@ -712,18 +620,11 @@ class R2Mutex:
             self._resubmit_pending.discard(mh_id)
             return
         mh = self.network.mobile_host(mh_id)
-        if mh.is_connected and not self.network.mss(
-            mh.current_mss_id
-        ).crashed:
+        if mh.is_connected and not self.network.is_mss_crashed(
+                mh.current_mss_id):
             self._resubmit_pending.discard(mh_id)
-            self.network.metrics.record_fault("r2.request_resubmitted")
-            if self.network._trace_on:
-                self.network._trace.emit(
-                    "r2.resubmit",
-                    scope=self.scope,
-                    src=mh_id,
-                    dst=mh.current_mss_id,
-                )
+            self._fault("r2.request_resubmitted", mh_id, "r2.resubmit",
+                        dst=mh.current_mss_id)
             self.request(mh_id)
             return
         # Not attached yet (in transit, disconnected, or orphaned by a
@@ -740,83 +641,16 @@ class R2Mutex:
             # The grantor's epoch died (crash + regeneration) while this
             # grant was in flight; honoring it could overlap with a
             # grant from the live token.  Refuse and ask again.
-            self.network.metrics.record_fault("r2.stale_grant")
-            if self.network._trace_on:
-                self.network._trace.emit(
-                    "r2.stale_grant",
-                    scope=self.scope,
-                    src=grant.mh_id,
-                    epoch=grant.epoch,
-                    live_epoch=self._epoch,
-                )
+            self._fault("r2.stale_grant", grant.mh_id, epoch=grant.epoch,
+                        live_epoch=self._epoch)
             self._resubmit(grant.mh_id)
             return
         # R2': on receiving the token the MH adopts the current
         # token_val as its access_count.
         self.access_counts[grant.mh_id] = grant.token_val
-        if self.network._trace_on:
-            self.network._trace.emit(
-                "cs.enter",
-                scope=self.scope,
-                src=grant.mh_id,
-                token_val=grant.token_val,
-            )
-        self.resource.enter(
-            grant.mh_id,
-            info={
-                "algorithm": self.scope,
-                "variant": self.variant.value,
-                "token_val": grant.token_val,
-            },
-        )
-        exit_event = self.network.scheduler.schedule(
-            self.cs_duration, self._exit_region, grant
-        )
-        if self.fault_tolerant:
-            self._active_grants[grant.mh_id] = (grant, exit_event)
-
-    def _exit_region(self, grant: RingGrantPayload) -> None:
-        self._active_grants.pop(grant.mh_id, None)
-        self.resource.leave(grant.mh_id)
-        if self.network._trace_on:
-            self.network._trace.emit(
-                "cs.exit",
-                scope=self.scope,
-                src=grant.mh_id,
-                token_val=grant.token_val,
-            )
-        if self.fault_tolerant:
-            # Record the completion here, at the MH: the access has
-            # happened even if the return message later dies with a
-            # crashing station.
-            self._outstanding_req.pop(grant.mh_id, None)
-            self._resubmit_pending.discard(grant.mh_id)
-            self.completed.append(
-                (self.network.scheduler.now, grant.mh_id)
-            )
-            if self.on_complete is not None:
-                self.on_complete(grant.mh_id)
-        mh = self.network.mobile_host(grant.mh_id)
-        if mh.is_connected:
-            self._send_return(grant)
-        else:
-            # Mid-move: the token must still go back; hand it over as
-            # soon as the MH reattaches (one-shot listener).
-            fired = [False]
-
-            def once(g=grant) -> None:
-                if not fired[0]:
-                    fired[0] = True
-                    self._send_return(g)
-
-            mh.add_attach_listener(once)
-
-    def _send_return(self, grant: RingGrantPayload) -> None:
-        mh = self.network.mobile_host(grant.mh_id)
-        mh.send_to_mss(
-            f"{self.scope}.return",
-            RingReturnPayload(
-                grant.mh_id, grant.grantor_mss_id, grant.epoch
-            ),
-            self.scope,
+        self._region.enter(
+            RegionReturn(grant.mh_id, grant.grantor_mss_id, grant.epoch),
+            grant.token_val,
+            {"algorithm": self.scope, "variant": self.variant.value,
+             "token_val": grant.token_val},
         )

@@ -6,15 +6,24 @@ safety property (at most one holder at any simulated instant) and keeps
 the full access log that fairness tests inspect (e.g. L2 grants in
 timestamp order; R2' grants at most once per MH per ring traversal).
 The oracle checks the safety claim of the paper's Section 3 algorithms.
+Where a support station grants the region, :class:`RegionClient` is
+the MH side of the grant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from functools import partial
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple,
+)
 
-from repro.errors import MutualExclusionViolation
+from repro.errors import MutualExclusionViolation, ProtocolError
 from repro.sim import Scheduler
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.net.messages import Message
+    from repro.net.network import Network
 
 
 @dataclass
@@ -105,3 +114,143 @@ class CriticalResource:
                     )
             else:
                 previous_exit = record.exit_time
+
+
+class RegionReturn(NamedTuple):
+    """MH -> (current MSS ->) granting MSS: the right to enter, handed
+    back (L2's ``release_resource``, R2's token return)."""
+
+    mh_id: str
+    grantor_mss_id: str
+    epoch: int = 0
+
+
+class RegionClient:
+    """The MH side of a region a support station grants (L2, and so the
+    proxied mutex, and R2): Section 5's obligations wherever the MH is.
+
+    *Enter* emits ``cs.enter``, holds the resource and schedules the
+    exit.  *Exit* leaves, emits ``cs.exit``, calls ``exited(mh_id)`` if
+    given, and owes the hand-back until the MH is attached: at once, or
+    when it next attaches.  The cell it lands in forwards it to the
+    grantor (or drops it if the grantor is down), where
+    ``returned(grantor, mh_id)`` runs; a station drops any hand-back
+    that ``live`` rejects.
+    *Crash* vacates the region of a MH that died inside it: the exit is
+    cancelled, the fault recorded, an aborted ``cs.exit`` emitted and
+    ``crashed(grantor, mh_id)`` called.  ``kinds`` names the hand-back
+    sent and forwarded, ``fault`` prefixes the fault counters, and
+    ``detail`` keys the algorithm's mark in each ``cs.*`` event.
+    """
+
+    def __init__(
+        self, network: "Network", resource: CriticalResource,
+        cs_duration: float, scope: str, kinds: Tuple[str, str],
+        fault: str, detail: str, returned: Callable[[str, str], None],
+        crashed: Callable[[str, str], None],
+        exited: Optional[Callable[[str], None]] = None,
+        live: Optional[Callable[[RegionReturn], bool]] = None,
+    ) -> None:
+        self.network = network
+        self.resource = resource
+        self.cs_duration = cs_duration
+        self.scope = scope
+        self._kind, self._fwd_kind = (f"{scope}.{kind}" for kind in kinds)
+        self._fault = fault
+        self._detail = detail
+        self._returned = returned
+        self._crashed = crashed
+        self._exited = exited
+        self._live = live
+        #: mh_id -> (hand-back, mark, scheduled exit) while inside.
+        self._inside: Dict[str, Tuple[RegionReturn, Any, object]] = {}
+        #: mh_id -> the hand-back a detached MH owes.
+        self._owed: Dict[str, RegionReturn] = {}
+        self._clients: set = set()
+        # Site emitters (Tracer.call_site_batch): the tracer is
+        # installed before protocols attach.
+        self._cs_enter = network._trace.call_site_batch("cs.enter")
+        self._cs_exit = network._trace.call_site_batch("cs.exit")
+        for mss_id in network.mss_ids():
+            mss = network.mss(mss_id)
+            mss.register_handler(self._kind, self._on_return)
+            mss.register_handler(self._fwd_kind, self._on_return)
+
+    def attach(self, mh_id: str, on_grant: Callable) -> None:
+        """Wire ``mh_id`` once: ``on_grant`` handles its grants, and it
+        sends what it owes each time it (re)attaches."""
+        if mh_id in self._clients:
+            return
+        self._clients.add(mh_id)
+        mh = self.network.mobile_host(mh_id)
+        mh.register_handler(f"{self.scope}.grant", on_grant)
+        mh.add_attach_listener(partial(self._flush, mh_id))
+
+    def enter(self, back: RegionReturn, mark: Any, info: Any) -> None:
+        """``back.mh_id`` holds the region; ``back`` goes home at exit."""
+        mh_id = back.mh_id
+        if self.network._trace_on:
+            self._cs_enter(self.scope, mh_id, None, None, None,
+                           {self._detail: mark})
+        self.resource.enter(mh_id, info=info)
+        exit_event = self.network.scheduler.schedule(
+            self.cs_duration, self._exit, back, mark)
+        self._inside[mh_id] = (back, mark, exit_event)
+
+    def _exit(self, back: RegionReturn, mark: Any) -> None:
+        mh_id = back.mh_id
+        self._inside.pop(mh_id, None)
+        self.resource.leave(mh_id)
+        if self.network._trace_on:
+            self._cs_exit(self.scope, mh_id, None, None, None,
+                          {self._detail: mark})
+        if self._exited is not None:
+            self._exited(mh_id)
+        if mh_id in self._owed:
+            raise ProtocolError(f"{mh_id} already owes a hand-back")
+        self._owed[mh_id] = back
+        if self.network.mobile_host(mh_id).is_connected:
+            self._flush(mh_id)
+
+    def _flush(self, mh_id: str) -> None:
+        back = self._owed.pop(mh_id, None)
+        if back is not None:
+            self.network.mobile_host(mh_id).send_to_mss(
+                self._kind, back, self.scope)
+
+    def disclaim(self, mh_id: str) -> Optional[RegionReturn]:
+        """Forget and return the hand-back ``mh_id`` owes, if any."""
+        return self._owed.pop(mh_id, None)
+
+    def crash(self, mh_id: str) -> bool:
+        """Vacate the region if ``mh_id`` died inside it (and say so)."""
+        inside = self._inside.pop(mh_id, None)
+        if inside is None:
+            return False
+        back, mark, exit_event = inside
+        exit_event.cancel()
+        self.resource.leave(mh_id)
+        self.network.metrics.record_fault(
+            f"{self._fault}.grant_aborted_by_crash")
+        if self.network._trace_on:
+            self._cs_exit(self.scope, mh_id, None, None, None, {
+                self._detail: mark, "aborted": True, "reason": "mh.crash"})
+        self._crashed(back.grantor_mss_id, mh_id)
+        return True
+
+    def _on_return(self, message: "Message") -> None:
+        # Both kinds land here; a forwarded one is already at home.
+        back: RegionReturn = message.payload
+        if self._live is not None and not self._live(back):
+            return
+        here, grantor = message.dst, back.grantor_mss_id
+        if grantor == here:
+            self._returned(here, back.mh_id)
+        elif self.network.is_mss_crashed(grantor):
+            # The right to enter died with the grantor; the algorithm's
+            # crash handling restores it.
+            self.network.metrics.record_fault(
+                f"{self._fault}.return_to_crashed")
+        else:
+            self.network.mss(here).send_fixed(
+                grantor, self._fwd_kind, back, self.scope)

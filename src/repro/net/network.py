@@ -85,12 +85,12 @@ class Network:
         self._trace = NULL_TRACER
         self._trace_on = False
         # Fast-path state derived once (refreshed on trace/faults
-        # installation): constant-latency values, whether anything can
-        # observe or perturb a fixed transmission, and the site
+        # installation): constant-latency values, whether a fixed
+        # transmission can be delayed, dropped or drawn, and the site
         # emitters.
         self._fixed_const: Optional[float] = None
         self._wireless_const: Optional[float] = None
-        self._fixed_unobserved = False
+        self._fixed_inline = False
         self._refresh_fast_paths()
 
     # ------------------------------------------------------------------
@@ -145,13 +145,12 @@ class Network:
         self._wireless_const = (
             wireless.value if isinstance(wireless, ConstantLatency) else None
         )
-        # When nothing can observe or perturb a fixed-network
-        # transmission (no tracer, no fault injector, constant latency)
-        # send_fixed transmits in its own frame; decided once here
-        # instead of per message.
-        self._fixed_unobserved = (
+        # When nothing can perturb a fixed-network transmission (no
+        # fault injector, constant latency) send_fixed transmits in its
+        # own frame, traced or not; decided once here instead of per
+        # message.
+        self._fixed_inline = (
             self.faults is None and self._fixed_const is not None
-            and not self._trace_on
         )
 
     # ------------------------------------------------------------------
@@ -317,14 +316,18 @@ class Network:
         if self.reliable is not None and not message.kind.startswith("rel."):
             self.reliable.send(message)
             return
-        if not self._fixed_unobserved:
+        if not self._fixed_inline:
             self._send_fixed_raw(message)
             return
-        # No tracer, no fault injector (so no MSS can be crashed) and a
-        # constant latency (so no RNG draw): step for step what
-        # _send_fixed_raw does under those preconditions, minus
-        # the dead branches and the forwarding frame.
+        # No fault injector (so no MSS can be crashed) and a constant
+        # latency (so no RNG draw): step for step what _send_fixed_raw
+        # does under those preconditions, minus the dead branches and
+        # the forwarding frame.
         self.metrics.record_fixed(message.scope)
+        if self._trace_on:
+            message.trace_id = self._batch_send_fixed(
+                message.scope, message.src, message.dst, message.kind,
+            )
         scheduler = self.scheduler
         key = (message.src, message.dst)
         arrival = scheduler.now + self._fixed_const
@@ -339,10 +342,11 @@ class Network:
                       payload: object, scope: str) -> None:
         """:meth:`send_fixed` of ``Message(kind, src_id, dst, payload,
         scope)`` for each ``dst`` in ``dst_ids``, in order: in one frame
-        with one ``record_fixed`` when unobserved and no reliable layer is
-        installed, else literally that loop (traces and faults match)."""
+        with one ``record_fixed`` (and, when traced, one ``send.fixed``
+        row per copy) unless a fault injector, a non-constant latency or
+        a reliable layer is installed; then literally that loop."""
         mss = self._mss
-        if (not self._fixed_unobserved or self.reliable is not None
+        if (not self._fixed_inline or self.reliable is not None
                 or src_id not in mss):
             for dst_id in dst_ids:
                 self.send_fixed(Message(kind, src_id, dst_id, payload, scope))
@@ -350,6 +354,7 @@ class Network:
         post_at = self.scheduler.post_at
         arrival = self.scheduler.now + self._fixed_const
         last = self._last_arrival
+        traced = self._trace_on
         sent = 0
         try:
             for dst_id in dst_ids:
@@ -358,6 +363,9 @@ class Network:
                 if dst is None or dst_id == src_id:
                     self.send_fixed(message)  # raises / delivers locally
                     continue
+                if traced:
+                    message.trace_id = self._batch_send_fixed(
+                        scope, src_id, dst_id, kind)
                 key = (src_id, dst_id)
                 at = last.get(key)
                 if at is None or at < arrival:

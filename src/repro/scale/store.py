@@ -191,11 +191,6 @@ class PopulationStore:
     # Promotion / demotion
     # ------------------------------------------------------------------
 
-    def ensure_object(self, mh_id: str) -> None:
-        """Promote ``mh_id`` if it is passive; no-op otherwise."""
-        if self.owns(mh_id):
-            self.promote(mh_id)
-
     def promote(self, mh_id: str) -> MobileHost:
         """Materialise a passive MH as a full object.
 

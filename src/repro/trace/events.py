@@ -201,10 +201,6 @@ class Tracer:
         """Drop all recorded events (ids keep increasing)."""
         self.events.clear()
 
-    def children_of(self, event_id: int) -> List[TraceEvent]:
-        """All events whose ``parent_id`` is ``event_id``."""
-        return [e for e in self.events if e.parent_id == event_id]
-
     def by_type(self, etype: str) -> List[TraceEvent]:
         """All events of type ``etype`` (exact match)."""
         return [e for e in self.events if e.etype == etype]

@@ -71,9 +71,8 @@ MUTANTS = {
               "self.metrics.record_fixed(scope, sent - 1)"),
     # post at now + latency even behind a later arrival on the channel
     "fifo": ("if at is None or at < arrival:", "if True:"),
-    # take the one-frame path with a tracer installed
-    "traced": ("not self._fixed_unobserved",
-               "(self.faults is not None or self._fixed_const is None)"),
+    # drop the per-copy send.fixed row from the one-frame path
+    "untraced": ("traced = self._trace_on", "traced = False"),
 }
 
 
@@ -220,7 +219,7 @@ def test_fan_out_matches_the_per_copy_loop(workload, regime):
 
 
 @pytest.mark.parametrize("name, regime", [
-    ("count", "unobserved"), ("fifo", "latency"), ("traced", "trace"),
+    ("count", "unobserved"), ("fifo", "latency"), ("untraced", "trace"),
 ])
 def test_each_mutant_is_caught(name, regime):
     fan_out = mutant(*MUTANTS[name])
