@@ -15,6 +15,7 @@ glue, which is precisely the paper's framing.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -117,29 +118,28 @@ class L1Mutex:
             node_id=mh_id,
             transport=_MobileTransport(self, mh_id),
             kind_prefix=self.scope,
-            on_granted=lambda tag, m=mh_id: self._enter_region(m),
+            # A node's only requests are its own MH's (tag = mh_id).
+            on_granted=self._enter_region,
         )
         self._nodes[mh_id] = node
         mh.register_handler(
-            f"{self.scope}.request",
-            lambda msg, n=node: self._guarded(n.on_request, msg.payload),
+            f"{self.scope}.request", partial(self._guarded, node.on_request)
         )
         mh.register_handler(
-            f"{self.scope}.reply",
-            lambda msg, n=node: self._guarded(n.on_reply, msg.payload),
+            f"{self.scope}.reply", partial(self._guarded, node.on_reply)
         )
         mh.register_handler(
-            f"{self.scope}.release",
-            lambda msg, n=node: self._guarded(n.on_release, msg.payload),
+            f"{self.scope}.release", partial(self._guarded, node.on_release)
         )
 
     def _guarded(self, handler: Callable[[object], None],
-                 payload: object) -> None:
+                 message: Message) -> None:
         """Process a protocol message unless its origin is known dead.
 
         A request in flight when its sender crashed would re-enqueue the
         ghost entry the survivors just disclaimed; such stragglers are
         dropped until the origin recovers (and re-announces)."""
+        payload = message.payload
         origin = getattr(payload, "origin", None)
         if origin is not None and self.network.is_mh_crashed(origin):
             self.network.metrics.record_fault("l1.stale_message_dropped")

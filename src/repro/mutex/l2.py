@@ -174,18 +174,20 @@ class L2Mutex:
         )
         self._nodes[mss_id] = node
         self._request_ts[mss_id] = {}
-        mss.register_handler(
-            f"{self.scope}.request",
-            lambda msg, n=node: n.on_request(msg.payload),
-        )
-        mss.register_handler(
-            f"{self.scope}.reply",
-            lambda msg, n=node: n.on_reply(msg.payload),
-        )
-        mss.register_handler(
-            f"{self.scope}.release",
-            lambda msg, n=node: n.on_release(msg.payload),
-        )
+        mss.register_handler(f"{self.scope}.request", self._on_request)
+        mss.register_handler(f"{self.scope}.reply", self._on_reply)
+        mss.register_handler(f"{self.scope}.release", self._on_release)
+
+    # The Lamport messages, each handed to the node at its destination.
+
+    def _on_request(self, message: Message) -> None:
+        self._nodes[message.dst].on_request(message.payload)
+
+    def _on_reply(self, message: Message) -> None:
+        self._nodes[message.dst].on_reply(message.payload)
+
+    def _on_release(self, message: Message) -> None:
+        self._nodes[message.dst].on_release(message.payload)
 
     def attach_client(self, mh_id: str) -> None:
         """Enable ``mh_id`` to use L2 (registers the grant handler)."""

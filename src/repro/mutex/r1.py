@@ -15,6 +15,7 @@ re-formed (not modelled -- the stall itself is the measured drawback).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -111,22 +112,16 @@ class R1Mutex:
         node = RingNode(
             node_id=mh_id,
             ring_order=self.mh_ids,
-            send=lambda dst, kind, token, m=mh_id: self._forward(
-                m, dst, token
-            ),
+            send=partial(self._forward, mh_id),
             kind_prefix=self.scope,
-            on_token=lambda token, forward, m=mh_id: self._on_token(
-                m, token, forward
-            ),
+            on_token=partial(self._on_token, mh_id),
         )
         self._nodes[mh_id] = node
         mh.register_handler(
-            f"{self.scope}.token",
-            lambda msg, n=node: n.handle_token(msg.payload),
+            f"{self.scope}.token", partial(self._deliver_token, node)
         )
         mh.register_handler(
-            f"{self.scope}.reconfig",
-            lambda msg, n=node: self._apply_reconfig(n, msg.payload),
+            f"{self.scope}.reconfig", partial(self._apply_reconfig, node)
         )
 
     # ------------------------------------------------------------------
@@ -198,7 +193,11 @@ class R1Mutex:
             self.on_complete(mh_id)
         forward()
 
-    def _forward(self, src_mh_id: str, dst_mh_id: str, token: Token) -> None:
+    def _deliver_token(self, node: RingNode, message: Message) -> None:
+        node.handle_token(message.payload)
+
+    def _forward(self, src_mh_id: str, dst_mh_id: str, kind: str,
+                 token: Token) -> None:
         mh = self.network.mobile_host(src_mh_id)
         if mh.crashed:
             # The holder crashed before it could transmit: the token
@@ -221,6 +220,7 @@ class R1Mutex:
                 self._forward,
                 src_mh_id,
                 dst_mh_id,
+                kind,
                 token,
             )
             return
@@ -241,9 +241,9 @@ class R1Mutex:
                 payload=routed.token,
                 scope=self.scope,
             ),
-            on_disconnected=lambda outcome, m=mss.host_id,
-            s=message.src: self._stall(
-                m, routed.dst_mh_id, s, routed.token, outcome
+            on_disconnected=partial(
+                self._stall, mss.host_id, routed.dst_mh_id, message.src,
+                routed.token,
             ),
         )
 
@@ -315,13 +315,13 @@ class R1Mutex:
                 payload=token,
                 scope=self.scope,
             ),
-            on_disconnected=lambda outcome, m=detecting_mss_id, s=successor: (
-                self._stall(m, s, None, token, outcome)
+            on_disconnected=partial(
+                self._stall, detecting_mss_id, successor, None, token
             ),
         )
 
-    def _apply_reconfig(self, node: RingNode, new_ring: List[str]) -> None:
-        node.ring_order = list(new_ring)
+    def _apply_reconfig(self, node: RingNode, message: Message) -> None:
+        node.ring_order = list(message.payload)
 
     # ------------------------------------------------------------------
     # MH crash tolerance
@@ -336,10 +336,7 @@ class R1Mutex:
             candidate
         ):
             return candidate
-        for mss_id in self.network.mss_ids():
-            if not self.network.is_mss_crashed(mss_id):
-                return mss_id
-        return None
+        return self.network.next_alive_mss(self.network.mss_ids()[0])
 
     def _on_mh_crash(self, mh_id: str) -> None:
         """A ring member crashed: abort its access; if it held the

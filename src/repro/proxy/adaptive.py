@@ -17,21 +17,26 @@ move-to-use ratio at which the E11 curves cross.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.proxy.policy import (
-    LocationRegister,
-    ProxyPolicy,
-    _proxy_message,
-)
+from repro.proxy.policy import FixedProxyPolicy, _deliver_searched
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.proxy.manager import ProxyManager
 
+#: register reads that may mislead one tracked delivery before it
+#: falls back to a search.
+_MAX_TRACKED_ATTEMPTS = 4
 
-class AdaptiveProxyPolicy(ProxyPolicy):
+
+class AdaptiveProxyPolicy(FixedProxyPolicy):
     """Per-MH switching between fixed and local proxy association.
+
+    The fixed policy (home MSS, register, informs, tracked delivery)
+    plus its switching rule; an untracked MH is served by the local
+    policy's searched delivery.
 
     Args:
         demote_after_moves: consecutive moves without a delivery after
@@ -48,56 +53,33 @@ class AdaptiveProxyPolicy(ProxyPolicy):
     ) -> None:
         if demote_after_moves < 1 or promote_after_uses < 1:
             raise ConfigurationError("switch thresholds must be >= 1")
+        super().__init__()
         self.demote_after_moves = demote_after_moves
         self.promote_after_uses = promote_after_uses
-        self.assignment: Dict[str, str] = {}
-        self.location_register = LocationRegister()
         #: per-MH mode: True = fixed (tracked), False = local.
         self.tracked: Dict[str, bool] = {}
         self._moves_streak: Dict[str, int] = {}
         self._uses_streak: Dict[str, int] = {}
-        self.inform_messages = 0
         self.demotions = 0
         self.promotions = 0
 
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-
     def wire(self, manager: "ProxyManager") -> None:
-        self._manager = manager
-        network = manager.network
         for mh_id in manager.mh_ids:
-            mh = network.mobile_host(mh_id)
-            if mh.current_mss_id is None:
+            if manager.network.mobile_host(mh_id).current_mss_id is None:
                 raise ConfigurationError(
                     f"{mh_id} must be connected at setup"
                 )
-            self.assignment[mh_id] = mh.current_mss_id
-            self.location_register.update(
-                mh_id, mh.current_mss_id, mh.session
-            )
             self.tracked[mh_id] = True
             self._moves_streak[mh_id] = 0
             self._uses_streak[mh_id] = 0
-        for mss_id in network.mss_ids():
-            network.mss(mss_id).add_join_listener(
-                lambda mh_id, prev, m=mss_id: self._on_join(m, mh_id)
-            )
-
-    # ------------------------------------------------------------------
-    # Scope
-    # ------------------------------------------------------------------
+        super().wire(manager)
 
     def proxy_of(self, mh_id: str) -> str:
-        if mh_id not in self.assignment:
-            raise ConfigurationError(f"{mh_id} has no assigned proxy")
+        home = super().proxy_of(mh_id)
         if self.tracked[mh_id]:
-            return self.assignment[mh_id]
+            return home
         mh = self._manager.network.mobile_host(mh_id)
-        if mh.current_mss_id is not None:
-            return mh.current_mss_id
-        return self.assignment[mh_id]
+        return mh.current_mss_id or home
 
     def proxy_for_uplink(self, mh_id: str, receiving_mss_id: str) -> str:
         if self.tracked.get(mh_id, False):
@@ -108,7 +90,8 @@ class AdaptiveProxyPolicy(ProxyPolicy):
     # Mode switching
     # ------------------------------------------------------------------
 
-    def _on_join(self, mss_id: str, mh_id: str) -> None:
+    def _on_join(self, mss_id: str, mh_id: str,
+                 prev_mss_id: Optional[str]) -> None:
         if mh_id not in self.assignment:
             return
         self._moves_streak[mh_id] += 1
@@ -120,30 +103,15 @@ class AdaptiveProxyPolicy(ProxyPolicy):
             self.tracked[mh_id] = False
             self.demotions += 1
             return
-        manager = self._manager
-        proxy = self.assignment[mh_id]
-        session = manager.network.mobile_host(mh_id).session
-        if mss_id == proxy:
-            self.location_register.update(mh_id, mss_id, session)
-            return
-        self.inform_messages += 1
-        manager.network.mss(mss_id).send_fixed(
-            proxy, manager.kind_inform, (mh_id, mss_id, session),
-            manager.scope,
-        )
-
-    def on_inform(self, mh_id: str, mss_id: str, session: int) -> None:
-        """Proxy-side register update (invoked by the manager)."""
-        self.location_register.update(mh_id, mss_id, session)
+        super()._on_join(mss_id, mh_id, prev_mss_id)
 
     def on_mh_crashed(self, mh_id: str) -> None:
-        if mh_id not in self.assignment:
-            return
-        session = self._manager.network.mobile_host(mh_id).session
-        self.location_register.purge(mh_id, session)
-        self._uses_streak[mh_id] = 0
+        super().on_mh_crashed(mh_id)
+        if mh_id in self.assignment:
+            self._uses_streak[mh_id] = 0
 
-    def _note_use(self, mh_id: str, located_at: str) -> None:
+    def _note_use(self, mh_id: str, located_at: str,
+                  message: object = None) -> None:
         self._uses_streak[mh_id] += 1
         self._moves_streak[mh_id] = 0
         if (
@@ -153,116 +121,52 @@ class AdaptiveProxyPolicy(ProxyPolicy):
             # Stable again: resume tracking with one catch-up inform.
             self.tracked[mh_id] = True
             self.promotions += 1
-            session = self._manager.network.mobile_host(mh_id).session
-            self.location_register.update(mh_id, located_at, session)
             manager = self._manager
-            proxy = self.assignment[mh_id]
-            if located_at != proxy:
+            session = manager.network.mobile_host(mh_id).session
+            self.location_register.update(mh_id, located_at, session)
+            if located_at != self.assignment[mh_id]:
                 self.inform_messages += 1
                 manager.network.metrics.record_fixed(manager.scope)
+
+    def _note_searched_use(self, mh_id: str, src_mss_id: str,
+                           message: object) -> None:
+        mh = self._manager.network.mobile_host(mh_id)
+        self._note_use(mh_id, mh.current_mss_id or src_mss_id)
 
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
 
-    def deliver(
-        self,
-        manager: "ProxyManager",
-        src_mss_id: str,
-        mh_id: str,
-        kind: str,
-        payload: object,
-        on_missed: Optional[Callable[[str], None]] = None,
-    ) -> None:
+    def deliver(self, manager, src_mss_id, mh_id, kind, payload,
+                on_missed=None) -> None:
         if self.tracked[mh_id]:
-            self._deliver_tracked(
+            super().deliver(
                 manager, src_mss_id, mh_id, kind, payload, on_missed
             )
         else:
-            self._deliver_searched(
-                manager, src_mss_id, mh_id, kind, payload, on_missed
-            )
+            self._search(manager, src_mss_id, mh_id, kind, payload,
+                         on_missed)
 
-    def _deliver_tracked(
-        self, manager, src_mss_id, mh_id, kind, payload, on_missed,
-        attempts: int = 0,
-    ) -> None:
-        network = manager.network
-        if attempts >= 4:
+    def _deliver_tracked(self, manager, src_mss_id, mh_id, kind, payload,
+                         on_missed, attempts: int) -> None:
+        if attempts >= _MAX_TRACKED_ATTEMPTS:
             # The register keeps misleading us (informs still in
             # flight, or the host bouncing between cells): give up on
             # tracking for this delivery and search.
             manager.stale_deliveries += 1
-            self._deliver_searched(
-                manager, src_mss_id, mh_id, kind, payload, on_missed
-            )
+            self._search(manager, src_mss_id, mh_id, kind, payload,
+                         on_missed)
             return
+        super()._deliver_tracked(
+            manager, src_mss_id, mh_id, kind, payload, on_missed, attempts
+        )
 
-        def retry() -> None:
-            network.scheduler.schedule(
-                network.config.search_retry_delay,
-                self._deliver_tracked,
-                manager,
-                src_mss_id,
-                mh_id,
-                kind,
-                payload,
-                on_missed,
-                attempts + 1,
-            )
+    def _on_delivered(self, mh_id: str, at_mss_id: str):
+        return partial(self._note_use, mh_id, at_mss_id)
 
-        def attempt(at_mss_id: str) -> None:
-            mss = network.mss(at_mss_id)
-            if mss.is_local(mh_id):
-                network.send_wireless_down(
-                    at_mss_id,
-                    mh_id,
-                    _proxy_message(
-                        kind, at_mss_id, mh_id, payload, manager.scope
-                    ),
-                    on_lost=lambda message: retry(),
-                    on_delivered=lambda message: self._note_use(
-                        mh_id, at_mss_id
-                    ),
-                )
-            elif (
-                mh_id in mss.disconnected_mhs
-                or network.is_mh_crashed(mh_id)
-            ):
-                # The crashed host's vanish flag may live in a cell
-                # other than the believed one; resolve instead of
-                # retrying until it recovers.
-                if on_missed is not None:
-                    on_missed(mh_id)
-            else:
-                manager.stale_deliveries += 1
-                retry()
-
-        believed = self.location_register.get(mh_id, src_mss_id)
-        if believed == src_mss_id:
-            attempt(src_mss_id)
-        else:
-            network.metrics.record_fixed(manager.scope)
-            network.scheduler.schedule(
-                network.config.fixed_latency(network.rng),
-                attempt,
-                believed,
-            )
-
-    def _deliver_searched(
-        self, manager, src_mss_id, mh_id, kind, payload, on_missed
-    ) -> None:
-        network = manager.network
-        network.send_to_mh(
-            src_mss_id,
-            mh_id,
-            _proxy_message(kind, src_mss_id, mh_id, payload,
-                           manager.scope),
-            on_delivered=lambda message: self._note_use(
-                mh_id,
-                network.mobile_host(mh_id).current_mss_id or src_mss_id,
-            ),
-            on_disconnected=(
-                (lambda outcome: on_missed(mh_id)) if on_missed else None
-            ),
+    def _search(self, manager, src_mss_id, mh_id, kind, payload,
+                on_missed) -> None:
+        _deliver_searched(
+            manager, src_mss_id, mh_id, kind, payload, on_missed,
+            partial(self._note_searched_use, mh_id, src_mss_id),
         )

@@ -132,10 +132,7 @@ class ProxyManager:
         )
 
     def _on_inform(self, message: Message) -> None:
-        mh_id, mss_id, session = message.payload
-        on_inform = getattr(self.policy, "on_inform", None)
-        if on_inform is not None:
-            on_inform(mh_id, mss_id, session)
+        self.policy.on_inform(*message.payload)
 
     # ------------------------------------------------------------------
 

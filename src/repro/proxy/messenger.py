@@ -79,11 +79,7 @@ class ProxiedMessenger:
         # the delivery (register if tracked, search otherwise).  Under
         # a purely local policy nobody is a rendezvous: the sender's
         # proxy searches directly.
-        assignment = getattr(self.manager.policy, "assignment", None)
-        dst_home = (
-            assignment.get(letter.dst_mh_id)
-            if assignment is not None else None
-        )
+        dst_home = self.manager.policy.home_of(letter.dst_mh_id)
         if dst_home is None or dst_home == proxy:
             self._deliver_from_proxy(proxy, letter)
         else:

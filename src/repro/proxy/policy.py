@@ -5,9 +5,11 @@ The policy axis of the paper's Section 5 proxy framework.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.errors import ConfigurationError
+from repro.net.messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
@@ -89,6 +91,14 @@ class ProxyPolicy:
         """
         return self.proxy_of(mh_id)
 
+    def home_of(self, mh_id: str) -> Optional[str]:
+        """The static *home* proxy of ``mh_id``, if the policy has one.
+
+        A home proxy is universally known rendezvous knowledge; a
+        policy without a static assignment has none (``None``).
+        """
+        return None
+
     def deliver(
         self,
         manager: "ProxyManager",
@@ -100,6 +110,9 @@ class ProxyPolicy:
     ) -> None:
         """Route a message from a proxy to the MH itself."""
         raise NotImplementedError
+
+    def on_inform(self, mh_id: str, mss_id: str, session: int) -> None:
+        """Proxy-side handler for a location inform (default: none)."""
 
     def on_mh_crashed(self, mh_id: str) -> None:
         """Hook invoked when a managed MH crashes (fault injection).
@@ -136,32 +149,10 @@ class LocalProxyPolicy(ProxyPolicy):
         # it acts as the proxy even if the MH has since started moving.
         return receiving_mss_id
 
-    def deliver(
-        self,
-        manager: "ProxyManager",
-        src_mss_id: str,
-        mh_id: str,
-        kind: str,
-        payload: object,
-        on_missed: Optional[Callable[[str], None]] = None,
-    ) -> None:
-        # Nobody tracks the MH: locate it with a search, then one
-        # wireless hop (retrying across moves, as the network does).
-        from repro.net.messages import Message
-
-        manager.network.send_to_mh(
-            src_mss_id,
-            mh_id,
-            Message(
-                kind=kind,
-                src=src_mss_id,
-                dst=mh_id,
-                payload=payload,
-                scope=manager.scope,
-            ),
-            on_disconnected=(
-                (lambda outcome: on_missed(mh_id)) if on_missed else None
-            ),
+    def deliver(self, manager, src_mss_id, mh_id, kind, payload,
+                on_missed=None) -> None:
+        _deliver_searched(
+            manager, src_mss_id, mh_id, kind, payload, on_missed
         )
 
 
@@ -202,7 +193,7 @@ class FixedProxyPolicy(ProxyPolicy):
         # Every join anywhere updates the mover's proxy.
         for mss_id in network.mss_ids():
             network.mss(mss_id).add_join_listener(
-                lambda mh_id, prev, m=mss_id: self._on_join(m, mh_id)
+                partial(self._on_join, mss_id)
             )
 
     def proxy_of(self, mh_id: str) -> str:
@@ -213,7 +204,11 @@ class FixedProxyPolicy(ProxyPolicy):
                 f"{mh_id} has no assigned proxy"
             ) from None
 
-    def _on_join(self, mss_id: str, mh_id: str) -> None:
+    def home_of(self, mh_id: str) -> Optional[str]:
+        return self.assignment.get(mh_id)
+
+    def _on_join(self, mss_id: str, mh_id: str,
+                 prev_mss_id: Optional[str]) -> None:
         if mh_id not in self.assignment:
             return
         proxy = self.assignment[mh_id]
@@ -243,15 +238,8 @@ class FixedProxyPolicy(ProxyPolicy):
         session = self._manager.network.mobile_host(mh_id).session
         self.location_register.purge(mh_id, session)
 
-    def deliver(
-        self,
-        manager: "ProxyManager",
-        src_mss_id: str,
-        mh_id: str,
-        kind: str,
-        payload: object,
-        on_missed: Optional[Callable[[str], None]] = None,
-    ) -> None:
+    def deliver(self, manager, src_mss_id, mh_id, kind, payload,
+                on_missed=None) -> None:
         """One fixed hop to the registered MSS plus one wireless hop.
 
         No search is ever performed: if the register is momentarily
@@ -260,63 +248,95 @@ class FixedProxyPolicy(ProxyPolicy):
         -- which the mover's new MSS is about to refresh -- and retries.
         A destination that disconnected resolves to ``on_missed``.
         """
-        network = manager.network
+        self._deliver_tracked(
+            manager, src_mss_id, mh_id, kind, payload, on_missed, 0
+        )
 
-        def retry() -> None:
-            network.scheduler.schedule(
-                network.config.search_retry_delay,
-                self.deliver,
-                manager,
-                src_mss_id,
-                mh_id,
-                kind,
-                payload,
-                on_missed,
-            )
-
-        def attempt(at_mss_id: str) -> None:
-            mss = network.mss(at_mss_id)
-            if mss.is_local(mh_id):
-                network.send_wireless_down(
-                    at_mss_id,
-                    mh_id,
-                    _proxy_message(
-                        kind, at_mss_id, mh_id, payload, manager.scope
-                    ),
-                    on_lost=lambda message: retry(),
-                )
-            elif (
-                mh_id in mss.disconnected_mhs
-                or network.is_mh_crashed(mh_id)
-            ):
-                # Disconnected here -- or crashed anywhere: a crashed
-                # host's vanish flag lives in whichever cell noticed
-                # the silence, which need not be the believed one, so
-                # without the explicit check the retry loop would spin
-                # until the host recovers.
-                if on_missed is not None:
-                    on_missed(mh_id)
-            else:
-                # Stale register: the inform from the MH's new cell is
-                # still in flight; re-read and retry shortly.
-                manager.stale_deliveries += 1
-                retry()
-
+    def _deliver_tracked(self, manager, src_mss_id, mh_id, kind, payload,
+                         on_missed, attempts: int) -> None:
+        """Attempt at the registered MSS; ``attempts`` counts the earlier
+        attempts that a stale register (or a lost hop) sent back."""
         believed = self.location_register.get(mh_id, src_mss_id)
+        args = (manager, src_mss_id, mh_id, kind, payload, on_missed,
+                attempts)
         if believed == src_mss_id:
-            attempt(src_mss_id)
-        else:
-            # The proxy -> current-MSS hop is one fixed message.
-            network.metrics.record_fixed(manager.scope)
-            network.scheduler.schedule(
-                network.config.fixed_latency(network.rng),
-                attempt,
-                believed,
+            self._attempt(src_mss_id, *args)
+            return
+        # The proxy -> current-MSS hop is one fixed message.
+        network = manager.network
+        network.metrics.record_fixed(manager.scope)
+        network.scheduler.schedule(
+            network.config.fixed_latency(network.rng), self._attempt,
+            believed, *args,
+        )
+
+    def _attempt(self, at_mss_id, manager, src_mss_id, mh_id, kind,
+                 payload, on_missed, attempts) -> None:
+        network = manager.network
+        mss = network.mss(at_mss_id)
+        retry = partial(self._retry, manager, src_mss_id, mh_id, kind,
+                        payload, on_missed, attempts)
+        if mss.is_local(mh_id):
+            network.send_wireless_down(
+                at_mss_id,
+                mh_id,
+                Message(kind=kind, src=at_mss_id, dst=mh_id,
+                        payload=payload, scope=manager.scope),
+                on_lost=retry,
+                on_delivered=self._on_delivered(mh_id, at_mss_id),
             )
+        elif (
+            mh_id in mss.disconnected_mhs
+            or network.is_mh_crashed(mh_id)
+        ):
+            # Disconnected here -- or crashed anywhere: a crashed
+            # host's vanish flag lives in whichever cell noticed
+            # the silence, which need not be the believed one, so
+            # without the explicit check the retry loop would spin
+            # until the host recovers.
+            if on_missed is not None:
+                on_missed(mh_id)
+        else:
+            # Stale register: the inform from the MH's new cell is
+            # still in flight; re-read and retry shortly.
+            manager.stale_deliveries += 1
+            retry()
+
+    def _retry(self, manager, src_mss_id, mh_id, kind, payload, on_missed,
+               attempts, lost_message=None) -> None:
+        network = manager.network
+        network.scheduler.schedule(
+            network.config.search_retry_delay,
+            self._deliver_tracked, manager, src_mss_id, mh_id, kind,
+            payload, on_missed, attempts + 1,
+        )
+
+    def _on_delivered(
+        self, mh_id: str, at_mss_id: str
+    ) -> Optional[Callable[[Message], None]]:
+        """The wireless hop's ``on_delivered`` callback (none here)."""
+        return None
 
 
-def _proxy_message(kind, src, dst, payload, scope):
-    from repro.net.messages import Message
+def _deliver_searched(
+    manager, src_mss_id, mh_id, kind, payload, on_missed,
+    on_delivered=None,
+) -> None:
+    """Nobody tracks the MH: locate it with a search, then one wireless
+    hop (retrying across moves, as the network does)."""
+    manager.network.send_to_mh(
+        src_mss_id,
+        mh_id,
+        Message(kind=kind, src=src_mss_id, dst=mh_id, payload=payload,
+                scope=manager.scope),
+        on_delivered=on_delivered,
+        on_disconnected=(
+            None if on_missed is None
+            else partial(_missed, on_missed, mh_id)
+        ),
+    )
 
-    return Message(kind=kind, src=src, dst=dst, payload=payload,
-                   scope=scope)
+
+def _missed(on_missed, mh_id, outcome) -> None:
+    """A search's disconnected outcome, reported as a missed MH."""
+    on_missed(mh_id)

@@ -28,7 +28,12 @@ from repro.errors import ConfigurationError
 from repro.hosts import HostState
 from repro.net import ConstantLatency, NetworkConfig
 from repro.net.messages import Message
-from repro.proxy import FixedProxyPolicy, ProxiedMessenger, ProxyManager
+from repro.proxy import (
+    AdaptiveProxyPolicy,
+    FixedProxyPolicy,
+    ProxiedMessenger,
+    ProxyManager,
+)
 
 
 def fault_sim(plan, n_mss=3, n_mh=3, seed=1, **kwargs):
@@ -301,11 +306,16 @@ class TestSearchAndProxyPurge:
         assert not any(key[1] == "mh-0" for key in search._cache)
         sim.drain()
 
-    def test_proxy_letter_to_crashed_host_is_missed_not_wedged(self):
+    @pytest.mark.parametrize(
+        "policy", [FixedProxyPolicy, AdaptiveProxyPolicy],
+        ids=["fixed", "adaptive"],
+    )
+    def test_proxy_letter_to_crashed_host_is_missed_not_wedged(
+        self, policy
+    ):
         plan = mh_plan(MhCrash("mh-1", at=5.0))
         sim = fault_sim(plan)
-        manager = ProxyManager(sim.network, FixedProxyPolicy(),
-                               sim.mh_ids)
+        manager = ProxyManager(sim.network, policy(), sim.mh_ids)
         messenger = ProxiedMessenger(manager)
         sim.run(until=6.0)
         messenger.send("mh-0", "mh-1", "are you there?")
@@ -315,11 +325,14 @@ class TestSearchAndProxyPurge:
         assert len(messenger.missed) == 1
         assert len(messenger.delivered) == 0
 
-    def test_proxy_delivers_again_after_recovery(self):
+    @pytest.mark.parametrize(
+        "policy", [FixedProxyPolicy, AdaptiveProxyPolicy],
+        ids=["fixed", "adaptive"],
+    )
+    def test_proxy_delivers_again_after_recovery(self, policy):
         plan = mh_plan(MhCrash("mh-1", at=5.0, recover_at=15.0))
         sim = fault_sim(plan)
-        manager = ProxyManager(sim.network, FixedProxyPolicy(),
-                               sim.mh_ids)
+        manager = ProxyManager(sim.network, policy(), sim.mh_ids)
         messenger = ProxiedMessenger(manager)
         sim.drain()
         messenger.send("mh-0", "mh-1", "welcome back")

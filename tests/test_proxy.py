@@ -15,6 +15,7 @@ from repro.monitor import Monitor, default_monitors
 from repro.mutex import L2Mutex
 from repro.net import ConstantLatency, UniformLatency
 from repro.proxy import (
+    AdaptiveProxyPolicy,
     FixedProxyPolicy,
     LocalProxyPolicy,
     ProxiedMessenger,
@@ -148,6 +149,35 @@ class TestProxiedMessenger:
         messenger.send("mh-0", "mh-2", "racing")
         sim.drain()
         assert messenger.deliveries_of("racing") == ["mh-2"]
+
+    def send_into_a_stale_register(self, policy):
+        # The letter reaches mh-1's home proxy (mss-1) at t=10.5, after
+        # mh-1 left for mss-4 at t=9; the inform from mss-4 needs 10
+        # time units, so for a while every register read misleads.
+        sim = make_sim(n_mss=6, n_mh=4, fixed_latency=10.0,
+                       search_retry_delay=1.0)
+        manager = ProxyManager(sim.network, policy, sim.mh_ids)
+        messenger = ProxiedMessenger(manager)
+        messenger.send("mh-0", "mh-1", "stale")
+        sim.scheduler.schedule(9.0, sim.mh(1).move_to, "mss-4")
+        sim.drain()
+        return sim, manager, messenger
+
+    def test_fixed_policy_rereads_a_stale_register_and_never_searches(self):
+        sim, manager, messenger = self.send_into_a_stale_register(
+            FixedProxyPolicy()
+        )
+        assert messenger.delivered == [(32.0, "mh-1", "stale")]
+        assert manager.stale_deliveries == 11
+        assert sim.metrics.total(Category.SEARCH, "proxy") == 0
+
+    def test_adaptive_policy_searches_after_four_misleading_reads(self):
+        sim, manager, messenger = self.send_into_a_stale_register(
+            AdaptiveProxyPolicy(demote_after_moves=5, promote_after_uses=5)
+        )
+        assert messenger.delivered == [(16.0, "mh-1", "stale")]
+        assert manager.stale_deliveries == 5
+        assert sim.metrics.total(Category.SEARCH, "proxy") == 1
 
     def test_unmanaged_destination_rejected(self):
         sim, policy, manager = fixed_setup()
