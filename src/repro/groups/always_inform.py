@@ -16,13 +16,16 @@ protocol in the paper's reference [6] to groups.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, NamedTuple
 
 from repro.groups.base import GroupStrategy
 from repro.net.messages import Message
+from repro.net.relay import MhRelay
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
+    from repro.net.search import SearchOutcome
 
 
 class DirectedCopy(NamedTuple):
@@ -75,7 +78,6 @@ class AlwaysInformGroup(GroupStrategy):
         self.kind_route = f"{scope}.route"
         self.kind_forward = f"{scope}.forward"
         self.kind_update = f"{scope}.update"
-        self.kind_hello_route = f"{scope}.hello_route"
         self.kind_hello = f"{scope}.hello"
         self.kind_welcome = f"{scope}.welcome"
         self.kind_goodbye = f"{scope}.goodbye"
@@ -92,7 +94,8 @@ class AlwaysInformGroup(GroupStrategy):
             mss = network.mss(mss_id)
             mss.register_handler(self.kind_route, self._relay)
             mss.register_handler(self.kind_forward, self._forward)
-            mss.register_handler(self.kind_hello_route, self._hello_relay)
+        # A newcomer has no directory yet: its hellos are searched for.
+        self._hello = MhRelay(network, scope, "hello_route")
         #: deliveries that found the directory entry stale and needed a
         #: fallback search (the race Section 4 disregards).
         self.stale_deliveries = 0
@@ -170,9 +173,7 @@ class AlwaysInformGroup(GroupStrategy):
                 ),
                 # The member left while the copy was on the air: recover
                 # with a search, like any other stale delivery.
-                on_lost=lambda msg: self._search_fallback(
-                    mss.host_id, kind, copy
-                ),
+                on_lost=partial(self._resend_lost, mss.host_id, kind, copy),
             )
             return
         self._search_fallback(mss.host_id, kind, copy)
@@ -183,15 +184,6 @@ class AlwaysInformGroup(GroupStrategy):
         # Stale directory entry: the member moved while the copy was in
         # flight.  Fall back to a search so the message is not lost.
         self.stale_deliveries += 1
-
-        def on_disconnected(outcome) -> None:
-            # Only group messages are accounted; a lost location update
-            # merely leaves the directory stale.
-            if kind == self.kind_deliver:
-                self._record_missed(
-                    copy.payload.msg_id, copy.dst_mh_id
-                )
-
         self.network.send_to_mh(
             from_mss_id,
             copy.dst_mh_id,
@@ -202,8 +194,19 @@ class AlwaysInformGroup(GroupStrategy):
                 payload=copy.payload,
                 scope=self.scope,
             ),
-            on_disconnected=on_disconnected,
+            on_disconnected=partial(self._unreachable, kind, copy),
         )
+
+    def _resend_lost(self, from_mss_id: str, kind: str, copy: DirectedCopy,
+                     message: Message) -> None:
+        self._search_fallback(from_mss_id, kind, copy)
+
+    def _unreachable(self, kind: str, copy: DirectedCopy,
+                     outcome: "SearchOutcome") -> None:
+        # Only group messages are accounted; a lost location update
+        # merely leaves the directory stale.
+        if kind == self.kind_deliver:
+            self._record_missed(copy.payload.msg_id, copy.dst_mh_id)
 
     # ------------------------------------------------------------------
     # Membership changes (extension)
@@ -222,9 +225,7 @@ class AlwaysInformGroup(GroupStrategy):
         for member in self.members:
             if member == mh_id:
                 continue
-            mh.send_to_mss(
-                self.kind_hello_route, (member, hello), self.scope
-            )
+            self._hello.send(mh, member, self.kind_hello, hello)
 
     def _on_member_removed(self, mh_id: str) -> None:
         mh = self.network.mobile_host(mh_id)
@@ -234,20 +235,6 @@ class AlwaysInformGroup(GroupStrategy):
             # consulted again because sends iterate current members.
             self._flood(mh_id, self.kind_goodbye, Goodbye(mh_id))
         self.directories.pop(mh_id, None)
-
-    def _hello_relay(self, message: Message) -> None:
-        dst_member, hello = message.payload
-        self.network.send_to_mh(
-            message.dst,
-            dst_member,
-            Message(
-                kind=self.kind_hello,
-                src=message.src,
-                dst=dst_member,
-                payload=hello,
-                scope=self.scope,
-            ),
-        )
 
     # ------------------------------------------------------------------
     # MH side

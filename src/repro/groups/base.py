@@ -6,11 +6,13 @@ Common to the paper's Section 4 group location management strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.net.messages import Message
     from repro.net.network import Network
 
 
@@ -107,9 +109,7 @@ class GroupStrategy:
         self._wired.add(mh_id)
         mh = self.network.mobile_host(mh_id)
         mh.register_handler(self.kind_deliver, self._on_deliver)
-        mh.add_attach_listener(
-            lambda m=mh_id: self._on_member_attached(m)
-        )
+        mh.add_attach_listener(partial(self._on_member_attached, mh_id))
 
     # ------------------------------------------------------------------
     # Public API
@@ -207,6 +207,12 @@ class GroupStrategy:
         """Mark (message, recipient) missed; False if already
         accounted."""
         return self._record_outcome(msg_id, mh_id, delivered=False)
+
+    def _lost_on_air(self, msg_id: int, mh_id: str,
+                     message: "Message") -> None:
+        """``on_lost`` of a downlink copy: ``mh_id`` left its cell while
+        the copy was on the air."""
+        self._record_missed(msg_id, mh_id)
 
     def _record_missed_provisionally(self, msg_id: int, mh_id: str) -> None:
         """Mark (message, recipient) missed, but allow a later delivery

@@ -24,6 +24,7 @@ disconnect without disturbing the bookkeeping.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set
 
 from repro.errors import ConfigurationError
@@ -120,11 +121,7 @@ class LocationViewGroup(GroupStrategy):
             mss.register_handler(self.kind_change, self._on_change)
             mss.register_handler(self.kind_full, self._on_full_copy)
             mss.register_handler(self.kind_incr, self._on_incremental)
-            mss.add_join_listener(
-                lambda mh_id, prev, m=mss_id: self._on_member_join(
-                    m, mh_id, prev
-                )
-            )
+            mss.add_join_listener(partial(self._on_member_join, mss_id))
         self._bootstrap()
 
     # ------------------------------------------------------------------
@@ -225,8 +222,8 @@ class LocationViewGroup(GroupStrategy):
                     ),
                     # Departed while the frame was on the air: the same
                     # transient as arriving after the member left.
-                    on_lost=lambda msg, m=member: self._record_missed(
-                        group_message.msg_id, m
+                    on_lost=partial(
+                        self._lost_on_air, group_message.msg_id, member
                     ),
                 )
             else:

@@ -31,6 +31,7 @@ member; repairs and syncs cost a constant number of messages each.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -140,11 +141,7 @@ class OrderedGroup:
             mss.register_handler(self.kind_sync_req, self._on_sync_req)
             mss.register_handler(self.kind_sync_rsp, self._on_sync_rsp)
             mss.register_handler(self.kind_cell_sync, self._on_cell_sync)
-            mss.add_join_listener(
-                lambda mh_id, prev, m=mss_id: self._on_member_join(
-                    m, mh_id
-                )
-            )
+            mss.add_join_listener(partial(self._on_member_join, mss_id))
         for member in members:
             mh = network.mobile_host(member)
             mh.register_handler(self.kind_deliver, self._on_deliver)
@@ -326,7 +323,8 @@ class OrderedGroup:
     # Sync-on-join: bounded tail loss
     # ------------------------------------------------------------------
 
-    def _on_member_join(self, mss_id: str, mh_id: str) -> None:
+    def _on_member_join(self, mss_id: str, mh_id: str,
+                        prev_mss_id: Optional[str]) -> None:
         if mh_id not in self._states:
             return
         self.network.mss(mss_id).send_fixed(

@@ -10,20 +10,14 @@ protocol in the paper's reference [10] from single MHs to groups.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, NamedTuple
+from typing import TYPE_CHECKING, List
 
 from repro.groups.base import GroupStrategy
-from repro.net.messages import Message
+from repro.net.relay import MhRelay, Routed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
-
-
-class RoutedCopy(NamedTuple):
-    """One member's copy, relayed through the sender's local MSS."""
-
-    dst_mh_id: str
-    envelope: object
+    from repro.net.search import SearchOutcome
 
 
 class PureSearchGroup(GroupStrategy):
@@ -36,11 +30,7 @@ class PureSearchGroup(GroupStrategy):
         scope: str = "group-ps",
     ) -> None:
         super().__init__(network, members, scope)
-        self.kind_route = f"{scope}.route"
-        for mss_id in network.mss_ids():
-            network.mss(mss_id).register_handler(
-                self.kind_route, self._relay
-            )
+        self._relay = MhRelay(network, scope, unreachable=self._missed)
 
     def _send(self, sender_mh_id: str, payload: object,
               msg_id: int) -> None:
@@ -53,23 +43,8 @@ class PureSearchGroup(GroupStrategy):
                 continue
             # One separate point-to-point message per member: a wireless
             # uplink followed by a search.
-            mh.send_to_mss(
-                self.kind_route, RoutedCopy(member, envelope), self.scope
-            )
+            self._relay.send(mh, member, self.kind_deliver, envelope)
 
-    def _relay(self, message: Message) -> None:
-        routed: RoutedCopy = message.payload
-        self.network.send_to_mh(
-            message.dst,
-            routed.dst_mh_id,
-            Message(
-                kind=self.kind_deliver,
-                src=message.src,
-                dst=routed.dst_mh_id,
-                payload=routed.envelope,
-                scope=self.scope,
-            ),
-            on_disconnected=lambda outcome: self._record_missed(
-                routed.envelope.msg_id, routed.dst_mh_id
-            ),
-        )
+    def _missed(self, relay_mss_id: str, src_mh_id: str, routed: Routed,
+                outcome: "SearchOutcome") -> None:
+        self._record_missed(routed.inner.msg_id, routed.dst_mh_id)

@@ -8,44 +8,30 @@ messages, so its total cost is ``3*(N-1)*(2*C_wireless + C_search)`` and
 the energy drained from batteries is proportional to ``6*(N-1)``
 wireless transmissions/receptions.
 
-The implementation reuses the static Lamport substrate unchanged -- the
-only L1-specific code is the MH->MH transport and the critical-region
-glue, which is precisely the paper's framing.
+The implementation reuses the static Lamport substrate unchanged, the
+MH->MH relay every algorithm on the MHs shares, and the shared
+:class:`~repro.mutex.resource.Region` -- the only L1-specific code is
+the glue between them and the crash rules, which is precisely the
+paper's framing.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.mutex.lamport_core import LamportMutexNode, MutexTransport
-from repro.mutex.resource import CriticalResource
+from repro.mutex.resource import CriticalResource, Region
 from repro.net.messages import Message
+from repro.net.relay import MhRelay
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
 
 
-class RoutedPayload(NamedTuple):
-    """MH -> MH payload relayed through the static network."""
-
-    dst_mh_id: str
-    kind: str
-    inner: object
-
-
 class _MobileTransport(MutexTransport):
-    """Transport between MHs: uplink to the local MSS, then search."""
+    """Transport between MHs: the MH -> MH relay (uplink, search)."""
 
     def __init__(self, mutex: "L1Mutex", mh_id: str) -> None:
         self._mutex = mutex
@@ -55,11 +41,8 @@ class _MobileTransport(MutexTransport):
         return [m for m in self._mutex.mh_ids if m != self._mh_id]
 
     def send(self, dst: str, kind: str, payload: object) -> None:
-        mh = self._mutex.network.mobile_host(self._mh_id)
-        mh.send_to_mss(
-            self._mutex.kind_route,
-            RoutedPayload(dst, kind, payload),
-            self._mutex.scope,
+        self._mutex._relay.send(
+            self._mutex.network.mobile_host(self._mh_id), dst, kind, payload
         )
 
 
@@ -93,21 +76,16 @@ class L1Mutex:
         self.cs_duration = cs_duration
         self.scope = scope
         self.on_complete = on_complete
-        self.kind_route = f"{scope}.route"
         self.completed: List[Tuple[float, str]] = []
         self._nodes: Dict[str, LamportMutexNode] = {}
-        #: mh_id -> scheduled exit event while inside the region
-        #: (tracked only under a fault plan, to abort on MH crash).
-        self._active: Dict[str, object] = {}
+        self._relay = MhRelay(network, scope)
+        self._region = Region(network, resource, cs_duration, scope, "l1",
+                              exited=self._release)
         #: participants whose pending request was disclaimed by a crash
         #: and should be resubmitted when the host recovers.
         self._disclaimed: Set[str] = set()
         for mh_id in self.mh_ids:
             self._attach_mh(mh_id)
-        for mss_id in network.mss_ids():
-            network.mss(mss_id).register_handler(
-                self.kind_route, self._relay
-            )
         if network.faults is not None:
             network.faults.add_mh_crash_listener(self._on_mh_crash)
             network.faults.add_mh_recovery_listener(self._on_mh_recover)
@@ -164,40 +142,10 @@ class L1Mutex:
 
     # ------------------------------------------------------------------
 
-    def _relay(self, message: Message) -> None:
-        routed: RoutedPayload = message.payload
-        mss = self.network.mss(message.dst)
-        self.network.send_to_mh(
-            mss.host_id,
-            routed.dst_mh_id,
-            Message(
-                kind=routed.kind,
-                src=message.src,
-                dst=routed.dst_mh_id,
-                payload=routed.inner,
-                scope=self.scope,
-            ),
-        )
-
     def _enter_region(self, mh_id: str) -> None:
-        if self.network._trace_on:
-            self.network._trace.emit(
-                "cs.enter", scope=self.scope, src=mh_id
-            )
-        self.resource.enter(mh_id, info={"algorithm": self.scope})
-        event = self.network.scheduler.schedule(
-            self.cs_duration, self._exit_region, mh_id
-        )
-        if self.network.faults is not None:
-            self._active[mh_id] = event
+        self._region.enter(mh_id, mh_id, {"algorithm": self.scope})
 
-    def _exit_region(self, mh_id: str) -> None:
-        self._active.pop(mh_id, None)
-        self.resource.leave(mh_id)
-        if self.network._trace_on:
-            self.network._trace.emit(
-                "cs.exit", scope=self.scope, src=mh_id
-            )
+    def _release(self, mh_id: str) -> None:
         mh = self.network.mobile_host(mh_id)
         if not mh.is_connected:
             # The holder left its cell before releasing: L1 simply has no
@@ -225,19 +173,7 @@ class L1Mutex:
         if mh_id not in self._nodes:
             return
         node = self._nodes[mh_id]
-        event = self._active.pop(mh_id, None)
-        if event is not None:
-            event.cancel()
-            self.resource.leave(mh_id)
-            self.network.metrics.record_fault("l1.grant_aborted_by_crash")
-            if self.network._trace_on:
-                self.network._trace.emit(
-                    "cs.exit",
-                    scope=self.scope,
-                    src=mh_id,
-                    aborted=True,
-                    reason="mh.crash",
-                )
+        self._region.crash(mh_id)
         had_pending = bool(node.pending_tags())
         node.reset_volatile()
         if had_pending:

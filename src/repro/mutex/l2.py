@@ -144,7 +144,6 @@ class L2Mutex:
             network, resource, cs_duration, scope,
             ("release_resource", "release_fwd"), "l2", "proxy",
             returned=self._finish_release,
-            crashed=self._on_grantee_unreachable,
         )
         if network.faults is not None:
             network.faults.add_mh_crash_listener(self._on_mh_crash)
@@ -263,9 +262,9 @@ class L2Mutex:
         grant: GrantPayload = message.payload
         self.grant_log.append((grant.request_ts, grant.mh_id))
         self._region.enter(
-            RegionReturn(grant.mh_id, grant.proxy_mss_id),
-            grant.proxy_mss_id,
+            grant.mh_id, RegionReturn(grant.mh_id, grant.proxy_mss_id),
             {"algorithm": self.scope, "request_ts": grant.request_ts},
+            grant.proxy_mss_id,
         )
 
     def _on_mh_crash(self, mh_id: str) -> None:
@@ -277,7 +276,9 @@ class L2Mutex:
         disclaim the debt.  A pending ``init`` needs nothing: its grant's
         search finds the host disconnected.
         """
-        if self._region.crash(mh_id):
+        back = self._region.crash(mh_id)
+        if back is not None:
+            self._on_grantee_unreachable(back.grantor_mss_id, mh_id)
             return
         owed = self._region.disclaim(mh_id)
         if owed is not None:

@@ -16,32 +16,17 @@ re-formed (not modelled -- the stall itself is the measured drawback).
 from __future__ import annotations
 
 from functools import partial
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
-from repro.mutex.resource import CriticalResource
+from repro.mutex.resource import CriticalResource, Region
 from repro.mutex.ring_core import RingNode, Token
 from repro.net.messages import Message
+from repro.net.relay import MhRelay, Routed
 from repro.net.search import SearchOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
-
-
-class RoutedToken(NamedTuple):
-    """Token in flight between two MHs, relayed by the static network."""
-
-    dst_mh_id: str
-    token: Token
 
 
 class R1Mutex:
@@ -84,25 +69,22 @@ class R1Mutex:
         #: no protocol; we implement and charge one).
         self.auto_repair = auto_repair
         self.repairs = 0
-        self.kind_route = f"{scope}.route"
+        self.kind_token = f"{scope}.token"
         self.kind_reconfig = f"{scope}.reconfig"
         self.completed: List[Tuple[float, str]] = []
         self.finished = False
         self.stalled_on: Optional[str] = None
         self._wants: Dict[str, bool] = {m: False for m in self.mh_ids}
         self._nodes: Dict[str, RingNode] = {}
-        #: mh_id -> (exit event, token) while inside the region
-        #: (tracked only under a fault plan, to abort on MH crash).
-        self._active: Dict[str, Tuple[object, Token]] = {}
+        self._relay = MhRelay(network, scope, unreachable=self._stall)
+        #: back = (mh_id, token, forward): the token moves on at exit.
+        self._region = Region(network, resource, cs_duration, scope, "r1",
+                              exited=self._exit_region)
         #: members dropped from the ring by a crash repair, eligible for
         #: re-admission when their host recovers.
         self._removed_members: Set[str] = set()
         for mh_id in self.mh_ids:
             self._attach_mh(mh_id)
-        for mss_id in network.mss_ids():
-            network.mss(mss_id).register_handler(
-                self.kind_route, self._relay
-            )
         if network.faults is not None:
             network.faults.add_mh_crash_listener(self._on_mh_crash)
             network.faults.add_mh_recovery_listener(self._on_mh_recover)
@@ -118,10 +100,10 @@ class R1Mutex:
         )
         self._nodes[mh_id] = node
         mh.register_handler(
-            f"{self.scope}.token", partial(self._deliver_token, node)
+            self.kind_token, partial(self._deliver_token, node)
         )
         mh.register_handler(
-            f"{self.scope}.reconfig", partial(self._apply_reconfig, node)
+            self.kind_reconfig, partial(self._apply_reconfig, node)
         )
 
     # ------------------------------------------------------------------
@@ -168,26 +150,15 @@ class R1Mutex:
             return
         if self._wants[mh_id]:
             self._wants[mh_id] = False
-            if self.network._trace_on:
-                self.network._trace.emit(
-                    "cs.enter", scope=self.scope, src=mh_id
-                )
-            self.resource.enter(mh_id, info={"algorithm": self.scope})
-            event = self.network.scheduler.schedule(
-                self.cs_duration, self._exit_region, mh_id, forward
-            )
-            if self.network.faults is not None:
-                self._active[mh_id] = (event, token)
+            self._region.enter(mh_id, (mh_id, token, forward),
+                               {"algorithm": self.scope})
         else:
             forward()
 
-    def _exit_region(self, mh_id: str, forward: Callable[[], None]) -> None:
-        self._active.pop(mh_id, None)
-        self.resource.leave(mh_id)
-        if self.network._trace_on:
-            self.network._trace.emit(
-                "cs.exit", scope=self.scope, src=mh_id
-            )
+    def _exit_region(
+        self, back: Tuple[str, Token, Callable[[], None]]
+    ) -> None:
+        mh_id, _, forward = back
         self.completed.append((self.network.scheduler.now, mh_id))
         if self.on_complete is not None:
             self.on_complete(mh_id)
@@ -201,16 +172,8 @@ class R1Mutex:
         mh = self.network.mobile_host(src_mh_id)
         if mh.crashed:
             # The holder crashed before it could transmit: the token
-            # dies in its memory.  Regenerate (auto_repair) or stall.
-            if not self.auto_repair:
-                self.stalled_on = src_mh_id
-                return
-            detecting = self._detecting_mss(src_mh_id)
-            if detecting is None:
-                self.stalled_on = src_mh_id
-                return
-            self.network.metrics.record_fault("r1.token_regenerated")
-            self._repair(detecting, src_mh_id, None, token)
+            # dies in its memory.
+            self._regenerate(src_mh_id, token)
             return
         if not mh.is_connected:
             # The holder is mid-move; it can only transmit once it has
@@ -224,39 +187,19 @@ class R1Mutex:
                 token,
             )
             return
-        mh.send_to_mss(
-            self.kind_route, RoutedToken(dst_mh_id, token), self.scope
-        )
+        self._relay.send(mh, dst_mh_id, kind, token)
 
-    def _relay(self, message: Message) -> None:
-        routed: RoutedToken = message.payload
-        mss = self.network.mss(message.dst)
-        self.network.send_to_mh(
-            mss.host_id,
-            routed.dst_mh_id,
-            Message(
-                kind=f"{self.scope}.token",
-                src=message.src,
-                dst=routed.dst_mh_id,
-                payload=routed.token,
-                scope=self.scope,
-            ),
-            on_disconnected=partial(
-                self._stall, mss.host_id, routed.dst_mh_id, message.src,
-                routed.token,
-            ),
-        )
-
-    def _stall(self, detecting_mss_id: str, mh_id: str,
-               prev_mh_id: Optional[str], token: Token,
-               outcome: SearchOutcome) -> None:
+    def _stall(self, detecting_mss_id: str, prev_mh_id: Optional[str],
+               routed: Routed, outcome: SearchOutcome) -> None:
+        # The token could not reach ``routed.dst_mh_id``.
         if not self.auto_repair:
             # Plain R1 has no provision for disconnected members: the
             # token is undeliverable and mutual exclusion stops
             # system-wide.
-            self.stalled_on = mh_id
+            self.stalled_on = routed.dst_mh_id
             return
-        self._repair(detecting_mss_id, mh_id, prev_mh_id, token)
+        self._repair(detecting_mss_id, routed.dst_mh_id, prev_mh_id,
+                     routed.inner)
 
     # ------------------------------------------------------------------
     # Ring re-establishment (extension)
@@ -273,6 +216,7 @@ class R1Mutex:
         ``(N-1) * (C_search + C_wireless)`` -- the overhead R2 never
         pays).
         """
+        detecting = self.network.mss(detecting_mss_id)
         if dead_mh_id in self.mh_ids:
             self.repairs += 1
             index = self.mh_ids.index(dead_mh_id)
@@ -282,16 +226,8 @@ class R1Mutex:
             self._removed_members.add(dead_mh_id)
             new_ring = list(self.mh_ids)
             for survivor in new_ring:
-                self.network.send_to_mh(
-                    detecting_mss_id,
-                    survivor,
-                    Message(
-                        kind=self.kind_reconfig,
-                        src=detecting_mss_id,
-                        dst=survivor,
-                        payload=new_ring,
-                        scope=self.scope,
-                    ),
+                detecting.send_to_mh(
+                    survivor, self.kind_reconfig, new_ring, self.scope
                 )
             successor = new_ring[index % len(new_ring)]
         else:
@@ -305,18 +241,11 @@ class R1Mutex:
             else:
                 successor = new_ring[0]
         # Hand the stranded token onward.
-        self.network.send_to_mh(
-            detecting_mss_id,
-            successor,
-            Message(
-                kind=f"{self.scope}.token",
-                src=detecting_mss_id,
-                dst=successor,
-                payload=token,
-                scope=self.scope,
-            ),
+        detecting.send_to_mh(
+            successor, self.kind_token, token, self.scope,
             on_disconnected=partial(
-                self._stall, detecting_mss_id, successor, None, token
+                self._stall, detecting_mss_id, None,
+                Routed(successor, self.kind_token, token),
             ),
         )
 
@@ -344,37 +273,21 @@ class R1Mutex:
         formed by the survivors (``auto_repair``)."""
         if self.finished or mh_id not in self._nodes:
             return
-        entry = self._active.pop(mh_id, None)
-        token: Optional[Token] = None
-        if entry is not None:
-            event, token = entry
-            event.cancel()
-            self.resource.leave(mh_id)
-            self.network.metrics.record_fault("r1.grant_aborted_by_crash")
-            if self.network._trace_on:
-                self.network._trace.emit(
-                    "cs.exit",
-                    scope=self.scope,
-                    src=mh_id,
-                    aborted=True,
-                    reason="mh.crash",
-                )
-        if token is None:
-            # The token is elsewhere; when it is next addressed to the
-            # crashed member the normal undeliverable path stalls or
-            # repairs the ring.
-            return
-        if not self.auto_repair:
-            # The token died with the host: plain R1 stops system-wide.
-            self.stalled_on = mh_id
-            return
-        detecting = self._detecting_mss(mh_id)
+        back = self._region.crash(mh_id)
+        # A token elsewhere stalls or repairs the ring when it is next
+        # addressed to the crashed member; one held here died with it.
+        if back is not None:
+            self._regenerate(mh_id, back[1])
+
+    def _regenerate(self, mh_id: str, token: Token) -> None:
+        """The token died in crashed ``mh_id``'s memory.  Plain R1
+        stops system-wide; with ``auto_repair`` the survivors re-form
+        the ring and a fresh token (same bookkeeping counters) starts at
+        the crashed member's successor."""
+        detecting = self._detecting_mss(mh_id) if self.auto_repair else None
         if detecting is None:
             self.stalled_on = mh_id
             return
-        # Simulation-level regeneration: the survivors re-form the ring
-        # and a fresh token (same bookkeeping counters) starts at the
-        # crashed member's successor.
         self.network.metrics.record_fault("r1.token_regenerated")
         self._repair(detecting, mh_id, None, token)
 
@@ -394,8 +307,8 @@ class R1Mutex:
         if len(self.mh_ids) == 0:  # pragma: no cover - defensive
             return
         mh = self.network.mobile_host(mh_id)
-        mh.unregister_handler(f"{self.scope}.token")
-        mh.unregister_handler(f"{self.scope}.reconfig")
+        mh.unregister_handler(self.kind_token)
+        mh.unregister_handler(self.kind_reconfig)
         self.mh_ids.append(mh_id)
         self._wants[mh_id] = False
         self._attach_mh(mh_id)
@@ -406,17 +319,9 @@ class R1Mutex:
             if announcing_mss is None:
                 return
         new_ring = list(self.mh_ids)
+        announcer = self.network.mss(announcing_mss)
         for member in new_ring:
-            if member == mh_id:
-                continue
-            self.network.send_to_mh(
-                announcing_mss,
-                member,
-                Message(
-                    kind=self.kind_reconfig,
-                    src=announcing_mss,
-                    dst=member,
-                    payload=new_ring,
-                    scope=self.scope,
-                ),
-            )
+            if member != mh_id:
+                announcer.send_to_mh(
+                    member, self.kind_reconfig, new_ring, self.scope
+                )

@@ -187,9 +187,8 @@ class R2Mutex:
         # lose the access.
         self._region = RegionClient(
             network, resource, cs_duration, scope, ("return", "return_fwd"),
-            "r2", "token_val", returned=self._finish_access,
-            crashed=self._reissue, live=self._live,
-            exited=self._complete if self.fault_tolerant else None,
+            "r2", "token_val", returned=self._finish_access, live=self._live,
+            exited=self._complete_at_exit if self.fault_tolerant else None,
         )
         if self.fault_tolerant and network.faults is not None:
             network.faults.add_crash_listener(self._on_mss_crash)
@@ -472,6 +471,9 @@ class R2Mutex:
         if self.on_complete is not None:
             self.on_complete(mh_id)
 
+    def _complete_at_exit(self, back: RegionReturn) -> None:
+        self._complete(back.mh_id)
+
     # ------------------------------------------------------------------
     # Fault tolerance: crash handling, token regeneration, resubmission
     # ------------------------------------------------------------------
@@ -513,7 +515,9 @@ class R2Mutex:
         # outcome into the resubmission loop, and an owed return is
         # kept until the MH reattaches.
         if not self.finished:
-            self._region.crash(mh_id)
+            back = self._region.crash(mh_id)
+            if back is not None:
+                self._reissue(back.grantor_mss_id, mh_id)
 
     def _reissue(self, grantor: str, mh_id: str) -> None:
         # The crashed grantee will never send its return.  The physical
@@ -649,8 +653,9 @@ class R2Mutex:
         # token_val as its access_count.
         self.access_counts[grant.mh_id] = grant.token_val
         self._region.enter(
+            grant.mh_id,
             RegionReturn(grant.mh_id, grant.grantor_mss_id, grant.epoch),
-            grant.token_val,
             {"algorithm": self.scope, "variant": self.variant.value,
              "token_val": grant.token_val},
+            grant.token_val,
         )

@@ -6,8 +6,9 @@ safety property (at most one holder at any simulated instant) and keeps
 the full access log that fairness tests inspect (e.g. L2 grants in
 timestamp order; R2' grants at most once per MH per ring traversal).
 The oracle checks the safety claim of the paper's Section 3 algorithms.
-Where a support station grants the region, :class:`RegionClient` is
-the MH side of the grant.
+:class:`Region` is the MH side of holding the region for every
+algorithm; where a support station grants it, :class:`RegionClient`
+adds the hand-back.
 """
 
 from __future__ import annotations
@@ -125,52 +126,107 @@ class RegionReturn(NamedTuple):
     epoch: int = 0
 
 
-class RegionClient:
-    """The MH side of a region a support station grants (L2, and so the
-    proxied mutex, and R2): Section 5's obligations wherever the MH is.
+class Region:
+    """The MH side of holding the region, for every mutex in the library.
 
     *Enter* emits ``cs.enter``, holds the resource and schedules the
-    exit.  *Exit* leaves, emits ``cs.exit``, calls ``exited(mh_id)`` if
-    given, and owes the hand-back until the MH is attached: at once, or
-    when it next attaches.  The cell it lands in forwards it to the
-    grantor (or drops it if the grantor is down), where
-    ``returned(grantor, mh_id)`` runs; a station drops any hand-back
-    that ``live`` rejects.
-    *Crash* vacates the region of a MH that died inside it: the exit is
-    cancelled, the fault recorded, an aborted ``cs.exit`` emitted and
-    ``crashed(grantor, mh_id)`` called.  ``kinds`` names the hand-back
-    sent and forwarded, ``fault`` prefixes the fault counters, and
-    ``detail`` keys the algorithm's mark in each ``cs.*`` event.
+    exit; *exit* leaves, emits ``cs.exit`` and calls ``exited(back)``.
+    ``back`` is whatever the algorithm needs once the MH is out: L1's MH
+    id, R1's token and forward, the hand-back a :class:`RegionClient`
+    owes.  *Crash* vacates the region of a MH that died inside it: the
+    exit is cancelled, ``<fault>.grant_aborted_by_crash`` recorded, an
+    aborted ``cs.exit`` emitted, and ``back`` returned (``None`` if the
+    MH was not inside).  ``detail`` keys the algorithm's mark in each
+    ``cs.*`` event; ``None`` means the events carry no mark.
+    """
+
+    def __init__(
+        self, network: "Network", resource: CriticalResource,
+        cs_duration: float, scope: str, fault: str,
+        detail: Optional[str] = None,
+        exited: Optional[Callable[[Any], None]] = None,
+    ) -> None:
+        self.network = network
+        self.resource = resource
+        self.cs_duration = cs_duration
+        self.scope = scope
+        self._fault = fault
+        self._detail = detail
+        self._exited = exited
+        #: mh_id -> (back, mark, scheduled exit) while inside.
+        self._inside: Dict[str, Tuple[Any, Any, object]] = {}
+        # Site emitters (Tracer.call_site_batch): the tracer is
+        # installed before protocols attach.
+        self._cs_enter = network._trace.call_site_batch("cs.enter")
+        self._cs_exit = network._trace.call_site_batch("cs.exit")
+
+    def _marked(self, mark: Any) -> Dict[str, Any]:
+        return {} if self._detail is None else {self._detail: mark}
+
+    def enter(self, mh_id: str, back: Any, info: Any,
+              mark: Any = None) -> None:
+        """``mh_id`` holds the region; ``exited(back)`` runs at exit."""
+        if self.network._trace_on:
+            self._cs_enter(self.scope, mh_id, None, None, None,
+                           self._marked(mark))
+        self.resource.enter(mh_id, info=info)
+        exit_event = self.network.scheduler.schedule(
+            self.cs_duration, self._exit, mh_id, back, mark)
+        self._inside[mh_id] = (back, mark, exit_event)
+
+    def _exit(self, mh_id: str, back: Any, mark: Any) -> None:
+        self._inside.pop(mh_id, None)
+        self.resource.leave(mh_id)
+        if self.network._trace_on:
+            self._cs_exit(self.scope, mh_id, None, None, None,
+                          self._marked(mark))
+        if self._exited is not None:
+            self._exited(back)
+
+    def crash(self, mh_id: str) -> Any:
+        """Vacate the region if ``mh_id`` died inside it; return its
+        ``back`` (``None`` if it was not inside)."""
+        inside = self._inside.pop(mh_id, None)
+        if inside is None:
+            return None
+        back, mark, exit_event = inside
+        exit_event.cancel()
+        self.resource.leave(mh_id)
+        self.network.metrics.record_fault(
+            f"{self._fault}.grant_aborted_by_crash")
+        if self.network._trace_on:
+            self._cs_exit(self.scope, mh_id, None, None, None, {
+                **self._marked(mark), "aborted": True, "reason": "mh.crash"})
+        return back
+
+
+class RegionClient(Region):
+    """A region a support station grants (L2, and so the proxied mutex,
+    and R2): Section 5's obligations wherever the MH is.
+
+    ``back`` is the :class:`RegionReturn` the MH owes from its exit
+    until it is attached: at once, or when it next attaches.  The cell
+    it lands in forwards it to the grantor (or drops it if the grantor
+    is down), where ``returned(grantor, mh_id)`` runs; a station drops
+    any hand-back that ``live`` rejects.  ``kinds`` names the hand-back
+    sent and forwarded.
     """
 
     def __init__(
         self, network: "Network", resource: CriticalResource,
         cs_duration: float, scope: str, kinds: Tuple[str, str],
         fault: str, detail: str, returned: Callable[[str, str], None],
-        crashed: Callable[[str, str], None],
-        exited: Optional[Callable[[str], None]] = None,
+        exited: Optional[Callable[[RegionReturn], None]] = None,
         live: Optional[Callable[[RegionReturn], bool]] = None,
     ) -> None:
-        self.network = network
-        self.resource = resource
-        self.cs_duration = cs_duration
-        self.scope = scope
+        super().__init__(network, resource, cs_duration, scope, fault,
+                         detail, exited)
         self._kind, self._fwd_kind = (f"{scope}.{kind}" for kind in kinds)
-        self._fault = fault
-        self._detail = detail
         self._returned = returned
-        self._crashed = crashed
-        self._exited = exited
         self._live = live
-        #: mh_id -> (hand-back, mark, scheduled exit) while inside.
-        self._inside: Dict[str, Tuple[RegionReturn, Any, object]] = {}
         #: mh_id -> the hand-back a detached MH owes.
         self._owed: Dict[str, RegionReturn] = {}
         self._clients: set = set()
-        # Site emitters (Tracer.call_site_batch): the tracer is
-        # installed before protocols attach.
-        self._cs_enter = network._trace.call_site_batch("cs.enter")
-        self._cs_exit = network._trace.call_site_batch("cs.exit")
         for mss_id in network.mss_ids():
             mss = network.mss(mss_id)
             mss.register_handler(self._kind, self._on_return)
@@ -186,26 +242,8 @@ class RegionClient:
         mh.register_handler(f"{self.scope}.grant", on_grant)
         mh.add_attach_listener(partial(self._flush, mh_id))
 
-    def enter(self, back: RegionReturn, mark: Any, info: Any) -> None:
-        """``back.mh_id`` holds the region; ``back`` goes home at exit."""
-        mh_id = back.mh_id
-        if self.network._trace_on:
-            self._cs_enter(self.scope, mh_id, None, None, None,
-                           {self._detail: mark})
-        self.resource.enter(mh_id, info=info)
-        exit_event = self.network.scheduler.schedule(
-            self.cs_duration, self._exit, back, mark)
-        self._inside[mh_id] = (back, mark, exit_event)
-
-    def _exit(self, back: RegionReturn, mark: Any) -> None:
-        mh_id = back.mh_id
-        self._inside.pop(mh_id, None)
-        self.resource.leave(mh_id)
-        if self.network._trace_on:
-            self._cs_exit(self.scope, mh_id, None, None, None,
-                          {self._detail: mark})
-        if self._exited is not None:
-            self._exited(mh_id)
+    def _exit(self, mh_id: str, back: RegionReturn, mark: Any) -> None:
+        super()._exit(mh_id, back, mark)
         if mh_id in self._owed:
             raise ProtocolError(f"{mh_id} already owes a hand-back")
         self._owed[mh_id] = back
@@ -221,22 +259,6 @@ class RegionClient:
     def disclaim(self, mh_id: str) -> Optional[RegionReturn]:
         """Forget and return the hand-back ``mh_id`` owes, if any."""
         return self._owed.pop(mh_id, None)
-
-    def crash(self, mh_id: str) -> bool:
-        """Vacate the region if ``mh_id`` died inside it (and say so)."""
-        inside = self._inside.pop(mh_id, None)
-        if inside is None:
-            return False
-        back, mark, exit_event = inside
-        exit_event.cancel()
-        self.resource.leave(mh_id)
-        self.network.metrics.record_fault(
-            f"{self._fault}.grant_aborted_by_crash")
-        if self.network._trace_on:
-            self._cs_exit(self.scope, mh_id, None, None, None, {
-                self._detail: mark, "aborted": True, "reason": "mh.crash"})
-        self._crashed(back.grantor_mss_id, mh_id)
-        return True
 
     def _on_return(self, message: "Message") -> None:
         # Both kinds land here; a forwarded one is already at home.

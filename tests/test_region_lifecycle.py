@@ -15,11 +15,19 @@ shared lifecycle cannot drift from them:
   proxy (an amnesiac host would never send it).
 * R2: a return owed across a mid-region move is sent exactly once, even
   when the host reattaches twice.
+
+L1 and R1 run on the MHs themselves and hand nothing back, but a host
+that dies inside the region is vacated the same way by all four: one
+aborted ``cs.exit`` at the crash, carrying the algorithm's own mark.
 """
 
 from __future__ import annotations
 
-from repro import CriticalResource, L2Mutex, R2Mutex, Simulation
+import pytest
+
+from repro import (
+    CriticalResource, L1Mutex, L2Mutex, R1Mutex, R2Mutex, Simulation,
+)
 from repro.faults import FaultPlan, MhCrash
 from repro.net import ConstantLatency, NetworkConfig
 
@@ -125,3 +133,58 @@ def test_r2_return_owed_across_a_move_is_sent_exactly_once():
     assert [(e.src, e.dst) for e in forwards] == [("mss-2", grantor)]
     assert _served(mutex) == ["mh-0"]
     resource.assert_no_overlap()
+
+
+def _hold_l1(sim, resource):
+    L1Mutex(sim.network, sim.mh_ids, resource, cs_duration=30.0).request(
+        "mh-0")
+
+
+def _hold_r1(sim, resource):
+    mutex = R1Mutex(sim.network, sim.mh_ids, resource, cs_duration=30.0,
+                    max_traversals=3, auto_repair=True)
+    mutex.want("mh-0")
+    mutex.start()
+
+
+def _hold_l2(sim, resource):
+    L2Mutex(sim.network, resource, cs_duration=30.0).request("mh-0")
+
+
+def _hold_r2(sim, resource):
+    mutex = R2Mutex(sim.network, resource, cs_duration=30.0,
+                    max_traversals=3)
+    mutex.request("mh-0")
+    sim.run(until=1.0)  # queued at mss-0 before the token starts there
+    mutex.start()
+
+
+#: scope -> (how mh-0 comes to hold the region, the mark's detail key).
+_HOLDERS = {
+    "L1": (_hold_l1, None),
+    "R1": (_hold_r1, None),
+    "L2": (_hold_l2, "proxy"),
+    "R2": (_hold_r2, "token_val"),
+}
+
+
+@pytest.mark.parametrize("scope", sorted(_HOLDERS))
+def test_a_crash_inside_the_region_is_one_aborted_exit(scope):
+    hold, mark = _HOLDERS[scope]
+    sim = _sim(FaultPlan(mh_crashes=(MhCrash("mh-0", at=6.0),), seed=1),
+               trace=True)
+    resource = CriticalResource(sim.scheduler)
+    hold(sim, resource)
+    sim.drain()
+    aborted = [e for e in sim.tracer.by_type("cs.exit")
+               if e.detail.get("aborted")]
+    assert [(e.time, e.scope, e.src) for e in aborted] == [
+        (6.0, scope, "mh-0")]
+    detail = dict(aborted[0].detail)
+    assert detail.pop("aborted") is True
+    assert detail.pop("reason") == "mh.crash"
+    assert list(detail) == ([] if mark is None else [mark])
+    fault = f"{scope.lower()}.grant_aborted_by_crash"
+    assert sim.metrics.fault_total(fault) == 1
+    assert resource.accesses[0].holder == "mh-0"
+    assert resource.accesses[0].exit_time == 6.0

@@ -68,9 +68,9 @@ def test_census_reaches_every_layer_that_defines_payloads(payloads_seen):
     assert modules >= {
         "repro.hosts.system",
         "repro.mutex.lamport_core",
-        "repro.mutex.l1",
         "repro.mutex.l2",
         "repro.mutex.r2",
+        "repro.net.relay",
         "repro.net.reliable",
         "repro.groups.location_view",
         "repro.proxy.messenger",
