@@ -5,6 +5,7 @@ Reproduces the companion system of the paper's reference [1].
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -13,6 +14,7 @@ from repro.net.messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
+    from repro.net.search import SearchOutcome
 
 
 class Submit(NamedTuple):
@@ -142,9 +144,7 @@ class ExactlyOnceMulticast:
             mss.register_handler(self.kind_prune, self._on_prune)
             mss.register_handler(self.kind_send, self._on_uplink)
             mss.add_handoff_participant(_StateCarrier(self, mss_id))
-            mss.add_join_listener(
-                lambda mh_id, prev, m=mss_id: self._on_join(m, mh_id)
-            )
+            mss.add_join_listener(partial(self._on_join, mss_id))
         for member in self.members:
             mh = network.mobile_host(member)
             mh.register_handler(self.kind_deliver, self._on_deliver)
@@ -222,7 +222,8 @@ class ExactlyOnceMulticast:
     # Delivery
     # ------------------------------------------------------------------
 
-    def _on_join(self, mss_id: str, mh_id: str) -> None:
+    def _on_join(self, mss_id: str, mh_id: str,
+                 prev_mss_id: Optional[str]) -> None:
         # The member's counter may already be here (reconnect in the
         # same cell where it disconnected): catch up immediately.  After
         # a move the counter arrives with the handoff reply instead.
@@ -247,28 +248,28 @@ class ExactlyOnceMulticast:
             states[mh_id] = max(states.get(mh_id, 0), state)
             self._catch_up(mss_id, mh_id)
             return
-
-        def on_outcome(outcome) -> None:
-            target = outcome.mss_id
-            if target == mss_id:
-                # Still in transit towards here (or bounced): retry.
-                self.network.scheduler.schedule(
-                    self.network.config.search_retry_delay,
-                    self._install_state, mss_id, mh_id, state,
-                )
-                return
-            if not self.network.search_protocol.includes_forward:
-                self.network.search_protocol.record_forward(
-                    self.network, self.scope
-                )
-            # The state travels one fixed hop to the located MSS.
-            self.network.scheduler.schedule(
-                self.network.config.fixed_latency(self.network.rng),
-                self._install_state, target, mh_id, state,
-            )
-
         self.network.search_protocol.search(
-            self.network, mss_id, mh_id, self.scope, on_outcome
+            self.network, mss_id, mh_id, self.scope,
+            partial(self._chase, mss_id, mh_id, state),
+        )
+
+    def _chase(self, mss_id: str, mh_id: str, state,
+               outcome: SearchOutcome) -> None:
+        """Forward a member's counter to where the search located it."""
+        network = self.network
+        target = outcome.mss_id
+        if target == mss_id:
+            # Still in transit towards here (or bounced): retry.
+            network.scheduler.schedule(
+                network.config.search_retry_delay,
+                self._install_state, mss_id, mh_id, state,
+            )
+            return
+        network.search_protocol.charge_forward(network, self.scope)
+        # The state travels one fixed hop to the located MSS.
+        network.scheduler.schedule(
+            network.config.fixed_latency(network.rng),
+            self._install_state, target, mh_id, state,
         )
 
     def _catch_up(self, mss_id: str, mh_id: str) -> None:
@@ -296,15 +297,12 @@ class ExactlyOnceMulticast:
                 payload=store,
                 scope=self.scope,
             ),
-            on_delivered=lambda msg, m=mss_id, h=mh_id, s=store.seq: (
-                self._confirmed(m, h, s)
-            ),
-            on_lost=lambda msg, m=mss_id, h=mh_id: (
-                self._delivery_lost(m, h)
-            ),
+            on_delivered=partial(self._confirmed, mss_id, mh_id, store.seq),
+            on_lost=partial(self._delivery_lost, mss_id, mh_id),
         )
 
-    def _confirmed(self, mss_id: str, mh_id: str, seq: int) -> None:
+    def _confirmed(self, mss_id: str, mh_id: str, seq: int,
+                   message: Message) -> None:
         self._delivering[(mss_id, mh_id)] = False
         states = self.member_states[mss_id]
         if mh_id not in states:
@@ -320,7 +318,8 @@ class ExactlyOnceMulticast:
                 )
         self._catch_up(mss_id, mh_id)
 
-    def _delivery_lost(self, mss_id: str, mh_id: str) -> None:
+    def _delivery_lost(self, mss_id: str, mh_id: str,
+                       message: Message) -> None:
         # The member left the cell mid-delivery: its counter did not
         # advance, so the new MSS will redeliver after handoff.
         self._delivering[(mss_id, mh_id)] = False

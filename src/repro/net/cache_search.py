@@ -17,9 +17,10 @@ search time, the opposite end of the search/inform spectrum from
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Dict, Tuple
 
-from repro.net.search import SearchOutcome, SearchProtocol
+from repro.net.search import OutcomeCallback, SearchOutcome, SearchProtocol
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
@@ -28,16 +29,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class CachingSearch(SearchProtocol):
     """Broadcast search with per-MSS location caches."""
 
-    includes_forward = False
-
     def __init__(self) -> None:
         #: (searching MSS, MH) -> MSS where the MH was last found.
         self._cache: Dict[Tuple[str, str], str] = {}
         self.hits = 0
         self.misses = 0
-
-    def record_forward(self, network: "Network", scope: str) -> None:
-        network.metrics.record_search_probe(scope, count=1)
 
     def on_mh_crashed(self, network: "Network", mh_id: str) -> None:
         # Every cached location for the crashed host points at a cell it
@@ -53,115 +49,49 @@ class CachingSearch(SearchProtocol):
         src_mss_id: str,
         mh_id: str,
         scope: str,
-        callback: Callable[[SearchOutcome], None],
+        callback: OutcomeCallback,
     ) -> None:
         cached = self._cache.get((src_mss_id, mh_id))
-        if cached is not None:
-            # Probe the cached location first: query + reply.
-            network.metrics.record_search_probe(scope, count=2)
-            round_trip = 2 * network.config.fixed_latency(network.rng)
-            network.scheduler.schedule(
-                round_trip,
-                self._check_cached,
-                network,
-                src_mss_id,
-                mh_id,
-                cached,
-                scope,
-                callback,
-            )
-        else:
-            self._broadcast(network, src_mss_id, mh_id, scope, callback,
-                            extra_probes=0)
+        if cached is None:
+            self._broadcast(network, src_mss_id, mh_id, scope, callback, 0)
+            return
+        # Probe the cached location first: query + reply.
+        self._probe(network, scope, src_mss_id, mh_id, 2)
+        network.scheduler.schedule(
+            2 * network.config.fixed_latency(network.rng),
+            self._check_cached, network, src_mss_id, mh_id, cached, scope,
+            callback,
+        )
 
-    def _check_cached(
-        self,
-        network: "Network",
-        src_mss_id: str,
-        mh_id: str,
-        cached_mss_id: str,
-        scope: str,
-        callback: Callable[[SearchOutcome], None],
-    ) -> None:
+    def _check_cached(self, network: "Network", src_mss_id: str, mh_id: str,
+                      cached_mss_id: str, scope: str,
+                      callback: OutcomeCallback) -> None:
         mh = network.mobile_host(mh_id)
         if mh.is_connected and mh.current_mss_id == cached_mss_id:
             self.hits += 1
-            callback(
-                SearchOutcome(
-                    mh_id=mh_id,
-                    mss_id=cached_mss_id,
-                    disconnected=False,
-                    probes=2,
-                )
-            )
+            callback(SearchOutcome(mh_id, cached_mss_id, False, 2))
             return
         # Stale entry (the MH moved, is mid-move, or disconnected):
         # fall back to the broadcast sweep.
         self.misses += 1
-        self._broadcast(network, src_mss_id, mh_id, scope, callback,
-                        extra_probes=2)
+        self._broadcast(network, src_mss_id, mh_id, scope, callback, 2)
 
-    def _broadcast(
-        self,
-        network: "Network",
-        src_mss_id: str,
-        mh_id: str,
-        scope: str,
-        callback: Callable[[SearchOutcome], None],
-        extra_probes: int,
-    ) -> None:
+    def _broadcast(self, network: "Network", src_mss_id: str, mh_id: str,
+                   scope: str, callback: OutcomeCallback,
+                   extra_probes: int) -> None:
         others = [m for m in network.mss_ids() if m != src_mss_id]
         probes = len(others) + 1  # queries + the positive reply
-        network.metrics.record_search_probe(scope, count=probes)
-        round_trip = 2 * network.config.fixed_latency(network.rng)
+        self._probe(network, scope, src_mss_id, mh_id, probes)
         network.scheduler.schedule(
-            round_trip,
-            self._complete_broadcast,
-            network,
-            src_mss_id,
-            mh_id,
-            scope,
-            callback,
-            probes + extra_probes,
+            2 * network.config.fixed_latency(network.rng),
+            self._land, network, mh_id,
+            partial(self._found, src_mss_id, callback), probes + extra_probes,
+            self._broadcast, network, src_mss_id, mh_id, scope, callback, 0,
         )
 
-    def _complete_broadcast(
-        self,
-        network: "Network",
-        src_mss_id: str,
-        mh_id: str,
-        scope: str,
-        callback: Callable[[SearchOutcome], None],
-        probes: int,
-    ) -> None:
-        mh = network.mobile_host(mh_id)
-        if mh.is_disconnected:
-            callback(
-                SearchOutcome(
-                    mh_id=mh_id,
-                    mss_id=mh.disconnect_mss_id,
-                    disconnected=True,
-                    probes=probes,
-                )
-            )
-        elif mh.is_connected:
-            self._cache[(src_mss_id, mh_id)] = mh.current_mss_id
-            callback(
-                SearchOutcome(
-                    mh_id=mh_id,
-                    mss_id=mh.current_mss_id,
-                    disconnected=False,
-                    probes=probes,
-                )
-            )
-        else:  # in transit: re-probe once the MH has landed somewhere
-            network.scheduler.schedule(
-                network.config.search_retry_delay,
-                self._broadcast,
-                network,
-                src_mss_id,
-                mh_id,
-                scope,
-                callback,
-                0,
-            )
+    def _found(self, src_mss_id: str, callback: OutcomeCallback,
+               outcome: SearchOutcome) -> None:
+        """Remember where ``src_mss_id`` found the MH, then report it."""
+        if not outcome.disconnected:
+            self._cache[(src_mss_id, outcome.mh_id)] = outcome.mss_id
+        callback(outcome)

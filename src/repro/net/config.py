@@ -6,6 +6,7 @@ Parameterizes the fixed and wireless channels of the paper's Section 2 model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 import random
 
@@ -36,10 +37,10 @@ class NetworkConfig:
     """
 
     fixed_latency: LatencyModel = field(
-        default_factory=lambda: ConstantLatency(1.0)
+        default_factory=partial(ConstantLatency, 1.0)
     )
     wireless_latency: LatencyModel = field(
-        default_factory=lambda: ConstantLatency(0.5)
+        default_factory=partial(ConstantLatency, 0.5)
     )
     transit_time: float = 2.0
     search_delay: float = 1.0

@@ -11,6 +11,7 @@ moves" service the paper's algorithms rely on.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from repro.errors import (
@@ -22,7 +23,12 @@ from repro.metrics import MetricsCollector
 from repro.net.config import NetworkConfig
 from repro.net.latency import ConstantLatency
 from repro.net.messages import Message
-from repro.net.search import AbstractSearch, SearchOutcome, SearchProtocol
+from repro.net.search import (
+    AbstractSearch,
+    OutcomeCallback,
+    SearchOutcome,
+    SearchProtocol,
+)
 from repro.sim import Scheduler
 from repro.trace.events import NULL_TRACER
 
@@ -649,55 +655,14 @@ class Network:
                 src_mss_id,
                 mh_id,
                 message,
-                on_lost=lambda msg: self.send_to_mh(
-                    src_mss_id, mh_id, msg, on_delivered, on_disconnected,
-                    _attempts + 1,
-                ),
+                on_lost=partial(self._redeliver, src_mss_id, mh_id,
+                                on_delivered, on_disconnected,
+                                _attempts + 1),
                 on_delivered=on_delivered,
             )
             return
-
-        def on_outcome(outcome: SearchOutcome) -> None:
-            if outcome.disconnected:
-                # The MSS of the cell where the MH disconnected notifies
-                # the source of the disconnected status (Section 2).
-                # Measured search protocols already counted that reply
-                # among their probes; the abstract protocol charges one
-                # fixed message for it here.
-                if self.search_protocol.includes_forward:
-                    self.metrics.record_fixed(message.scope)
-                if on_disconnected is not None:
-                    on_disconnected(outcome)
-                return
-            if not self.search_protocol.includes_forward:
-                self.search_protocol.record_forward(self, message.scope)
-            dst_mss_id = outcome.mss_id
-            dst = self.mss(dst_mss_id)
-            if mh_id not in dst.local_mhs:
-                # The MH moved between search resolution and forward;
-                # retry from the located MSS with a fresh search.
-                self.scheduler.post(
-                    self.config.search_retry_delay,
-                    self.send_to_mh,
-                    dst_mss_id,
-                    mh_id,
-                    message,
-                    on_delivered,
-                    on_disconnected,
-                    _attempts + 1,
-                )
-                return
-            self.send_wireless_down(
-                dst_mss_id,
-                mh_id,
-                message,
-                on_lost=lambda msg: self.send_to_mh(
-                    dst_mss_id, mh_id, msg, on_delivered, on_disconnected,
-                    _attempts + 1,
-                ),
-                on_delivered=on_delivered,
-            )
-
+        landed = partial(self._search_landed, mh_id, on_delivered,
+                         on_disconnected, _attempts, message)
         if self._trace_on:
             begin_id = self._trace.emit(
                 "search.begin",
@@ -707,27 +672,76 @@ class Network:
                 kind=message.kind,
                 attempt=_attempts,
             )
-            inner_outcome = on_outcome
-
-            def on_outcome(outcome: SearchOutcome) -> None:
-                result_id = self._trace.emit(
-                    "search.result",
-                    scope=message.scope,
-                    src=src_mss_id,
-                    dst=mh_id,
-                    parent=begin_id,
-                    located=outcome.mss_id,
-                    disconnected=outcome.disconnected,
-                    probes=outcome.probes,
-                )
-                with self._trace.context(result_id):
-                    inner_outcome(outcome)
-
             with self._trace.context(begin_id):
                 self.search_protocol.search(
-                    self, src_mss_id, mh_id, message.scope, on_outcome
+                    self, src_mss_id, mh_id, message.scope,
+                    partial(self._trace_search_result, begin_id,
+                            src_mss_id, message.scope, landed),
                 )
         else:
             self.search_protocol.search(
-                self, src_mss_id, mh_id, message.scope, on_outcome
+                self, src_mss_id, mh_id, message.scope, landed
             )
+
+    def _redeliver(self, src_mss_id: str, mh_id: str,
+                   on_delivered: Optional[DeliveredCallback],
+                   on_disconnected: Optional[DisconnectedCallback],
+                   attempts: int, message: Message) -> None:
+        """A wireless hop lost ``message``: deliver it again."""
+        self.send_to_mh(src_mss_id, mh_id, message, on_delivered,
+                        on_disconnected, attempts)
+
+    def _search_landed(self, mh_id: str,
+                       on_delivered: Optional[DeliveredCallback],
+                       on_disconnected: Optional[DisconnectedCallback],
+                       attempts: int, message: Message,
+                       outcome: SearchOutcome) -> None:
+        """Forward ``message`` to where the search located ``mh_id``."""
+        if outcome.disconnected:
+            # The MSS of the cell where the MH disconnected notifies the
+            # source of the disconnected status (Section 2).
+            self.search_protocol.charge_disconnect_reply(self, message.scope)
+            if on_disconnected is not None:
+                on_disconnected(outcome)
+            return
+        self.search_protocol.charge_forward(self, message.scope)
+        dst_mss_id = outcome.mss_id
+        if mh_id not in self.mss(dst_mss_id).local_mhs:
+            # The MH moved between search resolution and forward;
+            # retry from the located MSS with a fresh search.
+            self.scheduler.post(
+                self.config.search_retry_delay,
+                self.send_to_mh,
+                dst_mss_id,
+                mh_id,
+                message,
+                on_delivered,
+                on_disconnected,
+                attempts + 1,
+            )
+            return
+        self.send_wireless_down(
+            dst_mss_id,
+            mh_id,
+            message,
+            on_lost=partial(self._redeliver, dst_mss_id, mh_id,
+                            on_delivered, on_disconnected, attempts + 1),
+            on_delivered=on_delivered,
+        )
+
+    def _trace_search_result(self, begin_id: int, src_mss_id: str,
+                             scope: str, landed: OutcomeCallback,
+                             outcome: SearchOutcome) -> None:
+        """Trace ``search.result``, then act on it in its context."""
+        result_id = self._trace.emit(
+            "search.result",
+            scope=scope,
+            src=src_mss_id,
+            dst=outcome.mh_id,
+            parent=begin_id,
+            located=outcome.mss_id,
+            disconnected=outcome.disconnected,
+            probes=outcome.probes,
+        )
+        with self._trace.context(result_id):
+            landed(outcome)

@@ -24,10 +24,15 @@ per-cell home agent, at R=M to pure broadcast with a useless directory.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.errors import ConfigurationError, UnknownHostError
-from repro.net.search import MAINTENANCE_SCOPE, SearchOutcome, SearchProtocol
+from repro.net.search import (
+    MAINTENANCE_SCOPE,
+    OutcomeCallback,
+    SearchProtocol,
+    home_of,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
@@ -36,19 +41,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class RegionalSearch(SearchProtocol):
     """Two-level search over a static partition of the MSSs."""
 
-    includes_forward = False
-
     def __init__(self, region_size: int = 4) -> None:
         if region_size < 1:
             raise ConfigurationError("region_size must be >= 1")
         self.region_size = region_size
         #: home directory content: mh_id -> region index.
         self._region_of_mh: Dict[str, int] = {}
-        #: home directory MSS per MH (assigned deterministically).
-        self._home: Dict[str, str] = {}
-        self.maintenance_updates = 0
         self.region_crossings = 0
-        self.searches = 0
 
     # ------------------------------------------------------------------
     # Partitioning
@@ -71,15 +70,6 @@ class RegionalSearch(SearchProtocol):
         start = region * self.region_size
         return mss_ids[start:start + self.region_size]
 
-    def home_of(self, network: "Network", mh_id: str) -> str:
-        """The MH's home-directory MSS (assigned deterministically)."""
-        if mh_id not in self._home:
-            mss_ids = sorted(network.mss_ids())
-            if not mss_ids:
-                raise UnknownHostError("no MSSs registered")
-            self._home[mh_id] = mss_ids[hash(mh_id) % len(mss_ids)]
-        return self._home[mh_id]
-
     # ------------------------------------------------------------------
     # Maintenance: inform only on region-crossing joins
     # ------------------------------------------------------------------
@@ -94,17 +84,12 @@ class RegionalSearch(SearchProtocol):
         self._region_of_mh[mh_id] = new_region
         if old_region is not None:
             self.region_crossings += 1
-        home = self.home_of(network, mh_id)
-        if home != mss_id:
-            self.maintenance_updates += 1
+        if home_of(network, mh_id) != mss_id:
             network.metrics.record_fixed(MAINTENANCE_SCOPE)
 
     # ------------------------------------------------------------------
     # Search: home directory + regional probe
     # ------------------------------------------------------------------
-
-    def record_forward(self, network: "Network", scope: str) -> None:
-        network.metrics.record_search_probe(scope, count=1)
 
     def search(
         self,
@@ -112,24 +97,20 @@ class RegionalSearch(SearchProtocol):
         src_mss_id: str,
         mh_id: str,
         scope: str,
-        callback: Callable[[SearchOutcome], None],
+        callback: OutcomeCallback,
     ) -> None:
-        self.searches += 1
         # Query + reply to the home directory.
-        network.metrics.record_search_probe(scope, count=2)
-        round_trip = 2 * network.config.fixed_latency(network.rng)
+        self._probe(network, scope, src_mss_id, mh_id, 2,
+                    home=home_of(network, mh_id))
         network.scheduler.schedule(
-            round_trip, self._probe_region, network, mh_id, scope,
+            2 * network.config.fixed_latency(network.rng),
+            self._probe_region, network, src_mss_id, mh_id, scope,
             callback,
         )
 
-    def _probe_region(
-        self,
-        network: "Network",
-        mh_id: str,
-        scope: str,
-        callback: Callable[[SearchOutcome], None],
-    ) -> None:
+    def _probe_region(self, network: "Network", src_mss_id: str,
+                      mh_id: str, scope: str,
+                      callback: OutcomeCallback) -> None:
         region = self._region_of_mh.get(mh_id)
         if region is None:
             # Nothing recorded yet (never moved since setup): the
@@ -139,53 +120,13 @@ class RegionalSearch(SearchProtocol):
             members = network.mss_ids()
         else:
             members = self.region_members(network, region)
-        # Parallel probes within the region + one positive reply.
+        # Parallel probes within the region + one positive reply; a MH
+        # in transit is looked for in its region again once it lands.
         probes = len(members) + 1
-        network.metrics.record_search_probe(scope, count=probes)
-        round_trip = 2 * network.config.fixed_latency(network.rng)
+        self._probe(network, scope, src_mss_id, mh_id, probes)
         network.scheduler.schedule(
-            round_trip,
-            self._complete,
-            network,
-            mh_id,
-            scope,
+            2 * network.config.fixed_latency(network.rng),
+            self._land, network, mh_id, callback, 2 + probes,
+            self._probe_region, network, src_mss_id, mh_id, scope,
             callback,
-            2 + probes,
         )
-
-    def _complete(
-        self,
-        network: "Network",
-        mh_id: str,
-        scope: str,
-        callback: Callable[[SearchOutcome], None],
-        probes: int,
-    ) -> None:
-        mh = network.mobile_host(mh_id)
-        if mh.is_disconnected:
-            callback(
-                SearchOutcome(
-                    mh_id=mh_id,
-                    mss_id=mh.disconnect_mss_id,
-                    disconnected=True,
-                    probes=probes,
-                )
-            )
-        elif mh.is_connected:
-            callback(
-                SearchOutcome(
-                    mh_id=mh_id,
-                    mss_id=mh.current_mss_id,
-                    disconnected=False,
-                    probes=probes,
-                )
-            )
-        else:  # in transit: re-examine once it lands
-            network.scheduler.schedule(
-                network.config.search_retry_delay,
-                self._probe_region,
-                network,
-                mh_id,
-                scope,
-                callback,
-            )

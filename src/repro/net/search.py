@@ -2,7 +2,7 @@
 
 The paper prices "locate a MH and forward a message to its current local
 MSS" as the scalar ``C_search`` and notes that, in the worst case, a
-source MSS must contact each of the other M-1 MSSs.  Three protocols are
+source MSS must contact each of the other M-1 MSSs.  Five protocols are
 provided:
 
 * :class:`AbstractSearch` — the paper's accounting: one search operation
@@ -16,15 +16,22 @@ provided:
   mobile-IP location directories the paper cites ([6], [10]): each MH
   has a home MSS kept up to date on every move; a search costs a
   constant number of fixed messages plus per-move maintenance traffic.
+* :class:`~repro.net.cache_search.CachingSearch` — broadcast search
+  behind per-MSS location caches.
+* :class:`~repro.net.regional_search.RegionalSearch` — a home directory
+  that records only the MH's region, then a probe of that region.
 
 A search never fails: a MH in transit between cells is re-examined until
 it lands (the model guarantees it eventually joins some cell), and a
 disconnected MH resolves to a *disconnected* outcome reported by the MSS
-of the cell where it disconnected.
+of the cell where it disconnected.  :class:`SearchProtocol` owns that
+landing rule, the probe charge and the forward price; each protocol
+states only what it probes and what it does when the MH is in transit.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.errors import UnknownHostError
@@ -56,12 +63,30 @@ class SearchOutcome(NamedTuple):
     gave_up: bool = False
 
 
-class SearchProtocol:
-    """Interface implemented by all search protocols."""
+#: receives a search's one outcome.
+OutcomeCallback = Callable[[SearchOutcome], None]
 
-    #: whether one search charge already covers forwarding the payload
-    #: to the located MSS (true only for the abstract protocol).
-    includes_forward = True
+
+def home_of(network: "Network", mh_id: str) -> str:
+    """The home MSS of ``mh_id``: a CRC of its id over the sorted MSSs.
+
+    Unlike the built-in string hash, the CRC does not depend on the
+    process hash seed, so a run places every home the same way under
+    any ``PYTHONHASHSEED``.
+    """
+    mss_ids = network.mss_ids()
+    if not mss_ids:
+        raise UnknownHostError("no MSSs registered")
+    return sorted(mss_ids)[zlib.crc32(mh_id.encode()) % len(mss_ids)]
+
+
+class SearchProtocol:
+    """Interface implemented by all search protocols.
+
+    A measured protocol pays one probe-priced message to forward the
+    payload to the located MSS; its probes already include the reply
+    from the MSS where a MH disconnected.
+    """
 
     def search(
         self,
@@ -69,7 +94,7 @@ class SearchProtocol:
         src_mss_id: str,
         mh_id: str,
         scope: str,
-        callback: Callable[[SearchOutcome], None],
+        callback: OutcomeCallback,
     ) -> None:
         """Locate ``mh_id`` on behalf of ``src_mss_id``.
 
@@ -95,12 +120,46 @@ class SearchProtocol:
         silently vanished from; the default is a no-op.
         """
 
-    def record_forward(self, network: "Network", scope: str) -> None:
-        """Account for forwarding the payload after a successful search.
+    def charge_forward(self, network: "Network", scope: str) -> None:
+        """Account for forwarding the payload to the located MSS."""
+        network.metrics.record_search_probe(scope, count=1)
 
-        Only called when :attr:`includes_forward` is ``False``.
+    def charge_disconnect_reply(self, network: "Network", scope: str) -> None:
+        """Account for the disconnect-cell MSS notifying the source."""
+
+    def _probe(self, network: "Network", scope: str, src_mss_id: str,
+               mh_id: str, count: int, **detail: str) -> None:
+        """Charge ``count`` probe messages, traced as one row."""
+        network.metrics.record_search_probe(scope, count=count)
+        if network._trace_on:
+            network._batch_search_probes(
+                scope, src_mss_id, mh_id, None, None,
+                {"count": count, **detail},
+            )
+
+    def _land(self, network: "Network", mh_id: str, callback: OutcomeCallback,
+              probes: int, retry: Callable[..., None], *args: object) -> None:
+        """Report where ``mh_id`` is, or ``retry(*args)`` once it lands.
+
+        A disconnected MH resolves at the MSS of the cell where it
+        disconnected and a connected one at its current MSS; a MH in
+        transit is examined again after ``search_retry_delay``.
         """
-        raise NotImplementedError
+        mh = network.mobile_host(mh_id)
+        if mh.is_disconnected:
+            callback(SearchOutcome(mh_id, mh.disconnect_mss_id, True, probes))
+        elif mh.is_connected:
+            callback(SearchOutcome(mh_id, mh.current_mss_id, False, probes))
+        else:
+            network.scheduler.schedule(
+                network.config.search_retry_delay, retry, *args
+            )
+
+    def _reland(self, network: "Network", mh_id: str,
+                callback: OutcomeCallback, probes: int) -> None:
+        """Land, re-examining a MH in transit without probing again."""
+        self._land(network, mh_id, callback, probes,
+                   self._reland, network, mh_id, callback, probes)
 
 
 class AbstractSearch(SearchProtocol):
@@ -108,10 +167,9 @@ class AbstractSearch(SearchProtocol):
 
     Location is resolved from the simulator's ground truth after
     ``search_delay``; the charge covers both the lookup and the forward,
-    exactly matching the cost expressions in Sections 3-4.
+    exactly matching the cost expressions in Sections 3-4.  The reply
+    from the MSS where a MH disconnected is one fixed message.
     """
-
-    includes_forward = True
 
     def search(
         self,
@@ -119,56 +177,21 @@ class AbstractSearch(SearchProtocol):
         src_mss_id: str,
         mh_id: str,
         scope: str,
-        callback: Callable[[SearchOutcome], None],
+        callback: OutcomeCallback,
     ) -> None:
         network.metrics.record_search(scope)
         if network._trace_on:
             network._batch_search_charge(scope, src_mss_id, mh_id)
-        self._resolve(network, mh_id, callback, first_attempt=True)
-
-    def _resolve(
-        self,
-        network: "Network",
-        mh_id: str,
-        callback: Callable[[SearchOutcome], None],
-        first_attempt: bool,
-    ) -> None:
-        delay = (
-            network.config.search_delay
-            if first_attempt
-            else network.config.search_retry_delay
-        )
         network.scheduler.schedule(
-            delay, self._complete, network, mh_id, callback
+            network.config.search_delay,
+            self._reland, network, mh_id, callback, 0,
         )
 
-    def _complete(
-        self,
-        network: "Network",
-        mh_id: str,
-        callback: Callable[[SearchOutcome], None],
-    ) -> None:
-        mh = network.mobile_host(mh_id)
-        if mh.is_disconnected:
-            callback(
-                SearchOutcome(
-                    mh_id=mh_id,
-                    mss_id=mh.disconnect_mss_id,
-                    disconnected=True,
-                    probes=0,
-                )
-            )
-        elif mh.is_connected:
-            callback(
-                SearchOutcome(
-                    mh_id=mh_id,
-                    mss_id=mh.current_mss_id,
-                    disconnected=False,
-                    probes=0,
-                )
-            )
-        else:  # in transit: poll again until the MH lands somewhere
-            self._resolve(network, mh_id, callback, first_attempt=False)
+    def charge_forward(self, network: "Network", scope: str) -> None:
+        """The ``C_search`` charge already covers the forward."""
+
+    def charge_disconnect_reply(self, network: "Network", scope: str) -> None:
+        network.metrics.record_fixed(scope)
 
 
 class BroadcastSearch(SearchProtocol):
@@ -177,11 +200,8 @@ class BroadcastSearch(SearchProtocol):
     Every probe and the single positive reply are recorded as
     ``SEARCH_PROBE`` messages (priced at ``C_fixed``), so benchmarks can
     compare the *empirical* search cost with the abstract ``C_search``.
-    The payload forward after a successful search is one more probe-priced
-    message (:meth:`record_forward`).
+    A MH in transit when the probes land is searched for afresh.
     """
-
-    includes_forward = False
 
     def search(
         self,
@@ -189,123 +209,36 @@ class BroadcastSearch(SearchProtocol):
         src_mss_id: str,
         mh_id: str,
         scope: str,
-        callback: Callable[[SearchOutcome], None],
+        callback: OutcomeCallback,
     ) -> None:
-        self._attempt(network, src_mss_id, mh_id, scope, callback)
-
-    def _attempt(
-        self,
-        network: "Network",
-        src_mss_id: str,
-        mh_id: str,
-        scope: str,
-        callback: Callable[[SearchOutcome], None],
-    ) -> None:
-        others = [m for m in network.mss_ids() if m != src_mss_id]
         # All other MSSs are queried in parallel; the one hosting (or the
         # one that saw the disconnect) replies.  Probes = queries + reply.
-        probes = len(others) + 1
-        network.metrics.record_search_probe(scope, count=probes)
-        if network._trace_on:
-            network._batch_search_probes(scope, src_mss_id, mh_id, None,
-                                         None, {"count": probes})
-        round_trip = 2 * network.config.fixed_latency(network.rng)
+        probes = len([m for m in network.mss_ids() if m != src_mss_id]) + 1
+        self._probe(network, scope, src_mss_id, mh_id, probes)
         network.scheduler.schedule(
-            round_trip,
-            self._complete,
-            network,
-            src_mss_id,
-            mh_id,
-            scope,
-            callback,
-            probes,
+            2 * network.config.fixed_latency(network.rng),
+            self._land, network, mh_id, callback, probes,
+            self.search, network, src_mss_id, mh_id, scope, callback,
         )
-
-    def _complete(
-        self,
-        network: "Network",
-        src_mss_id: str,
-        mh_id: str,
-        scope: str,
-        callback: Callable[[SearchOutcome], None],
-        probes: int,
-    ) -> None:
-        mh = network.mobile_host(mh_id)
-        if mh.is_disconnected:
-            callback(
-                SearchOutcome(
-                    mh_id=mh_id,
-                    mss_id=mh.disconnect_mss_id,
-                    disconnected=True,
-                    probes=probes,
-                )
-            )
-        elif mh.is_connected:
-            callback(
-                SearchOutcome(
-                    mh_id=mh_id,
-                    mss_id=mh.current_mss_id,
-                    disconnected=False,
-                    probes=probes,
-                )
-            )
-        else:  # in transit when the probes landed: re-probe later
-            network.scheduler.schedule(
-                network.config.search_retry_delay,
-                self._attempt,
-                network,
-                src_mss_id,
-                mh_id,
-                scope,
-                callback,
-            )
-
-    def record_forward(self, network: "Network", scope: str) -> None:
-        network.metrics.record_search_probe(scope, count=1)
 
 
 class HomeAgentSearch(SearchProtocol):
     """Measured search via per-MH home agents (mobile-IP style).
 
-    Each MH is assigned a home MSS.  On every join, the new MSS updates
-    the home agent (one fixed message, accounted under
-    ``search-maintenance``).  A search is then query + reply to the home
-    agent (two probe messages) regardless of M; the payload forward is a
-    third.  This trades per-move *inform* traffic for cheap searches --
-    the same search/inform trade-off Section 4 studies for groups.
+    Each MH is assigned a home MSS (:func:`home_of`).  On every join,
+    the new MSS updates the home agent (one fixed message, accounted
+    under ``search-maintenance``).  A search is then query + reply to
+    the home agent (two probe messages) regardless of M; the payload
+    forward is a third.  This trades per-move *inform* traffic for cheap
+    searches -- the same search/inform trade-off Section 4 studies for
+    groups.
     """
-
-    includes_forward = False
-
-    def __init__(self) -> None:
-        self._home: dict[str, str] = {}
-        self._last_known: dict[str, str] = {}
-
-    def home_of(self, network: "Network", mh_id: str) -> str:
-        """The home MSS for ``mh_id`` (assigned deterministically)."""
-        if mh_id not in self._home:
-            mss_ids = network.mss_ids()
-            if not mss_ids:
-                raise UnknownHostError("no MSSs registered")
-            index = hash(mh_id) % len(mss_ids)
-            self._home[mh_id] = sorted(mss_ids)[index]
-        return self._home[mh_id]
 
     def on_mh_joined(
         self, network: "Network", mh_id: str, mss_id: str
     ) -> None:
-        self._last_known[mh_id] = mss_id
-        home = self.home_of(network, mh_id)
-        if home != mss_id:
+        if home_of(network, mh_id) != mss_id:
             network.metrics.record_fixed(MAINTENANCE_SCOPE)
-
-    def on_mh_crashed(self, network: "Network", mh_id: str) -> None:
-        # The home assignment is permanent, but the last-known cell is
-        # now a ghost entry: drop it until the host rejoins somewhere.
-        self._last_known.pop(mh_id, None)
-
-    def record_forward(self, network: "Network", scope: str) -> None:
-        network.metrics.record_search_probe(scope, count=1)
 
     def search(
         self,
@@ -313,52 +246,13 @@ class HomeAgentSearch(SearchProtocol):
         src_mss_id: str,
         mh_id: str,
         scope: str,
-        callback: Callable[[SearchOutcome], None],
+        callback: OutcomeCallback,
     ) -> None:
-        # Query + reply to the home agent.
-        network.metrics.record_search_probe(scope, count=2)
-        if network._trace_on:
-            network._batch_search_probes(
-                scope, src_mss_id, mh_id, None, None,
-                {"count": 2, "home": self.home_of(network, mh_id)},
-            )
-        round_trip = 2 * network.config.fixed_latency(network.rng)
+        # Query + reply to the home agent, which is kept up to date: a
+        # MH in transit is re-examined without asking it again.
+        self._probe(network, scope, src_mss_id, mh_id, 2,
+                    home=home_of(network, mh_id))
         network.scheduler.schedule(
-            round_trip, self._complete, network, mh_id, scope, callback
+            2 * network.config.fixed_latency(network.rng),
+            self._reland, network, mh_id, callback, 2,
         )
-
-    def _complete(
-        self,
-        network: "Network",
-        mh_id: str,
-        scope: str,
-        callback: Callable[[SearchOutcome], None],
-    ) -> None:
-        mh = network.mobile_host(mh_id)
-        if mh.is_disconnected:
-            callback(
-                SearchOutcome(
-                    mh_id=mh_id,
-                    mss_id=mh.disconnect_mss_id,
-                    disconnected=True,
-                    probes=2,
-                )
-            )
-        elif mh.is_connected:
-            callback(
-                SearchOutcome(
-                    mh_id=mh_id,
-                    mss_id=mh.current_mss_id,
-                    disconnected=False,
-                    probes=2,
-                )
-            )
-        else:
-            network.scheduler.schedule(
-                network.config.search_retry_delay,
-                self._complete,
-                network,
-                mh_id,
-                scope,
-                callback,
-            )

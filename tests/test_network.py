@@ -241,4 +241,5 @@ class TestSearchProtocols:
         sim.mh(0).move_to("mss-2")
         sim.drain()
         after = sim.metrics.total(Category.FIXED, "search-maintenance")
-        assert after >= before  # updates unless mss-2 is the home
+        # mh-0's home is mss-1, so its join at mss-2 informs the home.
+        assert (before, after) == (6, 7)

@@ -21,7 +21,10 @@ SRC = os.path.join(
 )
 
 #: packages that contain no ``lambda`` at all.
-LAMBDA_FREE = ("repro.groups", "repro.mutex", "repro.proxy")
+LAMBDA_FREE = (
+    "repro.groups", "repro.multicast", "repro.mutex", "repro.net",
+    "repro.proxy",
+)
 
 
 def lambdas_under(root: str) -> list:
