@@ -17,9 +17,8 @@ def run(args, emit) -> int:
     The event loop advances in ``--quantum`` sim-time steps and drains
     the observability ledger between steps, so ``/metrics`` and
     ``/invariants`` always reflect a recently certified prefix of the
-    run (``repro_obs_certified_until``).  Memory stays bounded: the
-    hub runs with ``record=False`` so drained rows are dropped after
-    replay.
+    run (``repro_obs_certified_until``).  Memory stays bounded: no
+    trace is kept, so drained rows are dropped after replay.
     """
     sim = Simulation(
         n_mss=args.n_mss,

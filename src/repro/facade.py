@@ -44,6 +44,7 @@ from repro.net.search import (
     SearchProtocol,
 )
 from repro.sim import Scheduler
+from repro.trace.events import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.faults import FaultPlan
@@ -143,12 +144,12 @@ class Simulation:
             ``"distance:2"``, ``"none"``).  Builds a
             :class:`~repro.recovery.RecoveryManager` over every MH,
             exposed as :attr:`recovery`.
-        trace: when ``True``, install a :class:`~repro.trace.Tracer` as
-            :attr:`tracer` (and on ``network.trace``) so every send,
-            receive and protocol step is recorded as a
-            :class:`~repro.trace.TraceEvent`.  Purely observational:
-            costs, message counts and randomness are identical either
-            way.
+        trace: when ``True``, keep the trace: :attr:`tracer` is the
+            installed ledger (``network.trace``; the monitor hub when
+            monitoring), and every send, receive and protocol step it
+            drains is kept as a :class:`~repro.trace.TraceEvent`.
+            Purely observational: costs, message counts, randomness
+            and monitor verdicts are identical either way.
         monitors: online invariant monitoring -- ``None``/``False``
             (default, off), ``True`` or ``"default"`` for
             :func:`~repro.monitor.default_monitors`, or a sequence of
@@ -159,9 +160,8 @@ class Simulation:
             monitors replay them in drained batches with per-event
             semantics, off the protocol's hot path; :meth:`run` and
             :meth:`drain` end with a drain, so monitor objects are
-            current whenever either returns.  With ``trace=True`` the
-            hub records the event list and delivers per event instead
-            (the reference the ledger is tested against).  See
+            current whenever either returns.  ``trace=True`` only adds
+            the retention step to the same drains.  See
             ``docs/observability.md``.
         population_store: when ``True``, back the N MHs by the
             array-based :class:`~repro.scale.PopulationStore` instead
@@ -234,8 +234,6 @@ class Simulation:
             search_protocol=search,
             rng=random.Random(self.rng.getrandbits(64)),
         )
-        #: the installed tracer, or ``None`` when tracing is off.
-        self.tracer = None
         #: the installed monitor hub, or ``None`` when monitoring is off.
         self.monitor_hub = None
         if monitors:
@@ -252,22 +250,18 @@ class Simulation:
                     "monitors must be True, 'default' or a sequence of "
                     f"Monitor instances: {monitors!r}"
                 )
-            # The hub *is* a tracer: with trace=True it records events
-            # like a plain Tracer would and delivers them per event;
-            # with trace=False it keeps only ledger rows until the
-            # next drain, bounding memory.
-            self.monitor_hub = MonitorHub(
-                self.scheduler, monitor_list, record=trace
-            )
-            self.network.trace = self.monitor_hub
+            self.monitor_hub = MonitorHub(self.scheduler, monitor_list)
             self.monitor_hub.bind(self.network)
-            if trace:
-                self.tracer = self.monitor_hub
-        elif trace:
-            from repro.trace import Tracer
-
-            self.tracer = Tracer(self.scheduler)
-            self.network.trace = self.tracer
+        #: the ledger keeping the trace, or ``None`` when tracing is off.
+        self.tracer = (
+            (self.monitor_hub or Tracer(self.scheduler)).keep_trace()
+            if trace else None
+        )
+        # One ledger takes every emit: the hub when monitoring, else
+        # the tracer; a kept trace is one more step of its drains.
+        self._ledger = self.monitor_hub or self.tracer
+        if self._ledger is not None:
+            self.network.trace = self._ledger
         self._mss: List[MobileSupportStation] = []
         for i in range(n_mss):
             mss = MobileSupportStation(f"mss-{i}", self.network)
@@ -386,12 +380,12 @@ class Simulation:
         return self._run(self.scheduler.drain, max_events=max_events)
 
     def _run(self, step, **limits) -> int:
-        """Run ``step``; under a ledger hub, finish with a drain so the
-        monitors have seen every event by the time the caller looks."""
+        """Run ``step`` and finish with a drain, so the monitors and
+        the kept trace have seen every event by the time the caller
+        looks."""
         fired = step(**limits)
-        hub = self.monitor_hub
-        if hub is not None and not hub.record:
-            hub.drain_batches()
+        if self._ledger is not None:
+            self._ledger.drain_batches()
         return fired
 
     def cost(self, scope: Optional[str] = None) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from operator import itemgetter
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -209,7 +210,7 @@ def _check_no_overlap(events: Iterable, label: str, key: str) -> None:
             (event.at, event.recover_at)
         )
     for host_id, spans in windows.items():
-        spans.sort(key=lambda span: span[0])
+        spans.sort(key=itemgetter(0))
         for (_, prev_end), (start, _) in zip(spans, spans[1:]):
             if prev_end is None or start < prev_end:
                 raise ConfigurationError(

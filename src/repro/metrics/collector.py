@@ -48,6 +48,12 @@ _SEARCH = Category.SEARCH
 _SEARCH_PROBE = Category.SEARCH_PROBE
 
 
+def _scope_then_category(item) -> Tuple[str, str]:
+    """Report order of a ``((category, scope), count)`` item."""
+    (category, scope), _ = item
+    return scope, category.value
+
+
 @dataclass(frozen=True)
 class MetricsSnapshot:
     """An immutable copy of all counters, used to measure deltas."""
@@ -268,7 +274,7 @@ class MetricsCollector:
         snap = self.snapshot()
         by_scope: Dict[str, Dict[str, int]] = defaultdict(dict)
         for (category, scope), count in sorted(
-            snap.counts.items(), key=lambda kv: (kv[0][1], kv[0][0].value)
+            snap.counts.items(), key=_scope_then_category
         ):
             by_scope[scope][category.value] = count
         result: Dict[str, object] = {

@@ -8,6 +8,7 @@ Figures are drawn in the paper's cost currency (C_fixed / C_wireless / C_search)
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -65,7 +66,7 @@ def bar_chart(
         return ""
     items: Iterable[Tuple[str, float]] = data.items()
     if sort:
-        items = sorted(items, key=lambda kv: -kv[1])
+        items = sorted(items, key=itemgetter(1), reverse=True)
     items = list(items)
     peak = max(value for _, value in items)
     label_width = max(len(label) for label, _ in items)

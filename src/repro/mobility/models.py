@@ -6,6 +6,7 @@ They drive the move/disconnect primitives of the paper's Section 2 protocol.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -44,7 +45,7 @@ class MobilityModel:
             PoissonProcess(
                 network.scheduler,
                 move_rate,
-                (lambda m=mh_id: self._try_move(m)),
+                partial(self._try_move, mh_id),
                 rng=random.Random(rng.getrandbits(64)),
             )
             for mh_id in self.mh_ids
@@ -240,7 +241,7 @@ class DisconnectionModel:
             PoissonProcess(
                 network.scheduler,
                 disconnect_rate,
-                (lambda m=mh_id: self._try_disconnect(m)),
+                partial(self._try_disconnect, mh_id),
                 rng=random.Random(rng.getrandbits(64)),
             )
             for mh_id in mh_ids

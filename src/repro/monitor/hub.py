@@ -6,34 +6,40 @@
 the trace layer feeds the monitors too, through the same
 ``_trace_on``-style guard that makes the whole layer free when off.
 
-The hub picks its dispatch from what it is asked to keep:
-
-* ``record=True`` — behaves exactly like a :class:`Tracer` (the event
-  list grows; exporters and walkthroughs keep working) *and* monitors
-  run, per event, at emit: the :class:`TraceEvent` has to materialise
-  there with its full detail payload anyway.  This is
-  ``Simulation(trace=True, monitors=...)``, and the per-event
-  reference the equivalence tests compare the ledger against.
-* ``record=False`` — emits append compact rows to one shared ledger
-  (:mod:`repro.obs.ledger`) and the monitors consume them in drained
-  batches with per-event semantics intact, so monitoring stays off the
-  protocol's critical path and memory stays bounded on long runs.
-  This is ``Simulation(trace=False, monitors=...)``.
+Emits append rows to the tracer's one shared ledger segment and the
+monitors consume them in drained batches with per-event semantics
+intact (:meth:`MonitorHub.consume_batch`), so monitoring stays off the
+protocol's critical path.  The hub adds only two things to the
+tracer: compiled site emitters that write compact rows for the
+hottest sends, and the batch consume.  ``Simulation(trace=True,
+monitors=...)`` keeps the trace as one more drain step
+(:meth:`~repro.trace.events.Tracer.keep_trace`); the monitors see the
+same rows either way, so their verdicts are identical with and
+without a kept trace.
 
 Offline replay: :func:`replay_events` drives the same monitors over a
-recorded event list (for example a canonical scenario's trace), which
-is how the ``repro monitor`` CLI certifies the walkthrough scenarios.
+recorded event list, one event at a time through :meth:`dispatch` --
+the per-event reference the ledger is tested against, and how the
+``repro monitor`` CLI certifies the walkthrough scenarios.
 Part of the online monitoring layer (ROADMAP observability arc).
 """
 
 from __future__ import annotations
 
-from time import perf_counter
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.monitor.base import Monitor, Violation
 from repro.monitor.liveness import _REQUEST_SUFFIXES
-from repro.obs.ledger import LedgerSite
+from repro.obs.ledger import (
+    HEALTH_RECV,
+    HEALTH_SEND,
+    LIVENESS_TICK,
+    MODE_PLAIN,
+    MODE_RECV_STD,
+    MODE_SEND_GATED,
+    LedgerSite,
+)
 from repro.trace.events import TraceEvent, Tracer
 
 __all__ = ["MonitorHub", "replay_events"]
@@ -70,14 +76,13 @@ def _startswith_mss(host_id: str) -> bool:
 class MonitorHub(Tracer):
     """A tracer that evaluates invariant monitors online.
 
-    Monitors are pure observers fed from :meth:`emit` (online) or
-    :meth:`dispatch` (offline replay).  The hub aggregates their
+    Monitors are pure observers fed from drained ledger rows (online)
+    or :meth:`dispatch` (offline replay).  The hub aggregates their
     violations and exposes one ``finalize()``/``ok``/``report()``
     surface for tests, the facade, and the CLI.
 
-    When are the monitor objects current?  A recording hub delivers at
-    emit, so always.  A ledger hub (``record=False``) holds emitted
-    rows until the next drain; the monitors have seen every event
+    When are the monitor objects current?  The hub holds emitted rows
+    until the next drain; the monitors have seen every event
 
     * after :meth:`Simulation.run <repro.facade.Simulation.run>` or
       ``Simulation.drain`` returns (both end with a drain),
@@ -91,15 +96,14 @@ class MonitorHub(Tracer):
 
     The hub keeps one wall-clock figure, :attr:`monitor_wall_s`: seconds
     spent replaying drained batches (``/metrics`` exports it as
-    ``repro_obs_wall_seconds{section="monitor"}``).  It stays 0.0 on a
-    recording hub, which never drains.
+    ``repro_obs_wall_seconds{section="monitor"}``).  :attr:`drains`,
+    :attr:`rows_dispatched` and :attr:`certified_until` (rows emitted
+    after this instant still await replay) feed ``/invariants``.  A hub
+    keeps no trace unless :meth:`keep_trace` is called.
 
     Args:
         scheduler: clock source (``None`` for offline replay).
         monitors: the monitor instances to drive.
-        record: keep the full event list and deliver per event (tracer
-            behaviour), or append ledger rows and replay them in
-            drained batches (bounded memory).
         drain_interval: sim-time quantum between ledger drains (drains
             also trigger on segment fill and always before
             ``finalize``/``report``/``violations``).
@@ -109,39 +113,16 @@ class MonitorHub(Tracer):
         self,
         scheduler,
         monitors: Sequence[Monitor],
-        record: bool = True,
         drain_interval: float = 50.0,
     ) -> None:
-        super().__init__(scheduler)
-        self.record = record
+        super().__init__(scheduler, drain_interval)
+        self._kept = None  # no trace until keep_trace()
         self.monitors: List[Monitor] = list(monitors)
         self.network = None
         self._finalized = False
-        #: per-event delivery (recording emit, offline dispatch):
-        #: etype -> ordered targets, resolved on first use.
+        #: per-event delivery (offline dispatch): etype -> ordered
+        #: targets, resolved on first use.
         self._table: Dict[str, Tuple[_Target, ...]] = {}
-        # -- ledger state (cheap to carry on a recording hub) ----------
-        self.drain_interval = float(drain_interval)
-        #: wall seconds spent replaying drained batches, for /metrics.
-        self.monitor_wall_s = 0.0
-        #: ledger drains performed / rows replayed, for /invariants.
-        self.drains = 0
-        self.rows_dispatched = 0
-        #: sim-time through which the monitors have certified the run
-        #: (the clock at the end of the last drain); rows emitted after
-        #: this instant are still in the ledger awaiting replay.
-        self.certified_until = 0.0
-        self._sites: Dict[str, LedgerSite] = {}
-        #: the shared append segment: every site's rows land here, so
-        #: they are already in global emission order (the same order
-        #: that allocates the monotone event ids) and the drain pass
-        #: replays them without collecting or sorting.  Consumed in
-        #: place and cleared, never swapped -- appender closures bind
-        #: the list object directly.
-        self._ledger: List[tuple] = []
-        self._segment_cap = 8192
-        self._drain_due = self.drain_interval
-        self._draining = False
         self._scratch = TraceEvent(id=0, parent_id=None, time=0.0, etype="")
         for monitor in self.monitors:
             monitor.attach(self)
@@ -193,11 +174,6 @@ class MonitorHub(Tracer):
         )
         return targets, explicit_count
 
-    def _compile(self, etype: str) -> Tuple[_Target, ...]:
-        """Resolve, once, how events of ``etype`` are delivered."""
-        targets = self._table[etype] = self._targets(etype)[0]
-        return targets
-
     # -- ledger: compilation ------------------------------------------
     def _detect_standard_layout(self) -> None:
         """Decide whether drained batches may use the inline folds."""
@@ -237,14 +213,6 @@ class MonitorHub(Tracer):
         plan = targets[:explicit_count] or None
         site = LedgerSite(etype, targets, plan)
         if self._standard_layout and plan is not None:
-            from repro.obs.ledger import (
-                HEALTH_RECV,
-                HEALTH_SEND,
-                LIVENESS_TICK,
-                MODE_RECV_STD,
-                MODE_SEND_GATED,
-            )
-
             fifo, rel = self._fifo, self._rel
             if (
                 etype == "recv"
@@ -270,31 +238,17 @@ class MonitorHub(Tracer):
     def call_site_batch(self, etype: str, category: Optional[str] = None):
         """Compiled ledger appender for one hot instrumentation point.
 
-        Returns a closure ``append(scope, src, dst, kind=None,
-        parent=None, detail=None) -> event_id`` that allocates the
-        event id, stamps the caller-free context parent exactly like
-        :meth:`emit`, appends one row to the hub's shared segment, and
-        triggers a drain on segment fill.  (The sim-time drain quantum
-        is checked only on the :meth:`emit` path and before any
-        observation; drain cadence is semantically invisible, so the
-        hottest sites skip the clock comparison.)  A recording hub
-        hands out the tracer's emit adapter instead, so every event is
-        materialized with its full detail and dispatched per event.
+        The tracer's row appender, except at plain ticking sends when
+        no trace is kept: there the row can be compact, because the
+        monitors need little of it and no :class:`TraceEvent` is ever
+        built from it.
         """
-        if self.record:
-            return super().call_site_batch(etype, category)
         site = self._sites.get(etype)
         if site is None:
             site = self._compile_site(etype)
-        from repro.obs.ledger import (
-            HEALTH_SEND,
-            LIVENESS_TICK,
-            MODE_PLAIN,
-            MODE_SEND_GATED,
-        )
-
         if (
-            self._standard_layout
+            self._kept is None
+            and self._standard_layout
             and site.health_code == HEALTH_SEND
             and site.liveness_code == LIVENESS_TICK
         ):
@@ -344,65 +298,13 @@ class MonitorHub(Tracer):
                     return event_id
 
                 return append_plain_send
-        def append(
-            scope, src, dst, kind=None, parent=None, detail=None,
-            _self=self, _site=site, _rows=self._ledger,
-            _stack=self._stack, _scheduler=self.scheduler,
-            _category=category, _cap=self._segment_cap,
-        ):
-            if parent is None and _stack:
-                parent = _stack[-1]
-            event_id = _self._next_id
-            _self._next_id = event_id + 1
-            _rows.append((
-                event_id, parent, _scheduler.now, scope, src, dst,
-                kind, detail, _category, _site,
-            ))
-            if len(_rows) >= _cap:
-                _self.drain_batches()
-            return event_id
+        return super().call_site_batch(etype, category)
 
-        return append
-
-    # -- ledger: drain ------------------------------------------------
-    def drain_batches(self) -> int:
-        """Replay every pending ledger row through the monitors.
-
-        The shared segment is already in global emission order (appends
-        happen in the single-threaded execution order that allocates
-        the event ids), so the drain hands it straight to
-        :meth:`consume_batch` and clears it in place afterwards --
-        appender closures keep their direct binding to the list object.
-        Returns the number of rows replayed.  Reentrant calls (a
-        monitor running inside the replay) are no-ops, and so is a
-        recording hub, whose ledger is always empty.
-        """
-        if self._draining:
-            return 0
-        rows = self._ledger
-        if self.scheduler is not None:
-            self._drain_due = self.scheduler.now + self.drain_interval
-        count = len(rows)
-        if count == 0:
-            return 0
-        started = perf_counter()
-        self._draining = True
-        try:
-            self.consume_batch(rows)
-        finally:
-            self._draining = False
-        self.monitor_wall_s += perf_counter() - started
-        del rows[:]
-        self.drains += 1
-        self.rows_dispatched += count
-        if self.scheduler is not None:
-            self.certified_until = self.scheduler.now
-        return count
-
+    # -- ledger: consume ----------------------------------------------
     def consume_batch(self, rows: Sequence[tuple]) -> None:
         """Replay one ordered batch of ledger rows with per-event
         semantics (delivery order, trace ids, violation attribution
-        all match the recording hub's per-event dispatch)."""
+        all match per-event :meth:`dispatch`)."""
         if self._standard_layout:
             self._consume_standard(rows)
         else:
@@ -610,70 +512,18 @@ class MonitorHub(Tracer):
         liveness._last_event_time = last_time
         scratch.detail = None  # type: ignore[assignment]
 
-    # -- online path --------------------------------------------------
-    def emit(
-        self,
-        etype: str,
-        *,
-        scope: str = "default",
-        category: Optional[str] = None,
-        src: Optional[str] = None,
-        dst: Optional[str] = None,
-        kind: Optional[str] = None,
-        parent: Optional[int] = None,
-        **detail: Any,
-    ) -> int:
-        # The event id is always allocated -- even for events no
-        # monitor consumes -- so parent-id causality chains are
-        # identical across every hub configuration.
-        if parent is None and self._stack:
-            parent = self._stack[-1]
-        event_id = self._next_id
-        self._next_id = event_id + 1
-        if self.record:
-            event = TraceEvent(
-                id=event_id,
-                parent_id=parent,
-                time=self.scheduler.now,
-                etype=etype,
-                scope=scope,
-                category=category,
-                src=src,
-                dst=dst,
-                kind=kind,
-                detail=detail,
-            )
-            self.events.append(event)
-            self.dispatch(event)
-            return event_id
-        # Append one ledger row and return.  Every emit module in the
-        # tree goes through here unchanged; the hottest sites bypass
-        # even this via call_site_batch.
-        site = self._sites.get(etype)
-        if site is None:
-            site = self._compile_site(etype)
-        rows = self._ledger
-        now = self.scheduler.now
-        rows.append((
-            event_id, parent, now, scope, src, dst, kind,
-            detail if detail else None, category, site,
-        ))
-        if len(rows) >= self._segment_cap or now >= self._drain_due:
-            self.drain_batches()
-        return event_id
-
     # -- offline path -------------------------------------------------
     def dispatch(self, event: TraceEvent) -> None:
         """Feed one (recorded) event to the interested monitors.
 
-        The recording hub's :meth:`emit` delivers through here too, so
-        online and replayed runs hand the same events to the same
-        monitors, and the ledger compiles its sites from the same
-        :meth:`_targets`.
+        The per-event reference: the ledger compiles its sites from the
+        same :meth:`_targets`, so online and replayed runs hand the
+        same events to the same monitors in the same order.
         """
         targets = self._table.get(event.etype)
         if targets is None:
-            targets = self._compile(event.etype)
+            targets = self._table[event.etype] = self._targets(
+                event.etype)[0]
         kind = event.kind
         for on_event, suffixes in targets:
             if suffixes is not None and (
@@ -703,7 +553,7 @@ class MonitorHub(Tracer):
         out: List[Violation] = []
         for monitor in self.monitors:
             out.extend(monitor.violations)
-        out.sort(key=lambda v: (v.time, v.monitor, v.invariant))
+        out.sort(key=attrgetter("time", "monitor", "invariant"))
         return out
 
     @property
@@ -737,7 +587,7 @@ def replay_events(
     ground-truth checks (location-view membership, per-MSS load) run;
     without it those checks are skipped, never wrong.
     """
-    hub = MonitorHub(None, monitors, record=False)
+    hub = MonitorHub(None, monitors)
     if network is not None:
         hub.bind(network)
     last_time = 0.0

@@ -129,9 +129,8 @@ class Network:
         """
         self._trace_on = bool(getattr(self._trace, "enabled", True))
         # One site emitter per hot instrumentation point (see
-        # Tracer.call_site_batch): the tracer's emit adapter, or a
-        # ledger hub's compiled row appender.  Sites call it behind the
-        # ``_trace_on`` guard.
+        # Tracer.call_site_batch): the ledger's row appender.  Sites
+        # call it behind the ``_trace_on`` guard.
         site = self._trace.call_site_batch
         self._batch_send_fixed = site("send.fixed", "fixed")
         self._batch_send_local = site("send.local")

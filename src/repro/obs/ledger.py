@@ -1,22 +1,23 @@
 """Append-only event ledgers: the monitor hub's hot-path half.
 
-One :class:`LedgerSite` exists per event type in a non-recording
+One :class:`LedgerSite` exists per event type in a
 :class:`~repro.monitor.hub.MonitorHub`.  Hot emit sites (the network
 send/deliver paths, MSS handoff, mutex CS transitions, the reliable
-transport) append one fixed-shape row tuple per event to the site's
+transport) append one fixed-shape row tuple per event to the tracer's
 plain-list segment -- no :class:`~repro.trace.events.TraceEvent` is
 constructed, no monitor runs, nothing is looked up beyond the closure
-the site handed out.  All sites share *one* hub-owned segment list, so
-rows land already in global emission order (the same single-threaded
-execution order that allocates the monotone event ids) and the drain
-pass replays them through the monitors as-is -- no per-site collection,
-no merge, no sort.
+the site handed out.  All sites share *one* segment list
+(:class:`~repro.trace.events.Tracer` owns it), so rows land already in
+global emission order (the same single-threaded execution order that
+allocates the monotone event ids) and the drain pass replays them
+through the monitors as-is -- no per-site collection, no merge, no
+sort.
 
 A row is the 10-tuple::
 
     (id, parent_id, time, scope, src, dst, kind, detail, category, site)
 
-Slot 0 carries the hub-allocated event id.  The site object rides in
+Slot 0 carries the tracer-allocated event id.  The site object rides in
 the last slot so the consume loop recovers the compiled dispatch plan
 (and its ``mode`` specialization) without a dict lookup.
 Part of the batched observability pipeline (ROADMAP item 3: exact
@@ -27,10 +28,9 @@ from __future__ import annotations
 
 from typing import Any, Optional, Tuple
 
-__all__ = ["LedgerSite", "ROW_WIDTH"]
+from repro.trace.events import Site
 
-#: number of slots in a ledger row (documented layout above).
-ROW_WIDTH = 10
+__all__ = ["LedgerSite"]
 
 #: consume-loop specializations, chosen once per site by the hub when
 #: the standard monitor layout is detected.  GENERIC replays through
@@ -89,7 +89,7 @@ def liveness_code(etype: str) -> int:
     return LIVENESS_TICK
 
 
-class LedgerSite:
+class LedgerSite(Site):
     """Compiled per-etype state for ledger replay.
 
     Holds everything the consume loop needs to replay a row with
@@ -100,7 +100,6 @@ class LedgerSite:
     """
 
     __slots__ = (
-        "etype",
         "targets",
         "plan",
         "health_code",
@@ -116,7 +115,7 @@ class LedgerSite:
         targets: Tuple[Tuple[Any, Optional[Tuple[str, ...]]], ...],
         plan: Optional[Tuple[Tuple[Any, Optional[Tuple[str, ...]]], ...]],
     ) -> None:
-        self.etype = etype
+        super().__init__(etype)
         #: every target in per-event delivery order (explicit interests
         #: in registration order, then wildcards) as
         #: ``(on_event, kind_suffixes)`` pairs -- the generic replay.

@@ -29,6 +29,7 @@ distance-based checkpointing is cheap on this architecture.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -80,6 +81,11 @@ class DiscardPayload(NamedTuple):
 
     mh_id: str
     seq: int
+
+
+def _meta_seq(store: CheckpointStore, mh_id: str) -> int:
+    """Sequence number of ``store``'s checkpoint meta for ``mh_id``."""
+    return store.meta(mh_id).seq
 
 
 class RecoveryManager:
@@ -350,7 +356,7 @@ class RecoveryManager:
             # The meta is still in flight on a reliable channel; its
             # arrival fires _meta_arrived, which resumes this restore.
             return
-        holder = max(holders, key=lambda s: s.meta(mh_id).seq)
+        holder = max(holders, key=partial(_meta_seq, mh_id=mh_id))
         if self.network.is_mss_crashed(holder.mss_id):
             # Same semantics as a crashed home in _start_fetch: the
             # pointer is unreachable, restart from nothing rather than

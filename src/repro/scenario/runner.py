@@ -43,7 +43,7 @@ from repro.scenario.spec import ScenarioSpec
 from repro.sim import PoissonProcess
 from repro.workload import GroupMessagingWorkload, MutexWorkload
 
-__all__ = ["ScenarioResult", "run_scenario", "certify"]
+__all__ = ["ScenarioResult", "run_scenario", "certify", "scenario_monitors"]
 
 _GROUP_CLASSES = {
     "pure_search": PureSearchGroup,
@@ -67,11 +67,28 @@ class ScenarioResult:
     report: Dict[str, Any]
     events: int = 0
     failures: List[str] = field(default_factory=list)
+    #: a traced run's simulation (``sim.tracer.events`` is the kept
+    #: trace); ``None`` otherwise, so a sweep holds no run's state.
+    sim: Optional[Simulation] = field(default=None, repr=False,
+                                      compare=False)
 
     @property
     def ok(self) -> bool:
         """Zero invariant violations and every expectation met."""
         return not self.failures and self.report["monitors"]["ok"]
+
+
+def scenario_monitors(spec: ScenarioSpec) -> list:
+    """Fresh instances of the monitors that certify a run of ``spec``:
+    every safety monitor, the liveness watchdog, the health sampler."""
+    monitors = spec.monitors
+    return safety_monitors() + [
+        LivenessMonitor(
+            request_deadline=monitors.get("request_deadline", 1000.0),
+            token_deadline=monitors.get("token_deadline", 1000.0),
+        ),
+        HealthMonitor(interval=monitors.get("health_interval", 50.0)),
+    ]
 
 
 class _Run:
@@ -81,7 +98,6 @@ class _Run:
                  trace: bool = False) -> None:
         self.spec = spec
         self.seed = seed
-        monitors = spec.monitors
         self.sim = Simulation(
             trace=trace,
             n_mss=spec.n_mss,
@@ -92,17 +108,7 @@ class _Run:
                        else spec.placement),
             search=spec.search,
             fault_plan=spec.faults,
-            monitors=safety_monitors() + [
-                LivenessMonitor(
-                    request_deadline=monitors.get("request_deadline",
-                                                  1000.0),
-                    token_deadline=monitors.get("token_deadline",
-                                                1000.0),
-                ),
-                HealthMonitor(
-                    interval=monitors.get("health_interval", 50.0)
-                ),
-            ],
+            monitors=scenario_monitors(spec),
         )
         # Every source of randomness outside the Simulation itself is
         # seeded from (scenario name, seed) so one scenario's draws
@@ -520,10 +526,10 @@ def run_scenario(spec: ScenarioSpec,
     Args:
         spec: a validated scenario.
         seed: override for the spec's own seed (certification sweeps).
-        trace: forwarded to :class:`Simulation` -- ``True`` records
-            the event list and delivers it to the monitors per event,
-            the reference the equivalence gate compares the default
-            ledger/drain run against.
+        trace: forwarded to :class:`Simulation` -- ``True`` keeps the
+            trace and the result keeps the simulation
+            (:attr:`ScenarioResult.sim`).  The report is the same
+            either way (``tools/check_batched_equivalence.py``).
     """
     seed = spec.seed if seed is None else seed
     started = time.perf_counter()
@@ -539,7 +545,8 @@ def run_scenario(spec: ScenarioSpec,
         wall_time_s=time.perf_counter() - started,
     )
     return ScenarioResult(spec=spec, seed=seed, report=report,
-                          events=events, failures=failures)
+                          events=events, failures=failures,
+                          sim=run.sim if trace else None)
 
 
 def certify(spec: ScenarioSpec, seeds) -> List[ScenarioResult]:

@@ -22,6 +22,7 @@ Part of the declarative chaos-scenario platform (ROADMAP chaos arc).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, Optional, Tuple
 
 from repro.faults import FaultPlan
@@ -78,7 +79,7 @@ class ScenarioSpec:
 
     # -- drivers -------------------------------------------------------
     workload: Dict[str, Any] = field(
-        default_factory=lambda: {"kind": "none"}
+        default_factory=partial(dict, kind="none")
     )
     mobility: Optional[Dict[str, Any]] = None
     disconnects: Optional[Dict[str, Any]] = None

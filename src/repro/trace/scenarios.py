@@ -18,6 +18,7 @@ Each episode demonstrates one protocol from the paper's Sections 3-5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List
 
 from repro.facade import Simulation
@@ -185,6 +186,10 @@ def scenario_location_view_move() -> ScenarioRun:
     )
 
 
+def _keep_payload(into: List[object], message: Message) -> None:
+    into.append(message.payload)
+
+
 def scenario_reliable_retransmit() -> ScenarioRun:
     """The reliable channel recovering one deterministic loss."""
     plan = FaultPlan(
@@ -200,7 +205,7 @@ def scenario_reliable_retransmit() -> ScenarioRun:
                      fault_plan=plan)
     received: List[object] = []
     sim.mss(1).register_handler(
-        "demo.ping", lambda message: received.append(message.payload)
+        "demo.ping", partial(_keep_payload, received)
     )
     sim.network.send_fixed(
         Message(kind="demo.ping", src="mss-0", dst="mss-1",

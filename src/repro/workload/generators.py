@@ -6,6 +6,7 @@ Poisson drivers exercising the paper's Section 3-5 algorithms.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import TYPE_CHECKING, Callable, List, Optional, Set
 
 from repro.errors import ConfigurationError
@@ -49,24 +50,23 @@ class MutexWorkload:
         self.dropped = 0
         self.completed = 0
         self._outstanding: Set[str] = set()
-        previous = getattr(mutex, "on_complete", None)
-
-        def on_complete(mh_id: str) -> None:
-            self.completed += 1
-            self._outstanding.discard(mh_id)
-            if previous is not None:
-                previous(mh_id)
-
-        mutex.on_complete = on_complete
+        self._chained = getattr(mutex, "on_complete", None)
+        mutex.on_complete = self._on_complete
         self._processes = [
             PoissonProcess(
                 network.scheduler,
                 request_rate,
-                (lambda m=mh_id: self._try_request(m)),
+                partial(self._try_request, mh_id),
                 rng=random.Random(rng.getrandbits(64)),
             )
             for mh_id in mh_ids
         ]
+
+    def _on_complete(self, mh_id: str) -> None:
+        self.completed += 1
+        self._outstanding.discard(mh_id)
+        if self._chained is not None:
+            self._chained(mh_id)
 
     def stop(self) -> None:
         """Stop issuing new requests."""
@@ -126,9 +126,7 @@ class GroupMessagingWorkload:
         self.rng = rng
         self.sent = 0
         self.dropped = 0
-        self._choose = sender_chooser or (
-            lambda: self.rng.choice(self.group.members)
-        )
+        self._choose = sender_chooser or self._any_member
         self._process = PoissonProcess(
             network.scheduler,
             message_rate,
@@ -143,6 +141,10 @@ class GroupMessagingWorkload:
     def set_rate(self, message_rate: float) -> None:
         """Change the group message rate (diurnal load curves)."""
         self._process.set_rate(message_rate)
+
+    def _any_member(self) -> str:
+        """The default sender chooser: a uniformly drawn member."""
+        return self.rng.choice(self.group.members)
 
     def _try_send(self) -> None:
         sender = self._choose()

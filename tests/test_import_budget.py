@@ -97,6 +97,21 @@ def test_monitored_simulation_loads_monitors_but_no_http_server():
     assert "http.server" not in loaded and "ssl" not in loaded
 
 
+def test_traced_simulation_loads_no_monitor_layer():
+    """A kept trace is the tracer's own drain step: tracing without
+    monitors never pulls in the monitor layer."""
+    loaded = modules_after(
+        "from repro import Simulation\n"
+        "sim = Simulation(n_mss=2, n_mh=2, trace=True)\n"
+        "sim.mh(0).move_to(sim.mss_id(1))\n"
+        "sim.drain()\n"
+        "assert sim.tracer.events and sim.monitor_hub is None"
+    )
+    assert "repro.trace.events" in loaded
+    assert not {name for name in loaded
+                if name.split(".")[:2] == ["repro", "monitor"]}
+
+
 def test_population_store_run_is_stdlib_only():
     loaded = modules_after(
         "import random\n"

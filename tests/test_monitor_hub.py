@@ -3,7 +3,7 @@
 
 The mutation suite (``test_monitor_mutations.py``) proves each monitor
 catches its bug; this file proves the plumbing around them: interest
-dispatch, the record/drop modes, online-vs-replay equivalence, the
+dispatch, keeping or dropping the trace, online-vs-replay equivalence, the
 ``Simulation(monitors=...)`` surface, the health exports, and the CLI
 watchdog over the canonical walkthrough scenarios.
 """
@@ -11,6 +11,7 @@ watchdog over the canonical walkthrough scenarios.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro import (
 from repro.cli import main
 from repro.mutex import CriticalResource, L2Mutex
 from repro.trace.scenarios import SCENARIOS, run_scenario
+from repro.workload import MutexWorkload
 
 
 class Recorder(Monitor):
@@ -73,10 +75,36 @@ def test_record_false_drops_events_record_true_keeps_them():
     dropped = l2_run(monitors=[Recorder()])
     kept = l2_run(trace=True, monitors=[Recorder()])
     assert dropped.monitor_hub.events == []
-    assert dropped.monitor_hub.record is False
-    assert kept.monitor_hub.record is True
+    assert dropped.tracer is None
     assert len(kept.monitor_hub.events) > 0
     assert kept.tracer is kept.monitor_hub
+    # Keeping the trace is a drain step; the monitors see the same.
+    assert (kept.monitor_hub.monitors[0].seen
+            == dropped.monitor_hub.monitors[0].seen)
+
+
+def _probe_l2(trace: bool):
+    """A monitored L2 soak: M=4, N=12, seed 42, requests at 0.05."""
+    sim = Simulation(n_mss=4, n_mh=12, seed=42, monitors=True, trace=trace)
+    resource = CriticalResource(sim.scheduler)
+    mutex = L2Mutex(sim.network, resource, cs_duration=0.3)
+    MutexWorkload(sim.network, mutex, sim.mh_ids, request_rate=0.05,
+                  rng=random.Random(43))
+    sim.run(until=300.0)
+    return sim
+
+
+def test_a_kept_trace_certifies_like_an_untraced_run():
+    """A traced monitored run drains and certifies exactly as the
+    untraced one; a kept trace must not switch the hub to a second
+    pipeline whose drain counters stay at zero."""
+    traced, untraced = _probe_l2(trace=True), _probe_l2(trace=False)
+    hub = traced.monitor_hub
+    assert hub.certified_until == traced.now == 300.0
+    assert hub.drains >= 1
+    assert hub.rows_dispatched == untraced.monitor_hub.rows_dispatched
+    assert hub.drains == untraced.monitor_hub.drains
+    assert hub.rows_dispatched == len(traced.tracer.events)
 
 
 def test_replay_sees_exactly_what_online_saw():
@@ -89,7 +117,7 @@ def test_replay_sees_exactly_what_online_saw():
 
 def test_hub_finalize_is_idempotent():
     liveness = LivenessMonitor()
-    hub = MonitorHub(None, [liveness], record=False)
+    hub = MonitorHub(None, [liveness])
     hub.dispatch_count = 0
     liveness.pending[("L2", "mh-0")] = 1.0
     hub.finalize(at=500.0)
@@ -99,7 +127,7 @@ def test_hub_finalize_is_idempotent():
 
 def test_monitor_lookup_by_class():
     monitors = default_monitors()
-    hub = MonitorHub(None, monitors, record=False)
+    hub = MonitorHub(None, monitors)
     assert isinstance(hub.monitor(HealthMonitor), HealthMonitor)
     assert hub.monitor(Recorder) is None
 

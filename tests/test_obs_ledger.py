@@ -1,17 +1,24 @@
 """Unit tests for the batched ledger mechanics (repro.obs.ledger).
 
 The hot-path half of the batched observability pipeline: the site
-emitters handed out by :meth:`MonitorHub.call_site_batch`, the shared
-append segment, drain triggers (segment fill / explicit), and the
-counters the ``/invariants`` endpoint reports.  Equivalence with
-per-event dispatch is covered separately in test_obs_equivalence.py.
+emitters handed out by :meth:`Tracer.call_site_batch` and
+:meth:`MonitorHub.call_site_batch`, the shared append segment, drain
+triggers (segment fill / explicit), the retention step that keeps a
+trace, and the counters the ``/invariants`` endpoint reports.
+Equivalence with per-event dispatch is covered separately in
+test_obs_equivalence.py.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.monitor import Monitor, MonitorHub, default_monitors
+from repro.monitor import (
+    Monitor,
+    MonitorHub,
+    default_monitors,
+    replay_events,
+)
 from repro.obs.ledger import (
     HEALTH_RECV,
     HEALTH_SEND,
@@ -30,9 +37,10 @@ class FakeScheduler:
         self.pending_count = 0
 
 
-def make_hub(**kwargs):
-    kwargs.setdefault("record", False)
-    hub = MonitorHub(None, default_monitors(), **kwargs)
+def make_hub(keep_trace=False):
+    hub = MonitorHub(None, default_monitors())
+    if keep_trace:
+        hub.keep_trace()
     hub.scheduler = FakeScheduler()
     return hub
 
@@ -69,21 +77,22 @@ HOT_SITES = [
 
 
 class Spy(Monitor):
-    """A wildcard monitor that keeps what the hub dispatches to it."""
+    """A wildcard monitor that keeps the fields of what the hub
+    dispatches to it (a drain reuses one scratch event)."""
 
     def __init__(self):
         super().__init__()
         self.seen = []
 
     def on_event(self, event):
-        self.seen.append(event)
+        self.seen.append(fields(event))
 
 
 def make_recorder(kind):
     if kind == "tracer":
         recorder = Tracer(FakeScheduler())
     else:
-        recorder = MonitorHub(None, [Spy()], record=True)
+        recorder = MonitorHub(None, [Spy()]).keep_trace()
         recorder.scheduler = FakeScheduler()
     recorder.scheduler.now = 2.5
     return recorder
@@ -95,8 +104,9 @@ def fields(event):
 
 
 class TestSiteEmitterIsEmit:
-    """A plain tracer and a recording hub hand out an emit adapter: what
-    a hot site records through it is what the equivalent emit records."""
+    """A plain tracer and a hub keeping the trace: what a hot site's
+    emitter keeps is what the equivalent emit keeps, and a hub's
+    monitors see exactly the kept events."""
 
     @pytest.mark.parametrize("kind", ["tracer", "recording_hub"])
     @pytest.mark.parametrize("etype, category, detail", HOT_SITES)
@@ -124,7 +134,8 @@ class TestSiteEmitterIsEmit:
                 == [fields(e) for e in via_emit.events])
         assert [e.parent_id for e in via_site.events] == [5, 5, 41]
         if kind == "recording_hub":
-            assert via_site.monitors[0].seen == via_site.events
+            assert via_site.monitors[0].seen == [
+                fields(e) for e in via_site.events]
 
 
 class TestCallSiteBatch:
@@ -134,28 +145,29 @@ class TestCallSiteBatch:
         assert make_hub().call_site_batch("recv") is not None
         assert NULL_TRACER.call_site_batch("recv")("L2", "a", "b") is None
 
-    def test_per_event_hub_hands_out_no_appender(self):
-        # MonitorHub records by default (it is a Tracer): its site
-        # emitter is emit(), so nothing lands on the ledger.
+    def test_default_hub_keeps_no_trace(self):
+        # A hub keeps no trace unless asked: its rows are replayed
+        # through the monitors and dropped.
         hub = MonitorHub(None, default_monitors())
         hub.scheduler = FakeScheduler()
         append = hub.call_site_batch("recv")
-        event_id = append("s", "mss-0", "mss-1", kind="l2.request")
-        assert not hub._ledger
-        assert hub.rows_dispatched == 0
-        assert [e.id for e in hub.events] == [event_id]
+        append("s", "mss-0", "mss-1", kind="l2.request")
+        assert len(hub._ledger) == 1
+        assert hub.events == []
+        assert hub.rows_dispatched == 1 and not hub._ledger
 
-    def test_record_mode_hands_out_no_appender(self):
-        # With record=True every event must become a TraceEvent with
-        # its full detail, so sites fall back to emit().
-        hub = make_hub(record=True)
+    def test_a_kept_trace_is_built_at_drain(self):
+        # A kept trace is one more drain step: the emit appends a row,
+        # and the drain builds the TraceEvent with its full detail.
+        hub = make_hub(keep_trace=True)
         append = hub.call_site_batch("mss.handoff")
-        append("L2", "mss-0", "mss-1", detail={"mh_id": "mh-0"})
-        assert not hub._ledger
-        assert hub.drain_batches() == 0
+        event_id = append("L2", "mss-0", "mss-1",
+                          detail={"mh_id": "mh-0"})
+        assert len(hub._ledger) == 1 and hub._kept == []
         (event,) = hub.events
-        assert event.etype == "mss.handoff"
+        assert (event.id, event.etype) == (event_id, "mss.handoff")
         assert event.detail == {"mh_id": "mh-0"}
+        assert hub.rows_dispatched == 1 and hub.drains == 1
 
     def test_appender_returns_monotone_ids(self):
         hub = make_hub()
@@ -236,6 +248,17 @@ class TestPlainSendFastRows:
         kinds = [type(row).__name__ for row in hub._ledger]
         assert kinds == ["float", "tuple"]
 
+    def test_a_kept_trace_writes_full_rows(self):
+        """Every kept event needs its whole row, so no row is
+        compact when the hub keeps the trace."""
+        hub = make_hub(keep_trace=True)
+        append = hub.call_site_batch("send.fixed")
+        append("s", "mss-0", "mss-1", kind="l2.request")
+        append("s", "mss-0", "mss-1", kind="l2.token")
+        kinds = [type(row).__name__ for row in hub._ledger]
+        assert kinds == ["tuple", "tuple"]
+        assert [e.kind for e in hub.events] == ["l2.request", "l2.token"]
+
     def test_compact_rows_still_count_and_tick(self):
         from repro.monitor.health import HealthMonitor
         from repro.monitor.liveness import LivenessMonitor
@@ -256,7 +279,8 @@ class TestStandardLoopMatchesPerEvent:
     """One consume loop serves every batch shape.  The parent commit
     forked on the batch's time span (a *dense* loop when it fit inside
     the liveness stall gap, a *sparse* one otherwise); both shapes must
-    keep matching the recording hub's per-event dispatch."""
+    keep matching per-event dispatch, with and without a kept trace
+    (compact rows and full rows)."""
 
     #: (time, etype, kind, src): a request goes pending at t=1 and is
     #: never served before t=14, so the request-age deadline (10) fires
@@ -276,13 +300,15 @@ class TestStandardLoopMatchesPerEvent:
         (63.0, "send.fixed", "l2.token", "mss-0"),
     ]
 
-    def run(self, record):
-        hub = MonitorHub(
-            None,
-            default_monitors(request_deadline=10.0, token_deadline=20.0,
-                             health_interval=5.0),
-            record=record,
-        )
+    @staticmethod
+    def monitors():
+        return default_monitors(request_deadline=10.0, token_deadline=20.0,
+                                health_interval=5.0)
+
+    def run(self, keep_trace):
+        hub = MonitorHub(None, self.monitors())
+        if keep_trace:
+            hub.keep_trace()
         hub.scheduler = FakeScheduler()
         for batch in (self.DENSE, self.SPARSE):
             for t, etype, kind, src in batch:
@@ -297,18 +323,22 @@ class TestStandardLoopMatchesPerEvent:
         from repro.monitor.health import HealthMonitor
         from repro.monitor.liveness import LivenessMonitor
 
-        reference = self.run(record=True)
-        ledger = self.run(record=False)
-        assert ledger.drains == 2 and reference.drains == 0
+        recording = self.run(keep_trace=True)
+        ledger = self.run(keep_trace=False)
+        assert ledger.drains == 2 and recording.drains == 2
+        # The per-event reference: dispatch over the kept trace.
+        reference = replay_events(recording.events, self.monitors(),
+                                  finalize=False)
         expected = reference.monitor(LivenessMonitor).violations
         assert [v.invariant for v in expected] == [
             "liveness.request_age",
             "liveness.scheduler_stall",
             "liveness.token_starvation",
         ]
-        assert ([str(v) for v in ledger.monitor(LivenessMonitor).violations]
-                == [str(v) for v in expected])
-        assert (ledger.monitor(HealthMonitor).samples
-                == reference.monitor(HealthMonitor).samples)
+        for hub in (ledger, recording):
+            assert ([str(v) for v in hub.monitor(LivenessMonitor).violations]
+                    == [str(v) for v in expected])
+            assert (hub.monitor(HealthMonitor).samples
+                    == reference.monitor(HealthMonitor).samples)
         assert [s["t"] for s in ledger.monitor(HealthMonitor).samples] == [
             0.0, 5.0, 10.0, 16.0, 60.0]
