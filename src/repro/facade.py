@@ -81,7 +81,9 @@ def _iter_placement(
 
     Never an N-element python list (at N=1M that alone would rival the
     population store's whole footprint): the periodic placements are
-    repeated ``array`` blocks built at C speed, the rest lazy streams.
+    fresh ``array('i')`` blocks built at C speed, in range by
+    construction, which the store adopts as its cell column; the rest
+    are lazy streams.
     Draw order for ``"random"`` is identical to the eager path, so a
     given seed places MHs the same way with and without the store.
     """

@@ -91,20 +91,20 @@ class FaultInjector:
                 )
         self.network = network
         for crash in self.plan.crashes:
-            network.scheduler.schedule_at(
+            network.scheduler.post_at(
                 crash.at, self._crash, crash.mss_id
             )
             if crash.recover_at is not None:
-                network.scheduler.schedule_at(
+                network.scheduler.post_at(
                     crash.recover_at, self._recover, crash.mss_id
                 )
         for mh_crash in self.plan.mh_crashes:
-            network.scheduler.schedule_at(
+            network.scheduler.post_at(
                 mh_crash.at, self._crash_mh, mh_crash.mh_id,
                 mh_crash.amnesia,
             )
             if mh_crash.recover_at is not None:
-                network.scheduler.schedule_at(
+                network.scheduler.post_at(
                     mh_crash.recover_at, self._recover_mh, mh_crash.mh_id
                 )
 
@@ -225,7 +225,7 @@ class FaultInjector:
             network.metrics.record_fault("mh.orphaned")
             # Stagger the rejoins slightly so reconnect traffic does not
             # arrive as one synchronized burst.
-            network.scheduler.schedule(
+            network.scheduler.post(
                 self.plan.rejoin_delay + 0.1 * index,
                 self._rejoin,
                 mss_id,
@@ -241,7 +241,7 @@ class FaultInjector:
                 m for m in network.mss_ids() if m not in self._crashed
             ]
             if not alive:
-                network.scheduler.schedule(
+                network.scheduler.post(
                     self.plan.rejoin_delay, self._rejoin,
                     crashed_mss_id, mh_id,
                 )
@@ -331,7 +331,7 @@ class FaultInjector:
             ]
             if not alive:
                 self._mh_crash_cells[mh_id] = target
-                network.scheduler.schedule(
+                network.scheduler.post(
                     self.plan.rejoin_delay, self._recover_mh, mh_id
                 )
                 return

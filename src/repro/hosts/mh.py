@@ -161,7 +161,7 @@ class MobileHost(Host):
         self.state = HostState.IN_TRANSIT
         self.current_mss_id = None
         self._transit_prev_mss_id = prev_mss_id
-        self.network.scheduler.schedule(
+        self.network.scheduler.post(
             self.network.config.transit_time,
             self._arrive,
             new_mss_id,
@@ -179,7 +179,7 @@ class MobileHost(Host):
             # Keep moving to the nearest live cell instead.
             self.network.metrics.record_fault("mh.rerouted_join")
             rerouted = self.network.next_alive_mss(new_mss_id)
-            self.network.scheduler.schedule(
+            self.network.scheduler.post(
                 self.network.config.transit_time,
                 self._arrive,
                 rerouted if rerouted is not None else new_mss_id,

@@ -296,6 +296,7 @@ class MetricsCollector:
         if model is not None:
             result["cost_total"] = snap.cost(model)
             result["cost_by_scope"] = {
-                scope: snap.cost(model, scope) for scope in snap.scopes()
+                scope: snap.cost(model, scope)
+                for scope in sorted(snap.scopes())
             }
         return result

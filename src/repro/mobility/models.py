@@ -200,7 +200,7 @@ class TraceMobility:
         self.moves_started = 0
         self.moves_skipped = 0
         for time, mh_id, mss_id in trace:
-            network.scheduler.schedule_at(
+            network.scheduler.post_at(
                 time, self._move, mh_id, mss_id
             )
 
@@ -259,7 +259,7 @@ class DisconnectionModel:
         self.disconnections += 1
         mh.disconnect()
         target = self.rng.choice(self.network.mss_ids())
-        self.network.scheduler.schedule(
+        self.network.scheduler.post(
             self.downtime, self._reconnect, mh_id, target
         )
 

@@ -260,14 +260,14 @@ class ExactlyOnceMulticast:
         target = outcome.mss_id
         if target == mss_id:
             # Still in transit towards here (or bounced): retry.
-            network.scheduler.schedule(
+            network.scheduler.post(
                 network.config.search_retry_delay,
                 self._install_state, mss_id, mh_id, state,
             )
             return
         network.search_protocol.charge_forward(network, self.scope)
         # The state travels one fixed hop to the located MSS.
-        network.scheduler.schedule(
+        network.scheduler.post(
             network.config.fixed_latency(network.rng),
             self._install_state, target, mh_id, state,
         )

@@ -178,7 +178,7 @@ class R1Mutex:
         if not mh.is_connected:
             # The holder is mid-move; it can only transmit once it has
             # joined a new cell.  Retry until reattached.
-            self.network.scheduler.schedule(
+            self.network.scheduler.post(
                 self.network.config.search_retry_delay,
                 self._forward,
                 src_mh_id,

@@ -547,7 +547,7 @@ class R2Mutex:
             self._resubmit(mh_id)
 
     def _schedule_watchdog(self) -> None:
-        self.network.scheduler.schedule(
+        self.network.scheduler.post(
             self.token_timeout / 2, self._check_token
         )
 
@@ -562,7 +562,7 @@ class R2Mutex:
     def _regenerate_later(self) -> None:
         # Give any in-flight grantee time to finish, then regenerate
         # (the watchdog is the backstop if this check is inconclusive).
-        self.network.scheduler.schedule(
+        self.network.scheduler.post(
             max(2 * self.cs_duration, 5.0),
             self._regen_if_stale,
             self._token_last_seen,
@@ -633,7 +633,7 @@ class R2Mutex:
             return
         # Not attached yet (in transit, disconnected, or orphaned by a
         # crash): poll until it comes back.
-        self.network.scheduler.schedule(2.0, self._try_resubmit, mh_id)
+        self.network.scheduler.post(2.0, self._try_resubmit, mh_id)
 
     # ------------------------------------------------------------------
     # MH side

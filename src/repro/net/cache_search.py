@@ -57,7 +57,7 @@ class CachingSearch(SearchProtocol):
             return
         # Probe the cached location first: query + reply.
         self._probe(network, scope, src_mss_id, mh_id, 2)
-        network.scheduler.schedule(
+        network.scheduler.post(
             2 * network.config.fixed_latency(network.rng),
             self._check_cached, network, src_mss_id, mh_id, cached, scope,
             callback,
@@ -82,7 +82,7 @@ class CachingSearch(SearchProtocol):
         others = [m for m in network.mss_ids() if m != src_mss_id]
         probes = len(others) + 1  # queries + the positive reply
         self._probe(network, scope, src_mss_id, mh_id, probes)
-        network.scheduler.schedule(
+        network.scheduler.post(
             2 * network.config.fixed_latency(network.rng),
             self._land, network, mh_id,
             partial(self._found, src_mss_id, callback), probes + extra_probes,

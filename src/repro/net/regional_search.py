@@ -102,7 +102,7 @@ class RegionalSearch(SearchProtocol):
         # Query + reply to the home directory.
         self._probe(network, scope, src_mss_id, mh_id, 2,
                     home=home_of(network, mh_id))
-        network.scheduler.schedule(
+        network.scheduler.post(
             2 * network.config.fixed_latency(network.rng),
             self._probe_region, network, src_mss_id, mh_id, scope,
             callback,
@@ -124,7 +124,7 @@ class RegionalSearch(SearchProtocol):
         # in transit is looked for in its region again once it lands.
         probes = len(members) + 1
         self._probe(network, scope, src_mss_id, mh_id, probes)
-        network.scheduler.schedule(
+        network.scheduler.post(
             2 * network.config.fixed_latency(network.rng),
             self._land, network, mh_id, callback, 2 + probes,
             self._probe_region, network, src_mss_id, mh_id, scope,

@@ -151,7 +151,7 @@ class SearchProtocol:
         elif mh.is_connected:
             callback(SearchOutcome(mh_id, mh.current_mss_id, False, probes))
         else:
-            network.scheduler.schedule(
+            network.scheduler.post(
                 network.config.search_retry_delay, retry, *args
             )
 
@@ -182,7 +182,7 @@ class AbstractSearch(SearchProtocol):
         network.metrics.record_search(scope)
         if network._trace_on:
             network._batch_search_charge(scope, src_mss_id, mh_id)
-        network.scheduler.schedule(
+        network.scheduler.post(
             network.config.search_delay,
             self._reland, network, mh_id, callback, 0,
         )
@@ -215,7 +215,7 @@ class BroadcastSearch(SearchProtocol):
         # one that saw the disconnect) replies.  Probes = queries + reply.
         probes = len([m for m in network.mss_ids() if m != src_mss_id]) + 1
         self._probe(network, scope, src_mss_id, mh_id, probes)
-        network.scheduler.schedule(
+        network.scheduler.post(
             2 * network.config.fixed_latency(network.rng),
             self._land, network, mh_id, callback, probes,
             self.search, network, src_mss_id, mh_id, scope, callback,
@@ -252,7 +252,7 @@ class HomeAgentSearch(SearchProtocol):
         # MH in transit is re-examined without asking it again.
         self._probe(network, scope, src_mss_id, mh_id, 2,
                     home=home_of(network, mh_id))
-        network.scheduler.schedule(
+        network.scheduler.post(
             2 * network.config.fixed_latency(network.rng),
             self._reland, network, mh_id, callback, 2,
         )

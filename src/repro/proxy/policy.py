@@ -265,7 +265,7 @@ class FixedProxyPolicy(ProxyPolicy):
         # The proxy -> current-MSS hop is one fixed message.
         network = manager.network
         network.metrics.record_fixed(manager.scope)
-        network.scheduler.schedule(
+        network.scheduler.post(
             network.config.fixed_latency(network.rng), self._attempt,
             believed, *args,
         )
@@ -305,7 +305,7 @@ class FixedProxyPolicy(ProxyPolicy):
     def _retry(self, manager, src_mss_id, mh_id, kind, payload, on_missed,
                attempts, lost_message=None) -> None:
         network = manager.network
-        network.scheduler.schedule(
+        network.scheduler.post(
             network.config.search_retry_delay,
             self._deliver_tracked, manager, src_mss_id, mh_id, kind,
             payload, on_missed, attempts + 1,

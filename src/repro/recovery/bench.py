@@ -88,11 +88,11 @@ def measure_policy(
         fault_plan=plan, recovery=policy, cost_model=cost_model,
     )
     counter = CounterClient(sim.recovery)
-    sim.scheduler.schedule_at(1.0, counter.note_work, "mh-0")
+    sim.scheduler.post_at(1.0, counter.note_work, "mh-0")
     for i in range(n_moves):
         # One unit of work in the current cell, then hop to the next.
-        sim.scheduler.schedule_at(2.9 + 6.0 * i, counter.note_work, "mh-0")
-        sim.scheduler.schedule_at(
+        sim.scheduler.post_at(2.9 + 6.0 * i, counter.note_work, "mh-0")
+        sim.scheduler.post_at(
             3.0 + 6.0 * i, sim.mh(0).move_to, f"mss-{(i + 1) % n_mss}"
         )
     sim.drain()

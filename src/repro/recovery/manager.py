@@ -333,7 +333,7 @@ class RecoveryManager:
             # needless search for a half-attached host.
             or not self.network.mss(mss_id).is_local(mh_id)
         ):
-            self.network.scheduler.schedule(
+            self.network.scheduler.post(
                 self.network.config.search_retry_delay,
                 self._await_local,
                 mh_id,

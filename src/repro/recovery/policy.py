@@ -86,7 +86,7 @@ class PeriodicPolicy(CheckpointPolicy):
         self._dirty.add(mh_id)
         if not self._running:
             self._running = True
-            manager.network.scheduler.schedule(
+            manager.network.scheduler.post(
                 self.interval, self._tick, manager
             )
 

@@ -5,7 +5,9 @@ structure keeps per-MH state tiny -- a cell, a connectivity flag, a few
 counters -- so representing every MH as a full python object is pure
 overhead for the *passive crowd* that no protocol is currently talking
 to.  :class:`PopulationStore` keeps that crowd in parallel ``array``
-buffers (34 bytes per MH instead of ~1 KB of object graph) and
+buffers (25 bytes per MH instead of ~1 KB of object graph: the
+connectivity flag is the sign of the cell, and the two cohort clocks
+index one table of call times) and
 materialises a real :class:`~repro.hosts.mh.MobileHost` only when
 something actually touches a host ("promotion").  Promotion is silent
 -- no events, no messages, no RNG draws -- so with the abstract search
@@ -42,9 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: pseudo-host id under which batched crowd energy is aggregated.
 CROWD_ID = "mh-crowd"
 
-_CONNECTED = 0
-_DISCONNECTED = 1
-
 _F_ORPHANED = 1
 _F_CRASHED = 2
 _F_DOZING = 4
@@ -65,8 +64,14 @@ class PopulationStore:
             installs itself via
             :meth:`~repro.net.network.Network.install_population`).
         n: population size.
-        placement: iterable of initial cell indices, one per MH
-            (already reduced modulo the cell count).
+        placement: initial cell index of each MH, every one in
+            ``[0, n_cells)``.  An ``array('i')`` is adopted, not
+            copied: the store takes it over as its cell column, and
+            the caller vouches for the range (the facade's periodic
+            placements hold it by construction, and scanning 1M cells
+            would cost more than the rest of the set-up).  Any other
+            iterable is copied and checked; a cell outside the range
+            is a :class:`ConfigurationError` naming the host.
         max_active: soft cap on simultaneously promoted hosts; when
             exceeded, the store demotes the oldest *clean* promoted
             hosts.  Hosts that protocols attached to are never demoted,
@@ -98,7 +103,14 @@ class PopulationStore:
         self._mss_index: Dict[str, int] = {
             mss_id: i for i, mss_id in enumerate(self._mss_ids)
         }
-        self._cell = array("i", placement)
+        # The cell column doubles as the connectivity flag: -1 marks a
+        # disconnected host, so a host is connected exactly when its
+        # cell is >= 0.
+        if isinstance(placement, array) and placement.typecode == "i":
+            self._cell = placement
+        else:
+            self._cell = array("i", placement)
+            self._check_cells()
         if len(self._cell) != n:
             raise ConfigurationError(
                 f"placement yields {len(self._cell)} cells for {n} MHs"
@@ -107,13 +119,16 @@ class PopulationStore:
         def filled(typecode: str, value) -> array:
             return array(typecode, [value]) * n
 
-        self._status = array("b", bytes(n))          # all connected
         self._flags = array("B", bytes(n))
         self._session = filled("i", 1)
         self._disc_cell = filled("i", -1)
         self._moves = filled("i", 0)
-        self._disc_epoch = filled("d", -1.0)
-        self._last_move = filled("d", -1.0)
+        #: cohort clocks: indices into ``_times`` (-1 for none) of when
+        #: the current disconnection began and when the host last moved.
+        self._disc_epoch = filled("i", -1)
+        self._last_move = filled("i", -1)
+        #: one entry per distinct cohort-call time, ascending.
+        self._times = array("d")
         #: ``index -> nonzero value`` side tables (passive hosts only)
         #: for the two fields that nothing but a demotion can set.
         self._last_seq: Dict[int, int] = {}
@@ -137,6 +152,18 @@ class PopulationStore:
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------
+
+    def _check_cells(self) -> None:
+        """Refuse a copied placement with a cell outside the network."""
+        cells = self._cell
+        n_cells = len(self._mss_ids)
+        if cells and (min(cells) < 0 or max(cells) >= n_cells):
+            index = next(i for i, cell in enumerate(cells)
+                         if not 0 <= cell < n_cells)
+            raise ConfigurationError(
+                f"placement puts mh-{index} in cell {cells[index]}, "
+                f"outside [0, {n_cells})"
+            )
 
     def _parse(self, mh_id: str) -> int:
         """Index for ``mh_id``, or -1 when the id is outside the store."""
@@ -176,10 +203,8 @@ class PopulationStore:
         index = self._parse(mh_id)
         if index < 0 or self._flags[index] & _F_PROMOTED:
             return False
-        return (
-            self._status[index] == _CONNECTED
-            and self._mss_ids[self._cell[index]] == mss_id
-        )
+        cell = self._cell[index]
+        return cell >= 0 and self._mss_ids[cell] == mss_id
 
     def _index(self, mh_id: str) -> int:
         index = self._parse(mh_id)
@@ -215,7 +240,7 @@ class PopulationStore:
         mh.orphaned = bool(flags & _F_ORPHANED)
         mh.crashed = bool(flags & _F_CRASHED)
         mh.dozing = bool(flags & _F_DOZING)
-        connected = self._status[index] == _CONNECTED
+        connected = self._cell[index] >= 0
         mss_id: Optional[str] = None
         # _disc_cell is sticky -- the *last* cell the host disconnected
         # in, mirroring the object path where disconnect_mss_id keeps
@@ -301,12 +326,10 @@ class PopulationStore:
             else -1
         )
         if mh.is_connected:
-            self._status[index] = _CONNECTED
             self._cell[index] = self._mss_index[mh.current_mss_id]
             network.mss(mh.current_mss_id).local_mhs.discard(mh_id)
             self._passive_connected += 1
         else:
-            self._status[index] = _DISCONNECTED
             self._cell[index] = -1
             if mh.disconnect_mss_id is not None:
                 network.mss(mh.disconnect_mss_id).disconnected_mhs.discard(
@@ -380,8 +403,9 @@ class PopulationStore:
         if attempts <= 0:
             return 0
         now = self.network.scheduler.now
+        tick = self._tick(now)
+        times = self._times
         cell = self._cell
-        status = self._status
         flags = self._flags
         session = self._session
         moves = self._moves
@@ -398,12 +422,13 @@ class PopulationStore:
             i = getrandbits(n_bits)
             while i >= n:
                 i = getrandbits(n_bits)
-            if flags[i] & _F_PROMOTED or status[i] != _CONNECTED:
+            old = cell[i]
+            if old < 0 or flags[i] & _F_PROMOTED:
                 continue
             new = getrandbits(others_bits)
             while new >= others:
                 new = getrandbits(others_bits)
-            if new >= cell[i]:
+            if new >= old:
                 new += 1
             cell[i] = new
             session[i] += 1
@@ -411,11 +436,11 @@ class PopulationStore:
             if last_seq:
                 last_seq.pop(i, None)
             last = last_move[i]
-            if last >= 0.0:
-                gap = now - last
+            if last >= 0:
+                gap = now - times[last]
                 add_interval(gap)
                 add_interval_hist(gap)
-            last_move[i] = now
+            last_move[i] = tick
             moved += 1
         if moved:
             metrics = self.network.metrics
@@ -434,9 +459,8 @@ class PopulationStore:
         attempts = round(fraction * self._passive_connected)
         if attempts <= 0 or n == 0:
             return 0
-        now = self.network.scheduler.now
+        tick = self._tick(self.network.scheduler.now)
         cell = self._cell
-        status = self._status
         flags = self._flags
         disc_cell = self._disc_cell
         disc_epoch = self._disc_epoch
@@ -447,12 +471,12 @@ class PopulationStore:
             i = getrandbits(n_bits)
             while i >= n:
                 i = getrandbits(n_bits)
-            if flags[i] & _F_PROMOTED or status[i] != _CONNECTED:
+            old = cell[i]
+            if old < 0 or flags[i] & _F_PROMOTED:
                 continue
-            disc_cell[i] = cell[i]
-            disc_epoch[i] = now
+            disc_cell[i] = old
+            disc_epoch[i] = tick
             cell[i] = -1
-            status[i] = _DISCONNECTED
             dropped += 1
         if dropped:
             self._passive_connected -= dropped
@@ -480,8 +504,8 @@ class PopulationStore:
             return 0
         n_cells = len(self._mss_ids)
         now = self.network.scheduler.now
+        times = self._times
         cell = self._cell
-        status = self._status
         flags = self._flags
         session = self._session
         disc_cell = self._disc_cell
@@ -498,10 +522,7 @@ class PopulationStore:
             i = getrandbits(n_bits)
             while i >= n:
                 i = getrandbits(n_bits)
-            if (
-                flags[i] & (_F_PROMOTED | _F_CRASHED)
-                or status[i] != _DISCONNECTED
-            ):
+            if cell[i] >= 0 or flags[i] & (_F_PROMOTED | _F_CRASHED):
                 continue
             new = getrandbits(cell_bits)
             while new >= n_cells:
@@ -509,18 +530,17 @@ class PopulationStore:
             if new != disc_cell[i]:
                 handoffs += 1
             epoch = disc_epoch[i]
-            if epoch >= 0.0:
-                down = now - epoch
+            if epoch >= 0:
+                down = now - times[epoch]
                 add_downtime(down)
                 add_downtime_hist(down)
             cell[i] = new
-            status[i] = _CONNECTED
             session[i] += 1
             if last_seq:
                 last_seq.pop(i, None)
             # _disc_cell stays: it mirrors the object path's sticky
             # disconnect_mss_id, which a reconnect does not clear.
-            disc_epoch[i] = -1.0
+            disc_epoch[i] = -1
             rejoined += 1
         if rejoined:
             self._passive_connected += rejoined
@@ -533,6 +553,17 @@ class PopulationStore:
                 metrics.record_fixed(MOBILITY_SCOPE, count=2 * handoffs)
         self._note_batch(rejoined)
         return rejoined
+
+    def _tick(self, now: float) -> int:
+        """Index of ``now`` in ``_times``, appended on its first use.
+
+        The clock never runs backwards, so ``now`` is either the last
+        entry (a second op of the same churn tick) or a new one.
+        """
+        times = self._times
+        if not times or times[-1] != now:
+            times.append(now)
+        return len(times) - 1
 
     def _note_batch(self, size: int) -> None:
         self.batch_ops += 1
@@ -549,8 +580,8 @@ class PopulationStore:
         reads it, so no per-cell tally is kept current.
         """
         counts = [0] * len(self._mss_ids)
-        for cell, status, flags in zip(self._cell, self._status, self._flags):
-            if status == _CONNECTED and not flags & _F_PROMOTED:
+        for cell, flags in zip(self._cell, self._flags):
+            if cell >= 0 and not flags & _F_PROMOTED:
                 counts[cell] += 1
         return counts
 
@@ -565,13 +596,14 @@ class PopulationStore:
         return self._passive_disconnected
 
     def memory_bytes(self) -> int:
-        """Bytes held by the columns and side tables (objects excluded)."""
+        """Bytes held by the columns, the cohort time table and the
+        side tables (objects excluded)."""
         return sum(
             len(buf) * buf.itemsize
             for buf in (
-                self._cell, self._status, self._flags, self._session,
-                self._disc_cell, self._moves, self._disc_epoch,
-                self._last_move,
+                self._cell, self._flags, self._session, self._disc_cell,
+                self._moves, self._disc_epoch, self._last_move,
+                self._times,
             )
         ) + _table_bytes(self._last_seq) + _table_bytes(self._doze_ints)
 

@@ -279,7 +279,7 @@ class _Run:
     def schedule_events(self) -> None:
         for event in self.spec.events:
             handler = getattr(self, "_event_" + event["kind"])
-            self.sim.scheduler.schedule_at(event["at"], handler, event)
+            self.sim.scheduler.post_at(event["at"], handler, event)
 
     def _cohort(self, fraction: float) -> List[str]:
         connected = [

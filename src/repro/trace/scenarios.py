@@ -303,10 +303,10 @@ def scenario_mh_crash_recovery() -> ScenarioRun:
     # two handoffs then drag the checkpoint *pointer* (never the
     # payload) along; a second unit after the moves stays unprotected
     # and is what the crash visibly costs.
-    sim.scheduler.schedule(1.0, counter.note_work, "mh-0")
-    sim.scheduler.schedule(4.0, sim.mh(0).move_to, "mss-1")
-    sim.scheduler.schedule(8.0, sim.mh(0).move_to, "mss-2")
-    sim.scheduler.schedule(11.0, counter.note_work, "mh-0")
+    sim.scheduler.post(1.0, counter.note_work, "mh-0")
+    sim.scheduler.post(4.0, sim.mh(0).move_to, "mss-1")
+    sim.scheduler.post(8.0, sim.mh(0).move_to, "mss-2")
+    sim.scheduler.post(11.0, counter.note_work, "mh-0")
     sim.drain()
     return ScenarioRun(
         name="mh_crash_recovery",

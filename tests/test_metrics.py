@@ -2,11 +2,29 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.metrics import Category, CostModel, MetricsCollector
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
+
+#: a two-scope report, dumped without ``sort_keys`` as report files are.
+TWO_SCOPE_REPORT = """
+import json
+from repro.metrics import CostModel, MetricsCollector
+m = MetricsCollector()
+m.record_fixed("mobility")
+m.record_fixed("R2", count=3)
+print(json.dumps(m.report(CostModel())))
+"""
 
 
 class TestCostModel:
@@ -111,6 +129,20 @@ class TestMetricsCollector:
         assert report["totals"]["fixed"] == 1
         assert report["by_scope"]["alg"]["fixed"] == 1
         assert "cost_total" in report
+
+    def test_report_bytes_do_not_depend_on_the_hash_seed(self):
+        """Two processes whose string hashes order ``{"R2", "mobility"}``
+        differently write the same report, byte for byte."""
+        dumps = [
+            subprocess.run(
+                [sys.executable, "-c", TWO_SCOPE_REPORT],
+                env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed),
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert '"cost_by_scope": {"R2": 3.0, "mobility": 1.0}' in dumps[0]
+        assert dumps[0] == dumps[1]
 
     def test_scopes_listed_in_snapshot(self):
         m = MetricsCollector()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import random
 import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,30 @@ def recount_occupancy(sim):
         sum(pop.passive_local(f"mh-{i}", mss_id) for i in range(pop.n))
         for mss_id in sim.network.mss_ids()
     ]
+
+
+def assert_connectivity_is_a_recount(sim):
+    """``passive_local``, ``occupancy()``, the passive counters and
+    promotion all agree with a brute-force recount of connectivity:
+    each passive host is local to at most one station, and promoting it
+    lands it there (or disconnected where it is local nowhere)."""
+    pop = sim.population
+    mss_ids = sim.network.mss_ids()
+    where = {}
+    for i in range(pop.n):
+        if pop.owns(f"mh-{i}"):
+            local = [mss_id for mss_id in mss_ids
+                     if pop.passive_local(f"mh-{i}", mss_id)]
+            assert len(local) <= 1
+            where[i] = local[0] if local else None
+    cells = list(where.values())
+    assert pop.occupancy() == [cells.count(mss_id) for mss_id in mss_ids]
+    assert pop.passive_connected == len(cells) - cells.count(None)
+    assert pop.passive_disconnected == cells.count(None)
+    for i, mss_id in where.items():
+        mh = sim.mh(i)
+        assert mh.is_connected == (mss_id is not None)
+        assert mh.current_mss_id == mss_id
 
 
 def doze_through_a_downlink(sim, mh):
@@ -107,6 +132,26 @@ def test_more_cells_than_the_cell_column_indexes_is_a_located_error():
         PopulationStore(HugeNetwork(), 0, placement=())
 
 
+@pytest.mark.parametrize("cells", [[0, -1, 2], [0, 7, 2]])
+def test_a_placement_cell_outside_the_network_is_a_located_error(cells):
+    """A negative cell would index ``mss_ids`` from the end (or read as
+    a disconnected host), and one past the last would only fail later
+    in ``occupancy()``; both are refused up front, naming the host."""
+    network = make_sim(n_mss=3, n_mh=0).network
+    with pytest.raises(ConfigurationError,
+                       match=rf"mh-1 in cell {cells[1]}, outside \[0, 3\)"):
+        PopulationStore(network, 3, cells)
+
+
+def test_an_int_array_placement_is_adopted_not_copied():
+    network = make_sim(n_mss=3, n_mh=0).network
+    cells = array("i", [2, 0, 1])
+    pop = PopulationStore(network, 3, cells)
+    assert pop._cell is cells
+    assert pop.passive_local("mh-0", "mss-2")
+    assert pop.occupancy() == [1, 1, 1]
+
+
 def test_periodic_placements_match_their_definition():
     round_robin = make_sim(n_mss=4, n_mh=10).population
     assert all(round_robin.passive_local(f"mh-{i}", f"mss-{i % 4}")
@@ -130,6 +175,21 @@ def test_memory_budget_is_34_bytes_per_host_side_tables_included():
     # Every entry costs at least its key and value.
     assert pop.memory_bytes() >= before + 2 * 50 * 2 * 28
     assert pop.memory_bytes() / pop.n <= 36
+
+
+def test_memory_budget_is_25_bytes_per_host_time_table_included():
+    """Seven 4- and 1-byte columns, plus one 8-byte cohort time per
+    churn tick, which the tick's move and disconnect share."""
+    sim = make_sim(n_mss=16, n_mh=10_000)
+    pop = sim.population
+    rng = random.Random(13)
+    for tick in range(1, 11):
+        sim.run(until=5.0 * tick)
+        pop.mass_move(0.01, rng)
+        pop.mass_disconnect(0.002, rng)
+        pop.mass_reconnect(0.5, rng)
+    assert list(pop._times) == [5.0 * tick for tick in range(1, 11)]
+    assert pop.memory_bytes() / pop.n <= 26
 
 
 def test_max_active_requires_store():
@@ -256,17 +316,23 @@ def test_stale_husk_is_poisoned():
 @settings(max_examples=40, deadline=None)
 @given(
     ops=st.lists(
-        st.tuples(st.sampled_from(["move", "disconnect", "reconnect"]),
+        st.tuples(st.sampled_from(["move", "disconnect", "reconnect",
+                                   "mass_move", "mass_disconnect",
+                                   "mass_reconnect", "promote",
+                                   "demote"]),
                   st.integers(min_value=0, max_value=3)),
-        max_size=6,
+        max_size=8,
     )
 )
 def test_promotion_demotion_round_trip_property(ops):
+    """``mh-4`` round-trips through demotion while the crowd around it
+    churns in bulk and hosts 6..9 are promoted and demoted."""
     sim = make_sim()
     pop = sim.population
     mh = sim.mh(4)
     doze_through_a_downlink(sim, mh)
     for op, cell in ops:
+        other = f"mh-{6 + cell}"
         if op == "move" and mh.is_connected:
             if f"mss-{cell}" != mh.current_mss_id:
                 mh.move_to(f"mss-{cell}")
@@ -274,6 +340,12 @@ def test_promotion_demotion_round_trip_property(ops):
             mh.disconnect()
         elif op == "reconnect" and mh.is_disconnected:
             mh.reconnect(f"mss-{cell}", supply_prev=True)
+        elif op.startswith("mass_"):
+            getattr(pop, op)(0.5, random.Random(cell))
+        elif op == "promote":
+            sim.network.mobile_host(other)
+        elif op == "demote" and not pop.owns(other):
+            pop.demote(other)
         sim.drain()
     if mh.is_connected:
         # A move or reconnect zeroed the sequence number: set it again
@@ -321,6 +393,7 @@ def test_promotion_demotion_round_trip_property(ops):
     assert final.moves_completed == moves + was_connected
     assert final.doze_interruptions == doze_interruptions
     assert pop.occupancy() == recount_occupancy(sim)
+    assert_connectivity_is_a_recount(sim)
 
 
 # ----------------------------------------------------------------------
@@ -408,6 +481,52 @@ def test_crowd_telemetry_stays_bounded():
     # Energy landed on the single crowd pseudo-id, not per-MH entries.
     snap = sim.metrics.snapshot()
     assert set(snap.energy_tx) == {CROWD_ID}
+
+
+def test_crowd_telemetry_is_exact_at_non_integer_times():
+    """A golden of the crowd telemetry: three cohort ticks at 0.1, 2.7
+    and 5.3 with a promotion and a demotion between them.  The gaps
+    (``2.5999999999999996`` among them) are float64 subtractions of the
+    tick times, so a clock column that rounded or stored ``'f'`` would
+    move the Welford sums and the histogram bins."""
+    sim = make_sim(n_mss=4, n_mh=200)
+    pop = sim.population
+    rng = random.Random(11)
+    sim.run(until=0.1)
+    pop.mass_move(0.3, rng)
+    pop.mass_disconnect(0.2, rng)
+    sim.mh(5)
+    sim.mh(150)
+    sim.run(until=2.7)
+    pop.mass_move(0.3, rng)
+    pop.mass_reconnect(1.0, rng)
+    pop.mass_disconnect(0.2, rng)
+    pop.demote("mh-5")
+    sim.run(until=5.3)
+    pop.mass_move(0.3, rng)
+    pop.mass_reconnect(1.0, rng)
+    summary = pop.summary()
+    del summary["array_bytes"]
+    assert summary == {
+        "population": 200, "passive_connected": 158,
+        "passive_disconnected": 41, "active": 1, "max_active": 1024,
+        "promotions": 2, "demotions": 1, "batch_ops": 7,
+        "move_interval": {"count": 34, "mean": 1.988235294117647,
+                          "stddev": 1.4183181228405193, "min": 0.0,
+                          "max": 5.2},
+        "downtime": {"count": 24, "mean": 3.25,
+                     "stddev": 1.1258330249197703,
+                     "min": 2.5999999999999996, "max": 5.2},
+        "batch_size": {"count": 7, "mean": 31.999999999999996,
+                       "stddev": 16.04458074954193, "min": 8.0,
+                       "max": 60.0},
+    }
+    assert (pop.move_interval._m2, pop.downtime._m2,
+            pop.batch_size._m2) == (68.39529411764705, 30.42000000000001,
+                                    1801.9999999999998)
+    assert pop.move_interval_hist.counts == [10, 22, 2, 0, 0]
+    assert pop.downtime_hist.counts == [18, 6, 0, 0]
+    assert pop.move_interval_hist.overflow == pop.downtime_hist.overflow == 0
 
 
 # ----------------------------------------------------------------------
