@@ -64,6 +64,19 @@ MUTEX_ALGORITHMS = {
 _EXIT_SIGPIPE = 141
 
 
+def _duration(text: str) -> float:
+    """``--duration``: a finite, non-negative sim-time."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value < float("inf"):  # also false for NaN
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for shell-completion tools)."""
     parser = argparse.ArgumentParser(
@@ -81,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-mh", type=int, default=12,
                        help="number of mobile hosts (N)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--duration", type=float, default=500.0,
+        p.add_argument("--duration", type=_duration, default=500.0,
                        help="simulated time to run")
         p.add_argument("--move-rate", type=float, default=0.0,
                        help="moves per MH per time unit")
@@ -256,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--n-mh", type=int, default=10_000,
                        help="population size N (array-backed)")
     scale.add_argument("--seed", type=int, default=0)
-    scale.add_argument("--duration", type=float, default=200.0,
+    scale.add_argument("--duration", type=_duration, default=200.0,
                        help="simulated time to run")
     scale.add_argument("--tick", type=float, default=10.0,
                        help="sim-time between crowd churn waves")
@@ -285,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--n-mss", type=int, default=6)
     serve.add_argument("--n-mh", type=int, default=40)
     serve.add_argument("--seed", type=int, default=3)
-    serve.add_argument("--duration", type=float, default=0.0,
+    serve.add_argument("--duration", type=_duration, default=0.0,
                        help="simulated time to run; 0 means soak "
                             "until interrupted")
     serve.add_argument("--quantum", type=float, default=50.0,

@@ -10,12 +10,15 @@ surviving MSS through the reconnect protocol of Section 2.
 Protocol objects that keep per-MSS state (e.g. the R2 ring) subscribe
 to crash/recovery events via :meth:`FaultInjector.add_crash_listener`
 so they can discard state lost with the crashed station.
+
+The injector keeps no tally of its own: each crash, recovery, listener
+failure and (via the :class:`FaultDecision` reason) dropped message is
+one :meth:`Network.fault` call, read back with ``metrics.fault_total``.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
@@ -52,7 +55,6 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.network: Optional["Network"] = None
-        self.stats: Counter = Counter()
         self._rng = random.Random(plan.seed)
         self._crashed: Set[str] = set()
         self._crash_listeners: List[CrashListener] = []
@@ -138,17 +140,13 @@ class FaultInjector:
             try:
                 listener(host_id)
             except Exception as exc:  # noqa: BLE001 - isolation boundary
-                self.stats["injector.listener_error"] += 1
-                self.network.metrics.record_fault("injector.listener_error")
-                if self.network._trace_on:
-                    self.network._trace.emit(
-                        "fault.listener_error",
-                        src=host_id,
-                        event=event,
-                        listener=getattr(listener, "__qualname__",
-                                         repr(listener)),
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+                self.network.fault(
+                    "injector.listener_error", "fault.listener_error",
+                    src=host_id, event=event,
+                    listener=getattr(listener, "__qualname__",
+                                     repr(listener)),
+                    error=f"{type(exc).__name__}: {exc}",
+                )
 
     # ------------------------------------------------------------------
     # Queries from the network
@@ -171,7 +169,6 @@ class FaultInjector:
         now = self.network.scheduler.now
         for partition in self.plan.partitions:
             if partition.severs(message.src, message.dst, now):
-                self.stats["fixed.partition_dropped"] += 1
                 return FaultDecision(
                     drop=True, reason="fixed.partition_dropped"
                 )
@@ -180,14 +177,10 @@ class FaultInjector:
             if not fault.applies(message.src, message.dst, now):
                 continue
             if fault.drop and self._rng.random() < fault.drop:
-                self.stats["fixed.dropped"] += 1
                 return FaultDecision(drop=True, reason="fixed.dropped")
             if fault.duplicate and self._rng.random() < fault.duplicate:
                 decision.duplicates += 1
-                self.stats["fixed.duplicated"] += 1
             decision.extra_delay += fault.extra_delay
-        if decision.extra_delay:
-            self.stats["fixed.delayed"] += 1
         return decision
 
     # ------------------------------------------------------------------
@@ -201,8 +194,6 @@ class FaultInjector:
         mss = network.mss(mss_id)
         self._crashed.add(mss_id)
         mss.crashed = True
-        self.stats["mss.crash"] += 1
-        network.metrics.record_fault("mss.crash")
         # The station's cell, plus every MH whose join to it is still
         # on the air: that join lands on a dead station, so the MH
         # would believe itself attached to a cell nobody serves.
@@ -210,9 +201,8 @@ class FaultInjector:
             mh.host_id for mh in network._mh.values()
             if mh.is_connected and mh.current_mss_id == mss_id
         ))
-        if network._trace_on:
-            network._trace.emit("fault.mss_crash", src=mss_id,
-                                orphans=orphans)
+        network.fault("mss.crash", "fault.mss_crash", src=mss_id,
+                      orphans=orphans)
         self._crash_times[mss_id] = network.scheduler.now
         # Volatile cell state dies with the station.
         mss.local_mhs.clear()
@@ -221,7 +211,6 @@ class FaultInjector:
             self._pending_orphans[mss_id] = set(orphans)
         for index, mh_id in enumerate(orphans):
             network.mobile_host(mh_id).orphan()
-            self.stats["mh.orphaned"] += 1
             network.metrics.record_fault("mh.orphaned")
             # Stagger the rejoins slightly so reconnect traffic does not
             # arrive as one synchronized burst.
@@ -250,18 +239,15 @@ class FaultInjector:
             # on it answering a handoff: reconnect without naming it,
             # which triggers the Section 2 broadcast query.
             target = self._rng.choice(alive)
-            if network._trace_on:
-                rejoin_id = network._trace.emit(
-                    "fault.mh_rejoin",
-                    src=mh_id,
-                    dst=target,
-                    crashed_mss=crashed_mss_id,
-                )
-                with network._trace.context(rejoin_id):
-                    mh.reconnect(target, supply_prev=False)
-            else:
+            # Traced before the reconnect it parents, counted after it:
+            # the faults the reconnect records keep their place in the
+            # run's first-occurrence order.
+            rejoin_id = network._trace.emit(
+                "fault.mh_rejoin", src=mh_id, dst=target,
+                crashed_mss=crashed_mss_id,
+            )
+            with network._trace.context(rejoin_id):
                 mh.reconnect(target, supply_prev=False)
-            self.stats["mh.rejoined"] += 1
             network.metrics.record_fault("mh.rejoined")
         pending = self._pending_orphans.get(crashed_mss_id)
         if pending is not None:
@@ -278,10 +264,7 @@ class FaultInjector:
             return
         self._crashed.discard(mss_id)
         self.network.mss(mss_id).crashed = False
-        self.stats["mss.recover"] += 1
-        self.network.metrics.record_fault("mss.recover")
-        if self.network._trace_on:
-            self.network._trace.emit("fault.mss_recover", src=mss_id)
+        self.network.fault("mss.recover", "fault.mss_recover", src=mss_id)
         self._dispatch(self._recovery_listeners, mss_id, "mss.recover")
 
     # ------------------------------------------------------------------
@@ -294,8 +277,6 @@ class FaultInjector:
         network = self.network
         mh = network.mobile_host(mh_id)
         self._mh_crashed.add(mh_id)
-        self.stats["mh.crash"] += 1
-        network.metrics.record_fault("mh.crash")
         # Remember the cell the host physically sits in: amnesia wipes
         # the *host's* memory of it, not the geography.
         self._mh_crash_cells[mh_id] = (
@@ -304,13 +285,8 @@ class FaultInjector:
             else mh.disconnect_mss_id
         )
         self._crash_times[mh_id] = network.scheduler.now
-        if network._trace_on:
-            network._trace.emit(
-                "fault.mh_crash",
-                src=mh_id,
-                mss=self._mh_crash_cells[mh_id],
-                amnesia=amnesia,
-            )
+        network.fault("mh.crash", "fault.mh_crash", src=mh_id,
+                      mss=self._mh_crash_cells[mh_id], amnesia=amnesia)
         mh.crash(amnesia=amnesia)
         network.notify_mh_crashed(mh_id)
         self._dispatch(self._mh_crash_listeners, mh_id, "mh.crash")
@@ -337,14 +313,9 @@ class FaultInjector:
                 return
             target = self._rng.choice(alive)
         self._mh_crashed.discard(mh_id)
-        self.stats["mh.recover"] += 1
-        network.metrics.record_fault("mh.recover")
-        if network._trace_on:
-            recover_id = network._trace.emit(
-                "fault.mh_recover", src=mh_id, dst=target
-            )
-            with network._trace.context(recover_id):
-                mh.recover(target)
-        else:
+        recover_id = network.fault(
+            "mh.recover", "fault.mh_recover", src=mh_id, dst=target
+        )
+        with network._trace.context(recover_id):
             mh.recover(target)
         self._dispatch(self._mh_recovery_listeners, mh_id, "mh.recover")

@@ -14,6 +14,7 @@ FaultInjector` executes it against a :class:`~repro.net.Network`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from operator import itemgetter
 from typing import Dict, Iterable, Optional, Tuple
@@ -28,12 +29,17 @@ def _window_contains(start: float, end: Optional[float], now: float) -> bool:
 def _require_number(
     owner: str, name: str, value, allow_none: bool = False
 ) -> None:
-    """Reject malformed (non-numeric) fields with a clear error."""
+    """Reject malformed (non-numeric or non-finite) fields with a clear
+    error."""
     if value is None and allow_none:
         return
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(
             f"{owner}.{name} must be a number, got {value!r}"
+        )
+    if not math.isfinite(value):
+        raise ConfigurationError(
+            f"{owner}.{name} must be finite, got {value}"
         )
 
 

@@ -94,17 +94,11 @@ class MobileSupportStation(Host):
         # A crashed station neither receives nor transmits: messages
         # already in flight toward it (wired or wireless) vanish on
         # arrival.
-        self.network.metrics.record_fault("msg.to_crashed_mss")
-        if self.network._trace_on:
-            self.network._trace.emit(
-                "fault.drop",
-                scope=message.scope,
-                src=message.src,
-                dst=self.host_id,
-                kind=message.kind,
-                parent=message.trace_id,
-                reason="msg.to_crashed_mss",
-            )
+        self.network.fault(
+            "msg.to_crashed_mss", "fault.drop", scope=message.scope,
+            src=message.src, dst=self.host_id, kind=message.kind,
+            parent=message.trace_id, reason="msg.to_crashed_mss",
+        )
 
     # ------------------------------------------------------------------
     # Protocol attachment points

@@ -91,8 +91,9 @@ class MonitorHub(Tracer):
     * after an explicit :meth:`drain_batches`.
 
     Code that drives ``sim.scheduler`` directly and reads a monitor
-    object's own state lags by at most ``drain_interval`` sim-time (or
-    one full segment of rows).
+    object's own state lags by at most
+    :data:`~repro.trace.events.DRAIN_INTERVAL` sim-time (or one full
+    segment of rows).
 
     The hub keeps one wall-clock figure, :attr:`monitor_wall_s`: seconds
     spent replaying drained batches (``/metrics`` exports it as
@@ -104,18 +105,10 @@ class MonitorHub(Tracer):
     Args:
         scheduler: clock source (``None`` for offline replay).
         monitors: the monitor instances to drive.
-        drain_interval: sim-time quantum between ledger drains (drains
-            also trigger on segment fill and always before
-            ``finalize``/``report``/``violations``).
     """
 
-    def __init__(
-        self,
-        scheduler,
-        monitors: Sequence[Monitor],
-        drain_interval: float = 50.0,
-    ) -> None:
-        super().__init__(scheduler, drain_interval)
+    def __init__(self, scheduler, monitors: Sequence[Monitor]) -> None:
+        super().__init__(scheduler)
         self._kept = None  # no trace until keep_trace()
         self.monitors: List[Monitor] = list(monitors)
         self.network = None
@@ -255,9 +248,10 @@ class MonitorHub(Tracer):
             # Plain ticking sends: the only consume-side effects are a
             # health send-count and a liveness clock tick, neither of
             # which needs anything beyond the timestamp.  The row is a
-            # bare float (the consume loop type-switches on it), which
-            # skips the parent resolution and the 10-slot tuple build
-            # on the hottest send paths.  Kind-gated sites still write
+            # bare clock value, float or int (the consume loop
+            # type-switches on "not a tuple"), which skips the parent
+            # resolution and the 10-slot tuple build on the hottest
+            # send paths.  Kind-gated sites still write
             # a full row for the (rare) kinds their plan target
             # consumes -- e.g. ``*.token`` feeding TokenUniqueness.
             if site.mode == MODE_SEND_GATED:
@@ -328,9 +322,10 @@ class MonitorHub(Tracer):
     def _consume_standard(self, rows: Sequence) -> None:
         """The standard-layout replay loop.
 
-        Rows are either 10-tuples or bare floats (plain ticking sends:
-        just the timestamp -- see :meth:`call_site_batch`).  Tuple
-        dispatch switches on the site's compiled ``mode``: the two
+        Rows are either 10-tuples or bare clock values (plain ticking
+        sends: just the timestamp, float or int -- see
+        :meth:`call_site_batch`).  Tuple dispatch switches on the
+        site's compiled ``mode``: the two
         hottest shapes (``recv`` feeding FifoOrder+ReliableDelivery,
         kind-gated sends feeding TokenUniqueness) run their state
         transitions inline on captured monitor internals, everything
@@ -376,7 +371,7 @@ class MonitorHub(Tracer):
             rel_released = rel._released
             rel_on = rel.on_event
         for row in rows:
-            if type(row) is float:  # plain ticking send: time only
+            if type(row) is not tuple:  # plain ticking send: time only
                 t = row
                 if pending:
                     if last_time is not None and t - last_time > stall_gap:

@@ -291,8 +291,9 @@ class R2Mutex:
                 # A survivor of a pre-regeneration epoch resurfaced
                 # (delayed or retransmitted): discard it, there is
                 # exactly one live token per epoch.
-                self._fault("r2.stale_token", node.node_id,
-                            epoch=token.epoch, live_epoch=self._epoch)
+                self.network.fault("r2.stale_token", scope=self.scope,
+                                   src=node.node_id, epoch=token.epoch,
+                                   live_epoch=self._epoch)
                 return
             if node.has_token:
                 # Duplicated on an unreliable wire; the copy is dropped.
@@ -478,15 +479,6 @@ class R2Mutex:
     # Fault tolerance: crash handling, token regeneration, resubmission
     # ------------------------------------------------------------------
 
-    def _fault(self, name: str, src: str, etype: Optional[str] = None,
-               **detail: object) -> None:
-        """Record fault ``name``; traced, it is also an ``etype`` event
-        (by default of the same name)."""
-        self.network.metrics.record_fault(name)
-        if self.network._trace_on:
-            self.network._trace.emit(etype or name, scope=self.scope,
-                                     src=src, **detail)
-
     def _on_mss_crash(self, mss_id: str) -> None:
         if not self.fault_tolerant or self.finished:
             return
@@ -529,8 +521,8 @@ class R2Mutex:
         token = self._tokens.get(grantor)
         if token is not None and not self.network.is_mss_crashed(grantor):
             token.epoch = self._epoch
-            self._fault("r2.token_reissued", grantor, epoch=self._epoch,
-                        mh_id=mh_id)
+            self.network.fault("r2.token_reissued", scope=self.scope,
+                               src=grantor, epoch=self._epoch, mh_id=mh_id)
             self._service_next(grantor)
         else:
             # The grantor (and the token with it) is gone too.
@@ -583,8 +575,9 @@ class R2Mutex:
             return
         self._epoch += 1
         self.regenerations += 1
-        self._fault("r2.token_regenerated", leader, "r2.regenerate",
-                    epoch=self._epoch, token_val=self._last_token_val + 1)
+        self.network.fault("r2.token_regenerated", "r2.regenerate",
+                           scope=self.scope, src=leader, epoch=self._epoch,
+                           token_val=self._last_token_val + 1)
         alive = [m for m in self.mss_ids
                  if not self.network.is_mss_crashed(m)]
         # Election and announcement traffic among the survivors: the
@@ -627,8 +620,9 @@ class R2Mutex:
         if mh.is_connected and not self.network.is_mss_crashed(
                 mh.current_mss_id):
             self._resubmit_pending.discard(mh_id)
-            self._fault("r2.request_resubmitted", mh_id, "r2.resubmit",
-                        dst=mh.current_mss_id)
+            self.network.fault("r2.request_resubmitted", "r2.resubmit",
+                               scope=self.scope, src=mh_id,
+                               dst=mh.current_mss_id)
             self.request(mh_id)
             return
         # Not attached yet (in transit, disconnected, or orphaned by a
@@ -645,8 +639,9 @@ class R2Mutex:
             # The grantor's epoch died (crash + regeneration) while this
             # grant was in flight; honoring it could overlap with a
             # grant from the live token.  Refuse and ask again.
-            self._fault("r2.stale_grant", grant.mh_id, epoch=grant.epoch,
-                        live_epoch=self._epoch)
+            self.network.fault("r2.stale_grant", scope=self.scope,
+                               src=grant.mh_id, epoch=grant.epoch,
+                               live_epoch=self._epoch)
             self._resubmit(grant.mh_id)
             return
         # R2': on receiving the token the MH adopts the current

@@ -256,6 +256,23 @@ class Network:
         injector.bind(self)
         self._refresh_fast_paths()
 
+    def fault(self, name: str, etype: Optional[str] = None, *,
+              scope: str = "default", src: Optional[str] = None,
+              dst: Optional[str] = None, kind: Optional[str] = None,
+              parent: Optional[int] = None,
+              **detail: object) -> Optional[int]:
+        """Record fault ``name`` once: count it in the metrics and, when
+        a ledger is installed, trace it as an ``etype`` event (by
+        default of the same name).  Returns the event id, or ``None``
+        untraced -- a valid argument to ``trace.context``."""
+        self.metrics.record_fault(name)
+        if self._trace_on:
+            return self._trace.emit(
+                etype or name, scope=scope, src=src, dst=dst, kind=kind,
+                parent=parent, **detail,
+            )
+        return None
+
     def install_reliable(self, **kwargs: object) -> "ReliableTransport":
         """Install the reliable-delivery layer over the fixed network.
 
@@ -404,17 +421,11 @@ class Network:
         if self.faults is not None:
             decision = self.faults.decide_fixed(message)
             if decision.drop:
-                self.metrics.record_fault(decision.reason)
-                if self._trace_on:
-                    self._trace.emit(
-                        "fault.drop",
-                        scope=message.scope,
-                        src=message.src,
-                        dst=message.dst,
-                        kind=message.kind,
-                        parent=message.trace_id,
-                        reason=decision.reason,
-                    )
+                self.fault(
+                    decision.reason, "fault.drop", scope=message.scope,
+                    src=message.src, dst=message.dst, kind=message.kind,
+                    parent=message.trace_id, reason=decision.reason,
+                )
                 return
             extra_delay = decision.extra_delay
             duplicates = decision.duplicates
@@ -477,16 +488,11 @@ class Network:
             # A crashed station has no working transmitter; the message
             # is lost on the spot (no cost: nothing was transmitted).
             self.lost_wireless_messages += 1
-            self.metrics.record_fault("wireless.dropped_src_crashed")
-            if self._trace_on:
-                self._trace.emit(
-                    "wireless.lost",
-                    scope=message.scope,
-                    src=mss_id,
-                    dst=mh_id,
-                    kind=message.kind,
-                    reason="wireless.dropped_src_crashed",
-                )
+            self.fault(
+                "wireless.dropped_src_crashed", "wireless.lost",
+                scope=message.scope, src=mss_id, dst=mh_id,
+                kind=message.kind, reason="wireless.dropped_src_crashed",
+            )
             if on_lost is not None:
                 on_lost(message)
             return
@@ -620,16 +626,10 @@ class Network:
         """
         cap = self.config.mh_delivery_max_attempts
         if cap is not None and _attempts > cap:
-            self.metrics.record_fault("send_to_mh.gave_up")
-            if self._trace_on:
-                self._trace.emit(
-                    "send_to_mh.gave_up",
-                    scope=message.scope,
-                    src=src_mss_id,
-                    dst=mh_id,
-                    kind=message.kind,
-                    attempts=_attempts - 1,
-                )
+            self.fault(
+                "send_to_mh.gave_up", scope=message.scope, src=src_mss_id,
+                dst=mh_id, kind=message.kind, attempts=_attempts - 1,
+            )
             if on_disconnected is not None:
                 on_disconnected(
                     SearchOutcome(

@@ -22,6 +22,10 @@ automatically once installed, so protocols and benchmarks run unchanged.
 Every physical transmission -- originals, retransmits and acks -- is
 accounted in the metrics under the wrapped message's scope, which is how
 ``bench_a8_fault_recovery`` prices recovery in the paper's currency.
+Each recovery action is one :meth:`Network.fault` call -- counted as
+``rel.retransmit``, ``rel.give_up``, ``rel.dup_suppressed`` or
+``rel.gap_skipped`` and traced under the same name -- so the counts are
+read with ``metrics.fault_total(name)``; the layer keeps none of its own.
 """
 
 from __future__ import annotations
@@ -66,7 +70,6 @@ class _TxChannel:
     unacked: Dict[int, Tuple[Message, "Event", int]] = field(
         default_factory=dict
     )
-    given_up: int = 0
 
 
 @dataclass
@@ -125,10 +128,6 @@ class ReliableTransport:
         self.jitter = jitter
         self.max_delay = max_delay
         self._rng = rng if rng is not None else random.Random(0)
-        self.retransmits = 0
-        self.duplicates_suppressed = 0
-        self.gave_up = 0
-        self.gaps_skipped = 0
         self._tx: Dict[Tuple[str, str], _TxChannel] = {}
         self._rx: Dict[Tuple[str, str], _RxChannel] = {}
         self._attached: set = set()
@@ -185,19 +184,11 @@ class ReliableTransport:
         src, dst = channel
         tx = self._tx[channel]
         if attempt > 0:
-            self.retransmits += 1
-            self.network.metrics.record_fault("rel.retransmit")
-            if self.network._trace_on:
-                self.network._trace.emit(
-                    "rel.retransmit",
-                    scope=inner.scope,
-                    src=src,
-                    dst=dst,
-                    kind=inner.kind,
-                    parent=inner.trace_id,
-                    seq=seq,
-                    attempt=attempt,
-                )
+            self.network.fault(
+                "rel.retransmit", scope=inner.scope, src=src, dst=dst,
+                kind=inner.kind, parent=inner.trace_id, seq=seq,
+                attempt=attempt,
+            )
         # Floor = lowest seq that may still arrive on this channel --
         # everything unacked including the message going out right now.
         floor = min(min(tx.unacked), seq) if tx.unacked else seq
@@ -228,21 +219,12 @@ class ReliableTransport:
         if attempt >= self.max_retries:
             # Destination unreachable for the whole backoff schedule
             # (e.g. crashed and never recovered): give the message up.
-            tx.given_up += 1
-            self.gave_up += 1
-            self.network.metrics.record_fault("rel.give_up")
-            if self.network._trace_on:
-                inner = envelope.payload.inner
-                self.network._trace.emit(
-                    "rel.give_up",
-                    scope=inner.scope,
-                    src=channel[0],
-                    dst=channel[1],
-                    kind=inner.kind,
-                    parent=inner.trace_id,
-                    seq=seq,
-                    attempts=attempt + 1,
-                )
+            inner = envelope.payload.inner
+            self.network.fault(
+                "rel.give_up", scope=inner.scope, src=channel[0],
+                dst=channel[1], kind=inner.kind, parent=inner.trace_id,
+                seq=seq, attempts=attempt + 1,
+            )
             return
         self._transmit(
             channel, seq, envelope.payload.inner, attempt + 1
@@ -279,29 +261,16 @@ class ReliableTransport:
             if buffered is not None:
                 self._deliver(message.dst, buffered)
             else:
-                self.gaps_skipped += 1
-                self.network.metrics.record_fault("rel.gap_skipped")
-                if self.network._trace_on:
-                    self.network._trace.emit(
-                        "rel.gap_skipped",
-                        scope=message.scope,
-                        src=message.src,
-                        dst=message.dst,
-                        seq=rx.next_expected,
-                    )
+                self.network.fault(
+                    "rel.gap_skipped", scope=message.scope,
+                    src=message.src, dst=message.dst, seq=rx.next_expected,
+                )
             rx.next_expected += 1
         if data.seq < rx.next_expected or data.seq in rx.buffered:
-            self.duplicates_suppressed += 1
-            self.network.metrics.record_fault("rel.dup_suppressed")
-            if self.network._trace_on:
-                self.network._trace.emit(
-                    "rel.dup_suppressed",
-                    scope=message.scope,
-                    src=message.src,
-                    dst=message.dst,
-                    kind=data.inner.kind,
-                    seq=data.seq,
-                )
+            self.network.fault(
+                "rel.dup_suppressed", scope=message.scope, src=message.src,
+                dst=message.dst, kind=data.inner.kind, seq=data.seq,
+            )
             return
         rx.buffered[data.seq] = data.inner
         while rx.next_expected in rx.buffered:

@@ -267,16 +267,11 @@ class RecoveryManager:
         meta = store.handoff_state(mh_id)  # pops + grows the trail
         if meta is None:  # pragma: no cover - defensive
             return
-        if self.network._trace_on:
-            self.network._trace.emit(
-                "recovery.meta_forward",
-                scope=CKPT_SCOPE,
-                src=store.mss_id,
-                dst=target,
-                mh_id=mh_id,
-                seq=meta.seq,
-            )
-        self.network.metrics.record_fault("recovery.meta_forwarded")
+        self.network.fault(
+            "recovery.meta_forwarded", "recovery.meta_forward",
+            scope=CKPT_SCOPE, src=store.mss_id, dst=target, mh_id=mh_id,
+            seq=meta.seq,
+        )
         self.network.mss(store.mss_id).send_fixed(
             target, self.kind_meta, meta, CKPT_SCOPE
         )
@@ -367,15 +362,10 @@ class RecoveryManager:
         self._forward_meta(holder, mh_id)
 
     def _restart_from_nothing(self, mh_id: str, reason: str) -> None:
-        self.network.metrics.record_fault(f"recovery.{reason}")
-        if self.network._trace_on:
-            self.network._trace.emit(
-                "recovery.restored",
-                scope=RESTORE_SCOPE,
-                src=mh_id,
-                seq=-1,
-                reason=reason,
-            )
+        self.network.fault(
+            f"recovery.{reason}", "recovery.restored", scope=RESTORE_SCOPE,
+            src=mh_id, seq=-1, reason=reason,
+        )
         for client in self._clients:
             client.restore(mh_id, None)
         self.restored.append((self.network.scheduler.now, mh_id, -1))
@@ -482,14 +472,8 @@ class RecoveryManager:
     def _on_restore(self, message: Message) -> None:
         checkpoint: Checkpoint = message.payload
         mh_id = checkpoint.mh_id
-        self.network.metrics.record_fault("recovery.restored")
-        if self.network._trace_on:
-            self.network._trace.emit(
-                "recovery.restored",
-                scope=RESTORE_SCOPE,
-                src=mh_id,
-                seq=checkpoint.seq,
-            )
+        self.network.fault("recovery.restored", scope=RESTORE_SCOPE,
+                           src=mh_id, seq=checkpoint.seq)
         for client in self._clients:
             client.restore(mh_id, checkpoint.state.get(client.name))
         self.restored.append(

@@ -13,6 +13,7 @@ Part of the declarative chaos-scenario platform (ROADMAP chaos arc).
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Any, Dict, Optional
 
@@ -65,6 +66,8 @@ class _Check:
             return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.fail(f"{where} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            self.fail(f"{where} must be finite, got {value}")
         if minimum is not None and value < minimum:
             self.fail(f"{where} must be >= {minimum}, got {value}")
         if maximum is not None and value > maximum:

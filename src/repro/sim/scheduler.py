@@ -244,6 +244,8 @@ class Scheduler:
         """
         if self._running:
             raise SimulationError("scheduler is not reentrant")
+        if until != until:  # NaN: no event time compares past it
+            raise ConfigurationError(f"cannot run until t={until}")
         self._running = True
         fired = 0
         # The heap list is aliased for speed; _compact mutates it in

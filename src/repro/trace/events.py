@@ -33,6 +33,10 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.sim import Scheduler
 
+#: sim-time between ledger drains on the :meth:`Tracer.emit` path
+#: (drains also run on segment fill and before any observation).
+DRAIN_INTERVAL = 50.0
+
 
 @dataclass(slots=True)
 class TraceEvent:
@@ -134,8 +138,8 @@ class Tracer:
 
         (id, parent_id, time, scope, src, dst, kind, detail, category, site)
 
-    A drain (on segment fill, every ``drain_interval`` sim-time on the
-    :meth:`emit` path, before any observation) hands the rows in
+    A drain (on segment fill, every :data:`DRAIN_INTERVAL` sim-time on
+    the :meth:`emit` path, before any observation) hands the rows in
     emission order to :meth:`consume_batch` -- a monitor hub's monitors
     -- and then, if the ledger keeps a trace, to the retention step
     that builds :attr:`events`.  A plain tracer keeps its trace; a hub
@@ -151,8 +155,7 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, scheduler: Scheduler,
-                 drain_interval: float = 50.0) -> None:
+    def __init__(self, scheduler: Scheduler) -> None:
         self.scheduler = scheduler
         self._next_id = 0
         self._stack: List[Optional[int]] = []
@@ -165,8 +168,7 @@ class Tracer:
         #: object directly.
         self._ledger: List[tuple] = []
         self._segment_cap = 8192
-        self.drain_interval = float(drain_interval)
-        self._drain_due = self.drain_interval
+        self._drain_due = DRAIN_INTERVAL
         self._draining = False
         #: the kept trace, or ``None`` when this ledger keeps none.
         self._kept: Optional[List[TraceEvent]] = []
@@ -275,7 +277,7 @@ class Tracer:
             return 0
         rows = self._ledger
         if self.scheduler is not None:
-            self._drain_due = self.scheduler.now + self.drain_interval
+            self._drain_due = self.scheduler.now + DRAIN_INTERVAL
         count = len(rows)
         if count == 0:
             return 0

@@ -230,7 +230,7 @@ def scenario_reliable_retransmit() -> ScenarioRun:
         sim=sim,
         notes=[
             f"payload delivered: {received == ['are you there?']}",
-            f"retransmits: {sim.network.reliable.retransmits}",
+            f"retransmits: {sim.metrics.fault_total('rel.retransmit')}",
             "the rel.send event is the *logical* send; each "
             "send.fixed under it is one physical attempt",
         ],

@@ -249,6 +249,24 @@ class TestConfigurationErrors:
         assert out == ""
         assert err == "repro: error: need at least one MSS\n"
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-5"])
+    def test_duration_must_be_finite_and_non_negative(self, duration):
+        # A NaN horizon used to run forever (no event time compares
+        # past it) and a negative one ran nothing and exited 0; the
+        # timeout makes the old hang a failure, not a stuck suite.
+        proc = spawn_cli(["mutex", "--algorithm", "L2", "--n-mss", "3",
+                          "--n-mh", "4", "--duration", duration],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            pytest.fail(f"--duration {duration} did not return")
+        assert proc.returncode == 2
+        assert out == ""
+        assert "argument --duration: must be a finite number >= 0" in err
+
 
 class TestClosedStdout:
     """``repro ... | head -1``: a reader that goes away ends the run

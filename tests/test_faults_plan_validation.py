@@ -120,6 +120,21 @@ def test_missing_required_field_is_a_configuration_error():
         FaultPlan.from_dict({"crashes": [{"at": 3.0}]})
 
 
+@pytest.mark.parametrize("data, where", [
+    ({"crashes": [{"mss_id": "mss-1", "at": float("nan")}]},
+     r"crashes\[0\]: MssCrash\.at"),
+    ({"mh_crashes": [{"mh_id": "mh-0", "at": 1.0,
+                      "recover_at": float("inf")}]},
+     r"mh_crashes\[0\]: MhCrash\.recover_at"),
+    ({"link_faults": [{"extra_delay": float("inf")}]},
+     r"link_faults\[0\]: LinkFault\.extra_delay"),
+    ({"retransmit_timeout": float("nan")}, r"FaultPlan\.retransmit_timeout"),
+])
+def test_non_finite_numbers_are_rejected_with_their_path(data, where):
+    with pytest.raises(ConfigurationError, match=where + " must be finite"):
+        FaultPlan.from_dict(data)
+
+
 def test_non_object_entry_is_a_configuration_error():
     with pytest.raises(ConfigurationError,
                        match=r"link_faults\[0\] must be an object"):

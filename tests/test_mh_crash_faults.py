@@ -162,7 +162,6 @@ class TestMhCrashInjector:
         # The raising listener was contained and the one registered
         # after it still ran; the failure is a counted fault event.
         assert seen == ["mh-0"]
-        assert sim.fault_injector.stats["injector.listener_error"] == 1
         assert sim.metrics.fault_total("injector.listener_error") == 1
         assert sim.mh(0).is_connected  # recovery went ahead regardless
 

@@ -107,6 +107,34 @@ def test_a_kept_trace_certifies_like_an_untraced_run():
     assert hub.rows_dispatched == len(traced.tracer.events)
 
 
+def _send_at_integer_time(trace: bool):
+    """One downlink sent after ``run(until=10)``: the clock, and so a
+    compact send row, is the int ``10``."""
+    sim = Simulation(n_mss=3, n_mh=4, seed=1, monitors=True, trace=trace)
+    mh = sim.mh(0)
+    received = []
+    mh.register_handler("x.ping", received.append)
+    sim.run(until=10)
+    assert type(sim.now) is int
+    sim.mss(0).send_to_local_mh(mh.host_id, "x.ping", None, "x")
+    sim.drain()
+    assert len(received) == 1
+    return sim
+
+
+def test_a_send_at_an_integer_time_drains_and_counts_once():
+    sim = _send_at_integer_time(trace=False)
+    hub = sim.monitor_hub
+    assert hub.ok
+    traced = _send_at_integer_time(trace=True)
+    replay = replay_events(traced.tracer.events, default_monitors(),
+                           network=traced.network)
+    sends = hub.monitor(HealthMonitor).samples[-1]["sends"]
+    assert sends == replay.monitor(HealthMonitor).samples[-1]["sends"]
+    assert sends == len([e for e in traced.tracer.events
+                         if e.etype.startswith("send.")])
+
+
 def test_replay_sees_exactly_what_online_saw():
     online = Wildcard()
     sim = l2_run(trace=True, monitors=[online])

@@ -117,7 +117,7 @@ def test_jittered_runs_are_seed_deterministic_and_still_deliver():
                         payload=i, scope="demo"),
             )
         sim.drain()
-        return received, sim.network.reliable.retransmits, sim.now
+        return received, sim.metrics.fault_total("rel.retransmit"), sim.now
 
     first = run()
     second = run()

@@ -78,6 +78,14 @@ def test_load_spec_fills_defaults():
          "monitors.request_deadline"),
         ({"expect": {"min_happiness": 3}}, "expect has unknown keys"),
         ({"faults": {"link_faults": [{"drop": 2.0}]}}, "faults"),
+        ({"duration": float("nan")}, "duration must be finite"),
+        ({"duration": float("inf")}, "duration must be finite"),
+        ({"events": [{"kind": "move", "at": float("nan"), "mh": 0,
+                      "cell": 0}]},
+         "events[0].at must be finite"),
+        ({"faults": {"crashes": [{"mss_id": "mss-1",
+                                  "at": float("nan")}]}},
+         "crashes[0]: MssCrash.at must be finite"),
     ],
 )
 def test_load_spec_rejects_with_located_errors(mutation, fragment):

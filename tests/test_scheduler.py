@@ -57,6 +57,17 @@ def test_run_until_advances_clock_even_with_empty_queue():
     assert sched.now == 7.0
 
 
+def test_run_until_nan_is_refused():
+    sched = Scheduler()
+    fired = []
+    sched.post(1.0, fired.append, "never")
+    with pytest.raises(ConfigurationError, match="nan"):
+        sched.run(until=float("nan"))
+    assert fired == []
+    sched.run(until=2.0)  # the refusal left the scheduler usable
+    assert fired == ["never"]
+
+
 def test_cancelled_event_does_not_fire():
     sched = Scheduler()
     fired = []
