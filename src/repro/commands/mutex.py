@@ -67,9 +67,8 @@ def run(args, emit) -> int:
         mobility.stop()
     if name in ("R2", "R2'", "R2''"):
         # Let in-flight requests finish, then stop the ring.
-        issued = workload.issued if workload else 0
         deadline = sim.now + 20 * args.duration
-        while (workload and workload.completed < issued
+        while (workload.completed + workload.aborted < workload.issued
                and sim.now < deadline):
             sim.run(until=sim.now + 50.0)
         mutex.max_traversals = 0

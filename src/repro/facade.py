@@ -153,7 +153,7 @@ class Simulation:
             Purely observational: costs, message counts, randomness
             and monitor verdicts are identical either way.
         monitors: online invariant monitoring -- ``None``/``False``
-            (default, off), ``True`` or ``"default"`` for
+            (default, off), ``True`` for
             :func:`~repro.monitor.default_monitors`, or a sequence of
             :class:`~repro.monitor.Monitor` instances.  Installs a
             :class:`~repro.monitor.MonitorHub` as :attr:`monitor_hub`;
@@ -241,7 +241,7 @@ class Simulation:
         if monitors:
             from repro.monitor import Monitor, MonitorHub, default_monitors
 
-            if monitors is True or monitors == "default":
+            if monitors is True:
                 monitor_list = default_monitors()
             elif isinstance(monitors, (list, tuple)) and all(
                 isinstance(monitor, Monitor) for monitor in monitors
@@ -249,8 +249,8 @@ class Simulation:
                 monitor_list = list(monitors)
             else:
                 raise ConfigurationError(
-                    "monitors must be True, 'default' or a sequence of "
-                    f"Monitor instances: {monitors!r}"
+                    "monitors must be True or a sequence of Monitor "
+                    f"instances: {monitors!r}"
                 )
             self.monitor_hub = MonitorHub(self.scheduler, monitor_list)
             self.monitor_hub.bind(self.network)

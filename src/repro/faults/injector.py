@@ -58,7 +58,6 @@ class FaultInjector:
         self._rng = random.Random(plan.seed)
         self._crashed: Set[str] = set()
         self._crash_listeners: List[CrashListener] = []
-        self._recovery_listeners: List[CrashListener] = []
         self._crash_times: Dict[str, float] = {}
         self._pending_orphans: Dict[str, Set[str]] = {}
         self._mh_crashed: Set[str] = set()
@@ -113,10 +112,6 @@ class FaultInjector:
     def add_crash_listener(self, listener: CrashListener) -> None:
         """Invoke ``listener(mss_id)`` right after each MSS crash."""
         self._crash_listeners.append(listener)
-
-    def add_recovery_listener(self, listener: CrashListener) -> None:
-        """Invoke ``listener(mss_id)`` right after each MSS recovery."""
-        self._recovery_listeners.append(listener)
 
     def add_mh_crash_listener(self, listener: CrashListener) -> None:
         """Invoke ``listener(mh_id)`` right after each MH crash."""
@@ -265,7 +260,6 @@ class FaultInjector:
         self._crashed.discard(mss_id)
         self.network.mss(mss_id).crashed = False
         self.network.fault("mss.recover", "fault.mss_recover", src=mss_id)
-        self._dispatch(self._recovery_listeners, mss_id, "mss.recover")
 
     # ------------------------------------------------------------------
     # MH crash / recovery execution

@@ -83,17 +83,11 @@ class LocationViewGroup(GroupStrategy):
         network: "Network",
         members: List[str],
         scope: str = "group-lv",
-        coordinator_mss_id: Optional[str] = None,
     ) -> None:
         super().__init__(network, members, scope)
         mss_ids = network.mss_ids()
-        if coordinator_mss_id is None:
-            coordinator_mss_id = mss_ids[0]
-        if coordinator_mss_id not in mss_ids:
-            raise ConfigurationError(
-                f"unknown coordinator: {coordinator_mss_id}"
-            )
-        self.coordinator_mss_id = coordinator_mss_id
+        #: the coordinator: always the first registered MSS.
+        self.coordinator_mss_id = mss_ids[0]
         self.kind_msg = f"{scope}.msg"
         self.kind_fanout = f"{scope}.fanout"
         self.kind_notice = f"{scope}.notice"

@@ -88,7 +88,8 @@ class OrderedGroup:
         members: the group (fixed membership).
         scope: metrics scope for ordering traffic; the underlying
             location view's maintenance runs under ``{scope}-view``.
-        coordinator_mss_id: sequencer MSS (default: first registered).
+
+    The view's coordinator, the first registered MSS, is the sequencer.
     """
 
     def __init__(
@@ -96,7 +97,6 @@ class OrderedGroup:
         network: "Network",
         members: List[str],
         scope: str = "group-ord",
-        coordinator_mss_id: Optional[str] = None,
     ) -> None:
         self.network = network
         self.members = list(members)
@@ -104,8 +104,7 @@ class OrderedGroup:
         #: the location view provides membership locations; its
         #: maintenance traffic is accounted separately.
         self.view = LocationViewGroup(
-            network, members, scope=f"{scope}-view",
-            coordinator_mss_id=coordinator_mss_id,
+            network, members, scope=f"{scope}-view"
         )
         self.coordinator_mss_id = self.view.coordinator_mss_id
         self.kind_publish = f"{scope}.publish"

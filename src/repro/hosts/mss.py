@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
 
 JoinListener = Callable[[str, Optional[str]], None]
-LeaveListener = Callable[[str], None]
 
 
 class HandoffParticipant:
@@ -65,8 +64,8 @@ class MobileSupportStation(Host):
 
     Maintains the list of local MHs, the per-MH "disconnected" flags of
     Section 2, and runs the handoff procedure when an arriving MH names
-    its previous MSS.  Protocol objects subscribe to join/leave/
-    disconnect events and register :class:`HandoffParticipant` shares.
+    its previous MSS.  Protocol objects subscribe to join events and
+    register :class:`HandoffParticipant` shares.
     """
 
     def __init__(self, host_id: str, network: "Network") -> None:
@@ -75,7 +74,6 @@ class MobileSupportStation(Host):
         #: MHs that disconnected in this cell and have not reconnected.
         self.disconnected_mhs: Set[str] = set()
         self._join_listeners: List[JoinListener] = []
-        self._leave_listeners: List[LeaveListener] = []
         self._handoff_participants: Dict[str, HandoffParticipant] = {}
         self.register_handler(KIND_LEAVE, self._on_leave)
         self.register_handler(KIND_JOIN, self._on_join)
@@ -107,10 +105,6 @@ class MobileSupportStation(Host):
     def add_join_listener(self, listener: JoinListener) -> None:
         """Invoke ``listener(mh_id, prev_mss_id)`` after each join."""
         self._join_listeners.append(listener)
-
-    def add_leave_listener(self, listener: LeaveListener) -> None:
-        """Invoke ``listener(mh_id)`` after each leave."""
-        self._leave_listeners.append(listener)
 
     def add_handoff_participant(
         self, participant: HandoffParticipant
@@ -204,8 +198,6 @@ class MobileSupportStation(Host):
     def _on_leave(self, message: Message) -> None:
         payload: LeavePayload = message.payload
         self.local_mhs.discard(payload.mh_id)
-        for listener in self._leave_listeners:
-            listener(payload.mh_id)
 
     def _on_join(self, message: Message) -> None:
         payload: JoinPayload = message.payload

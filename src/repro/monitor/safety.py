@@ -509,17 +509,19 @@ class LocationViewMonitor(Monitor):
     member's current MSS must be covered by the coordinator's view
     (Section 4's defining property of ``LV(G)``), and every view
     copy held by a view MSS must agree with the coordinator's.
-    Watching requires the live group objects (``watch(group)`` or the
-    ``groups=`` constructor argument); replay without them runs the
-    online checks only.
+    The finalize checks need the live group objects, handed over with
+    ``watch(group)``; an unwatched run, and replay, run the online
+    checks only.  Nothing in the scenario pack, the CLI or the bench
+    watches a group, so there ``lv.coverage`` and
+    ``lv.copy_divergence`` certify nothing.
     """
 
     name = "location-view"
     interests = ("lv.update",)
 
-    def __init__(self, groups=()) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.groups = list(groups)
+        self.groups = []
 
     def watch(self, group) -> None:
         """Add a live LocationViewGroup for finalize ground truth."""

@@ -79,8 +79,6 @@ class ExactlyOnceMulticast:
     Args:
         network: the simulated system.
         members: the multicast group (fixed membership).
-        sequencer_mss_id: the fixed MSS that orders messages
-            (default: the first registered MSS).
         gc: enable acknowledgement-driven garbage collection of the
             per-MSS buffers.
         scope: metrics scope for all of this protocol's traffic.
@@ -90,7 +88,6 @@ class ExactlyOnceMulticast:
         self,
         network: "Network",
         members: List[str],
-        sequencer_mss_id: Optional[str] = None,
         gc: bool = True,
         scope: str = "eom",
     ) -> None:
@@ -101,15 +98,10 @@ class ExactlyOnceMulticast:
         self.network = network
         self.members = list(members)
         mss_ids = network.mss_ids()
-        if sequencer_mss_id is None:
-            sequencer_mss_id = mss_ids[0]
-        if sequencer_mss_id not in mss_ids:
-            raise ConfigurationError(
-                f"unknown sequencer: {sequencer_mss_id}"
-            )
-        self.sequencer_mss_id = sequencer_mss_id
+        #: the fixed MSS that orders messages: the first registered one.
+        self.sequencer_mss_id = mss_ids[0]
         #: every other MSS: the store and prune fan-out targets.
-        self._others = tuple(m for m in mss_ids if m != sequencer_mss_id)
+        self._others = tuple(mss_ids[1:])
         self.gc_enabled = gc
         self.scope = scope
         self.kind_send = f"{scope}.send"

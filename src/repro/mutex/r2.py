@@ -33,8 +33,7 @@ token to the sender (one fixed message); service continues with the next
 grant-queue entry -- the rest of the system is unaffected.
 
 Fault tolerance (beyond the paper): when a fault injector is installed
-on the network (or ``fault_tolerant=True`` is forced), the ring also
-survives MSS crashes and token loss:
+on the network, the ring also survives MSS crashes and token loss:
 
 * forwarding skips crashed successors;
 * a watchdog regenerates the token when the ring has been silent for
@@ -118,9 +117,6 @@ class R2Mutex:
         scope: metrics scope for all traffic of this instance.
         max_traversals: stop circulating after this many traversals.
         on_complete: optional callback ``(mh_id)`` per satisfied access.
-        fault_tolerant: enable crash/token-loss handling.  Defaults to
-            whether the network has a fault injector installed, so
-            fault-free runs keep the paper's exact message pattern.
         token_timeout: ring silence (no token arrival anywhere) after
             which the watchdog declares the token lost and regenerates.
     """
@@ -134,7 +130,6 @@ class R2Mutex:
         scope: str = "R2",
         max_traversals: Optional[int] = None,
         on_complete: Optional[Callable[[str], None]] = None,
-        fault_tolerant: Optional[bool] = None,
         token_timeout: float = 50.0,
     ) -> None:
         self.network = network
@@ -149,11 +144,14 @@ class R2Mutex:
         self.scope = scope
         self.max_traversals = max_traversals
         self.on_complete = on_complete
-        self.fault_tolerant = (
-            fault_tolerant
-            if fault_tolerant is not None
-            else network.faults is not None
-        )
+        #: callback ``(mh_id)`` per request skipped because its
+        #: requester disconnected (fault-free runs only; under faults
+        #: the request is resubmitted instead).
+        self.on_aborted: Optional[Callable[[str], None]] = None
+        #: crash/token-loss handling runs only when a fault injector is
+        #: installed, so fault-free runs keep the paper's exact message
+        #: pattern.
+        self.fault_tolerant = network.faults is not None
         self.token_timeout = token_timeout
         self.completed: List[Tuple[float, str]] = []
         self.skipped_disconnected: List[str] = []
@@ -190,7 +188,7 @@ class R2Mutex:
             "r2", "token_val", returned=self._finish_access, live=self._live,
             exited=self._complete_at_exit if self.fault_tolerant else None,
         )
-        if self.fault_tolerant and network.faults is not None:
+        if self.fault_tolerant:
             network.faults.add_crash_listener(self._on_mss_crash)
             network.faults.add_mh_crash_listener(self._on_mh_crash)
             network.faults.add_mh_recovery_listener(self._on_mh_recover)
@@ -426,6 +424,8 @@ class R2Mutex:
             self._resubmit(request.mh_id)
         else:
             self.skipped_disconnected.append(request.mh_id)
+            if self.on_aborted is not None:
+                self.on_aborted(request.mh_id)
         self._service_next(mss_id)
 
     def _live(self, back: RegionReturn) -> bool:

@@ -14,6 +14,7 @@ accesses during the current traversal).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError
@@ -111,15 +112,14 @@ class RingNode:
         if self.is_head and not initial:
             token.traversals += 1
             token.token_val += 1
-        forwarded = [False]
+        # A partial, not a closure: a deep-copied (forked) system gets
+        # its own node and token in the forward it holds.
+        self.on_token(token, partial(self._forward, token, [False]))
 
-        def forward() -> None:
-            if forwarded[0]:
-                raise ProtocolError(
-                    f"{self.node_id}: token forwarded twice"
-                )
-            forwarded[0] = True
-            self._has_token = False
-            self._send(self.successor(), self.kind_token, token)
-
-        self.on_token(token, forward)
+    def _forward(self, token: Token, forwarded: List[bool]) -> None:
+        """The one-shot ``forward()`` of one token arrival."""
+        if forwarded[0]:
+            raise ProtocolError(f"{self.node_id}: token forwarded twice")
+        forwarded[0] = True
+        self._has_token = False
+        self._send(self.successor(), self.kind_token, token)

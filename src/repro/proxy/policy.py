@@ -165,12 +165,9 @@ class FixedProxyPolicy(ProxyPolicy):
     the algorithm, at the price of per-move inform traffic.
     """
 
-    def __init__(
-        self, assignment: Optional[Dict[str, str]] = None
-    ) -> None:
-        #: mh_id -> proxy MSS; filled from initial locations if not
-        #: given explicitly.
-        self.assignment: Dict[str, str] = dict(assignment or {})
+    def __init__(self) -> None:
+        #: mh_id -> proxy MSS: the MH's cell when the policy is wired.
+        self.assignment: Dict[str, str] = {}
         #: the proxy's session-versioned location register.
         self.location_register = LocationRegister()
         self.inform_messages = 0
@@ -183,8 +180,7 @@ class FixedProxyPolicy(ProxyPolicy):
             if mh_id not in self.assignment:
                 if mh.current_mss_id is None:
                     raise ConfigurationError(
-                        f"{mh_id} must be connected or explicitly "
-                        f"assigned a proxy"
+                        f"{mh_id} must be connected at setup"
                     )
                 self.assignment[mh_id] = mh.current_mss_id
             self.location_register.update(

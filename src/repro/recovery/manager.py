@@ -52,6 +52,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 CKPT_SCOPE = "recovery.ckpt"
 RESTORE_SCOPE = "recovery.restore"
 
+KIND_SAVE = "recovery.save"
+KIND_FETCH = "recovery.fetch"
+KIND_PAYLOAD = "recovery.payload"
+KIND_DISCARD = "recovery.discard"
+KIND_RESTORE = "recovery.restore"
+KIND_META = "recovery.meta"
+
 
 class SavePayload(NamedTuple):
     """Uplinked by the MH: a fresh checkpoint to home at its cell."""
@@ -97,7 +104,6 @@ class RecoveryManager:
             without them).
         policy: when to checkpoint (default: never).
         mh_ids: the hosts covered (default: every registered MH).
-        scope_prefix: namespace for the manager's message kinds.
     """
 
     def __init__(
@@ -105,19 +111,12 @@ class RecoveryManager:
         network: "Network",
         policy: Optional[CheckpointPolicy] = None,
         mh_ids: Optional[List[str]] = None,
-        scope_prefix: str = "recovery",
     ) -> None:
         self.network = network
         self.policy = policy if policy is not None else NoCheckpointPolicy()
         self.mh_ids = list(mh_ids) if mh_ids is not None else network.mh_ids()
         if not self.mh_ids:
             raise ConfigurationError("recovery manager needs at least one MH")
-        self.kind_save = f"{scope_prefix}.save"
-        self.kind_fetch = f"{scope_prefix}.fetch"
-        self.kind_payload = f"{scope_prefix}.payload"
-        self.kind_discard = f"{scope_prefix}.discard"
-        self.kind_restore = f"{scope_prefix}.restore"
-        self.kind_meta = f"{scope_prefix}.meta"
         self._clients: List["RecoveryClient"] = []
         self._seq: Dict[str, int] = {}
         self._has_checkpoint: Set[str] = set()
@@ -132,14 +131,14 @@ class RecoveryManager:
             store = CheckpointStore(self, mss_id)
             self._stores[mss_id] = store
             mss.add_handoff_participant(store)
-            mss.register_handler(self.kind_save, self._on_save)
-            mss.register_handler(self.kind_fetch, self._on_fetch)
-            mss.register_handler(self.kind_payload, self._on_payload)
-            mss.register_handler(self.kind_discard, self._on_discard)
-            mss.register_handler(self.kind_meta, self._on_meta)
+            mss.register_handler(KIND_SAVE, self._on_save)
+            mss.register_handler(KIND_FETCH, self._on_fetch)
+            mss.register_handler(KIND_PAYLOAD, self._on_payload)
+            mss.register_handler(KIND_DISCARD, self._on_discard)
+            mss.register_handler(KIND_META, self._on_meta)
         for mh_id in self.mh_ids:
             network.mobile_host(mh_id).register_handler(
-                self.kind_restore, self._on_restore
+                KIND_RESTORE, self._on_restore
             )
         if network.faults is not None:
             network.faults.add_mh_crash_listener(self._on_mh_crash)
@@ -193,7 +192,7 @@ class RecoveryManager:
                 seq=seq,
             )
         mh.send_to_mss(
-            self.kind_save, SavePayload(mh_id, seq, state), CKPT_SCOPE
+            KIND_SAVE, SavePayload(mh_id, seq, state), CKPT_SCOPE
         )
         return True
 
@@ -211,7 +210,7 @@ class RecoveryManager:
             # message reclaims its stable storage.
             self.network.mss(mss_id).send_fixed(
                 old_meta.home_mss_id,
-                self.kind_discard,
+                KIND_DISCARD,
                 DiscardPayload(payload.mh_id, old_meta.seq),
                 CKPT_SCOPE,
             )
@@ -273,7 +272,7 @@ class RecoveryManager:
             seq=meta.seq,
         )
         self.network.mss(store.mss_id).send_fixed(
-            target, self.kind_meta, meta, CKPT_SCOPE
+            target, KIND_META, meta, CKPT_SCOPE
         )
 
     def _on_meta(self, message: Message) -> None:
@@ -401,7 +400,7 @@ class RecoveryManager:
             trail = [meta.home_mss_id]
         self.network.mss(store.mss_id).send_fixed(
             trail[0],
-            self.kind_fetch,
+            KIND_FETCH,
             FetchPayload(mh_id, tuple(trail[1:]), store.mss_id),
             RESTORE_SCOPE,
         )
@@ -416,7 +415,7 @@ class RecoveryManager:
         if remaining:
             self.network.mss(mss_id).send_fixed(
                 remaining[0],
-                self.kind_fetch,
+                KIND_FETCH,
                 FetchPayload(
                     payload.mh_id, tuple(remaining[1:]),
                     payload.requester_mss_id,
@@ -432,7 +431,7 @@ class RecoveryManager:
         store.drop_payload(payload.mh_id)
         self.network.mss(mss_id).send_fixed(
             payload.requester_mss_id,
-            self.kind_payload,
+            KIND_PAYLOAD,
             PayloadReturn(payload.mh_id, checkpoint),
             RESTORE_SCOPE,
         )
@@ -461,12 +460,12 @@ class RecoveryManager:
         mss = self.network.mss(mss_id)
         if mss.is_local(mh_id):
             mss.send_to_local_mh(
-                mh_id, self.kind_restore, checkpoint, RESTORE_SCOPE
+                mh_id, KIND_RESTORE, checkpoint, RESTORE_SCOPE
             )
         else:
             # The host wandered off while the fetch was in flight.
             mss.send_to_mh(
-                mh_id, self.kind_restore, checkpoint, RESTORE_SCOPE
+                mh_id, KIND_RESTORE, checkpoint, RESTORE_SCOPE
             )
 
     def _on_restore(self, message: Message) -> None:

@@ -13,7 +13,7 @@ The run discipline mirrors the CLI: drive traffic until ``duration``,
 stop the drivers, grant up to ``settle`` extra sim-time for in-flight
 mutex requests to complete, stop any token ring, then settle the
 remaining events.
-Certifies the paper's invariants under churn (ROADMAP chaos arc); large mass-event cohorts are coalesced via :mod:`repro.scale` (ROADMAP item 2).
+Certifies the paper's invariants under churn (ROADMAP chaos arc).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional
 
 from repro.facade import Simulation
@@ -37,7 +38,6 @@ from repro.mobility import (
 from repro.monitor import HealthMonitor, LivenessMonitor, safety_monitors
 from repro.mutex import CriticalResource, L1Mutex, L2Mutex, R1Mutex, R2Mutex
 from repro.mutex.r2 import R2Variant
-from repro.scale import dispatch_coalesced
 from repro.scenario.report import build_report
 from repro.scenario.spec import ScenarioSpec
 from repro.sim import PoissonProcess
@@ -199,16 +199,10 @@ class _Run:
             self.participants = members
             self.feed = ExactlyOnceMulticast(sim.network, members,
                                              gc=workload["gc"])
-            rng = random.Random(self.seed + 7)
-
-            def send_multicast() -> None:
-                sender = rng.choice(members)
-                if sim.network.mobile_host(sender).is_connected:
-                    self.sent += 1
-                    self.feed.send(sender, ("m", self.sent))
-
             self.traffic = PoissonProcess(
-                sim.scheduler, workload["message_rate"], send_multicast,
+                sim.scheduler, workload["message_rate"],
+                partial(self._send_multicast,
+                        random.Random(self.seed + 7), members),
                 rng=random.Random(self.seed + 8),
             )
         elif kind == "proxy":
@@ -227,18 +221,27 @@ class _Run:
             }[workload["policy"]]()
             manager = ProxyManager(sim.network, policy, sim.mh_ids)
             self.messenger = ProxiedMessenger(manager)
-            rng = random.Random(self.seed + 7)
-
-            def send_letter() -> None:
-                src, dst = rng.sample(sim.mh_ids, 2)
-                if sim.network.mobile_host(src).is_connected:
-                    self.sent += 1
-                    self.messenger.send(src, dst, ("letter", self.sent))
-
             self.traffic = PoissonProcess(
-                sim.scheduler, workload["message_rate"], send_letter,
+                sim.scheduler, workload["message_rate"],
+                partial(self._send_letter, random.Random(self.seed + 7)),
                 rng=random.Random(self.seed + 8),
             )
+
+    # Traffic actions are partials of methods, not closures, so a
+    # deep-copied (forked) run drives its own copy of the system.
+
+    def _send_multicast(self, rng: random.Random,
+                        members: List[str]) -> None:
+        sender = rng.choice(members)
+        if self.sim.network.mobile_host(sender).is_connected:
+            self.sent += 1
+            self.feed.send(sender, ("m", self.sent))
+
+    def _send_letter(self, rng: random.Random) -> None:
+        src, dst = rng.sample(self.sim.mh_ids, 2)
+        if self.sim.network.mobile_host(src).is_connected:
+            self.sent += 1
+            self.messenger.send(src, dst, ("letter", self.sent))
 
     def wire_churn(self) -> None:
         spec = self.spec
@@ -292,22 +295,20 @@ class _Run:
                                                     len(connected)))
 
     def _event_mass_disconnect(self, event: Dict[str, Any]) -> None:
-        # Cohort follow-ups go through the coalesced dispatcher: small
-        # cohorts keep exact per-MH delays, large ones share at most
-        # ~32 scheduler events instead of one per MH (ROADMAP item 2).
+        # Every member's disconnect is sent before any reconnect timer
+        # is posted, so the timers follow the disconnects in seq order.
         spread = event["reconnect_spread"]
-        ops = []
+        reconnects = []
         for mh_id in self._cohort(event["fraction"]):
             self.sim.network.mobile_host(mh_id).disconnect()
             target = self.event_rng.choice(self.live_cells())
             delay = event["downtime"] + (
                 self.event_rng.uniform(0.0, spread) if spread else 0.0
             )
-            ops.append((
-                delay, self._reconnect,
-                (mh_id, target, event["supply_prev"]),
-            ))
-        dispatch_coalesced(self.sim.scheduler, ops)
+            reconnects.append((delay, mh_id, target))
+        for delay, mh_id, target in reconnects:
+            self.sim.scheduler.post(delay, self._reconnect, mh_id, target,
+                                    event["supply_prev"])
 
     def _reconnect(self, mh_id: str, mss_id: str,
                    supply_prev: bool) -> None:
@@ -321,18 +322,16 @@ class _Run:
     def _event_converge(self, event: Dict[str, Any]) -> None:
         cell = f"mss-{event['cell']}"
         spread = event["spread"]
-        ops = []
         for mh_id in self._cohort(event["fraction"]):
             delay = self.event_rng.uniform(0.0, spread) if spread \
                 else 0.0
-            ops.append((delay, self._move_if_possible, (mh_id, cell)))
-        dispatch_coalesced(self.sim.scheduler, ops)
+            self.sim.scheduler.post(delay, self._move_if_possible,
+                                    mh_id, cell)
 
     def _event_scatter(self, event: Dict[str, Any]) -> None:
         source = (f"mss-{event['from_cell']}"
                   if event["from_cell"] is not None else None)
         spread = event["spread"]
-        ops = []
         for mh_id in self.participants:
             mh = self.sim.network.mobile_host(mh_id)
             if not mh.is_connected:
@@ -348,8 +347,8 @@ class _Run:
             target = self.event_rng.choice(options)
             delay = self.event_rng.uniform(0.0, spread) if spread \
                 else 0.0
-            ops.append((delay, self._move_if_possible, (mh_id, target)))
-        dispatch_coalesced(self.sim.scheduler, ops)
+            self.sim.scheduler.post(delay, self._move_if_possible,
+                                    mh_id, target)
 
     def _event_move(self, event: Dict[str, Any]) -> None:
         self._move_if_possible(f"mh-{event['mh']}",
@@ -399,8 +398,9 @@ class _Run:
         if workload_kind == "mutex":
             deadline = sim.now + spec.settle
             if self.workload is not None:
-                while (self.workload.completed < self.workload.issued
-                       and sim.now < deadline):
+                workload = self.workload
+                while (workload.completed + workload.aborted
+                       < workload.issued and sim.now < deadline):
                     events += sim.run(
                         until=min(sim.now + 50.0, deadline)
                     )

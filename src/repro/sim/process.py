@@ -75,7 +75,6 @@ class PoissonProcess:
         rate: float,
         action: Callable[[], Any],
         rng: random.Random,
-        max_firings: Optional[int] = None,
     ) -> None:
         if rate <= 0:
             raise ConfigurationError(f"rate must be positive: {rate}")
@@ -83,7 +82,6 @@ class PoissonProcess:
         self._rate = rate
         self._action = action
         self._rng = rng
-        self._max_firings = max_firings
         self.firings = 0
         self._stopped = False
         self._pending: Optional[Event] = scheduler.schedule(
@@ -114,9 +112,6 @@ class PoissonProcess:
             return
         self.firings += 1
         self._action()
-        if self._max_firings is not None and self.firings >= self._max_firings:
-            self._stopped = True
-            return
         self._pending = self._scheduler.schedule(self._next_delay(), self._fire)
 
     def stop(self) -> None:

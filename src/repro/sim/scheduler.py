@@ -210,24 +210,7 @@ class Scheduler:
         Returns ``True`` if an event fired, ``False`` if the queue was
         empty (cancelled events are skipped silently).
         """
-        heap = self._heap
-        while heap:
-            time, _, action, args, event = heapq.heappop(heap)
-            if event is not None:
-                if event.cancelled:
-                    self._n_cancelled -= 1
-                    continue
-                event._scheduler = None
-            if time < self.now:  # pragma: no cover - defensive
-                raise SimulationError("event time moved backwards")
-            self.now = time
-            self._events_processed += 1
-            action(*args)
-            n_cancelled = self._n_cancelled
-            if n_cancelled > self._COMPACT_MIN and n_cancelled * 2 >= len(heap):
-                self._compact()
-            return True
-        return False
+        return self.run(max_events=1) > 0
 
     def run(
         self,

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import TYPE_CHECKING, Callable, List, Optional, Set
+from typing import TYPE_CHECKING, List, Set
 
 from repro.errors import ConfigurationError
 from repro.sim import PoissonProcess
@@ -20,11 +20,13 @@ class MutexWorkload:
     """Poisson mutual exclusion request arrivals.
 
     Works with any algorithm object exposing ``request(mh_id)`` and an
-    ``on_complete`` callback attribute (L2Mutex, R2Mutex, ProxiedMutex).
-    At most one request per MH is outstanding at a time, matching
-    Lamport's single-outstanding-request discipline; arrivals landing
-    while a request is pending (or while the MH is detached) are
-    dropped and counted.
+    ``on_complete`` callback attribute (L2Mutex, R2Mutex, ProxiedMutex),
+    and chains its ``on_aborted`` too: a request ends completed or
+    aborted (its requester was unreachable when granted), and either
+    way the MH may request again.  At most one request per MH is
+    outstanding at a time, matching Lamport's single-outstanding-request
+    discipline; arrivals landing while a request is pending (or while
+    the MH is detached) are dropped and counted.
 
     Args:
         network: the simulated system.
@@ -49,9 +51,12 @@ class MutexWorkload:
         self.issued = 0
         self.dropped = 0
         self.completed = 0
+        self.aborted = 0
         self._outstanding: Set[str] = set()
         self._chained = getattr(mutex, "on_complete", None)
         mutex.on_complete = self._on_complete
+        self._chained_aborted = getattr(mutex, "on_aborted", None)
+        mutex.on_aborted = self._on_aborted
         self._processes = [
             PoissonProcess(
                 network.scheduler,
@@ -67,6 +72,12 @@ class MutexWorkload:
         self._outstanding.discard(mh_id)
         if self._chained is not None:
             self._chained(mh_id)
+
+    def _on_aborted(self, mh_id: str) -> None:
+        self.aborted += 1
+        self._outstanding.discard(mh_id)
+        if self._chained_aborted is not None:
+            self._chained_aborted(mh_id)
 
     def stop(self) -> None:
         """Stop issuing new requests."""
@@ -107,8 +118,8 @@ class GroupMessagingWorkload:
             ``members`` list.
         message_rate: expected group messages per time unit (for the
             whole group, not per member).
-        rng: randomness source.
-        sender_chooser: optional override for picking the sender.
+        rng: randomness source; each message's sender is a uniformly
+            drawn member.
     """
 
     def __init__(
@@ -117,7 +128,6 @@ class GroupMessagingWorkload:
         group,
         message_rate: float,
         rng: random.Random,
-        sender_chooser: Optional[Callable[[], str]] = None,
     ) -> None:
         if message_rate <= 0:
             raise ConfigurationError("message_rate must be positive")
@@ -126,7 +136,6 @@ class GroupMessagingWorkload:
         self.rng = rng
         self.sent = 0
         self.dropped = 0
-        self._choose = sender_chooser or self._any_member
         self._process = PoissonProcess(
             network.scheduler,
             message_rate,
@@ -142,12 +151,8 @@ class GroupMessagingWorkload:
         """Change the group message rate (diurnal load curves)."""
         self._process.set_rate(message_rate)
 
-    def _any_member(self) -> str:
-        """The default sender chooser: a uniformly drawn member."""
-        return self.rng.choice(self.group.members)
-
     def _try_send(self) -> None:
-        sender = self._choose()
+        sender = self.rng.choice(self.group.members)
         mh = self.network.mobile_host(sender)
         if not mh.is_connected:
             self.dropped += 1

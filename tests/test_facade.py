@@ -87,7 +87,7 @@ def test_unknown_search_rejected():
 @pytest.mark.parametrize(
     "kwargs, names",
     [
-        ({"monitors": "bogus"}, ("monitors", "'default'", "'bogus'")),
+        ({"monitors": "bogus"}, ("monitors", "True", "Monitor", "'bogus'")),
         ({"search": 42}, ("search", "'abstract'", "SearchProtocol", "42")),
         ({"fault_plan": "x"}, ("fault_plan", "FaultPlan", "'x'")),
         ({"config": "x"}, ("config", "NetworkConfig", "'x'")),

@@ -327,8 +327,8 @@ class TestLocationViewBounceRaces:
         # When the coordinator's own cell re-enters the view, it must
         # not overwrite its authoritative copy with a stale snapshot.
         sim = make_sim(n_mss=5, n_mh=3, placement=[0, 1, 2])
-        group = LocationViewGroup(sim.network, sim.mh_ids,
-                                  coordinator_mss_id="mss-0")
+        group = LocationViewGroup(sim.network, sim.mh_ids)
+        assert group.coordinator_mss_id == "mss-0"
         # mh-0 (sole member at the coordinator's cell) leaves: delete.
         sim.mh(0).move_to("mss-3")
         sim.drain()

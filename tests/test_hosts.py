@@ -95,14 +95,6 @@ class TestHandoff:
         sim.drain()
         assert seen == [("mh-0", "mss-0")]
 
-    def test_leave_listener_fires(self):
-        sim = make_sim()
-        seen = []
-        sim.mss(0).add_leave_listener(seen.append)
-        sim.mh(0).move_to("mss-1")
-        sim.drain()
-        assert seen == ["mh-0"]
-
 
 class TestDisconnection:
     def test_disconnect_sets_flag_at_local_mss(self):

@@ -77,11 +77,14 @@ class OverlappingR2(R2Mutex):
 
 
 def run_overlap(cls):
+    # An empty plan installs the injector, and with it R2's fault
+    # handling, which records the overlapping accesses at exit instead
+    # of stopping at the first surplus token return.
     sim = Simulation(n_mss=2, n_mh=2, seed=1, placement="single_cell",
-                     monitors=True)
+                     monitors=True, fault_plan=FaultPlan(reliable=False))
     resource = TolerantResource(sim.scheduler, raise_on_violation=False)
     mutex = cls(sim.network, resource, cs_duration=1.0, scope="R2",
-                max_traversals=2, fault_tolerant=True)
+                max_traversals=2)
     mutex.request("mh-0")
     mutex.request("mh-1")
     mutex.start()

@@ -21,7 +21,7 @@ import pytest
 
 from repro import Simulation
 from repro.mobility import UniformMobility
-from repro.mutex import CriticalResource, L2Mutex
+from repro.mutex import CriticalResource, L2Mutex, R2Mutex, R2Variant
 from repro.workload import MutexWorkload
 
 SRC = os.path.join(
@@ -94,21 +94,42 @@ def _l2_system():
     return sim, resource
 
 
+def _r2_system():
+    """The same system on the R2' token ring."""
+    sim = Simulation(n_mss=4, n_mh=12, seed=42)
+    resource = CriticalResource(sim.scheduler)
+    mutex = R2Mutex(sim.network, resource, cs_duration=0.3,
+                    variant=R2Variant.COUNTER)
+    mutex.start()
+    MutexWorkload(sim.network, mutex, sim.mh_ids, request_rate=0.05,
+                  rng=random.Random(43))
+    UniformMobility(sim.network, sim.mh_ids, 0.02, rng=random.Random(44))
+    return sim, resource
+
+
 def _outcome(sim, resource):
     return (resource.access_count, sim.scheduler.events_processed,
             sim.metrics.report(sim.cost_model))
 
 
+def _assert_forks(build, fork_at, until):
+    unforked = build()
+    unforked[0].run(until=until)
+    original = build()
+    original[0].run(until=fork_at)
+    fork = copy.deepcopy(original)
+    fork[0].run(until=until)
+    original[0].run(until=until)
+    assert _outcome(*fork) == _outcome(*unforked)
+    assert _outcome(*original) == _outcome(*unforked)
+
+
 def test_a_deep_copy_of_a_running_system_is_a_fork():
     """What named callbacks buy: ``copy.deepcopy`` of a mid-run system
     copies every handler and timer with it, so the copy and the
-    original each run on exactly as an unforked run does."""
-    unforked = _l2_system()
-    unforked[0].run(until=400.0)
-    original = _l2_system()
-    original[0].run(until=150.0)
-    fork = copy.deepcopy(original)
-    fork[0].run(until=400.0)
-    original[0].run(until=400.0)
-    assert _outcome(*fork) == _outcome(*unforked)
-    assert _outcome(*original) == _outcome(*unforked)
+    original each run on exactly as an unforked run does.  The R2 ring
+    forks too, at two points of the token's circulation: a held token's
+    one-shot ``forward`` is copied with the node and token it moves."""
+    _assert_forks(_l2_system, 150.0, 400.0)
+    for fork_at in (100.0, 103.5):
+        _assert_forks(_r2_system, fork_at, 300.0)

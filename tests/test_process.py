@@ -64,15 +64,17 @@ def test_poisson_firing_count_close_to_rate():
     assert 1700 < count[0] < 2300
 
 
-def test_poisson_max_firings():
+def test_poisson_stop_inside_the_action_ends_firings():
     sched = Scheduler()
     count = [0]
 
     def bump():
         count[0] += 1
+        if count[0] == 5:
+            proc.stop()
 
-    PoissonProcess(sched, rate=1.0, action=bump,
-                   rng=random.Random(1), max_firings=5)
+    proc = PoissonProcess(sched, rate=1.0, action=bump,
+                          rng=random.Random(1))
     sched.drain()
     assert count[0] == 5
 
@@ -83,8 +85,8 @@ def test_poisson_is_deterministic_for_a_seed():
         times = []
         PoissonProcess(sched, rate=1.0,
                        action=lambda: times.append(sched.now),
-                       rng=random.Random(seed), max_firings=10)
-        sched.drain()
+                       rng=random.Random(seed))
+        sched.run(until=10.0)
         return times
 
     assert run(42) == run(42)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro import (
     Category,
     CriticalResource,
@@ -141,8 +139,8 @@ class TestLocationViewEdges:
 
     def test_coordinator_cell_hosts_members(self):
         sim = make_sim(n_mss=4, n_mh=4, placement="single_cell")
-        group = LocationViewGroup(sim.network, sim.mh_ids,
-                                  coordinator_mss_id="mss-0")
+        group = LocationViewGroup(sim.network, sim.mh_ids)
+        assert group.coordinator_mss_id == "mss-0"
         assert group.coordinator_view() == {"mss-0"}
         group.send("mh-0", "from-coordinator-cell")
         sim.drain()
@@ -159,8 +157,8 @@ class TestLocationViewEdges:
 class TestMulticastEdges:
     def test_submit_from_sequencer_cell_skips_relay(self):
         sim = make_sim(n_mss=4, n_mh=2, placement="single_cell")
-        multicast = ExactlyOnceMulticast(sim.network, sim.mh_ids,
-                                         sequencer_mss_id="mss-0")
+        multicast = ExactlyOnceMulticast(sim.network, sim.mh_ids)
+        assert multicast.sequencer_mss_id == "mss-0"
         before = sim.metrics.snapshot()
         multicast.send("mh-0", "local-submit")
         sim.drain()
@@ -169,13 +167,6 @@ class TestMulticastEdges:
         # both members acked (acks themselves are sequencer-local and
         # free).  No submit relay.
         assert delta.total(Category.FIXED, "eom") == 6
-
-    def test_unknown_sequencer_rejected(self):
-        from repro.errors import ConfigurationError
-        sim = make_sim(n_mss=3, n_mh=2)
-        with pytest.raises(ConfigurationError):
-            ExactlyOnceMulticast(sim.network, sim.mh_ids,
-                                 sequencer_mss_id="mss-99")
 
     def test_single_member_group(self):
         sim = make_sim(n_mss=3, n_mh=1)

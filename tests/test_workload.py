@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from repro import CriticalResource, L2Mutex, R2Mutex
+from repro import CriticalResource, L2Mutex, R2Mutex, Simulation
 from repro.errors import ConfigurationError
 from repro.groups import PureSearchGroup
-from repro.mobility import UniformMobility
+from repro.mobility import DisconnectionModel, UniformMobility
+from repro.mutex import R2Variant
 from repro.workload import GroupMessagingWorkload, MutexWorkload
 
 from conftest import make_sim
@@ -64,6 +65,58 @@ def test_mutex_workload_with_r2_ring():
     sim.run(until=sim.now + 200.0)
     assert workload.issued > 0
     assert workload.completed == workload.issued
+    resource.assert_no_overlap()
+
+
+@pytest.mark.parametrize("algorithm", ["L2", "R2'"])
+def test_an_aborted_request_frees_its_host(algorithm):
+    """A grant whose requester is unreachable ends the request (L2
+    aborts it, fault-free R2 skips it); the host may request again
+    instead of having every later arrival dropped."""
+    sim = Simulation(n_mss=4, n_mh=12, seed=1)
+    resource = CriticalResource(sim.scheduler)
+    if algorithm == "L2":
+        mutex = L2Mutex(sim.network, resource)
+    else:
+        mutex = R2Mutex(sim.network, resource, variant=R2Variant.COUNTER)
+        mutex.start()
+    first_abort = {}
+
+    def note_abort(mh_id):
+        first_abort.setdefault(mh_id, sim.now)
+
+    mutex.on_aborted = note_abort  # chained by the workload
+    workload = MutexWorkload(sim.network, mutex, sim.mh_ids, 0.08,
+                             rng=random.Random(3))
+    drivers = [
+        workload,
+        UniformMobility(sim.network, sim.mh_ids, 0.03, random.Random(4)),
+        DisconnectionModel(sim.network, sim.mh_ids, 0.02, downtime=3.0,
+                           rng=random.Random(5)),
+    ]
+    sim.run(until=500.0)
+    for driver in drivers:
+        driver.stop()
+    ended_unserved = (mutex.skipped_disconnected if algorithm == "R2'"
+                      else mutex.aborted)
+    deadline = sim.now + 2000.0
+    while (len(mutex.completed) + len(ended_unserved) < workload.issued
+           and sim.now < deadline):
+        sim.run(until=sim.now + 50.0)
+    if algorithm == "R2'":
+        mutex.max_traversals = 0
+        sim.run(until=sim.now + 200.0)
+    else:
+        sim.drain()
+    # Every host whose request ended unserved is served again later.
+    assert first_abort
+    served_again = {
+        mh_id for time, mh_id in mutex.completed
+        if mh_id in first_abort and time > first_abort[mh_id]
+    }
+    assert served_again == set(first_abort)
+    assert workload.aborted == len(ended_unserved)
+    assert workload.completed + workload.aborted == workload.issued
     resource.assert_no_overlap()
 
 
