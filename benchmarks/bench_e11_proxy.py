@@ -22,7 +22,7 @@ from repro.proxy import (
     ProxiedMessenger,
     ProxyManager,
 )
-from repro.sim import PoissonProcess
+from repro.workload import LetterWorkload
 
 from conftest import COSTS, make_sim, print_table
 
@@ -40,17 +40,9 @@ def run_policy(policy_name: str, move_rate: float, seed: int = 3):
     )
     manager = ProxyManager(sim.network, policy, sim.mh_ids)
     messenger = ProxiedMessenger(manager)
-    rng = random.Random(seed + 1)
-    sent = [0]
-
-    def send_one() -> None:
-        src, dst = rng.sample(sim.mh_ids, 2)
-        if sim.network.mobile_host(src).is_connected:
-            sent[0] += 1
-            messenger.send(src, dst, ("letter", sent[0]))
-
-    traffic = PoissonProcess(sim.scheduler, MSG_RATE, send_one,
-                             rng=random.Random(seed + 2))
+    traffic = LetterWorkload(sim.network, messenger, sim.mh_ids, MSG_RATE,
+                             random.Random(seed + 1),
+                             random.Random(seed + 2))
     mobility = None
     if move_rate > 0:
         mobility = UniformMobility(sim.network, sim.mh_ids, move_rate,
@@ -62,8 +54,8 @@ def run_policy(policy_name: str, move_rate: float, seed: int = 3):
     sim.drain()
     moves = sum(sim.mh(i).moves_completed for i in range(N_MH))
     return {
-        "eff": sim.metrics.cost(COSTS, "proxy") / max(sent[0], 1),
-        "sent": sent[0],
+        "eff": sim.metrics.cost(COSTS, "proxy") / max(traffic.sent, 1),
+        "sent": traffic.sent,
         "delivered": len(messenger.delivered),
         "moves": moves,
         "searches": sim.metrics.total(Category.SEARCH, "proxy"),

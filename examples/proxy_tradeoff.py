@@ -25,7 +25,7 @@ from repro.proxy import (
     ProxiedMessenger,
     ProxyManager,
 )
-from repro.sim import PoissonProcess
+from repro.workload import LetterWorkload
 
 N_MSS = 10
 N_MH = 10
@@ -42,26 +42,18 @@ def run(policy_name: str, move_rate: float, seed: int = 3) -> float:
     }[policy_name]()
     manager = ProxyManager(sim.network, policy, sim.mh_ids)
     messenger = ProxiedMessenger(manager)
-    rng = random.Random(seed + 1)
-    sent = [0]
-
-    def send_one() -> None:
-        src, dst = rng.sample(sim.mh_ids, 2)
-        if sim.network.mobile_host(src).is_connected:
-            sent[0] += 1
-            messenger.send(src, dst, ("letter", sent[0]))
-
-    traffic = PoissonProcess(sim.scheduler, MSG_RATE, send_one,
-                             rng=random.Random(seed + 2))
+    traffic = LetterWorkload(sim.network, messenger, sim.mh_ids, MSG_RATE,
+                             random.Random(seed + 1),
+                             random.Random(seed + 2))
     mobility = UniformMobility(sim.network, sim.mh_ids, move_rate,
                                rng=random.Random(seed + 3))
     sim.run(until=DURATION)
     traffic.stop()
     mobility.stop()
     sim.drain()
-    if sent[0] == 0:
+    if traffic.sent == 0:
         return float("nan")
-    return sim.cost("proxy") / sent[0]
+    return sim.cost("proxy") / traffic.sent
 
 
 def main() -> None:

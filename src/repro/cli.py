@@ -26,6 +26,8 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
+from repro.mutex import ALGORITHMS as _MUTEX_ALGORITHMS
+
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.facade import Simulation
 
@@ -33,7 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 # live here.  Each subcommand's handler is its own module under
 # :mod:`repro.commands` and imports the layers it runs, so
 # ``repro mutex`` compiles no other handler and never loads the proxy
-# framework, and ``repro --help`` loads nothing.
+# framework, and ``repro --help`` loads no layer (:mod:`repro.mutex`
+# holds the ``--algorithm`` table and loads its algorithms on first
+# access).
 
 #: ``--strategy`` choice -> class name in :mod:`repro.groups`.
 GROUP_STRATEGIES = {
@@ -47,16 +51,6 @@ PROXY_POLICIES = {
     "fixed": "FixedProxyPolicy",
     "local": "LocalProxyPolicy",
     "adaptive": "AdaptiveProxyPolicy",
-}
-
-#: ``--algorithm`` choice -> class name in :mod:`repro.mutex`.
-MUTEX_ALGORITHMS = {
-    "L1": "L1Mutex",
-    "L2": "L2Mutex",
-    "R1": "R1Mutex",
-    "R2": "R2Mutex",
-    "R2'": "R2Mutex",
-    "R2''": "R2Mutex",
 }
 
 #: exit status after a closed stdout: 128 + SIGPIPE, what a shell
@@ -100,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="moves per MH per time unit")
         p.add_argument("--search", default="abstract",
                        choices=["abstract", "broadcast", "home-agent",
-                                "caching"])
+                                "caching", "regional"])
         p.add_argument("--c-fixed", type=float, default=1.0)
         p.add_argument("--c-wireless", type=float, default=5.0)
         p.add_argument("--c-search", type=float, default=10.0)
@@ -122,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(mutex)
     mutex.add_argument("--algorithm", default="L2",
-                       choices=tuple(MUTEX_ALGORITHMS))
+                       choices=tuple(_MUTEX_ALGORITHMS))
     mutex.add_argument("--request-rate", type=float, default=0.05,
                        help="requests per MH per time unit")
     mutex.add_argument("--cs-duration", type=float, default=0.5)

@@ -6,7 +6,7 @@ delivers every message once, in total order.
 
 from repro.cli import _build_sim, _maybe_mobility, _print_report, _rng
 from repro.multicast import ExactlyOnceMulticast
-from repro.sim import PoissonProcess
+from repro.workload import MulticastWorkload
 
 
 def run(args, emit) -> int:
@@ -15,17 +15,8 @@ def run(args, emit) -> int:
     sim = _build_sim(args)
     members = sim.mh_ids[: args.group_size]
     feed = ExactlyOnceMulticast(sim.network, members, gc=not args.no_gc)
-    rng = _rng(args.seed + 7)
-    sent = [0]
-
-    def send_one() -> None:
-        sender = rng.choice(members)
-        if sim.network.mobile_host(sender).is_connected:
-            sent[0] += 1
-            feed.send(sender, ("m", sent[0]))
-
-    traffic = PoissonProcess(sim.scheduler, args.message_rate, send_one,
-                             rng=_rng(args.seed + 8))
+    traffic = MulticastWorkload(sim.network, feed, args.message_rate,
+                                _rng(args.seed + 7), _rng(args.seed + 8))
     mobility = _maybe_mobility(sim, args, members)
     sim.run(until=args.duration)
     traffic.stop()

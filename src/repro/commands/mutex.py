@@ -3,17 +3,13 @@
 Runs one of L1, L2, R1 or R2/R2'/R2'' under a request workload and
 checks that no two accesses to the critical resource overlap.  Only the
 selected algorithm is imported (:mod:`repro.mutex` loads its names on
-first access).
+first access).  The algorithm is built and the run settled by
+:func:`repro.mutex.build` and :func:`repro.mutex.settle`, the code a
+scenario's mutex workload runs too.
 """
 
 import repro.mutex as mutexes
-from repro.cli import (
-    MUTEX_ALGORITHMS,
-    _build_sim,
-    _maybe_mobility,
-    _print_report,
-    _rng,
-)
+from repro.cli import _build_sim, _maybe_mobility, _print_report, _rng
 from repro.workload import MutexWorkload
 
 
@@ -30,30 +26,17 @@ def run(args, emit) -> int:
         access_counter = CounterClient(sim.recovery)
         note_access = access_counter.note_work
     name = args.algorithm
-    algorithm = getattr(mutexes, MUTEX_ALGORITHMS[name])
-    options = {"cs_duration": args.cs_duration, "on_complete": note_access}
-    if name in ("L1", "R1"):  # the baselines run on the MHs themselves
-        mutex = algorithm(sim.network, sim.mh_ids, resource, **options)
-    elif name == "L2":
-        mutex = algorithm(sim.network, resource, **options)
-    else:  # R2Variant's values are the --algorithm choices
-        mutex = algorithm(sim.network, resource,
-                          variant=mutexes.R2Variant(name), **options)
-        mutex.start()
-
-    if name in ("L1", "R1"):
+    baseline = name in mutexes.BASELINES
+    if baseline:
         emit(f"note: {name} is a baseline; requests are issued once "
              f"up front (it has no completion-driven workload hook)")
-        requesters = sim.mh_ids[: max(1, args.n_mh // 3)]
-        for mh_id in requesters:
-            if name == "L1":
-                mutex.request(mh_id)
-            else:
-                mutex.want(mh_id)
-        if name == "R1":
-            mutex.start()
-        workload = None
-    else:
+    mutex = mutexes.build(
+        name, sim.network, sim.mh_ids, resource, args.cs_duration,
+        on_complete=note_access,
+        requests=sim.mh_ids[: max(1, args.n_mh // 3)] if baseline else (),
+    )
+    workload = None
+    if not baseline:
         workload = MutexWorkload(
             sim.network, mutex, sim.mh_ids, args.request_rate,
             rng=_rng(args.seed + 7),
@@ -65,27 +48,18 @@ def run(args, emit) -> int:
         workload.stop()
     if mobility is not None:
         mobility.stop()
-    if name in ("R2", "R2'", "R2''"):
-        # Let in-flight requests finish, then stop the ring.
-        deadline = sim.now + 20 * args.duration
-        while (workload.completed + workload.aborted < workload.issued
-               and sim.now < deadline):
-            sim.run(until=sim.now + 50.0)
-        mutex.max_traversals = 0
-        sim.run(until=sim.now + 200.0)
-    elif name == "R1":
-        # Stop the token at its next arrival at the ring head, else it
-        # would circulate forever.
-        mutex.max_traversals = 0
-        sim.run(until=sim.now + 10 * args.duration)
-    else:
-        sim.drain()
+    # R1's token crosses the wireless hops of N MHs on its way to the
+    # ring head, so its ring gets longer to stop than R2's.
+    mutexes.settle(sim, mutex, workload,
+                   deadline=sim.now + 20 * args.duration,
+                   horizon=10 * args.duration if name == "R1" else 200.0)
 
     emit(f"algorithm      : {name}")
     emit(f"region accesses: {resource.access_count}")
     if workload is not None:
         emit(f"requests       : issued={workload.issued} "
              f"completed={workload.completed} "
+             f"aborted={workload.aborted} "
              f"dropped={workload.dropped}")
     resource.assert_no_overlap()
     emit("safety         : verified (no overlapping accesses)")

@@ -12,7 +12,7 @@ from repro.cli import (
     _print_report,
     _rng,
 )
-from repro.sim import PoissonProcess
+from repro.workload import LetterWorkload
 
 
 def run(args, emit) -> int:
@@ -20,17 +20,9 @@ def run(args, emit) -> int:
     policy = getattr(proxy, PROXY_POLICIES[args.policy])()
     manager = proxy.ProxyManager(sim.network, policy, sim.mh_ids)
     messenger = proxy.ProxiedMessenger(manager)
-    rng = _rng(args.seed + 7)
-    sent = [0]
-
-    def send_one() -> None:
-        src, dst = rng.sample(sim.mh_ids, 2)
-        if sim.network.mobile_host(src).is_connected:
-            sent[0] += 1
-            messenger.send(src, dst, ("letter", sent[0]))
-
-    traffic = PoissonProcess(sim.scheduler, args.message_rate, send_one,
-                             rng=_rng(args.seed + 8))
+    traffic = LetterWorkload(sim.network, messenger, sim.mh_ids,
+                             args.message_rate, _rng(args.seed + 7),
+                             _rng(args.seed + 8))
     mobility = _maybe_mobility(sim, args, sim.mh_ids)
     sim.run(until=args.duration)
     traffic.stop()
@@ -39,7 +31,7 @@ def run(args, emit) -> int:
     sim.drain()
 
     emit(f"policy         : {args.policy}")
-    emit(f"letters        : sent={sent[0]} "
+    emit(f"letters        : sent={traffic.sent} "
          f"delivered={len(messenger.delivered)} "
          f"missed={len(messenger.missed)}")
     if hasattr(policy, "inform_messages"):
@@ -47,8 +39,8 @@ def run(args, emit) -> int:
     if hasattr(policy, "demotions"):
         emit(f"mode switches  : demotions={policy.demotions} "
              f"promotions={policy.promotions}")
-    if sent[0]:
-        emit(f"effective cost : {sim.cost('proxy') / sent[0]:.1f} "
+    if traffic.sent:
+        emit(f"effective cost : {sim.cost('proxy') / traffic.sent:.1f} "
              f"per letter")
     _print_report(sim, emit)
     return 0

@@ -9,6 +9,8 @@ The hierarchy spans every layer of the paper reproduction (Sections 2-5).
 
 from __future__ import annotations
 
+import math
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -44,3 +46,15 @@ class ProtocolError(SimulationError):
 
 class InvariantViolationError(SimulationError):
     """An online invariant monitor observed at least one violation."""
+
+
+def require_number(where: str, value, allow_none: bool = False) -> None:
+    """Raise :class:`ConfigurationError` naming ``where`` unless
+    ``value`` is a finite int or float (a bool is not a number here),
+    or ``None`` where ``allow_none`` is set."""
+    if value is None and allow_none:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{where} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{where} must be finite, got {value}")

@@ -14,33 +14,15 @@ FaultInjector` executes it against a :class:`~repro.net.Network`.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 from operator import itemgetter
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_number
 
 
 def _window_contains(start: float, end: Optional[float], now: float) -> bool:
     return now >= start and (end is None or now < end)
-
-
-def _require_number(
-    owner: str, name: str, value, allow_none: bool = False
-) -> None:
-    """Reject malformed (non-numeric or non-finite) fields with a clear
-    error."""
-    if value is None and allow_none:
-        return
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(
-            f"{owner}.{name} must be a number, got {value!r}"
-        )
-    if not math.isfinite(value):
-        raise ConfigurationError(
-            f"{owner}.{name} must be finite, got {value}"
-        )
 
 
 @dataclass(frozen=True)
@@ -68,8 +50,8 @@ class LinkFault:
 
     def __post_init__(self) -> None:
         for name in ("drop", "duplicate", "extra_delay", "start"):
-            _require_number("LinkFault", name, getattr(self, name))
-        _require_number("LinkFault", "end", self.end, allow_none=True)
+            require_number(f"LinkFault.{name}", getattr(self, name))
+        require_number("LinkFault.end", self.end, allow_none=True)
         for name in ("drop", "duplicate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -110,8 +92,8 @@ class Partition:
     end: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _require_number("Partition", "start", self.start)
-        _require_number("Partition", "end", self.end, allow_none=True)
+        require_number("Partition.start", self.start)
+        require_number("Partition.end", self.end, allow_none=True)
         seen: set = set()
         for group in self.groups:
             for mss_id in group:
@@ -160,9 +142,9 @@ class MssCrash:
     recover_at: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _require_number("MssCrash", "at", self.at)
-        _require_number("MssCrash", "recover_at", self.recover_at,
-                        allow_none=True)
+        require_number("MssCrash.at", self.at)
+        require_number("MssCrash.recover_at", self.recover_at,
+                       allow_none=True)
         if self.at < 0:
             raise ConfigurationError("crash time must be nonnegative")
         if self.recover_at is not None and self.recover_at <= self.at:
@@ -192,9 +174,9 @@ class MhCrash:
     amnesia: bool = False
 
     def __post_init__(self) -> None:
-        _require_number("MhCrash", "at", self.at)
-        _require_number("MhCrash", "recover_at", self.recover_at,
-                        allow_none=True)
+        require_number("MhCrash.at", self.at)
+        require_number("MhCrash.recover_at", self.recover_at,
+                       allow_none=True)
         if not isinstance(self.amnesia, bool):
             raise ConfigurationError(
                 f"MhCrash.amnesia must be a boolean, got {self.amnesia!r}"
@@ -338,9 +320,9 @@ class FaultPlan:
         _check_no_overlap(self.mh_crashes, "MH", "mh_id")
         for name in ("rejoin_delay", "retransmit_timeout",
                      "retransmit_backoff", "retransmit_jitter"):
-            _require_number("FaultPlan", name, getattr(self, name))
-        _require_number("FaultPlan", "retransmit_max_delay",
-                        self.retransmit_max_delay, allow_none=True)
+            require_number(f"FaultPlan.{name}", getattr(self, name))
+        require_number("FaultPlan.retransmit_max_delay",
+                       self.retransmit_max_delay, allow_none=True)
         if self.rejoin_delay <= 0:
             raise ConfigurationError("rejoin_delay must be positive")
         if self.retransmit_timeout <= 0:

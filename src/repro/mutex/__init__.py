@@ -21,6 +21,10 @@ algorithm itself.
 Names load on first access (PEP 562, the pattern :mod:`repro` uses):
 ``from repro.mutex import L2Mutex`` imports :mod:`repro.mutex.l2` and
 the cores it runs on, not the other three algorithms.
+
+:func:`build` makes an algorithm from its name in :data:`ALGORITHMS`
+and :func:`settle` ends its run; ``repro mutex`` and a scenario's mutex
+workload both run through them.
 """
 
 from repro import _lazy_exports
@@ -36,3 +40,60 @@ _SOURCE_OF, __getattr__, __dir__ = _lazy_exports(globals(), {
 })
 
 __all__ = sorted(_SOURCE_OF)
+
+#: algorithm name -> class name: ``repro mutex --algorithm``'s choices
+#: and a scenario workload's ``algorithm``.
+ALGORITHMS = {"L1": "L1Mutex", "L2": "L2Mutex", "R1": "R1Mutex",
+              "R2": "R2Mutex", "R2'": "R2Mutex", "R2''": "R2Mutex"}
+
+#: the paper's baselines, run by the MHs themselves; a request workload
+#: drives only the two-tier algorithms.
+BASELINES = ("L1", "R1")
+
+
+def build(name: str, network, mh_ids, resource, cs_duration: float,
+          on_complete=None, requests=(), **ring_options):
+    """Build mutex algorithm ``name`` and start its token ring.
+
+    L1 and R1 run on the MHs ``mh_ids``, L2 and R2 at the stations; the
+    R2 family's variant is ``R2Variant(name)`` and ``ring_options``
+    (``token_timeout``, ``max_traversals``) go to its constructor.
+    Each MH in ``requests`` requests the region before a ring starts,
+    so R1's first token visit can already grant one.
+    """
+    algorithm = __getattr__(ALGORITHMS[name])
+    options = {"cs_duration": cs_duration, "on_complete": on_complete}
+    if name in BASELINES:
+        mutex = algorithm(network, mh_ids, resource, **options)
+    elif name == "L2":
+        mutex = algorithm(network, resource, **options)
+    else:
+        mutex = algorithm(network, resource,
+                          variant=__getattr__("R2Variant")(name),
+                          **options, **ring_options)
+    for mh_id in requests:
+        mutex.request(mh_id)
+    if hasattr(mutex, "start"):  # R1 and R2: inject the token
+        mutex.start()
+    return mutex
+
+
+def settle(sim, mutex, workload, deadline: float, horizon: float) -> int:
+    """End a mutex run whose drivers have stopped; returns the events
+    fired.
+
+    ``workload``'s outstanding requests (``completed + aborted <
+    issued``) get until sim-time ``deadline`` to end, in steps of at
+    most 50.  Then a token ring is stopped at its head
+    (``max_traversals = 0``) and runs ``horizon`` more; any other
+    algorithm drains.
+    """
+    events = 0
+    if workload is not None:
+        while (workload.completed + workload.aborted < workload.issued
+               and sim.now < deadline):
+            events += sim.run(until=min(sim.now + 50.0, deadline))
+    if hasattr(mutex, "max_traversals"):
+        mutex.max_traversals = 0
+        return events + sim.run(until=sim.now + horizon)
+    return events + sim.drain()

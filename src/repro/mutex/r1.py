@@ -130,6 +130,9 @@ class R1Mutex:
             raise ConfigurationError(f"{mh_id} is not an R1 member")
         self._wants[mh_id] = True
 
+    #: the name every algorithm takes a request under.
+    request = want
+
     def node(self, mh_id: str) -> RingNode:
         """The ring node at ``mh_id`` (for tests)."""
         return self._nodes[mh_id]

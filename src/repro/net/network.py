@@ -429,14 +429,11 @@ class Network:
                 return
             extra_delay = decision.extra_delay
             duplicates = decision.duplicates
-            if self._trace_on and duplicates:
-                self._trace.emit(
-                    "fault.duplicate",
-                    scope=message.scope,
-                    src=message.src,
-                    dst=message.dst,
-                    kind=message.kind,
-                    parent=message.trace_id,
+            if duplicates:
+                self.fault(
+                    "fixed.duplicated", "fault.duplicate",
+                    scope=message.scope, src=message.src, dst=message.dst,
+                    kind=message.kind, parent=message.trace_id,
                     copies=duplicates,
                 )
         latency = self._fixed_const

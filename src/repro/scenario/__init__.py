@@ -33,7 +33,6 @@ from repro.scenario.runner import ScenarioResult, certify, run_scenario
 from repro.scenario.spec import (
     EVENT_KINDS,
     MOBILITY_KINDS,
-    MUTEX_ALGORITHMS,
     SCHEMA_VERSION,
     WORKLOAD_KINDS,
     ScenarioSpec,
@@ -42,7 +41,6 @@ from repro.scenario.spec import (
 __all__ = [
     "EVENT_KINDS",
     "MOBILITY_KINDS",
-    "MUTEX_ALGORITHMS",
     "SCHEMA_VERSION",
     "WORKLOAD_KINDS",
     "ScenarioRegistry",

@@ -13,16 +13,15 @@ Part of the declarative chaos-scenario platform (ROADMAP chaos arc).
 from __future__ import annotations
 
 import json
-import math
 import os
 from typing import Any, Dict, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_number
 from repro.faults import FaultPlan
+from repro.mutex import ALGORITHMS, BASELINES
 from repro.scenario.spec import (
     EVENT_KINDS,
     MOBILITY_KINDS,
-    MUTEX_ALGORITHMS,
     WORKLOAD_KINDS,
     ScenarioSpec,
 )
@@ -62,12 +61,12 @@ class _Check:
 
     def number(self, where: str, value, minimum=None,
                maximum=None, allow_none: bool = False):
-        if value is None and allow_none:
+        try:
+            require_number(where, value, allow_none)
+        except ConfigurationError as exc:
+            self.fail(str(exc))
+        if value is None:
             return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.fail(f"{where} must be a number, got {value!r}")
-        if not math.isfinite(value):
-            self.fail(f"{where} must be finite, got {value}")
         if minimum is not None and value < minimum:
             self.fail(f"{where} must be >= {minimum}, got {value}")
         if maximum is not None and value > maximum:
@@ -119,9 +118,9 @@ def _validate_workload(check: _Check, data: Dict[str, Any]) -> Dict:
             "token_timeout", "max_traversals", "malicious_mhs",
         })
         algorithm = workload.setdefault("algorithm", "L2")
-        check.choice("workload.algorithm", algorithm, MUTEX_ALGORITHMS)
+        check.choice("workload.algorithm", algorithm, ALGORITHMS)
         rate = workload.get("request_rate")
-        if algorithm in ("L1", "R1"):
+        if algorithm in BASELINES:
             if rate is not None:
                 check.fail(
                     f"workload.request_rate is not supported for "

@@ -9,10 +9,12 @@ a :class:`ScenarioResult`.  :func:`certify` repeats a scenario across
 several seeds -- a scenario is *certified* when every seed finishes
 with zero invariant violations and every expectation met.
 
-The run discipline mirrors the CLI: drive traffic until ``duration``,
-stop the drivers, grant up to ``settle`` extra sim-time for in-flight
-mutex requests to complete, stop any token ring, then settle the
-remaining events.
+A run drives traffic until ``duration``, stops the drivers and then
+settles.  ``repro mutex`` runs the same code: the traffic is a
+:mod:`repro.workload` driver, a mutex workload is built by
+:func:`repro.mutex.build` and settled by :func:`repro.mutex.settle`,
+which grants in-flight requests up to ``settle`` extra sim-time, then
+stops any token ring (or drains); other workloads drain.
 Certifies the paper's invariants under churn (ROADMAP chaos arc).
 """
 
@@ -21,7 +23,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Dict, List, Optional
 
 from repro.facade import Simulation
@@ -36,12 +37,15 @@ from repro.mobility import (
     UniformMobility,
 )
 from repro.monitor import HealthMonitor, LivenessMonitor, safety_monitors
-from repro.mutex import CriticalResource, L1Mutex, L2Mutex, R1Mutex, R2Mutex
-from repro.mutex.r2 import R2Variant
+from repro.mutex import BASELINES, CriticalResource, build, settle
 from repro.scenario.report import build_report
 from repro.scenario.spec import ScenarioSpec
-from repro.sim import PoissonProcess
-from repro.workload import GroupMessagingWorkload, MutexWorkload
+from repro.workload import (
+    GroupMessagingWorkload,
+    LetterWorkload,
+    MulticastWorkload,
+    MutexWorkload,
+)
 
 __all__ = ["ScenarioResult", "run_scenario", "certify", "scenario_monitors"]
 
@@ -49,12 +53,6 @@ _GROUP_CLASSES = {
     "pure_search": PureSearchGroup,
     "always_inform": AlwaysInformGroup,
     "location_view": LocationViewGroup,
-}
-
-_R2_VARIANTS = {
-    "R2": R2Variant.PLAIN,
-    "R2'": R2Variant.COUNTER,
-    "R2''": R2Variant.TOKEN_LIST,
 }
 
 
@@ -116,12 +114,10 @@ class _Run:
         self.event_rng = random.Random(f"scenario:{spec.name}:{seed}")
         self.mutex = None
         self.resource: Optional[CriticalResource] = None
-        self.workload = None        # MutexWorkload / GroupMessagingWorkload
-        self.traffic = None         # PoissonProcess (proxy / multicast)
+        self.workload = None        # the repro.workload driver
         self.group = None
         self.messenger = None
         self.feed = None
-        self.sent = 0
         self.mobility = None
         self.disconnects = None
         self.participants = list(self.sim.mh_ids)
@@ -153,30 +149,15 @@ class _Run:
         if kind == "mutex":
             self.resource = CriticalResource(sim.scheduler)
             algorithm = workload["algorithm"]
-            if algorithm == "L1":
-                self.mutex = L1Mutex(sim.network, sim.mh_ids,
-                                     self.resource,
-                                     cs_duration=workload["cs_duration"])
-            elif algorithm == "L2":
-                self.mutex = L2Mutex(sim.network, self.resource,
-                                     cs_duration=workload["cs_duration"])
-            elif algorithm == "R1":
-                self.mutex = R1Mutex(sim.network, sim.mh_ids,
-                                     self.resource,
-                                     cs_duration=workload["cs_duration"])
-            else:
-                self.mutex = R2Mutex(
-                    sim.network,
-                    self.resource,
-                    variant=_R2_VARIANTS[algorithm],
-                    cs_duration=workload["cs_duration"],
-                    token_timeout=workload["token_timeout"],
-                    max_traversals=workload.get("max_traversals"),
-                )
-                for index in workload["malicious_mhs"]:
-                    self.mutex.malicious_mhs.add(f"mh-{index}")
-                self.mutex.start()
-            if algorithm not in ("L1", "R1"):
+            self.mutex = build(
+                algorithm, sim.network, sim.mh_ids, self.resource,
+                workload["cs_duration"],
+                token_timeout=workload["token_timeout"],
+                max_traversals=workload.get("max_traversals"),
+            )
+            for index in workload["malicious_mhs"]:
+                self.mutex.malicious_mhs.add(f"mh-{index}")
+            if algorithm not in BASELINES:
                 self.workload = MutexWorkload(
                     sim.network, self.mutex, sim.mh_ids,
                     workload["request_rate"],
@@ -199,11 +180,9 @@ class _Run:
             self.participants = members
             self.feed = ExactlyOnceMulticast(sim.network, members,
                                              gc=workload["gc"])
-            self.traffic = PoissonProcess(
-                sim.scheduler, workload["message_rate"],
-                partial(self._send_multicast,
-                        random.Random(self.seed + 7), members),
-                rng=random.Random(self.seed + 8),
+            self.workload = MulticastWorkload(
+                sim.network, self.feed, workload["message_rate"],
+                random.Random(self.seed + 7), random.Random(self.seed + 8),
             )
         elif kind == "proxy":
             from repro.proxy import (
@@ -221,27 +200,11 @@ class _Run:
             }[workload["policy"]]()
             manager = ProxyManager(sim.network, policy, sim.mh_ids)
             self.messenger = ProxiedMessenger(manager)
-            self.traffic = PoissonProcess(
-                sim.scheduler, workload["message_rate"],
-                partial(self._send_letter, random.Random(self.seed + 7)),
-                rng=random.Random(self.seed + 8),
+            self.workload = LetterWorkload(
+                sim.network, self.messenger, sim.mh_ids,
+                workload["message_rate"],
+                random.Random(self.seed + 7), random.Random(self.seed + 8),
             )
-
-    # Traffic actions are partials of methods, not closures, so a
-    # deep-copied (forked) run drives its own copy of the system.
-
-    def _send_multicast(self, rng: random.Random,
-                        members: List[str]) -> None:
-        sender = rng.choice(members)
-        if self.sim.network.mobile_host(sender).is_connected:
-            self.sent += 1
-            self.feed.send(sender, ("m", self.sent))
-
-    def _send_letter(self, rng: random.Random) -> None:
-        src, dst = rng.sample(self.sim.mh_ids, 2)
-        if self.sim.network.mobile_host(src).is_connected:
-            self.sent += 1
-            self.messenger.send(src, dst, ("letter", self.sent))
 
     def wire_churn(self) -> None:
         spec = self.spec
@@ -358,21 +321,13 @@ class _Run:
         mh_id = f"mh-{event['mh']}"
         if self.workload is not None:
             self.workload.request_now(mh_id)
-            return
-        if not self.sim.network.mobile_host(mh_id).is_connected:
-            return
-        if isinstance(self.mutex, R1Mutex):
-            self.mutex.want(mh_id)
-        elif self.mutex is not None:
+        elif self.sim.network.mobile_host(mh_id).is_connected:
             self.mutex.request(mh_id)
 
     def _event_set_rate(self, event: Dict[str, Any]) -> None:
         rate = event.get("workload_rate")
-        if rate is not None:
-            if self.workload is not None:
-                self.workload.set_rate(rate)
-            elif self.traffic is not None:
-                self.traffic.set_rate(rate)
+        if rate is not None and self.workload is not None:
+            self.workload.set_rate(rate)
         rate = event.get("mobility_rate")
         if rate is not None and self.mobility is not None:
             self.mobility.set_rate(rate)
@@ -380,45 +335,22 @@ class _Run:
     # -- execution ------------------------------------------------------
 
     def execute(self) -> int:
-        spec = self.spec
         sim = self.sim
-        workload_kind = spec.workload["kind"]
-        algorithm = spec.workload.get("algorithm")
-        if workload_kind == "mutex" and algorithm == "R1":
-            # R1's ring only circulates once started; wants arrive via
-            # scheduled 'request' events.
-            self.mutex.start()
-
-        events = sim.run(until=spec.duration)
-        for driver in (self.workload, self.traffic, self.mobility,
-                       self.disconnects):
+        events = sim.run(until=self.spec.duration)
+        for driver in (self.workload, self.mobility, self.disconnects):
             if driver is not None:
                 driver.stop()
-
-        if workload_kind == "mutex":
-            deadline = sim.now + spec.settle
-            if self.workload is not None:
-                workload = self.workload
-                while (workload.completed + workload.aborted
-                       < workload.issued and sim.now < deadline):
-                    events += sim.run(
-                        until=min(sim.now + 50.0, deadline)
-                    )
-            if algorithm in ("R1", "R2", "R2'", "R2''"):
-                # Stop the token at the ring head, else it circulates
-                # forever (cf. the CLI's ring-stop discipline).
-                self.mutex.max_traversals = 0
-                events += sim.run(until=sim.now + 200.0)
-            else:
-                events += sim.drain()
-        else:
-            events += sim.drain()
-        return events
+        if self.mutex is None:
+            return events + sim.drain()
+        return events + settle(sim, self.mutex, self.workload,
+                               deadline=sim.now + self.spec.settle,
+                               horizon=200.0)
 
     # -- expectations ---------------------------------------------------
 
     def evaluate(self) -> List[str]:
         expect = self.spec.expect
+        workload = self.workload
         failures: List[str] = []
 
         def check(label: str, actual, minimum) -> None:
@@ -428,37 +360,32 @@ class _Run:
                 )
 
         if "min_completed" in expect:
-            completed = (self.workload.completed
-                         if self.workload is not None else 0)
-            check("completed requests", completed,
+            check("completed requests", getattr(workload, "completed", 0),
                   expect["min_completed"])
         if expect.get("all_requests_served"):
-            if self.workload is None:
+            if not hasattr(workload, "issued"):
                 failures.append(
                     "all_requests_served: no request workload ran"
                 )
-            elif self.workload.completed < self.workload.issued:
+            elif workload.completed < workload.issued:
                 failures.append(
                     f"all_requests_served: "
-                    f"{self.workload.completed} of "
-                    f"{self.workload.issued} requests completed"
+                    f"{workload.completed} of "
+                    f"{workload.issued} requests completed"
                 )
         if "min_accesses" in expect:
             accesses = (self.resource.access_count
                         if self.resource is not None else 0)
             check("region accesses", accesses, expect["min_accesses"])
         if "min_sent" in expect:
-            sent = self.sent
-            if self.workload is not None:
-                sent = getattr(self.workload, "sent",
-                               getattr(self.workload, "issued", 0))
-            check("messages sent", sent, expect["min_sent"])
+            check("messages sent",
+                  getattr(workload, "sent", getattr(workload, "issued", 0)),
+                  expect["min_sent"])
         if "min_deliveries" in expect:
             check("deliveries", self._deliveries(),
                   expect["min_deliveries"])
         if "max_gave_up" in expect:
-            dropped = (self.workload.dropped
-                       if self.workload is not None else 0)
+            dropped = getattr(workload, "dropped", 0)
             if dropped > expect["max_gave_up"]:
                 failures.append(
                     f"dropped arrivals: expected <= "
@@ -500,8 +427,6 @@ class _Run:
                 value = getattr(self.workload, attr, None)
                 if value is not None:
                     stats[attr] = value
-        if self.traffic is not None:
-            stats["sent"] = self.sent
         if self.resource is not None:
             stats["accesses"] = self.resource.access_count
         if self.group is not None:

@@ -46,9 +46,6 @@ EVENT_KINDS = (
     "set_rate",         # diurnal curves: change workload/mobility rates
 )
 
-#: mutex algorithms a scenario workload may name.
-MUTEX_ALGORITHMS = ("L1", "L2", "R1", "R2", "R2'", "R2''")
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:

@@ -109,7 +109,35 @@ class MutexWorkload:
         self.mutex.request(mh_id)
 
 
-class GroupMessagingWorkload:
+class _Traffic:
+    """One Poisson stream of messages, sent by a subclass's
+    ``_try_send``: the message drivers' shared part.
+
+    ``sender_rng`` draws each message's sender, ``arrival_rng`` times
+    the arrivals, and ``sent`` counts the messages actually sent (an
+    arrival whose sender is detached sends nothing).
+    """
+
+    def __init__(self, network: "Network", rate: float,
+                 sender_rng: random.Random,
+                 arrival_rng: random.Random) -> None:
+        self.network = network
+        self.rng = sender_rng
+        self.sent = 0
+        self._process = PoissonProcess(
+            network.scheduler, rate, self._try_send, rng=arrival_rng,
+        )
+
+    def stop(self) -> None:
+        """Stop sending new messages."""
+        self._process.stop()
+
+    def set_rate(self, rate: float) -> None:
+        """Change the message rate (diurnal load curves)."""
+        self._process.set_rate(rate)
+
+
+class GroupMessagingWorkload(_Traffic):
     """Poisson group-message traffic from random members.
 
     Args:
@@ -131,25 +159,10 @@ class GroupMessagingWorkload:
     ) -> None:
         if message_rate <= 0:
             raise ConfigurationError("message_rate must be positive")
-        self.network = network
         self.group = group
-        self.rng = rng
-        self.sent = 0
         self.dropped = 0
-        self._process = PoissonProcess(
-            network.scheduler,
-            message_rate,
-            self._try_send,
-            rng=random.Random(rng.getrandbits(64)),
-        )
-
-    def stop(self) -> None:
-        """Stop sending new group messages."""
-        self._process.stop()
-
-    def set_rate(self, message_rate: float) -> None:
-        """Change the group message rate (diurnal load curves)."""
-        self._process.set_rate(message_rate)
+        super().__init__(network, message_rate, rng,
+                         random.Random(rng.getrandbits(64)))
 
     def _try_send(self) -> None:
         sender = self.rng.choice(self.group.members)
@@ -159,3 +172,41 @@ class GroupMessagingWorkload:
             return
         self.sent += 1
         self.group.send(sender, ("msg", self.sent))
+
+
+class MulticastWorkload(_Traffic):
+    """Poisson multicasts, each from a uniformly drawn member of
+    ``feed`` (an :class:`~repro.multicast.ExactlyOnceMulticast`), at
+    ``message_rate`` per time unit for the whole group."""
+
+    def __init__(self, network: "Network", feed, message_rate: float,
+                 sender_rng: random.Random,
+                 arrival_rng: random.Random) -> None:
+        self.feed = feed
+        super().__init__(network, message_rate, sender_rng, arrival_rng)
+
+    def _try_send(self) -> None:
+        sender = self.rng.choice(self.feed.members)
+        if self.network.mobile_host(sender).is_connected:
+            self.sent += 1
+            self.feed.send(sender, ("m", self.sent))
+
+
+class LetterWorkload(_Traffic):
+    """Poisson MH-to-MH letters through ``messenger`` (a
+    :class:`~repro.proxy.ProxiedMessenger`), at ``message_rate`` per
+    time unit; the sender rng draws a distinct sender and addressee
+    from ``mh_ids``."""
+
+    def __init__(self, network: "Network", messenger, mh_ids: List[str],
+                 message_rate: float, sender_rng: random.Random,
+                 arrival_rng: random.Random) -> None:
+        self.messenger = messenger
+        self.mh_ids = list(mh_ids)
+        super().__init__(network, message_rate, sender_rng, arrival_rng)
+
+    def _try_send(self) -> None:
+        src, dst = self.rng.sample(self.mh_ids, 2)
+        if self.network.mobile_host(src).is_connected:
+            self.sent += 1
+            self.messenger.send(src, dst, ("letter", self.sent))

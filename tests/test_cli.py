@@ -85,6 +85,36 @@ class TestMutexCommand:
         ])
         assert run() == run()
 
+    def test_requests_line_counts_aborted_requests(self):
+        # Two MHs crash with requests pending at their stations: one
+        # request ends unserved, and the line now says so.
+        code, out = run_cli([
+            "mutex", "--algorithm", "L2", "--duration", "300",
+            "--seed", "7", "--fault-plan",
+            '{"mh_crashes": [{"mh_id": "mh-1", "at": 20.0, '
+            '"recover_at": 60.0}, {"mh_id": "mh-3", "at": 35.0, '
+            '"recover_at": 90.0}], "seed": 7}',
+        ])
+        assert code == 0
+        assert ("requests       : issued=114 completed=113 aborted=1 "
+                "dropped=59") in out.splitlines()
+
+    def test_search_offers_every_protocol_of_the_facade(self, capsys):
+        from repro.facade import _SEARCH_FACTORIES
+
+        for command in ("mutex", "groups", "proxy", "multicast",
+                        "compare"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--search", "nope"])
+            err = capsys.readouterr().err
+            offered = re.search(r"\(choose from ([^)]*)\)", err).group(1)
+            assert sorted(re.findall(r"[\w-]+", offered)) == sorted(
+                _SEARCH_FACTORIES)
+        code, out = run_cli(["mutex", "--search", "regional",
+                             "--duration", "100"])
+        assert code == 0
+        assert "safety         : verified" in out
+
 
 class TestGroupsCommand:
     @pytest.mark.parametrize("strategy", [

@@ -11,7 +11,8 @@ writes the fault down twice, and the two records can drift apart.
   carried as a ``FaultDecision`` reason) is listed in docs/metrics.md.
 * In traced chaos runs, each name recorded through ``Network.fault``
   has ``fault_total(name)`` equal to the number of kept trace events
-  that its calls returned.
+  that its calls returned; a duplicated fixed transmission is one of
+  them, and ``repro mutex`` charts it.
 """
 
 from __future__ import annotations
@@ -255,3 +256,23 @@ def test_reliable_loss_with_recovery_keeps_one_event_per_count(
             "recovery.meta_forwarded", "recovery.restored",
             "r2.token_regenerated"} <= names
     assert_one_event_per_count(sim, fault_calls)
+
+
+def test_a_duplicated_transmission_is_counted_and_charted():
+    result = run_scenario(builtin_registry().get("dup_delay_jitter"),
+                          seed=7, trace=True)
+    kept = [event for event in result.sim.tracer.events
+            if event.etype == "fault.duplicate"]
+    assert kept
+    assert result.sim.metrics.fault_total("fixed.duplicated") == len(kept)
+
+    from repro.cli import main
+
+    lines = []
+    assert main(["mutex", "--algorithm", "R2", "--fault-plan",
+                 '{"link_faults": [{"drop": 0.1, "duplicate": 0.05}], '
+                 '"reliable": true, "seed": 7}'],
+                emit=lines.append) == 0
+    chart = lines[lines.index("fault events:") + 1:]
+    bars = {line.split()[0]: int(line.split()[-1]) for line in chart}
+    assert bars.get("fixed.duplicated", 0) > 0

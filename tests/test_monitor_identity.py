@@ -11,7 +11,9 @@ event, consumes randomness, or perturbs a message, these tests break.
 
 The digest hashes the full metrics surface (per-category counts,
 per-host energy, fault counters, recovery times), so "identical" here
-means the paper-facing numbers, not just the event count.
+means the paper-facing numbers, not just the event count.  A fault
+counter added after the recording (:data:`LATER_FAULTS`) is left out
+of the digest and the fault total, and pinned on its own.
 """
 
 from __future__ import annotations
@@ -37,6 +39,12 @@ CHAOS_GOLDEN = {
     "digest": "d5c52347083b3295936abca0d9e3f517"
               "eb3df09694bb845944b74c998384d40e",
 }
+#: fault counters added after the recording (``fixed.duplicated``: one
+#: per duplicated fixed transmission), and their counts in the chaos
+#: workload; the group workload has none.
+LATER_FAULTS = ("fixed.duplicated",)
+CHAOS_LATER_FAULTS = {"fixed.duplicated": 5}
+
 GROUP_GOLDEN = {
     "events_processed": 36,
     "final_now": 13.5,
@@ -66,7 +74,8 @@ def metrics_digest(sim) -> str:
             "counts": counts,
             "energy_tx": sorted(snap.energy_tx.items()),
             "energy_rx": sorted(snap.energy_rx.items()),
-            "faults": sorted(snap.faults.items()),
+            "faults": sorted(item for item in snap.faults.items()
+                             if item[0] not in LATER_FAULTS),
             "recovery_times": list(snap.recovery_times),
         },
         sort_keys=True,
@@ -123,21 +132,25 @@ def group_workload(**sim_kwargs):
     return sim, resource, events
 
 
-def check_golden(golden, sim, resource, events):
+def check_golden(golden, sim, resource, events, later_faults=None):
     snap = sim.metrics.snapshot()
     assert events == golden["events_processed"]
     assert sim.now == golden["final_now"]
     assert resource.access_count == golden["access_count"]
     assert snap.energy() == golden["energy_total"]
+    later = {name: snap.fault_total(name) for name in LATER_FAULTS
+             if snap.fault_total(name)}
     if "fault_total" in golden:
-        assert snap.fault_total() == golden["fault_total"]
+        assert (snap.fault_total() - sum(later.values())
+                == golden["fault_total"])
+    assert later == (later_faults or {})
     assert metrics_digest(sim) == golden["digest"]
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_chaos_workload_matches_golden_in_every_mode(mode):
     sim, resource, events = chaos_workload(**mode)
-    check_golden(CHAOS_GOLDEN, sim, resource, events)
+    check_golden(CHAOS_GOLDEN, sim, resource, events, CHAOS_LATER_FAULTS)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -12,7 +12,9 @@ seed 7, digested at the last commit that still had pools (PR 17,
 ``46ab2e2``).
 
 If an engine change ever moves a simulated step, a digest here moves
-and the test names the first scenario that diverged.  A change that
+and the test names the first scenario that diverged.  A fault counter
+added after the recording (:data:`LATER_FAULTS`) is left out of the
+digest and pinned on its own.  A change that
 *means* to alter behaviour re-records the table and says so.  The
 canonical trace scenarios' event streams are pinned byte for byte by
 ``tests/test_walkthroughs.py``.
@@ -101,13 +103,28 @@ PACK_DIGESTS_SEED_7 = {
         "be6cf5b1ad70811909c7586360c67206",
 }
 
+#: fault counters added after the recording (``fixed.duplicated``: one
+#: per duplicated fixed transmission), and their seed-7 counts in the
+#: scenarios that report them.
+LATER_FAULTS = ("fixed.duplicated",)
+LATER_FAULTS_SEED_7 = {
+    "dup_delay_jitter": {"fixed.duplicated": 25},
+    "kitchen_sink": {"fixed.duplicated": 20},
+    "lossy_ring": {"fixed.duplicated": 6},
+}
+
 
 def _report_digest(spec, seed):
+    """The report's digest without the :data:`LATER_FAULTS`, and those
+    counts."""
     report = dict(run_scenario(spec, seed=seed).report)
     report.pop("wall_time_s")  # the only nondeterministic field
+    faults = report["faults"] = dict(report["faults"])
+    later = {name: faults.pop(name) for name in LATER_FAULTS
+             if name in faults}
     return hashlib.sha256(
         json.dumps(report, sort_keys=True, default=repr).encode()
-    ).hexdigest()
+    ).hexdigest(), later
 
 
 def test_chaos_pack_reports_match_the_recorded_digests():
@@ -119,7 +136,8 @@ def test_chaos_pack_reports_match_the_recorded_digests():
     diverged = next(
         (name for name in names
          if _report_digest(registry.get(name), 7)
-         != PACK_DIGESTS_SEED_7[name]),
+         != (PACK_DIGESTS_SEED_7[name],
+             LATER_FAULTS_SEED_7.get(name, {}))),
         None,
     )
     assert diverged is None, f"{diverged!r} diverged from its recording"
