@@ -15,14 +15,8 @@ from __future__ import annotations
 import random
 
 from repro.mobility import UniformMobility
-from repro.proxy import (
-    AdaptiveProxyPolicy,
-    FixedProxyPolicy,
-    LocalProxyPolicy,
-    ProxiedMessenger,
-    ProxyManager,
-)
-from repro.workload import LetterWorkload
+from repro.proxy import ProxiedMessenger, ProxyManager
+from repro.workload import LetterWorkload, proxy_policy
 
 from conftest import COSTS, make_sim, print_table
 
@@ -34,11 +28,7 @@ DURATION = 1500.0
 
 def run(policy_name: str, move_rate: float, seed: int = 5):
     sim = make_sim(n_mss=N_MSS, n_mh=N_MH, seed=seed)
-    policy = {
-        "fixed": FixedProxyPolicy,
-        "local": LocalProxyPolicy,
-        "adaptive": AdaptiveProxyPolicy,
-    }[policy_name]()
+    policy = proxy_policy(policy_name)()
     manager = ProxyManager(sim.network, policy, sim.mh_ids)
     messenger = ProxiedMessenger(manager)
     traffic = LetterWorkload(sim.network, messenger, sim.mh_ids, MSG_RATE,

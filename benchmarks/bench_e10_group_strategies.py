@@ -19,13 +19,12 @@ import random
 
 from repro import Category
 from repro.analysis import comparisons
-from repro.groups import (
-    AlwaysInformGroup,
-    LocationViewGroup,
-    PureSearchGroup,
-)
 from repro.mobility import LocalizedMobility
-from repro.workload import GroupMessagingWorkload
+from repro.workload import (
+    GROUP_STRATEGIES,
+    GroupMessagingWorkload,
+    group_strategy,
+)
 
 from conftest import COSTS, make_sim, print_table
 
@@ -73,15 +72,11 @@ def run_strategy(strategy_class, move_rate: float, seed: int = 3):
 
 
 def test_e10_three_strategy_series(benchmark):
-    strategies = {
-        "pure_search": PureSearchGroup,
-        "always_inform": AlwaysInformGroup,
-        "location_view": LocationViewGroup,
-    }
     move_rates = (0.0, 0.01, 0.05)
     results = {}
     for rate in move_rates:
-        for name, cls in strategies.items():
+        for name in GROUP_STRATEGIES:
+            cls = group_strategy(name)
             if rate == move_rates[-1] and name == "location_view":
                 results[(rate, name)] = benchmark(
                     run_strategy, cls, rate
@@ -94,7 +89,7 @@ def test_e10_three_strategy_series(benchmark):
         row = [f"{rate:g}"]
         ratio = results[(rate, "pure_search")]["ratio"]
         row.append(ratio)
-        for name in strategies:
+        for name in GROUP_STRATEGIES:
             row.append(results[(rate, name)]["eff"])
         rows.append(tuple(row))
     print_table(

@@ -18,14 +18,8 @@ import random
 
 from repro import Simulation
 from repro.mobility import UniformMobility
-from repro.proxy import (
-    AdaptiveProxyPolicy,
-    FixedProxyPolicy,
-    LocalProxyPolicy,
-    ProxiedMessenger,
-    ProxyManager,
-)
-from repro.workload import LetterWorkload
+from repro.proxy import ProxiedMessenger, ProxyManager
+from repro.workload import LetterWorkload, proxy_policy
 
 N_MSS = 10
 N_MH = 10
@@ -35,11 +29,7 @@ MSG_RATE = 0.05  # letters per time unit, fleet-wide
 
 def run(policy_name: str, move_rate: float, seed: int = 3) -> float:
     sim = Simulation(n_mss=N_MSS, n_mh=N_MH, seed=seed)
-    policy = {
-        "fixed": FixedProxyPolicy,
-        "local": LocalProxyPolicy,
-        "adaptive": AdaptiveProxyPolicy,
-    }[policy_name]()
+    policy = proxy_policy(policy_name)()
     manager = ProxyManager(sim.network, policy, sim.mh_ids)
     messenger = ProxiedMessenger(manager)
     traffic = LetterWorkload(sim.network, messenger, sim.mh_ids, MSG_RATE,

@@ -12,6 +12,7 @@ from typing import Dict
 
 from repro.analysis import formulas
 from repro.metrics import CostModel
+from repro.workload import GROUP_STRATEGIES
 
 
 @dataclass(frozen=True)
@@ -88,16 +89,15 @@ def group_strategy_costs(
     mob_to_msg_ratio: float,
     c: CostModel,
 ) -> Dict[str, float]:
-    """Effective per-message cost of the three location strategies."""
-    return {
-        "pure_search": formulas.pure_search_message_cost(g, c),
-        "always_inform": formulas.always_inform_effective_cost(
-            g, mob_to_msg_ratio, c
-        ),
-        "location_view": formulas.location_view_effective_cost_bound(
+    """Effective per-message cost of the three location strategies,
+    keyed by their names in :data:`repro.workload.GROUP_STRATEGIES`."""
+    return dict(zip(GROUP_STRATEGIES, (
+        formulas.pure_search_message_cost(g, c),
+        formulas.always_inform_effective_cost(g, mob_to_msg_ratio, c),
+        formulas.location_view_effective_cost_bound(
             lv_max, g, f, mob_to_msg_ratio, c
         ),
-    }
+    )))
 
 
 def always_inform_vs_pure_search_ratio(c: CostModel) -> float:

@@ -27,31 +27,19 @@ import sys
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.mutex import ALGORITHMS as _MUTEX_ALGORITHMS
+from repro.workload import GROUP_STRATEGIES, PROXY_POLICIES, build
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.facade import Simulation
 
-# Only the parser, its constants and the helpers the handlers share
-# live here.  Each subcommand's handler is its own module under
-# :mod:`repro.commands` and imports the layers it runs, so
-# ``repro mutex`` compiles no other handler and never loads the proxy
-# framework, and ``repro --help`` loads no layer (:mod:`repro.mutex`
-# holds the ``--algorithm`` table and loads its algorithms on first
-# access).
-
-#: ``--strategy`` choice -> class name in :mod:`repro.groups`.
-GROUP_STRATEGIES = {
-    "pure_search": "PureSearchGroup",
-    "always_inform": "AlwaysInformGroup",
-    "location_view": "LocationViewGroup",
-}
-
-#: ``--policy`` choice -> class name in :mod:`repro.proxy`.
-PROXY_POLICIES = {
-    "fixed": "FixedProxyPolicy",
-    "local": "LocalProxyPolicy",
-    "adaptive": "AdaptiveProxyPolicy",
-}
+# Only the parser and the helpers the handlers share live here.  Each
+# subcommand's handler is its own module under :mod:`repro.commands`
+# and imports the layers it runs, so ``repro mutex`` compiles no other
+# handler and never loads the proxy framework.  The choices come from
+# the packages that resolve them: :mod:`repro.mutex` loads its
+# algorithms on first access, and :mod:`repro.workload` (the drivers
+# every run subcommand loads) names the group strategies and proxy
+# policies without loading them.
 
 #: exit status after a closed stdout: 128 + SIGPIPE, what a shell
 #: reports for a process the signal killed.
@@ -363,14 +351,13 @@ def _build_sim(args) -> Simulation:
     )
 
 
-def _maybe_mobility(sim: Simulation, args, mh_ids) -> Optional[object]:
-    if args.move_rate <= 0:
-        return None
-    from repro.mobility import UniformMobility
-
-    return UniformMobility(
-        sim.network, mh_ids, args.move_rate, rng=_rng(args.seed + 101),
-    )
+def _wire(sim: Simulation, args, workload: dict):
+    """Wire ``workload`` (a scenario spec's workload keys) into ``sim``
+    through :func:`repro.workload.build`, seeded by ``--seed`` and with
+    uniform mobility at ``--move-rate``."""
+    mobility = ({"kind": "uniform", "rate": args.move_rate}
+                if args.move_rate > 0 else None)
+    return build(sim, workload, args.seed, mobility)
 
 
 def _print_report(sim: Simulation, emit) -> None:

@@ -4,26 +4,22 @@ Multicasts a Poisson stream to a group and checks that every member
 delivers every message once, in total order.
 """
 
-from repro.cli import _build_sim, _maybe_mobility, _print_report, _rng
-from repro.multicast import ExactlyOnceMulticast
-from repro.workload import MulticastWorkload
+from repro.cli import _build_sim, _print_report, _wire
+from repro.workload import finish
 
 
 def run(args, emit) -> int:
     if args.group_size > args.n_mh:
         raise SystemExit("--group-size cannot exceed --n-mh")
     sim = _build_sim(args)
-    members = sim.mh_ids[: args.group_size]
-    feed = ExactlyOnceMulticast(sim.network, members, gc=not args.no_gc)
-    traffic = MulticastWorkload(sim.network, feed, args.message_rate,
-                                _rng(args.seed + 7), _rng(args.seed + 8))
-    mobility = _maybe_mobility(sim, args, members)
-    sim.run(until=args.duration)
-    traffic.stop()
-    if mobility is not None:
-        mobility.stop()
-    sim.drain()
+    wired = _wire(sim, args, {
+        "kind": "multicast", "group_size": args.group_size,
+        "message_rate": args.message_rate, "gc": not args.no_gc,
+    })
+    finish(wired, until=args.duration)
 
+    feed = wired.feed
+    members = wired.participants
     total = feed.messages_sent
     exact = all(
         feed.delivered_seqs(member) == list(range(1, total + 1))

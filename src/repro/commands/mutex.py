@@ -3,19 +3,18 @@
 Runs one of L1, L2, R1 or R2/R2'/R2'' under a request workload and
 checks that no two accesses to the critical resource overlap.  Only the
 selected algorithm is imported (:mod:`repro.mutex` loads its names on
-first access).  The algorithm is built and the run settled by
-:func:`repro.mutex.build` and :func:`repro.mutex.settle`, the code a
-scenario's mutex workload runs too.
+first access).  The run is wired by :func:`repro.workload.build` and
+ended by :func:`repro.workload.finish`, the code a scenario's mutex
+workload runs too.
 """
 
-import repro.mutex as mutexes
-from repro.cli import _build_sim, _maybe_mobility, _print_report, _rng
-from repro.workload import MutexWorkload
+from repro.cli import _build_sim, _print_report, _wire
+from repro.mutex import BASELINES
+from repro.workload import finish
 
 
 def run(args, emit) -> int:
     sim = _build_sim(args)
-    resource = mutexes.CriticalResource(sim.scheduler)
     note_access = None
     if sim.recovery is not None:
         # Each completed access is one unit of recoverable work: the
@@ -26,34 +25,23 @@ def run(args, emit) -> int:
         access_counter = CounterClient(sim.recovery)
         note_access = access_counter.note_work
     name = args.algorithm
-    baseline = name in mutexes.BASELINES
+    baseline = name in BASELINES
     if baseline:
         emit(f"note: {name} is a baseline; requests are issued once "
              f"up front (it has no completion-driven workload hook)")
-    mutex = mutexes.build(
-        name, sim.network, sim.mh_ids, resource, args.cs_duration,
-        on_complete=note_access,
-        requests=sim.mh_ids[: max(1, args.n_mh // 3)] if baseline else (),
-    )
-    workload = None
-    if not baseline:
-        workload = MutexWorkload(
-            sim.network, mutex, sim.mh_ids, args.request_rate,
-            rng=_rng(args.seed + 7),
-        )
-    mobility = _maybe_mobility(sim, args, sim.mh_ids)
-
-    sim.run(until=args.duration)
-    if workload is not None:
-        workload.stop()
-    if mobility is not None:
-        mobility.stop()
+    wired = _wire(sim, args, {
+        "kind": "mutex", "algorithm": name,
+        "request_rate": args.request_rate, "cs_duration": args.cs_duration,
+        "on_complete": note_access,
+        "requests": sim.mh_ids[: max(1, args.n_mh // 3)] if baseline else (),
+    })
     # R1's token crosses the wireless hops of N MHs on its way to the
     # ring head, so its ring gets longer to stop than R2's.
-    mutexes.settle(sim, mutex, workload,
-                   deadline=sim.now + 20 * args.duration,
-                   horizon=10 * args.duration if name == "R1" else 200.0)
+    finish(wired, until=args.duration, settle=20 * args.duration,
+           horizon=10 * args.duration if name == "R1" else 200.0)
 
+    resource = wired.resource
+    workload = wired.driver
     emit(f"algorithm      : {name}")
     emit(f"region accesses: {resource.access_count}")
     if workload is not None:

@@ -4,32 +4,21 @@ Sends MH-to-MH letters through a proxy policy and reports deliveries,
 informs, mode switches and the effective cost per letter.
 """
 
-import repro.proxy as proxy
-from repro.cli import (
-    PROXY_POLICIES,
-    _build_sim,
-    _maybe_mobility,
-    _print_report,
-    _rng,
-)
-from repro.workload import LetterWorkload
+from repro.cli import _build_sim, _print_report, _wire
+from repro.workload import finish
 
 
 def run(args, emit) -> int:
     sim = _build_sim(args)
-    policy = getattr(proxy, PROXY_POLICIES[args.policy])()
-    manager = proxy.ProxyManager(sim.network, policy, sim.mh_ids)
-    messenger = proxy.ProxiedMessenger(manager)
-    traffic = LetterWorkload(sim.network, messenger, sim.mh_ids,
-                             args.message_rate, _rng(args.seed + 7),
-                             _rng(args.seed + 8))
-    mobility = _maybe_mobility(sim, args, sim.mh_ids)
-    sim.run(until=args.duration)
-    traffic.stop()
-    if mobility is not None:
-        mobility.stop()
-    sim.drain()
+    wired = _wire(sim, args, {
+        "kind": "proxy", "policy": args.policy,
+        "message_rate": args.message_rate,
+    })
+    finish(wired, until=args.duration)
 
+    policy = wired.policy
+    messenger = wired.messenger
+    traffic = wired.driver
     emit(f"policy         : {args.policy}")
     emit(f"letters        : sent={traffic.sent} "
          f"delivered={len(messenger.delivered)} "

@@ -22,9 +22,9 @@ Names load on first access (PEP 562, the pattern :mod:`repro` uses):
 ``from repro.mutex import L2Mutex`` imports :mod:`repro.mutex.l2` and
 the cores it runs on, not the other three algorithms.
 
-:func:`build` makes an algorithm from its name in :data:`ALGORITHMS`
-and :func:`settle` ends its run; ``repro mutex`` and a scenario's mutex
-workload both run through them.
+:func:`build` makes an algorithm from its name in :data:`ALGORITHMS`;
+``repro mutex`` and a scenario's mutex workload both build through it
+(:func:`repro.workload.build`).
 """
 
 from repro import _lazy_exports
@@ -76,24 +76,3 @@ def build(name: str, network, mh_ids, resource, cs_duration: float,
     if hasattr(mutex, "start"):  # R1 and R2: inject the token
         mutex.start()
     return mutex
-
-
-def settle(sim, mutex, workload, deadline: float, horizon: float) -> int:
-    """End a mutex run whose drivers have stopped; returns the events
-    fired.
-
-    ``workload``'s outstanding requests (``completed + aborted <
-    issued``) get until sim-time ``deadline`` to end, in steps of at
-    most 50.  Then a token ring is stopped at its head
-    (``max_traversals = 0``) and runs ``horizon`` more; any other
-    algorithm drains.
-    """
-    events = 0
-    if workload is not None:
-        while (workload.completed + workload.aborted < workload.issued
-               and sim.now < deadline):
-            events += sim.run(until=min(sim.now + 50.0, deadline))
-    if hasattr(mutex, "max_traversals"):
-        mutex.max_traversals = 0
-        return events + sim.run(until=sim.now + horizon)
-    return events + sim.drain()

@@ -17,6 +17,7 @@ import os
 from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError, require_number
+from repro.facade import _SEARCH_FACTORIES
 from repro.faults import FaultPlan
 from repro.mutex import ALGORITHMS, BASELINES
 from repro.scenario.spec import (
@@ -25,6 +26,7 @@ from repro.scenario.spec import (
     WORKLOAD_KINDS,
     ScenarioSpec,
 )
+from repro.workload import GROUP_STRATEGIES, PROXY_POLICIES
 
 __all__ = ["load_spec", "load_file"]
 
@@ -38,9 +40,6 @@ _TOP_LEVEL_KEYS = {
     "schema_version",
 }
 
-_GROUP_STRATEGIES = ("pure_search", "always_inform", "location_view")
-_PROXY_POLICIES = ("fixed", "local", "adaptive")
-_SEARCHES = ("abstract", "broadcast", "home-agent", "caching", "regional")
 _PLACEMENTS = ("round_robin", "single_cell", "random")
 
 _MONITOR_KEYS = {"request_deadline", "token_deadline", "health_interval"}
@@ -155,7 +154,7 @@ def _validate_workload(check: _Check, data: Dict[str, Any]) -> Dict:
         })
         check.choice("workload.strategy",
                      workload.setdefault("strategy", "location_view"),
-                     _GROUP_STRATEGIES)
+                     GROUP_STRATEGIES)
         check.integer("workload.group_size",
                       workload.setdefault("group_size", 6), minimum=2)
         check.number("workload.message_rate",
@@ -177,7 +176,7 @@ def _validate_workload(check: _Check, data: Dict[str, Any]) -> Dict:
         })
         check.choice("workload.policy",
                      workload.setdefault("policy", "adaptive"),
-                     _PROXY_POLICIES)
+                     PROXY_POLICIES)
         check.number("workload.message_rate",
                      workload.setdefault("message_rate", 0.05),
                      minimum=1e-9)
@@ -390,10 +389,13 @@ def load_spec(data: Dict[str, Any]) -> ScenarioSpec:
         check.fail(f"placement must be a name or a list of cell "
                    f"indices, got {placement!r}")
     search = check.choice("search", data.get("search", "abstract"),
-                          _SEARCHES)
+                          _SEARCH_FACTORIES)
 
     workload = _validate_workload(check, data.get("workload",
                                                   {"kind": "none"}))
+    if workload.get("group_size", 0) > n_mh:
+        check.fail(f"workload.group_size {workload['group_size']} "
+                   f"exceeds n_mh={n_mh}")
     mobility = _validate_mobility(check, data.get("mobility"))
     disconnects = _validate_disconnects(check, data.get("disconnects"))
 

@@ -9,12 +9,14 @@ a :class:`ScenarioResult`.  :func:`certify` repeats a scenario across
 several seeds -- a scenario is *certified* when every seed finishes
 with zero invariant violations and every expectation met.
 
-A run drives traffic until ``duration``, stops the drivers and then
-settles.  ``repro mutex`` runs the same code: the traffic is a
-:mod:`repro.workload` driver, a mutex workload is built by
-:func:`repro.mutex.build` and settled by :func:`repro.mutex.settle`,
-which grants in-flight requests up to ``settle`` extra sim-time, then
-stops any token ring (or drains); other workloads drain.
+The workload and its mobility are wired by
+:func:`repro.workload.build` and the run ended by
+:func:`repro.workload.finish`, the code ``repro
+mutex|groups|multicast|proxy`` run too: traffic until ``duration``,
+every driver stopped, then a mutex's in-flight requests get ``settle``
+extra sim-time before any token ring is stopped (or the run drains);
+other workloads drain.  The runner adds the simulation, disconnection
+churn, scheduled events, expectations and the report.
 Certifies the paper's invariants under churn (ROADMAP chaos arc).
 """
 
@@ -26,34 +28,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.facade import Simulation
-from repro.groups import (
-    AlwaysInformGroup,
-    LocationViewGroup,
-    PureSearchGroup,
-)
-from repro.mobility import (
-    DisconnectionModel,
-    LocalizedMobility,
-    UniformMobility,
-)
-from repro.monitor import HealthMonitor, LivenessMonitor, safety_monitors
-from repro.mutex import BASELINES, CriticalResource, build, settle
+from repro.mobility import DisconnectionModel
+from repro.monitor import default_monitors
 from repro.scenario.report import build_report
 from repro.scenario.spec import ScenarioSpec
-from repro.workload import (
-    GroupMessagingWorkload,
-    LetterWorkload,
-    MulticastWorkload,
-    MutexWorkload,
-)
+from repro.workload import WorkloadRun, build, finish
 
 __all__ = ["ScenarioResult", "run_scenario", "certify", "scenario_monitors"]
-
-_GROUP_CLASSES = {
-    "pure_search": PureSearchGroup,
-    "always_inform": AlwaysInformGroup,
-    "location_view": LocationViewGroup,
-}
 
 
 @dataclass
@@ -78,15 +59,11 @@ class ScenarioResult:
 
 def scenario_monitors(spec: ScenarioSpec) -> list:
     """Fresh instances of the monitors that certify a run of ``spec``:
-    every safety monitor, the liveness watchdog, the health sampler."""
-    monitors = spec.monitors
-    return safety_monitors() + [
-        LivenessMonitor(
-            request_deadline=monitors.get("request_deadline", 1000.0),
-            token_deadline=monitors.get("token_deadline", 1000.0),
-        ),
-        HealthMonitor(interval=monitors.get("health_interval", 50.0)),
-    ]
+    :func:`~repro.monitor.default_monitors` at the spec's deadlines and
+    health interval (default 1000, 1000 and 50)."""
+    return default_monitors(**{"request_deadline": 1000.0,
+                               "token_deadline": 1000.0,
+                               "health_interval": 50.0, **spec.monitors})
 
 
 class _Run:
@@ -112,15 +89,9 @@ class _Run:
         # seeded from (scenario name, seed) so one scenario's draws
         # never shift another's.
         self.event_rng = random.Random(f"scenario:{spec.name}:{seed}")
-        self.mutex = None
-        self.resource: Optional[CriticalResource] = None
-        self.workload = None        # the repro.workload driver
-        self.group = None
-        self.messenger = None
-        self.feed = None
-        self.mobility = None
-        self.disconnects = None
-        self.participants = list(self.sim.mh_ids)
+        #: what :func:`repro.workload.build` wired (set by
+        #: :meth:`wire_workload`).
+        self.wired: Optional[WorkloadRun] = None
 
     # -- helpers -------------------------------------------------------
 
@@ -142,103 +113,20 @@ class _Run:
     # -- workload wiring -----------------------------------------------
 
     def wire_workload(self) -> None:
-        spec = self.spec
-        sim = self.sim
-        workload = spec.workload
-        kind = workload["kind"]
-        if kind == "mutex":
-            self.resource = CriticalResource(sim.scheduler)
-            algorithm = workload["algorithm"]
-            self.mutex = build(
-                algorithm, sim.network, sim.mh_ids, self.resource,
-                workload["cs_duration"],
-                token_timeout=workload["token_timeout"],
-                max_traversals=workload.get("max_traversals"),
-            )
-            for index in workload["malicious_mhs"]:
-                self.mutex.malicious_mhs.add(f"mh-{index}")
-            if algorithm not in BASELINES:
-                self.workload = MutexWorkload(
-                    sim.network, self.mutex, sim.mh_ids,
-                    workload["request_rate"],
-                    rng=random.Random(self.seed + 7),
-                )
-        elif kind == "groups":
-            members = sim.mh_ids[: workload["group_size"]]
-            self.participants = members
-            self.group = _GROUP_CLASSES[workload["strategy"]](
-                sim.network, members
-            )
-            self.workload = GroupMessagingWorkload(
-                sim.network, self.group, workload["message_rate"],
-                rng=random.Random(self.seed + 7),
-            )
-        elif kind == "multicast":
-            from repro.multicast import ExactlyOnceMulticast
-
-            members = sim.mh_ids[: workload["group_size"]]
-            self.participants = members
-            self.feed = ExactlyOnceMulticast(sim.network, members,
-                                             gc=workload["gc"])
-            self.workload = MulticastWorkload(
-                sim.network, self.feed, workload["message_rate"],
-                random.Random(self.seed + 7), random.Random(self.seed + 8),
-            )
-        elif kind == "proxy":
-            from repro.proxy import (
-                AdaptiveProxyPolicy,
-                FixedProxyPolicy,
-                LocalProxyPolicy,
-                ProxiedMessenger,
-                ProxyManager,
-            )
-
-            policy = {
-                "fixed": FixedProxyPolicy,
-                "local": LocalProxyPolicy,
-                "adaptive": AdaptiveProxyPolicy,
-            }[workload["policy"]]()
-            manager = ProxyManager(sim.network, policy, sim.mh_ids)
-            self.messenger = ProxiedMessenger(manager)
-            self.workload = LetterWorkload(
-                sim.network, self.messenger, sim.mh_ids,
-                workload["message_rate"],
-                random.Random(self.seed + 7), random.Random(self.seed + 8),
-            )
+        """The workload, its driver and the participants' mobility."""
+        self.wired = build(self.sim, self.spec.workload, self.seed,
+                           self.spec.mobility)
 
     def wire_churn(self) -> None:
-        spec = self.spec
-        sim = self.sim
-        if spec.mobility is not None:
-            kind = spec.mobility["kind"]
-            if kind == "uniform":
-                self.mobility = UniformMobility(
-                    sim.network, self.participants,
-                    spec.mobility["rate"],
-                    rng=random.Random(self.seed + 101),
-                )
-            else:  # localized
-                home = [
-                    f"mss-{i}"
-                    for i in range(min(spec.mobility["home_cells"],
-                                       spec.n_mss))
-                ]
-                self.mobility = LocalizedMobility(
-                    sim.network, self.participants,
-                    spec.mobility["rate"],
-                    rng=random.Random(self.seed + 101),
-                    home_cells=home,
-                    escape_probability=spec.mobility[
-                        "escape_probability"],
-                )
-        if spec.disconnects is not None:
-            self.disconnects = DisconnectionModel(
-                sim.network, self.participants,
-                spec.disconnects["rate"],
-                spec.disconnects["downtime"],
+        disconnects = self.spec.disconnects
+        if disconnects is not None:
+            self.wired.drivers.append(DisconnectionModel(
+                self.sim.network, self.wired.participants,
+                disconnects["rate"],
+                disconnects["downtime"],
                 rng=random.Random(self.seed + 211),
-                supply_prev=spec.disconnects["supply_prev"],
-            )
+                supply_prev=disconnects["supply_prev"],
+            ))
 
     # -- scheduled mass events ------------------------------------------
 
@@ -249,7 +137,7 @@ class _Run:
 
     def _cohort(self, fraction: float) -> List[str]:
         connected = [
-            mh_id for mh_id in self.participants
+            mh_id for mh_id in self.wired.participants
             if self.sim.network.mobile_host(mh_id).is_connected
         ]
         count = max(1, round(fraction * len(connected))) if connected \
@@ -295,7 +183,7 @@ class _Run:
         source = (f"mss-{event['from_cell']}"
                   if event["from_cell"] is not None else None)
         spread = event["spread"]
-        for mh_id in self.participants:
+        for mh_id in self.wired.participants:
             mh = self.sim.network.mobile_host(mh_id)
             if not mh.is_connected:
                 continue
@@ -319,38 +207,31 @@ class _Run:
 
     def _event_request(self, event: Dict[str, Any]) -> None:
         mh_id = f"mh-{event['mh']}"
-        if self.workload is not None:
-            self.workload.request_now(mh_id)
+        if self.wired.driver is not None:
+            self.wired.driver.request_now(mh_id)
         elif self.sim.network.mobile_host(mh_id).is_connected:
-            self.mutex.request(mh_id)
+            self.wired.mutex.request(mh_id)
 
     def _event_set_rate(self, event: Dict[str, Any]) -> None:
         rate = event.get("workload_rate")
-        if rate is not None and self.workload is not None:
-            self.workload.set_rate(rate)
+        if rate is not None and self.wired.driver is not None:
+            self.wired.driver.set_rate(rate)
         rate = event.get("mobility_rate")
-        if rate is not None and self.mobility is not None:
-            self.mobility.set_rate(rate)
+        if rate is not None and self.wired.mobility is not None:
+            self.wired.mobility.set_rate(rate)
 
     # -- execution ------------------------------------------------------
 
     def execute(self) -> int:
-        sim = self.sim
-        events = sim.run(until=self.spec.duration)
-        for driver in (self.workload, self.mobility, self.disconnects):
-            if driver is not None:
-                driver.stop()
-        if self.mutex is None:
-            return events + sim.drain()
-        return events + settle(sim, self.mutex, self.workload,
-                               deadline=sim.now + self.spec.settle,
-                               horizon=200.0)
+        return finish(self.wired, until=self.spec.duration,
+                      settle=self.spec.settle)
 
     # -- expectations ---------------------------------------------------
 
     def evaluate(self) -> List[str]:
         expect = self.spec.expect
-        workload = self.workload
+        wired = self.wired
+        workload = wired.driver
         failures: List[str] = []
 
         def check(label: str, actual, minimum) -> None:
@@ -374,8 +255,8 @@ class _Run:
                     f"{workload.issued} requests completed"
                 )
         if "min_accesses" in expect:
-            accesses = (self.resource.access_count
-                        if self.resource is not None else 0)
+            accesses = (wired.resource.access_count
+                        if wired.resource is not None else 0)
             check("region accesses", accesses, expect["min_accesses"])
         if "min_sent" in expect:
             check("messages sent",
@@ -394,13 +275,13 @@ class _Run:
         for name, minimum in expect.get("min_faults", {}).items():
             check(f"fault {name!r}",
                   self.sim.metrics.fault_total(name), minimum)
-        if self.resource is not None:
+        if wired.resource is not None:
             # Belt and braces next to the MutualExclusionMonitor.
-            self.resource.assert_no_overlap()
-        if self.feed is not None:
-            total = self.feed.messages_sent
-            for member in self.participants:
-                seqs = self.feed.delivered_seqs(member)
+            wired.resource.assert_no_overlap()
+        if wired.feed is not None:
+            total = wired.feed.messages_sent
+            for member in wired.participants:
+                seqs = wired.feed.delivered_seqs(member)
                 if seqs != list(range(1, total + 1)):
                     failures.append(
                         f"multicast: {member} saw {len(seqs)} of "
@@ -409,37 +290,38 @@ class _Run:
         return failures
 
     def _deliveries(self) -> int:
-        if self.group is not None:
-            return self.group.stats.deliveries
-        if self.messenger is not None:
-            return len(self.messenger.delivered)
-        if self.feed is not None:
+        wired = self.wired
+        if wired.group is not None:
+            return wired.group.stats.deliveries
+        if wired.messenger is not None:
+            return len(wired.messenger.delivered)
+        if wired.feed is not None:
             return sum(
-                len(self.feed.delivered_seqs(member))
-                for member in self.participants
+                len(wired.feed.delivered_seqs(member))
+                for member in wired.participants
             )
         return 0
 
     def workload_stats(self) -> Dict[str, Any]:
         stats: Dict[str, Any] = {"kind": self.spec.workload["kind"]}
-        if self.workload is not None:
+        wired = self.wired
+        if wired.driver is not None:
             for attr in ("issued", "completed", "dropped", "sent"):
-                value = getattr(self.workload, attr, None)
+                value = getattr(wired.driver, attr, None)
                 if value is not None:
                     stats[attr] = value
-        if self.resource is not None:
-            stats["accesses"] = self.resource.access_count
-        if self.group is not None:
-            stats["deliveries"] = self.group.stats.deliveries
-            stats["moves"] = self.group.stats.moves
-        if self.messenger is not None:
-            stats["delivered"] = len(self.messenger.delivered)
-            stats["missed"] = len(self.messenger.missed)
-        if self.feed is not None:
-            stats["multicast_sent"] = self.feed.messages_sent
-        if self.mutex is not None and hasattr(self.mutex,
-                                              "regenerations"):
-            stats["token_regenerations"] = self.mutex.regenerations
+        if wired.resource is not None:
+            stats["accesses"] = wired.resource.access_count
+        if wired.group is not None:
+            stats["deliveries"] = wired.group.stats.deliveries
+            stats["moves"] = wired.group.stats.moves
+        if wired.messenger is not None:
+            stats["delivered"] = len(wired.messenger.delivered)
+            stats["missed"] = len(wired.messenger.missed)
+        if wired.feed is not None:
+            stats["multicast_sent"] = wired.feed.messages_sent
+        if hasattr(wired.mutex, "regenerations"):
+            stats["token_regenerations"] = wired.mutex.regenerations
         return stats
 
 

@@ -114,8 +114,9 @@ class _Traffic:
     ``_try_send``: the message drivers' shared part.
 
     ``sender_rng`` draws each message's sender, ``arrival_rng`` times
-    the arrivals, and ``sent`` counts the messages actually sent (an
-    arrival whose sender is detached sends nothing).
+    the arrivals, ``sent`` counts the messages actually sent and
+    ``dropped`` the arrivals whose sender was detached (they send
+    nothing).
     """
 
     def __init__(self, network: "Network", rate: float,
@@ -124,9 +125,19 @@ class _Traffic:
         self.network = network
         self.rng = sender_rng
         self.sent = 0
+        self.dropped = 0
         self._process = PoissonProcess(
             network.scheduler, rate, self._try_send, rng=arrival_rng,
         )
+
+    def _admit(self, sender: str) -> bool:
+        """Count an arrival from ``sender``: sent if it is connected
+        (the message is number ``sent``), else dropped."""
+        if self.network.mobile_host(sender).is_connected:
+            self.sent += 1
+            return True
+        self.dropped += 1
+        return False
 
     def stop(self) -> None:
         """Stop sending new messages."""
@@ -160,24 +171,21 @@ class GroupMessagingWorkload(_Traffic):
         if message_rate <= 0:
             raise ConfigurationError("message_rate must be positive")
         self.group = group
-        self.dropped = 0
         super().__init__(network, message_rate, rng,
                          random.Random(rng.getrandbits(64)))
 
     def _try_send(self) -> None:
         sender = self.rng.choice(self.group.members)
-        mh = self.network.mobile_host(sender)
-        if not mh.is_connected:
-            self.dropped += 1
-            return
-        self.sent += 1
-        self.group.send(sender, ("msg", self.sent))
+        if self._admit(sender):
+            self.group.send(sender, ("msg", self.sent))
 
 
 class MulticastWorkload(_Traffic):
     """Poisson multicasts, each from a uniformly drawn member of
-    ``feed`` (an :class:`~repro.multicast.ExactlyOnceMulticast`), at
-    ``message_rate`` per time unit for the whole group."""
+    ``feed`` (an :class:`~repro.multicast.ExactlyOnceMulticast`, or any
+    group with ``members`` and ``send(sender, payload)`` such as an
+    :class:`~repro.groups.OrderedGroup`), at ``message_rate`` per time
+    unit for the whole group."""
 
     def __init__(self, network: "Network", feed, message_rate: float,
                  sender_rng: random.Random,
@@ -187,8 +195,7 @@ class MulticastWorkload(_Traffic):
 
     def _try_send(self) -> None:
         sender = self.rng.choice(self.feed.members)
-        if self.network.mobile_host(sender).is_connected:
-            self.sent += 1
+        if self._admit(sender):
             self.feed.send(sender, ("m", self.sent))
 
 
@@ -207,6 +214,5 @@ class LetterWorkload(_Traffic):
 
     def _try_send(self) -> None:
         src, dst = self.rng.sample(self.mh_ids, 2)
-        if self.network.mobile_host(src).is_connected:
-            self.sent += 1
+        if self._admit(src):
             self.messenger.send(src, dst, ("letter", self.sent))

@@ -25,7 +25,7 @@ def lv_violations(name: str, seed: int) -> list:
     run = _Run(builtin_registry().get(name), seed)
     run.wire_workload()
     hub = run.sim.monitor_hub
-    hub.monitor(LocationViewMonitor).watch(run.group)
+    hub.monitor(LocationViewMonitor).watch(run.wired.group)
     run.wire_churn()
     run.schedule_events()
     run.execute()

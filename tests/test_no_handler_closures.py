@@ -1,8 +1,8 @@
 """A subcommand handler hands the running system no closure of its own.
 
-``repro <command>`` and a scenario run share their drivers: traffic is
-a :mod:`repro.workload` driver, a mutex is built by
-:func:`repro.mutex.build` and settled by :func:`repro.mutex.settle`.
+``repro <command>`` and a scenario run share their wiring: a run is
+built by :func:`repro.workload.build` and ended by
+:func:`repro.workload.finish`.
 A function nested in a handler under ``src/repro/commands`` is the
 shape a private copy of that code takes (a ``send_one`` handed to a
 :class:`~repro.sim.PoissonProcess`), and a closure the scheduler holds

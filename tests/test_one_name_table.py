@@ -1,0 +1,135 @@
+"""The group-strategy and proxy-policy names live in one table.
+
+:data:`repro.workload.GROUP_STRATEGIES` and
+:data:`repro.workload.PROXY_POLICIES` are the names ``repro groups
+--strategy`` and ``repro proxy --policy`` offer, the names a scenario
+spec's workload accepts, and the names the workload builder resolves.
+These tests hold the three to one set, check that each refuses a name
+outside it, and scan the package for a second copy of either table.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+
+import pytest
+
+import repro.groups
+import repro.proxy
+from repro.cli import build_parser
+from repro.errors import ConfigurationError
+from repro.scenario import load_spec
+from repro.workload import (
+    GROUP_STRATEGIES,
+    PROXY_POLICIES,
+    group_strategy,
+    proxy_policy,
+)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src", "repro")
+HOME = os.path.join(SRC, "workload", "__init__.py")
+
+#: (CLI command, flag, spec workload kind and key, table, resolver, package)
+TABLES = [
+    ("groups", "--strategy", "strategy", GROUP_STRATEGIES, group_strategy,
+     repro.groups),
+    ("proxy", "--policy", "policy", PROXY_POLICIES, proxy_policy,
+     repro.proxy),
+]
+
+
+def cli_choices(command: str, flag: str) -> set:
+    parser = build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    option = next(action for action in commands.choices[command]._actions
+                  if flag in action.option_strings)
+    return set(option.choices)
+
+
+def spec_accepts(kind: str, key: str, name: str) -> bool:
+    try:
+        load_spec({"name": "t", "workload": {"kind": kind, key: name}})
+    except ConfigurationError as exc:
+        assert f"workload.{key}" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("command, flag, key, table, resolve, package",
+                         TABLES)
+def test_cli_spec_and_builder_offer_the_same_names(command, flag, key,
+                                                   table, resolve,
+                                                   package):
+    offered = cli_choices(command, flag)
+    assert offered == set(table)
+    candidates = offered | {"nope", "Fixed", "location-view"}
+    assert {name for name in candidates
+            if spec_accepts(command, key, name)} == offered
+    for name in offered:
+        assert resolve(name) is getattr(package, table[name])
+
+
+@pytest.mark.parametrize("command, flag, key, table, resolve, package",
+                         TABLES)
+def test_an_unknown_name_is_refused_by_all_three(command, flag, key, table,
+                                                 resolve, package, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, flag, "nope"])
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+    assert not spec_accepts(command, key, "nope")
+    with pytest.raises(ConfigurationError, match="unknown .* 'nope'"):
+        resolve("nope")
+
+
+def table_literals(source: str, filename: str = "<source>") -> list:
+    """``(line, names)`` of every dict/set/list/tuple literal in
+    ``source`` whose string items hold a whole name table."""
+    tables = [set(GROUP_STRATEGIES), set(PROXY_POLICIES)]
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Dict):
+            items = node.keys + node.values
+        elif isinstance(node, (ast.Set, ast.List, ast.Tuple)):
+            items = node.elts
+        else:
+            continue
+        strings = {item.value for item in items
+                   if isinstance(item, ast.Constant)
+                   and isinstance(item.value, str)}
+        for table in tables:
+            if table <= strings:
+                found.append((node.lineno, sorted(table)))
+    return found
+
+
+def test_the_scanner_finds_a_copied_table():
+    source = (
+        "A = {'pure_search': X, 'always_inform': Y,\n"
+        "     'location_view': Z}\n"
+        "B = ('fixed', 'local', 'adaptive')\n"
+        "C = ['fixed', 'local']\n"
+        "D = {'fixed', 'local', 'adaptive', 'other'}\n"
+        "E = f(['pure_search', 'always_inform', 'location_view'])\n"
+    )
+    assert sorted(line for line, _ in table_literals(source)) == [1, 3, 5, 6]
+
+
+def test_no_module_but_the_home_holds_a_name_table():
+    copies = {}
+    for folder, _, files in os.walk(SRC):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            with open(path, encoding="utf-8") as handle:
+                found = table_literals(handle.read(), path)
+            if found:
+                copies[os.path.relpath(path, SRC)] = found
+    home = copies.pop(os.path.relpath(HOME, SRC))
+    assert sorted(names for _, names in home) == sorted(
+        [sorted(GROUP_STRATEGIES), sorted(PROXY_POLICIES)])
+    assert copies == {}

@@ -86,6 +86,10 @@ def test_load_spec_fills_defaults():
         ({"faults": {"crashes": [{"mss_id": "mss-1",
                                   "at": float("nan")}]}},
          "crashes[0]: MssCrash.at must be finite"),
+        ({"n_mh": 4, "workload": {"kind": "multicast", "group_size": 9}},
+         "workload.group_size 9 exceeds n_mh=4"),
+        ({"n_mh": 4, "workload": {"kind": "groups", "group_size": 5}},
+         "workload.group_size 5 exceeds n_mh=4"),
     ],
 )
 def test_load_spec_rejects_with_located_errors(mutation, fragment):
@@ -204,6 +208,27 @@ def test_min_faults_expectation_fails_without_faults():
     result = run_scenario(spec, seed=3)
     assert not result.ok
     assert any("mss.crash" in f for f in result.failures)
+
+
+@pytest.mark.parametrize("workload", [
+    {"kind": "multicast", "group_size": 4, "message_rate": 0.5},
+    {"kind": "proxy", "message_rate": 0.5},
+])
+def test_max_gave_up_counts_arrivals_from_detached_senders(workload):
+    """While every MH is off the air no multicast or letter can be
+    sent: those arrivals are ``dropped``, and ``max_gave_up`` bounds
+    them as it does a mutex or groups workload's."""
+    spec = load_spec(minimal(
+        workload=workload,
+        events=[{"kind": "mass_disconnect", "at": 10.0,
+                 "fraction": 1.0, "downtime": 30.0}],
+        expect={"max_gave_up": 0},
+    ))
+    result = run_scenario(spec, seed=3)
+    dropped = result.report["workload"]["dropped"]
+    assert dropped > 0
+    assert result.failures == [
+        f"dropped arrivals: expected <= 0, got {dropped}"]
 
 
 def test_runs_are_deterministic_per_seed():

@@ -42,8 +42,11 @@ from repro.groups import (
 )
 from repro.mobility import DisconnectionModel, UniformMobility
 from repro.multicast import ExactlyOnceMulticast
-from repro.sim import PoissonProcess
-from repro.workload import GroupMessagingWorkload, MutexWorkload
+from repro.workload import (
+    GroupMessagingWorkload,
+    MulticastWorkload,
+    MutexWorkload,
+)
 
 
 def _config() -> NetworkConfig:
@@ -59,17 +62,9 @@ def check_multicast(seed: int) -> str | None:
     sim = Simulation(n_mss=5, n_mh=g, seed=seed, config=_config(),
                      placement="random")
     feed = ExactlyOnceMulticast(sim.network, sim.mh_ids)
-    rng = random.Random(seed + 1)
-    sent = [0]
-
-    def send() -> None:
-        member = rng.choice(sim.mh_ids)
-        if sim.network.mobile_host(member).is_connected:
-            sent[0] += 1
-            feed.send(member, sent[0])
-
-    traffic = PoissonProcess(sim.scheduler, 0.06, send,
-                             rng=random.Random(seed + 2))
+    traffic = MulticastWorkload(sim.network, feed, 0.06,
+                                random.Random(seed + 1),
+                                random.Random(seed + 2))
     mobility = UniformMobility(sim.network, sim.mh_ids,
                                0.03 + 0.05 * (seed % 3),
                                rng=random.Random(seed + 3))
@@ -94,17 +89,9 @@ def check_ordered_group(seed: int) -> str | None:
     sim = Simulation(n_mss=6, n_mh=g, seed=seed, config=_config(),
                      placement="random")
     group = OrderedGroup(sim.network, sim.mh_ids)
-    rng = random.Random(seed + 1)
-    sent = [0]
-
-    def send() -> None:
-        member = rng.choice(sim.mh_ids)
-        if sim.network.mobile_host(member).is_connected:
-            sent[0] += 1
-            group.send(member, sent[0])
-
-    traffic = PoissonProcess(sim.scheduler, 0.06, send,
-                             rng=random.Random(seed + 2))
+    traffic = MulticastWorkload(sim.network, group, 0.06,
+                                random.Random(seed + 1),
+                                random.Random(seed + 2))
     mobility = UniformMobility(sim.network, sim.mh_ids,
                                0.02 + 0.04 * (seed % 3),
                                rng=random.Random(seed + 3))
