@@ -27,7 +27,7 @@ import sys
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.mutex import ALGORITHMS as _MUTEX_ALGORITHMS
-from repro.workload import GROUP_STRATEGIES, PROXY_POLICIES, build
+from repro.workload import GROUP_STRATEGIES, PROXY_POLICIES, SEARCHES, build
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.facade import Simulation
@@ -38,8 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 # handler and never loads the proxy framework.  The choices come from
 # the packages that resolve them: :mod:`repro.mutex` loads its
 # algorithms on first access, and :mod:`repro.workload` (the drivers
-# every run subcommand loads) names the group strategies and proxy
-# policies without loading them.
+# every run subcommand loads) names the group strategies, proxy
+# policies and search protocols without loading them.
 
 #: exit status after a closed stdout: 128 + SIGPIPE, what a shell
 #: reports for a process the signal killed.
@@ -81,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--move-rate", type=float, default=0.0,
                        help="moves per MH per time unit")
         p.add_argument("--search", default="abstract",
-                       choices=["abstract", "broadcast", "home-agent",
-                                "caching", "regional"])
+                       choices=tuple(SEARCHES))
         p.add_argument("--c-fixed", type=float, default=1.0)
         p.add_argument("--c-wireless", type=float, default=5.0)
         p.add_argument("--c-search", type=float, default=10.0)

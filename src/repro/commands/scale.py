@@ -30,6 +30,10 @@ def run(args, emit) -> int:
         rng=_rng(args.seed + 31),
     )
     churn.start()
+    # Wired here, not by repro.workload.build: build gives the mutex
+    # driver all N ids (sim.mh_ids), one request process per host, so
+    # at N = 1M every passive host would be promoted by its first
+    # request.  Only the first --n-active hosts request here.
     resource = CriticalResource(sim.scheduler)
     workload = None
     if args.n_active > 0:

@@ -4,11 +4,9 @@ telemetry over HTTP (``/metrics``, ``/health``, ``/invariants``).
 
 import time
 
-from repro.cli import _rng
+from repro.cli import _wire
 from repro.facade import Simulation
-from repro.mutex import CriticalResource, L2Mutex
 from repro.obs import TelemetryServer
-from repro.workload import MutexWorkload
 
 
 def run(args, emit) -> int:
@@ -18,7 +16,9 @@ def run(args, emit) -> int:
     the observability ledger between steps, so ``/metrics`` and
     ``/invariants`` always reflect a recently certified prefix of the
     run (``repro_obs_certified_until``).  Memory stays bounded: no
-    trace is kept, so drained rows are dropped after replay.
+    trace is kept, so drained rows are dropped after replay.  The L2
+    workload and its ``--move-rate`` mobility are wired by
+    :func:`repro.workload.build`, as ``repro mutex`` wires them.
     """
     sim = Simulation(
         n_mss=args.n_mss,
@@ -26,19 +26,9 @@ def run(args, emit) -> int:
         seed=args.seed,
         monitors=True,
     )
-    resource = CriticalResource(sim.scheduler)
-    mutex = L2Mutex(sim.network, resource, cs_duration=0.3)
-    workload = MutexWorkload(
-        sim.network, mutex, sim.mh_ids,
-        request_rate=args.request_rate,
-        rng=_rng(args.seed + 1),
-    )
-    mobility = None
-    if args.move_rate > 0:
-        from repro.mobility import UniformMobility
-
-        mobility = UniformMobility(sim.network, sim.mh_ids, args.move_rate,
-                                   rng=_rng(args.seed + 2))
+    wired = _wire(sim, args, {"kind": "mutex", "algorithm": "L2",
+                              "cs_duration": 0.3,
+                              "request_rate": args.request_rate})
     server = TelemetryServer(sim, host=args.host, port=args.port)
     server.start()
     emit(f"serving on {server.url}")
@@ -54,9 +44,8 @@ def run(args, emit) -> int:
     except KeyboardInterrupt:
         emit("interrupted; shutting down")
     finally:
-        workload.stop()
-        if mobility is not None:
-            mobility.stop()
+        for driver in wired.drivers:
+            driver.stop()
         sim.drain()
         emit(sim.monitor_report())
         if args.linger > 0:

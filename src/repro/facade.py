@@ -23,7 +23,6 @@ from array import array
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Dict,
     Iterable,
     List,
     Optional,
@@ -35,30 +34,16 @@ from repro.errors import ConfigurationError
 from repro.hosts import MobileHost, MobileSupportStation
 from repro.metrics import CostModel, MetricsCollector
 from repro.net import Network, NetworkConfig
-from repro.net.cache_search import CachingSearch
-from repro.net.regional_search import RegionalSearch
-from repro.net.search import (
-    AbstractSearch,
-    BroadcastSearch,
-    HomeAgentSearch,
-    SearchProtocol,
-)
+from repro.net.search import SearchProtocol
 from repro.sim import Scheduler
 from repro.trace.events import Tracer
+from repro.workload import SEARCHES, search_protocol
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.faults import FaultPlan
 
 #: ways to place the N MHs into the M cells at construction time.
 Placement = Union[str, Sequence[int], Callable[[int, int], int]]
-
-_SEARCH_FACTORIES: Dict[str, Callable[[], SearchProtocol]] = {
-    "abstract": AbstractSearch,
-    "broadcast": BroadcastSearch,
-    "home-agent": HomeAgentSearch,
-    "caching": CachingSearch,
-    "regional": RegionalSearch,
-}
 
 
 def _check_type(name: str, value, accepted: type,
@@ -217,16 +202,10 @@ class Simulation:
         else:
             self.metrics = MetricsCollector()
         if isinstance(search, str):
-            try:
-                search = _SEARCH_FACTORIES[search]()
-            except KeyError:
-                raise ConfigurationError(
-                    f"unknown search protocol {search!r}; options: "
-                    f"{sorted(_SEARCH_FACTORIES)}"
-                ) from None
+            search = search_protocol(search)()
         elif not isinstance(search, SearchProtocol):
             raise ConfigurationError(
-                f"search must be one of {sorted(_SEARCH_FACTORIES)} or a "
+                f"search must be one of {sorted(SEARCHES)} or a "
                 f"SearchProtocol instance: {search!r}"
             )
         self.network = Network(

@@ -204,7 +204,7 @@ class MonitorHub(Tracer):
         """Resolve, once, how ledger rows of ``etype`` are replayed."""
         targets, explicit_count = self._targets(etype)
         plan = targets[:explicit_count] or None
-        site = LedgerSite(etype, targets, plan)
+        site = LedgerSite(etype, self, targets, plan)
         if self._standard_layout and plan is not None:
             fifo, rel = self._fifo, self._rel
             if (
@@ -231,68 +231,25 @@ class MonitorHub(Tracer):
     def call_site_batch(self, etype: str, category: Optional[str] = None):
         """Compiled ledger appender for one hot instrumentation point.
 
-        The tracer's row appender, except at plain ticking sends when
-        no trace is kept: there the row can be compact, because the
+        The site's :meth:`~repro.trace.events.Site.append`, except at
+        plain ticking sends when no trace is kept: there the row can be
+        compact (:meth:`~repro.obs.ledger.LedgerSite.append_gated`,
+        :meth:`~repro.obs.ledger.LedgerSite.append_tick`), because the
         monitors need little of it and no :class:`TraceEvent` is ever
         built from it.
         """
-        site = self._sites.get(etype)
-        if site is None:
-            site = self._compile_site(etype)
+        site = self._site(etype, category)
         if (
             self._kept is None
             and self._standard_layout
             and site.health_code == HEALTH_SEND
             and site.liveness_code == LIVENESS_TICK
         ):
-            # Plain ticking sends: the only consume-side effects are a
-            # health send-count and a liveness clock tick, neither of
-            # which needs anything beyond the timestamp.  The row is a
-            # bare clock value, float or int (the consume loop
-            # type-switches on "not a tuple"), which skips the parent
-            # resolution and the 10-slot tuple build on the hottest
-            # send paths.  Kind-gated sites still write
-            # a full row for the (rare) kinds their plan target
-            # consumes -- e.g. ``*.token`` feeding TokenUniqueness.
             if site.mode == MODE_SEND_GATED:
-                def append_send(
-                    scope, src, dst, kind=None, parent=None, detail=None,
-                    _self=self, _site=site, _rows=self._ledger,
-                    _stack=self._stack, _scheduler=self.scheduler,
-                    _category=category, _cap=self._segment_cap,
-                    _gate=site.gate_suffixes,
-                ):
-                    event_id = _self._next_id
-                    _self._next_id = event_id + 1
-                    if kind is not None and kind.endswith(_gate):
-                        if parent is None and _stack:
-                            parent = _stack[-1]
-                        _rows.append((
-                            event_id, parent, _scheduler.now, scope,
-                            src, dst, kind, detail, _category, _site,
-                        ))
-                    else:
-                        _rows.append(_scheduler.now)
-                    if len(_rows) >= _cap:
-                        _self.drain_batches()
-                    return event_id
-
-                return append_send
+                return site.append_gated
             if site.mode == MODE_PLAIN:
-                def append_plain_send(
-                    scope, src, dst, kind=None, parent=None, detail=None,
-                    _self=self, _rows=self._ledger,
-                    _scheduler=self.scheduler, _cap=self._segment_cap,
-                ):
-                    event_id = _self._next_id
-                    _self._next_id = event_id + 1
-                    _rows.append(_scheduler.now)
-                    if len(_rows) >= _cap:
-                        _self.drain_batches()
-                    return event_id
-
-                return append_plain_send
-        return super().call_site_batch(etype, category)
+                return site.append_tick
+        return site.append
 
     # -- ledger: consume ----------------------------------------------
     def consume_batch(self, rows: Sequence[tuple]) -> None:

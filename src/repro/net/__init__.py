@@ -26,6 +26,7 @@ from repro.net.reliable import ReliableTransport
 from repro.net.search import (
     AbstractSearch,
     BroadcastSearch,
+    HomeAgentSearch,
     SearchOutcome,
     SearchProtocol,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "BroadcastSearch",
     "CachingSearch",
     "ConstantLatency",
+    "HomeAgentSearch",
     "Message",
     "Network",
     "NetworkConfig",

@@ -5,13 +5,13 @@ One :class:`LedgerSite` exists per event type in a
 send/deliver paths, MSS handoff, mutex CS transitions, the reliable
 transport) append one fixed-shape row tuple per event to the tracer's
 plain-list segment -- no :class:`~repro.trace.events.TraceEvent` is
-constructed, no monitor runs, nothing is looked up beyond the closure
-the site handed out.  All sites share *one* segment list
-(:class:`~repro.trace.events.Tracer` owns it), so rows land already in
-global emission order (the same single-threaded execution order that
-allocates the monotone event ids) and the drain pass replays them
-through the monitors as-is -- no per-site collection, no merge, no
-sort.
+constructed, no monitor runs, nothing is looked up beyond the site
+whose bound appender the hot site holds.  All sites share *one*
+segment list (:class:`~repro.trace.events.Tracer` owns it), so rows
+land already in global emission order (the same single-threaded
+execution order that allocates the monotone event ids) and the drain
+pass replays them through the monitors as-is -- no per-site
+collection, no merge, no sort.
 
 A row is the 10-tuple::
 
@@ -112,10 +112,11 @@ class LedgerSite(Site):
     def __init__(
         self,
         etype: str,
+        tracer,
         targets: Tuple[Tuple[Any, Optional[Tuple[str, ...]]], ...],
         plan: Optional[Tuple[Tuple[Any, Optional[Tuple[str, ...]]], ...]],
     ) -> None:
-        super().__init__(etype)
+        super().__init__(etype, tracer)
         #: every target in per-event delivery order (explicit interests
         #: in registration order, then wildcards) as
         #: ``(on_event, kind_suffixes)`` pairs -- the generic replay.
@@ -131,3 +132,39 @@ class LedgerSite(Site):
         #: MODE_SEND_GATED only: the single target and its suffixes.
         self.gate_fn = None
         self.gate_suffixes: Optional[Tuple[str, ...]] = None
+
+    # -- compact appenders: plain ticking sends, no trace kept ---------
+    # The only consume-side effects of such a send are a health
+    # send-count and a liveness clock tick, neither of which needs
+    # anything beyond the timestamp.  The row is a bare clock value,
+    # float or int (the consume loop type-switches on "not a tuple"),
+    # which skips the parent resolution and the 10-slot tuple build.
+
+    def append_gated(self, scope, src, dst, kind=None, parent=None,
+                     detail=None):
+        """:meth:`append` for the kinds this MODE_SEND_GATED site's
+        target consumes (e.g. ``*.token`` feeding TokenUniqueness), a
+        bare clock row for every other kind (:meth:`append_tick`'s body,
+        inlined: this is the hottest send path)."""
+        if kind is not None and kind.endswith(self.gate_suffixes):
+            return self.append(scope, src, dst, kind, parent, detail)
+        tracer = self.tracer
+        event_id = tracer._next_id
+        tracer._next_id = event_id + 1
+        rows = tracer._ledger
+        rows.append(tracer.scheduler.now)
+        if len(rows) >= tracer._segment_cap:
+            tracer.drain_batches()
+        return event_id
+
+    def append_tick(self, scope, src, dst, kind=None, parent=None,
+                    detail=None):
+        """Append a bare clock row (a MODE_PLAIN send's whole row)."""
+        tracer = self.tracer
+        event_id = tracer._next_id
+        tracer._next_id = event_id + 1
+        rows = tracer._ledger
+        rows.append(tracer.scheduler.now)
+        if len(rows) >= tracer._segment_cap:
+            tracer.drain_batches()
+        return event_id

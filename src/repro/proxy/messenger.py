@@ -99,8 +99,13 @@ class ProxiedMessenger:
             letter.dst_mh_id,
             self.kind_deliver,
             letter,
-            on_missed=self.missed.append,
+            on_missed=self._on_missed,
         )
+
+    def _on_missed(self, mh_id: str) -> None:
+        # Not ``self.missed.append``: a list's method deep-copies by
+        # reference, so a fork would record misses in the original.
+        self.missed.append(mh_id)
 
     def _at_dst_mh(self, message) -> None:
         letter: Letter = message.payload

@@ -17,7 +17,6 @@ import os
 from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError, require_number
-from repro.facade import _SEARCH_FACTORIES
 from repro.faults import FaultPlan
 from repro.mutex import ALGORITHMS, BASELINES
 from repro.scenario.spec import (
@@ -26,7 +25,7 @@ from repro.scenario.spec import (
     WORKLOAD_KINDS,
     ScenarioSpec,
 )
-from repro.workload import GROUP_STRATEGIES, PROXY_POLICIES
+from repro.workload import GROUP_STRATEGIES, PROXY_POLICIES, SEARCHES
 
 __all__ = ["load_spec", "load_file"]
 
@@ -389,7 +388,7 @@ def load_spec(data: Dict[str, Any]) -> ScenarioSpec:
         check.fail(f"placement must be a name or a list of cell "
                    f"indices, got {placement!r}")
     search = check.choice("search", data.get("search", "abstract"),
-                          _SEARCH_FACTORIES)
+                          SEARCHES)
 
     workload = _validate_workload(check, data.get("workload",
                                                   {"kind": "none"}))

@@ -3,8 +3,8 @@
 Two small building blocks drive workloads and mobility: a fixed-interval
 :class:`PeriodicProcess` and an exponential-interarrival
 :class:`PoissonProcess`.  Both call a user callback once per firing and
-reschedule themselves until stopped or until an optional event budget is
-exhausted.
+reschedule themselves until stopped; a periodic process may also stop
+itself after ``max_firings``.
 These drive the workloads exercising the paper's Section 3-5 algorithms.
 """
 

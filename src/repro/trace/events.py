@@ -117,12 +117,39 @@ def _null_append(*args: Any, **kwargs: Any) -> None:
 
 
 class Site:
-    """One event type's emit point; each row carries its site last."""
+    """One event type's emit point; each row carries its site last.
 
-    __slots__ = ("etype",)
+    Its emitters are bound methods that reach the ledger through
+    :attr:`tracer`, so a deep copy of a running system emits into its
+    own ledger.  An event type has one cost ``category``.
+    """
 
-    def __init__(self, etype: str) -> None:
+    __slots__ = ("etype", "category", "tracer")
+
+    def __init__(self, etype: str, tracer: "Tracer") -> None:
         self.etype = etype
+        self.category: Optional[str] = None
+        self.tracer = tracer
+
+    def append(self, scope, src, dst, kind=None, parent=None, detail=None):
+        """Append the row :meth:`Tracer.emit` of this site's etype and
+        category would, with ``detail`` as its payload, and drain on
+        segment fill; returns the event id."""
+        tracer = self.tracer
+        if parent is None:
+            stack = tracer._stack
+            if stack:
+                parent = stack[-1]
+        event_id = tracer._next_id
+        tracer._next_id = event_id + 1
+        rows = tracer._ledger
+        rows.append((
+            event_id, parent, tracer.scheduler.now, scope, src, dst, kind,
+            detail, self.category, self,
+        ))
+        if len(rows) >= tracer._segment_cap:
+            tracer.drain_batches()
+        return event_id
 
 
 class Tracer:
@@ -164,8 +191,7 @@ class Tracer:
         #: they are already in global emission order (the same order
         #: that allocates the monotone event ids) and a drain consumes
         #: them without collecting or sorting.  Consumed in place and
-        #: cleared, never swapped -- appender closures bind the list
-        #: object directly.
+        #: cleared.
         self._ledger: List[tuple] = []
         self._segment_cap = 8192
         self._drain_due = DRAIN_INTERVAL
@@ -191,7 +217,7 @@ class Tracer:
 
     def _compile_site(self, etype: str) -> Site:
         """Resolve, once, the site rows of ``etype`` carry."""
-        site = self._sites[etype] = Site(etype)
+        site = self._sites[etype] = Site(etype, self)
         return site
 
     def emit(
@@ -231,38 +257,23 @@ class Tracer:
     def call_site_batch(self, etype: str, category: Optional[str] = None):
         """The emitter for one hot instrumentation point.
 
-        Returns ``append(scope, src, dst, kind=None, parent=None,
-        detail=None) -> event_id``, which appends the row :meth:`emit`
-        of ``etype`` and ``category`` would, with ``detail`` as its
-        payload, and drains on segment fill.  (The sim-time drain
-        quantum is checked only on the :meth:`emit` path and before any
+        Returns the bound :meth:`Site.append` of ``etype``'s site, which
+        appends the row :meth:`emit` of ``etype`` and ``category`` would
+        and drains on segment fill.  (The sim-time drain quantum is
+        checked only on the :meth:`emit` path and before any
         observation; drain cadence is semantically invisible, so the
         hottest sites skip the clock comparison.)  Every hot site makes
         this one call when the ledger is installed.
         """
+        return self._site(etype, category).append
+
+    def _site(self, etype: str, category: Optional[str]) -> Site:
+        """``etype``'s site, compiled on first use, with ``category``."""
         site = self._sites.get(etype)
         if site is None:
             site = self._compile_site(etype)
-
-        def append(
-            scope, src, dst, kind=None, parent=None, detail=None,
-            _self=self, _site=site, _rows=self._ledger,
-            _stack=self._stack, _scheduler=self.scheduler,
-            _category=category, _cap=self._segment_cap,
-        ):
-            if parent is None and _stack:
-                parent = _stack[-1]
-            event_id = _self._next_id
-            _self._next_id = event_id + 1
-            _rows.append((
-                event_id, parent, _scheduler.now, scope, src, dst,
-                kind, detail, _category, _site,
-            ))
-            if len(_rows) >= _cap:
-                _self.drain_batches()
-            return event_id
-
-        return append
+        site.category = category
+        return site
 
     def drain_batches(self) -> int:
         """Consume every pending row, then clear the segment in place.

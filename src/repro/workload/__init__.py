@@ -22,9 +22,10 @@ sender was detached.
 ``workload`` into the algorithm under test, its seeded driver, the
 participants and their mobility, and :func:`finish` runs it out:
 ``repro mutex|groups|multicast|proxy`` and the scenario runner both go
-through them.  :data:`GROUP_STRATEGIES` and :data:`PROXY_POLICIES` are
-the one table of group-strategy and proxy-policy names; a class loads
-only when :func:`group_strategy` or :func:`proxy_policy` resolves it.
+through them.  :data:`GROUP_STRATEGIES`, :data:`PROXY_POLICIES` and
+:data:`SEARCHES` are the one table of group-strategy, proxy-policy and
+search-protocol names; a class loads only when :func:`group_strategy`,
+:func:`proxy_policy` or :func:`search_protocol` resolves it.
 """
 
 import random
@@ -37,8 +38,8 @@ from repro.workload.generators import (
 
 __all__ = ["GROUP_STRATEGIES", "GroupMessagingWorkload", "LetterWorkload",
            "MulticastWorkload", "MutexWorkload", "PROXY_POLICIES",
-           "WorkloadRun", "build", "finish", "group_strategy",
-           "proxy_policy"]
+           "SEARCHES", "WorkloadRun", "build", "finish", "group_strategy",
+           "proxy_policy", "search_protocol"]
 
 #: group-strategy name -> class name in :mod:`repro.groups`: ``repro
 #: groups --strategy``'s choices and a groups workload's ``strategy``.
@@ -54,6 +55,17 @@ PROXY_POLICIES = {
     "fixed": "FixedProxyPolicy",
     "local": "LocalProxyPolicy",
     "adaptive": "AdaptiveProxyPolicy",
+}
+
+#: search-protocol name -> class name in :mod:`repro.net`: every
+#: ``--search``'s choices, a spec's ``search`` and
+#: ``Simulation(search=...)``.
+SEARCHES = {
+    "abstract": "AbstractSearch",
+    "broadcast": "BroadcastSearch",
+    "home-agent": "HomeAgentSearch",
+    "caching": "CachingSearch",
+    "regional": "RegionalSearch",
 }
 
 
@@ -75,6 +87,11 @@ def group_strategy(name: str):
 def proxy_policy(name: str):
     """The :mod:`repro.proxy` class of proxy policy ``name``."""
     return _resolve("repro.proxy", PROXY_POLICIES, "proxy policy", name)
+
+
+def search_protocol(name: str):
+    """The :mod:`repro.net` class of search protocol ``name``."""
+    return _resolve("repro.net", SEARCHES, "search protocol", name)
 
 
 class WorkloadRun:

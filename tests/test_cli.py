@@ -100,7 +100,7 @@ class TestMutexCommand:
                 "dropped=59") in out.splitlines()
 
     def test_search_offers_every_protocol_of_the_facade(self, capsys):
-        from repro.facade import _SEARCH_FACTORIES
+        from repro.workload import SEARCHES
 
         for command in ("mutex", "groups", "proxy", "multicast",
                         "compare"):
@@ -109,7 +109,7 @@ class TestMutexCommand:
             err = capsys.readouterr().err
             offered = re.search(r"\(choose from ([^)]*)\)", err).group(1)
             assert sorted(re.findall(r"[\w-]+", offered)) == sorted(
-                _SEARCH_FACTORIES)
+                SEARCHES)
         code, out = run_cli(["mutex", "--search", "regional",
                              "--duration", "100"])
         assert code == 0

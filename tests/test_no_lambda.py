@@ -83,9 +83,10 @@ def test_the_scan_finds_a_nested_lambda(tmp_path):
     assert lambdas_under(str(tmp_path)) == [os.path.join("sub", "mod.py:2")]
 
 
-def _l2_system():
-    """The quickstart L2 system: M=4, N=12, seed 42, with mobility."""
-    sim = Simulation(n_mss=4, n_mh=12, seed=42)
+def _l2_system(**options):
+    """The quickstart L2 system: M=4, N=12, seed 42, with mobility;
+    ``options`` go to :class:`Simulation` (``monitors``, ``trace``)."""
+    sim = Simulation(n_mss=4, n_mh=12, seed=42, **options)
     resource = CriticalResource(sim.scheduler)
     mutex = L2Mutex(sim.network, resource, cs_duration=0.3)
     MutexWorkload(sim.network, mutex, sim.mh_ids, request_rate=0.05,
@@ -94,9 +95,9 @@ def _l2_system():
     return sim, resource
 
 
-def _r2_system():
+def _r2_system(**options):
     """The same system on the R2' token ring."""
-    sim = Simulation(n_mss=4, n_mh=12, seed=42)
+    sim = Simulation(n_mss=4, n_mh=12, seed=42, **options)
     resource = CriticalResource(sim.scheduler)
     mutex = R2Mutex(sim.network, resource, cs_duration=0.3,
                     variant=R2Variant.COUNTER)
@@ -108,20 +109,28 @@ def _r2_system():
 
 
 def _outcome(sim, resource):
+    """What a run ends with: accesses, events, the cost report, the
+    hub's drained rows and finalized verdicts, the kept trace length."""
+    hub = sim.monitor_hub
+    if hub is not None:
+        hub.finalize()
     return (resource.access_count, sim.scheduler.events_processed,
-            sim.metrics.report(sim.cost_model))
+            sim.metrics.report(sim.cost_model),
+            hub and (hub.rows_dispatched, hub.report()),
+            sim.tracer and len(sim.tracer.events))
 
 
-def _assert_forks(build, fork_at, until):
-    unforked = build()
+def _assert_forks(build, fork_at, until, **options):
+    unforked = build(**options)
     unforked[0].run(until=until)
-    original = build()
+    original = build(**options)
     original[0].run(until=fork_at)
     fork = copy.deepcopy(original)
     fork[0].run(until=until)
     original[0].run(until=until)
-    assert _outcome(*fork) == _outcome(*unforked)
-    assert _outcome(*original) == _outcome(*unforked)
+    expected = _outcome(*unforked)
+    assert _outcome(*fork) == expected
+    assert _outcome(*original) == expected
 
 
 def test_a_deep_copy_of_a_running_system_is_a_fork():
@@ -133,3 +142,19 @@ def test_a_deep_copy_of_a_running_system_is_a_fork():
     _assert_forks(_l2_system, 150.0, 400.0)
     for fork_at in (100.0, 103.5):
         _assert_forks(_r2_system, fork_at, 300.0)
+
+
+@pytest.mark.parametrize("options", [
+    {"monitors": True}, {"trace": True}, {"monitors": True, "trace": True},
+], ids=["monitored", "traced", "monitored-traced"])
+def test_a_monitored_or_traced_system_forks(options):
+    """The site emitters a ledger hands out are bound methods of their
+    sites, so a copy's hot sites emit into the copy's own ledger: the
+    fork's hub drains and certifies what an unforked run's does, and
+    the two kept traces are the unforked one."""
+    _assert_forks(_l2_system, 150.0, 400.0, **options)
+
+
+@pytest.mark.parametrize("fork_at", [100.0, 103.5])
+def test_a_monitored_token_ring_forks(fork_at):
+    _assert_forks(_r2_system, fork_at, 300.0, monitors=True)

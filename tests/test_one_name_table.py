@@ -1,11 +1,13 @@
-"""The group-strategy and proxy-policy names live in one table.
+"""The group-strategy, proxy-policy and search names live in one table.
 
-:data:`repro.workload.GROUP_STRATEGIES` and
-:data:`repro.workload.PROXY_POLICIES` are the names ``repro groups
---strategy`` and ``repro proxy --policy`` offer, the names a scenario
-spec's workload accepts, and the names the workload builder resolves.
-These tests hold the three to one set, check that each refuses a name
-outside it, and scan the package for a second copy of either table.
+:data:`repro.workload.GROUP_STRATEGIES`,
+:data:`repro.workload.PROXY_POLICIES` and :data:`repro.workload.SEARCHES`
+are the names ``repro groups --strategy``, ``repro proxy --policy`` and
+``--search`` offer, the names a scenario spec accepts (its workload's
+``strategy`` and ``policy``, its ``search``), and the names the
+workload builder and ``Simulation(search=...)`` resolve.  These tests
+hold the three to one set, check that each refuses a name outside it,
+and scan the package for a second copy of any table.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 import pytest
 
 import repro.groups
+import repro.net
 import repro.proxy
 from repro.cli import build_parser
 from repro.errors import ConfigurationError
@@ -24,21 +27,27 @@ from repro.scenario import load_spec
 from repro.workload import (
     GROUP_STRATEGIES,
     PROXY_POLICIES,
+    SEARCHES,
     group_strategy,
     proxy_policy,
+    search_protocol,
 )
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src", "repro")
 HOME = os.path.join(SRC, "workload", "__init__.py")
 
-#: (CLI command, flag, spec workload kind and key, table, resolver, package)
+#: (CLI command, flag, spec key, table, resolver, package); a key is
+#: read under a workload of the command's kind unless it is a top-level
+#: spec key (:data:`TOP_LEVEL`).
 TABLES = [
     ("groups", "--strategy", "strategy", GROUP_STRATEGIES, group_strategy,
      repro.groups),
     ("proxy", "--policy", "policy", PROXY_POLICIES, proxy_policy,
      repro.proxy),
+    ("mutex", "--search", "search", SEARCHES, search_protocol, repro.net),
 ]
+TOP_LEVEL = {"search"}
 
 
 def cli_choices(command: str, flag: str) -> set:
@@ -51,10 +60,15 @@ def cli_choices(command: str, flag: str) -> set:
 
 
 def spec_accepts(kind: str, key: str, name: str) -> bool:
+    if key in TOP_LEVEL:
+        data, field = {"name": "t", key: name}, key
+    else:
+        data = {"name": "t", "workload": {"kind": kind, key: name}}
+        field = f"workload.{key}"
     try:
-        load_spec({"name": "t", "workload": {"kind": kind, key: name}})
+        load_spec(data)
     except ConfigurationError as exc:
-        assert f"workload.{key}" in str(exc)
+        assert field in str(exc)
         return False
     return True
 
@@ -88,7 +102,7 @@ def test_an_unknown_name_is_refused_by_all_three(command, flag, key, table,
 def table_literals(source: str, filename: str = "<source>") -> list:
     """``(line, names)`` of every dict/set/list/tuple literal in
     ``source`` whose string items hold a whole name table."""
-    tables = [set(GROUP_STRATEGIES), set(PROXY_POLICIES)]
+    tables = [set(GROUP_STRATEGIES), set(PROXY_POLICIES), set(SEARCHES)]
     found = []
     for node in ast.walk(ast.parse(source, filename)):
         if isinstance(node, ast.Dict):
@@ -114,8 +128,11 @@ def test_the_scanner_finds_a_copied_table():
         "C = ['fixed', 'local']\n"
         "D = {'fixed', 'local', 'adaptive', 'other'}\n"
         "E = f(['pure_search', 'always_inform', 'location_view'])\n"
+        "F = ['abstract', 'broadcast', 'home-agent',\n"
+        "     'caching', 'regional']\n"
     )
-    assert sorted(line for line, _ in table_literals(source)) == [1, 3, 5, 6]
+    assert sorted(line for line, _ in table_literals(source)) == [
+        1, 3, 5, 6, 7]
 
 
 def test_no_module_but_the_home_holds_a_name_table():
@@ -131,5 +148,5 @@ def test_no_module_but_the_home_holds_a_name_table():
                 copies[os.path.relpath(path, SRC)] = found
     home = copies.pop(os.path.relpath(HOME, SRC))
     assert sorted(names for _, names in home) == sorted(
-        [sorted(GROUP_STRATEGIES), sorted(PROXY_POLICIES)])
+        [sorted(GROUP_STRATEGIES), sorted(PROXY_POLICIES), sorted(SEARCHES)])
     assert copies == {}

@@ -15,7 +15,10 @@ seed -- once as ``run_scenario`` runs it and once with ``trace=True``
     its own kept trace, bound to the live network and finalized at
     ``sim.now``.  Only the three gauges a sample reads from the live
     system (``pending_events``, ``events_processed``, ``mss_load``)
-    are left out, since the replay runs after the run has ended.
+    are left out, since the replay runs after the run has ended; and
+(c) the untraced run, deep-copied at half its duration, ends with the
+    same report and expectation failures in the copy and in the
+    original: a mid-run scenario is a fork.
 
 This is the acceptance gate of the ledger pipeline: exact monitoring
 off the hot path must not lose or reorder a single event.
@@ -28,6 +31,7 @@ off the hot path must not lose or reorder a single event.
 from __future__ import annotations
 
 import argparse
+import copy
 import os
 import sys
 from itertools import zip_longest
@@ -41,7 +45,9 @@ sys.path.insert(
 
 from repro.monitor import HealthMonitor, replay_events  # noqa: E402
 from repro.scenario import builtin_registry, run_scenario  # noqa: E402
-from repro.scenario.runner import scenario_monitors  # noqa: E402
+from repro.scenario.report import build_report  # noqa: E402
+from repro.scenario.runner import _Run, scenario_monitors  # noqa: E402
+from repro.workload import finish  # noqa: E402
 
 DEFAULT_SEEDS = (7, 19, 42)
 
@@ -86,8 +92,40 @@ def replay_mismatches(sim, monitors):
     return problems
 
 
+def fork_mismatches(spec, seed, plain):
+    """Where a run of ``spec`` at ``seed``, deep-copied at half its
+    duration, ends unlike ``plain`` (the unforked result) in the copy
+    or in the original (empty when neither differs)."""
+    original = _Run(spec, seed)
+    original.wire_workload()
+    original.wire_churn()
+    original.schedule_events()
+    original.sim.run(until=0.5 * spec.duration)
+    fork = copy.deepcopy(original)
+    problems = []
+    for label, run in (("copy", fork), ("original", original)):
+        finish(run.wired, until=spec.duration, settle=spec.settle)
+        run.sim.monitor_hub.finalize()
+        failures = run.evaluate()
+        report = build_report(spec, seed, run.sim, run.workload_stats(),
+                              wall_time_s=0.0)
+        if scrub(report) != scrub(plain.report):
+            problems.append(
+                f"the {label} of a run forked at half its duration "
+                f"changes the report in "
+                f"{diff_keys(scrub(report), scrub(plain.report))}"
+            )
+        if failures != plain.failures:
+            problems.append(
+                f"the {label} of a run forked at half its duration "
+                f"changes the expectation failures"
+            )
+    return problems
+
+
 def check(spec, seed):
-    """Every way a run of ``spec`` at ``seed`` breaks (a) or (b)."""
+    """Every way a run of ``spec`` at ``seed`` breaks (a), (b) or
+    (c)."""
     traced = run_scenario(spec, seed=seed, trace=True)
     plain = run_scenario(spec, seed=seed)
     problems = []
@@ -100,14 +138,17 @@ def check(spec, seed):
         problems.append(
             f"event counts differ ({traced.events} vs {plain.events})"
         )
-    return problems + replay_mismatches(traced.sim, scenario_monitors(spec))
+    return (problems
+            + replay_mismatches(traced.sim, scenario_monitors(spec))
+            + fork_mismatches(spec, seed, plain))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Verify that a kept trace changes no report and that "
-                    "online monitoring equals per-event replay, on the "
-                    "certified chaos pack."
+        description="Verify that a kept trace changes no report, that "
+                    "online monitoring equals per-event replay and that "
+                    "a run forked at half its duration ends unchanged, "
+                    "on the certified chaos pack."
     )
     parser.add_argument("--seeds", default=",".join(map(str, DEFAULT_SEEDS)),
                         help="comma-separated seeds (default 7,19,42)")
@@ -130,7 +171,7 @@ def main(argv=None) -> int:
                 print(f"FAIL {name} seed={seed}: {problem}")
     elapsed = perf_counter() - started
     print(
-        f"batched-equivalence: {checked} runs x2 modes + replay in "
+        f"batched-equivalence: {checked} runs x2 modes + replay + fork in "
         f"{elapsed:.1f}s, {len(failures)} failures"
     )
     if failures:
