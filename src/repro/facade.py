@@ -36,7 +36,6 @@ from repro.metrics import CostModel, MetricsCollector
 from repro.net import Network, NetworkConfig
 from repro.net.search import SearchProtocol
 from repro.sim import Scheduler
-from repro.trace.events import Tracer
 from repro.workload import SEARCHES, search_protocol
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -233,6 +232,8 @@ class Simulation:
                 )
             self.monitor_hub = MonitorHub(self.scheduler, monitor_list)
             self.monitor_hub.bind(self.network)
+        if trace:
+            from repro.trace.events import Tracer
         #: the ledger keeping the trace, or ``None`` when tracing is off.
         self.tracer = (
             (self.monitor_hub or Tracer(self.scheduler)).keep_trace()

@@ -11,9 +11,8 @@ wireless messages" accounting.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.metrics.cost import CostModel
 
@@ -54,16 +53,16 @@ def _scope_then_category(item) -> Tuple[str, str]:
     return scope, category.value
 
 
-@dataclass(frozen=True)
-class MetricsSnapshot:
+class MetricsSnapshot(NamedTuple):
     """An immutable copy of all counters, used to measure deltas."""
 
     counts: Dict[tuple, int]
     energy_tx: Dict[str, int]
     energy_rx: Dict[str, int]
     #: fault/recovery event counts (drops, retransmits, crashes, ...),
-    #: keyed by event name; empty in fault-free runs.
-    faults: Dict[str, int] = field(default_factory=dict)
+    #: keyed by event name; empty in fault-free runs.  The default is
+    #: one shared empty dict: a snapshot is never written to.
+    faults: Dict[str, int] = {}
     #: one entry per completed MSS-crash recovery: simulated time from
     #: the crash until the last orphaned MH re-registered.
     recovery_times: Tuple[float, ...] = ()
@@ -129,7 +128,6 @@ class MetricsSnapshot:
         )
 
 
-@dataclass
 class MetricsCollector:
     """Mutable accumulator for transmission counts and MH energy.
 
@@ -139,11 +137,15 @@ class MetricsCollector:
     transmission lands here.
     """
 
-    _counts: Dict[tuple, int] = field(default_factory=dict)
-    _energy_tx: Dict[str, int] = field(default_factory=dict)
-    _energy_rx: Dict[str, int] = field(default_factory=dict)
-    _faults: Dict[str, int] = field(default_factory=dict)
-    _recovery_times: List[float] = field(default_factory=list)
+    __slots__ = ("_counts", "_energy_tx", "_energy_rx", "_faults",
+                 "_recovery_times")
+
+    def __init__(self) -> None:
+        self._counts: Dict[tuple, int] = {}
+        self._energy_tx: Dict[str, int] = {}
+        self._energy_rx: Dict[str, int] = {}
+        self._faults: Dict[str, int] = {}
+        self._recovery_times: List[float] = []
 
     def record_fixed(self, scope: str = DEFAULT_SCOPE, count: int = 1) -> None:
         """Record ``count`` fixed-network messages under ``scope``."""

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.errors import ConfigurationError, require_number
 
-from repro.errors import ConfigurationError
+_FIELDS = ("c_fixed", "c_wireless", "c_search")
 
 
-@dataclass(frozen=True)
 class CostModel:
     """Message costs in the mobile system model.
 
@@ -24,21 +23,51 @@ class CostModel:
     The defaults make search an order of magnitude more expensive than a
     fixed message and the wireless hop several times a fixed message,
     reflecting the paper's qualitative assumptions (low-bandwidth
-    wireless links, costly search).
+    wireless links, costly search).  A model is a value: immutable,
+    hashable and equal by its three costs.
     """
 
-    c_fixed: float = 1.0
-    c_wireless: float = 5.0
-    c_search: float = 10.0
+    __slots__ = _FIELDS
 
-    def __post_init__(self) -> None:
-        if self.c_fixed < 0 or self.c_wireless < 0 or self.c_search < 0:
+    def __init__(self, c_fixed: float = 1.0, c_wireless: float = 5.0,
+                 c_search: float = 10.0) -> None:
+        values = (c_fixed, c_wireless, c_search)
+        for name, value in zip(_FIELDS, values):
+            require_number(f"CostModel.{name}", value)
+        if c_fixed < 0 or c_wireless < 0 or c_search < 0:
             raise ConfigurationError("costs must be nonnegative")
-        if self.c_search < self.c_fixed:
+        if c_search < c_fixed:
             raise ConfigurationError(
                 f"the system model requires c_search >= c_fixed "
-                f"(got {self.c_search} < {self.c_fixed})"
+                f"(got {c_search} < {c_fixed})"
             )
+        for name, value in zip(_FIELDS, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return self.c_fixed, self.c_wireless, self.c_search
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CostModel is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"CostModel is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (f"CostModel(c_fixed={self.c_fixed!r}, "
+                f"c_wireless={self.c_wireless!r}, "
+                f"c_search={self.c_search!r})")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
 
     def worst_case_search(self, n_mss: int) -> float:
         """Worst-case search cost: probing each of the other M-1 MSSs."""

@@ -13,7 +13,6 @@ adds the hand-back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple,
@@ -27,14 +26,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
 
 
-@dataclass
 class AccessRecord:
     """One completed (or in-progress) critical-region access."""
 
-    holder: str
-    enter_time: float
-    exit_time: Optional[float] = None
-    info: Any = None
+    __slots__ = ("holder", "enter_time", "exit_time", "info")
+
+    def __init__(self, holder: str, enter_time: float,
+                 exit_time: Optional[float] = None, info: Any = None) -> None:
+        self.holder = holder
+        self.enter_time = enter_time
+        self.exit_time = exit_time
+        self.info = info
 
 
 class CriticalResource:

@@ -5,27 +5,24 @@ Parameterizes the fixed and wireless channels of the paper's Section 2 model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 import random
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_number
 from repro.net.latency import ConstantLatency
 
 LatencyModel = Callable[[random.Random], float]
 
 
-@dataclass
 class NetworkConfig:
     """Timing knobs of the simulated system.
 
     Attributes:
         fixed_latency: latency model for MSS <-> MSS channels.
         wireless_latency: latency model for MSS <-> MH hops.
-        transit_time: wall time a MH spends between leaving one cell and
-            joining the next (the paper only requires that it eventually
-            joins *some* cell).
+        transit_time: simulated time a MH spends between leaving one
+            cell and joining the next (the paper only requires that it
+            eventually joins *some* cell).
         search_delay: time an abstract search takes to complete.
         search_retry_delay: how long a search waits before re-examining a
             MH that is currently in transit.
@@ -34,30 +31,44 @@ class NetworkConfig:
             up and reporting the outcome through ``on_disconnected`` with
             ``gave_up=True``.  ``None`` restores the paper's unbounded
             eventual-delivery retry loop.
+
+    Each number must be finite; a bad one raises
+    :class:`~repro.errors.ConfigurationError` naming its field.
     """
 
-    fixed_latency: LatencyModel = field(
-        default_factory=partial(ConstantLatency, 1.0)
-    )
-    wireless_latency: LatencyModel = field(
-        default_factory=partial(ConstantLatency, 0.5)
-    )
-    transit_time: float = 2.0
-    search_delay: float = 1.0
-    search_retry_delay: float = 1.0
-    mh_delivery_max_attempts: Optional[int] = 25
+    __slots__ = ("fixed_latency", "wireless_latency", "transit_time",
+                 "search_delay", "search_retry_delay",
+                 "mh_delivery_max_attempts")
 
-    def __post_init__(self) -> None:
-        if (
-            self.mh_delivery_max_attempts is not None
-            and self.mh_delivery_max_attempts < 1
-        ):
+    def __init__(
+        self,
+        fixed_latency: Optional[LatencyModel] = None,
+        wireless_latency: Optional[LatencyModel] = None,
+        transit_time: float = 2.0,
+        search_delay: float = 1.0,
+        search_retry_delay: float = 1.0,
+        mh_delivery_max_attempts: Optional[int] = 25,
+    ) -> None:
+        require_number("NetworkConfig.transit_time", transit_time)
+        require_number("NetworkConfig.search_delay", search_delay)
+        require_number("NetworkConfig.search_retry_delay",
+                       search_retry_delay)
+        require_number("NetworkConfig.mh_delivery_max_attempts",
+                       mh_delivery_max_attempts, allow_none=True)
+        if (mh_delivery_max_attempts is not None
+                and mh_delivery_max_attempts < 1):
             raise ConfigurationError(
                 "mh_delivery_max_attempts must be >= 1 (or None)"
             )
-        if self.transit_time < 0:
+        if transit_time < 0:
             raise ConfigurationError("transit_time must be nonnegative")
-        if self.search_delay < 0:
+        if search_delay < 0:
             raise ConfigurationError("search_delay must be nonnegative")
-        if self.search_retry_delay <= 0:
+        if search_retry_delay <= 0:
             raise ConfigurationError("search_retry_delay must be positive")
+        self.fixed_latency = fixed_latency or ConstantLatency(1.0)
+        self.wireless_latency = wireless_latency or ConstantLatency(0.5)
+        self.transit_time = transit_time
+        self.search_delay = search_delay
+        self.search_retry_delay = search_retry_delay
+        self.mh_delivery_max_attempts = mh_delivery_max_attempts

@@ -14,11 +14,9 @@ of the contract: the host-level senders build every hot envelope as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 
-@dataclass
 class Message:
     """A routable message.
 
@@ -34,18 +32,27 @@ class Message:
             by the network when tracing is enabled; the matching receive
             event uses it as its causal parent.  ``None`` when tracing
             is off (the default).
+
+    Equality is identity: no reader compares two envelopes.
     """
 
-    kind: str
-    src: str
-    dst: str
-    payload: Any = None
-    scope: str = "default"
-    wireless_seq: int | None = None
-    trace_id: int | None = None
+    __slots__ = ("kind", "src", "dst", "payload", "scope", "wireless_seq",
+                 "trace_id")
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Message({self.kind} {self.src}->{self.dst} "
-            f"scope={self.scope})"
-        )
+    def __init__(
+        self,
+        kind: str,
+        src: str,
+        dst: str,
+        payload: Any = None,
+        scope: str = "default",
+        wireless_seq: int | None = None,
+        trace_id: int | None = None,
+    ) -> None:
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.scope = scope
+        self.wireless_seq = wireless_seq
+        self.trace_id = trace_id

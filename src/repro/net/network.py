@@ -30,7 +30,7 @@ from repro.net.search import (
     SearchProtocol,
 )
 from repro.sim import Scheduler
-from repro.trace.events import NULL_TRACER
+from repro.trace.null import NULL_TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector

@@ -31,7 +31,6 @@ read with ``metrics.fault_total(name)``; the layer keeps none of its own.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -63,19 +62,21 @@ class RelAck(NamedTuple):
     seq: int
 
 
-@dataclass
 class _TxChannel:
-    next_seq: int = 1
-    #: seq -> (envelope, retransmit timer event, attempts so far)
-    unacked: Dict[int, Tuple[Message, "Event", int]] = field(
-        default_factory=dict
-    )
+    __slots__ = ("next_seq", "unacked")
+
+    def __init__(self) -> None:
+        self.next_seq = 1
+        #: seq -> (envelope, retransmit timer event, attempts so far)
+        self.unacked: Dict[int, Tuple[Message, "Event", int]] = {}
 
 
-@dataclass
 class _RxChannel:
-    next_expected: int = 1
-    buffered: Dict[int, Message] = field(default_factory=dict)
+    __slots__ = ("next_expected", "buffered")
+
+    def __init__(self) -> None:
+        self.next_expected = 1
+        self.buffered: Dict[int, Message] = {}
 
 
 class ReliableTransport:

@@ -17,18 +17,19 @@ Submodules :mod:`repro.trace.scenarios` and
 the Markdown walkthrough renderer behind ``docs/walkthroughs/``.  This
 package stays import-light because the network core imports it: names
 load on first access (PEP 562, the pattern :mod:`repro` uses), so
-:mod:`repro.trace.export` is compiled only for a run that exports.
+:mod:`repro.trace.export` is compiled only for a run that exports and
+:mod:`repro.trace.events` only for a run that traces; the no-op
+:data:`NULL_TRACER` lives in :mod:`repro.trace.null`.
 """
 
 from repro import _lazy_exports
 
 _SOURCE_OF, __getattr__, __dir__ = _lazy_exports(globals(), {
-    "repro.trace.events": (
-        "NULL_TRACER", "NullTracer", "TraceEvent", "Tracer",
-    ),
+    "repro.trace.events": ("TraceEvent", "Tracer"),
     "repro.trace.export": (
         "event_to_dict", "to_chrome", "to_jsonl", "to_mermaid",
     ),
+    "repro.trace.null": ("NULL_TRACER", "NullTracer"),
 })
 
 __all__ = sorted(_SOURCE_OF)

@@ -17,17 +17,17 @@ or a recovery action.  Events carry
 
 Tracing is structurally free when disabled: every instrumentation point
 goes through the network's ``trace`` attribute, which defaults to the
-shared :data:`NULL_TRACER` -- its methods do nothing, allocate nothing,
-and are guarded by ``enabled`` checks on the hot paths, so the exact
-cost accounting of every experiment is byte-identical with or without
-the layer compiled in.  Enabling tracing never touches the scheduler,
+shared :data:`~repro.trace.null.NULL_TRACER` (in :mod:`repro.trace.null`,
+so an untraced run never compiles this module) -- its methods do
+nothing, allocate nothing, and are guarded by ``enabled`` checks on the
+hot paths, so the exact cost accounting of every experiment is
+byte-identical with or without the layer compiled in.  Enabling tracing never touches the scheduler,
 the metrics, or any RNG, so a traced run *also* produces identical
 costs and message counts -- the trace is a pure observer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -38,7 +38,6 @@ from repro.sim import Scheduler
 DRAIN_INTERVAL = 50.0
 
 
-@dataclass(slots=True)
 class TraceEvent:
     """One observed step of a protocol execution.
 
@@ -56,28 +55,38 @@ class TraceEvent:
         src: id of the acting/sending host, if any.
         dst: id of the receiving host, if any.
         kind: message kind for send/recv events, else ``None``.
-        detail: free-form event payload (token values, reasons, ...).
+        detail: free-form event payload (token values, reasons, ...);
+            ``None`` builds an empty dict.
+
+    Equality is identity; compare events field by field.
     """
 
-    id: int
-    parent_id: Optional[int]
-    time: float
-    etype: str
-    scope: str = "default"
-    category: Optional[str] = None
-    src: Optional[str] = None
-    dst: Optional[str] = None
-    kind: Optional[str] = None
-    detail: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("id", "parent_id", "time", "etype", "scope", "category",
+                 "src", "dst", "kind", "detail")
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        arrow = (
-            f" {self.src}->{self.dst}" if self.src or self.dst else ""
-        )
-        return (
-            f"TraceEvent(#{self.id} t={self.time:g} {self.etype}"
-            f"{arrow} scope={self.scope})"
-        )
+    def __init__(
+        self,
+        id: int,
+        parent_id: Optional[int],
+        time: float,
+        etype: str,
+        scope: str = "default",
+        category: Optional[str] = None,
+        src: Optional[str] = None,
+        dst: Optional[str] = None,
+        kind: Optional[str] = None,
+        detail: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.id = id
+        self.parent_id = parent_id
+        self.time = time
+        self.etype = etype
+        self.scope = scope
+        self.category = category
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.detail = {} if detail is None else detail
 
 
 class _Context:
@@ -94,26 +103,6 @@ class _Context:
 
     def __exit__(self, *exc: object) -> None:
         self._tracer._stack.pop()
-
-
-class _NullContext:
-    """Shared do-nothing context manager used by :class:`NullTracer`."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: object) -> None:
-        return None
-
-
-_NULL_CONTEXT = _NullContext()
-
-
-def _null_append(*args: Any, **kwargs: Any) -> None:
-    """The site emitter :class:`NullTracer` hands out."""
-    return None
 
 
 class Site:
@@ -319,7 +308,7 @@ class Tracer:
              category, site) in rows:
             keep(TraceEvent(
                 event_id, parent, time, site.etype, scope, category, src,
-                dst, kind, {} if detail is None else detail,
+                dst, kind, detail,
             ))
 
     @property
@@ -344,31 +333,3 @@ class Tracer:
     def by_type(self, etype: str) -> List[TraceEvent]:
         """All kept events of type ``etype`` (exact match)."""
         return [e for e in self.events if e.etype == etype]
-
-
-class NullTracer:
-    """The default no-op tracer.
-
-    Shares the :class:`Tracer` interface; every method is a stub.  Hot
-    paths additionally guard on :attr:`enabled` so a disabled run pays
-    at most one attribute load per instrumentation point.
-    """
-
-    enabled = False
-    events: List[TraceEvent] = []
-
-    def emit(self, etype: str, **kwargs: Any) -> None:
-        return None
-
-    def call_site_batch(self, etype: str, category: Optional[str] = None):
-        return _null_append
-
-    def context(self, event_id: Optional[int]) -> _NullContext:
-        return _NULL_CONTEXT
-
-    def clear(self) -> None:
-        return None
-
-
-#: the shared no-op tracer installed on every network by default.
-NULL_TRACER = NullTracer()

@@ -47,6 +47,14 @@ def test_import_repro_loads_no_layer():
     assert {name for name in loaded if name.startswith("repro")} == {"repro"}
 
 
+#: what an untraced run never compiles: the stdlib ``dataclasses`` and
+#: the source-introspection modules it pulls in, and the trace ledger
+#: (the no-op tracer lives in ``repro.trace.null``).
+UNUSED_BY_AN_UNTRACED_RUN = (
+    "dataclasses", "inspect", "ast", "dis", "tokenize",
+    "repro.trace.events",
+)
+
 #: the subcommands; each is one module under ``repro.commands``.
 COMMANDS = ("mutex", "groups", "proxy", "multicast", "compare", "trace",
             "monitor", "scenarios", "scale", "serve")
@@ -61,6 +69,7 @@ def test_cli_mutex_run_loads_only_its_layers():
         "assert status == 0"
     )
     assert not loaded.intersection(UNUSED_BY_A_MUTEX_RUN)
+    assert not loaded.intersection(UNUSED_BY_AN_UNTRACED_RUN)
     assert "repro.mutex" in loaded and "repro.net" in loaded
     # Only the chosen algorithm, handler and trace half are compiled.
     assert {"repro.mutex.l2", "repro.commands.mutex"} <= loaded
@@ -84,6 +93,18 @@ def test_every_subcommand_help_exits_0(command):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith(f"usage: repro {command}")
+
+
+def test_untraced_simulation_loads_no_dataclasses_or_trace_ledger():
+    loaded = modules_after(
+        "from repro import Simulation\n"
+        "sim = Simulation(n_mss=2, n_mh=2)\n"
+        "sim.mh(0).move_to(sim.mss_id(1))\n"
+        "sim.drain()\n"
+        "assert sim.tracer is None"
+    )
+    assert "repro.trace.null" in loaded
+    assert not loaded.intersection(UNUSED_BY_AN_UNTRACED_RUN)
 
 
 def test_monitored_simulation_loads_monitors_but_no_http_server():

@@ -40,6 +40,13 @@ class TestCostModel:
         with pytest.raises(ConfigurationError):
             CostModel(c_wireless=-1.0)
 
+    @pytest.mark.parametrize("field", ["c_fixed", "c_wireless", "c_search"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1", True])
+    def test_non_number_cost_rejected_naming_its_field(self, field, value):
+        # A NaN cost used to be accepted and priced every run NaN.
+        with pytest.raises(ConfigurationError, match=f"CostModel.{field}"):
+            CostModel(**{field: value})
+
     def test_mh_to_mh_cost(self):
         c = CostModel(c_fixed=1, c_wireless=5, c_search=10)
         assert c.mh_to_mh() == 20.0

@@ -173,6 +173,23 @@ class TestNetworkConfigValidation:
         with pytest.raises(ConfigurationError):
             NetworkConfig(search_retry_delay=0.0)
 
+    @pytest.mark.parametrize("field", [
+        "transit_time", "search_delay", "search_retry_delay",
+        "mh_delivery_max_attempts"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "2"])
+    def test_non_number_rejected_at_construction(self, field, value):
+        # A NaN transit time used to be accepted and fail only at the
+        # first move, as an unlocated "negative delay: nan".
+        from repro.net import NetworkConfig
+        with pytest.raises(ConfigurationError,
+                           match=f"NetworkConfig.{field}"):
+            NetworkConfig(**{field: value})
+
+    def test_unbounded_delivery_attempts_accepted(self):
+        from repro.net import NetworkConfig
+        assert NetworkConfig(
+            mh_delivery_max_attempts=None).mh_delivery_max_attempts is None
+
 
 class TestNetworkRegistration:
     def test_duplicate_mss_rejected(self):
