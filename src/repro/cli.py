@@ -10,7 +10,7 @@ Three subcommands, one per section of the paper::
         --message-rate 0.05 --duration 1000
 
 plus ``multicast`` (the paper's reference [1]), ``compare`` (measured
-vs predicted costs), ``trace`` (run a canonical traced scenario and
+vs predicted costs), ``trace`` (run a builtin scenario traced and
 export it as a Mermaid diagram, JSONL, or Chrome trace JSON),
 ``monitor``, ``scenarios``, ``scale`` and ``serve`` -- see
 ``docs/cli.md``.  Simulator speed is not measured from here: the
@@ -151,11 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace",
-        help="run a canonical traced scenario and export its trace",
+        help="run a builtin scenario traced and export its trace",
     )
     trace.add_argument(
         "--scenario", default=None, metavar="NAME",
-        help="scenario to run (see --list)",
+        help="builtin scenario to run (walkthroughs: see --list)",
     )
     trace.add_argument(
         "--format", default="summary", dest="fmt",
@@ -223,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenarios.add_argument(
         "--seeds", default=None, metavar="S1,S2,...",
-        help="comma-separated seeds to certify across "
-             "(default: each scenario's own seed)",
+        help="seeds to certify across: comma-separated integers and "
+             "ranges a..b (default: each scenario's own seed)",
     )
     scenarios.add_argument(
         "--report-dir", default=None, metavar="DIR",

@@ -1,43 +1,44 @@
-"""``repro monitor``: certify the canonical scenarios under the
+"""``repro monitor``: certify the walkthrough scenarios under the
 invariant monitors.
 
-Replays each traced scenario of the paper walkthroughs through the
-safety, liveness and health monitors and reports every violation.
+Runs each walkthrough scenario of the paper (or any builtin scenario
+named with ``--scenario``) through :func:`repro.scenario.run_scenario`
+at the command's deadlines and health interval, and reports every
+violation its live safety, liveness and health monitors found.
 """
 
-from repro.monitor import (
-    HealthMonitor,
-    LivenessMonitor,
-    default_monitors,
-    replay_events,
-)
-from repro.trace.scenarios import SCENARIOS, run_scenario
+from dataclasses import replace
+
+from repro.monitor import HealthMonitor, LivenessMonitor
+from repro.scenario import builtin_registry, run_scenario
+from repro.trace.walkthroughs import TOUR
 
 
 def run(args, emit) -> int:
+    registry = builtin_registry()
     if args.list_scenarios:
-        for name, factory in SCENARIOS.items():
-            emit(f"{name:<22} {(factory.__doc__ or '').splitlines()[0]}")
+        for name in TOUR:
+            emit(f"{name:<22} {registry.get(name).title}")
         return 0
-    names = [args.scenario] if args.scenario else list(SCENARIOS)
+    names = [args.scenario] if args.scenario else TOUR
+    deadlines = {"request_deadline": args.request_deadline,
+                 "token_deadline": args.token_deadline,
+                 "health_interval": args.health_interval}
     total_violations = 0
     last_health = None
     for name in names:
         try:
-            run = run_scenario(name)
+            spec = registry.get(name)
         except KeyError as exc:
             raise SystemExit(f"monitor: {exc.args[0]}") from exc
-        monitors = default_monitors(
-            request_deadline=args.request_deadline,
-            token_deadline=args.token_deadline,
-            health_interval=args.health_interval,
-        )
-        hub = replay_events(run.events, monitors,
-                            network=run.sim.network)
+        result = run_scenario(replace(spec, monitors=deadlines),
+                              trace=True)
+        sim = result.sim
+        hub = sim.monitor_hub
         n = len(hub.violations)
         total_violations += n
         status = "ok" if n == 0 else f"{n} VIOLATION(S)"
-        emit(f"{name:<22} {len(run.events):>5} events  "
+        emit(f"{name:<22} {len(sim.tracer.events):>5} events  "
              f"{len(hub.monitors)} monitors  {status}")
         for violation in hub.violations:
             emit(f"  {violation.monitor}: {violation.render()}")
@@ -45,7 +46,7 @@ def run(args, emit) -> int:
             if isinstance(monitor, HealthMonitor):
                 last_health = monitor
             if isinstance(monitor, LivenessMonitor):
-                age = monitor.oldest_pending_age(run.sim.now)
+                age = monitor.oldest_pending_age(sim.now)
                 if age:
                     emit(f"  oldest pending request: {age:g}")
     if args.health_out is not None and last_health is not None:

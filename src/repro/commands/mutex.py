@@ -33,7 +33,7 @@ def run(args, emit) -> int:
         "kind": "mutex", "algorithm": name,
         "request_rate": args.request_rate, "cs_duration": args.cs_duration,
         "on_complete": note_access,
-        "requests": sim.mh_ids[: max(1, args.n_mh // 3)] if baseline else (),
+        "requests": range(max(1, args.n_mh // 3)) if baseline else (),
     })
     # R1's token crosses the wireless hops of N MHs on its way to the
     # ring head, so its ring gets longer to stop than R2's.

@@ -12,6 +12,7 @@ from repro.errors import ConfigurationError
 from repro.scenario import (
     builtin_registry,
     load_file,
+    parse_seeds,
     render_summary,
     run_scenario,
 )
@@ -50,14 +51,9 @@ def run(args, emit) -> int:
     seeds = None
     if args.seeds is not None:
         try:
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        except ValueError:
-            raise SystemExit(
-                f"scenarios: --seeds must be comma-separated integers, "
-                f"got {args.seeds!r}"
-            ) from None
-        if not seeds:
-            raise SystemExit("scenarios: --seeds is empty")
+            seeds = parse_seeds(args.seeds)
+        except ConfigurationError as exc:
+            raise SystemExit(f"scenarios: --seeds: {exc}") from None
 
     if args.report_dir is not None:
         os.makedirs(args.report_dir, exist_ok=True)

@@ -52,17 +52,21 @@ BASELINES = ("L1", "R1")
 
 
 def build(name: str, network, mh_ids, resource, cs_duration: float,
-          on_complete=None, requests=(), **ring_options):
+          on_complete=None, requests=(), scope=None, **ring_options):
     """Build mutex algorithm ``name`` and start its token ring.
 
     L1 and R1 run on the MHs ``mh_ids``, L2 and R2 at the stations; the
     R2 family's variant is ``R2Variant(name)`` and ``ring_options``
     (``token_timeout``, ``max_traversals``) go to its constructor.
-    Each MH in ``requests`` requests the region before a ring starts,
-    so R1's first token visit can already grant one.
+    ``scope`` replaces the class's own metrics scope (``"R2"`` for the
+    whole R2 family).  Each MH in ``requests`` requests the region
+    before a ring starts, so R1's first token visit can already grant
+    one.
     """
     algorithm = __getattr__(ALGORITHMS[name])
     options = {"cs_duration": cs_duration, "on_complete": on_complete}
+    if scope is not None:
+        options["scope"] = scope
     if name in BASELINES:
         mutex = algorithm(network, mh_ids, resource, **options)
     elif name == "L2":

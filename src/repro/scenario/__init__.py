@@ -29,7 +29,12 @@ from repro.scenario.registry import (
     pack_dir,
 )
 from repro.scenario.report import build_report, render_summary
-from repro.scenario.runner import ScenarioResult, certify, run_scenario
+from repro.scenario.runner import (
+    ScenarioResult,
+    certify,
+    parse_seeds,
+    run_scenario,
+)
 from repro.scenario.spec import (
     EVENT_KINDS,
     MOBILITY_KINDS,
@@ -52,6 +57,7 @@ __all__ = [
     "load_file",
     "load_spec",
     "pack_dir",
+    "parse_seeds",
     "render_summary",
     "run_scenario",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError, require_number
@@ -34,7 +35,7 @@ _TOP_LEVEL_KEYS = {
     "n_mss", "n_mh", "seed", "placement", "search",
     "duration", "settle",
     "workload", "mobility", "disconnects", "events",
-    "faults", "monitors", "expect",
+    "faults", "recovery", "monitors", "expect", "notes",
     # tolerated metadata for hand-written files
     "schema_version",
 }
@@ -46,6 +47,9 @@ _EXPECT_KEYS = {
     "min_completed", "all_requests_served", "min_accesses",
     "min_deliveries", "min_sent", "min_faults", "max_gave_up",
 }
+
+#: a note's replacement field: a report key, then ``[key]`` lookups.
+_NOTE_FIELD = re.compile(r"\w+(\[[^\]]+\])*")
 
 
 class _Check:
@@ -76,6 +80,18 @@ class _Check:
             self.fail(f"{where} must be an integer, got {value!r}")
         if minimum is not None and value < minimum:
             self.fail(f"{where} must be >= {minimum}, got {value}")
+        return value
+
+    def index(self, where: str, value, count: int, of: str):
+        """An MH or cell index below ``count`` (the spec's ``of``)."""
+        self.integer(where, value, minimum=0)
+        if value >= count:
+            self.fail(f"{where} {value} out of range for {of}={count}")
+        return value
+
+    def string(self, where: str, value):
+        if not isinstance(value, str) or not value:
+            self.fail(f"{where} must be a nonempty string, got {value!r}")
         return value
 
     def boolean(self, where: str, value):
@@ -114,21 +130,20 @@ def _validate_workload(check: _Check, data: Dict[str, Any]) -> Dict:
         check.known_keys("workload", workload, {
             "kind", "algorithm", "request_rate", "cs_duration",
             "token_timeout", "max_traversals", "malicious_mhs",
+            "requests", "scope",
         })
         algorithm = workload.setdefault("algorithm", "L2")
         check.choice("workload.algorithm", algorithm, ALGORITHMS)
-        rate = workload.get("request_rate")
         if algorithm in BASELINES:
-            if rate is not None:
+            if workload.get("request_rate") is not None:
                 check.fail(
                     f"workload.request_rate is not supported for "
                     f"{algorithm} (no completion hook); schedule "
                     f"explicit 'request' events instead"
                 )
-        else:
+        elif workload.setdefault("request_rate", 0.05) is not None:
             check.number("workload.request_rate",
-                         workload.setdefault("request_rate", 0.05),
-                         minimum=1e-9)
+                         workload["request_rate"], minimum=1e-9)
         check.number("workload.cs_duration",
                      workload.setdefault("cs_duration", 1.0),
                      minimum=1e-9)
@@ -147,6 +162,10 @@ def _validate_workload(check: _Check, data: Dict[str, Any]) -> Dict:
         if malicious and not algorithm.startswith("R2"):
             check.fail("workload.malicious_mhs requires an R2-family "
                        "algorithm")
+        if not isinstance(workload.get("requests", []), list):
+            check.fail("workload.requests must be a list of MH indices")
+        if "scope" in workload:
+            check.string("workload.scope", workload["scope"])
     elif kind == "groups":
         check.known_keys("workload", workload, {
             "kind", "strategy", "group_size", "message_rate",
@@ -156,9 +175,9 @@ def _validate_workload(check: _Check, data: Dict[str, Any]) -> Dict:
                      GROUP_STRATEGIES)
         check.integer("workload.group_size",
                       workload.setdefault("group_size", 6), minimum=2)
-        check.number("workload.message_rate",
-                     workload.setdefault("message_rate", 0.05),
-                     minimum=1e-9)
+        if workload.setdefault("message_rate", 0.05) is not None:
+            check.number("workload.message_rate",
+                         workload["message_rate"], minimum=1e-9)
     elif kind == "multicast":
         check.known_keys("workload", workload, {
             "kind", "group_size", "message_rate", "gc",
@@ -230,9 +249,12 @@ def _validate_event(check: _Check, event, index: int,
     event = dict(check.mapping(where, event))
     kind = event.get("kind")
     check.choice(f"{where}.kind", kind, EVENT_KINDS)
-    check.number(f"{where}.at", event.get("at"), minimum=0.0)
+    # One spec, one trace: ``"at": 0`` and ``"at": 0.0`` post alike.
+    event["at"] = float(check.number(f"{where}.at", event.get("at"),
+                                     minimum=0.0))
     n_mss = spec_fields["n_mss"]
     n_mh = spec_fields["n_mh"]
+    workload = spec_fields["workload"]
     if kind == "mass_disconnect":
         check.known_keys(where, event, {
             "kind", "at", "fraction", "downtime", "supply_prev",
@@ -252,11 +274,7 @@ def _validate_event(check: _Check, event, index: int,
         check.known_keys(where, event, {
             "kind", "at", "cell", "fraction", "spread",
         })
-        cell = check.integer(f"{where}.cell", event.get("cell"),
-                             minimum=0)
-        if cell >= n_mss:
-            check.fail(f"{where}.cell {cell} out of range for "
-                       f"n_mss={n_mss}")
+        check.index(f"{where}.cell", event.get("cell"), n_mss, "n_mss")
         check.number(f"{where}.fraction",
                      event.setdefault("fraction", 1.0),
                      minimum=1e-9, maximum=1.0)
@@ -266,34 +284,45 @@ def _validate_event(check: _Check, event, index: int,
         check.known_keys(where, event, {
             "kind", "at", "from_cell", "spread",
         })
-        if event.get("from_cell") is not None:
-            cell = check.integer(f"{where}.from_cell",
-                                 event["from_cell"], minimum=0)
-            if cell >= n_mss:
-                check.fail(f"{where}.from_cell {cell} out of range for "
-                           f"n_mss={n_mss}")
-        else:
-            event["from_cell"] = None
+        if event.setdefault("from_cell", None) is not None:
+            check.index(f"{where}.from_cell", event["from_cell"], n_mss,
+                        "n_mss")
         check.number(f"{where}.spread", event.setdefault("spread", 0.0),
                      minimum=0.0)
     elif kind == "move":
         check.known_keys(where, event, {"kind", "at", "mh", "cell"})
-        mh = check.integer(f"{where}.mh", event.get("mh"), minimum=0)
-        if mh >= n_mh:
-            check.fail(f"{where}.mh {mh} out of range for n_mh={n_mh}")
-        cell = check.integer(f"{where}.cell", event.get("cell"),
-                             minimum=0)
-        if cell >= n_mss:
-            check.fail(f"{where}.cell {cell} out of range for "
-                       f"n_mss={n_mss}")
+        check.index(f"{where}.mh", event.get("mh"), n_mh, "n_mh")
+        check.index(f"{where}.cell", event.get("cell"), n_mss, "n_mss")
     elif kind == "request":
         check.known_keys(where, event, {"kind", "at", "mh"})
-        mh = check.integer(f"{where}.mh", event.get("mh"), minimum=0)
-        if mh >= n_mh:
-            check.fail(f"{where}.mh {mh} out of range for n_mh={n_mh}")
-        if spec_fields["workload"]["kind"] != "mutex":
+        check.index(f"{where}.mh", event.get("mh"), n_mh, "n_mh")
+        if workload["kind"] != "mutex":
             check.fail(f"{where}: 'request' events need a mutex "
                        f"workload")
+    elif kind == "send":
+        check.known_keys(where, event, {"kind", "at", "mh", "payload"})
+        if workload["kind"] != "groups":
+            check.fail(f"{where}: 'send' events need a groups workload")
+        check.index(f"{where}.mh", event.get("mh"),
+                    workload["group_size"], "group_size")
+    elif kind == "fixed_send":
+        check.known_keys(where, event, {
+            "kind", "at", "src", "dst", "message", "scope", "payload",
+        })
+        if workload["kind"] != "none":
+            check.fail(f"{where}: 'fixed_send' events need workload "
+                       f"kind 'none' (a protocol owns its stations' "
+                       f"handlers)")
+        check.index(f"{where}.src", event.get("src"), n_mss, "n_mss")
+        check.index(f"{where}.dst", event.get("dst"), n_mss, "n_mss")
+        check.string(f"{where}.message", event.get("message"))
+        check.string(f"{where}.scope",
+                     event.setdefault("scope", "scenario"))
+    elif kind == "work":
+        check.known_keys(where, event, {"kind", "at", "mh"})
+        check.index(f"{where}.mh", event.get("mh"), n_mh, "n_mh")
+        if spec_fields["recovery"] is None:
+            check.fail(f"{where}: 'work' events need a recovery policy")
     else:  # set_rate
         check.known_keys(where, event, {
             "kind", "at", "workload_rate", "mobility_rate",
@@ -305,11 +334,9 @@ def _validate_event(check: _Check, event, index: int,
         if "workload_rate" in event:
             check.number(f"{where}.workload_rate",
                          event["workload_rate"], minimum=1e-9)
-            if spec_fields["workload"]["kind"] in ("none", "mutex") and \
-                    spec_fields["workload"].get("algorithm") in ("L1",
-                                                                 "R1"):
-                check.fail(f"{where}: workload has no adjustable rate")
-            if spec_fields["workload"]["kind"] == "none":
+            rate = ("request_rate" if workload["kind"] == "mutex"
+                    else "message_rate")
+            if workload.get(rate) is None:
                 check.fail(f"{where}: workload has no adjustable rate")
         if "mobility_rate" in event:
             check.number(f"{where}.mobility_rate",
@@ -395,11 +422,23 @@ def load_spec(data: Dict[str, Any]) -> ScenarioSpec:
     if workload.get("group_size", 0) > n_mh:
         check.fail(f"workload.group_size {workload['group_size']} "
                    f"exceeds n_mh={n_mh}")
+    for index in workload.get("requests", ()):
+        check.index("workload.requests[]", index, n_mh, "n_mh")
     mobility = _validate_mobility(check, data.get("mobility"))
     disconnects = _validate_disconnects(check, data.get("disconnects"))
 
+    recovery = data.get("recovery")
+    if recovery is not None:
+        from repro.recovery import policy_from_spec
+
+        check.string("recovery", recovery)
+        try:
+            policy_from_spec(recovery)
+        except ConfigurationError as exc:
+            check.fail(f"recovery: {exc}")
+
     spec_fields = {"n_mss": n_mss, "n_mh": n_mh, "workload": workload,
-                   "mobility": mobility}
+                   "mobility": mobility, "recovery": recovery}
     raw_events = data.get("events", [])
     if isinstance(raw_events, (str, dict)) or not hasattr(
         raw_events, "__iter__"
@@ -433,6 +472,23 @@ def load_spec(data: Dict[str, Any]) -> ScenarioSpec:
 
     expect = _validate_expect(check, data.get("expect", {}))
 
+    notes = data.get("notes", [])
+    if not isinstance(notes, list):
+        check.fail("notes must be a list of strings")
+    if notes:
+        from string import Formatter
+    for i, note in enumerate(notes):
+        check.string(f"notes[{i}]", note)
+        try:
+            fields = [field for _, field, _, _ in Formatter().parse(note)
+                      if field is not None]
+        except ValueError as exc:
+            check.fail(f"notes[{i}]: {exc}")
+        for field in fields:
+            if not _NOTE_FIELD.fullmatch(field):
+                check.fail(f"notes[{i}]: field {{{field}}} must be a "
+                           f"report key followed by [key] lookups")
+
     title = data.get("title", "")
     description = data.get("description", "")
     for field_name, value in (("title", title),
@@ -457,8 +513,10 @@ def load_spec(data: Dict[str, Any]) -> ScenarioSpec:
         disconnects=disconnects,
         events=events,
         faults=faults,
+        recovery=recovery,
         monitors=monitors,
         expect=expect,
+        notes=tuple(notes),
     )
 
 

@@ -2,8 +2,11 @@
 
 A :class:`ScenarioRegistry` maps names to validated
 :class:`~repro.scenario.spec.ScenarioSpec` objects and answers
-tag-filtered queries; :func:`builtin_registry` loads the shipped pack
-from ``src/repro/scenario/pack/*.json`` exactly once per process.
+tag-filtered queries; :func:`builtin_registry` loads the shipped specs
+exactly once per process: the chaos pack from
+``src/repro/scenario/pack/*.json`` and the seven scenarios of the paper
+walkthroughs (tag ``walkthrough``) from
+``src/repro/scenario/walkthroughs/*.json``.
 Part of the declarative chaos-scenario platform (ROADMAP chaos arc).
 """
 
@@ -21,7 +24,7 @@ __all__ = ["ScenarioRegistry", "builtin_registry", "pack_dir"]
 
 
 def pack_dir() -> str:
-    """Directory holding the shipped scenario JSON files."""
+    """Directory holding the chaos pack's scenario JSON files."""
     return os.path.join(os.path.dirname(__file__), "pack")
 
 
@@ -79,11 +82,16 @@ _BUILTIN: Optional[ScenarioRegistry] = None
 
 
 def builtin_registry() -> ScenarioRegistry:
-    """The shipped scenario pack, loaded once per process."""
+    """The shipped pack and walkthrough specs, loaded once per
+    process."""
     global _BUILTIN
     if _BUILTIN is None:
         registry = ScenarioRegistry()
-        for path in sorted(glob.glob(os.path.join(pack_dir(), "*.json"))):
-            registry.register(load_file(path))
+        walkthroughs = os.path.join(os.path.dirname(__file__),
+                                    "walkthroughs")
+        for directory in (pack_dir(), walkthroughs):
+            for path in sorted(glob.glob(os.path.join(directory,
+                                                      "*.json"))):
+                registry.register(load_file(path))
         _BUILTIN = registry
     return _BUILTIN

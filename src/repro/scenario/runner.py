@@ -27,14 +27,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.errors import ConfigurationError
 from repro.facade import Simulation
 from repro.mobility import DisconnectionModel
 from repro.monitor import default_monitors
+from repro.net.messages import Message
 from repro.scenario.report import build_report
 from repro.scenario.spec import ScenarioSpec
 from repro.workload import WorkloadRun, build, finish
 
-__all__ = ["ScenarioResult", "run_scenario", "certify", "scenario_monitors"]
+__all__ = ["ScenarioResult", "run_scenario", "certify", "parse_seeds",
+           "scenario_monitors"]
 
 
 @dataclass
@@ -55,6 +58,11 @@ class ScenarioResult:
     def ok(self) -> bool:
         """Zero invariant violations and every expectation met."""
         return not self.failures and self.report["monitors"]["ok"]
+
+    @property
+    def notes(self) -> List[str]:
+        """The spec's ``notes``, filled in from this run's report."""
+        return [note.format_map(self.report) for note in self.spec.notes]
 
 
 def scenario_monitors(spec: ScenarioSpec) -> list:
@@ -84,7 +92,18 @@ class _Run:
             search=spec.search,
             fault_plan=spec.faults,
             monitors=scenario_monitors(spec),
+            recovery=spec.recovery,
         )
+        #: the counter ``work`` events feed, under a recovery policy.
+        self.counter = None
+        if spec.recovery is not None:
+            from repro.recovery import CounterClient
+
+            self.counter = CounterClient(self.sim.recovery)
+        #: payloads of the ``fixed_send`` events, as sent and as
+        #: received by their destination stations.
+        self.sent: List[Any] = []
+        self.received: List[Any] = []
         # Every source of randomness outside the Simulation itself is
         # seeded from (scenario name, seed) so one scenario's draws
         # never shift another's.
@@ -134,6 +153,10 @@ class _Run:
         for event in self.spec.events:
             handler = getattr(self, "_event_" + event["kind"])
             self.sim.scheduler.post_at(event["at"], handler, event)
+        for dst, kind in sorted({(event["dst"], event["message"])
+                                 for event in self.spec.events
+                                 if event["kind"] == "fixed_send"}):
+            self.sim.mss(dst).register_handler(kind, self._receive)
 
     def _cohort(self, fraction: float) -> List[str]:
         connected = [
@@ -211,6 +234,23 @@ class _Run:
             self.wired.driver.request_now(mh_id)
         elif self.sim.network.mobile_host(mh_id).is_connected:
             self.wired.mutex.request(mh_id)
+
+    def _event_send(self, event: Dict[str, Any]) -> None:
+        self.wired.group.send(f"mh-{event['mh']}", event.get("payload"))
+
+    def _event_fixed_send(self, event: Dict[str, Any]) -> None:
+        self.sent.append(event.get("payload"))
+        self.sim.network.send_fixed(Message(
+            kind=event["message"], src=f"mss-{event['src']}",
+            dst=f"mss-{event['dst']}", payload=event.get("payload"),
+            scope=event["scope"],
+        ))
+
+    def _receive(self, message: Message) -> None:
+        self.received.append(message.payload)
+
+    def _event_work(self, event: Dict[str, Any]) -> None:
+        self.counter.note_work(f"mh-{event['mh']}")
 
     def _event_set_rate(self, event: Dict[str, Any]) -> None:
         rate = event.get("workload_rate")
@@ -315,6 +355,9 @@ class _Run:
         if wired.group is not None:
             stats["deliveries"] = wired.group.stats.deliveries
             stats["moves"] = wired.group.stats.moves
+            stats["significant_moves"] = wired.group.stats.significant_moves
+            if hasattr(wired.group, "coordinator_view"):
+                stats["view"] = sorted(wired.group.coordinator_view())
         if wired.messenger is not None:
             stats["delivered"] = len(wired.messenger.delivered)
             stats["missed"] = len(wired.messenger.missed)
@@ -322,6 +365,14 @@ class _Run:
             stats["multicast_sent"] = wired.feed.messages_sent
         if hasattr(wired.mutex, "regenerations"):
             stats["token_regenerations"] = wired.mutex.regenerations
+        if stats["kind"] == "none":
+            stats["payloads_delivered"] = self.received == self.sent
+        if self.counter is not None:
+            recovery = self.sim.recovery
+            stats["checkpoints_taken"] = recovery.checkpoints_taken
+            stats["restored"] = list(recovery.restored)
+            stats["work"] = dict(self.counter.work)
+            stats["lost"] = dict(self.counter.lost)
         return stats
 
 
@@ -354,6 +405,30 @@ def run_scenario(spec: ScenarioSpec,
     return ScenarioResult(spec=spec, seed=seed, report=report,
                           events=events, failures=failures,
                           sim=run.sim if trace else None)
+
+
+def parse_seeds(text: str) -> List[int]:
+    """The seeds ``text`` names: comma-separated integers and inclusive
+    ranges ``a..b``, so ``"1..3,7"`` is ``[1, 2, 3, 7]``.  Raises
+    :class:`~repro.errors.ConfigurationError` with a one-line message
+    on anything else."""
+    seeds: List[int] = []
+    for part in filter(None, (part.strip() for part in text.split(","))):
+        first, dots, last = part.partition("..")
+        try:
+            first = int(first)
+            last = int(last) if dots else first
+        except ValueError:
+            raise ConfigurationError(
+                f"seeds must be comma-separated integers or ranges a..b, "
+                f"got {part!r}"
+            ) from None
+        if last < first:
+            raise ConfigurationError(f"seed range {part!r} is empty")
+        seeds.extend(range(first, last + 1))
+    if not seeds:
+        raise ConfigurationError("no seeds given")
+    return seeds
 
 
 def certify(spec: ScenarioSpec, seeds) -> List[ScenarioResult]:

@@ -44,6 +44,9 @@ EVENT_KINDS = (
     "move",             # one scheduled handoff (deterministic races)
     "request",          # one scheduled mutex request
     "set_rate",         # diurnal curves: change workload/mobility rates
+    "send",             # one group message from a member
+    "fixed_send",       # one raw station-to-station message
+    "work",             # one unit of recoverable work (needs recovery)
 )
 
 
@@ -84,10 +87,17 @@ class ScenarioSpec:
 
     # -- adversity -----------------------------------------------------
     faults: Optional[FaultPlan] = None
+    #: MH checkpoint policy (``Simulation(recovery=...)``), e.g.
+    #: ``"distance:3"``; ``work`` events feed its counter client.
+    recovery: Optional[str] = None
 
     # -- certification -------------------------------------------------
     monitors: Dict[str, float] = field(default_factory=dict)
     expect: Dict[str, Any] = field(default_factory=dict)
+
+    #: lines to print under a run: ``str.format_map`` templates over
+    #: its report, e.g. ``"accesses completed: {workload[accesses]}"``.
+    notes: Tuple[str, ...] = ()
 
     def has_tag(self, tag: str) -> bool:
         return tag in self.tags
@@ -116,8 +126,12 @@ class ScenarioSpec:
             out["events"] = [dict(event) for event in self.events]
         if self.faults is not None:
             out["faults"] = self.faults.to_dict()
+        if self.recovery is not None:
+            out["recovery"] = self.recovery
         if self.monitors:
             out["monitors"] = dict(self.monitors)
         if self.expect:
             out["expect"] = dict(self.expect)
+        if self.notes:
+            out["notes"] = list(self.notes)
         return out

@@ -12,9 +12,10 @@ Tracing is off by default (:data:`NULL_TRACER`) and structurally free
 when disabled; enabling it never changes costs, message counts, or
 randomness -- the tracer is a pure observer.
 
-Submodules :mod:`repro.trace.scenarios` and
-:mod:`repro.trace.walkthroughs` hold the canonical small scenarios and
-the Markdown walkthrough renderer behind ``docs/walkthroughs/``.  This
+Submodule :mod:`repro.trace.walkthroughs` renders
+``docs/walkthroughs/`` from traced runs of the builtin scenario specs
+tagged ``walkthrough`` (``repro.scenario.run_scenario(spec,
+trace=True)``; ``repro trace`` exports any builtin scenario).  This
 package stays import-light because the network core imports it: names
 load on first access (PEP 562, the pattern :mod:`repro` uses), so
 :mod:`repro.trace.export` is compiled only for a run that exports and

@@ -1,25 +1,28 @@
-"""Render the canonical traced scenarios into Markdown walkthroughs.
+"""Render the walkthrough scenarios into Markdown walkthroughs.
 
-Each page in ``docs/walkthroughs/`` is generated from one (or two) of
-the :mod:`repro.trace.scenarios` runs: an intro, a Mermaid sequence
-diagram, a step-by-step event table with per-step cost annotations, and
-a cost summary priced in the paper's currency.  The pages are checked
-in and CI regenerates them, failing on any diff -- so this module (like
+Each page in ``docs/walkthroughs/`` is generated from one (or two)
+traced runs of the builtin scenario specs tagged ``walkthrough``
+(``src/repro/scenario/walkthroughs/*.json``): the spec's intro, a
+Mermaid sequence diagram, a step-by-step event table with per-step cost
+annotations, a cost summary priced in the paper's currency, and the
+spec's notes filled in from the run's report.  The pages are checked in
+and CI regenerates them, failing on any diff -- so this module (like
 the scenarios) must be fully deterministic.
 
 Entry points: :func:`render_all` returns ``{filename: content}``;
 :func:`write_all` writes them to a directory (what
-``tools/gen_walkthroughs.py`` calls).
+``tools/gen_walkthroughs.py`` calls); :data:`TOUR` is the scenarios in
+page order.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Tuple
 
 from repro.metrics.collector import Category
+from repro.scenario import ScenarioResult, builtin_registry, run_scenario
 from repro.trace.export import _CATEGORY_TAGS, to_mermaid
-from repro.trace.scenarios import ScenarioRun, run_scenario
 
 #: how every generated page begins (also what the CI diff-check greps
 #: for to confirm pages were not hand-edited into unmarked files).
@@ -47,14 +50,21 @@ def _fmt_detail(detail: Dict[str, object]) -> str:
     return f"`{text}`"
 
 
-def _step_table(run: ScenarioRun, max_rows: int = MAX_TABLE_ROWS) -> str:
+def traced_run(name: str) -> ScenarioResult:
+    """A traced run of the builtin scenario ``name`` at its own seed."""
+    return run_scenario(builtin_registry().get(name), trace=True)
+
+
+def _step_table(run: ScenarioResult,
+                max_rows: int = MAX_TABLE_ROWS) -> str:
     """The step-by-step table: one row per trace event."""
     lines = [
         "| # | t | event | from | to | cost | detail |",
         "|---:|---:|---|---|---|---|---|",
     ]
+    events = run.sim.tracer.events
     shown = 0
-    for event in run.events:
+    for event in events:
         if shown >= max_rows:
             break
         cost = _CATEGORY_TAGS.get(event.category or "", "")
@@ -71,17 +81,17 @@ def _step_table(run: ScenarioRun, max_rows: int = MAX_TABLE_ROWS) -> str:
             )
         )
         shown += 1
-    remaining = len(run.events) - shown
+    remaining = len(events) - shown
     if remaining > 0:
         lines.append(
             f"| ... | | *{remaining} further events omitted "
-            f"(full trace: `repro trace --scenario {run.name} "
+            f"(full trace: `repro trace --scenario {run.spec.name} "
             f"--format jsonl`)* | | | | |"
         )
     return "\n".join(lines)
 
 
-def _cost_summary(run: ScenarioRun) -> str:
+def _cost_summary(run: ScenarioResult) -> str:
     """Counts per category, priced with the simulation's cost model."""
     snap = run.sim.metrics.snapshot()
     model = run.sim.cost_model
@@ -124,13 +134,14 @@ def _cost_summary(run: ScenarioRun) -> str:
 
 
 def _run_section(
-    run: ScenarioRun,
+    run: ScenarioResult,
     heading_level: int = 2,
     max_diagram_steps: int = MAX_DIAGRAM_STEPS,
 ) -> str:
     """Diagram + step table + cost summary for one scenario run."""
     h = "#" * heading_level
-    mermaid = to_mermaid(run.events, max_steps=max_diagram_steps)
+    mermaid = to_mermaid(run.sim.tracer.events,
+                         max_steps=max_diagram_steps)
     return "\n\n".join([
         f"{h} Sequence diagram",
         f"```mermaid\n{mermaid}\n```",
@@ -154,8 +165,8 @@ def _page(title: str, intro: str, body: str) -> str:
 
 def page_l1_vs_l2() -> str:
     """The paper's central contrast: one access under L1, then L2."""
-    l1 = run_scenario("l1")
-    l2 = run_scenario("l2")
+    l1 = traced_run("l1")
+    l2 = traced_run("l2")
     snap1, snap2 = l1.sim.metrics.snapshot(), l2.sim.metrics.snapshot()
     model = l1.sim.cost_model
     compare = "\n".join([
@@ -182,50 +193,34 @@ def page_l1_vs_l2() -> str:
         "to three wireless messages.\n\n" + compare
     )
     body = "\n\n".join([
-        f"## {l1.title}",
-        l1.intro,
+        f"## {l1.spec.title}",
+        l1.spec.description,
         _run_section(l1, heading_level=3),
-        f"## {l2.title}",
-        l2.intro,
+        f"## {l2.spec.title}",
+        l2.spec.description,
         _run_section(l2, heading_level=3),
     ])
     return _page("Walkthrough: L1 vs L2", intro, body)
 
 
 def _single_run_page(name: str) -> str:
-    run = run_scenario(name)
-    return _page(f"Walkthrough: {run.title}", run.intro, _run_section(run))
+    run = traced_run(name)
+    return _page(f"Walkthrough: {run.spec.title}", run.spec.description,
+                 _run_section(run))
 
 
-def page_r2_token_list() -> str:
-    return _single_run_page("r2_token_list")
-
-
-def page_location_view_move() -> str:
-    return _single_run_page("location_view_move")
-
-
-def page_reliable_retransmit() -> str:
-    return _single_run_page("reliable_retransmit")
-
-
-def page_r2_crash_recovery() -> str:
-    return _single_run_page("r2_crash_recovery")
-
-
-def page_mh_crash_recovery() -> str:
-    return _single_run_page("mh_crash_recovery")
-
-
-#: filename -> page renderer, in index order.
-PAGES: Dict[str, Callable[[], str]] = {
-    "l1_vs_l2.md": page_l1_vs_l2,
-    "r2_token_list.md": page_r2_token_list,
-    "location_view_move.md": page_location_view_move,
-    "reliable_retransmit.md": page_reliable_retransmit,
-    "r2_crash_recovery.md": page_r2_crash_recovery,
-    "mh_crash_recovery.md": page_mh_crash_recovery,
+#: filename -> the walkthrough scenarios the page runs, in index order.
+PAGES: Dict[str, Tuple[str, ...]] = {
+    "l1_vs_l2.md": ("l1", "l2"),
+    "r2_token_list.md": ("r2_token_list",),
+    "location_view_move.md": ("location_view_move",),
+    "reliable_retransmit.md": ("reliable_retransmit",),
+    "r2_crash_recovery.md": ("r2_crash_recovery",),
+    "mh_crash_recovery.md": ("mh_crash_recovery",),
 }
+
+#: every walkthrough scenario in page order (``repro monitor``'s).
+TOUR = tuple(name for names in PAGES.values() for name in names)
 
 _INDEX_BLURBS = {
     "l1_vs_l2.md": (
@@ -277,7 +272,11 @@ def page_index() -> str:
 
 def render_all() -> Dict[str, str]:
     """All walkthrough pages (including the index) as filename -> text."""
-    pages = {filename: render() for filename, render in PAGES.items()}
+    pages = {
+        filename: (page_l1_vs_l2() if filename == "l1_vs_l2.md"
+                   else _single_run_page(*names))
+        for filename, names in PAGES.items()
+    }
     pages["index.md"] = page_index()
     return pages
 

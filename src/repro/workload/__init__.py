@@ -120,9 +120,11 @@ def build(sim, workload: dict, seed: int,
 
     ``workload`` has a scenario spec's workload keys (``kind``,
     ``algorithm``, ``strategy``, ``policy``, ``group_size``, the rates,
-    ...).  A mutex workload may add ``on_complete`` and up-front
-    ``requests`` for :func:`repro.mutex.build`, and its ring options
-    pass on when present.  The traffic draws from ``seed + 7`` (and
+    ...).  A mutex or groups workload whose rate is ``None`` gets no
+    driver.  A mutex workload may add ``on_complete``, the indices of
+    the MHs that request up front (``requests``) and a ``scope`` for
+    :func:`repro.mutex.build`, and its ring options pass on when
+    present.  The traffic draws from ``seed + 7`` (and
     ``seed + 8`` for the arrival times of multicasts and letters); the
     uniform or localized ``mobility`` of the participants draws from
     ``seed + 101``.
@@ -143,21 +145,25 @@ def build(sim, workload: dict, seed: int,
             workload["algorithm"], network, mh_ids, run.resource,
             workload["cs_duration"],
             on_complete=workload.get("on_complete"),
-            requests=workload.get("requests", ()), **ring,
+            requests=[f"mh-{index}"
+                      for index in workload.get("requests", ())],
+            scope=workload.get("scope"), **ring,
         )
         for index in workload.get("malicious_mhs", ()):
             run.mutex.malicious_mhs.add(f"mh-{index}")
-        if workload["algorithm"] not in mutexes.BASELINES:
+        if (workload["algorithm"] not in mutexes.BASELINES
+                and workload["request_rate"] is not None):
             run.driver = MutexWorkload(
                 network, run.mutex, mh_ids, workload["request_rate"],
                 rng=random.Random(seed + 7),
             )
     elif kind == "groups":
         run.group = group_strategy(workload["strategy"])(network, members)
-        run.driver = GroupMessagingWorkload(
-            network, run.group, workload["message_rate"],
-            rng=random.Random(seed + 7),
-        )
+        if workload["message_rate"] is not None:
+            run.driver = GroupMessagingWorkload(
+                network, run.group, workload["message_rate"],
+                rng=random.Random(seed + 7),
+            )
     elif kind == "multicast":
         from repro.multicast import ExactlyOnceMulticast
 

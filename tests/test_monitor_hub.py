@@ -28,7 +28,7 @@ from repro import (
 )
 from repro.cli import main
 from repro.mutex import CriticalResource, L2Mutex
-from repro.trace.scenarios import SCENARIOS, run_scenario
+from repro.trace.walkthroughs import TOUR, traced_run
 from repro.workload import MutexWorkload
 
 
@@ -236,13 +236,13 @@ def test_health_sampling_interval_is_edge_triggered():
 
 
 # ---------------------------------------------------------------------
-# canonical scenarios and the CLI watchdog
+# walkthrough scenarios and the CLI watchdog
 # ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(TOUR))
 def test_canonical_scenarios_hold_every_invariant(name):
-    run = run_scenario(name)
-    hub = replay_events(run.events, default_monitors(),
+    run = traced_run(name)
+    hub = replay_events(run.sim.tracer.events, default_monitors(),
                         network=run.sim.network)
     assert hub.ok, hub.report()
 
@@ -251,7 +251,7 @@ def test_cli_monitor_lists_scenarios():
     lines = []
     assert main(["monitor", "--list"], emit=lines.append) == 0
     out = "\n".join(lines)
-    for name in SCENARIOS:
+    for name in TOUR:
         assert name in out
 
 
@@ -278,7 +278,7 @@ def test_cli_monitor_runs_all_scenarios():
     assert main(["monitor"], emit=lines.append) == 0
     out = "\n".join(lines)
     assert "all invariants held" in out
-    for name in SCENARIOS:
+    for name in TOUR:
         assert name in out
 
 

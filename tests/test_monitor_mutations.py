@@ -373,12 +373,12 @@ def test_online_deadlines_fire_during_a_stalled_run():
     far tighter than its recovery time: the request-age and
     token-starvation alarms must fire *online* (with event timestamps),
     not just at finalize."""
-    from repro.trace.scenarios import run_scenario
+    from repro.trace.walkthroughs import traced_run
 
-    run = run_scenario("r2_crash_recovery")
+    run = traced_run("r2_crash_recovery")
     monitor = LivenessMonitor(request_deadline=8.0, token_deadline=8.0,
                               stall_gap=1e9)
-    replay_events(run.events, [monitor], network=run.sim.network,
+    replay_events(run.sim.tracer.events, [monitor], network=run.sim.network,
                   finalize=False)
     invariants = {v.invariant for v in monitor.violations}
     assert "liveness.request_age" in invariants

@@ -9,7 +9,9 @@ all together.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import os
 
 import pytest
 
@@ -18,8 +20,13 @@ from repro.scenario import (
     ScenarioRegistry,
     builtin_registry,
     load_spec,
+    parse_seeds,
     run_scenario,
 )
+from repro.trace import to_jsonl
+
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tools")
 
 
 def minimal(**overrides):
@@ -90,12 +97,95 @@ def test_load_spec_fills_defaults():
          "workload.group_size 9 exceeds n_mh=4"),
         ({"n_mh": 4, "workload": {"kind": "groups", "group_size": 5}},
          "workload.group_size 5 exceeds n_mh=4"),
+        # the keys and event kinds the walkthrough specs brought
+        ({"workload": {"kind": "mutex", "requests": "0"}},
+         "workload.requests must be a list of MH indices"),
+        ({"n_mh": 3, "workload": {"kind": "mutex", "requests": [3]}},
+         "workload.requests[] 3 out of range for n_mh=3"),
+        ({"workload": {"kind": "mutex", "scope": ""}},
+         "workload.scope must be a nonempty string"),
+        ({"workload": {"kind": "mutex", "request_rate": None},
+          "events": [{"kind": "set_rate", "at": 1.0,
+                      "workload_rate": 0.1}]},
+         "events[0]: workload has no adjustable rate"),
+        ({"workload": {"kind": "groups", "message_rate": None},
+          "events": [{"kind": "set_rate", "at": 1.0,
+                      "workload_rate": 0.1}]},
+         "events[0]: workload has no adjustable rate"),
+        ({"recovery": 3}, "recovery must be a nonempty string"),
+        ({"recovery": "sometimes"},
+         "recovery: unknown recovery policy spec 'sometimes'"),
+        ({"notes": "done"}, "notes must be a list of strings"),
+        ({"notes": [3]}, "notes[0] must be a nonempty string"),
+        ({"notes": ["{workload"]}, "notes[0]: expected '}'"),
+        ({"notes": ["{workload.__class__}"]},
+         "notes[0]: field {workload.__class__} must be a report key"),
+        ({"events": [{"kind": "send", "at": 0.0, "mh": 0}]},
+         "events[0]: 'send' events need a groups workload"),
+        ({"workload": {"kind": "groups", "group_size": 3},
+          "events": [{"kind": "send", "at": 0.0, "mh": 3}]},
+         "events[0].mh 3 out of range for group_size=3"),
+        ({"events": [{"kind": "fixed_send", "at": 0.0, "src": 0,
+                      "dst": 1, "message": "m"}]},
+         "events[0]: 'fixed_send' events need workload kind 'none'"),
+        ({"n_mss": 2, "workload": {"kind": "none"},
+          "events": [{"kind": "fixed_send", "at": 0.0, "src": 0,
+                      "dst": 2, "message": "m"}]},
+         "events[0].dst 2 out of range for n_mss=2"),
+        ({"workload": {"kind": "none"},
+          "events": [{"kind": "fixed_send", "at": 0.0, "src": 0,
+                      "dst": 1}]},
+         "events[0].message must be a nonempty string"),
+        ({"workload": {"kind": "none"},
+          "events": [{"kind": "fixed_send", "at": 0.0, "src": 0,
+                      "dst": 1, "message": "m", "scope": 7}]},
+         "events[0].scope must be a nonempty string"),
+        ({"events": [{"kind": "work", "at": 1.0, "mh": 0}]},
+         "events[0]: 'work' events need a recovery policy"),
+        ({"recovery": "distance:3",
+          "events": [{"kind": "work", "at": 1.0, "mh": 9}]},
+         "events[0].mh 9 out of range for n_mh=8"),
     ],
 )
 def test_load_spec_rejects_with_located_errors(mutation, fragment):
     with pytest.raises(ConfigurationError) as err:
         load_spec(minimal(**mutation))
     assert fragment in str(err.value)
+
+
+def test_located_errors_name_the_scenario():
+    with pytest.raises(ConfigurationError) as err:
+        load_spec(minimal(events=[{"kind": "work", "at": 1.0, "mh": 0}]))
+    assert str(err.value).startswith("scenario 't': ")
+
+
+def test_a_null_rate_wires_no_driver_and_up_front_requests_run():
+    spec = load_spec(minimal(
+        n_mh=3,
+        workload={"kind": "mutex", "algorithm": "R2''", "scope": "R2''",
+                  "request_rate": None, "requests": [0, 2],
+                  "max_traversals": 2},
+        notes=["accesses: {workload[accesses]}",
+               "regenerated: {workload[token_regenerations]}"],
+    ))
+    result = run_scenario(spec)
+    assert result.ok, result.failures
+    assert "issued" not in result.report["workload"]
+    assert result.notes == ["accesses: 2", "regenerated: 0"]
+    assert list(result.report["cost"]["by_scope"]) == ["R2''"]
+
+
+def test_an_event_time_spelled_as_an_integer_traces_as_a_float():
+    """``"at": 5`` and ``"at": 5.0`` are one spec and one trace."""
+    def trace(at):
+        spec = load_spec(minimal(
+            n_mh=4, workload={"kind": "mutex", "algorithm": "L2"},
+            events=[{"kind": "request", "at": at, "mh": 0},
+                    {"kind": "move", "at": at, "mh": 1, "cell": 2}],
+        ))
+        return to_jsonl(run_scenario(spec, trace=True).sim.tracer.events)
+
+    assert trace(5) == trace(5.0)
 
 
 def test_request_events_need_a_mutex_workload():
@@ -314,3 +404,53 @@ def test_cli_scenarios_rejects_unknowns():
         main(["scenarios", "--tag", "nope"], emit=lambda _: None)
     with pytest.raises(SystemExit, match="comma-separated"):
         main(["scenarios", "--seeds", "x,y"], emit=lambda _: None)
+
+
+# ----------------------------------------------------------------------
+# Seeds: one parser for ``repro scenarios`` and the equivalence gate
+# ----------------------------------------------------------------------
+
+
+def _equivalence_tool():
+    spec = importlib.util.spec_from_file_location(
+        "check_batched_equivalence",
+        os.path.join(TOOLS, "check_batched_equivalence.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_seed_ranges_and_lists_name_the_same_seeds():
+    from repro.cli import main
+
+    assert parse_seeds("1..3") == parse_seeds("1,2,3") == [1, 2, 3]
+    assert parse_seeds(" 5, 1..2 ,") == [5, 1, 2]
+    outputs = []
+    for seeds in ("1..3", "1,2,3"):
+        lines = []
+        assert main(["scenarios", "--scenario", "l2", "--seeds", seeds],
+                    emit=lines.append) == 0
+        outputs.append(lines)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == 5  # header, three runs, verdict
+
+
+@pytest.mark.parametrize("seeds, fragment", [
+    ("x", "got 'x'"),
+    ("3..1", "seed range '3..1' is empty"),
+    ("1..x", "got '1..x'"),
+    (",", "no seeds given"),
+])
+def test_malformed_seeds_are_one_line_usage_errors(seeds, fragment):
+    from repro.cli import main
+
+    with pytest.raises(ConfigurationError, match=fragment):
+        parse_seeds(seeds)
+    with pytest.raises(SystemExit) as cli:
+        main(["scenarios", "--seeds", seeds], emit=lambda _: None)
+    with pytest.raises(SystemExit) as tool:
+        _equivalence_tool().main(["--seeds", seeds])
+    for exit_ in (cli, tool):
+        message = str(exit_.value.code)
+        assert "--seeds: " in message and fragment in message
+        assert "\n" not in message

@@ -13,13 +13,14 @@ seed 7, digested at the last commit that still had pools (PR 17,
 
 If an engine change ever moves a simulated step, a digest here moves
 and the test names the first scenario that diverged.  A fault counter
-added after the recording (:data:`LATER_FAULTS`), and the ``dropped``
+added after the recording (:data:`LATER_FAULTS`), the ``dropped``
 count that multicast and proxy workloads report since
-(:data:`LATER_DROPPED`), are left out of the digest and pinned on their
-own.  A change that
-*means* to alter behaviour re-records the table and says so.  The
-canonical trace scenarios' event streams are pinned byte for byte by
-``tests/test_walkthroughs.py``.
+(:data:`LATER_DROPPED`), and the groups stats reported since
+(:data:`LATER_GROUP_STATS`) are left out of the digest and pinned on
+their own.  A change that *means* to alter behaviour re-records the
+table and says so.  The seven walkthrough specs were digested when they
+joined the registry; their event streams are pinned byte for byte by
+``tests/test_walkthroughs.py`` and ``tests/test_trace_golden.py``.
 """
 
 from __future__ import annotations
@@ -103,6 +104,30 @@ PACK_DIGESTS_SEED_7 = {
     "tunnel_mass_disconnect":
         "0233131b5bcabb949a5e18fa95442299"
         "be6cf5b1ad70811909c7586360c67206",
+    # The walkthrough specs, recorded when the seven walkthrough
+    # scenarios became specs (their seed-1 traces are pinned by
+    # tests/test_trace_golden.py).
+    "l1":
+        "c453730df67686310a067eb3e85dfd57"
+        "3b30e075d7e1400704449cb28ec6729d",
+    "l2":
+        "e57f67be00ed67c607609dd226fffa62"
+        "413645436ec80208faf22e1c39cb082e",
+    "location_view_move":
+        "1aaa18140815c3469cf8a92a4b38d384"
+        "c79740e9e30a286bf50146cba6baa04f",
+    "mh_crash_recovery":
+        "fd7d2b5b0d6c708661654a7afb057c5a"
+        "d591e8ec24773c708cb57516d05117d1",
+    "r2_crash_recovery":
+        "ddd99a076e41241227a12f109add7b5f"
+        "68ec29cde19729ea9d36809ff06f04ea",
+    "r2_token_list":
+        "c98da3c4fc58754553b4cd35c20eb11a"
+        "e415229d0cffb11835ea8f6e6355cb33",
+    "reliable_retransmit":
+        "edef7d1653ae977a217530d3b1153ae7"
+        "3422bb612ba6b4058914a2150d26ffad",
 }
 
 #: fault counters added after the recording (``fixed.duplicated``: one
@@ -117,10 +142,23 @@ LATER_FAULTS_SEED_7 = {
     # arrivals of a detached sender since the recording.
     "mass_reconnect_storm": {"workload.dropped": 2},
     "proxy_churn": {"workload.dropped": 0},
+    # :data:`LATER_GROUP_STATS`: what LV(G) did, reported since the
+    # walkthrough notes read it from the report.
+    "flash_crowd": {"workload.significant_moves": 26,
+                    "workload.view": ["mss-0", "mss-1", "mss-2"]},
+    "localized_groups_churn": {
+        "workload.significant_moves": 19,
+        "workload.view": ["mss-0", "mss-1", "mss-4"]},
+    "location_view_move": {"workload.significant_moves": 1,
+                           "workload.view": ["mss-0", "mss-2", "mss-3"]},
+    "stadium_egress": {"workload.significant_moves": 0},
 }
 
 #: workload kinds whose report gained ``dropped`` after the recording.
 LATER_DROPPED = ("multicast", "proxy")
+
+#: the groups-workload stats added after the recording.
+LATER_GROUP_STATS = ("significant_moves", "view")
 
 
 def _report_digest(spec, seed):
@@ -134,6 +172,9 @@ def _report_digest(spec, seed):
     workload = report["workload"] = dict(report["workload"])
     if workload["kind"] in LATER_DROPPED:
         later["workload.dropped"] = workload.pop("dropped")
+    for key in LATER_GROUP_STATS:
+        if key in workload:
+            later[f"workload.{key}"] = workload.pop(key)
     return hashlib.sha256(
         json.dumps(report, sort_keys=True, default=repr).encode()
     ).hexdigest(), later

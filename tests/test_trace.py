@@ -28,7 +28,12 @@ from repro import (
     to_mermaid,
 )
 from repro.trace import NULL_TRACER, Tracer
-from repro.trace.scenarios import SCENARIOS, run_scenario
+from repro.trace.walkthroughs import TOUR, traced_run
+
+
+def trace_of(name):
+    """The kept trace of a run of the builtin scenario ``name``."""
+    return traced_run(name).sim.tracer.events
 
 
 def run_l2_once(trace: bool):
@@ -86,10 +91,8 @@ class TestNoOpGuarantee:
     def test_scenarios_never_touch_the_scheduler(self):
         # Same scenario twice must give byte-identical traces: any
         # hidden RNG or scheduler interaction would break this.
-        for name in SCENARIOS:
-            assert to_jsonl(run_scenario(name).events) == to_jsonl(
-                run_scenario(name).events
-            ), name
+        for name in TOUR:
+            assert to_jsonl(trace_of(name)) == to_jsonl(trace_of(name)), name
 
 
 class TestCausality:
@@ -141,8 +144,7 @@ class TestR2TokenListTrace:
     with matching token_list mutations."""
 
     def test_every_hop_recorded_with_consistent_mutations(self):
-        run = run_scenario("r2_token_list")
-        events = run.events
+        events = trace_of("r2_token_list")
         arrivals = [e for e in events if e.etype == "token.arrive"]
         appends = [e for e in events if e.etype == "token.append"]
         assert len(arrivals) >= 6  # two traversals over three MSSs
@@ -165,21 +167,21 @@ class TestR2TokenListTrace:
                 state = event.detail["token_list"]
 
     def test_token_values_increment_per_traversal(self):
-        run = run_scenario("r2_token_list")
-        arrivals = [e for e in run.events if e.etype == "token.arrive"]
+        events = trace_of("r2_token_list")
+        arrivals = [e for e in events if e.etype == "token.arrive"]
         ring = [a.src for a in arrivals]
         assert ring[0] == "mss-0"
         vals = [a.detail["token_val"] for a in arrivals]
         assert vals == sorted(vals)
 
     def test_crash_recovery_trace_shows_epoch_bump(self):
-        run = run_scenario("r2_crash_recovery")
-        etypes = [e.etype for e in run.events]
+        events = trace_of("r2_crash_recovery")
+        etypes = [e.etype for e in events]
         for expected in ("fault.mss_crash", "mh.orphaned",
                          "fault.mh_rejoin", "mh.reconnect",
                          "r2.resubmit", "r2.regenerate"):
             assert expected in etypes, expected
-        epochs = [e.detail["epoch"] for e in run.events
+        epochs = [e.detail["epoch"] for e in events
                   if e.etype == "token.arrive"]
         assert 0 in epochs and 1 in epochs
         assert epochs == sorted(epochs)
@@ -187,17 +189,17 @@ class TestR2TokenListTrace:
 
 class TestExporters:
     def test_jsonl_is_parseable_and_complete(self):
-        run = run_scenario("l2")
-        lines = to_jsonl(run.events).splitlines()
-        assert len(lines) == len(run.events)
+        events = trace_of("l2")
+        lines = to_jsonl(events).splitlines()
+        assert len(lines) == len(events)
         records = [json.loads(line) for line in lines]
-        assert [r["id"] for r in records] == [e.id for e in run.events]
+        assert [r["id"] for r in records] == [e.id for e in events]
         assert all("t" in r and "type" in r and "scope" in r
                    for r in records)
 
     def test_chrome_export_has_tracks_and_flows(self):
-        run = run_scenario("l2")
-        doc = json.loads(to_chrome(run.events))
+        events = trace_of("l2")
+        doc = json.loads(to_chrome(events))
         records = doc["traceEvents"]
         names = {r["args"]["name"] for r in records
                  if r.get("ph") == "M"}
@@ -208,8 +210,8 @@ class TestExporters:
         assert {f["id"] for f in finishes} <= {s["id"] for s in sends}
 
     def test_mermaid_arrows_notes_and_cost_tags(self):
-        run = run_scenario("l2")
-        diagram = to_mermaid(run.events, title="demo")
+        events = trace_of("l2")
+        diagram = to_mermaid(events, title="demo")
         assert diagram.startswith("sequenceDiagram")
         assert "    title demo" in diagram
         assert "mh-0->>mss-0: L2.init [C_wireless]" in diagram
@@ -217,15 +219,15 @@ class TestExporters:
         assert "Note over mh-0: enters CS" in diagram
 
     def test_mermaid_truncation_is_explicit(self):
-        run = run_scenario("r2_crash_recovery")
-        diagram = to_mermaid(run.events, max_steps=5)
+        events = trace_of("r2_crash_recovery")
+        diagram = to_mermaid(events, max_steps=5)
         assert len([l for l in diagram.splitlines()
                     if "->>" in l or "--x" in l or "Note over" in l
                     ]) <= 6  # 5 steps + the truncation note
         assert "further steps truncated" in diagram
 
     def test_mermaid_marks_lost_messages(self):
-        run = run_scenario("reliable_retransmit")
-        diagram = to_mermaid(run.events)
+        events = trace_of("reliable_retransmit")
+        diagram = to_mermaid(events)
         assert "mss-0--xmss-1" in diagram       # the dropped copy
         assert "mss-0->>mss-1" in diagram       # the successful one

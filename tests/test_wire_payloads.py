@@ -8,7 +8,7 @@ every later receiver sees.  ``@dataclass(frozen=True)`` used to give
 that guarantee class by class; this file enforces it for every payload
 type that actually crosses the wire.
 
-The census is taken at the receive side: every canonical trace scenario
+The census is taken at the receive side: every walkthrough scenario
 plus three chaos scenarios run with a recorder on
 :meth:`Host.handle_message`, the single frame every arrival (the inner
 messages of reliable envelopes included) goes through.
@@ -24,8 +24,7 @@ from repro.hosts.base import Host
 from repro.mutex.ring_core import Token
 from repro.scenario import builtin_registry
 from repro.scenario import run_scenario as run_pack_scenario
-from repro.trace.scenarios import SCENARIOS
-from repro.trace.scenarios import run_scenario as run_trace_scenario
+from repro.trace.walkthroughs import TOUR, traced_run
 
 PACK_SCENARIOS = ("kitchen_sink", "localized_groups_churn", "proxy_churn")
 
@@ -52,8 +51,8 @@ def payloads_seen():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Host, "handle_message", recording)
-        for name in SCENARIOS:
-            run_trace_scenario(name)
+        for name in TOUR:
+            traced_run(name)
         registry = builtin_registry()
         for name in PACK_SCENARIOS:
             run_pack_scenario(registry.get(name), seed=7)

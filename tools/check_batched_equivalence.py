@@ -2,9 +2,9 @@
 """CI gate: a kept trace changes nothing, and the ledger keeps
 per-event semantics.
 
-Runs every certified chaos-pack scenario twice per certification
-seed -- once as ``run_scenario`` runs it and once with ``trace=True``
--- and fails unless
+Runs every builtin scenario (the chaos pack and the walkthrough
+specs) twice per certification seed -- once as ``run_scenario`` runs
+it and once with ``trace=True`` -- and fails unless
 
 (a) the two reports are equal apart from wall time (violations,
     monitor summaries, health counters, costs, message totals, final
@@ -25,7 +25,7 @@ off the hot path must not lose or reorder a single event.
 
     PYTHONPATH=src python tools/check_batched_equivalence.py
     PYTHONPATH=src python tools/check_batched_equivalence.py \\
-        --seeds 7,19,42 --scenario kitchen_sink
+        --seeds 1..64 --scenario kitchen_sink
 """
 
 from __future__ import annotations
@@ -44,7 +44,12 @@ sys.path.insert(
 )
 
 from repro.monitor import HealthMonitor, replay_events  # noqa: E402
-from repro.scenario import builtin_registry, run_scenario  # noqa: E402
+from repro.errors import ConfigurationError  # noqa: E402
+from repro.scenario import (  # noqa: E402
+    builtin_registry,
+    parse_seeds,
+    run_scenario,
+)
 from repro.scenario.report import build_report  # noqa: E402
 from repro.scenario.runner import _Run, scenario_monitors  # noqa: E402
 from repro.workload import finish  # noqa: E402
@@ -148,14 +153,20 @@ def main(argv=None) -> int:
         description="Verify that a kept trace changes no report, that "
                     "online monitoring equals per-event replay and that "
                     "a run forked at half its duration ends unchanged, "
-                    "on the certified chaos pack."
+                    "on every builtin scenario."
     )
     parser.add_argument("--seeds", default=",".join(map(str, DEFAULT_SEEDS)),
-                        help="comma-separated seeds (default 7,19,42)")
+                        help="comma-separated seeds and ranges a..b "
+                             "(default 7,19,42)")
     parser.add_argument("--scenario", default=None,
-                        help="single scenario name (default: whole pack)")
+                        help="single scenario name (default: every "
+                             "builtin scenario)")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ConfigurationError as exc:
+        raise SystemExit(f"check_batched_equivalence: --seeds: {exc}") \
+            from None
 
     registry = builtin_registry()
     names = [args.scenario] if args.scenario else sorted(registry.names())

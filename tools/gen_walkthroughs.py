@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Regenerate ``docs/walkthroughs/`` from the canonical traced scenarios.
+"""Regenerate ``docs/walkthroughs/`` from the walkthrough scenarios.
 
-Thin wrapper over :mod:`repro.trace.walkthroughs`: runs every scenario
-in :mod:`repro.trace.scenarios` with tracing enabled and renders one
-Markdown page per walkthrough (Mermaid sequence diagram, step-by-step
-event table with cost annotations, priced cost summary) plus an index.
+Thin wrapper over :mod:`repro.trace.walkthroughs`: runs every builtin
+scenario spec tagged ``walkthrough`` (``src/repro/scenario/
+walkthroughs/*.json``) through ``repro.scenario.run_scenario(spec,
+trace=True)`` and renders one Markdown page per walkthrough (the spec's
+intro, Mermaid sequence diagram, step-by-step event table with cost
+annotations, priced cost summary, the spec's notes filled in from the
+run's report) plus an index.
 
 The pages are checked in; CI re-runs this script and fails on any diff,
 so the scenarios and renderer must stay deterministic.
@@ -34,8 +37,9 @@ DEFAULT_OUT = os.path.join(
 
 def check(out_dir: str) -> int:
     """Exit nonzero if any checked-in page differs from a fresh render."""
+    pages = render_all()
     stale = []
-    for filename, content in sorted(render_all().items()):
+    for filename, content in sorted(pages.items()):
         path = os.path.join(out_dir, filename)
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -50,7 +54,7 @@ def check(out_dir: str) -> int:
         for filename in stale:
             print(f"  {filename}")
         return 1
-    print(f"docs/walkthroughs up to date ({len(render_all())} pages)")
+    print(f"docs/walkthroughs up to date ({len(pages)} pages)")
     return 0
 
 
