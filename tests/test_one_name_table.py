@@ -6,15 +6,14 @@ are the names ``repro groups --strategy``, ``repro proxy --policy`` and
 ``--search`` offer, the names a scenario spec accepts (its workload's
 ``strategy`` and ``policy``, its ``search``), and the names the
 workload builder and ``Simulation(search=...)`` resolve.  These tests
-hold the three to one set, check that each refuses a name outside it,
-and scan the package for a second copy of any table.
+hold the three to one set and check that each refuses a name outside
+it; ``tests/test_source_rules.py`` (``name_table_copy``) fails on a
+second copy of any table in the package.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
-import os
 
 import pytest
 
@@ -32,10 +31,6 @@ from repro.workload import (
     proxy_policy,
     search_protocol,
 )
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "src", "repro")
-HOME = os.path.join(SRC, "workload", "__init__.py")
 
 #: (CLI command, flag, spec key, table, resolver, package); a key is
 #: read under a workload of the command's kind unless it is a top-level
@@ -97,56 +92,3 @@ def test_an_unknown_name_is_refused_by_all_three(command, flag, key, table,
     assert not spec_accepts(command, key, "nope")
     with pytest.raises(ConfigurationError, match="unknown .* 'nope'"):
         resolve("nope")
-
-
-def table_literals(source: str, filename: str = "<source>") -> list:
-    """``(line, names)`` of every dict/set/list/tuple literal in
-    ``source`` whose string items hold a whole name table."""
-    tables = [set(GROUP_STRATEGIES), set(PROXY_POLICIES), set(SEARCHES)]
-    found = []
-    for node in ast.walk(ast.parse(source, filename)):
-        if isinstance(node, ast.Dict):
-            items = node.keys + node.values
-        elif isinstance(node, (ast.Set, ast.List, ast.Tuple)):
-            items = node.elts
-        else:
-            continue
-        strings = {item.value for item in items
-                   if isinstance(item, ast.Constant)
-                   and isinstance(item.value, str)}
-        for table in tables:
-            if table <= strings:
-                found.append((node.lineno, sorted(table)))
-    return found
-
-
-def test_the_scanner_finds_a_copied_table():
-    source = (
-        "A = {'pure_search': X, 'always_inform': Y,\n"
-        "     'location_view': Z}\n"
-        "B = ('fixed', 'local', 'adaptive')\n"
-        "C = ['fixed', 'local']\n"
-        "D = {'fixed', 'local', 'adaptive', 'other'}\n"
-        "E = f(['pure_search', 'always_inform', 'location_view'])\n"
-        "F = ['abstract', 'broadcast', 'home-agent',\n"
-        "     'caching', 'regional']\n"
-    )
-    assert sorted(line for line, _ in table_literals(source)) == [
-        1, 3, 5, 6, 7]
-
-
-def test_no_module_but_the_home_holds_a_name_table():
-    copies = {}
-    for folder, _, files in os.walk(SRC):
-        for name in files:
-            if not name.endswith(".py"):
-                continue
-            path = os.path.join(folder, name)
-            with open(path, encoding="utf-8") as handle:
-                found = table_literals(handle.read(), path)
-            if found:
-                copies[os.path.relpath(path, SRC)] = found
-    home = copies.pop(os.path.relpath(HOME, SRC))
-    assert sorted(names for _, names in home) == sorted(
-        [sorted(GROUP_STRATEGIES), sorted(PROXY_POLICIES), sorted(SEARCHES)])
-    assert copies == {}

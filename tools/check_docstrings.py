@@ -34,7 +34,8 @@ REQUIRED_MODULES = (
 
 
 def iter_modules(root: str):
-    for dirpath, _dirnames, filenames in os.walk(root):
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
         for filename in sorted(filenames):
             if filename.endswith(".py"):
                 yield os.path.join(dirpath, filename)
@@ -48,6 +49,12 @@ def check_module(path: str):
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:  # pragma: no cover - tier-1 would fail
         return f"does not parse: {exc}"
+    return check_tree(tree)
+
+
+def check_tree(tree: ast.Module):
+    """Return a problem string for a parsed module, or None when it
+    passes."""
     doc = ast.get_docstring(tree)
     if not doc:
         return "missing module docstring"
