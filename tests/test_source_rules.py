@@ -3,8 +3,8 @@
 A running system of MSSs and MHs is a plain value: ``copy.deepcopy`` of
 it mid-run is a fork (``tests/test_pack_forks.py``).  Most rules here
 keep it so; the rest keep the package free of dead hooks and its
-records whole.  The :func:`trees` fixture parses each module under
-``src/repro`` once, and each rule is one function from that
+records whole.  :func:`repro_trees` parses each module under
+``src/repro`` once per session, and each rule is one function from that
 ``{path: tree}`` mapping to the hits it finds:
 
 * ``lambda`` -- callbacks are bound methods or ``functools.partial``
@@ -159,10 +159,17 @@ def parse(root: str) -> dict:
     return trees
 
 
+@functools.cache
+def repro_trees() -> dict:
+    """:func:`parse` of ``src/repro``, once per session: the per-scope
+    views in ``test_no_lambda.py``, ``test_no_escaping_closures.py``
+    and ``test_no_handler_closures.py`` read the same trees."""
+    return parse(REPRO)
+
+
 @pytest.fixture(scope="module")
 def trees():
-    yield parse(REPRO)
-    _nodes.cache_clear()
+    return repro_trees()
 
 
 @functools.cache
