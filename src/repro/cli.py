@@ -46,15 +46,44 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 _EXIT_SIGPIPE = 141
 
 
+def _float(text: str) -> float:
+    """``text`` as a float; NaN when it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return float("nan")
+
+
 def _duration(text: str) -> float:
     """``--duration``: a finite, non-negative sim-time."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
+    value = _float(text)
     if not 0.0 <= value < float("inf"):  # also false for NaN
         raise argparse.ArgumentTypeError(
             f"must be a finite number >= 0, got {text!r}"
+        )
+    return value
+
+
+def _quantum(text: str) -> float:
+    """``serve --quantum``: a finite, positive sim-time step (a zero
+    or negative step never advances the soak)."""
+    value = _float(text)
+    if not 0.0 < value < float("inf"):  # also false for NaN
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}"
+        )
+    return value
+
+
+def _port(text: str) -> int:
+    """``serve --port``: a TCP port number, 0 to pick a free one."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in 0..65535, got {text!r}"
         )
     return value
 
@@ -274,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default loopback)")
-    serve.add_argument("--port", type=int, default=8077,
+    serve.add_argument("--port", type=_port, default=8077,
                        help="TCP port; 0 picks a free one")
     serve.add_argument("--n-mss", type=int, default=6)
     serve.add_argument("--n-mh", type=int, default=40)
@@ -282,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--duration", type=_duration, default=0.0,
                        help="simulated time to run; 0 means soak "
                             "until interrupted")
-    serve.add_argument("--quantum", type=float, default=50.0,
+    serve.add_argument("--quantum", type=_quantum, default=50.0,
                        help="sim-time advanced per serve-loop step; "
                             "the ledger drains between steps so "
                             "scrapes stay fresh")

@@ -131,9 +131,9 @@ class Simulation:
             :class:`~repro.recovery.RecoveryManager` over every MH,
             exposed as :attr:`recovery`.
         trace: when ``True``, keep the trace: :attr:`tracer` is the
-            installed ledger (``network.trace``; the monitor hub when
-            monitoring), and every send, receive and protocol step it
-            drains is kept as a :class:`~repro.trace.TraceEvent`.
+            installed ledger (``network.trace``), and every send,
+            receive and protocol step it drains is kept as a
+            :class:`~repro.trace.TraceEvent`.
             Purely observational: costs, message counts, randomness
             and monitor verdicts are identical either way.
         monitors: online invariant monitoring -- ``None``/``False``
@@ -230,20 +230,18 @@ class Simulation:
                     "monitors must be True or a sequence of Monitor "
                     f"instances: {monitors!r}"
                 )
-            self.monitor_hub = MonitorHub(self.scheduler, monitor_list)
+            self.monitor_hub = MonitorHub(monitor_list)
             self.monitor_hub.bind(self.network)
-        if trace:
+        # One ledger takes every emit; its drains feed the hub, then
+        # keep the trace.
+        self._ledger = None
+        if trace or self.monitor_hub is not None:
             from repro.trace.events import Tracer
+
+            self._ledger = self.network.trace = Tracer(
+                self.scheduler, self.monitor_hub, keep=trace)
         #: the ledger keeping the trace, or ``None`` when tracing is off.
-        self.tracer = (
-            (self.monitor_hub or Tracer(self.scheduler)).keep_trace()
-            if trace else None
-        )
-        # One ledger takes every emit: the hub when monitoring, else
-        # the tracer; a kept trace is one more step of its drains.
-        self._ledger = self.monitor_hub or self.tracer
-        if self._ledger is not None:
-            self.network.trace = self._ledger
+        self.tracer = self._ledger if trace else None
         self._mss: List[MobileSupportStation] = []
         for i in range(n_mss):
             mss = MobileSupportStation(f"mss-{i}", self.network)

@@ -10,8 +10,8 @@ pure-observer contract the trace layer already keeps.
 
 Monitors read time from ``event.time`` (never from the scheduler), so
 the same monitor instance works both online (driven by a
-:class:`~repro.monitor.hub.MonitorHub` installed as ``network.trace``)
-and offline (replayed over a recorded trace with
+:class:`~repro.monitor.hub.MonitorHub` that the run's event ledger
+feeds at each drain) and offline (replayed over a recorded trace with
 :func:`~repro.monitor.hub.replay_events`).
 Monitors certify the paper's safety claims online (ROADMAP observability arc).
 """

@@ -1,32 +1,34 @@
-"""The monitor hub: fan-out from the trace stream to the monitors.
+"""The monitor hub: fan-out from the event ledger to the monitors.
 
-:class:`MonitorHub` *is* a tracer — it subclasses
-:class:`~repro.trace.events.Tracer` and is installed as
-``network.trace``, so every instrumentation point that already feeds
-the trace layer feeds the monitors too, through the same
-``_trace_on``-style guard that makes the whole layer free when off.
+:class:`MonitorHub` is a subscriber of the one event ledger,
+:class:`~repro.trace.events.Tracer`: a monitored run installs
+``Tracer(scheduler, hub, keep=trace)`` as ``network.trace``, so every
+instrumentation point that already feeds the trace layer feeds the
+monitors too, through the same ``_trace_on``-style guard that makes the
+whole layer free when off.
 
-Emits append rows to the tracer's one shared ledger segment and the
-monitors consume them in drained batches with per-event semantics
-intact (:meth:`MonitorHub.consume_batch`), so monitoring stays off the
-protocol's critical path.  The hub adds only two things to the
-tracer: compiled site emitters that write compact rows for the
-hottest sends, and the batch consume.  ``Simulation(trace=True,
-monitors=...)`` keeps the trace as one more drain step
-(:meth:`~repro.trace.events.Tracer.keep_trace`); the monitors see the
-same rows either way, so their verdicts are identical with and
-without a kept trace.
+Emits append rows to the ledger's one shared segment, and each drain
+hands them to :meth:`MonitorHub.consume_batch` before the retention
+step, so the monitors replay them in batches with per-event semantics
+intact and monitoring stays off the protocol's critical path.  The hub
+adds two things to the ledger: the sites it compiles
+(:meth:`MonitorHub.compile_site`), whose emitters write compact rows
+for the hottest sends when no trace is kept, and the batch consume.
+The monitors see the same rows with and without a kept trace, so their
+verdicts are identical either way.
 
 Offline replay: :func:`replay_events` drives the same monitors over a
 recorded event list, one event at a time through :meth:`dispatch` --
 the per-event reference the ledger is tested against, and how the
-``repro monitor`` CLI certifies the walkthrough scenarios.
+``repro monitor`` CLI certifies the walkthrough scenarios.  No ledger
+is built for it.
 Part of the online monitoring layer (ROADMAP observability arc).
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
+from time import perf_counter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.monitor.base import Monitor, Violation
@@ -40,7 +42,7 @@ from repro.obs.ledger import (
     MODE_SEND_GATED,
     LedgerSite,
 )
-from repro.trace.events import TraceEvent, Tracer
+from repro.trace.events import TraceEvent
 
 __all__ = ["MonitorHub", "replay_events"]
 
@@ -73,16 +75,17 @@ def _startswith_mss(host_id: str) -> bool:
     return host_id.startswith("mss")
 
 
-class MonitorHub(Tracer):
-    """A tracer that evaluates invariant monitors online.
+class MonitorHub:
+    """The invariant monitors, fed by a ledger online or by replay.
 
-    Monitors are pure observers fed from drained ledger rows (online)
-    or :meth:`dispatch` (offline replay).  The hub aggregates their
-    violations and exposes one ``finalize()``/``ok``/``report()``
-    surface for tests, the facade, and the CLI.
+    Monitors are pure observers fed from drained ledger rows (online,
+    :meth:`consume_batch`) or :meth:`dispatch` (offline replay).  The
+    hub aggregates their violations and exposes one
+    ``finalize()``/``ok``/``report()`` surface for tests, the facade,
+    and the CLI.
 
-    When are the monitor objects current?  The hub holds emitted rows
-    until the next drain; the monitors have seen every event
+    When are the monitor objects current?  The ledger holds emitted
+    rows until its next drain; the monitors have seen every event
 
     * after :meth:`Simulation.run <repro.facade.Simulation.run>` or
       ``Simulation.drain`` returns (both end with a drain),
@@ -95,28 +98,37 @@ class MonitorHub(Tracer):
     :data:`~repro.trace.events.DRAIN_INTERVAL` sim-time (or one full
     segment of rows).
 
-    The hub keeps one wall-clock figure, :attr:`monitor_wall_s`: seconds
-    spent replaying drained batches (``/metrics`` exports it as
-    ``repro_obs_wall_seconds{section="monitor"}``).  :attr:`drains`,
+    The hub counts what it replays: :attr:`drains`,
     :attr:`rows_dispatched` and :attr:`certified_until` (rows emitted
-    after this instant still await replay) feed ``/invariants``.  A hub
-    keeps no trace unless :meth:`keep_trace` is called.
+    after this instant still await replay) feed ``/invariants``, and
+    :attr:`monitor_wall_s`, the wall seconds spent replaying, is
+    ``/metrics``' ``repro_obs_wall_seconds{section="monitor"}``.
 
     Args:
-        scheduler: clock source (``None`` for offline replay).
         monitors: the monitor instances to drive.
     """
 
-    def __init__(self, scheduler, monitors: Sequence[Monitor]) -> None:
-        super().__init__(scheduler)
-        self._kept = None  # no trace until keep_trace()
+    def __init__(self, monitors: Sequence[Monitor]) -> None:
         self.monitors: List[Monitor] = list(monitors)
         self.network = None
+        #: the ledger that feeds this hub (set when a
+        #: :class:`~repro.trace.events.Tracer` is built over it), or
+        #: ``None`` when replaying.
+        self.ledger = None
         self._finalized = False
-        #: per-event delivery (offline dispatch): etype -> ordered
-        #: targets, resolved on first use.
-        self._table: Dict[str, Tuple[_Target, ...]] = {}
+        #: etype -> (ordered targets, explicit count), resolved on
+        #: first use; the ledger's sites and :meth:`dispatch` both read
+        #: it, so online and offline deliver to the same targets.
+        self._table: Dict[str, Tuple[Tuple[_Target, ...], int]] = {}
         self._scratch = TraceEvent(id=0, parent_id=None, time=0.0, etype="")
+        #: drains replayed / rows replayed, for /invariants.
+        self.drains = 0
+        self.rows_dispatched = 0
+        #: sim-time through which every emitted row has been replayed
+        #: (the clock at the last drain).
+        self.certified_until = 0.0
+        #: wall seconds spent in :meth:`consume_batch`, for /metrics.
+        self.monitor_wall_s = 0.0
         for monitor in self.monitors:
             monitor.attach(self)
         # The standard consume loop folds the two standard wildcard
@@ -149,7 +161,10 @@ class MonitorHub(Tracer):
     def _targets(self, etype: str) -> Tuple[Tuple[_Target, ...], int]:
         """Targets for ``etype`` in delivery order -- explicit interests
         in registration order, then wildcards -- plus the count of
-        explicit ones."""
+        explicit ones; computed once per etype into :attr:`_table`."""
+        entry = self._table.get(etype)
+        if entry is not None:
+            return entry
         ordered: List[Monitor] = [
             m
             for m in self.monitors
@@ -165,7 +180,8 @@ class MonitorHub(Tracer):
             )
             for monitor in ordered
         )
-        return targets, explicit_count
+        entry = self._table[etype] = (targets, explicit_count)
+        return entry
 
     # -- ledger: compilation ------------------------------------------
     def _detect_standard_layout(self) -> None:
@@ -200,11 +216,11 @@ class MonitorHub(Tracer):
                         and self._rel is None):
                     self._rel = monitor
 
-    def _compile_site(self, etype: str) -> LedgerSite:
-        """Resolve, once, how ledger rows of ``etype`` are replayed."""
+    def compile_site(self, etype: str, ledger) -> LedgerSite:
+        """``ledger``'s site for ``etype``: how its rows are replayed."""
         targets, explicit_count = self._targets(etype)
         plan = targets[:explicit_count] or None
-        site = LedgerSite(etype, self, targets, plan)
+        site = LedgerSite(etype, ledger, targets, plan)
         if self._standard_layout and plan is not None:
             fifo, rel = self._fifo, self._rel
             if (
@@ -225,22 +241,21 @@ class MonitorHub(Tracer):
                 site.mode = MODE_SEND_GATED
                 site.gate_fn = plan[0][0]
                 site.gate_suffixes = plan[0][1]
-        self._sites[etype] = site
         return site
 
-    def call_site_batch(self, etype: str, category: Optional[str] = None):
-        """Compiled ledger appender for one hot instrumentation point.
+    def call_site_batch(self, site: LedgerSite):
+        """The emitter for one hot instrumentation point's ``site``.
 
         The site's :meth:`~repro.trace.events.Site.append`, except at
-        plain ticking sends when no trace is kept: there the row can be
-        compact (:meth:`~repro.obs.ledger.LedgerSite.append_gated`,
+        plain ticking sends when its ledger keeps no trace: there the
+        row can be compact
+        (:meth:`~repro.obs.ledger.LedgerSite.append_gated`,
         :meth:`~repro.obs.ledger.LedgerSite.append_tick`), because the
         monitors need little of it and no :class:`TraceEvent` is ever
         built from it.
         """
-        site = self._site(etype, category)
         if (
-            self._kept is None
+            site.tracer._kept is None
             and self._standard_layout
             and site.health_code == HEALTH_SEND
             and site.liveness_code == LIVENESS_TICK
@@ -252,14 +267,26 @@ class MonitorHub(Tracer):
         return site.append
 
     # -- ledger: consume ----------------------------------------------
-    def consume_batch(self, rows: Sequence[tuple]) -> None:
-        """Replay one ordered batch of ledger rows with per-event
-        semantics (delivery order, trace ids, violation attribution
-        all match per-event :meth:`dispatch`)."""
+    def consume_batch(self, rows: Sequence[tuple], now: float) -> None:
+        """Replay one ordered batch of ledger rows, drained at sim-time
+        ``now``, with per-event semantics (delivery order, trace ids,
+        violation attribution all match per-event :meth:`dispatch`),
+        and count it."""
+        started = perf_counter()
         if self._standard_layout:
             self._consume_standard(rows)
         else:
             self._consume_generic(rows)
+        self.monitor_wall_s += perf_counter() - started
+        self.drains += 1
+        self.rows_dispatched += len(rows)
+        self.certified_until = now
+
+    def drain_batches(self) -> int:
+        """Drain the ledger that feeds this hub; returns the rows
+        drained (0 when replaying)."""
+        ledger = self.ledger
+        return 0 if ledger is None else ledger.drain_batches()
 
     def _consume_generic(self, rows: Sequence[tuple]) -> None:
         """Scratch-event replay for any monitor layout."""
@@ -468,14 +495,11 @@ class MonitorHub(Tracer):
     def dispatch(self, event: TraceEvent) -> None:
         """Feed one (recorded) event to the interested monitors.
 
-        The per-event reference: the ledger compiles its sites from the
-        same :meth:`_targets`, so online and replayed runs hand the
+        The per-event reference: the ledger's sites are compiled from
+        the same :meth:`_targets`, so online and replayed runs hand the
         same events to the same monitors in the same order.
         """
-        targets = self._table.get(event.etype)
-        if targets is None:
-            targets = self._table[event.etype] = self._targets(
-                event.etype)[0]
+        targets = self._targets(event.etype)[0]
         kind = event.kind
         for on_event, suffixes in targets:
             if suffixes is not None and (
@@ -495,7 +519,8 @@ class MonitorHub(Tracer):
         self.drain_batches()
         self._finalized = True
         if at is None:
-            at = self.scheduler.now if self.scheduler is not None else 0.0
+            ledger = self.ledger
+            at = ledger.scheduler.now if ledger is not None else 0.0
         for monitor in self.monitors:
             monitor.finalize(at)
 
@@ -539,7 +564,7 @@ def replay_events(
     ground-truth checks (location-view membership, per-MSS load) run;
     without it those checks are skipped, never wrong.
     """
-    hub = MonitorHub(None, monitors)
+    hub = MonitorHub(monitors)
     if network is not None:
         hub.bind(network)
     last_time = 0.0

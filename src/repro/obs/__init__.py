@@ -7,7 +7,7 @@ single event (ROADMAP item 3's "<10% observability" target) and runs
 the result as a long-lived telemetry service (ROADMAP item 5):
 
 * :mod:`repro.obs.ledger` -- the per-etype sites of the rows hot emit
-  sites append to the tracer's one segment, drained in batch through
+  sites append to the ledger's one segment, drained in batch through
   :meth:`repro.monitor.hub.MonitorHub.consume_batch`.
 * :mod:`repro.obs.service` -- the stdlib-only HTTP telemetry service
   behind ``repro serve``: ``/metrics`` (Prometheus text), ``/health``

@@ -1,13 +1,16 @@
 """Append-only event ledgers: the monitor hub's hot-path half.
 
-One :class:`LedgerSite` exists per event type in a
-:class:`~repro.monitor.hub.MonitorHub`.  Hot emit sites (the network
-send/deliver paths, MSS handoff, mutex CS transitions, the reliable
-transport) append one fixed-shape row tuple per event to the tracer's
-plain-list segment -- no :class:`~repro.trace.events.TraceEvent` is
-constructed, no monitor runs, nothing is looked up beyond the site
-whose bound appender the hot site holds.  All sites share *one*
-segment list (:class:`~repro.trace.events.Tracer` owns it), so rows
+One :class:`LedgerSite` exists per event type of a ledger
+(:class:`~repro.trace.events.Tracer`) that feeds a
+:class:`~repro.monitor.hub.MonitorHub`; the hub compiles it
+(:meth:`~repro.monitor.hub.MonitorHub.compile_site`).  Hot emit sites
+(the network send/deliver paths, MSS handoff, mutex CS transitions,
+the reliable transport) append one fixed-shape row tuple per event to
+the ledger's plain-list segment -- no
+:class:`~repro.trace.events.TraceEvent` is constructed, no monitor
+runs, nothing is looked up beyond the site whose bound appender the
+hot site holds.  All sites share *one* segment list (the ledger owns
+it), so rows
 land already in global emission order (the same single-threaded
 execution order that allocates the monotone event ids) and the drain
 pass replays them through the monitors as-is -- no per-site
@@ -17,7 +20,7 @@ A row is the 10-tuple::
 
     (id, parent_id, time, scope, src, dst, kind, detail, category, site)
 
-Slot 0 carries the tracer-allocated event id.  The site object rides in
+Slot 0 carries the ledger-allocated event id.  The site object rides in
 the last slot so the consume loop recovers the compiled dispatch plan
 (and its ``mode`` specialization) without a dict lookup.
 Part of the batched observability pipeline (ROADMAP item 3: exact

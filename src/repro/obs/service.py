@@ -1,7 +1,7 @@
 """Live telemetry over HTTP: the observability pipeline's serve mode.
 
 :class:`TelemetryServer` wraps a running :class:`~repro.Simulation`
-(or a bare monitor hub) in a stdlib :class:`http.server` endpoint --
+in a stdlib :class:`http.server` endpoint --
 no third-party dependencies -- exposing the three routes dashboards
 and scrapers expect (ROADMAP item 5, ``repro serve``):
 
@@ -45,7 +45,8 @@ class TelemetryServer:
         sim: the :class:`~repro.Simulation` to observe.  Monitoring is
             optional -- without a hub, ``/metrics`` exports only the
             scheduler families and ``/invariants`` reports zero
-            monitors.
+            monitors.  It may be set after construction, before
+            :meth:`start`: the port is bound here.
         host: bind address (default loopback).
         port: TCP port; ``0`` picks a free one (read :attr:`port` after
             :meth:`start`).

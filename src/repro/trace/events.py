@@ -1,4 +1,4 @@
-"""The trace event model and the tracer itself.
+"""The trace event model and the tracer itself: the one event ledger.
 
 A :class:`TraceEvent` is one observable step of a protocol execution:
 a message transmission, a message receipt, a lifecycle change (join,
@@ -24,11 +24,15 @@ hot paths, so the exact cost accounting of every experiment is
 byte-identical with or without the layer compiled in.  Enabling tracing never touches the scheduler,
 the metrics, or any RNG, so a traced run *also* produces identical
 costs and message counts -- the trace is a pure observer.
+
+The same ledger feeds the invariant monitors: a monitored run builds
+``Tracer(scheduler, hub, keep=trace)``, and each drain hands its rows
+to the :class:`~repro.monitor.hub.MonitorHub` before the retention
+step.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.sim import Scheduler
@@ -110,7 +114,8 @@ class Site:
 
     Its emitters are bound methods that reach the ledger through
     :attr:`tracer`, so a deep copy of a running system emits into its
-    own ledger.  An event type has one cost ``category``.
+    own ledger.  An event type has one cost ``category``, which
+    :meth:`Tracer.call_site_batch` sets.
     """
 
     __slots__ = ("etype", "category", "tracer")
@@ -121,9 +126,9 @@ class Site:
         self.tracer = tracer
 
     def append(self, scope, src, dst, kind=None, parent=None, detail=None):
-        """Append the row :meth:`Tracer.emit` of this site's etype and
-        category would, with ``detail`` as its payload, and drain on
-        segment fill; returns the event id."""
+        """Append one row of this site's etype and category, with
+        ``detail`` as its payload, and drain on segment fill; returns
+        the event id."""
         tracer = self.tracer
         if parent is None:
             stack = tracer._stack
@@ -156,10 +161,9 @@ class Tracer:
 
     A drain (on segment fill, every :data:`DRAIN_INTERVAL` sim-time on
     the :meth:`emit` path, before any observation) hands the rows in
-    emission order to :meth:`consume_batch` -- a monitor hub's monitors
-    -- and then, if the ledger keeps a trace, to the retention step
-    that builds :attr:`events`.  A plain tracer keeps its trace; a hub
-    keeps one after :meth:`keep_trace`.
+    emission order to its subscribers: first the monitor hub, if any
+    (``hub.consume_batch(rows, now)``), then, if the ledger keeps a
+    trace, the retention step that builds :attr:`events`.
 
     Causality is tracked with an explicit context stack: the network
     pushes the receive event's id around each handler dispatch, so any
@@ -167,12 +171,22 @@ class Tracer:
     parented to the receive that triggered it.  Send events additionally
     stamp their id onto the message envelope, which the matching receive
     uses as its parent -- chaining causality across the wire.
+
+    Args:
+        scheduler: the clock every row is stamped with.
+        hub: the :class:`~repro.monitor.hub.MonitorHub` each drain
+            feeds, or ``None``.
+        keep: keep the trace as :class:`TraceEvent` records.
     """
 
     enabled = True
 
-    def __init__(self, scheduler: Scheduler) -> None:
+    def __init__(self, scheduler: Scheduler, hub=None,
+                 keep: bool = True) -> None:
         self.scheduler = scheduler
+        self.hub = hub
+        if hub is not None:
+            hub.ledger = self
         self._next_id = 0
         self._stack: List[Optional[int]] = []
         self._sites: Dict[str, Site] = {}
@@ -186,27 +200,19 @@ class Tracer:
         self._drain_due = DRAIN_INTERVAL
         self._draining = False
         #: the kept trace, or ``None`` when this ledger keeps none.
-        self._kept: Optional[List[TraceEvent]] = []
-        #: wall seconds spent in :meth:`consume_batch`, for /metrics.
-        self.monitor_wall_s = 0.0
-        #: drains performed / rows drained, for /invariants.
-        self.drains = 0
-        self.rows_dispatched = 0
-        #: sim-time through which every emitted row has been consumed
-        #: (the clock at the end of the last drain).
-        self.certified_until = 0.0
+        self._kept: Optional[List[TraceEvent]] = [] if keep else None
 
-    def keep_trace(self) -> "Tracer":
-        """Have each drain also keep its rows as :class:`TraceEvent`
-        records; call before the ledger is installed on a network (site
-        emitters are compiled then).  Returns the ledger."""
-        if self._kept is None:
-            self._kept = []
-        return self
-
-    def _compile_site(self, etype: str) -> Site:
-        """Resolve, once, the site rows of ``etype`` carry."""
-        site = self._sites[etype] = Site(etype, self)
+    def _site(self, etype: str) -> Site:
+        """``etype``'s site, compiled on first use: by the hub, which
+        resolves how its rows are replayed, or as a plain
+        :class:`Site`."""
+        site = self._sites.get(etype)
+        if site is None:
+            hub = self.hub
+            site = self._sites[etype] = (
+                Site(etype, self) if hub is None
+                else hub.compile_site(etype, self)
+            )
         return site
 
     def emit(
@@ -214,92 +220,71 @@ class Tracer:
         etype: str,
         *,
         scope: str = "default",
-        category: Optional[str] = None,
         src: Optional[str] = None,
         dst: Optional[str] = None,
         kind: Optional[str] = None,
         parent: Optional[int] = None,
         **detail: Any,
     ) -> int:
-        """Record one event and return its id.
+        """Record one event through ``etype``'s :meth:`Site.append`,
+        drain when the sim-time quantum is due, and return its id.
 
         ``parent`` defaults to the innermost active causal context (the
         receive being handled), or ``None`` at the top level.
         """
-        if parent is None and self._stack:
-            parent = self._stack[-1]
-        event_id = self._next_id
-        self._next_id = event_id + 1
         site = self._sites.get(etype)
         if site is None:
-            site = self._compile_site(etype)
-        rows = self._ledger
-        now = self.scheduler.now
-        rows.append((
-            event_id, parent, now, scope, src, dst, kind,
-            detail if detail else None, category, site,
-        ))
-        if len(rows) >= self._segment_cap or now >= self._drain_due:
+            site = self._site(etype)
+        event_id = site.append(scope, src, dst, kind, parent,
+                               detail if detail else None)
+        if self.scheduler.now >= self._drain_due:
             self.drain_batches()
         return event_id
 
     def call_site_batch(self, etype: str, category: Optional[str] = None):
         """The emitter for one hot instrumentation point.
 
-        Returns the bound :meth:`Site.append` of ``etype``'s site, which
-        appends the row :meth:`emit` of ``etype`` and ``category`` would
-        and drains on segment fill.  (The sim-time drain quantum is
-        checked only on the :meth:`emit` path and before any
-        observation; drain cadence is semantically invisible, so the
-        hottest sites skip the clock comparison.)  Every hot site makes
-        this one call when the ledger is installed.
+        Gives ``etype``'s site its ``category`` and returns the bound
+        :meth:`Site.append`, which appends the row :meth:`emit` would
+        and drains on segment fill -- or, under a hub, the emitter
+        :meth:`~repro.monitor.hub.MonitorHub.call_site_batch` picks.
+        (The sim-time drain quantum is checked only on the :meth:`emit`
+        path and before any observation; drain cadence is semantically
+        invisible, so the hottest sites skip the clock comparison.)
+        Every hot site makes this one call when the ledger is
+        installed.
         """
-        return self._site(etype, category).append
-
-    def _site(self, etype: str, category: Optional[str]) -> Site:
-        """``etype``'s site, compiled on first use, with ``category``."""
-        site = self._sites.get(etype)
-        if site is None:
-            site = self._compile_site(etype)
+        site = self._site(etype)
         site.category = category
-        return site
+        hub = self.hub
+        return site.append if hub is None else hub.call_site_batch(site)
 
     def drain_batches(self) -> int:
         """Consume every pending row, then clear the segment in place.
 
-        :meth:`consume_batch` sees the rows first; the retention step
-        (when a trace is kept) then turns them into
-        :class:`TraceEvent` records.  Returns the number of rows
-        drained.  Reentrant calls (a monitor running inside the
-        consume) are no-ops.
+        The hub, if any, replays the rows first; the retention step
+        (when a trace is kept) then turns them into :class:`TraceEvent`
+        records.  Returns the number of rows drained.  Reentrant calls
+        (a monitor running inside the replay) are no-ops.
         """
         if self._draining:
             return 0
         rows = self._ledger
-        if self.scheduler is not None:
-            self._drain_due = self.scheduler.now + DRAIN_INTERVAL
+        now = self.scheduler.now
+        self._drain_due = now + DRAIN_INTERVAL
         count = len(rows)
         if count == 0:
             return 0
-        started = perf_counter()
-        self._draining = True
-        try:
-            self.consume_batch(rows)
-        finally:
-            self._draining = False
-        self.monitor_wall_s += perf_counter() - started
+        if self.hub is not None:
+            self._draining = True
+            try:
+                self.hub.consume_batch(rows, now)
+            finally:
+                self._draining = False
         if self._kept is not None:
             self._retain(rows)
         del rows[:]
-        self.drains += 1
-        self.rows_dispatched += count
-        if self.scheduler is not None:
-            self.certified_until = self.scheduler.now
         return count
-
-    def consume_batch(self, rows: Sequence[tuple]) -> None:
-        """The batch consume: a plain tracer has no subscribers."""
-        return None
 
     def _retain(self, rows: Sequence[tuple]) -> None:
         """The retention step: one :class:`TraceEvent` per row."""

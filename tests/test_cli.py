@@ -298,6 +298,47 @@ class TestConfigurationErrors:
         assert "argument --duration: must be a finite number >= 0" in err
 
 
+class TestServeArguments:
+    """``repro serve`` refuses what it cannot soak or bind, as one
+    usage error, before it builds or serves anything."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        # A zero or negative step never advanced the soak (a hang), and
+        # NaN failed only after serving and printing a full report.
+        ("--quantum", "0", "must be a finite number > 0"),
+        ("--quantum", "-5", "must be a finite number > 0"),
+        ("--quantum", "nan", "must be a finite number > 0"),
+        ("--quantum", "inf", "must be a finite number > 0"),
+        # These died with an OverflowError traceback at bind time.
+        ("--port", "70000", "must be an integer in 0..65535"),
+        ("--port", "-1", "must be an integer in 0..65535"),
+        ("--port", "http", "must be an integer in 0..65535"),
+    ])
+    def test_bad_values_are_usage_errors(self, flag, value, message,
+                                         capsys):
+        # Parse only: nothing is bound or run, so nothing can hang.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+    def test_a_busy_port_is_one_error_line(self, capsys):
+        import socket
+
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            code, out = run_cli(["serve", "--port", str(port),
+                                 "--duration", "10"])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"repro: error: cannot serve on 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1
+
+
 class TestClosedStdout:
     """``repro ... | head -1``: a reader that goes away ends the run
     quietly, with the status a SIGPIPE death would have (128 + 13)."""

@@ -74,10 +74,10 @@ def test_interest_dispatch_routes_only_matching_events():
 def test_record_false_drops_events_record_true_keeps_them():
     dropped = l2_run(monitors=[Recorder()])
     kept = l2_run(trace=True, monitors=[Recorder()])
-    assert dropped.monitor_hub.events == []
+    assert dropped.network.trace.events == []
     assert dropped.tracer is None
-    assert len(kept.monitor_hub.events) > 0
-    assert kept.tracer is kept.monitor_hub
+    assert len(kept.tracer.events) > 0
+    assert kept.tracer.hub is kept.monitor_hub
     # Keeping the trace is a drain step; the monitors see the same.
     assert (kept.monitor_hub.monitors[0].seen
             == dropped.monitor_hub.monitors[0].seen)
@@ -145,7 +145,7 @@ def test_replay_sees_exactly_what_online_saw():
 
 def test_hub_finalize_is_idempotent():
     liveness = LivenessMonitor()
-    hub = MonitorHub(None, [liveness])
+    hub = MonitorHub([liveness])
     hub.dispatch_count = 0
     liveness.pending[("L2", "mh-0")] = 1.0
     hub.finalize(at=500.0)
@@ -155,7 +155,7 @@ def test_hub_finalize_is_idempotent():
 
 def test_monitor_lookup_by_class():
     monitors = default_monitors()
-    hub = MonitorHub(None, monitors)
+    hub = MonitorHub(monitors)
     assert isinstance(hub.monitor(HealthMonitor), HealthMonitor)
     assert hub.monitor(Recorder) is None
 

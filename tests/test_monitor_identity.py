@@ -175,7 +175,7 @@ def test_unrecorded_hub_keeps_no_events():
     point of record=False on long runs)."""
     sim, _, _ = chaos_workload(monitors=True)
     assert sim.tracer is None
-    assert sim.monitor_hub.events == []
+    assert sim.network.trace.events == []
     assert sim.monitor_hub.ok, sim.monitor_report()
 
 

@@ -32,6 +32,7 @@ from repro.facade import Simulation
 from repro.monitor import MonitorHub, default_monitors, replay_events
 from repro.mutex import CriticalResource, L2Mutex
 from repro.scenario import builtin_registry
+from repro.trace import Tracer
 from repro.workload import MutexWorkload
 
 sys.path.insert(0, os.path.join(
@@ -100,23 +101,24 @@ class TestCanonicalEquivalence:
         kept trace (the ledger replay must not re-time or re-order the
         offending events)."""
 
-        def feed(hub):
-            hub.scheduler = type("S", (), {"now": 0.0})()
+        def feed(keep):
+            ledger = Tracer(type("S", (), {"now": 0.0})(),
+                            MonitorHub(default_monitors()), keep=keep)
             # Out-of-order FIFO parents on an MSS-MSS channel.
             for parent, t in [(5, 1.0), (3, 2.0)]:
-                hub.scheduler.now = t
-                hub.emit("recv", scope="test", src="mss-0",
-                         dst="mss-1", parent=parent, kind="l2.request")
-            hub.finalize()
-            return hub
+                ledger.scheduler.now = t
+                ledger.emit("recv", scope="test", src="mss-0",
+                            dst="mss-1", parent=parent, kind="l2.request")
+            ledger.hub.finalize()
+            return ledger
 
         def verdicts(hub):
             return [str(v) for m in hub.monitors for v in m.violations]
 
-        kept = feed(MonitorHub(None, default_monitors()).keep_trace())
-        batched = verdicts(feed(MonitorHub(None, default_monitors())))
+        kept = feed(keep=True)
+        batched = verdicts(feed(keep=False).hub)
         per_event = verdicts(replay_events(kept.events, default_monitors()))
-        assert verdicts(kept) == batched == per_event
+        assert verdicts(kept.hub) == batched == per_event
         assert per_event  # the scenario above must actually violate
 
     def test_trace_ids_match(self):
@@ -125,7 +127,7 @@ class TestCanonicalEquivalence:
         message.trace_id)."""
         event = _loaded_run(trace=True)
         batched = _loaded_run(trace=False)
-        assert event.monitor_hub._next_id == batched.monitor_hub._next_id
+        assert event.network.trace._next_id == batched.network.trace._next_id
 
 
 @pytest.mark.parametrize("seed", SEEDS)

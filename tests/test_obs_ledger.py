@@ -1,10 +1,10 @@
 """Unit tests for the batched ledger mechanics (repro.obs.ledger).
 
 The hot-path half of the batched observability pipeline: the site
-emitters handed out by :meth:`Tracer.call_site_batch` and
-:meth:`MonitorHub.call_site_batch`, the shared append segment, drain
-triggers (segment fill / explicit), the retention step that keeps a
-trace, and the counters the ``/invariants`` endpoint reports.
+emitters a ledger (:class:`Tracer`) hands out, with or without a
+:class:`MonitorHub` to feed, the shared append segment, drain triggers
+(segment fill / explicit), the retention step that keeps a trace, and
+the counters the ``/invariants`` endpoint reports.
 Equivalence with per-event dispatch is covered separately in
 test_obs_equivalence.py.
 """
@@ -37,12 +37,11 @@ class FakeScheduler:
         self.pending_count = 0
 
 
-def make_hub(keep_trace=False):
-    hub = MonitorHub(None, default_monitors())
-    if keep_trace:
-        hub.keep_trace()
-    hub.scheduler = FakeScheduler()
-    return hub
+def make_ledger(keep_trace=False, monitors=None):
+    """A ledger over a fake clock that feeds a hub of ``monitors``
+    (the default set when ``None``)."""
+    hub = MonitorHub(default_monitors() if monitors is None else monitors)
+    return Tracer(FakeScheduler(), hub, keep=keep_trace)
 
 
 class TestEtypeCodes:
@@ -92,8 +91,7 @@ def make_recorder(kind):
     if kind == "tracer":
         recorder = Tracer(FakeScheduler())
     else:
-        recorder = MonitorHub(None, [Spy()]).keep_trace()
-        recorder.scheduler = FakeScheduler()
+        recorder = make_ledger(keep_trace=True, monitors=[Spy()])
     recorder.scheduler.now = 2.5
     return recorder
 
@@ -115,6 +113,7 @@ class TestSiteEmitterIsEmit:
         via_site, via_emit = make_recorder(kind), make_recorder(kind)
         append = via_site.call_site_batch(etype, category)
         assert append is not None
+        via_emit.call_site_batch(etype, category)  # the site's category
         calls = [  # (parent, kind) under an open causal context
             (None, None), (None, "l2.request"), (41, "l2.reply"),
         ]
@@ -126,15 +125,14 @@ class TestSiteEmitterIsEmit:
                                           parent, detail)
                     else:
                         event_id = recorder.emit(
-                            etype, scope="L2", category=category,
-                            src="mss-0", dst="mh-0", kind=msg_kind,
-                            parent=parent, **(detail or {}))
+                            etype, scope="L2", src="mss-0", dst="mh-0",
+                            kind=msg_kind, parent=parent, **(detail or {}))
                     assert event_id == recorder.events[-1].id
         assert ([fields(e) for e in via_site.events]
                 == [fields(e) for e in via_emit.events])
         assert [e.parent_id for e in via_site.events] == [5, 5, 41]
         if kind == "recording_hub":
-            assert via_site.monitors[0].seen == [
+            assert via_site.hub.monitors[0].seen == [
                 fields(e) for e in via_site.events]
 
 
@@ -142,96 +140,96 @@ class TestCallSiteBatch:
     def test_every_tracer_hands_out_an_emitter(self):
         for kind in ("tracer", "recording_hub"):
             assert make_recorder(kind).call_site_batch("recv") is not None
-        assert make_hub().call_site_batch("recv") is not None
+        assert make_ledger().call_site_batch("recv") is not None
         assert NULL_TRACER.call_site_batch("recv")("L2", "a", "b") is None
 
     def test_default_hub_keeps_no_trace(self):
-        # A hub keeps no trace unless asked: its rows are replayed
-        # through the monitors and dropped.
-        hub = MonitorHub(None, default_monitors())
-        hub.scheduler = FakeScheduler()
-        append = hub.call_site_batch("recv")
+        # A ledger built with keep=False keeps no trace: its rows are
+        # replayed through the hub's monitors and dropped.
+        ledger = Tracer(FakeScheduler(), MonitorHub(default_monitors()),
+                        keep=False)
+        append = ledger.call_site_batch("recv")
         append("s", "mss-0", "mss-1", kind="l2.request")
-        assert len(hub._ledger) == 1
-        assert hub.events == []
-        assert hub.rows_dispatched == 1 and not hub._ledger
+        assert len(ledger._ledger) == 1
+        assert ledger.events == []
+        assert ledger.hub.rows_dispatched == 1 and not ledger._ledger
 
     def test_a_kept_trace_is_built_at_drain(self):
         # A kept trace is one more drain step: the emit appends a row,
         # and the drain builds the TraceEvent with its full detail.
-        hub = make_hub(keep_trace=True)
-        append = hub.call_site_batch("mss.handoff")
+        ledger = make_ledger(keep_trace=True)
+        append = ledger.call_site_batch("mss.handoff")
         event_id = append("L2", "mss-0", "mss-1",
                           detail={"mh_id": "mh-0"})
-        assert len(hub._ledger) == 1 and hub._kept == []
-        (event,) = hub.events
+        assert len(ledger._ledger) == 1 and ledger._kept == []
+        (event,) = ledger.events
         assert (event.id, event.etype) == (event_id, "mss.handoff")
         assert event.detail == {"mh_id": "mh-0"}
-        assert hub.rows_dispatched == 1 and hub.drains == 1
+        assert ledger.hub.rows_dispatched == 1 and ledger.hub.drains == 1
 
     def test_appender_returns_monotone_ids(self):
-        hub = make_hub()
-        append = hub.call_site_batch("recv")
+        ledger = make_ledger()
+        append = ledger.call_site_batch("recv")
         ids = [append("s", "mss-0", "mss-1", kind="l2.request",
                       parent=None) for _ in range(4)]
         assert ids == sorted(ids)
         assert len(set(ids)) == 4
 
     def test_rows_share_one_ledger_in_emission_order(self):
-        hub = make_hub()
-        recv = hub.call_site_batch("recv")
-        handoff = hub.call_site_batch("mss.handoff")
+        ledger = make_ledger()
+        recv = ledger.call_site_batch("recv")
+        handoff = ledger.call_site_batch("mss.handoff")
         recv("s", "mss-0", "mss-1", kind="l2.request", parent=None)
         handoff("s", "mss-1", "mss-2")
         recv("s", "mss-1", "mss-0", kind="l2.grant", parent=None)
-        ledger = hub._ledger
-        assert len(ledger) == 3
+        rows = ledger._ledger
+        assert len(rows) == 3
         ids = [row if isinstance(row, float) else row[0]
-               for row in ledger]
+               for row in rows]
         assert ids == sorted(ids)
 
     def test_drain_replays_and_clears_in_place(self):
-        hub = make_hub()
-        append = hub.call_site_batch("recv")
-        ledger = hub._ledger
+        ledger = make_ledger()
+        append = ledger.call_site_batch("recv")
+        rows = ledger._ledger
         for i in range(10):
-            hub.scheduler.now = float(i)
+            ledger.scheduler.now = float(i)
             append("s", "mss-0", "mss-1", kind="l2.request", parent=None)
-        assert hub.drain_batches() == 10
-        assert hub.drains == 1
-        assert hub.rows_dispatched == 10
+        assert ledger.hub.drain_batches() == 10
+        assert ledger.hub.drains == 1
+        assert ledger.hub.rows_dispatched == 10
         # Cleared in place: appenders keep their binding to the list.
-        assert hub._ledger is ledger and not ledger
+        assert ledger._ledger is rows and not rows
         append("s", "mss-0", "mss-1", kind="l2.request", parent=None)
-        assert len(ledger) == 1
+        assert len(rows) == 1
 
     def test_segment_fill_triggers_drain(self):
-        hub = make_hub()
-        hub._segment_cap = 64
-        append = hub.call_site_batch("recv")
+        ledger = make_ledger()
+        ledger._segment_cap = 64
+        append = ledger.call_site_batch("recv")
         for i in range(64):
             append("s", "mss-0", "mss-1", kind="l2.request", parent=None)
-        assert hub.drains == 1
-        assert hub.rows_dispatched == 64
-        assert not hub._ledger
+        assert ledger.hub.drains == 1
+        assert ledger.hub.rows_dispatched == 64
+        assert not ledger._ledger
 
     def test_certified_until_tracks_drain_clock(self):
-        hub = make_hub()
-        append = hub.call_site_batch("recv")
-        hub.scheduler.now = 12.5
+        ledger = make_ledger()
+        append = ledger.call_site_batch("recv")
+        ledger.scheduler.now = 12.5
         append("s", "mss-0", "mss-1", kind="l2.request", parent=None)
-        assert hub.certified_until == 0.0
-        hub.scheduler.now = 40.0
-        hub.drain_batches()
-        assert hub.certified_until == 40.0
+        assert ledger.hub.certified_until == 0.0
+        ledger.scheduler.now = 40.0
+        ledger.drain_batches()
+        assert ledger.hub.certified_until == 40.0
 
     def test_finalize_drains_pending_rows(self):
-        hub = make_hub()
-        append = hub.call_site_batch("recv")
+        ledger = make_ledger()
+        append = ledger.call_site_batch("recv")
         append("s", "mss-0", "mss-1", kind="l2.request", parent=None)
-        hub.finalize()
-        assert not hub._ledger
-        assert hub.rows_dispatched == 1
+        ledger.hub.finalize()
+        assert not ledger._ledger
+        assert ledger.hub.rows_dispatched == 1
 
 
 class TestPlainSendFastRows:
@@ -239,38 +237,38 @@ class TestPlainSendFastRows:
         """Sends that only feed the wildcard monitors land as bare
         timestamps (the consume loop folds them into the health
         counters), while gated kinds keep the full row."""
-        hub = make_hub()
-        append = hub.call_site_batch("send.fixed")
-        hub.scheduler.now = 3.0
+        ledger = make_ledger()
+        append = ledger.call_site_batch("send.fixed")
+        ledger.scheduler.now = 3.0
         append("s", "mss-0", "mss-1", kind="l2.request")
-        hub.scheduler.now = 4.0
+        ledger.scheduler.now = 4.0
         append("s", "mss-0", "mss-1", kind="l2.token")
-        kinds = [type(row).__name__ for row in hub._ledger]
+        kinds = [type(row).__name__ for row in ledger._ledger]
         assert kinds == ["float", "tuple"]
 
     def test_a_kept_trace_writes_full_rows(self):
         """Every kept event needs its whole row, so no row is
-        compact when the hub keeps the trace."""
-        hub = make_hub(keep_trace=True)
-        append = hub.call_site_batch("send.fixed")
+        compact when the ledger keeps the trace."""
+        ledger = make_ledger(keep_trace=True)
+        append = ledger.call_site_batch("send.fixed")
         append("s", "mss-0", "mss-1", kind="l2.request")
         append("s", "mss-0", "mss-1", kind="l2.token")
-        kinds = [type(row).__name__ for row in hub._ledger]
+        kinds = [type(row).__name__ for row in ledger._ledger]
         assert kinds == ["tuple", "tuple"]
-        assert [e.kind for e in hub.events] == ["l2.request", "l2.token"]
+        assert [e.kind for e in ledger.events] == ["l2.request", "l2.token"]
 
     def test_compact_rows_still_count_and_tick(self):
         from repro.monitor.health import HealthMonitor
         from repro.monitor.liveness import LivenessMonitor
 
-        hub = make_hub()
-        append = hub.call_site_batch("send.fixed")
+        ledger = make_ledger()
+        append = ledger.call_site_batch("send.fixed")
         for i in range(5):
-            hub.scheduler.now = float(i)
+            ledger.scheduler.now = float(i)
             append("s", "mss-0", "mss-1", kind="l2.request")
-        hub.drain_batches()
-        health = hub.monitor(HealthMonitor)
-        liveness = hub.monitor(LivenessMonitor)
+        ledger.drain_batches()
+        health = ledger.hub.monitor(HealthMonitor)
+        liveness = ledger.hub.monitor(LivenessMonitor)
         assert health._sends == 5
         assert liveness._last_event_time == 4.0
 
@@ -306,26 +304,23 @@ class TestStandardLoopMatchesPerEvent:
                                 health_interval=5.0)
 
     def run(self, keep_trace):
-        hub = MonitorHub(None, self.monitors())
-        if keep_trace:
-            hub.keep_trace()
-        hub.scheduler = FakeScheduler()
+        ledger = make_ledger(keep_trace, self.monitors())
         for batch in (self.DENSE, self.SPARSE):
             for t, etype, kind, src in batch:
-                hub.scheduler.now = t
+                ledger.scheduler.now = t
                 # What every hot emit site does: one call to the site
-                # emitter the hub hands out.
-                hub.call_site_batch(etype)("L2", src, "mss-1", kind)
-            hub.drain_batches()
-        return hub
+                # emitter the ledger hands out.
+                ledger.call_site_batch(etype)("L2", src, "mss-1", kind)
+            ledger.drain_batches()
+        return ledger
 
     def test_dense_and_sparse_batches_match_the_recording_hub(self):
         from repro.monitor.health import HealthMonitor
         from repro.monitor.liveness import LivenessMonitor
 
         recording = self.run(keep_trace=True)
-        ledger = self.run(keep_trace=False)
-        assert ledger.drains == 2 and recording.drains == 2
+        batched = self.run(keep_trace=False).hub
+        assert batched.drains == 2 and recording.hub.drains == 2
         # The per-event reference: dispatch over the kept trace.
         reference = replay_events(recording.events, self.monitors(),
                                   finalize=False)
@@ -335,10 +330,10 @@ class TestStandardLoopMatchesPerEvent:
             "liveness.scheduler_stall",
             "liveness.token_starvation",
         ]
-        for hub in (ledger, recording):
+        for hub in (batched, recording.hub):
             assert ([str(v) for v in hub.monitor(LivenessMonitor).violations]
                     == [str(v) for v in expected])
             assert (hub.monitor(HealthMonitor).samples
                     == reference.monitor(HealthMonitor).samples)
-        assert [s["t"] for s in ledger.monitor(HealthMonitor).samples] == [
+        assert [s["t"] for s in batched.monitor(HealthMonitor).samples] == [
             0.0, 5.0, 10.0, 16.0, 60.0]
