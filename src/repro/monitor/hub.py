@@ -94,9 +94,15 @@ class MonitorHub:
     * after an explicit :meth:`drain_batches`.
 
     Code that drives ``sim.scheduler`` directly and reads a monitor
-    object's own state lags by at most
-    :data:`~repro.trace.events.DRAIN_INTERVAL` sim-time (or one full
-    segment of rows).
+    object's own state sees what the last drain delivered.  A drain
+    runs when a ledger segment fills, when an
+    :meth:`~repro.trace.events.Tracer.emit` call finds the
+    :data:`~repro.trace.events.DRAIN_INTERVAL` quantum due, at the end
+    of each ``Simulation.run``/``drain``, and before every hub
+    observation.  The hot site emitters check no clock, so a run whose
+    rows all come from them drains only on segment fill, and such a
+    driver can lag the clock by more than ``DRAIN_INTERVAL``: up to one
+    full segment of rows.
 
     The hub counts what it replays: :attr:`drains`,
     :attr:`rows_dispatched` and :attr:`certified_until` (rows emitted

@@ -157,7 +157,9 @@ class ReliableTransport:
     def send(self, message: Message) -> None:
         """Send ``message`` between two MSSs with reliable FIFO delivery."""
         channel = (message.src, message.dst)
-        tx = self._tx.setdefault(channel, _TxChannel())
+        tx = self._tx.get(channel)
+        if tx is None:
+            tx = self._tx[channel] = _TxChannel()
         seq = tx.next_seq
         tx.next_seq += 1
         trace = self.network._trace
@@ -247,7 +249,9 @@ class ReliableTransport:
     def _on_data(self, message: Message) -> None:
         data: RelData = message.payload
         channel = (message.src, message.dst)
-        rx = self._rx.setdefault(channel, _RxChannel())
+        rx = self._rx.get(channel)
+        if rx is None:
+            rx = self._rx[channel] = _RxChannel()
         # Always (re-)ack: a lost ack shows up as a duplicate here.
         self.network._send_fixed_raw(
             Message(

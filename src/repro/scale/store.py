@@ -5,9 +5,11 @@ structure keeps per-MH state tiny -- a cell, a connectivity flag, a few
 counters -- so representing every MH as a full python object is pure
 overhead for the *passive crowd* that no protocol is currently talking
 to.  :class:`PopulationStore` keeps that crowd in parallel ``array``
-buffers (25 bytes per MH instead of ~1 KB of object graph: the
-connectivity flag is the sign of the cell, and the two cohort clocks
-index one table of call times) and
+buffers (9 bytes per MH at 256 cells instead of ~1 KB of object graph:
+the connectivity flag is the sign of the cell, the two cohort clocks
+index one table of call times, and every integer column starts at the
+narrowest signed typecode holding its values and widens one step on
+the first write that does not fit) and
 materialises a real :class:`~repro.hosts.mh.MobileHost` only when
 something actually touches a host ("promotion").  Promotion is silent
 -- no events, no messages, no RNG draws -- so with the abstract search
@@ -49,6 +51,27 @@ _F_CRASHED = 2
 _F_DOZING = 4
 _F_PROMOTED = 8
 
+#: the next wider signed typecode; a counter column starts at ``b`` and
+#: steps up this ladder on the first write that does not fit.
+_WIDER = {"b": "h", "h": "i", "i": "q"}
+#: the largest value each signed typecode holds.
+_MAX = {code: (1 << (8 * array(code).itemsize - 1)) - 1 for code in "bhiq"}
+
+
+def cell_typecode(n_cells: int) -> str:
+    """The narrowest signed typecode holding ``-1 .. n_cells - 1``.
+
+    ``b`` up to 128 cells, ``h`` up to 32,768, ``i`` beyond; more
+    cells than ``i`` indexes is a :class:`ConfigurationError`.
+    """
+    for code in "bhi":
+        if n_cells - 1 <= _MAX[code]:
+            return code
+    raise ConfigurationError(
+        f"n_mss={n_cells}: more cells than the population store's "
+        f"cell column can index"
+    )
+
 
 def _table_bytes(table: Dict[int, int]) -> int:
     """A side table's footprint: the dict plus its int keys and values."""
@@ -65,13 +88,14 @@ class PopulationStore:
             :meth:`~repro.net.network.Network.install_population`).
         n: population size.
         placement: initial cell index of each MH, every one in
-            ``[0, n_cells)``.  An ``array('i')`` is adopted, not
-            copied: the store takes it over as its cell column, and
-            the caller vouches for the range (the facade's periodic
-            placements hold it by construction, and scanning 1M cells
-            would cost more than the rest of the set-up).  Any other
-            iterable is copied and checked; a cell outside the range
-            is a :class:`ConfigurationError` naming the host.
+            ``[0, n_cells)``.  An ``array`` of the cell column's
+            typecode (:func:`cell_typecode`) is adopted, not copied:
+            the store takes it over as its cell column, and the caller
+            vouches for the range (the facade's periodic placements
+            hold it by construction, and scanning 1M cells would cost
+            more than the rest of the set-up).  Any other iterable is
+            copied and checked; a cell outside the range is a
+            :class:`ConfigurationError` naming the host.
         max_active: soft cap on simultaneously promoted hosts; when
             exceeded, the store demotes the oldest *clean* promoted
             hosts.  Hosts that protocols attached to are never demoted,
@@ -93,23 +117,17 @@ class PopulationStore:
         self.n = n
         self.max_active = max_active
         self._mss_ids: List[str] = network.mss_ids()
-        try:  # array raises OverflowError instead of wrapping
-            array("i", [len(self._mss_ids) - 1])
-        except OverflowError:
-            raise ConfigurationError(
-                f"n_mss={len(self._mss_ids)}: more cells than the "
-                f"population store's cell column can index"
-            ) from None
+        code = cell_typecode(len(self._mss_ids))
         self._mss_index: Dict[str, int] = {
             mss_id: i for i, mss_id in enumerate(self._mss_ids)
         }
         # The cell column doubles as the connectivity flag: -1 marks a
         # disconnected host, so a host is connected exactly when its
         # cell is >= 0.
-        if isinstance(placement, array) and placement.typecode == "i":
+        if isinstance(placement, array) and placement.typecode == code:
             self._cell = placement
         else:
-            self._cell = array("i", placement)
+            self._cell = self._copy_cells(placement, code)
             self._check_cells()
         if len(self._cell) != n:
             raise ConfigurationError(
@@ -120,13 +138,13 @@ class PopulationStore:
             return array(typecode, [value]) * n
 
         self._flags = array("B", bytes(n))
-        self._session = filled("i", 1)
-        self._disc_cell = filled("i", -1)
-        self._moves = filled("i", 0)
+        self._session = filled("b", 1)
+        self._disc_cell = filled(code, -1)
+        self._moves = filled("b", 0)
         #: cohort clocks: indices into ``_times`` (-1 for none) of when
         #: the current disconnection began and when the host last moved.
-        self._disc_epoch = filled("i", -1)
-        self._last_move = filled("i", -1)
+        self._disc_epoch = filled("b", -1)
+        self._last_move = filled("b", -1)
         #: one entry per distinct cohort-call time, ascending.
         self._times = array("d")
         #: ``index -> nonzero value`` side tables (passive hosts only)
@@ -152,6 +170,22 @@ class PopulationStore:
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------
+
+    def _copy_cells(self, placement: Iterable[int], code: str) -> array:
+        """``placement`` copied into a cell column of typecode ``code``.
+
+        A cell past even the typecode's range stops the copy; the
+        hosts copied so far locate it.
+        """
+        cells = array(code)
+        try:
+            cells.extend(iter(placement))
+        except OverflowError:
+            raise ConfigurationError(
+                f"placement puts mh-{len(cells)} in a cell outside "
+                f"[0, {len(self._mss_ids)})"
+            ) from None
+        return cells
 
     def _check_cells(self) -> None:
         """Refuse a copied placement with a cell outside the network."""
@@ -302,8 +336,8 @@ class PopulationStore:
                 f"{mh_id} is not demotable (in transit or carrying "
                 f"protocol state)"
             )
-        self._session[index] = mh.session
-        self._moves[index] = mh.moves_completed
+        self._put("_session", index, mh.session)
+        self._put("_moves", index, mh.moves_completed)
         # promote() popped this host's entries, so only nonzero
         # values need writing.
         if mh.last_received_seq:
@@ -342,6 +376,32 @@ class PopulationStore:
         # mismatch and retry via send_to_mh, which re-promotes.
         mh.session += 1
         self.demotions += 1
+
+    def _put(self, name: str, index: int, value: int) -> None:
+        """``column[index] = value``, widening column ``name`` until the
+        value fits."""
+        column = getattr(self, name)
+        while True:
+            try:
+                column[index] = value
+                return
+            except OverflowError:
+                column = self._widen(name)
+
+    def _widen(self, name: str) -> array:
+        """Replace column ``name`` by a copy one typecode wider.
+
+        Returns the copy, for the caller's local to rebind to.  A
+        column that is already ``q`` raises :class:`OverflowError`:
+        a counter past int64 stops the run, it never wraps.
+        """
+        column = getattr(self, name)
+        code = _WIDER.get(column.typecode)
+        if code is None:
+            raise OverflowError(f"{name} holds a value past int64")
+        column = array(code, column)
+        setattr(self, name, column)
+        return column
 
     def demote_idle(self) -> int:
         """Demote every currently demotable promoted host."""
@@ -431,8 +491,16 @@ class PopulationStore:
             if new >= old:
                 new += 1
             cell[i] = new
-            session[i] += 1
-            moves[i] += 1
+            try:
+                session[i] += 1
+            except OverflowError:
+                session = self._widen("_session")
+                session[i] += 1
+            try:
+                moves[i] += 1
+            except OverflowError:
+                moves = self._widen("_moves")
+                moves[i] += 1
             if last_seq:
                 last_seq.pop(i, None)
             last = last_move[i]
@@ -535,7 +603,11 @@ class PopulationStore:
                 add_downtime(down)
                 add_downtime_hist(down)
             cell[i] = new
-            session[i] += 1
+            try:
+                session[i] += 1
+            except OverflowError:
+                session = self._widen("_session")
+                session[i] += 1
             if last_seq:
                 last_seq.pop(i, None)
             # _disc_cell stays: it mirrors the object path's sticky
@@ -558,12 +630,19 @@ class PopulationStore:
         """Index of ``now`` in ``_times``, appended on its first use.
 
         The clock never runs backwards, so ``now`` is either the last
-        entry (a second op of the same churn tick) or a new one.
+        entry (a second op of the same churn tick) or a new one.  A new
+        index that does not fit the two cohort clocks widens them first,
+        so the mass ops write it without a check.
         """
         times = self._times
-        if not times or times[-1] != now:
-            times.append(now)
-        return len(times) - 1
+        if times and times[-1] == now:
+            return len(times) - 1
+        times.append(now)
+        tick = len(times) - 1
+        for name in ("_disc_epoch", "_last_move"):
+            if tick > _MAX[getattr(self, name).typecode]:
+                self._widen(name)
+        return tick
 
     def _note_batch(self, size: int) -> None:
         self.batch_ops += 1

@@ -30,6 +30,7 @@ from repro.scale import (
     PopulationStore,
     Welford,
 )
+from repro.scale.store import cell_typecode
 from repro.workload import MutexWorkload
 
 
@@ -143,13 +144,55 @@ def test_a_placement_cell_outside_the_network_is_a_located_error(cells):
         PopulationStore(network, 3, cells)
 
 
+def test_a_placement_cell_past_the_cell_code_is_a_located_error():
+    """A cell too large even for the column's typecode stops the copy
+    at its host instead of escaping as a bare ``OverflowError``."""
+    network = make_sim(n_mss=3, n_mh=0).network
+    with pytest.raises(ConfigurationError,
+                       match=r"mh-1 in a cell outside \[0, 3\)"):
+        PopulationStore(network, 3, [0, 300, 2])
+
+
 def test_an_int_array_placement_is_adopted_not_copied():
     network = make_sim(n_mss=3, n_mh=0).network
-    cells = array("i", [2, 0, 1])
+    cells = array("b", [2, 0, 1])
     pop = PopulationStore(network, 3, cells)
     assert pop._cell is cells
     assert pop.passive_local("mh-0", "mss-2")
     assert pop.occupancy() == [1, 1, 1]
+    # An array of another code is copied into the cell code, and
+    # range-checked like any copied placement.
+    wide = array("i", [2, 0, 1])
+    copied = PopulationStore(network, 3, wide)._cell
+    assert copied is not wide and copied.typecode == "b"
+    with pytest.raises(ConfigurationError, match="mh-2 in cell 3"):
+        PopulationStore(network, 3, array("i", [2, 0, 3]))
+
+
+@pytest.mark.parametrize("n_cells, code", [
+    (1, "b"), (128, "b"), (129, "h"), (256, "h"), (32_768, "h"),
+    (32_769, "i"),
+])
+def test_the_cell_columns_take_the_narrowest_code_holding_every_cell(
+        n_cells, code):
+    class Cells:
+        def mss_ids(self):
+            return [f"mss-{i}" for i in range(n_cells)]
+
+    assert cell_typecode(n_cells) == code
+    pop = PopulationStore(Cells(), 0, placement=())
+    assert pop._cell.typecode == pop._disc_cell.typecode == code
+    # The counters and cohort clocks start one byte wide.
+    assert {column.typecode for column in (
+        pop._session, pop._moves, pop._disc_epoch, pop._last_move,
+    )} == {"b"}
+
+
+def test_the_facade_placement_is_built_in_the_cell_code():
+    for placement in ("round_robin", "single_cell", "random"):
+        pop = make_sim(n_mss=256, n_mh=600, placement=placement).population
+        assert pop._cell.typecode == "h"
+        assert sum(pop.occupancy()) == 600
 
 
 def test_periodic_placements_match_their_definition():
@@ -163,10 +206,10 @@ def test_periodic_placements_match_their_definition():
     assert make_sim(n_mss=4, n_mh=0).population.occupancy() == [0] * 4
 
 
-def test_memory_budget_is_34_bytes_per_host_side_tables_included():
+def test_memory_budget_counts_the_side_tables():
     sim = make_sim(n_mss=16, n_mh=10_000)
     pop = sim.population
-    assert pop.memory_bytes() / pop.n <= 36
+    assert pop.memory_bytes() / pop.n <= 7.1
     before = pop.memory_bytes()
     for i in range(50):
         doze_through_a_downlink(sim, sim.mh(i))
@@ -174,13 +217,15 @@ def test_memory_budget_is_34_bytes_per_host_side_tables_included():
     assert len(pop._last_seq) == len(pop._doze_ints) == 50
     # Every entry costs at least its key and value.
     assert pop.memory_bytes() >= before + 2 * 50 * 2 * 28
-    assert pop.memory_bytes() / pop.n <= 36
+    assert pop.memory_bytes() / pop.n <= 9
 
 
-def test_memory_budget_is_25_bytes_per_host_time_table_included():
-    """Seven 4- and 1-byte columns, plus one 8-byte cohort time per
-    churn tick, which the tick's move and disconnect share."""
-    sim = make_sim(n_mss=16, n_mh=10_000)
+@pytest.mark.parametrize("n_mss, budget", [(16, 7.1), (256, 9.1)])
+def test_memory_budget_per_host_time_table_included(n_mss, budget):
+    """Seven 1-byte columns (the two cell columns 2 bytes from 129
+    cells), plus one 8-byte cohort time per churn tick, which the
+    tick's move and disconnect share."""
+    sim = make_sim(n_mss=n_mss, n_mh=10_000)
     pop = sim.population
     rng = random.Random(13)
     for tick in range(1, 11):
@@ -189,7 +234,7 @@ def test_memory_budget_is_25_bytes_per_host_time_table_included():
         pop.mass_disconnect(0.002, rng)
         pop.mass_reconnect(0.5, rng)
     assert list(pop._times) == [5.0 * tick for tick in range(1, 11)]
-    assert pop.memory_bytes() / pop.n <= 26
+    assert pop.memory_bytes() / pop.n <= budget
 
 
 def test_max_active_requires_store():
@@ -429,13 +474,76 @@ def test_mass_disconnect_then_reconnect_round_trips_counts():
     assert pop.downtime.count == rejoined
 
 
-def test_counter_past_its_column_range_raises_instead_of_wrapping():
+def test_a_move_past_127_widens_the_counters_it_bumps():
     pop = make_sim().population
-    limit = 2 ** (8 * pop._session.itemsize - 1) - 1
-    pop._session[3] = limit
+    pop._session[3] = pop._moves[3] = 127
+    assert pop.mass_move(1 / pop.passive_connected, ScriptedRng(3, 0)) == 1
+    assert pop._session.typecode == pop._moves.typecode == "h"
+    assert pop._session[3] == pop._moves[3] == 128
+    assert list(pop._session[:3]) == [1, 1, 1]      # the rest copied
+    assert pop.promote("mh-3").moves_completed == 128
+
+
+def test_a_reconnect_past_127_widens_the_session():
+    pop = make_sim().population
+    pop._session[3] = 127
+    assert pop.mass_disconnect(1 / pop.passive_connected,
+                               ScriptedRng(3)) == 1
+    assert pop.mass_reconnect(1.0, ScriptedRng(3, 0)) == 1
+    assert pop._session.typecode == "h"
+    assert pop._session[3] == 128
+    assert pop._moves.typecode == "b"
+
+
+def test_demote_widens_a_column_as_often_as_the_value_needs():
+    sim = make_sim()
+    pop = sim.population
+    sim.mh(5).moves_completed = 40_000
+    pop.demote("mh-5")
+    assert pop._moves.typecode == "i"               # b -> h -> i
+    assert pop._moves[5] == 40_000
+    assert pop._session.typecode == "b"
+    assert sim.mh(5).moves_completed == 40_000
+
+
+def test_counter_past_its_column_range_raises_instead_of_wrapping():
+    """Past int64 there is no wider column: the write raises and the
+    stored value stays."""
+    sim = make_sim()
+    pop = sim.population
+    limit = 2 ** 63 - 1
+    pop._put("_session", 3, limit)
+    assert pop._session.typecode == "q"
     with pytest.raises(OverflowError):
         pop.mass_move(1 / pop.passive_connected, ScriptedRng(3, 0))
     assert pop._session[3] == limit
+    mh = sim.mh(7)
+    mh.session = 2 ** 63
+    with pytest.raises(OverflowError):
+        pop.demote("mh-7")
+    assert pop._session[7] == 1 and not pop.owns("mh-7")
+
+
+def test_the_cohort_clocks_widen_at_the_129th_cohort_time():
+    """Host 0 disconnects at the first cohort time; then one host moves
+    per time.  Indices 0..127 fit ``b``; the 129th time widens both
+    clocks to ``h`` before its index is written, and every index
+    written so far survives the copy."""
+    sim = make_sim()
+    pop = sim.population
+    pop.mass_disconnect(1 / pop.passive_connected, ScriptedRng(0))
+    last = {}
+    for tick in range(1, 129):
+        sim.run(until=float(tick))
+        host = tick % 11 + 1
+        assert pop.mass_move(1 / pop.passive_connected,
+                             ScriptedRng(host, 0)) == 1
+        last[host] = tick
+        assert pop._last_move.typecode == pop._disc_epoch.typecode == (
+            "b" if tick < 128 else "h")
+    assert len(pop._times) == 129
+    assert pop._disc_epoch[0] == 0
+    assert {host: pop._last_move[host] for host in last} == last
 
 
 def test_occupancy_is_a_recount_after_interleaved_ops():
