@@ -72,9 +72,14 @@ class Network:
         self.rng = rng if rng is not None else random.Random(0)
         self._mss: Dict[str, "MobileSupportStation"] = {}
         self._mh: Dict[str, "MobileHost"] = {}
-        # FIFO enforcement: last scheduled arrival per directed channel.
+        # FIFO enforcement: last scheduled arrival per directed channel,
+        # kept only for sends that can overtake a queued one (a variable
+        # latency, a fault delay, the window after a switch to a constant
+        # latency; see _refresh_fast_paths).  Under a constant latency
+        # arrivals never decrease, so those sends record nothing.
         self._last_arrival: Dict[tuple[str, str], float] = {}
-        # Downlink sequence counters per (mss, mh), reset on each join.
+        # Downlink sequence counters per (mss, mh) channel, for the whole
+        # run: a MH that leaves and comes back continues the numbering.
         self._downlink_seq: Dict[tuple[str, str], int] = {}
         self.lost_wireless_messages = 0
         #: fault injector; ``None`` keeps the paper's reliable model.
@@ -97,6 +102,8 @@ class Network:
         self._fixed_const: Optional[float] = None
         self._wireless_const: Optional[float] = None
         self._fixed_inline = False
+        self._fixed_fifo_until = 0.0
+        self._wireless_fifo_until = 0.0
         self._refresh_fast_paths()
 
     # ------------------------------------------------------------------
@@ -125,7 +132,9 @@ class Network:
         :attr:`config` here: replacing ``config`` or its latency models
         after construction must be followed by another call (repo code
         never does; the supported idiom is constructing a fresh
-        :class:`Network`).
+        :class:`Network`).  A constant latency records no arrivals, so
+        once anything is queued it may only be replaced by the same
+        constant: any other model could overtake what it has in flight.
         """
         self._trace_on = bool(getattr(self._trace, "enabled", True))
         # One site emitter per hot instrumentation point (see
@@ -143,12 +152,37 @@ class Network:
         self._batch_search_charge = site("search.charge", "search")
         self._batch_search_probes = site("search.probes", "search_probe")
         fixed = self.config.fixed_latency
-        self._fixed_const = (
+        fixed_const = (
             fixed.value if isinstance(fixed, ConstantLatency) else None
         )
         wireless = self.config.wireless_latency
-        self._wireless_const = (
+        wireless_const = (
             wireless.value if isinstance(wireless, ConstantLatency) else None
+        )
+        scheduler = self.scheduler
+        if scheduler.now > 0.0 or scheduler.pending_count:
+            for old, new in ((self._fixed_const, fixed_const),
+                             (self._wireless_const, wireless_const)):
+                if old is not None and new != old:
+                    raise SimulationError(
+                        "a constant latency cannot be replaced mid-run:"
+                        " it records no arrivals, so a new model could"
+                        " overtake the messages it has in flight"
+                    )
+        self._fixed_const = fixed_const
+        self._wireless_const = wireless_const
+        # Per direction, the time before which a send must take the
+        # channel's FIFO clamp: always under a variable latency (any
+        # draw can overtake); under a constant one, only before the
+        # latest arrival queued so far (by an earlier variable model).
+        # Later constant arrivals (now + c, now never decreasing) cannot
+        # come before any queued message, so they touch no map.
+        queued = max(self._last_arrival.values(), default=0.0)
+        self._fixed_fifo_until = (
+            queued if fixed_const is not None else float("inf")
+        )
+        self._wireless_fifo_until = (
+            queued if wireless_const is not None else float("inf")
         )
         # When nothing can perturb a fixed-network transmission (no
         # fault injector, constant latency) send_fixed transmits in its
@@ -351,13 +385,9 @@ class Network:
                 message.scope, message.src, message.dst, message.kind,
             )
         scheduler = self.scheduler
-        key = (message.src, message.dst)
         arrival = scheduler.now + self._fixed_const
-        last = self._last_arrival
-        previous = last.get(key)
-        if previous is not None and previous > arrival:
-            arrival = previous
-        last[key] = arrival
+        if arrival < self._fixed_fifo_until:
+            arrival = self._fifo_arrival((message.src, message.dst), arrival)
         scheduler.post_at(arrival, dst.handle_message, message)
 
     def fan_out_fixed(self, src_id: str, dst_ids: Iterable[str], kind: str,
@@ -375,7 +405,7 @@ class Network:
             return
         post_at = self.scheduler.post_at
         arrival = self.scheduler.now + self._fixed_const
-        last = self._last_arrival
+        clamp = arrival < self._fixed_fifo_until
         traced = self._trace_on
         sent = 0
         try:
@@ -388,11 +418,8 @@ class Network:
                 if traced:
                     message.trace_id = self._batch_send_fixed(
                         scope, src_id, dst_id, kind)
-                key = (src_id, dst_id)
-                at = last.get(key)
-                if at is None or at < arrival:
-                    at = arrival
-                last[key] = at
+                at = (self._fifo_arrival((src_id, dst_id), arrival)
+                      if clamp else arrival)
                 post_at(at, dst.handle_message, message)
                 sent += 1
         finally:  # as in the loop, copies sent before a raise are charged
@@ -440,7 +467,9 @@ class Network:
         if latency is None:
             latency = self.config.fixed_latency(self.rng)
         # Per-channel FIFO: never arrive before the channel's previous
-        # message (in-frame; hot even when every emit is skipped).
+        # message.  Always clamped here -- a fault delay or a variable
+        # latency can overtake -- and in-frame: under faults every fixed
+        # send comes this way, even when every emit is skipped.
         key = (message.src, message.dst)
         last = self._last_arrival
         arrival = self.scheduler.now + latency + extra_delay
@@ -472,12 +501,15 @@ class Network:
     ) -> None:
         """Transmit ``message`` from ``mss_id`` to a MH in its cell.
 
-        The transmission is charged immediately (the MSS uses the
-        wireless medium either way); the MH's receive energy is charged
-        only on successful delivery.  If the MH leaves the cell (or
-        disconnects) before the message arrives, the message is lost and
-        ``on_lost`` fires -- callers needing eventual delivery use
-        :meth:`send_to_mh`, which retries with a fresh search.
+        The transmission and the MH's receive energy are both charged
+        here, at transmission, whether or not the message arrives: a
+        downlink lost because the MH left the cell still bills one
+        wireless message and one unit of the MH's receive energy.  If
+        the MH leaves the cell (or disconnects) before the message
+        arrives, the message is lost and ``on_lost`` fires -- callers
+        needing eventual delivery use :meth:`send_to_mh`, which retries
+        with a fresh search.  ``message.wireless_seq`` is numbered per
+        (MSS, MH) channel over the whole run.
         """
         mss = self.mss(mss_id)
         mh = self.mobile_host(mh_id)
@@ -512,11 +544,8 @@ class Network:
             latency = self.config.wireless_latency(self.rng)
         scheduler = self.scheduler
         arrival = scheduler.now + latency
-        last = self._last_arrival
-        previous = last.get(key)
-        if previous is not None and previous > arrival:
-            arrival = previous
-        last[key] = arrival
+        if arrival < self._wireless_fifo_until:
+            arrival = self._fifo_arrival(key, arrival)
         scheduler.post_at(
             arrival,
             self._deliver_downlink,
@@ -585,14 +614,22 @@ class Network:
         if latency is None:
             latency = self.config.wireless_latency(self.rng)
         scheduler = self.scheduler
-        key = (mh_id, mss.host_id)
         arrival = scheduler.now + latency
+        if arrival < self._wireless_fifo_until:
+            arrival = self._fifo_arrival((mh_id, mss.host_id), arrival)
+        scheduler.post_at(arrival, mss.handle_message, message)
+
+    def _fifo_arrival(self, key: tuple[str, str], arrival: float) -> float:
+        """Per-channel FIFO for a send that can overtake: ``arrival``,
+        or the channel's previous arrival if that is later; recorded as
+        the channel's last.  (``_send_fixed_raw`` does the same in its
+        own frame.)"""
         last = self._last_arrival
         previous = last.get(key)
         if previous is not None and previous > arrival:
             arrival = previous
         last[key] = arrival
-        scheduler.post_at(arrival, mss.handle_message, message)
+        return arrival
 
     # ------------------------------------------------------------------
     # Reliable MH delivery: locate, forward, retry across moves

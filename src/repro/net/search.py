@@ -213,7 +213,8 @@ class BroadcastSearch(SearchProtocol):
     ) -> None:
         # All other MSSs are queried in parallel; the one hosting (or the
         # one that saw the disconnect) replies.  Probes = queries + reply.
-        probes = len([m for m in network.mss_ids() if m != src_mss_id]) + 1
+        mss = network._mss
+        probes = len(mss) - (src_mss_id in mss) + 1
         self._probe(network, scope, src_mss_id, mh_id, probes)
         network.scheduler.post(
             2 * network.config.fixed_latency(network.rng),

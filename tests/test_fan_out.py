@@ -70,7 +70,7 @@ MUTANTS = {
     "count": ("self.metrics.record_fixed(scope, sent)",
               "self.metrics.record_fixed(scope, sent - 1)"),
     # post at now + latency even behind a later arrival on the channel
-    "fifo": ("if at is None or at < arrival:", "if True:"),
+    "fifo": ("clamp = arrival < self._fixed_fifo_until", "clamp = False"),
     # drop the per-copy send.fixed row from the one-frame path
     "untraced": ("traced = self._trace_on", "traced = False"),
 }
