@@ -59,18 +59,14 @@ def _check_type(name: str, value, accepted: type,
 
 
 def _iter_placement(
-    placement: Placement, n_mh: int, n_mss: int, rng: random.Random,
-    typecode: str = "i",
+    placement: Placement, n_mh: int, n_mss: int, rng: random.Random
 ) -> Iterable[int]:
     """Initial cell indices, one per MH.
 
-    Never an N-element python list (at N=1M that alone would rival the
-    population store's whole footprint): the periodic placements are
-    fresh ``array(typecode)`` blocks built at C speed, in range by
-    construction, which the store adopts as its cell column when
-    ``typecode`` is its cell code
-    (:func:`~repro.scale.store.cell_typecode`); the rest are lazy
-    streams.
+    Never an N-element python list: the periodic placements are
+    ``array`` blocks built at C speed, the rest lazy streams.  (The
+    population store is handed the periodic placements as their
+    formula instead, :class:`~repro.scale.store.PeriodicPlacement`.)
     Draw order for ``"random"`` is identical to the eager path, so a
     given seed places MHs the same way with and without the store.
     """
@@ -78,11 +74,11 @@ def _iter_placement(
         return (placement(i, n_mss) % n_mss for i in range(n_mh))
     if isinstance(placement, str):
         if placement == "round_robin":
-            cells = array(typecode, range(n_mss)) * (n_mh // n_mss + 1)
+            cells = array("i", range(n_mss)) * (n_mh // n_mss + 1)
             del cells[n_mh:]
             return cells
         if placement == "single_cell":
-            return array(typecode, [0]) * n_mh
+            return array("i", [0]) * n_mh
         if placement == "random":
             return (rng.randrange(n_mss) for _ in range(n_mh))
         raise ConfigurationError(f"unknown placement: {placement!r}")
@@ -254,13 +250,16 @@ class Simulation:
         #: the array-backed crowd store, or ``None`` on the object path.
         self.population = None
         if population_store:
-            from repro.scale.store import PopulationStore, cell_typecode
+            from repro.scale.store import PeriodicPlacement, PopulationStore
 
+            periods = {"round_robin": n_mss, "single_cell": 1}
             self.population = PopulationStore(
                 self.network,
                 n_mh,
-                placement=_iter_placement(
-                    placement, n_mh, n_mss, self.rng, cell_typecode(n_mss)
+                placement=(
+                    PeriodicPlacement(periods[placement])
+                    if isinstance(placement, str) and placement in periods
+                    else _iter_placement(placement, n_mh, n_mss, self.rng)
                 ),
                 max_active=max_active if max_active is not None else 1024,
             )

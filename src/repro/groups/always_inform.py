@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Dict, List, NamedTuple
 
-from repro.groups.base import GroupStrategy
+from repro.groups.base import DeliveryEnvelope, GroupStrategy
 from repro.net.messages import Message
 from repro.net.relay import MhRelay
 
@@ -116,8 +116,6 @@ class AlwaysInformGroup(GroupStrategy):
 
     def _send(self, sender_mh_id: str, payload: object,
               msg_id: int) -> None:
-        from repro.groups.base import DeliveryEnvelope
-
         self._flood(
             sender_mh_id, self.kind_deliver,
             DeliveryEnvelope(msg_id, payload),

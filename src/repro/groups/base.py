@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -63,19 +63,20 @@ class DeliveryEnvelope(NamedTuple):
 class GroupStrategy:
     """Base class: membership, delivery log and MOB accounting.
 
-    Accounting invariant: for every group message, each of the |G|-1
-    non-sender members is recorded *exactly once* as either delivered
+    Accounting invariant: for every group message, each non-sender
+    member at send time is recorded *exactly once* as either delivered
     or missed (``stats.deliveries + stats.missed ==
-    stats.messages * (|G|-1)``), even under arbitrary races between
-    messages in flight and member moves.  Strategies report outcomes
-    through :meth:`_record_delivered` / :meth:`_record_missed`; the
-    first report per (message, recipient) wins and duplicates are
-    ignored.
+    stats.expected_recipients``), even under arbitrary races between
+    messages in flight, member moves and membership changes.
+    Strategies report outcomes through :meth:`_record_delivered` /
+    :meth:`_record_missed`; the first report per (message, recipient)
+    wins and duplicates are ignored.
 
     Args:
         network: the simulated system.
-        members: mobile hosts forming the group G (fixed membership, as
-            Section 4 assumes).
+        members: mobile hosts forming the initial group G (Section 4
+            assumes fixed membership; :meth:`add_member` and
+            :meth:`remove_member` extend it).
         scope: metrics scope for all of this strategy's traffic.
     """
 
@@ -97,16 +98,20 @@ class GroupStrategy:
         self.delivered: List[Tuple[float, str, object]] = []
         self.kind_deliver = f"{scope}.deliver"
         self._msg_seq = 0
-        self._accounted: set = set()
-        self._provisional: set = set()
-        self._wired: set = set()
+        #: every member ever wired -> its bit in the outcome masks,
+        #: assigned on first sight and never reused.
+        self._bits: Dict[str, int] = {}
+        #: msg_id -> the bits of the recipients accounted for, and of
+        #: those whose miss is provisional (no entry: none).
+        self._accounted: Dict[int, int] = {}
+        self._provisional: Dict[int, int] = {}
         for mh_id in self.members:
             self._wire_member(mh_id)
 
     def _wire_member(self, mh_id: str) -> None:
-        if mh_id in self._wired:
+        if mh_id in self._bits:
             return
-        self._wired.add(mh_id)
+        self._bits[mh_id] = 1 << len(self._bits)
         mh = self.network.mobile_host(mh_id)
         mh.register_handler(self.kind_deliver, self._on_deliver)
         mh.add_attach_listener(partial(self._on_member_attached, mh_id))
@@ -222,31 +227,36 @@ class GroupStrategy:
         caught mid-move will still be reached (e.g. a location-view
         fan-out that does not cover the member's destination cell yet).
         """
-        key = (msg_id, mh_id)
-        if key in self._accounted:
+        bit = self._bits[mh_id]
+        accounted = self._accounted.get(msg_id, 0)
+        if accounted & bit:
             return
-        self._accounted.add(key)
-        self._provisional.add(key)
+        self._accounted[msg_id] = accounted | bit
+        self._provisional[msg_id] = self._provisional.get(msg_id, 0) | bit
         self.stats.missed += 1
 
     def _record_outcome(
         self, msg_id: int, mh_id: str, delivered: bool
     ) -> bool:
-        key = (msg_id, mh_id)
-        if key in self._accounted:
-            if delivered and key in self._provisional:
+        bit = self._bits[mh_id]
+        accounted = self._accounted.get(msg_id, 0)
+        if accounted & bit:
+            provisional = self._provisional.get(msg_id, 0)
+            if delivered and provisional & bit:
                 # A provisional miss turned out to be delivered after
                 # all: upgrade the outcome.
-                self._provisional.discard(key)
+                if provisional == bit:
+                    del self._provisional[msg_id]
+                else:
+                    self._provisional[msg_id] = provisional ^ bit
                 self.stats.missed -= 1
                 self.stats.deliveries += 1
                 return True
             return False
-        self._accounted.add(key)
+        self._accounted[msg_id] = accounted | bit
         if delivered:
             self.stats.deliveries += 1
         else:
-            self._provisional.discard(key)
             self.stats.missed += 1
         return True
 

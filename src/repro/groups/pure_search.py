@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
-from repro.groups.base import GroupStrategy
+from repro.groups.base import DeliveryEnvelope, GroupStrategy
 from repro.net.relay import MhRelay, Routed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -34,8 +34,6 @@ class PureSearchGroup(GroupStrategy):
 
     def _send(self, sender_mh_id: str, payload: object,
               msg_id: int) -> None:
-        from repro.groups.base import DeliveryEnvelope
-
         mh = self.network.mobile_host(sender_mh_id)
         envelope = DeliveryEnvelope(msg_id, payload)
         for member in self.members:

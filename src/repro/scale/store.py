@@ -5,17 +5,22 @@ structure keeps per-MH state tiny -- a cell, a connectivity flag, a few
 counters -- so representing every MH as a full python object is pure
 overhead for the *passive crowd* that no protocol is currently talking
 to.  :class:`PopulationStore` keeps that crowd in parallel ``array``
-buffers (9 bytes per MH at 256 cells instead of ~1 KB of object graph:
-the connectivity flag is the sign of the cell, the two cohort clocks
-index one table of call times, and every integer column starts at the
-narrowest signed typecode holding its values and widens one step on
-the first write that does not fit) and
+buffers (at most 9 bytes per MH at 256 cells instead of ~1 KB of
+object graph: the connectivity flag is the sign of the cell, the two
+cohort clocks index one table of call times, and every integer column
+starts at the narrowest signed typecode holding its values and widens
+one step on the first write that does not fit) and
 materialises a real :class:`~repro.hosts.mh.MobileHost` only when
 something actually touches a host ("promotion").  Promotion is silent
 -- no events, no messages, no RNG draws -- so with the abstract search
 protocol a run with the store enabled is byte-identical (same event
 count, same metrics) to the plain object path at any N small enough to
 run both.
+
+A column costs nothing until a host's value in it first differs from
+the column's default: until then every read returns the default (the
+cell column: the periodic placement's formula), so building an N=1M
+store writes O(cells + active hosts) memory, not O(N).
 
 Demotion writes a clean object's state back into the arrays and drops
 the object; hosts carrying protocol state (registered handlers, attach
@@ -33,7 +38,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.errors import ConfigurationError, SimulationError, UnknownHostError
 from repro.hosts.mh import HostState, MobileHost
@@ -49,13 +54,32 @@ CROWD_ID = "mh-crowd"
 _F_ORPHANED = 1
 _F_CRASHED = 2
 _F_DOZING = 4
-_F_PROMOTED = 8
 
 #: the next wider signed typecode; a counter column starts at ``b`` and
 #: steps up this ladder on the first write that does not fit.
 _WIDER = {"b": "h", "h": "i", "i": "q"}
 #: the largest value each signed typecode holds.
 _MAX = {code: (1 << (8 * array(code).itemsize - 1)) - 1 for code in "bhiq"}
+#: column -> (typecode it is built in, the value every host starts
+#: with).  ``_disc_cell`` is built in the cell code, a cohort clock wide
+#: enough for every index of ``_times``.
+_COLUMNS = {
+    "_flags": ("B", 0),
+    "_session": ("b", 1),
+    "_disc_cell": (None, -1),
+    "_moves": ("b", 0),
+    "_disc_epoch": ("b", -1),
+    "_last_move": ("b", -1),
+}
+_CLOCKS = ("_disc_epoch", "_last_move")
+
+
+class PeriodicPlacement(NamedTuple):
+    """Host ``i`` starts in cell ``i % period``: ``round_robin`` is the
+    period over every cell, ``single_cell`` period 1.  The store keeps
+    the formula, not the cells, until its cell column's first write."""
+
+    period: int
 
 
 def cell_typecode(n_cells: int) -> str:
@@ -88,13 +112,14 @@ class PopulationStore:
             :meth:`~repro.net.network.Network.install_population`).
         n: population size.
         placement: initial cell index of each MH, every one in
-            ``[0, n_cells)``.  An ``array`` of the cell column's
-            typecode (:func:`cell_typecode`) is adopted, not copied:
-            the store takes it over as its cell column, and the caller
-            vouches for the range (the facade's periodic placements
-            hold it by construction, and scanning 1M cells would cost
-            more than the rest of the set-up).  Any other iterable is
-            copied and checked; a cell outside the range is a
+            ``[0, n_cells)``.  A :class:`PeriodicPlacement` is kept as
+            its formula until the first write to the cell column.  An
+            ``array`` of the cell column's typecode
+            (:func:`cell_typecode`) is adopted, not copied: the store
+            takes it over as its cell column, and the caller vouches
+            for the range (scanning 1M cells would cost more than the
+            rest of the set-up).  Any other iterable is copied and
+            checked; a cell outside the range is a
             :class:`ConfigurationError` naming the host.
         max_active: soft cap on simultaneously promoted hosts; when
             exceeded, the store demotes the oldest *clean* promoted
@@ -117,34 +142,43 @@ class PopulationStore:
         self.n = n
         self.max_active = max_active
         self._mss_ids: List[str] = network.mss_ids()
-        code = cell_typecode(len(self._mss_ids))
+        self._cell_code = code = cell_typecode(len(self._mss_ids))
         self._mss_index: Dict[str, int] = {
             mss_id: i for i, mss_id in enumerate(self._mss_ids)
         }
         # The cell column doubles as the connectivity flag: -1 marks a
         # disconnected host, so a host is connected exactly when its
-        # cell is >= 0.
-        if isinstance(placement, array) and placement.typecode == code:
+        # cell is >= 0.  While it is unmaterialized (None), host i is
+        # in cell i % _period.
+        self._cell: Optional[array] = None
+        self._period = 1
+        if isinstance(placement, PeriodicPlacement):
+            if not 0 < placement.period <= len(self._mss_ids):
+                raise ConfigurationError(
+                    f"periodic placement over {placement.period} cells "
+                    f"in a network of {len(self._mss_ids)}"
+                )
+            self._period = placement.period
+        elif isinstance(placement, array) and placement.typecode == code:
             self._cell = placement
         else:
             self._cell = self._copy_cells(placement, code)
             self._check_cells()
-        if len(self._cell) != n:
+        if self._cell is not None and len(self._cell) != n:
             raise ConfigurationError(
                 f"placement yields {len(self._cell)} cells for {n} MHs"
             )
-
-        def filled(typecode: str, value) -> array:
-            return array(typecode, [value]) * n
-
-        self._flags = array("B", bytes(n))
-        self._session = filled("b", 1)
-        self._disc_cell = filled(code, -1)
-        self._moves = filled("b", 0)
+        # The columns of _COLUMNS start unmaterialized (None): every
+        # host holds the column's default, and the first write of
+        # another value builds the column (_column).
+        self._flags: Optional[array] = None
+        self._session: Optional[array] = None
+        self._disc_cell: Optional[array] = None
+        self._moves: Optional[array] = None
         #: cohort clocks: indices into ``_times`` (-1 for none) of when
         #: the current disconnection began and when the host last moved.
-        self._disc_epoch = filled("b", -1)
-        self._last_move = filled("b", -1)
+        self._disc_epoch: Optional[array] = None
+        self._last_move: Optional[array] = None
         #: one entry per distinct cohort-call time, ascending.
         self._times = array("d")
         #: ``index -> nonzero value`` side tables (passive hosts only)
@@ -153,8 +187,9 @@ class PopulationStore:
         self._doze_ints: Dict[int, int] = {}
         self._passive_connected = n
         self._passive_disconnected = 0
-        #: promoted ids in promotion order (dict preserves insertion).
-        self._active_order: Dict[str, None] = {}
+        #: promoted host indices in promotion order (dict preserves
+        #: insertion); the one record of which hosts are promoted.
+        self._active_order: Dict[int, None] = {}
         self.promotions = 0
         self.demotions = 0
         self.batch_ops = 0
@@ -187,6 +222,42 @@ class PopulationStore:
             ) from None
         return cells
 
+    def _column(self, name: str) -> array:
+        """Column ``name``, materialized at its defaults on first use.
+
+        The cell column is built from the periodic placement, a cohort
+        clock in the narrowest code holding every index of ``_times``.
+        """
+        column = getattr(self, name)
+        if column is not None:
+            return column
+        n = self.n
+        if name == "_cell":
+            period = self._period
+            column = array(self._cell_code, range(period)) * (
+                n // period + 1)
+            del column[n:]
+        else:
+            code, value = _COLUMNS[name]
+            if code is None:
+                code = self._cell_code
+            elif name in _CLOCKS:
+                while len(self._times) - 1 > _MAX[code]:
+                    code = _WIDER[code]
+            column = array(code, [value]) * n
+        setattr(self, name, column)
+        return column
+
+    def _get(self, name: str, index: int) -> int:
+        """Host ``index``'s value in column ``name``, read without
+        materializing the column."""
+        column = getattr(self, name)
+        if column is not None:
+            return column[index]
+        if name == "_cell":
+            return index % self._period
+        return _COLUMNS[name][1]
+
     def _check_cells(self) -> None:
         """Refuse a copied placement with a cell outside the network."""
         cells = self._cell
@@ -218,7 +289,7 @@ class PopulationStore:
     def owns(self, mh_id: str) -> bool:
         """Whether ``mh_id`` is currently *passive* (array-backed)."""
         index = self._parse(mh_id)
-        return index >= 0 and not self._flags[index] & _F_PROMOTED
+        return index >= 0 and index not in self._active_order
 
     def all_ids(self) -> List[str]:
         """Every covered id, in index order (O(N) -- avoid in loops)."""
@@ -230,14 +301,15 @@ class PopulationStore:
 
     def is_crashed(self, mh_id: str) -> bool:
         """Crashed flag of a passive MH, read without promoting it."""
-        return bool(self._flags[self._index(mh_id)] & _F_CRASHED)
+        return bool(self._get("_flags", self._index(mh_id)) & _F_CRASHED)
 
     def passive_local(self, mh_id: str, mss_id: str) -> bool:
         """Whether passive ``mh_id`` is connected in ``mss_id``'s cell."""
         index = self._parse(mh_id)
-        if index < 0 or self._flags[index] & _F_PROMOTED:
+        if index < 0 or index in self._active_order:
             return False
-        cell = self._cell[index]
+        cells = self._cell
+        cell = index % self._period if cells is None else cells[index]
         return cell >= 0 and self._mss_ids[cell] == mss_id
 
     def _index(self, mh_id: str) -> int:
@@ -262,28 +334,30 @@ class PopulationStore:
         lets location-maintaining protocols learn the cell.
         """
         index = self._index(mh_id)
-        flags = self._flags[index]
-        if flags & _F_PROMOTED:
+        if index in self._active_order:
             return self.network.mobile_host(mh_id)
+        get = self._get
+        flags = get("_flags", index)
         network = self.network
         mh = MobileHost(mh_id, network)
-        mh.session = self._session[index]
+        mh.session = get("_session", index)
         mh.last_received_seq = self._last_seq.pop(index, 0)
-        mh.moves_completed = self._moves[index]
+        mh.moves_completed = get("_moves", index)
         mh.doze_interruptions = self._doze_ints.pop(index, 0)
         mh.orphaned = bool(flags & _F_ORPHANED)
         mh.crashed = bool(flags & _F_CRASHED)
         mh.dozing = bool(flags & _F_DOZING)
-        connected = self._cell[index] >= 0
+        cell = get("_cell", index)
+        connected = cell >= 0
         mss_id: Optional[str] = None
         # _disc_cell is sticky -- the *last* cell the host disconnected
         # in, mirroring the object path where disconnect_mss_id keeps
         # its value after a reconnect.
-        disc = self._disc_cell[index]
+        disc = get("_disc_cell", index)
         if disc >= 0:
             mh.disconnect_mss_id = self._mss_ids[disc]
         if connected:
-            mss_id = self._mss_ids[self._cell[index]]
+            mss_id = self._mss_ids[cell]
             mh.state = HostState.CONNECTED
             mh.current_mss_id = mss_id
             network.mss(mss_id).local_mhs.add(mh_id)
@@ -295,8 +369,7 @@ class PopulationStore:
                 )
             self._passive_disconnected -= 1
         network.register_mh(mh)
-        self._flags[index] = flags | _F_PROMOTED
-        self._active_order[mh_id] = None
+        self._active_order[index] = None
         self.promotions += 1
         if connected:
             network.notify_mh_joined(mh_id, mss_id)
@@ -327,7 +400,7 @@ class PopulationStore:
         delivering into a stale husk.
         """
         index = self._index(mh_id)
-        if not self._flags[index] & _F_PROMOTED:
+        if index not in self._active_order:
             raise SimulationError(f"{mh_id} is not promoted")
         network = self.network
         mh = network.mobile_host(mh_id)
@@ -351,27 +424,27 @@ class PopulationStore:
             flags |= _F_CRASHED
         if mh.dozing:
             flags |= _F_DOZING
-        self._flags[index] = flags
+        self._put("_flags", index, flags)
         # disconnect_mss_id is sticky on the object path (it survives a
         # reconnect), so persist it for connected hosts too.
-        self._disc_cell[index] = (
+        self._put("_disc_cell", index, (
             self._mss_index[mh.disconnect_mss_id]
             if mh.disconnect_mss_id is not None
             else -1
-        )
+        ))
         if mh.is_connected:
-            self._cell[index] = self._mss_index[mh.current_mss_id]
+            self._put("_cell", index, self._mss_index[mh.current_mss_id])
             network.mss(mh.current_mss_id).local_mhs.discard(mh_id)
             self._passive_connected += 1
         else:
-            self._cell[index] = -1
+            self._put("_cell", index, -1)
             if mh.disconnect_mss_id is not None:
                 network.mss(mh.disconnect_mss_id).disconnected_mhs.discard(
                     mh_id
                 )
             self._passive_disconnected += 1
         network.unregister_mh(mh_id)
-        self._active_order.pop(mh_id, None)
+        del self._active_order[index]
         # Poison the husk: stale scheduled deliveries see a session
         # mismatch and retry via send_to_mh, which re-promotes.
         mh.session += 1
@@ -379,8 +452,13 @@ class PopulationStore:
 
     def _put(self, name: str, index: int, value: int) -> None:
         """``column[index] = value``, widening column ``name`` until the
-        value fits."""
+        value fits.  Writing the value an unmaterialized column already
+        reads writes nothing."""
         column = getattr(self, name)
+        if column is None:
+            if value == self._get(name, index):
+                return
+            column = self._column(name)
         while True:
             try:
                 column[index] = value
@@ -406,7 +484,8 @@ class PopulationStore:
     def demote_idle(self) -> int:
         """Demote every currently demotable promoted host."""
         count = 0
-        for mh_id in list(self._active_order):
+        for index in list(self._active_order):
+            mh_id = f"mh-{index}"
             mh = self.network.mobile_host(mh_id)
             if self.demotable(mh):
                 self.demote(mh_id)
@@ -424,10 +503,11 @@ class PopulationStore:
         if excess <= 0:
             return
         scanned = 0
-        for mh_id in list(self._active_order):
+        for index in list(self._active_order):
             if excess <= 0 or scanned >= scan_limit:
                 break
             scanned += 1
+            mh_id = f"mh-{index}"
             mh = self.network.mobile_host(mh_id)
             if self.demotable(mh):
                 self.demote(mh_id)
@@ -441,7 +521,8 @@ class PopulationStore:
     # ------------------------------------------------------------------
     # Batched cohort operations
     # ------------------------------------------------------------------
-    # Each draw is ``rng.randrange(b)`` inlined (docs/scaling.md).
+    # Each draw is ``rng.randrange(b)`` inlined (docs/scaling.md).  Each
+    # op materializes the columns it writes on entry.
 
     def mass_move(self, fraction: float, rng: random.Random) -> int:
         """Move passive connected hosts to uniformly chosen *other* cells.
@@ -465,11 +546,12 @@ class PopulationStore:
         now = self.network.scheduler.now
         tick = self._tick(now)
         times = self._times
-        cell = self._cell
-        flags = self._flags
-        session = self._session
-        moves = self._moves
-        last_move = self._last_move
+        column = self._column
+        cell = column("_cell")
+        promoted = self._active_order
+        session = column("_session")
+        moves = column("_moves")
+        last_move = column("_last_move")
         last_seq = self._last_seq
         add_interval = self.move_interval.add
         add_interval_hist = self.move_interval_hist.add
@@ -483,7 +565,7 @@ class PopulationStore:
             while i >= n:
                 i = getrandbits(n_bits)
             old = cell[i]
-            if old < 0 or flags[i] & _F_PROMOTED:
+            if old < 0 or i in promoted:
                 continue
             new = getrandbits(others_bits)
             while new >= others:
@@ -528,10 +610,11 @@ class PopulationStore:
         if attempts <= 0 or n == 0:
             return 0
         tick = self._tick(self.network.scheduler.now)
-        cell = self._cell
-        flags = self._flags
-        disc_cell = self._disc_cell
-        disc_epoch = self._disc_epoch
+        column = self._column
+        cell = column("_cell")
+        promoted = self._active_order
+        disc_cell = column("_disc_cell")
+        disc_epoch = column("_disc_epoch")
         getrandbits = rng.getrandbits
         n_bits = n.bit_length()
         dropped = 0
@@ -540,7 +623,7 @@ class PopulationStore:
             while i >= n:
                 i = getrandbits(n_bits)
             old = cell[i]
-            if old < 0 or flags[i] & _F_PROMOTED:
+            if old < 0 or i in promoted:
                 continue
             disc_cell[i] = old
             disc_epoch[i] = tick
@@ -573,11 +656,14 @@ class PopulationStore:
         n_cells = len(self._mss_ids)
         now = self.network.scheduler.now
         times = self._times
-        cell = self._cell
+        column = self._column
+        cell = column("_cell")
+        promoted = self._active_order
+        # Read only: while no host has a flag set, none is crashed.
         flags = self._flags
-        session = self._session
-        disc_cell = self._disc_cell
-        disc_epoch = self._disc_epoch
+        session = column("_session")
+        disc_cell = column("_disc_cell")
+        disc_epoch = column("_disc_epoch")
         last_seq = self._last_seq
         add_downtime = self.downtime.add
         add_downtime_hist = self.downtime_hist.add
@@ -590,7 +676,8 @@ class PopulationStore:
             i = getrandbits(n_bits)
             while i >= n:
                 i = getrandbits(n_bits)
-            if cell[i] >= 0 or flags[i] & (_F_PROMOTED | _F_CRASHED):
+            if cell[i] >= 0 or i in promoted or (
+                    flags is not None and flags[i] & _F_CRASHED):
                 continue
             new = getrandbits(cell_bits)
             while new >= n_cells:
@@ -631,16 +718,17 @@ class PopulationStore:
 
         The clock never runs backwards, so ``now`` is either the last
         entry (a second op of the same churn tick) or a new one.  A new
-        index that does not fit the two cohort clocks widens them first,
-        so the mass ops write it without a check.
+        index that does not fit a materialized cohort clock widens it
+        first, so the mass ops write it without a check.
         """
         times = self._times
         if times and times[-1] == now:
             return len(times) - 1
         times.append(now)
         tick = len(times) - 1
-        for name in ("_disc_epoch", "_last_move"):
-            if tick > _MAX[getattr(self, name).typecode]:
+        for name in _CLOCKS:
+            clock = getattr(self, name)
+            if clock is not None and tick > _MAX[clock.typecode]:
                 self._widen(name)
         return tick
 
@@ -655,13 +743,26 @@ class PopulationStore:
     def occupancy(self) -> List[int]:
         """Passive connected hosts per cell, in cell-index order.
 
-        Counted from the columns on each call (O(N)); nothing in a run
-        reads it, so no per-cell tally is kept current.
+        Counted from the cell column on each call (O(N)), or from the
+        periodic placement while that column is unmaterialized; nothing
+        in a run reads it, so no per-cell tally is kept current.
         """
         counts = [0] * len(self._mss_ids)
-        for cell, flags in zip(self._cell, self._flags):
-            if cell >= 0 and not flags & _F_PROMOTED:
-                counts[cell] += 1
+        cells = self._cell
+        if cells is None:
+            period = self._period
+            counts[:period] = [
+                len(range(cell, self.n, period)) for cell in range(period)
+            ]
+        else:
+            for cell in cells:
+                if cell >= 0:
+                    counts[cell] += 1
+        # A promoted host's cell entry is the one it was counted under.
+        for index in self._active_order:
+            cell = self._get("_cell", index)
+            if cell >= 0:
+                counts[cell] -= 1
         return counts
 
     @property
@@ -675,8 +776,8 @@ class PopulationStore:
         return self._passive_disconnected
 
     def memory_bytes(self) -> int:
-        """Bytes held by the columns, the cohort time table and the
-        side tables (objects excluded)."""
+        """Bytes held by the materialized columns, the cohort time table
+        and the side tables (objects excluded)."""
         return sum(
             len(buf) * buf.itemsize
             for buf in (
@@ -684,6 +785,7 @@ class PopulationStore:
                 self._moves, self._disc_epoch, self._last_move,
                 self._times,
             )
+            if buf is not None
         ) + _table_bytes(self._last_seq) + _table_bytes(self._doze_ints)
 
     def summary(self) -> Dict[str, object]:

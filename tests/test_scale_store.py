@@ -9,9 +9,12 @@ while staying O(1) in scheduler events and metrics entries.
 
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import random
 import sys
+import tracemalloc
 from array import array
 
 import pytest
@@ -30,7 +33,7 @@ from repro.scale import (
     PopulationStore,
     Welford,
 )
-from repro.scale.store import cell_typecode
+from repro.scale.store import PeriodicPlacement, cell_typecode
 from repro.workload import MutexWorkload
 
 
@@ -181,17 +184,18 @@ def test_the_cell_columns_take_the_narrowest_code_holding_every_cell(
 
     assert cell_typecode(n_cells) == code
     pop = PopulationStore(Cells(), 0, placement=())
-    assert pop._cell.typecode == pop._disc_cell.typecode == code
+    assert pop._column("_cell").typecode == pop._column(
+        "_disc_cell").typecode == code
     # The counters and cohort clocks start one byte wide.
-    assert {column.typecode for column in (
-        pop._session, pop._moves, pop._disc_epoch, pop._last_move,
+    assert {pop._column(name).typecode for name in (
+        "_session", "_moves", "_disc_epoch", "_last_move",
     )} == {"b"}
 
 
 def test_the_facade_placement_is_built_in_the_cell_code():
     for placement in ("round_robin", "single_cell", "random"):
         pop = make_sim(n_mss=256, n_mh=600, placement=placement).population
-        assert pop._cell.typecode == "h"
+        assert pop._column("_cell").typecode == "h"
         assert sum(pop.occupancy()) == 600
 
 
@@ -204,6 +208,17 @@ def test_periodic_placements_match_their_definition():
     fewer_hosts_than_cells = make_sim(n_mss=4, n_mh=3).population
     assert fewer_hosts_than_cells.occupancy() == [1, 1, 1, 0]
     assert make_sim(n_mss=4, n_mh=0).population.occupancy() == [0] * 4
+
+
+def test_a_periodic_placement_past_the_network_is_refused():
+    network = make_sim(n_mss=3, n_mh=0).network
+    for period in (0, 4):
+        with pytest.raises(ConfigurationError,
+                           match=f"over {period} cells in a network of 3"):
+            PopulationStore(network, 5, PeriodicPlacement(period))
+    pop = PopulationStore(network, 5, PeriodicPlacement(2))
+    assert pop.occupancy() == [3, 2, 0]
+    assert list(pop._column("_cell")) == [0, 1, 0, 1, 0]
 
 
 def test_memory_budget_counts_the_side_tables():
@@ -235,6 +250,161 @@ def test_memory_budget_per_host_time_table_included(n_mss, budget):
         pop.mass_reconnect(0.5, rng)
     assert list(pop._times) == [5.0 * tick for tick in range(1, 11)]
     assert pop.memory_bytes() / pop.n <= budget
+
+
+# ----------------------------------------------------------------------
+# Unmaterialized columns
+# ----------------------------------------------------------------------
+
+COLUMNS = ("_cell", "_flags", "_session", "_disc_cell", "_moves",
+           "_disc_epoch", "_last_move")
+
+
+def materialized(pop):
+    return {name for name in COLUMNS if getattr(pop, name) is not None}
+
+
+def layout(pop):
+    """Every column's typecode and bytes (``None`` while unmaterialized),
+    the cohort times and the side tables."""
+    columns = {}
+    for name in COLUMNS + ("_times",):
+        column = getattr(pop, name)
+        columns[name] = (column if column is None
+                         else (column.typecode, column.tobytes()))
+    return (columns, dict(pop._last_seq), dict(pop._doze_ints),
+            list(pop._active_order), pop.summary())
+
+
+def test_a_million_host_build_materializes_no_column():
+    """Building N=1M writes O(cells + active) memory: no column exists,
+    so ``memory_bytes()`` counts only the two empty side tables."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sim = Simulation(n_mss=256, n_mh=1_000_000, seed=7,
+                         population_store=True)
+        built = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    pop = sim.population
+    assert materialized(pop) == set()
+    assert pop.memory_bytes() == 2 * sys.getsizeof({})
+    assert built < 1_000_000
+    # 1M = 3906 * 256 + 64: the first 64 cells hold one host more.
+    assert pop.occupancy() == [3907] * 64 + [3906] * 192
+
+
+def test_reads_of_unmaterialized_columns_return_the_defaults():
+    sim = make_sim(n_mss=4, n_mh=12)
+    pop = sim.population
+    assert not pop.is_crashed("mh-6")
+    assert pop.passive_local("mh-6", "mss-2")
+    assert not pop.passive_local("mh-6", "mss-1")
+    assert pop.occupancy() == [3, 3, 3, 3]
+    mh = pop.promote("mh-6")
+    assert (mh.session, mh.moves_completed, mh.last_received_seq,
+            mh.doze_interruptions) == (1, 0, 0, 0)
+    assert (mh.orphaned, mh.crashed, mh.dozing) == (False, False, False)
+    assert mh.current_mss_id == "mss-2" and mh.disconnect_mss_id is None
+    assert not pop.owns("mh-6")
+    assert not pop.passive_local("mh-6", "mss-2")
+    assert pop.occupancy() == [3, 3, 2, 3]
+    pop.demote("mh-6")
+    # The demoted host's values are the defaults: nothing is written.
+    assert materialized(pop) == set()
+    assert pop.occupancy() == [3, 3, 3, 3]
+    assert pop.owns("mh-6") and pop.passive_local("mh-6", "mss-2")
+    single = make_sim(n_mss=4, n_mh=12, placement="single_cell").population
+    assert single.promote("mh-7").current_mss_id == "mss-0"
+    assert single.occupancy() == [11, 0, 0, 0]
+    assert materialized(single) == set()
+
+
+@pytest.mark.parametrize("name, value", [
+    ("_cell", 0), ("_flags", 2), ("_session", 5), ("_disc_cell", 3),
+    ("_moves", 200), ("_disc_epoch", 0), ("_last_move", 0),
+])
+def test_the_first_write_materializes_only_its_own_column(name, value):
+    pop = make_sim(n_mss=4, n_mh=12).population
+    expected = [pop._get(name, i) for i in range(12)]
+    expected[5] = value
+    pop._put(name, 5, value)
+    assert materialized(pop) == {name}
+    # Every other host still reads what it read unmaterialized.
+    assert list(getattr(pop, name)) == expected
+
+
+def test_a_demote_materializes_only_the_columns_its_values_changed():
+    sim = make_sim(n_mss=4, n_mh=12)
+    pop = sim.population
+    sim.mh(3).move_to("mss-0")
+    sim.drain()
+    pop.demote("mh-3")
+    assert materialized(pop) == {"_cell", "_session", "_moves"}
+    assert pop.passive_local("mh-3", "mss-0")
+    assert pop.promote("mh-3").moves_completed == 1
+
+
+def test_a_crashed_passive_host_stays_down_through_mass_reconnect():
+    sim = make_sim()
+    pop = sim.population
+    sim.mh(4).crash()
+    pop.demote("mh-4")
+    assert "_flags" in materialized(pop)
+    assert pop.is_crashed("mh-4") and not pop.is_crashed("mh-5")
+    assert pop.passive_disconnected == 1
+    assert pop.mass_reconnect(1.0, ScriptedRng(4)) == 0
+    assert pop.passive_disconnected == 1
+    assert pop.promote("mh-4").crashed
+
+
+def test_a_cohort_clock_built_after_200_ticks_holds_its_tick():
+    """Host 0 drops and returns at each of 200 cohort times, so only
+    ``_disc_epoch`` exists (and widens at the 129th); the first move at
+    the 201st time builds ``_last_move`` already wide enough for it."""
+    sim = make_sim()
+    pop = sim.population
+    for tick in range(1, 201):
+        sim.run(until=float(tick))
+        assert pop.mass_disconnect(1 / pop.passive_connected,
+                                   ScriptedRng(0)) == 1
+        assert pop.mass_reconnect(1.0, ScriptedRng(0, 0)) == 1
+    assert pop._last_move is None and pop._disc_epoch.typecode == "h"
+    sim.run(until=201.0)
+    assert pop.mass_move(1 / pop.passive_connected,
+                         ScriptedRng(1, 0)) == 1
+    assert len(pop._times) == 201
+    assert pop._last_move.typecode == "h"
+    assert pop._last_move[1] == 200
+    assert list(pop._last_move).count(-1) == pop.n - 1
+
+
+@pytest.mark.parametrize("copier", [
+    copy.deepcopy,
+    lambda sim: pickle.loads(pickle.dumps(sim)),
+], ids=["deepcopy", "pickle"])
+def test_a_copied_partly_materialized_store_runs_on_byte_identical(copier):
+    def churn(sim, seed):
+        pop = sim.population
+        rng = random.Random(seed)
+        for tick in range(1, 4):
+            sim.run(until=sim.scheduler.now + 5.0)
+            pop.mass_disconnect(0.1, rng)
+            pop.mass_reconnect(0.5, rng)
+        sim.mh(7)                                   # promote
+        pop.mass_move(0.2, rng)
+
+    original = make_sim(n_mss=4, n_mh=200)
+    original.population.mass_disconnect(0.1, random.Random(1))
+    assert materialized(original.population) == {
+        "_cell", "_disc_cell", "_disc_epoch"}
+    fork = copier(original)
+    assert layout(fork.population) == layout(original.population)
+    churn(original, 2)
+    churn(fork, 2)
+    assert layout(fork.population) == layout(original.population)
+    assert fork.metrics.snapshot() == original.metrics.snapshot()
 
 
 def test_max_active_requires_store():
@@ -476,7 +646,7 @@ def test_mass_disconnect_then_reconnect_round_trips_counts():
 
 def test_a_move_past_127_widens_the_counters_it_bumps():
     pop = make_sim().population
-    pop._session[3] = pop._moves[3] = 127
+    pop._column("_session")[3] = pop._column("_moves")[3] = 127
     assert pop.mass_move(1 / pop.passive_connected, ScriptedRng(3, 0)) == 1
     assert pop._session.typecode == pop._moves.typecode == "h"
     assert pop._session[3] == pop._moves[3] == 128
@@ -486,13 +656,13 @@ def test_a_move_past_127_widens_the_counters_it_bumps():
 
 def test_a_reconnect_past_127_widens_the_session():
     pop = make_sim().population
-    pop._session[3] = 127
+    pop._column("_session")[3] = 127
     assert pop.mass_disconnect(1 / pop.passive_connected,
                                ScriptedRng(3)) == 1
     assert pop.mass_reconnect(1.0, ScriptedRng(3, 0)) == 1
     assert pop._session.typecode == "h"
     assert pop._session[3] == 128
-    assert pop._moves.typecode == "b"
+    assert pop._column("_moves").typecode == "b"
 
 
 def test_demote_widens_a_column_as_often_as_the_value_needs():
@@ -502,7 +672,7 @@ def test_demote_widens_a_column_as_often_as_the_value_needs():
     pop.demote("mh-5")
     assert pop._moves.typecode == "i"               # b -> h -> i
     assert pop._moves[5] == 40_000
-    assert pop._session.typecode == "b"
+    assert pop._column("_session").typecode == "b"
     assert sim.mh(5).moves_completed == 40_000
 
 
@@ -731,7 +901,7 @@ def test_mass_ops_consume_the_randrange_stream(n_mh):
     for seed in range(5):
         pop = make_sim(n_mss=4, n_mh=n_mh).population
         rng, twin = random.Random(seed), random.Random(seed)
-        cells = list(pop._cell)
+        cells = list(pop._column("_cell"))
         for _ in range(round(1.0 * pop.passive_connected)):
             i = twin.randrange(n_mh)
             new = twin.randrange(3)

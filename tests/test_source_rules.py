@@ -90,9 +90,6 @@ CALL_LOCAL = {
     "scenario/runner.py:_Run.evaluate.check": (
         "records one failed expectation of the run being evaluated"
     ),
-    "scale/store.py:PopulationStore.__init__.filled": (
-        "builds one constant array while the store is constructed"
-    ),
 }
 
 #: nested definitions that are handed on, with why no running

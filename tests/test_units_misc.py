@@ -156,6 +156,51 @@ class TestGroupAccounting:
         group._record_missed_provisionally(1, "mh-1")
         assert group.stats.missed == 1
 
+    def test_a_duplicate_of_either_outcome_is_ignored(self):
+        sim, group = self.build()
+        assert group._record_missed(1, "mh-1")
+        assert not group._record_missed(1, "mh-1")
+        assert not group._record_delivered(1, "mh-1")
+        # Another recipient of the same message is its own entry.
+        assert group._record_delivered(1, "mh-2")
+        assert (group.stats.deliveries, group.stats.missed) == (1, 1)
+
+    def test_a_removed_and_readded_member_keeps_its_bit(self):
+        from repro.groups import PureSearchGroup
+        sim = make_sim(n_mss=4, n_mh=4)
+        group = PureSearchGroup(sim.network, ["mh-0", "mh-1", "mh-2"])
+        assert group._record_delivered(1, "mh-2")
+        group.remove_member("mh-2")
+        group.add_member("mh-3")
+        group.add_member("mh-2")
+        assert group._bits == {"mh-0": 1, "mh-1": 2, "mh-2": 4, "mh-3": 8}
+        # Message 1's outcome for mh-2 survives the round trip ...
+        assert not group._record_missed(1, "mh-2")
+        # ... and a later message accounts for it afresh.
+        assert group._record_missed(2, "mh-2")
+        assert group._record_delivered(2, "mh-3")
+        assert (group.stats.deliveries, group.stats.missed) == (2, 1)
+
+    def test_a_70_member_group_accounts_past_64_bits(self):
+        from repro.groups import PureSearchGroup
+        sim = make_sim(n_mss=4, n_mh=70)
+        group = PureSearchGroup(sim.network, sim.mh_ids)
+        assert group._bits["mh-69"] == 1 << 69
+        group.send("mh-69", "hello")
+        sim.drain()
+        assert sorted(group.deliveries_of("hello")) == sorted(
+            sim.mh_ids[:69])
+        assert group._accounted == {1: (1 << 69) - 1}
+        assert (group.stats.deliveries, group.stats.missed) == (69, 0)
+        for mh_id in sim.mh_ids:
+            group._record_missed_provisionally(2, mh_id)
+        for mh_id in sim.mh_ids[::-1]:
+            assert group._record_delivered(2, mh_id)
+            assert not group._record_delivered(2, mh_id)
+        assert group._accounted[2] == (1 << 70) - 1
+        assert group._provisional == {}
+        assert (group.stats.deliveries, group.stats.missed) == (139, 0)
+
     def test_envelope_is_frozen(self):
         envelope = DeliveryEnvelope(1, "x")
         with pytest.raises(Exception):
