@@ -12,6 +12,12 @@ C_fixed + C_search), and the token-regeneration election (C_fixed).
 The qualitative claim: the R2' workload still serves every request with
 mutual exclusion intact, and the entire recovery bill shows up as
 ordinary priced traffic -- fault tolerance is bought, not free.
+
+The second table prices the checkpoint policies of
+``repro compare --experiment recovery`` against an MH crash (Khatri's
+distance-bounded checkpointing): under ``distance:2`` the restore bill
+of a 5-move and a 25-move run is the same, however much longer the
+second one wandered, while eager checkpointing pays per unit of work.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from repro import (
     R2Variant,
     Simulation,
 )
+from repro.commands.compare import run_length_table
 from repro.net import ConstantLatency
 
 from conftest import COSTS, print_table
@@ -121,3 +128,27 @@ def test_a8_recovery_cost(benchmark):
         assert result["retransmits"] > 0
         assert result["cost"] > baseline["cost"]
     assert crashed["recovery_time"] > 0
+
+
+def test_a8_distance_bounded_restore_cost(benchmark):
+    rows = benchmark(run_length_table, cost_model=COSTS)
+    print_table(
+        "A8: checkpoint policies, one MH crash after the last move",
+        ["policy", "moves", "ckpts", "ckpt cost", "restore cost",
+         "work lost"],
+        [(r.policy, r.n_moves, r.checkpoints, r.ckpt_cost,
+          r.restore_cost, r.work_lost) for r in rows],
+    )
+    by = {(r.policy, r.n_moves): r for r in rows}
+    # Every policy restored from a checkpoint, not from nothing.
+    assert all(r.restored_seq > 0 for r in rows)
+    # Eager checkpointing: overhead grows with the run, nothing is lost.
+    assert (by[("per-message", 25)].ckpt_cost
+            > 3 * by[("per-message", 5)].ckpt_cost)
+    assert by[("per-message", 25)].work_lost == 0
+    # Distance-bounded: runs congruent modulo the bound pay exactly the
+    # same restore bill, for less overhead than eager checkpointing.
+    assert (by[("distance:2", 5)].restore_cost
+            == by[("distance:2", 25)].restore_cost > 0)
+    assert (by[("distance:2", 25)].ckpt_cost
+            < by[("per-message", 25)].ckpt_cost)

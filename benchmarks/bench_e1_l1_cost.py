@@ -28,6 +28,7 @@ def run_l1(n: int):
         "searches": snap.total(Category.SEARCH, "L1"),
         "energy": snap.energy(),
         "energy_initiator": snap.energy("mh-0"),
+        "energy_others": {snap.energy(f"mh-{i}") for i in range(1, n)},
         "accesses": resource.access_count,
     }
 
@@ -59,6 +60,7 @@ def test_e1_l1_execution_cost(benchmark):
         assert r["searches"] == formulas.l1_search_count(n)
         assert r["energy"] == formulas.l1_energy_total(n)
         assert r["energy_initiator"] == formulas.l1_energy_initiator(n)
+        assert r["energy_others"] == {formulas.l1_energy_non_initiator()}
     # Search overhead proportional to N: perfectly linear increments.
     assert results[16]["searches"] - results[8]["searches"] == 3 * 8
     assert results[8]["searches"] - results[4]["searches"] == 3 * 4

@@ -52,6 +52,7 @@ def run_mobility_regime(g: int, significant: bool, moves: int,
     fresh_cell = 3
     before = sim.metrics.snapshot()
     done = 0
+    updates = []
     for round_index in range(messages):
         for _ in range(moves // messages):
             mover = done % g
@@ -62,8 +63,12 @@ def run_mobility_regime(g: int, significant: bool, moves: int,
             else:
                 current = int(mh.current_mss_id.split("-")[1])
                 target = f"mss-{(current + 1) % 3}"
+            lv = group.view_size()
+            moved = sim.metrics.snapshot()
             mh.move_to(target)
             sim.drain()
+            updates.append((sim.metrics.since(moved).cost(COSTS, group.scope),
+                            lv))
             done += 1
         group.send(sim.mh_id(g - 1), ("msg", round_index))
         sim.drain()
@@ -75,6 +80,8 @@ def run_mobility_regime(g: int, significant: bool, moves: int,
         "f": group.stats.significant_fraction,
         "lv_max": group.max_view_size,
         "missed": group.stats.missed,
+        #: (cost, |LV| before the move) of each move's view update.
+        "updates": updates,
     }
 
 
@@ -123,6 +130,11 @@ def test_e9_total_cost_within_paper_bound(benchmark):
     )
     assert result["f"] == 1.0
     assert result["cost"] <= bound
+    # Each significant move's LV update costs at most (|LV|+3)*C_fixed,
+    # |LV| counting the cell the move adds.
+    for cost, lv in result["updates"]:
+        assert cost <= formulas.location_view_update_cost_bound(lv + 1,
+                                                                COSTS)
 
 
 def test_e9_only_significant_fraction_matters(benchmark):

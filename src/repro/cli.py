@@ -54,8 +54,21 @@ def _float(text: str) -> float:
         return float("nan")
 
 
-def _duration(text: str) -> float:
-    """``--duration``: a finite, non-negative sim-time."""
+def _finite(text: str) -> float:
+    """``scale --tick``: a finite number; its sign is the churn's to
+    refuse (an infinite or NaN tick stopped the run unlocated)."""
+    value = _float(text)
+    if not -float("inf") < value < float("inf"):  # also false for NaN
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}"
+        )
+    return value
+
+
+def _nonnegative(text: str) -> float:
+    """``--duration``, ``mutex --cs-duration``, ``--move-rate`` (0: no
+    mobility) and ``serve --linger``: a finite number >= 0 (a NaN
+    horizon never ended a run, a negative move rate ran a static one)."""
     value = _float(text)
     if not 0.0 <= value < float("inf"):  # also false for NaN
         raise argparse.ArgumentTypeError(
@@ -64,15 +77,53 @@ def _duration(text: str) -> float:
     return value
 
 
-def _quantum(text: str) -> float:
-    """``serve --quantum``: a finite, positive sim-time step (a zero
-    or negative step never advances the soak)."""
+def _fraction(text: str) -> float:
+    """``scale``'s churn fractions: a number in [0, 1] (a NaN one died
+    in a traceback, one above 1 was accepted silently)."""
+    value = _float(text)
+    if not 0.0 <= value <= 1.0:  # also false for NaN
+        raise argparse.ArgumentTypeError(
+            f"must be a number in [0, 1], got {text!r}"
+        )
+    return value
+
+
+def _positive(text: str) -> float:
+    """A rate, interval or deadline: a finite number > 0 (an infinite
+    rate fires forever at one instant, a zero ``serve --quantum``
+    never advances the soak)."""
     value = _float(text)
     if not 0.0 < value < float("inf"):  # also false for NaN
         raise argparse.ArgumentTypeError(
             f"must be a finite number > 0, got {text!r}"
         )
     return value
+
+
+def _count(text: str) -> int:
+    """A number of hosts or stations: an integer >= 0 (a negative
+    ``scale --n-active`` ran silently with none)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {text!r}"
+        )
+    return value
+
+
+def _recovery(text: str):
+    """``--recovery``: a checkpoint policy spec, built here so that a
+    bad one is a usage error naming the flag."""
+    from repro.errors import ConfigurationError
+    from repro.recovery import policy_from_spec
+
+    try:
+        return policy_from_spec(text)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _port(text: str) -> int:
@@ -100,14 +151,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n-mss", type=int, default=6,
+        p.add_argument("--n-mss", type=_count, default=6,
                        help="number of support stations (M)")
-        p.add_argument("--n-mh", type=int, default=12,
+        p.add_argument("--n-mh", type=_count, default=12,
                        help="number of mobile hosts (N)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--duration", type=_duration, default=500.0,
+        p.add_argument("--duration", type=_nonnegative, default=500.0,
                        help="simulated time to run")
-        p.add_argument("--move-rate", type=float, default=0.0,
+        p.add_argument("--move-rate", type=_nonnegative, default=0.0,
                        help="moves per MH per time unit")
         p.add_argument("--search", default="abstract",
                        choices=tuple(SEARCHES))
@@ -120,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "inline JSON object (starts with '{')",
         )
         p.add_argument(
-            "--recovery", default=None, metavar="POLICY",
+            "--recovery", type=_recovery, default=None, metavar="POLICY",
             help="checkpointing policy for crash recovery: 'none', "
                  "'per-message', 'periodic:<interval>', or "
                  "'distance:<cells>' (Khatri-style; see "
@@ -133,9 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(mutex)
     mutex.add_argument("--algorithm", default="L2",
                        choices=tuple(_MUTEX_ALGORITHMS))
-    mutex.add_argument("--request-rate", type=float, default=0.05,
+    mutex.add_argument("--request-rate", type=_positive, default=0.05,
                        help="requests per MH per time unit")
-    mutex.add_argument("--cs-duration", type=float, default=0.5)
+    mutex.add_argument("--cs-duration", type=_nonnegative, default=0.5)
 
     groups = sub.add_parser(
         "groups", help="group location management (Section 4)"
@@ -143,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(groups)
     groups.add_argument("--strategy", default="location_view",
                         choices=sorted(GROUP_STRATEGIES))
-    groups.add_argument("--group-size", type=int, default=6)
-    groups.add_argument("--message-rate", type=float, default=0.05,
+    groups.add_argument("--group-size", type=_count, default=6)
+    groups.add_argument("--message-rate", type=_positive, default=0.05,
                         help="group messages per time unit")
 
     proxy = sub.add_parser(
@@ -153,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(proxy)
     proxy.add_argument("--policy", default="fixed",
                        choices=sorted(PROXY_POLICIES))
-    proxy.add_argument("--message-rate", type=float, default=0.05,
+    proxy.add_argument("--message-rate", type=_positive, default=0.05,
                        help="MH-to-MH letters per time unit")
 
     multicast = sub.add_parser(
@@ -161,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="exactly-once multicast (the paper's reference [1])",
     )
     common(multicast)
-    multicast.add_argument("--group-size", type=int, default=6)
-    multicast.add_argument("--message-rate", type=float, default=0.05)
+    multicast.add_argument("--group-size", type=_count, default=6)
+    multicast.add_argument("--message-rate", type=_positive, default=0.05)
     multicast.add_argument("--no-gc", action="store_true",
                            help="disable buffer garbage collection")
 
@@ -215,17 +266,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the available scenarios and exit",
     )
     monitor.add_argument(
-        "--request-deadline", type=float, default=200.0,
+        "--request-deadline", type=_positive, default=200.0,
         help="liveness watchdog: max sim-time age of an unserved "
              "request (default 200)",
     )
     monitor.add_argument(
-        "--token-deadline", type=float, default=120.0,
+        "--token-deadline", type=_positive, default=120.0,
         help="liveness watchdog: max sim-time without a token arrival "
              "while requests pend (default 120)",
     )
     monitor.add_argument(
-        "--health-interval", type=float, default=25.0,
+        "--health-interval", type=_positive, default=25.0,
         help="sim-time between health gauge samples (default 25)",
     )
     monitor.add_argument(
@@ -274,25 +325,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive an array-backed population at large N "
              "(see docs/scaling.md)",
     )
-    scale.add_argument("--n-mss", type=int, default=16,
+    scale.add_argument("--n-mss", type=_count, default=16,
                        help="number of support stations (M)")
-    scale.add_argument("--n-mh", type=int, default=10_000,
+    scale.add_argument("--n-mh", type=_count, default=10_000,
                        help="population size N (array-backed)")
     scale.add_argument("--seed", type=int, default=0)
-    scale.add_argument("--duration", type=_duration, default=200.0,
+    scale.add_argument("--duration", type=_nonnegative, default=200.0,
                        help="simulated time to run")
-    scale.add_argument("--tick", type=float, default=10.0,
+    scale.add_argument("--tick", type=_finite, default=10.0,
                        help="sim-time between crowd churn waves")
-    scale.add_argument("--move-fraction", type=float, default=0.01,
+    scale.add_argument("--move-fraction", type=_fraction, default=0.01,
                        help="fraction of the passive crowd moved per "
                             "tick")
-    scale.add_argument("--disconnect-fraction", type=float,
+    scale.add_argument("--disconnect-fraction", type=_fraction,
                        default=0.002)
-    scale.add_argument("--reconnect-fraction", type=float, default=0.5)
-    scale.add_argument("--n-active", type=int, default=8,
+    scale.add_argument("--reconnect-fraction", type=_fraction,
+                       default=0.5)
+    scale.add_argument("--n-active", type=_count, default=8,
                        help="promoted hosts running real L2 mutex "
                             "traffic")
-    scale.add_argument("--max-active", type=int, default=None,
+    scale.add_argument("--max-active", type=_count, default=None,
                        help="soft cap on promoted hosts "
                             "(default 1024)")
 
@@ -305,21 +357,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default loopback)")
     serve.add_argument("--port", type=_port, default=8077,
                        help="TCP port; 0 picks a free one")
-    serve.add_argument("--n-mss", type=int, default=6)
-    serve.add_argument("--n-mh", type=int, default=40)
+    serve.add_argument("--n-mss", type=_count, default=6)
+    serve.add_argument("--n-mh", type=_count, default=40)
     serve.add_argument("--seed", type=int, default=3)
-    serve.add_argument("--duration", type=_duration, default=0.0,
+    serve.add_argument("--duration", type=_nonnegative, default=0.0,
                        help="simulated time to run; 0 means soak "
                             "until interrupted")
-    serve.add_argument("--quantum", type=_quantum, default=50.0,
+    serve.add_argument("--quantum", type=_positive, default=50.0,
                        help="sim-time advanced per serve-loop step; "
                             "the ledger drains between steps so "
                             "scrapes stay fresh")
-    serve.add_argument("--request-rate", type=float, default=0.05,
+    serve.add_argument("--request-rate", type=_positive, default=0.05,
                        help="mutex requests per MH per time unit")
-    serve.add_argument("--move-rate", type=float, default=0.02,
+    serve.add_argument("--move-rate", type=_nonnegative, default=0.02,
                        help="moves per MH per time unit")
-    serve.add_argument("--linger", type=float, default=0.0,
+    serve.add_argument("--linger", type=_nonnegative, default=0.0,
                        help="wall-clock seconds to keep serving after "
                             "a bounded --duration run completes")
 
@@ -338,18 +390,6 @@ def _parse_fault_plan(spec: Optional[str]):
         return FaultPlan.load(spec)
     except (OSError, ValueError, ConfigurationError) as exc:
         raise SystemExit(f"--fault-plan: {exc}") from exc
-
-
-def _parse_recovery(spec: Optional[str]):
-    if spec is None:
-        return None
-    from repro.errors import ConfigurationError
-    from repro.recovery import policy_from_spec
-
-    try:
-        return policy_from_spec(spec)
-    except ConfigurationError as exc:
-        raise SystemExit(f"--recovery: {exc}") from exc
 
 
 def _rng(seed: int):
@@ -375,7 +415,7 @@ def _build_sim(args) -> Simulation:
         ),
         search=args.search,
         fault_plan=_parse_fault_plan(getattr(args, "fault_plan", None)),
-        recovery=_parse_recovery(getattr(args, "recovery", None)),
+        recovery=getattr(args, "recovery", None),
     )
 
 

@@ -82,7 +82,3 @@ class LamportClock:
         """:meth:`merge`, then return the stamp of the receive event."""
         self.merge(timestamp)
         return Timestamp(self._counter, self.node_id)
-
-    def peek(self) -> Timestamp:
-        """Current stamp without advancing (for comparisons only)."""
-        return Timestamp(self._counter, self.node_id)

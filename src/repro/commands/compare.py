@@ -3,8 +3,11 @@ predicted.
 
 Each experiment runs a small system and prints its measured cost next
 to the paper's closed form (:mod:`repro.analysis.formulas`); any
-mismatch makes the exit status 1.
+mismatch makes the exit status 1.  ``--experiment recovery`` measures
+the checkpoint policies instead (:func:`run_length_table`).
 """
+
+from typing import List, NamedTuple, Optional
 
 from repro.analysis import comparisons, formulas
 from repro.facade import Simulation
@@ -124,10 +127,7 @@ def run(args, emit) -> int:
         emit("")
 
     if args.experiment in ("all", "recovery"):
-        from repro.recovery.bench import (
-            DEFAULT_RUN_LENGTHS, run_length_table,
-        )
-        short_n, long_n = DEFAULT_RUN_LENGTHS
+        short_n, long_n = RUN_LENGTHS
         emit(f"== Checkpoint policies: overhead vs recovery cost "
              f"({short_n}- vs {long_n}-move runs) ==")
         emit(f"  {'policy':<16}{'moves':>6}{'ckpts':>7}"
@@ -156,3 +156,91 @@ def run(args, emit) -> int:
     emit("all comparisons matched the paper's formulas"
          if failures == 0 else f"{failures} MISMATCHES")
     return 0 if failures == 0 else 1
+
+
+#: the recovery experiment's head-to-head: eager, timed, and
+#: distance-bounded checkpointing.
+RECOVERY_POLICIES = ("per-message", "periodic:12.0", "distance:2")
+#: short vs long runs, congruent modulo the distance bound above so the
+#: independence claim is an exact equality.
+RUN_LENGTHS = (5, 25)
+
+
+class PolicyRunCost(NamedTuple):
+    """The measured bill for one (policy, run length) pair."""
+
+    policy: str
+    n_moves: int
+    checkpoints: int
+    ckpt_cost: float
+    restore_cost: float
+    #: units of recoverable work the crash destroyed for good.
+    work_lost: int
+    #: sequence number reinstated by the restore (-1 = from nothing).
+    restored_seq: int
+
+
+def measure_policy(policy: str, n_moves: int, seed: int = 1,
+                   cost_model: Optional[CostModel] = None) -> PolicyRunCost:
+    """One run of the recovery workload under ``policy``, priced in the
+    paper's currency.
+
+    A single mobile host performs one unit of recoverable work in every
+    cell it visits, hops to the next cell every 6 time units (spaced so
+    the migrating meta always catches up while the host is connected),
+    crashes after the last hop and recovers ten units later.  Scope
+    ``recovery.ckpt`` is the overhead the policy pays while healthy;
+    ``recovery.restore`` is the bill paid after the crash (one fixed hop
+    per trail entry walked, the payload's return, the restore downlink).
+    Under ``distance:<d>`` the restore bill depends only on the distance
+    moved since the last checkpoint (Khatri), so runs whose lengths are
+    congruent modulo *d* pay exactly the same restore cost.
+    Deterministic for a given (policy, n_moves, seed).
+    """
+    from repro.faults import FaultPlan, MhCrash
+    from repro.net import ConstantLatency, NetworkConfig
+    from repro.recovery import CounterClient
+
+    n_mss = 4
+    plan = FaultPlan(
+        mh_crashes=(
+            MhCrash("mh-0", at=10.0 + 6.0 * n_moves,
+                    recover_at=20.0 + 6.0 * n_moves),
+        ),
+        seed=seed,
+    )
+    config = NetworkConfig(
+        fixed_latency=ConstantLatency(1.0),
+        wireless_latency=ConstantLatency(0.5),
+    )
+    sim = Simulation(
+        n_mss=n_mss, n_mh=1, seed=seed, config=config,
+        fault_plan=plan, recovery=policy, cost_model=cost_model,
+    )
+    counter = CounterClient(sim.recovery)
+    sim.scheduler.post_at(1.0, counter.note_work, "mh-0")
+    for i in range(n_moves):
+        # One unit of work in the current cell, then hop to the next.
+        sim.scheduler.post_at(2.9 + 6.0 * i, counter.note_work, "mh-0")
+        sim.scheduler.post_at(
+            3.0 + 6.0 * i, sim.mh(0).move_to, f"mss-{(i + 1) % n_mss}"
+        )
+    sim.drain()
+    assert len(sim.recovery.restored) == 1
+    return PolicyRunCost(
+        policy=policy,
+        n_moves=n_moves,
+        checkpoints=sim.recovery.checkpoints_taken,
+        ckpt_cost=sim.cost("recovery.ckpt"),
+        restore_cost=sim.cost("recovery.restore"),
+        work_lost=counter.lost["mh-0"],
+        restored_seq=sim.recovery.restored[0][2],
+    )
+
+
+def run_length_table(seed: int = 1, cost_model: Optional[CostModel] = None
+                     ) -> List[PolicyRunCost]:
+    """Every :data:`RECOVERY_POLICIES` x :data:`RUN_LENGTHS` run,
+    row-major by policy."""
+    return [measure_policy(policy, n, seed=seed, cost_model=cost_model)
+            for policy in RECOVERY_POLICIES for n in RUN_LENGTHS]

@@ -147,14 +147,6 @@ class FaultInjector:
     # Queries from the network
     # ------------------------------------------------------------------
 
-    def is_crashed(self, mss_id: str) -> bool:
-        """Whether ``mss_id`` is currently down."""
-        return mss_id in self._crashed
-
-    def is_mh_crashed(self, mh_id: str) -> bool:
-        """Whether mobile host ``mh_id`` is currently down."""
-        return mh_id in self._mh_crashed
-
     def decide_fixed(self, message: "Message") -> FaultDecision:
         """Fault outcome for one fixed-network transmission."""
         if self.network.is_mss_crashed(message.src):

@@ -68,9 +68,9 @@ class GroupStrategy:
     or missed (``stats.deliveries + stats.missed ==
     stats.expected_recipients``), even under arbitrary races between
     messages in flight, member moves and membership changes.
-    Strategies report outcomes through :meth:`_record_delivered` /
-    :meth:`_record_missed`; the first report per (message, recipient)
-    wins and duplicates are ignored.
+    A strategy implements ``_send(sender_mh_id, payload, msg_id)`` and
+    reports outcomes through :meth:`_record_outcome`; the first report
+    per (message, recipient) wins and duplicates are ignored.
 
     Args:
         network: the simulated system.
@@ -168,10 +168,6 @@ class GroupStrategy:
     # Strategy hooks
     # ------------------------------------------------------------------
 
-    def _send(self, sender_mh_id: str, payload: object,
-              msg_id: int) -> None:
-        raise NotImplementedError
-
     def _after_member_attached(self, mh_id: str) -> None:
         """Strategy-specific reaction to a member's (re)attachment."""
 
@@ -202,11 +198,6 @@ class GroupStrategy:
                     envelope.payload,
                 )
             )
-
-    def _record_delivered(self, msg_id: int, mh_id: str) -> bool:
-        """Mark (message, recipient) delivered; False if already
-        accounted."""
-        return self._record_outcome(msg_id, mh_id, delivered=True)
 
     def _record_missed(self, msg_id: int, mh_id: str) -> bool:
         """Mark (message, recipient) missed; False if already

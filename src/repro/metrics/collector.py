@@ -263,14 +263,6 @@ class MetricsCollector:
         """Counters accumulated since ``earlier``."""
         return self.snapshot().diff(earlier)
 
-    def reset(self) -> None:
-        """Drop all recorded counts."""
-        self._counts.clear()
-        self._energy_tx.clear()
-        self._energy_rx.clear()
-        self._faults.clear()
-        self._recovery_times.clear()
-
     def report(self, model: Optional[CostModel] = None) -> Dict[str, object]:
         """A plain-dict summary suitable for printing or JSON dumping."""
         snap = self.snapshot()

@@ -9,7 +9,7 @@ import random
 from functools import partial
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_number
 from repro.sim import PoissonProcess
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -19,7 +19,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class MobilityModel:
     """Base class: schedules moves for a set of MHs.
 
-    Subclasses implement :meth:`choose_destination`; the base class
+    Subclasses implement ``choose_destination(mh_id, current)``, the
+    destination cell of the next move (``None`` = stay put); the base class
     owns the per-MH Poisson move processes and skips MHs that are not
     currently connected (mid-move or disconnected) when their move
     timer fires.
@@ -32,6 +33,7 @@ class MobilityModel:
         move_rate: float,
         rng: random.Random,
     ) -> None:
+        require_number(f"{type(self).__name__}.move_rate", move_rate)
         if move_rate <= 0:
             raise ConfigurationError("move_rate must be positive")
         if not mh_ids:
@@ -60,10 +62,6 @@ class MobilityModel:
         """Change the per-MH move rate (rush hours, quiet nights)."""
         for process in self._processes:
             process.set_rate(move_rate)
-
-    def choose_destination(self, mh_id: str, current: str) -> Optional[str]:
-        """Destination cell for the next move (``None`` = stay put)."""
-        raise NotImplementedError
 
     def _try_move(self, mh_id: str) -> None:
         mh = self.network.mobile_host(mh_id)
@@ -230,6 +228,7 @@ class DisconnectionModel:
         rng: random.Random,
         supply_prev: bool = True,
     ) -> None:
+        require_number("DisconnectionModel.downtime", downtime)
         if downtime <= 0:
             raise ConfigurationError("downtime must be positive")
         self.network = network

@@ -253,10 +253,6 @@ class R2Mutex:
         """The ring node at ``mss_id`` (for tests)."""
         return self._nodes[mss_id]
 
-    def pending_requests(self, mss_id: str) -> int:
-        """Requests currently queued at ``mss_id`` (for tests)."""
-        return len(self._request_queues[mss_id])
-
     # ------------------------------------------------------------------
     # MSS side
     # ------------------------------------------------------------------

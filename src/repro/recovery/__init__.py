@@ -24,14 +24,10 @@ This package implements that subsystem:
   and the final wireless restore to the recovered host.
 * pluggable :mod:`~repro.recovery.policy` -- per-message, periodic,
   and Khatri distance-based checkpointing, so experiments can compare
-  overhead against recovery cost under the standard cost model.
+  overhead against recovery cost under the standard cost model
+  (``repro compare --experiment recovery``).
 """
 
-from repro.recovery.bench import (
-    PolicyRunCost,
-    measure_policy,
-    run_length_table,
-)
 from repro.recovery.checkpoint import (
     Checkpoint,
     CheckpointMeta,
@@ -63,10 +59,7 @@ __all__ = [
     "NoCheckpointPolicy",
     "PerMessagePolicy",
     "PeriodicPolicy",
-    "PolicyRunCost",
     "RecoveryClient",
     "RecoveryManager",
-    "measure_policy",
     "policy_from_spec",
-    "run_length_table",
 ]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Set
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_number
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.recovery.manager import RecoveryManager
@@ -74,6 +74,7 @@ class PeriodicPolicy(CheckpointPolicy):
     name = "periodic"
 
     def __init__(self, interval: float) -> None:
+        require_number("PeriodicPolicy.interval", interval)
         if interval <= 0:
             raise ConfigurationError(
                 f"periodic checkpoint interval must be > 0, got {interval}"

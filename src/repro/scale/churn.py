@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_number
 from repro.scale.store import PopulationStore
 from repro.sim import Scheduler
 
@@ -43,6 +43,7 @@ class CrowdChurn:
         reconnect_fraction: float = 0.0,
         rng: Optional[random.Random] = None,
     ) -> None:
+        require_number("CrowdChurn.tick", tick)
         if tick <= 0:
             raise ConfigurationError("tick must be positive")
         self.population = population

@@ -481,17 +481,6 @@ class PopulationStore:
         setattr(self, name, column)
         return column
 
-    def demote_idle(self) -> int:
-        """Demote every currently demotable promoted host."""
-        count = 0
-        for index in list(self._active_order):
-            mh_id = f"mh-{index}"
-            mh = self.network.mobile_host(mh_id)
-            if self.demotable(mh):
-                self.demote(mh_id)
-                count += 1
-        return count
-
     def _enforce_cap(self, scan_limit: int = 64) -> None:
         """Demote the oldest clean promoted hosts down to the cap.
 

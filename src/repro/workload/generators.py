@@ -9,7 +9,7 @@ import random
 from functools import partial
 from typing import TYPE_CHECKING, List, Set
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_number
 from repro.sim import PoissonProcess
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -44,6 +44,7 @@ class MutexWorkload:
         request_rate: float,
         rng: random.Random,
     ) -> None:
+        require_number("MutexWorkload.request_rate", request_rate)
         if request_rate <= 0:
             raise ConfigurationError("request_rate must be positive")
         self.network = network
@@ -122,6 +123,9 @@ class _Traffic:
     def __init__(self, network: "Network", rate: float,
                  sender_rng: random.Random,
                  arrival_rng: random.Random) -> None:
+        require_number(f"{type(self).__name__}.message_rate", rate)
+        if rate <= 0:
+            raise ConfigurationError("message_rate must be positive")
         self.network = network
         self.rng = sender_rng
         self.sent = 0
@@ -168,8 +172,6 @@ class GroupMessagingWorkload(_Traffic):
         message_rate: float,
         rng: random.Random,
     ) -> None:
-        if message_rate <= 0:
-            raise ConfigurationError("message_rate must be positive")
         self.group = group
         super().__init__(network, message_rate, rng,
                          random.Random(rng.getrandbits(64)))

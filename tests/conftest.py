@@ -2,14 +2,31 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import CostModel, CriticalResource, NetworkConfig, Simulation
 from repro.net import ConstantLatency
+from repro.scenario import builtin_registry
 
-# Exposes the declarative scenario pack as parametrized fixtures
-# (``scenario_spec`` / ``scenario_seed``) -- see tests/test_scenario_pack.py.
-pytest_plugins = ["repro.scenario.pytest_plugin"]
+
+def pytest_generate_tests(metafunc) -> None:
+    """Parametrize any test taking ``scenario_spec`` over the builtin
+    scenario pack, one test id per scenario name
+    (tests/test_scenario_pack.py)."""
+    if "scenario_spec" in metafunc.fixturenames:
+        specs = builtin_registry().specs()
+        metafunc.parametrize(
+            "scenario_spec", specs, ids=[spec.name for spec in specs]
+        )
+
+
+@pytest.fixture
+def scenario_seed() -> int:
+    """Seed for scenario runs; ``REPRO_CHAOS_SEED`` overrides, so the
+    CI chaos seed sweeps cover the pack too."""
+    return int(os.environ.get("REPRO_CHAOS_SEED", "7"))
 
 
 def make_sim(

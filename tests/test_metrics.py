@@ -121,14 +121,6 @@ class TestMetricsCollector:
         assert delta.total(Category.WIRELESS) == 1
         assert delta.energy("mh-0") == 1
 
-    def test_reset_clears_everything(self):
-        m = MetricsCollector()
-        m.record_fixed()
-        m.record_wireless_rx("mh-0")
-        m.reset()
-        assert m.total(Category.FIXED) == 0
-        assert m.energy() == 0
-
     def test_report_structure(self):
         m = MetricsCollector()
         m.record_fixed("alg")

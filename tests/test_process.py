@@ -1,4 +1,4 @@
-"""Unit tests for periodic and Poisson processes."""
+"""Unit tests for the Poisson process."""
 
 from __future__ import annotations
 
@@ -7,44 +7,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim import PeriodicProcess, PoissonProcess, Scheduler
-
-
-def test_periodic_fires_at_fixed_interval():
-    sched = Scheduler()
-    times = []
-    PeriodicProcess(sched, 2.0, lambda: times.append(sched.now),
-                    max_firings=4)
-    sched.drain()
-    assert times == [2.0, 4.0, 6.0, 8.0]
-
-
-def test_periodic_start_after_overrides_first_firing():
-    sched = Scheduler()
-    times = []
-    PeriodicProcess(sched, 5.0, lambda: times.append(sched.now),
-                    start_after=1.0, max_firings=2)
-    sched.drain()
-    assert times == [1.0, 6.0]
-
-
-def test_periodic_stop_prevents_future_firings():
-    sched = Scheduler()
-    count = [0]
-
-    def action():
-        count[0] += 1
-        if count[0] == 2:
-            proc.stop()
-
-    proc = PeriodicProcess(sched, 1.0, action)
-    sched.drain()
-    assert count[0] == 2
-
-
-def test_periodic_rejects_nonpositive_interval():
-    with pytest.raises(ConfigurationError):
-        PeriodicProcess(Scheduler(), 0.0, lambda: None)
+from repro.sim import PoissonProcess, Scheduler
 
 
 def test_poisson_firing_count_close_to_rate():

@@ -539,7 +539,7 @@ class TestRecoveryBench:
     independent of run length; eager checkpointing pays per unit)."""
 
     def test_table_shape_and_headline_claims(self):
-        from repro.recovery import run_length_table
+        from repro.commands.compare import run_length_table
 
         rows = run_length_table()
         by = {(r.policy, r.n_moves): r for r in rows}

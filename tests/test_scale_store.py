@@ -42,6 +42,13 @@ def make_sim(n_mss=4, n_mh=12, **kwargs):
                       population_store=True, **kwargs)
 
 
+def demote_idle(pop):
+    """Demote every promoted host that is demotable right now."""
+    for index in list(pop._active_order):
+        if pop.demotable(pop.network.mobile_host(f"mh-{index}")):
+            pop.demote(f"mh-{index}")
+
+
 class ScriptedRng:
     """``getrandbits`` replays a script, aiming a mass op at chosen hosts
     (the ops draw a host index, then a cell, per attempt; a scripted
@@ -228,7 +235,7 @@ def test_memory_budget_counts_the_side_tables():
     before = pop.memory_bytes()
     for i in range(50):
         doze_through_a_downlink(sim, sim.mh(i))
-    pop.demote_idle()
+    demote_idle(pop)
     assert len(pop._last_seq) == len(pop._doze_ints) == 50
     # Every entry costs at least its key and value.
     assert pop.memory_bytes() >= before + 2 * 50 * 2 * 28
@@ -725,7 +732,7 @@ def test_occupancy_is_a_recount_after_interleaved_ops():
         pop.mass_move(0.3, rng)
         pop.mass_disconnect(0.2, rng)
         if round_ % 2:
-            pop.demote_idle()
+            demote_idle(pop)
         pop.mass_reconnect(1.0, rng)
         assert pop.occupancy() == recount_occupancy(sim)
         assert sum(pop.occupancy()) == pop.passive_connected

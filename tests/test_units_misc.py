@@ -127,8 +127,8 @@ class TestGroupAccounting:
 
     def test_outcome_recorded_once(self):
         sim, group = self.build()
-        assert group._record_delivered(1, "mh-1")
-        assert not group._record_delivered(1, "mh-1")
+        assert group._record_outcome(1, "mh-1", delivered=True)
+        assert not group._record_outcome(1, "mh-1", delivered=True)
         assert not group._record_missed(1, "mh-1")
         assert group.stats.deliveries == 1
         assert group.stats.missed == 0
@@ -137,11 +137,11 @@ class TestGroupAccounting:
         sim, group = self.build()
         group._record_missed_provisionally(1, "mh-1")
         assert group.stats.missed == 1
-        assert group._record_delivered(1, "mh-1")
+        assert group._record_outcome(1, "mh-1", delivered=True)
         assert group.stats.missed == 0
         assert group.stats.deliveries == 1
         # A second delivery report is ignored.
-        assert not group._record_delivered(1, "mh-1")
+        assert not group._record_outcome(1, "mh-1", delivered=True)
         assert group.stats.deliveries == 1
 
     def test_provisional_then_definitive_miss_stays_single(self):
@@ -160,16 +160,16 @@ class TestGroupAccounting:
         sim, group = self.build()
         assert group._record_missed(1, "mh-1")
         assert not group._record_missed(1, "mh-1")
-        assert not group._record_delivered(1, "mh-1")
+        assert not group._record_outcome(1, "mh-1", delivered=True)
         # Another recipient of the same message is its own entry.
-        assert group._record_delivered(1, "mh-2")
+        assert group._record_outcome(1, "mh-2", delivered=True)
         assert (group.stats.deliveries, group.stats.missed) == (1, 1)
 
     def test_a_removed_and_readded_member_keeps_its_bit(self):
         from repro.groups import PureSearchGroup
         sim = make_sim(n_mss=4, n_mh=4)
         group = PureSearchGroup(sim.network, ["mh-0", "mh-1", "mh-2"])
-        assert group._record_delivered(1, "mh-2")
+        assert group._record_outcome(1, "mh-2", delivered=True)
         group.remove_member("mh-2")
         group.add_member("mh-3")
         group.add_member("mh-2")
@@ -178,7 +178,7 @@ class TestGroupAccounting:
         assert not group._record_missed(1, "mh-2")
         # ... and a later message accounts for it afresh.
         assert group._record_missed(2, "mh-2")
-        assert group._record_delivered(2, "mh-3")
+        assert group._record_outcome(2, "mh-3", delivered=True)
         assert (group.stats.deliveries, group.stats.missed) == (2, 1)
 
     def test_a_70_member_group_accounts_past_64_bits(self):
@@ -195,8 +195,8 @@ class TestGroupAccounting:
         for mh_id in sim.mh_ids:
             group._record_missed_provisionally(2, mh_id)
         for mh_id in sim.mh_ids[::-1]:
-            assert group._record_delivered(2, mh_id)
-            assert not group._record_delivered(2, mh_id)
+            assert group._record_outcome(2, mh_id, delivered=True)
+            assert not group._record_outcome(2, mh_id, delivered=True)
         assert group._accounted[2] == (1 << 70) - 1
         assert group._provisional == {}
         assert (group.stats.deliveries, group.stats.missed) == (139, 0)
